@@ -19,9 +19,7 @@ Two ways to run it:
 from __future__ import annotations
 
 import argparse
-import gc
 import json
-import statistics
 import sys
 import time
 
@@ -30,7 +28,6 @@ from repro.experiments.scenario import run_scenario
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.eventq import EVENT_QUEUE_NAMES
 from repro.topology.graph import all_shortest_path_trees
 from repro.topology.mesh import regular_mesh
 
@@ -38,15 +35,12 @@ from repro.topology.mesh import regular_mesh
 #
 # Each workload returns (metric_value, unit, higher_is_better); the script
 # harness reports the best of N repeats, the pytest harness times them via
-# the benchmark fixture.  All workloads take an event-queue backend name so
-# --queue / --compare-queues can pit "heap" against "calendar" on identical
-# event streams (the backends are bit-identical in results, so any delta is
-# pure scheduler cost).
+# the benchmark fixture.
 
 
-def _event_throughput(n_events: int, queue: str | None = None) -> float:
+def _event_throughput(n_events: int) -> float:
     """Self-rescheduling tick chain: schedule+run ``n_events`` events."""
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     remaining = [n_events]
 
     def tick():
@@ -62,13 +56,13 @@ def _event_throughput(n_events: int, queue: str | None = None) -> float:
     return n_events / elapsed
 
 
-def _cancel_churn(n_timers: int, queue: str | None = None) -> float:
+def _cancel_churn(n_timers: int) -> float:
     """Timer restart storm: every event re-arms, half get cancelled lazily.
 
     Exercises the lazy-cancellation path the protocols lean on (MRAI,
     holddown): events/sec counts executed + skipped husks.
     """
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     handles = [sim.schedule(0.001 * (i + 1), lambda: None) for i in range(n_timers)]
     for i, handle in enumerate(handles):
         if i % 2 == 0:
@@ -78,7 +72,7 @@ def _cancel_churn(n_timers: int, queue: str | None = None) -> float:
     def tick():
         done[0] += 1
 
-    sim.schedule_many([(0.001 * (i + 1), tick) for i in range(n_timers)])
+    sim.schedule_many_at([(0.001 * (i + 1), tick) for i in range(n_timers)])
     started = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - started
@@ -87,19 +81,17 @@ def _cancel_churn(n_timers: int, queue: str | None = None) -> float:
     return (stats.events_processed + stats.cancelled_skipped) / elapsed
 
 
-def _periodic_timer_throughput(
-    n_timers: int, n_events: int, queue: str | None = None
-) -> float:
-    """RIP-shaped periodic-timer population: the calendar queue's home turf.
+def _periodic_timer_throughput(n_timers: int, n_events: int) -> float:
+    """RIP-shaped periodic-timer population at sweep-farm size.
 
     ``n_timers`` independent timers with periods spread over 25-35 s (the
     RFC 2453 30 s +/- jitter band, deterministic here), each re-arming via
     the handle-recycling ``reschedule`` fast path — the steady-state access
     pattern of a d4 RIP mesh's update timers scaled to sweep-farm size.
-    The pending population stays ~``n_timers`` throughout, which is where
-    a heap pays ``O(log n)`` per event and a calendar queue does not.
+    The pending population stays ~``n_timers`` throughout, so every event
+    pays the heap's full ``O(log n)``.
     """
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     periods = [25.0 + (i * 7919 % 1001) / 100.0 for i in range(n_timers)]
     handles: list = [None] * n_timers
 
@@ -121,10 +113,10 @@ def _periodic_timer_throughput(
     return n_events / elapsed
 
 
-def _forwarding_rate(n_packets: int, queue: str | None = None) -> float:
+def _forwarding_rate(n_packets: int) -> float:
     """Push packets across a 7x7 degree-4 mesh diagonal; events/sec."""
     topo = regular_mesh(7, 7, 4)
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     net = Network(sim, topo)
     trees = all_shortest_path_trees(topo)
     for node in net.iter_nodes():
@@ -135,7 +127,7 @@ def _forwarding_rate(n_packets: int, queue: str | None = None) -> float:
     def emit():
         net.node(0).originate(Packet(src=0, dst=48, size_bytes=64))
 
-    sim.schedule_many([(i * 0.001, emit) for i in range(n_packets)])
+    sim.schedule_many_at([(i * 0.001, emit) for i in range(n_packets)])
     started = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - started
@@ -143,11 +135,9 @@ def _forwarding_rate(n_packets: int, queue: str | None = None) -> float:
     return sim.events_processed / elapsed
 
 
-def _scenario_seconds(post_fail_window: float, queue: str | None = None) -> float:
+def _scenario_seconds(post_fail_window: float) -> float:
     """Wall seconds for one complete DBF scenario at paper topology scale."""
-    cfg = ExperimentConfig.quick().with_(
-        runs=1, post_fail_window=post_fail_window, event_queue=queue
-    )
+    cfg = ExperimentConfig.quick().with_(runs=1, post_fail_window=post_fail_window)
     started = time.perf_counter()
     result = run_scenario("dbf", 4, 1, cfg)
     elapsed = time.perf_counter() - started
@@ -157,85 +147,36 @@ def _scenario_seconds(post_fail_window: float, queue: str | None = None) -> floa
 
 # ------------------------------------------------------------ script harness
 
-def _suite(smoke: bool, queue: str | None = None) -> dict[str, dict]:
+def _suite(smoke: bool) -> dict[str, dict]:
     scale = 10 if smoke else 1
     return {
         "event_throughput": {
-            "run": lambda: _event_throughput(200_000 // scale, queue),
+            "run": lambda: _event_throughput(200_000 // scale),
             "unit": "events/s",
             "higher_is_better": True,
         },
         "cancel_churn": {
-            "run": lambda: _cancel_churn(50_000 // scale, queue),
+            "run": lambda: _cancel_churn(50_000 // scale),
             "unit": "events/s",
             "higher_is_better": True,
         },
         "rip_periodic_timers": {
             "run": lambda: _periodic_timer_throughput(
-                200_000 // scale, 150_000 // scale, queue
+                200_000 // scale, 150_000 // scale
             ),
             "unit": "events/s",
             "higher_is_better": True,
         },
         "packet_forwarding": {
-            "run": lambda: _forwarding_rate(2_000 // scale, queue),
+            "run": lambda: _forwarding_rate(2_000 // scale),
             "unit": "events/s",
             "higher_is_better": True,
         },
         "dbf_scenario": {
-            "run": lambda: _scenario_seconds(4.0 if smoke else 40.0, queue),
+            "run": lambda: _scenario_seconds(4.0 if smoke else 40.0),
             "unit": "s",
             "higher_is_better": False,
         },
-    }
-
-
-def _compare_queues(smoke: bool, rounds: int) -> dict:
-    """Paired-ratio comparison of the backends on the periodic workload.
-
-    Methodology from bench_overhead: the two variants run back-to-back
-    within each round in rotating order (so drift hits both alike), GC is
-    pinned off around the timed region, and the reported figure is the
-    median of per-round calendar/heap ratios — pairing cancels machine
-    drift that would swamp an absolute comparison.
-    """
-    n_timers = 20_000 if smoke else 200_000
-    n_events = 15_000 if smoke else 150_000
-    variants = ("heap", "calendar")
-
-    def measure(queue: str) -> float:
-        gc.collect()
-        gc.disable()
-        try:
-            return _periodic_timer_throughput(n_timers, n_events, queue)
-        finally:
-            gc.enable()
-
-    for queue in variants:  # warm-up round, discarded
-        measure(queue)
-    per_round: list[dict] = []
-    ratios: list[float] = []
-    for i in range(rounds):
-        order = variants[i % 2 :] + variants[: i % 2]
-        rates = {queue: measure(queue) for queue in order}
-        ratio = rates["calendar"] / rates["heap"]
-        ratios.append(ratio)
-        per_round.append({**rates, "ratio": ratio})
-        print(
-            f"round {i}: heap={rates['heap']:,.0f} ev/s "
-            f"calendar={rates['calendar']:,.0f} ev/s ratio={ratio:.2f}"
-        )
-    median = statistics.median(ratios)
-    print(
-        f"paired calendar/heap ratio on rip_periodic_timers "
-        f"({n_timers:,} timers): {median:.2f}x (median of {rounds} rounds)"
-    )
-    return {
-        "workload": "rip_periodic_timers",
-        "n_timers": n_timers,
-        "n_events": n_events,
-        "rounds": per_round,
-        "ratio_median": median,
     }
 
 
@@ -250,46 +191,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--repeat", type=int, default=3, help="repeats per benchmark (best kept)"
     )
-    parser.add_argument(
-        "--queue",
-        choices=EVENT_QUEUE_NAMES,
-        default=None,
-        help="event-queue backend for all workloads (default: engine default)",
-    )
-    parser.add_argument(
-        "--compare-queues",
-        action="store_true",
-        help="paired heap-vs-calendar ratio on the periodic-timer workload "
-        "instead of the absolute suite",
-    )
-    parser.add_argument(
-        "--fail-below",
-        type=float,
-        metavar="RATIO",
-        help="with --compare-queues: exit non-zero if the median "
-        "calendar/heap ratio is below RATIO",
-    )
     args = parser.parse_args(argv)
 
-    if args.compare_queues:
-        comparison = _compare_queues(args.smoke, max(1, args.repeat))
-        if args.json:
-            payload = {
-                "meta": {"smoke": args.smoke, "repeat": args.repeat},
-                "compare_queues": comparison,
-            }
-            with open(args.json, "w", encoding="utf-8") as f:
-                json.dump(payload, f, indent=2)
-            print(f"wrote {args.json}")
-        if args.fail_below is not None and comparison["ratio_median"] < args.fail_below:
-            print(
-                f"FAIL: ratio {comparison['ratio_median']:.2f} < {args.fail_below}"
-            )
-            return 1
-        return 0
-
     results: dict[str, dict] = {}
-    for name, spec in _suite(args.smoke, args.queue).items():
+    for name, spec in _suite(args.smoke).items():
         best = None
         for _ in range(max(1, args.repeat)):
             value = spec["run"]()
@@ -308,11 +213,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.json:
         payload = {
-            "meta": {
-                "smoke": args.smoke,
-                "repeat": args.repeat,
-                "queue": args.queue or "default",
-            },
+            "meta": {"smoke": args.smoke, "repeat": args.repeat},
             "benchmarks": results,
         }
         with open(args.json, "w", encoding="utf-8") as f:

@@ -38,7 +38,6 @@ from .experiments import figures as fig
 from .experiments.report import format_series_grid, format_sweep_table
 from .experiments.runner import run_sweep
 from .experiments.scenario import run_scenario
-from .sim.eventq import EVENT_QUEUE_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -52,13 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--paper-scale",
         action="store_true",
         help="full 10-seed, degree 3-8 configuration (slow)",
-    )
-    parser.add_argument(
-        "--queue",
-        choices=EVENT_QUEUE_NAMES,
-        default=None,
-        help="event-queue backend (default: $REPRO_EVENT_QUEUE, then heap); "
-        "results are identical under either, only speed differs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -356,8 +348,6 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["protocols"] = tuple(args.protocols)
     if getattr(args, "rate", None):
         overrides["rate_pps"] = args.rate
-    if getattr(args, "queue", None):
-        overrides["event_queue"] = args.queue
     return config.with_(**overrides) if overrides else config
 
 
@@ -389,7 +379,6 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
     config = ExperimentConfig.quick().with_(
         post_fail_window=args.window,
-        event_queue=args.queue,
         churn=ChurnConfig(
             model=args.model,
             n_nodes=args.nodes,
@@ -595,7 +584,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: --resume requires --checkpoint DIR", file=sys.stderr)
         return 2
     if getattr(args, "checkpoint", None):
-        from .experiments.store import SweepStore
+        from .experiments.store import StoreMismatchError, SweepStore
 
         store = SweepStore(args.checkpoint)
         if args.resume:
@@ -606,7 +595,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            config = store.load_config()
+            try:
+                config = store.load_config()
+            except StoreMismatchError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         else:
             config = _config(args)
     else:
@@ -711,7 +704,7 @@ def _cmd_narrate(args: argparse.Namespace) -> int:
     print(f"flow: host {sender} -> host {receiver}; failing {failed} at t=10\n")
     print(render_mesh(topo, config.rows, config.cols, failed_link=failed))
 
-    sim = Simulator(queue=config.event_queue)
+    sim = Simulator()
     bus = TraceBus(keep_routes=True)
     net = Network(sim, topo, bus)
     net.attach_protocols(

@@ -152,7 +152,7 @@ class BoundaryChannel(_Channel):
             self._link._drop(packet, self.src, DropCause.LINK_DOWN)
             self._busy = False
             return
-        handle = self._sim.schedule_call(self._prop_delay, self._consume, packet)
+        handle = self._sim.schedule(self._prop_delay, self._consume, packet)
         self._in_flight[id(packet)] = (handle, packet)
         self.transmitted += 1
         depart = self._sim.now

@@ -142,7 +142,7 @@ class ShardHost:
         self.sub = sub
 
         # --- live network (same construction order as run_scenario) --------
-        self.sim = Simulator(queue=config.event_queue)
+        self.sim = Simulator()
         self.bus = TraceBus(keep_routes=False, keep_links=False)
         self.network = Network(
             self.sim,
@@ -306,9 +306,7 @@ class ShardHost:
         """
         self._relays_in += len(relays)
         for relay in relays:
-            handle = self.sim.schedule_call_at(
-                relay.arrive_at, self._deliver_relay, relay
-            )
+            handle = self.sim.schedule_at(relay.arrive_at, self._deliver_relay, relay)
             slot = self._relay_slots.setdefault(
                 (relay.arrive_at, relay.dst), []
             )

@@ -171,7 +171,7 @@ def run_churn_scenario(
     pre_path = initial_topo.shortest_path(sender, receiver)
     assert pre_path is not None, "flow endpoints are t=0 connected"
 
-    sim = Simulator(queue=config.event_queue)
+    sim = Simulator()
     bus = TraceBus(keep_routes=False, keep_links=False)
     if recorder is not None:
         recorder.attach(bus)

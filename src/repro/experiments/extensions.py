@@ -102,7 +102,7 @@ def _build_network(
     rng_streams: RngStreams,
     config: ExperimentConfig,
 ) -> tuple[Simulator, Network]:
-    sim = Simulator(queue=config.event_queue)
+    sim = Simulator()
     bus = TraceBus(keep_routes=False)
     network = Network(sim, topo, bus, queue_capacity=config.queue_capacity)
     network.attach_protocols(

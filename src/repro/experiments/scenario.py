@@ -393,7 +393,7 @@ def run_scenario(
         expected_final = topo.shortest_path(sender, receiver, exclude_link=failed)
 
         # --- live network ----------------------------------------------------
-        sim = Simulator(queue=config.event_queue)
+        sim = Simulator()
         bus = TraceBus(keep_routes=False, keep_links=False)
         if obs is not None:
             obs.attach(bus)

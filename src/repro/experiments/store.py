@@ -153,7 +153,13 @@ class SweepStore:
     def load_config(self) -> ExperimentConfig:
         """The configuration recorded in the manifest (for ``--resume``)."""
         manifest = self._manifest or self._read_manifest()
-        return ExperimentConfig.from_dict(manifest["config"])
+        try:
+            return ExperimentConfig.from_dict(manifest["config"])
+        except ValueError as exc:
+            raise StoreMismatchError(
+                f"checkpoint at {self.directory!r} was created by a different "
+                f"version/configuration ({exc}); use a fresh directory"
+            ) from exc
 
     def grid(self) -> list[Task]:
         """The full task grid recorded in the manifest."""

@@ -159,7 +159,7 @@ class LinkScheduler:
     kills everything queued and in flight with ``LINK_DOWN``), publishes a
     :class:`~repro.sim.tracing.LinkEventRecord`, and notifies both endpoint
     protocols after the event's detection delay.  All scheduling goes
-    through the engine's closure-free ``schedule_call`` fast paths.
+    through the engine's closure-free ``schedule(..., *args)`` entry points.
     """
 
     def __init__(
@@ -182,7 +182,7 @@ class LinkScheduler:
         """Schedule one event; the link must exist (fails loudly now)."""
         self._network.link(event.a, event.b)  # validate now, fail loudly early
         self.events.append(event)
-        self._sim.schedule_call_at(event.time, self._execute, event)
+        self._sim.schedule_at(event.time, self._execute, event)
         return event
 
     def load(self, events: Iterable[LinkEvent]) -> list[LinkEvent]:
@@ -266,7 +266,7 @@ class LinkScheduler:
                 )
             link.fail()
             self._publish(event, up=False)
-            self._sim.schedule_call(
+            self._sim.schedule(
                 self._resolved_delay(event), self._notify_down, event.a, event.b
             )
         else:
@@ -288,7 +288,7 @@ class LinkScheduler:
                     and prior.restored_time is None
                 ):
                     prior.restored_time = event.time
-            self._sim.schedule_call(
+            self._sim.schedule(
                 self._resolved_delay(event), self._notify_up, event.a, event.b
             )
 

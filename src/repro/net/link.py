@@ -12,9 +12,9 @@ restored.  Failure *detection* is separate — the endpoints learn about the
 failure only after the injector's detection delay (see
 :mod:`repro.net.dynamics`).
 
-Hot-path notes: serialization and propagation events are scheduled through
-``Simulator.schedule_call`` (no per-packet lambda allocation), the per-link
-bandwidth/propagation figures are cached on the channel, and in-flight
+Hot-path notes: serialization and propagation events pass the packet to
+``Simulator.schedule`` as an argument (no per-packet lambda allocation), the
+per-link bandwidth/propagation figures are cached on the channel, and in-flight
 packets are tracked in a dict keyed by packet identity for O(1) arrival.
 """
 
@@ -111,7 +111,7 @@ class _Channel:
         self._busy = True
         self._serializing = packet
         tx = (packet.size_bytes * BITS_PER_BYTE) / self._bandwidth
-        self._sim.schedule_call(tx, self._serialized, packet)
+        self._sim.schedule(tx, self._serialized, packet)
 
     def _serialized(self, packet: Packet) -> None:
         # Serialization finished; packet enters propagation.  The transmitter
@@ -121,7 +121,7 @@ class _Channel:
             self._link._drop(packet, self.src, DropCause.LINK_DOWN)
             self._busy = False
             return
-        handle = self._sim.schedule_call(self._prop_delay, self._arrive, packet)
+        handle = self._sim.schedule(self._prop_delay, self._arrive, packet)
         self._in_flight[id(packet)] = (handle, packet)
         self.transmitted += 1
         self._start_next()

@@ -1,13 +1,7 @@
 """Discrete-event simulation substrate (engine, timers, RNG, tracing)."""
 
 from .engine import EventHandle, EventStats, SimulationError, Simulator
-from .eventq import (
-    EVENT_QUEUE_NAMES,
-    CalendarEventQueue,
-    HeapEventQueue,
-    make_event_queue,
-    resolve_queue_name,
-)
+from .eventq import HeapEventQueue
 from .rng import RngStreams
 from .timers import JitteredInterval, OneShotTimer, PeriodicTimer
 from .tracing import (
@@ -26,11 +20,7 @@ __all__ = [
     "EventHandle",
     "EventStats",
     "SimulationError",
-    "EVENT_QUEUE_NAMES",
     "HeapEventQueue",
-    "CalendarEventQueue",
-    "make_event_queue",
-    "resolve_queue_name",
     "RngStreams",
     "JitteredInterval",
     "OneShotTimer",

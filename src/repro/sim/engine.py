@@ -5,17 +5,14 @@ callbacks scheduled at absolute or relative times; ties are broken by
 insertion order so execution is fully deterministic.  Cancellation is done
 lazily: :meth:`EventHandle.cancel` marks the entry and the main loop skips it.
 
-The queue stores plain ``(time, seq, handle)`` tuples behind a pluggable
-backend (see :mod:`repro.sim.eventq`): the default binary heap, or a
-calendar queue tuned for large periodic-timer populations, selected via
-``Simulator(queue="heap"|"calendar")`` or the ``REPRO_EVENT_QUEUE``
-environment variable.  Both backends pop in the identical ``(time, seq)``
-total order, so results are bit-identical under either.
+The queue stores plain ``(time, seq, handle)`` tuples in a binary heap
+(:class:`repro.sim.eventq.HeapEventQueue`) and pops them in ``(time, seq)``
+order.
 
-Hot-path schedulers that would otherwise allocate a closure per event
-(link serialization/propagation) use :meth:`Simulator.schedule_call`, which
-stores the argument on the handle; batch producers use
-:meth:`Simulator.schedule_many` / :meth:`Simulator.schedule_many_at`;
+There are four scheduling entry points.  :meth:`Simulator.schedule` and
+:meth:`Simulator.schedule_at` take optional ``*args`` that are stored on the
+handle, so per-packet hot paths (link serialization/propagation) allocate no
+closure per event; batch producers use :meth:`Simulator.schedule_many_at`;
 repeating timers recycle their handle via :meth:`Simulator.reschedule`.
 
 This is the substrate every other package builds on (links schedule packet
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 from heapq import heappop
 from typing import Callable, Iterable, Optional
 
-from .eventq import CalendarEventQueue, HeapEventQueue, make_event_queue
+from .eventq import HeapEventQueue
 
 __all__ = ["Simulator", "EventHandle", "EventStats", "SimulationError"]
 
@@ -83,8 +80,6 @@ class EventStats:
     pending: int
     wall_time: float
     sim_time: float
-    #: Which event-queue backend produced these numbers ("heap"/"calendar").
-    queue_backend: str = "heap"
 
     @property
     def events_per_sec(self) -> float:
@@ -106,10 +101,6 @@ class Simulator:
         sim = Simulator()
         sim.schedule(1.5, lambda: print("hello at t=1.5"))
         sim.run()
-
-    ``queue`` selects the event-queue backend (``"heap"`` or
-    ``"calendar"``); ``None`` defers to ``$REPRO_EVENT_QUEUE`` and then the
-    heap default.  Backend choice never changes results, only speed.
     """
 
     __slots__ = (
@@ -124,9 +115,9 @@ class Simulator:
         "_stopped",
     )
 
-    def __init__(self, queue: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._queue = make_event_queue(queue)
+        self._queue = HeapEventQueue()
         self._push = self._queue.push
         self._seq = itertools.count()
         self._events_processed = 0
@@ -139,11 +130,6 @@ class Simulator:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def queue_backend(self) -> str:
-        """Name of the active event-queue backend ("heap" or "calendar")."""
-        return self._queue.name
 
     @property
     def events_processed(self) -> int:
@@ -175,100 +161,52 @@ class Simulator:
             pending=len(self._queue),
             wall_time=self._wall_time,
             sim_time=self._now,
-            queue_backend=self._queue.name,
         )
 
     # ------------------------------------------------------------- scheduling
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+    def schedule(
+        self, delay: float, callback: Callable[..., None], *args
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        The arguments are stored on the handle, so per-packet hot paths (link
+        serialization, propagation) allocate no lambda cell objects.
+        """
         if not 0.0 <= delay < _INF:  # rejects negatives, NaN and +inf
             raise SimulationError(
                 f"delay must be finite and >= 0, got {delay!r}"
             )
         time = self._now + delay
-        handle = EventHandle(time, callback)
+        handle = EventHandle(time, callback, args)
         self._push((time, next(self._seq), handle))
         return handle
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at absolute virtual ``time``."""
+    def schedule_at(
+        self, time: float, callback: Callable[..., None], *args
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` at absolute virtual ``time``.
+
+        No ``now + delay`` float round trip, so the event fires at exactly
+        ``time``.  Used by the topology event layer, whose schedules are
+        expressed in absolute event times.
+        """
         if not self._now <= time < _INF:  # rejects the past, NaN and +inf
             raise SimulationError(
                 f"time must be finite and >= now, got t={time!r} (now={self._now})"
             )
-        handle = EventHandle(time, callback)
-        self._push((time, next(self._seq), handle))
-        return handle
-
-    def schedule_call(
-        self, delay: float, callback: Callable[..., None], *args
-    ) -> EventHandle:
-        """Fast path: schedule ``callback(*args)`` without a closure.
-
-        Equivalent to ``schedule(delay, lambda: callback(*args))`` but stores
-        the arguments on the handle, so per-packet hot paths (link
-        serialization, propagation) allocate no lambda cell objects.
-        """
-        if not 0.0 <= delay < _INF:
-            raise SimulationError(
-                f"delay must be finite and >= 0, got {delay!r}"
-            )
-        time = self._now + delay
         handle = EventHandle(time, callback, args)
         self._push((time, next(self._seq), handle))
         return handle
-
-    def schedule_call_at(
-        self, time: float, callback: Callable[..., None], *args
-    ) -> EventHandle:
-        """Fast path: schedule ``callback(*args)`` at absolute virtual ``time``.
-
-        The absolute-time sibling of :meth:`schedule_call` — no closure, no
-        ``now + delay`` float round trip, so an event scheduled at ``time``
-        fires at exactly ``time``.  Used by the topology event layer, whose
-        schedules are expressed in absolute event times.
-        """
-        if not self._now <= time < _INF:
-            raise SimulationError(
-                f"time must be finite and >= now, got t={time!r} (now={self._now})"
-            )
-        handle = EventHandle(time, callback, args)
-        self._push((time, next(self._seq), handle))
-        return handle
-
-    def schedule_many(
-        self, events: Iterable[tuple[float, Callable[[], None]]]
-    ) -> list[EventHandle]:
-        """Schedule a batch of ``(delay, callback)`` pairs in one call.
-
-        Delays are relative to *now* (like :meth:`schedule`); insertion order
-        within the batch is preserved for same-time ties.  Returns the handles
-        in input order.
-        """
-        now = self._now
-        push = self._push
-        seq = self._seq
-        handles: list[EventHandle] = []
-        for delay, callback in events:
-            if not 0.0 <= delay < _INF:
-                raise SimulationError(
-                    f"delay must be finite and >= 0, got {delay!r}"
-                )
-            time = now + delay
-            handle = EventHandle(time, callback)
-            push((time, next(seq), handle))
-            handles.append(handle)
-        return handles
 
     def schedule_many_at(
         self, events: Iterable[tuple[float, Callable[[], None]]]
     ) -> list[EventHandle]:
         """Schedule a batch of ``(time, callback)`` pairs at absolute times.
 
-        The absolute-time sibling of :meth:`schedule_many` — times are exact
-        (no ``now + delay`` float round trip), insertion order within the
-        batch is preserved for same-time ties.  This is how array-generated
+        Times are exact (no ``now + delay`` float round trip), insertion
+        order within the batch is preserved for same-time ties, and the
+        handles are returned in input order.  This is how array-generated
         producers (the CBR source's whole emission schedule) enter the queue
         without a per-event Python round trip through ``schedule``.
         """
@@ -354,96 +292,32 @@ class Simulator:
         self._running = True
         self._stopped = False
         executed = 0
-        queue = self._queue
         started = _wallclock.perf_counter()
         try:
-            if type(queue) is HeapEventQueue:
-                # Inlined heap loop: peek is a plain index and pop the raw
-                # C heappop, saving two method calls per event on the
-                # default backend's hot path.
-                heap = queue._q
-                pop = heappop
-                while heap and not self._stopped:
-                    time, _, handle = heap[0]
-                    if handle._cancelled:
-                        pop(heap)
-                        self._cancel_skipped += 1
-                        continue
-                    if until is not None and time > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
+            # The heap is consumed inline: peek is a plain index and pop the
+            # raw C heappop, saving two method calls per event.
+            heap = self._queue._q
+            pop = heappop
+            while heap and not self._stopped:
+                time, _, handle = heap[0]
+                if handle._cancelled:
                     pop(heap)
-                    self._now = time
-                    handle._fired = True
-                    args = handle.args
-                    if args:
-                        handle.callback(*args)
-                    else:
-                        handle.callback()
-                    executed += 1
-                    self._events_processed += 1
-            elif type(queue) is CalendarEventQueue:
-                # Inlined calendar loop: steady-state consumption is an
-                # index bump into the current sorted run; peek() is only
-                # paid when the run is exhausted and the scan must load
-                # the next bucket-year (CalendarEventQueue.pop keeps its
-                # shrink check in peek() precisely so this stays exact).
-                while not self._stopped:
-                    ci = queue._ci
-                    cur = queue._cur
-                    if ci >= len(cur):
-                        if queue.peek() is None:
-                            break
-                        ci = queue._ci
-                        cur = queue._cur
-                    time, _, handle = cur[ci]
-                    if handle._cancelled:
-                        queue._ci = ci + 1
-                        queue._n -= 1
-                        self._cancel_skipped += 1
-                        continue
-                    if until is not None and time > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    queue._ci = ci + 1
-                    queue._n -= 1
-                    self._now = time
-                    handle._fired = True
-                    args = handle.args
-                    if args:
-                        handle.callback(*args)
-                    else:
-                        handle.callback()
-                    executed += 1
-                    self._events_processed += 1
-            else:  # pragma: no cover - no third backend ships today
-                peek = queue.peek
-                pop = queue.pop
-                while not self._stopped:
-                    entry = peek()
-                    if entry is None:
-                        break
-                    time, _, handle = entry
-                    if handle._cancelled:
-                        pop()
-                        self._cancel_skipped += 1
-                        continue
-                    if until is not None and time > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    pop()
-                    self._now = time
-                    handle._fired = True
-                    args = handle.args
-                    if args:
-                        handle.callback(*args)
-                    else:
-                        handle.callback()
-                    executed += 1
-                    self._events_processed += 1
+                    self._cancel_skipped += 1
+                    continue
+                if until is not None and time > until:
+                    break
+                if max_events is not None and executed >= max_events:
+                    break
+                pop(heap)
+                self._now = time
+                handle._fired = True
+                args = handle.args
+                if args:
+                    handle.callback(*args)
+                else:
+                    handle.callback()
+                executed += 1
+                self._events_processed += 1
         finally:
             self._wall_time += _wallclock.perf_counter() - started
             self._running = False

@@ -1,93 +1,25 @@
-"""Pluggable event-queue backends for the simulation engine.
+"""The event queue of the simulation engine.
 
 The :class:`~repro.sim.engine.Simulator` orders events by ``(time, seq)``
 tuples — absolute fire time, ties broken by a monotone insertion counter so
-same-time events execute FIFO.  Two backends implement that contract:
+same-time events execute FIFO.  :class:`HeapEventQueue` holds plain
+``(time, seq, handle)`` tuples in a binary heap: ``O(log n)`` push/pop through
+the C-implemented :mod:`heapq`.
 
-* :class:`HeapEventQueue` — the binary heap the engine has always used.
-  ``O(log n)`` push/pop through the C-implemented :mod:`heapq`; the safe
-  default for every workload shape.
-* :class:`CalendarEventQueue` — a calendar queue (R. Brown, CACM 1988): a
-  wheel of time buckets of width ``w``, bucket ``int(t / w) % nbuckets``.
-  Enqueue is amortized ``O(1)``; dequeue scans forward from the current
-  bucket.  When the pending population is a large, roughly uniform spread
-  of timers — the RIP 30 s periodic and OLSR HELLO/TC populations that
-  dominate the paper's distance-vector workloads — it removes the
-  ``log n`` sift cost entirely.  The wheel resizes itself (bucket count
-  *and* width) as the population grows, shrinks, or changes spacing.
-
-Both backends hold the same plain ``(time, seq, handle)`` tuples and pop
-them in exactly the same total order, so a run is bit-identical under
-either — pinned by the golden-metrics suite and a hypothesis differential
-test.  Lazy cancellation lives above the backend: the engine pops flagged
-husks no matter which structure surfaced them.
-
-One contract requirement beyond ordering: a pushed entry must compare
-``>=`` every entry already popped (the engine guarantees this — events are
-scheduled at ``time >= now`` and the seq counter is monotone).  The
-calendar backend leans on it to insert into the partially-consumed current
-bucket in O(log b).
-
-Backend selection: ``Simulator(queue="heap"|"calendar")``, defaulting to
-the ``REPRO_EVENT_QUEUE`` environment variable and then ``"heap"``.
+Lazy cancellation lives above the queue: the engine pops flagged husks itself.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import insort
 from heapq import heappop, heappush
-from typing import Optional
 
-__all__ = [
-    "EVENT_QUEUE_NAMES",
-    "DEFAULT_EVENT_QUEUE",
-    "EVENT_QUEUE_ENV",
-    "HeapEventQueue",
-    "CalendarEventQueue",
-    "make_event_queue",
-    "resolve_queue_name",
-]
-
-#: Backend names accepted by :func:`make_event_queue` and ``Simulator(queue=)``.
-EVENT_QUEUE_NAMES = ("heap", "calendar")
-
-DEFAULT_EVENT_QUEUE = "heap"
-
-#: Environment variable consulted when no backend is named explicitly.
-EVENT_QUEUE_ENV = "REPRO_EVENT_QUEUE"
-
-
-def resolve_queue_name(name: Optional[str]) -> str:
-    """Resolve an explicit/None backend name to a validated backend name.
-
-    ``None`` falls back to ``$REPRO_EVENT_QUEUE``, then ``"heap"``; an
-    unknown name (explicit or from the environment) raises ``ValueError``.
-    """
-    if name is None:
-        name = os.environ.get(EVENT_QUEUE_ENV) or DEFAULT_EVENT_QUEUE
-    if name not in EVENT_QUEUE_NAMES:
-        raise ValueError(
-            f"unknown event queue backend {name!r} "
-            f"(expected one of {EVENT_QUEUE_NAMES})"
-        )
-    return name
-
-
-def make_event_queue(name: Optional[str] = None):
-    """Instantiate a backend by name (see :func:`resolve_queue_name`)."""
-    resolved = resolve_queue_name(name)
-    if resolved == "heap":
-        return HeapEventQueue()
-    return CalendarEventQueue()
+__all__ = ["HeapEventQueue"]
 
 
 class HeapEventQueue:
-    """Binary-heap backend: plain list managed by :mod:`heapq`."""
+    """Binary-heap event queue: plain list managed by :mod:`heapq`."""
 
     __slots__ = ("_q", "hwm")
-
-    name = "heap"
 
     def __init__(self) -> None:
         self._q: list = []
@@ -110,294 +42,3 @@ class HeapEventQueue:
     def pop(self):
         """Remove and return the smallest entry (queue must be non-empty)."""
         return heappop(self._q)
-
-
-class CalendarEventQueue:
-    """Calendar-queue backend: a self-resizing wheel of time buckets.
-
-    Buckets are *unsorted* lists — push is a plain ``list.append``.  The
-    ordering cost is paid once per bucket-year on the dequeue side: when the
-    scan reaches a bucket, the entries belonging to the current "year" are
-    split out, sorted once (C timsort over a handful of items), and then
-    consumed by index — so steady-state pop is an index increment, not a
-    heap sift.  With the wheel tuned to ~3 events per bucket, both
-    operations are amortized O(1) regardless of population size.
-
-    Bucket mapping uses the *absolute* bucket number ``k = int(t / width)``
-    (bucket ``k % nbuckets``, "year" ``k // nbuckets``).  The dequeue scan
-    tracks the same absolute ``k``, so the membership test during a scan is
-    the exact integer expression used at insert time — no float boundary
-    can put an event on different sides of push and pop.
-
-    Resize policy (amortized O(1) per operation):
-
-    * grow to ``2 * nbuckets`` when the population exceeds ``2 * nbuckets``;
-    * shrink to ``nbuckets / 2`` when it falls below ``nbuckets / 8``;
-    * on every resize the bucket width is re-estimated as three times the
-      median gap between time-adjacent pending events (Brown's rule, with
-      a median so one far-future outlier cannot blow up the width), so the
-      wheel re-tunes to whatever spacing the workload currently has.
-      Deterministic: a pure function of the pending set.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_byear",
-        "_nbuckets",
-        "_mask",
-        "_width",
-        "_k",
-        "_cur",
-        "_ci",
-        "_cur_year",
-        "_n",
-        "hwm",
-    )
-
-    name = "calendar"
-
-    #: Wheel size bounds.  The lower bound keeps the sparse-queue scan
-    #: cheap; the upper bound caps memory for degenerate populations.
-    MIN_BUCKETS = 32
-    MAX_BUCKETS = 1 << 20
-
-    #: Sentinel for ``_byear``: bucket holds entries of several years (or
-    #: its single-year tag is unknown) — fall back to per-entry testing.
-    MIXED = -1
-
-    def __init__(
-        self, bucket_count: int = MIN_BUCKETS, bucket_width: float = 1.0
-    ) -> None:
-        if bucket_count < 1:
-            raise ValueError(f"bucket_count must be >= 1, got {bucket_count}")
-        if not bucket_width > 0.0:
-            raise ValueError(f"bucket_width must be > 0, got {bucket_width!r}")
-        # The wheel size is kept a power of two so bucket indexing is a
-        # bitmask, not a modulo.
-        nbuckets = 1
-        while nbuckets < bucket_count:
-            nbuckets <<= 1
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._width = bucket_width
-        self._buckets: list[list] = [[] for _ in range(nbuckets)]
-        # _byear[i]: the absolute bucket number every entry in bucket i
-        # belongs to, or MIXED when entries from several wheel revolutions
-        # share it.  Maintained on push so the common-case year-load can
-        # take the whole bucket without testing entries one by one.
-        self._byear: list[int] = [self.MIXED] * nbuckets
-        # Absolute bucket number of the dequeue cursor: every pending event
-        # outside ``_cur`` lives at bucket number >= _k (the scan has
-        # certified emptiness below it).
-        self._k = 0
-        # The current bucket-year's entries, ascending-sorted, consumed by
-        # advancing ``_ci`` (so pop is an index bump, not a list mutation).
-        self._cur: list = []
-        self._ci = 0
-        self._cur_year: Optional[int] = None
-        self._n = 0
-        self.hwm = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    # ------------------------------------------------------------- interface
-
-    def push(self, entry) -> None:
-        k = int(entry[0] / self._width)
-        if k == self._cur_year:
-            # Into the bucket-year being consumed.  Every consumed entry
-            # compares < entry (the push-after-pop contract), so insort
-            # lands it at an index >= _ci.
-            insort(self._cur, entry)
-        else:
-            i = k & self._mask
-            bucket = self._buckets[i]
-            if bucket:
-                if self._byear[i] != k:
-                    self._byear[i] = self.MIXED
-            else:
-                self._byear[i] = k
-            bucket.append(entry)
-            if k < self._k:
-                # Behind the certified-empty floor (the cursor had skipped
-                # past this bucket's year): rewind so the scan sees it.
-                self._flush_cur()
-                self._k = k
-        n = self._n = self._n + 1
-        if n > self.hwm:
-            self.hwm = n
-        if n > (self._nbuckets << 1) and self._nbuckets < self.MAX_BUCKETS:
-            self._resize(self._nbuckets << 1)
-
-    def peek(self):
-        """Smallest entry without removing it, or None when empty.
-
-        Loads the winning bucket-year into the sorted run, so the pops that
-        follow are index increments.
-        """
-        if self._ci < len(self._cur):
-            return self._cur[self._ci]
-        if not self._n:
-            return None
-        # Shrink check lives here, not in pop(): a population can only fall
-        # via pops, and deferring the check until the run is exhausted keeps
-        # pop itself branch-free (an index bump) while bounding the delay to
-        # one bucket-year.
-        if self._n < (self._nbuckets >> 3) and self._nbuckets > self.MIN_BUCKETS:
-            self._resize(self._nbuckets >> 1)
-        buckets = self._buckets
-        byear = self._byear
-        nb = self._nbuckets
-        mask = self._mask
-        width = self._width
-        k = self._k
-        for _ in range(nb):
-            i = k & mask
-            bucket = buckets[i]
-            if bucket:
-                if byear[i] == k:
-                    # Single-year bucket (the common case when the wheel
-                    # span covers the horizon): take it whole, no per-entry
-                    # membership tests.
-                    cur = bucket[:]
-                    bucket.clear()
-                    cur.sort()
-                    self._cur = cur
-                    self._ci = 0
-                    self._cur_year = k
-                    self._k = k
-                    return cur[0]
-                hit = self._load_year(bucket, i, k)
-                if hit is not None:
-                    return hit
-            # Bucket number k holds nothing of year k (number k maps only to
-            # this bucket), so the floor can advance for future scans.
-            k += 1
-            self._k = k
-        # One full revolution found nothing in its own year: the queue is
-        # sparse relative to the wheel span.  Direct-search the smallest
-        # year over all entries, jump the cursor to it and load it.
-        best_k = None
-        best_i = None
-        for i, bucket in enumerate(buckets):
-            for entry in bucket:
-                ky = int(entry[0] / width)
-                if best_k is None or ky < best_k:
-                    best_k = ky
-                    best_i = i
-        assert best_k is not None  # _n > 0 guarantees an entry exists
-        self._k = best_k
-        return self._load_year(buckets[best_i], best_i, best_k)
-
-    def pop(self):
-        """Remove and return the smallest entry (queue must be non-empty)."""
-        ci = self._ci
-        if ci < len(self._cur):
-            entry = self._cur[ci]
-            self._ci = ci + 1
-        else:
-            entry = self.peek()
-            if entry is None:
-                raise IndexError("pop from an empty CalendarEventQueue")
-            self._ci += 1
-        self._n -= 1
-        return entry
-
-    # --------------------------------------------------------------- plumbing
-
-    def _load_year(self, bucket: list, i: int, k: int) -> Optional[object]:
-        """Split year-``k`` entries out of mixed bucket ``i`` into the run.
-
-        Returns the smallest such entry, or None if the bucket only holds
-        other revolutions' entries.  Uses the same ``int(t / width)``
-        expression as :meth:`push`, so membership is exact.
-        """
-        width = self._width
-        cur = [entry for entry in bucket if int(entry[0] / width) == k]
-        if not cur:
-            return None
-        if len(cur) == len(bucket):
-            bucket.clear()
-        else:
-            bucket[:] = [
-                entry for entry in bucket if int(entry[0] / width) != k
-            ]
-            # The remainder may or may not share a year; leave it MIXED —
-            # that only costs the tested path again on a later load.
-        cur.sort()
-        self._cur = cur
-        self._ci = 0
-        self._cur_year = k
-        self._k = k
-        return cur[0]
-
-    def _flush_cur(self) -> None:
-        """Return unconsumed current-run entries to their bucket."""
-        year = self._cur_year
-        if year is None:
-            return
-        rest = self._cur[self._ci :]
-        if rest:
-            i = year & self._mask
-            bucket = self._buckets[i]
-            if bucket:
-                if self._byear[i] != year:
-                    self._byear[i] = self.MIXED
-            else:
-                self._byear[i] = year
-            bucket.extend(rest)
-        self._cur = []
-        self._ci = 0
-        self._cur_year = None
-
-    def _resize(self, nbuckets: int) -> None:
-        self._flush_cur()
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        self._width = self._estimate_width(entries, self._width)
-        self._nbuckets = nbuckets
-        self._mask = mask = nbuckets - 1
-        width = self._width
-        buckets: list[list] = [[] for _ in range(nbuckets)]
-        byear = [self.MIXED] * nbuckets
-        lo = None
-        for entry in entries:
-            k = int(entry[0] / width)
-            i = k & mask
-            bucket = buckets[i]
-            if bucket:
-                if byear[i] != k:
-                    byear[i] = self.MIXED
-            else:
-                byear[i] = k
-            bucket.append(entry)
-            if lo is None or entry[0] < lo:
-                lo = entry[0]
-        self._buckets = buckets
-        self._byear = byear
-        # The smallest pending event defines the new certified floor.
-        self._k = 0 if lo is None else int(lo / width)
-
-    @staticmethod
-    def _estimate_width(entries: list, fallback: float) -> float:
-        """Bucket width tuned to the current population: 16 x median gap.
-
-        Uniformly spread timers (period P over N timers) have median gap
-        P/N, giving ~16 events per bucket.  The multiplier trades the two
-        amortized costs: each event pays one membership test when its
-        bucket-year loads (independent of bucket occupancy), while the
-        fixed per-load overhead (scan step, list split, sort call) is
-        shared across the whole occupancy — so wider buckets amortize
-        better until the O(b log b) sort catches up, with the sweet spot
-        measured in the low tens.  Deterministic: a pure function of the
-        pending set, so identically-driven simulators resize identically.
-        """
-        if len(entries) < 2:
-            return fallback
-        times = sorted(entry[0] for entry in entries)
-        gaps = [b - a for a, b in zip(times, times[1:]) if b > a]
-        if not gaps:
-            return fallback  # all events at one instant: keep the old width
-        gaps.sort()
-        width = 16.0 * gaps[len(gaps) // 2]
-        return width if width > 0.0 else fallback

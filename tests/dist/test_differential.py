@@ -1,10 +1,10 @@
 """Byte-identity determinism proofs: sharded == single-process.
 
 The keystone of repro.dist: over the golden scenarios, a run partitioned
-across 2, 3, or 4 shards — on either event-queue backend — must reproduce
-the single-process run exactly: every pinned metric, every violation, and
-all four canonical trace streams.  A hypothesis sweep extends the proof to
-random mesh layouts and random partition choices.
+across 2, 3, or 4 shards must reproduce the single-process run exactly:
+every pinned metric, every violation, and all four canonical trace streams.
+A hypothesis sweep extends the proof to random mesh layouts and random
+partition choices.
 """
 
 from __future__ import annotations
@@ -33,22 +33,19 @@ CASES = (("dbf", 7), ("bgp3", 7), ("rip", 11))
 _single_cache: dict = {}
 
 
-def _single(protocol: str, seed: int, queue: str):
-    key = (protocol, seed, queue)
+def _single(protocol: str, seed: int):
+    key = (protocol, seed)
     if key not in _single_cache:
-        _single_cache[key] = run_single_with_traces(
-            protocol, 4, seed, GOLDEN_CONFIG.with_(event_queue=queue)
-        )
+        _single_cache[key] = run_single_with_traces(protocol, 4, seed, GOLDEN_CONFIG)
     return _single_cache[key]
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
 @pytest.mark.parametrize("shards", [2, 3, 4])
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-s{c[1]}")
-def test_sharded_run_is_byte_identical(case, shards, queue):
+def test_sharded_run_is_byte_identical(case, shards):
     protocol, seed = case
-    single, single_traces = _single(protocol, seed, queue)
-    config = GOLDEN_CONFIG.with_(event_queue=queue, shards=shards)
+    single, single_traces = _single(protocol, seed)
+    config = GOLDEN_CONFIG.with_(shards=shards)
     sharded, sharded_traces = run_sharded_with_traces(protocol, 4, seed, config)
     problems = diff_results(single, single_traces, sharded, sharded_traces)
     assert not problems, "\n".join(problems)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.store import SweepStore
 
 
 class TestParser:
@@ -80,6 +84,24 @@ class TestCommands:
             == 0
         )
         assert path.exists()
+
+    def test_sweep_resume_refuses_foreign_checkpoint_in_one_line(
+        self, capsys, tmp_path
+    ):
+        # A manifest written by a version that still had the event_queue
+        # option: named error, no traceback, non-zero exit.
+        store = SweepStore(tmp_path / "ck")
+        store.open(ExperimentConfig.quick().with_(protocols=("static",)))
+        manifest = json.loads(open(store.manifest_path).read())
+        manifest["config"]["event_queue"] = "heap"
+        with open(store.manifest_path, "w") as f:
+            json.dump(manifest, f)
+        assert main(["sweep", "--checkpoint", store.directory, "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "different version/configuration" in line
+        assert "event_queue" in line and "fresh directory" in line
 
     def test_validate_command_small(self, capsys):
         assert (

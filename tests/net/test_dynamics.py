@@ -216,7 +216,7 @@ class TestInitialState:
 
     def test_take_down_initially_refuses_mid_run(self):
         sim, net, bus, recorders, scheduler = make()
-        sim.schedule_call(1.0, lambda: None)
+        sim.schedule(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             scheduler.take_down_initially([(0, 1)])

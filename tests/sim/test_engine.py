@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -221,9 +223,9 @@ class TestReschedule:
 
 
 class TestBatchScheduling:
-    def test_schedule_many_preserves_tie_order(self, sim):
+    def test_schedule_many_at_preserves_tie_order(self, sim):
         fired = []
-        sim.schedule_many(
+        sim.schedule_many_at(
             [(1.0, lambda l=l: fired.append(l)) for l in "abc"]
         )
         sim.run()
@@ -245,37 +247,23 @@ class TestBatchScheduling:
             sim.schedule_many_at([(1.0, lambda: None)])
 
 
-class TestBackendSelection:
-    def test_default_backend_is_heap(self, sim):
-        assert sim.queue_backend == "heap"
-        assert sim.stats().queue_backend == "heap"
+class TestSchedulingSurface:
+    def test_one_engine_four_entry_points(self):
+        # Pins the simplification: no backend selector, no extra schedulers.
+        public = {
+            name
+            for name in dir(Simulator)
+            if name.startswith("schedule") or name == "reschedule"
+        }
+        assert public == {"schedule", "schedule_at", "schedule_many_at", "reschedule"}
+        assert list(inspect.signature(Simulator).parameters) == []
 
-    def test_calendar_backend_selected_by_name(self):
-        sim = Simulator(queue="calendar")
-        assert sim.queue_backend == "calendar"
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(sim.now))
+    def test_stats_report_queue_high_water_mark_and_drain(self, sim):
+        for i in range(5):
+            sim.schedule(float(i), lambda: None)
+        assert sim.stats().queue_depth_hwm == 5
         sim.run()
-        assert fired == [1.0]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(queue="fibonacci")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-        assert Simulator().queue_backend == "calendar"
-        # An explicit argument wins over the environment.
-        assert Simulator(queue="heap").queue_backend == "heap"
-
-    def test_stats_queue_hwm_from_backend(self):
-        for name in ("heap", "calendar"):
-            sim = Simulator(queue=name)
-            for i in range(5):
-                sim.schedule(float(i), lambda: None)
-            assert sim.stats().queue_depth_hwm == 5
-            sim.run()
-            assert sim.stats().pending == 0
+        assert sim.stats().pending == 0
 
 
 class TestPropertyBased:

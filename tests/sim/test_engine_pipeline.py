@@ -1,5 +1,5 @@
-"""Tests for the hot-path scheduler API: validation, fast-path scheduling,
-handle recycling, and the EventStats snapshot."""
+"""Tests for the hot-path scheduler API: validation, closure-free and batch
+scheduling, handle recycling, and the EventStats snapshot."""
 
 from __future__ import annotations
 
@@ -20,9 +20,9 @@ class TestTimeValidation:
             sim.schedule(delay, lambda: None)
 
     @pytest.mark.parametrize("delay", BAD_TIMES)
-    def test_schedule_call_rejects_non_finite_delay(self, sim, delay):
+    def test_schedule_with_args_rejects_bad_delay(self, sim, delay):
         with pytest.raises(SimulationError):
-            sim.schedule_call(delay, lambda: None)
+            sim.schedule(delay, print, "never")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_schedule_at_rejects_non_finite_time(self, sim, bad):
@@ -35,10 +35,10 @@ class TestTimeValidation:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
-    @pytest.mark.parametrize("delay", BAD_TIMES)
-    def test_schedule_many_rejects_non_finite_delay(self, sim, delay):
+    @pytest.mark.parametrize("bad", BAD_TIMES)
+    def test_schedule_many_at_rejects_bad_time(self, sim, bad):
         with pytest.raises(SimulationError):
-            sim.schedule_many([(0.0, lambda: None), (delay, lambda: None)])
+            sim.schedule_many_at([(0.0, lambda: None), (bad, lambda: None)])
 
     @pytest.mark.parametrize("delay", BAD_TIMES)
     def test_reschedule_rejects_non_finite_delay(self, sim, delay):
@@ -57,31 +57,37 @@ class TestTimeValidation:
 
 
 class TestFastPathScheduling:
-    def test_schedule_call_passes_args(self, sim):
+    def test_schedule_passes_args(self, sim):
         seen = []
-        sim.schedule_call(1.0, lambda a, b: seen.append((a, b)), "x", 2)
+        sim.schedule(1.0, lambda a, b: seen.append((a, b)), "x", 2)
         sim.run()
         assert seen == [("x", 2)]
 
-    def test_schedule_call_cancellable(self, sim):
+    def test_schedule_at_passes_args(self, sim):
         seen = []
-        handle = sim.schedule_call(1.0, seen.append, "never")
+        sim.schedule_at(1.0, lambda a, b: seen.append((sim.now, a, b)), "x", 2)
+        sim.run()
+        assert seen == [(1.0, "x", 2)]
+
+    def test_schedule_with_args_cancellable(self, sim):
+        seen = []
+        handle = sim.schedule(1.0, seen.append, "never")
         handle.cancel()
         sim.run()
         assert seen == []
 
-    def test_schedule_many_preserves_batch_order_on_ties(self, sim):
+    def test_schedule_many_at_ties_keep_batch_order(self, sim):
         fired = []
-        sim.schedule_many(
+        sim.schedule_many_at(
             [(1.0, lambda l=label: fired.append(l)) for label in "abcde"]
         )
         sim.run()
         assert fired == list("abcde")
 
-    def test_schedule_many_interleaves_with_schedule_by_time(self, sim):
+    def test_schedule_many_at_interleaves_by_time(self, sim):
         fired = []
         sim.schedule(1.5, lambda: fired.append("mid"))
-        sim.schedule_many(
+        sim.schedule_many_at(
             [(1.0, lambda: fired.append("first")), (2.0, lambda: fired.append("last"))]
         )
         sim.run()
@@ -154,8 +160,8 @@ class TestDeterminism:
     def test_mixed_apis_keep_global_insertion_order(self, sim):
         fired = []
         sim.schedule(1.0, lambda: fired.append("a"))
-        sim.schedule_call(1.0, fired.append, "b")
-        sim.schedule_many([(1.0, lambda: fired.append("c"))])
+        sim.schedule(1.0, fired.append, "b")
+        sim.schedule_many_at([(1.0, lambda: fired.append("c"))])
         sim.schedule_at(1.0, lambda: fired.append("d"))
         sim.run()
         assert fired == ["a", "b", "c", "d"]

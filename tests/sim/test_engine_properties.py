@@ -1,21 +1,20 @@
 """Property tests for the slotted scheduler's full API surface.
 
-Complements ``test_engine_stateful.py`` (schedule/cancel machine) with the
-fast paths introduced by the hot-path refactor: ``schedule_call``,
-``schedule_many`` batches, and handle-recycling ``reschedule``.  Hypothesis
-drives random interleavings and checks the scheduler's contract:
+Complements ``test_engine_stateful.py`` (schedule/cancel machine) with all
+four scheduling entry points: ``schedule`` and ``schedule_at`` (each with and
+without ``*args``), ``schedule_many_at`` batches, and handle-recycling
+``reschedule``.  Hypothesis drives random interleavings and checks the
+scheduler's ``(time, seq)`` contract:
 
 * events fire in non-decreasing time order, ties in insertion order;
 * a handle cancelled while pending never fires;
 * every non-cancelled arming fires exactly once (including re-armings of a
   recycled handle);
-* non-finite and negative delays are rejected by every scheduling entry
-  point, including mid-batch in ``schedule_many``.
+* non-finite and negative delays (or past times) are rejected by every
+  scheduling entry point, including mid-batch in ``schedule_many_at``.
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -25,18 +24,18 @@ from repro.sim.engine import SimulationError, Simulator
 
 # One scheduler operation; indexes are drawn large and reduced mod the
 # relevant population so every generated program is valid.
+_delay = st.floats(min_value=0.0, max_value=50.0)
 _op = st.one_of(
-    st.tuples(st.just("schedule"), st.floats(min_value=0.0, max_value=50.0)),
-    st.tuples(st.just("schedule_call"), st.floats(min_value=0.0, max_value=50.0)),
+    # (kind, delay, pass the payload through *args?)
+    st.tuples(st.sampled_from(["schedule", "schedule_at"]), _delay, st.booleans()),
     st.tuples(
-        st.just("schedule_many"),
-        st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=4),
+        st.just("schedule_many_at"), st.lists(_delay, min_size=1, max_size=4)
     ),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10**6)),
     st.tuples(
         st.just("reschedule"),
         st.integers(min_value=0, max_value=10**6),
-        st.floats(min_value=0.0, max_value=50.0),
+        _delay,
     ),
     st.tuples(st.just("run"), st.floats(min_value=0.0, max_value=30.0)),
 )
@@ -69,29 +68,33 @@ def test_interleavings_preserve_contract(ops):
         handle_cell.append(arming)
         return arming
 
+    def fire(handle_cell: list[_Arming]) -> None:
+        fired.append((sim.now, handle_cell[0].aid))
+
     def make_callback(handle_cell: list[_Arming]):
-        return lambda: fired.append((sim.now, handle_cell[0].aid))
+        return lambda: fire(handle_cell)
 
     for op in ops:
         kind = op[0]
-        if kind in ("schedule", "schedule_call"):
+        if kind in ("schedule", "schedule_at"):
             cell: list[_Arming] = []
-            callback = make_callback(cell)
-            if kind == "schedule":
-                handle = sim.schedule(op[1], callback)
+            when = op[1] if kind == "schedule" else sim.now + op[1]
+            entry_point = getattr(sim, kind)
+            if op[2]:
+                handle = entry_point(when, fire, cell)
             else:
-                handle = sim.schedule_call(op[1], lambda cb=callback: cb())
+                handle = entry_point(when, make_callback(cell))
             arm(cell, op[1])
             cells.append((handle, cell))
-        elif kind == "schedule_many":
+        elif kind == "schedule_many_at":
             batch = []
             batch_cells = []
             for delay in op[1]:
                 cell = []
-                batch.append((delay, make_callback(cell)))
+                batch.append((sim.now + delay, make_callback(cell)))
                 batch_cells.append(cell)
-            handles = sim.schedule_many(batch)
-            for handle, cell, (delay, _) in zip(handles, batch_cells, batch):
+            handles = sim.schedule_many_at(batch)
+            for handle, cell, delay in zip(handles, batch_cells, op[1]):
                 arm(cell, delay)
                 cells.append((handle, cell))
         elif kind == "cancel":
@@ -138,11 +141,11 @@ _bad_delay = st.one_of(
     prefix=st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=3),
     bad=_bad_delay,
 )
-def test_schedule_many_rejects_non_finite_delays(prefix, bad):
+def test_schedule_many_at_rejects_bad_times_mid_batch(prefix, bad):
     sim = Simulator()
-    events = [(d, lambda: None) for d in prefix] + [(bad, lambda: None)]
+    events = [(t, lambda: None) for t in prefix] + [(bad, lambda: None)]
     with pytest.raises(SimulationError):
-        sim.schedule_many(events)
+        sim.schedule_many_at(events)
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,10 +155,13 @@ def test_all_entry_points_reject_bad_delays(bad):
     with pytest.raises(SimulationError):
         sim.schedule(bad, lambda: None)
     with pytest.raises(SimulationError):
-        sim.schedule_call(bad, lambda: None)
-    if not math.isnan(bad):
-        with pytest.raises(SimulationError):
-            sim.schedule_at(sim.now + bad if math.isfinite(bad) else bad, lambda: None)
+        sim.schedule(bad, print, "never")
+    with pytest.raises(SimulationError):
+        sim.schedule_at(bad, lambda: None)  # now == 0: a bad delay is a bad time
+    with pytest.raises(SimulationError):
+        sim.schedule_at(bad, print, "never")
+    with pytest.raises(SimulationError):
+        sim.schedule_many_at([(bad, lambda: None)])
     fired_handle = sim.schedule(0.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):

@@ -1,88 +1,46 @@
-"""Unit tests for the pluggable event-queue backends.
+"""Unit tests for the engine's event queue.
 
-The contract both backends must satisfy: entries are plain
-``(time, seq, handle)`` tuples popped in ascending ``(time, seq)`` order,
-``peek`` is non-destructive, ``len`` tracks the pending population and
-``hwm`` its high-water mark.  The differential suite at the bottom drives
-random engine API interleavings through a heap-backed and a calendar-backed
-:class:`~repro.sim.engine.Simulator` and requires identical behaviour.
+The contract: entries are plain ``(time, seq, handle)`` tuples popped in
+ascending ``(time, seq)`` order, ``peek`` is non-destructive, ``len`` tracks
+the pending population and ``hwm`` its high-water mark.
 """
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.sim.engine import SimulationError, Simulator
-from repro.sim.eventq import (
-    DEFAULT_EVENT_QUEUE,
-    EVENT_QUEUE_NAMES,
-    CalendarEventQueue,
-    HeapEventQueue,
-    make_event_queue,
-    resolve_queue_name,
-)
-
-BACKENDS = [HeapEventQueue, CalendarEventQueue]
+from repro.sim.eventq import HeapEventQueue
 
 
 def _entries(times):
     return [(t, seq, None) for seq, t in enumerate(times)]
 
 
-class TestFactory:
-    def test_default_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-        assert resolve_queue_name(None) == DEFAULT_EVENT_QUEUE
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-        assert resolve_queue_name(None) == "calendar"
-        # Explicit name wins over the environment.
-        assert resolve_queue_name("heap") == "heap"
-
-    def test_unknown_name_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_queue_name("splay")
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "splay")
-        with pytest.raises(ValueError):
-            resolve_queue_name(None)
-
-    def test_make_event_queue(self):
-        assert isinstance(make_event_queue("heap"), HeapEventQueue)
-        assert isinstance(make_event_queue("calendar"), CalendarEventQueue)
-        for name in EVENT_QUEUE_NAMES:
-            assert make_event_queue(name).name == name
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestOrderingContract:
-    def test_pops_in_time_order(self, backend):
-        q = backend()
+    def test_pops_in_time_order(self):
+        q = HeapEventQueue()
         times = [5.0, 1.0, 3.0, 2.0, 4.0]
         for entry in _entries(times):
             q.push(entry)
         assert [q.pop()[0] for _ in range(len(times))] == sorted(times)
 
-    def test_ties_pop_fifo_by_seq(self, backend):
-        q = backend()
+    def test_ties_pop_fifo_by_seq(self):
+        q = HeapEventQueue()
         for entry in _entries([1.0, 1.0, 1.0]):
             q.push(entry)
         assert [q.pop()[1] for _ in range(3)] == [0, 1, 2]
 
-    def test_peek_is_nondestructive(self, backend):
-        q = backend()
+    def test_peek_is_nondestructive(self):
+        q = HeapEventQueue()
         q.push((2.0, 0, None))
         q.push((1.0, 1, None))
         assert q.peek() == (1.0, 1, None)
         assert q.peek() == (1.0, 1, None)
         assert len(q) == 2
 
-    def test_peek_empty_returns_none(self, backend):
-        assert backend().peek() is None
+    def test_peek_empty_returns_none(self):
+        assert HeapEventQueue().peek() is None
 
-    def test_len_and_hwm(self, backend):
-        q = backend()
+    def test_len_and_hwm(self):
+        q = HeapEventQueue()
         for entry in _entries([3.0, 1.0, 2.0]):
             q.push(entry)
         assert len(q) == 3
@@ -91,8 +49,8 @@ class TestOrderingContract:
         assert len(q) == 3
         assert q.hwm == 3
 
-    def test_interleaved_push_pop(self, backend):
-        q = backend()
+    def test_interleaved_push_pop(self):
+        q = HeapEventQueue()
         q.push((10.0, 0, None))
         q.push((20.0, 1, None))
         assert q.pop()[0] == 10.0
@@ -100,150 +58,3 @@ class TestOrderingContract:
         q.push((12.0, 2, None))
         assert q.pop()[0] == 12.0
         assert q.pop()[0] == 20.0
-
-
-class TestCalendarMechanics:
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            CalendarEventQueue(bucket_count=0)
-        with pytest.raises(ValueError):
-            CalendarEventQueue(bucket_width=0.0)
-
-    def test_grow_resize_preserves_order(self):
-        q = CalendarEventQueue(bucket_count=32, bucket_width=1.0)
-        times = [float(i) * 0.13 for i in range(500)]
-        for entry in _entries(times):
-            q.push(entry)
-        assert q._nbuckets > 32  # population forced at least one grow
-        assert [q.pop()[0] for _ in range(len(times))] == sorted(times)
-
-    def test_shrink_resize_preserves_order(self):
-        q = CalendarEventQueue()
-        times = [float(i) * 0.01 for i in range(600)]
-        for entry in _entries(times):
-            q.push(entry)
-        grown = q._nbuckets
-        popped = [q.pop()[0] for _ in range(len(times))]
-        assert popped == sorted(times)
-        assert q._nbuckets < grown  # draining forced at least one shrink
-
-    def test_sparse_far_future_event_found(self):
-        # An event many wheel revolutions ahead exercises the
-        # direct-search fallback after one fruitless revolution.
-        q = CalendarEventQueue(bucket_count=32, bucket_width=0.001)
-        q.push((1000.0, 0, None))
-        assert q.pop()[0] == 1000.0
-
-    def test_push_behind_cursor_is_found(self):
-        q = CalendarEventQueue(bucket_count=32, bucket_width=0.5)
-        q.push((100.0, 0, None))
-        assert q.peek()[0] == 100.0  # cursor jumps far forward
-        q.push((1.0, 1, None))  # behind the certified floor: must rewind
-        assert q.pop()[0] == 1.0
-        assert q.pop()[0] == 100.0
-
-    def test_same_instant_population_keeps_width(self):
-        q = CalendarEventQueue(bucket_count=32, bucket_width=2.0)
-        for seq in range(200):
-            q.push((7.0, seq, None))
-        assert q._width > 0.0
-        assert [q.pop()[1] for _ in range(200)] == list(range(200))
-
-    def test_width_estimate_is_median_gap_based(self):
-        entries = _entries([0.0, 1.0, 2.0, 3.0, 100.0])
-        width = CalendarEventQueue._estimate_width(entries, 1.0)
-        # Median gap is 1.0, so the outlier 97.0 gap cannot blow up width.
-        assert width == 16.0
-        assert CalendarEventQueue._estimate_width([], 0.25) == 0.25
-        assert CalendarEventQueue._estimate_width(_entries([5.0, 5.0]), 0.25) == 0.25
-
-
-# --------------------------------------------------------------------------
-# Differential property test: both backends must behave identically under
-# arbitrary interleavings of the full engine API (ISSUE 8 satellite).
-
-
-@st.composite
-def _programs(draw):
-    """A random program: list of ops over a bounded handle namespace."""
-    n_ops = draw(st.integers(min_value=1, max_value=40))
-    ops = []
-    for _ in range(n_ops):
-        kind = draw(
-            st.sampled_from(
-                ["schedule", "schedule_at", "cancel", "reschedule", "run_until"]
-            )
-        )
-        delay = draw(
-            st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
-        )
-        slot = draw(st.integers(min_value=0, max_value=7))
-        ops.append((kind, delay, slot))
-    return ops
-
-
-def _execute(queue_name, ops):
-    """Run one program; return (trace, final now, stats tuple)."""
-    sim = Simulator(queue=queue_name)
-    trace = []
-    handles = {}
-    for step, (kind, delay, slot) in enumerate(ops):
-        if kind == "schedule":
-            handles[slot] = sim.schedule(
-                delay, lambda step=step: trace.append((step, sim.now))
-            )
-        elif kind == "schedule_at":
-            handles[slot] = sim.schedule_at(
-                sim.now + delay, lambda step=step: trace.append((step, sim.now))
-            )
-        elif kind == "cancel":
-            if slot in handles:
-                handles[slot].cancel()
-        elif kind == "reschedule":
-            handle = handles.get(slot)
-            if handle is not None and handle._fired and not handle._cancelled:
-                sim.reschedule(handle, delay)
-        elif kind == "run_until":
-            sim.run(until=sim.now + delay)
-    sim.run()
-    stats = sim.stats()
-    return trace, sim.now, (
-        stats.events_processed,
-        stats.cancelled_skipped,
-        stats.queue_depth_hwm,
-        stats.pending,
-    )
-
-
-class TestBackendEquivalence:
-    @settings(max_examples=120, deadline=None)
-    @given(_programs())
-    def test_backends_agree_on_random_interleavings(self, ops):
-        heap_result = _execute("heap", ops)
-        calendar_result = _execute("calendar", ops)
-        assert heap_result == calendar_result
-
-    def test_backends_agree_on_periodic_timer_shape(self):
-        # The workload the calendar backend is tuned for: a large population
-        # of 30 s-periodic timers with deterministic jitter.
-        def run(queue_name):
-            sim = Simulator(queue=queue_name)
-            fired = []
-            handles = {}
-
-            def make(i):
-                period = 25.0 + (i * 7 % 11)
-
-                def tick():
-                    fired.append((i, sim.now))
-                    if sim.now < 200.0:
-                        handles[i] = sim.reschedule(handles[i], period)
-
-                handles[i] = sim.schedule(period * (i % 13) / 13.0, tick)
-
-            for i in range(100):
-                make(i)
-            sim.run(until=300.0)
-            return fired, sim.now, sim.events_processed
-
-        assert run("heap") == run("calendar")
