@@ -13,16 +13,9 @@ Run:  python examples/narrate_failure.py [protocol] [degree] [seed]
 import sys
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.scenario import make_protocol_factory, _pick_endpoints, _pick_failed_link
-from repro.metrics.convergence import ConvergenceTracker
+from repro.experiments.scenario import ScenarioRun
 from repro.metrics.narrate import build_timeline, format_timeline
-from repro.net.dynamics import LinkScheduler
-from repro.net.network import Network
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
 from repro.sim.tracing import TraceBus
-from repro.topology.generators import attach_host
-from repro.topology.mesh import regular_mesh
 from repro.topology.render import render_mesh
 
 
@@ -32,43 +25,33 @@ def main() -> None:
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 1
 
     config = ExperimentConfig.quick().with_(post_fail_window=60.0)
-    rng_streams = RngStreams(seed)
-    scenario_rng = rng_streams.stream("scenario")
-    topo = regular_mesh(config.rows, config.cols, degree)
-    sr, rr = _pick_endpoints(scenario_rng, config.rows, config.cols)
-    sender = attach_host(topo, sr)
-    receiver = attach_host(topo, rr)
-    pre = topo.shortest_path(sender, receiver)
-    failed = _pick_failed_link(scenario_rng, pre, sender, receiver)
+    # The shared run core lays out the paper's mesh experiment; with no data
+    # flow and a retaining bus, what is left is the routing story.
+    run = ScenarioRun(
+        protocol, degree, seed, config, flows=(), bus=TraceBus(keep_routes=True)
+    )
+    layout = run.layout
+    sender, receiver = layout.sender, layout.receiver
 
     print(f"protocol={protocol} degree={degree} seed={seed}")
-    print(f"flow: host {sender} (router {sr}) -> host {receiver} (router {rr})")
-    print(f"failing link {failed} at t=10.0 (detected +50 ms)\n")
-    print(render_mesh(topo, config.rows, config.cols, failed_link=failed))
-
-    sim = Simulator()
-    bus = TraceBus(keep_routes=True)
-    net = Network(sim, topo, bus)
-    net.attach_protocols(
-        make_protocol_factory(protocol, net, rng_streams, topo, config)
+    print(
+        f"flow: host {sender} (router {layout.pre_path[1]}) -> "
+        f"host {receiver} (router {layout.pre_path[-2]})"
     )
-    for node in net.iter_nodes():
-        node.protocol.warm_start(topo)
-    tracker = ConvergenceTracker(bus, dest=receiver, src=sender)
-    tracker.seed_from_network(net)
-    LinkScheduler(sim, net, detection_delay=0.05).fail_link(*failed, at=10.0)
-    sim.run(until=70.0)
+    print(f"failing link {layout.failed} at t={run.fail_at} (detected +50 ms)\n")
+    print(render_mesh(layout.topology, config.rows, config.cols, failed_link=layout.failed))
 
+    run.execute()
     events = build_timeline(
-        route_changes=bus.route_changes,
-        link_events=bus.link_events,
-        snapshots=tracker.snapshots,
+        route_changes=run.bus.route_changes,
+        link_events=run.bus.link_events,
+        snapshots=run.tracker.snapshots,
         dest=receiver,
-        since=9.9,
+        since=run.fail_at - 0.1,
     )
     print(f"\nConvergence timeline (t=0 is the failure; route events are for "
           f"destination {receiver} only):\n")
-    print(format_timeline(events, origin=10.0))
+    print(format_timeline(events, origin=run.fail_at))
 
 
 if __name__ == "__main__":

@@ -676,58 +676,41 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_narrate(args: argparse.Namespace) -> int:
-    from .experiments.scenario import _pick_endpoints, _pick_failed_link
-    from .metrics.convergence import ConvergenceTracker
+    from .experiments.scenario import ScenarioRun
     from .metrics.narrate import build_timeline, format_timeline
-    from .net.dynamics import LinkScheduler
-    from .net.network import Network
-    from .experiments.scenario import make_protocol_factory
-    from .sim.engine import Simulator
-    from .sim.rng import RngStreams
     from .sim.tracing import TraceBus
-    from .topology.generators import attach_host
-    from .topology.mesh import regular_mesh
     from .topology.render import render_mesh
 
-    config = _config(args)
-    rng_streams = RngStreams(args.seed)
-    scenario_rng = rng_streams.stream("scenario")
-    topo = regular_mesh(config.rows, config.cols, args.degree)
-    sr, rr = _pick_endpoints(scenario_rng, config.rows, config.cols)
-    sender = attach_host(topo, sr)
-    receiver = attach_host(topo, rr)
-    pre = topo.shortest_path(sender, receiver)
-    assert pre is not None
-    failed = _pick_failed_link(scenario_rng, pre, sender, receiver)
+    config = _config(args).with_(post_fail_window=args.window)
+    # No data flow: the story is the routing reaction, read off a retaining bus.
+    run = ScenarioRun(
+        args.protocol,
+        args.degree,
+        args.seed,
+        config,
+        flows=(),
+        bus=TraceBus(keep_routes=True),
+    )
+    layout = run.layout
+    sender, receiver, failed = layout.sender, layout.receiver, layout.failed
 
     print(f"protocol={args.protocol} degree={args.degree} seed={args.seed}")
-    print(f"flow: host {sender} -> host {receiver}; failing {failed} at t=10\n")
-    print(render_mesh(topo, config.rows, config.cols, failed_link=failed))
+    print(
+        f"flow: host {sender} -> host {receiver}; "
+        f"failing {failed} at t={run.fail_at:g}\n"
+    )
+    print(render_mesh(layout.topology, config.rows, config.cols, failed_link=failed))
 
-    sim = Simulator()
-    bus = TraceBus(keep_routes=True)
-    net = Network(sim, topo, bus)
-    net.attach_protocols(
-        make_protocol_factory(args.protocol, net, rng_streams, topo, config)
-    )
-    for node in net.iter_nodes():
-        assert node.protocol is not None
-        node.protocol.warm_start(topo)
-    tracker = ConvergenceTracker(bus, dest=receiver, src=sender)
-    tracker.seed_from_network(net)
-    LinkScheduler(sim, net, detection_delay=config.detection_delay).fail_link(
-        *failed, at=10.0
-    )
-    sim.run(until=10.0 + args.window)
+    run.execute()
     events = build_timeline(
-        route_changes=bus.route_changes,
-        link_events=bus.link_events,
-        snapshots=tracker.snapshots,
+        route_changes=run.bus.route_changes,
+        link_events=run.bus.link_events,
+        snapshots=run.tracker.snapshots,
         dest=receiver,
-        since=9.9,
+        since=run.fail_at - 0.1,
     )
     print(f"\nTimeline (t=0 at failure; route events for destination {receiver}):\n")
-    print(format_timeline(events, origin=10.0))
+    print(format_timeline(events, origin=run.fail_at))
     return 0
 
 

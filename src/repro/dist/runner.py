@@ -38,13 +38,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..experiments.config import ExperimentConfig
+from ..experiments.scenario import mesh_layout
 from ..obs.registry import MetricsRegistry
 from ..net.dynamics import LinkEvent, SingleLinkFailureDriver
 from ..net.packet import reset_packet_ids
 from ..sim.rng import RngStreams
-from ..topology.generators import attach_host
 from ..topology.graph import Topology
-from ..topology.mesh import regular_mesh
 from .partition import Partition, partition_topology
 from .proxy import Relay, ShardHeartbeat
 from .worker import ShardHost, ShardOutput, ShardPlan, maybe_fault
@@ -394,15 +393,7 @@ def run_sharded(
     end_at = config.end_time
     fail_at = config.fail_time
     scheduled = [e for e in spec.events if e.time < end_at]
-    detect_times = [
-        e.time
-        + (
-            e.detection_delay
-            if e.detection_delay is not None
-            else config.detection_delay
-        )
-        for e in scheduled
-    ]
+    detect_times = [e.detected_at(config.detection_delay) for e in scheduled]
     first_at = scheduled[0].time if scheduled else fail_at
     first_detect = (
         detect_times[0] if detect_times else fail_at + config.detection_delay
@@ -610,35 +601,21 @@ def run_scenario_sharded(
     registries: Optional[dict[int, MetricsRegistry]] = None,
 ):
     """Sharded twin of ``run_scenario``: identical mesh layout and schedule."""
-    rng_streams = RngStreams(seed)
-    scenario_rng = rng_streams.stream("scenario")
-    # Layout replicates run_scenario exactly; both must draw the same
-    # topology, endpoints, and failed link from the scenario stream.
-    from ..experiments.scenario import _pick_endpoints, _pick_failed_link
-
-    topo = regular_mesh(config.rows, config.cols, degree)
-    sender_router, receiver_router = _pick_endpoints(
-        scenario_rng, config.rows, config.cols
-    )
-    sender = attach_host(topo, sender_router)
-    receiver = attach_host(topo, receiver_router)
-    pre_path = topo.shortest_path(sender, receiver)
-    assert pre_path is not None, "mesh must be connected"
-    failed = _pick_failed_link(scenario_rng, pre_path, sender, receiver)
-    expected_final = topo.shortest_path(sender, receiver, exclude_link=failed)
-    driver = SingleLinkFailureDriver(failed, config.fail_time)
-    events = tuple(driver.generate(config.end_time))
+    # The one layout function run_scenario uses: same topology, endpoints
+    # and failed link from the seed's scenario stream.
+    layout = mesh_layout(config, degree, RngStreams(seed).stream("scenario"))
+    driver = SingleLinkFailureDriver(layout.failed, config.fail_time)
     spec = ShardScenarioSpec(
         protocol=protocol,
         degree=degree,
         seed=seed,
         config=config,
-        topology=topo,
-        sender=sender,
-        receiver=receiver,
-        pre_path=tuple(pre_path),
-        expected_final=tuple(expected_final) if expected_final else None,
-        events=events,
+        topology=layout.topology,
+        sender=layout.sender,
+        receiver=layout.receiver,
+        pre_path=layout.pre_path,
+        expected_final=layout.expected_final,
+        events=tuple(driver.generate(config.end_time)),
     )
     return run_sharded(
         spec,

@@ -1,38 +1,39 @@
 """Future-work experiments (paper §6), implemented.
 
-The paper closes with three extensions it leaves open; all three are built
-here on the same substrate and harness:
+The paper closes with extensions it leaves open; each is the paper's one
+experiment shape with different inputs, so each runner here is a layout, a
+driver and a projection of the shared :class:`~repro.experiments.scenario.
+ScenarioRun`:
 
 * :func:`run_multiflow_scenario` — multiple sender/receiver pairs and
   multiple (optionally overlapping-in-time) link failures;
 * :func:`run_transport_scenario` — end-to-end reliable-transport (TCP-like)
   performance through a convergence event;
+* :func:`run_repair_scenario` / :func:`run_node_failure_scenario` — the
+  restoration side of convergence, and a whole-router crash;
 * :func:`run_random_topology_scenario` — the single-flow experiment on a
   connected random regular graph, to check that the regular-mesh results are
   not lattice artifacts.
+
+Running through the core, every runner honours ``config.cold_start``,
+``prioritize_control`` and ``record_paths``; ``config.validate`` attaches
+the invariant monitors and surfaces their findings on the result's
+``violations`` (the transport runner, whose run ends with the transfer
+rather than at a fixed horizon, refuses it by name instead).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..metrics.counters import DropCounter
-from ..net.dynamics import LinkScheduler
-from ..net.network import Network
-from ..sim.engine import Simulator
+from ..net.dynamics import LinkEvent, ScriptedDriver, SingleLinkFailureDriver
 from ..sim.rng import RngStreams
-from ..sim.tracing import TraceBus
-from ..topology.generators import attach_host, random_regular
-from ..topology.graph import Topology
+from ..topology.generators import random_regular
 from ..topology.mesh import regular_mesh
-from ..traffic.cbr import CbrSource
-from ..traffic.flows import FlowSpec
-from ..traffic.sink import PacketSink
 from ..traffic.transport import ReliableReceiver, ReliableSender, TransportConfig, TransportStats
 from .config import ExperimentConfig
-from .scenario import make_protocol_factory
+from .scenario import ScenarioResult, ScenarioRun, lay_out, mesh_layout, mesh_links
 
 __all__ = [
     "FlowOutcome",
@@ -78,6 +79,8 @@ class MultiFlowResult:
     flows: list[FlowOutcome] = field(default_factory=list)
     drops_no_route: int = 0
     drops_ttl: int = 0
+    #: Invariant-monitor findings (non-empty only under ``config.validate``).
+    violations: tuple[str, ...] = ()
 
     @property
     def total_sent(self) -> int:
@@ -94,24 +97,6 @@ class MultiFlowResult:
     @property
     def worst_flow_ratio(self) -> float:
         return min((f.delivery_ratio for f in self.flows), default=0.0)
-
-
-def _build_network(
-    protocol: str,
-    topo: Topology,
-    rng_streams: RngStreams,
-    config: ExperimentConfig,
-) -> tuple[Simulator, Network]:
-    sim = Simulator()
-    bus = TraceBus(keep_routes=False)
-    network = Network(sim, topo, bus, queue_capacity=config.queue_capacity)
-    network.attach_protocols(
-        make_protocol_factory(protocol, network, rng_streams, topo, config)
-    )
-    for node in network.iter_nodes():
-        assert node.protocol is not None
-        node.protocol.warm_start(topo)
-    return sim, network
 
 
 def run_multiflow_scenario(
@@ -136,84 +121,61 @@ def run_multiflow_scenario(
         raise ValueError("need at least one flow and one failure")
     if n_failures > n_flows:
         raise ValueError("at most one failure per flow's path")
-    rng_streams = RngStreams(seed)
-    rng = rng_streams.stream("multiflow")
+    rng = RngStreams(seed).stream("multiflow")
 
     topo = regular_mesh(config.rows, config.cols, degree)
-    pairs: list[tuple[int, int]] = []
-    for _ in range(n_flows):
-        sender = attach_host(topo, rng.randrange(0, config.cols))
-        receiver = attach_host(
-            topo, (config.rows - 1) * config.cols + rng.randrange(0, config.cols)
+    last_row = (config.rows - 1) * config.cols
+    layouts = [
+        lay_out(
+            topo,
+            rng.randrange(0, config.cols),
+            last_row + rng.randrange(0, config.cols),
         )
-        pairs.append((sender, receiver))
-
+        for _ in range(n_flows)
+    ]
     # Choose one mesh link on each targeted flow's shortest path; reject
     # duplicates so failures are distinct.
     failed: list[tuple[int, int]] = []
-    for i in range(n_failures):
-        sender, receiver = pairs[i]
-        path = topo.shortest_path(sender, receiver)
-        assert path is not None
+    for flow in layouts[:n_failures]:
+        taken = {frozenset(link) for link in failed}
         candidates = [
-            (path[j], path[j + 1])
-            for j in range(1, len(path) - 2)
-            if (min(path[j], path[j + 1]), max(path[j], path[j + 1]))
-            not in {(min(a, b), max(a, b)) for a, b in failed}
+            link for link in mesh_links(flow.pre_path) if frozenset(link) not in taken
         ]
         if candidates:
             failed.append(rng.choice(candidates))
 
-    sim, network = _build_network(protocol, topo, rng_streams, config)
-    drop_counter = DropCounter(network.bus, window_start=config.fail_time)
-
-    sinks: list[PacketSink] = []
-    sources: list[CbrSource] = []
-    for flow_id, (sender, receiver) in enumerate(pairs, start=1):
-        sink = PacketSink(flow_id=flow_id, ttl_at_send=config.ttl)
-        network.node(receiver).attach_app(sink)
-        sinks.append(sink)
-        spec = FlowSpec(
-            flow_id=flow_id,
-            src=sender,
-            dst=receiver,
-            rate_pps=config.rate_pps,
-            start=config.traffic_start,
-            stop=config.end_time,
-            packet_bytes=config.packet_bytes,
-            ttl=config.ttl,
+    def staggered(plan):
+        return ScriptedDriver(
+            tuple(
+                LinkEvent("fail", a, b, plan.fail_at + i * failure_spacing)
+                for i, (a, b) in enumerate(failed)
+            )
         )
-        source = CbrSource(sim, network, spec)
-        source.start()
-        sources.append(source)
 
-    injector = LinkScheduler(sim, network, detection_delay=config.detection_delay)
-    for i, (a, b) in enumerate(failed):
-        injector.fail_link(a, b, at=config.fail_time + i * failure_spacing)
-
-    sim.run(until=config.end_time)
-
-    result = MultiFlowResult(
+    flows = [(flow.sender, flow.receiver) for flow in layouts]
+    run = ScenarioRun(
+        protocol, degree, seed, config, layouts[0], flows=flows, driver_factory=staggered
+    )
+    result = run.execute().to_result()
+    return MultiFlowResult(
         protocol=protocol,
         degree=degree,
         seed=seed,
         failed_links=failed,
-        drops_no_route=drop_counter.no_route,
-        drops_ttl=drop_counter.ttl_expired,
-    )
-    for flow_id, ((sender, receiver), source, sink) in enumerate(
-        zip(pairs, sources, sinks), start=1
-    ):
-        result.flows.append(
+        flows=[
             FlowOutcome(
-                flow_id=flow_id,
-                sender=sender,
-                receiver=receiver,
+                flow_id=source.spec.flow_id,
+                sender=source.spec.src,
+                receiver=source.spec.dst,
                 sent=source.sent,
                 delivered=sink.stats.delivered,
             )
-        )
-    return result
+            for source, sink in zip(run.sources, run.sinks)
+        ],
+        drops_no_route=result.drops_no_route,
+        drops_ttl=result.drops_ttl,
+        violations=result.violations,
+    )
 
 
 # ---------------------------------------------------------------- transport
@@ -252,45 +214,35 @@ def run_transport_scenario(
 
     The transfer starts at ``config.traffic_start``; the failure fires at
     ``config.fail_time`` like the paper's CBR experiment.  The run lasts
-    until the transfer completes (or the configured horizon expires).
+    until the transfer completes (or the configured horizon expires), which
+    is why ``config.validate`` is refused: the monitors judge quiescence
+    against a fixed end of run that this runner does not have.
     """
     config = config or ExperimentConfig.quick()
+    if config.validate:
+        raise ValueError(
+            "run_transport_scenario cannot be judged by the invariant "
+            "monitors: the run ends with the transfer, not at a fixed "
+            "horizon (validate)"
+        )
     transport = transport or TransportConfig()
-    rng_streams = RngStreams(seed)
-    rng = rng_streams.stream("scenario")
-
-    topo = regular_mesh(config.rows, config.cols, degree)
-    sender = attach_host(topo, rng.randrange(0, config.cols))
-    receiver = attach_host(
-        topo, (config.rows - 1) * config.cols + rng.randrange(0, config.cols)
-    )
-    path = topo.shortest_path(sender, receiver)
-    assert path is not None
-    mesh_edges = [
-        (path[i], path[i + 1])
-        for i in range(1, len(path) - 2)
-    ]
-    failed = rng.choice(mesh_edges)
-
-    sim, network = _build_network(protocol, topo, rng_streams, config)
-    ReliableReceiver(network, receiver, sender, flow_id=1, config=transport)
+    no_events = None if inject_failure else lambda plan: ScriptedDriver(())
+    run = ScenarioRun(protocol, degree, seed, config, flows=(), driver_factory=no_events)
+    sim, sender, receiver = run.sim, run.layout.sender, run.layout.receiver
+    ReliableReceiver(run.network, receiver, sender, flow_id=1, config=transport)
     tx = ReliableSender(
-        sim, network, sender, receiver, flow_id=1,
+        sim, run.network, sender, receiver, flow_id=1,
         total_segments=total_segments, config=transport,
     )
-    sim.schedule_at(config.traffic_start, tx.start)
-    if inject_failure:
-        injector = LinkScheduler(sim, network, detection_delay=config.detection_delay)
-        injector.fail_link(failed[0], failed[1], at=config.fail_time)
-
-    horizon = config.end_time + 120.0
+    sim.schedule_at(run.traffic_start, tx.start)
+    horizon = run.end_at + 120.0
     while sim.now < horizon and not tx.done:
         sim.run(until=min(horizon, sim.now + 10.0))
     return TransportResult(
         protocol=protocol,
         degree=degree,
         seed=seed,
-        failed_link=failed,
+        failed_link=run.layout.failed,
         stats=tx.stats,
     )
 
@@ -334,6 +286,8 @@ class RepairResult:
     #: legitimately settle on an equal-cost path other than the original.
     restoration_convergence: Optional[float]
     back_on_shortest_path: bool
+    #: Invariant-monitor findings (non-empty only under ``config.validate``).
+    violations: tuple[str, ...] = ()
 
     @property
     def delivery_ratio(self) -> float:
@@ -354,56 +308,24 @@ def run_repair_scenario(
     path; the restoration convergence time is how long that takes once the
     endpoints re-detect the link.
     """
-    from ..metrics.convergence import ConvergenceTracker
-
     config = config or ExperimentConfig.quick()
-    rng_streams = RngStreams(seed)
-    rng = rng_streams.stream("scenario")
+    def fail_then_repair(plan):
+        return SingleLinkFailureDriver(
+            plan.failed, plan.fail_at, restore_at=plan.fail_at + repair_after
+        )
 
-    topo = regular_mesh(config.rows, config.cols, degree)
-    sender = attach_host(topo, rng.randrange(0, config.cols))
-    receiver = attach_host(
-        topo, (config.rows - 1) * config.cols + rng.randrange(0, config.cols)
+    # The observation window runs its full length after the repair.
+    window = repair_after + config.post_fail_window
+    run = ScenarioRun(
+        protocol, degree, seed, config.with_(post_fail_window=window),
+        driver_factory=fail_then_repair,
     )
-    pre_path = topo.shortest_path(sender, receiver)
-    assert pre_path is not None
-    mesh_edges = [
-        (pre_path[i], pre_path[i + 1]) for i in range(1, len(pre_path) - 2)
-    ]
-    failed = rng.choice(mesh_edges)
+    result = run.execute().to_result()
+    tracker = run.tracker
 
-    sim, network = _build_network(protocol, topo, rng_streams, config)
-    tracker = ConvergenceTracker(network.bus, dest=receiver, src=sender)
-    tracker.seed_from_network(network)
-    drop_counter = DropCounter(network.bus, window_start=config.fail_time)
-
-    sink = PacketSink(flow_id=1, ttl_at_send=config.ttl)
-    network.node(receiver).attach_app(sink)
-    end_at = config.fail_time + repair_after + config.post_fail_window
-    source = CbrSource(
-        sim,
-        network,
-        FlowSpec(
-            flow_id=1,
-            src=sender,
-            dst=receiver,
-            rate_pps=config.rate_pps,
-            start=config.traffic_start,
-            stop=end_at,
-            packet_bytes=config.packet_bytes,
-            ttl=config.ttl,
-        ),
-    )
-    source.start()
-    injector = LinkScheduler(sim, network, detection_delay=config.detection_delay)
-    injector.fail_link(failed[0], failed[1], at=config.fail_time)
-    repair_at = config.fail_time + repair_after
-    injector.restore_link(failed[0], failed[1], at=repair_at)
-    sim.run(until=end_at)
-
-    redetect_at = repair_at + config.detection_delay
+    redetect_at = run.fail_at + repair_after + config.detection_delay
     # When did the walked path regain its pre-failure (shortest) length?
-    shortest_len = len(pre_path)
+    shortest_len = len(result.initial_path)
     restoration: Optional[float] = None
     for snap in tracker.snapshots:
         if (
@@ -420,19 +342,19 @@ def run_repair_scenario(
     # Walked-path state at the very end may predate redetection entirely if
     # the detour was already shortest-length (nothing to restore).
     if restoration is None and back and tracker.snapshots:
-        last_change = tracker.snapshots[-1].time
-        if last_change < redetect_at:
+        if tracker.snapshots[-1].time < redetect_at:
             restoration = 0.0
     return RepairResult(
         protocol=protocol,
         degree=degree,
         seed=seed,
-        failed_link=failed,
-        sent=source.sent,
-        delivered=sink.stats.delivered,
-        drops_total=drop_counter.total,
+        failed_link=run.layout.failed,
+        sent=result.sent,
+        delivered=result.delivered,
+        drops_total=result.total_drops,
         restoration_convergence=restoration,
         back_on_shortest_path=back,
+        violations=result.violations,
     )
 
 
@@ -452,6 +374,8 @@ class NodeFailureResult:
     drops_no_route: int
     drops_ttl: int
     recovered: bool
+    #: Invariant-monitor findings (non-empty only under ``config.validate``).
+    violations: tuple[str, ...] = ()
 
     @property
     def delivery_ratio(self) -> float:
@@ -468,61 +392,40 @@ def run_node_failure_scenario(
     other failure mode).  A random interior path router crashes — all its
     links die at once, a much larger perturbation than a single link."""
     config = config or ExperimentConfig.quick()
-    rng_streams = RngStreams(seed)
-    rng = rng_streams.stream("scenario")
-
-    topo = regular_mesh(config.rows, config.cols, degree)
-    sender = attach_host(topo, rng.randrange(0, config.cols))
-    receiver = attach_host(
-        topo, (config.rows - 1) * config.cols + rng.randrange(0, config.cols)
-    )
-    path = topo.shortest_path(sender, receiver)
-    assert path is not None
+    rng = RngStreams(seed).stream("scenario")
+    layout = mesh_layout(config, degree, rng, draw_link=False)
     # Interior path routers: exclude the hosts and their access routers (a
     # crash there disconnects the flow irrecoverably).
-    candidates = path[2:-2]
+    candidates = layout.pre_path[2:-2]
     if not candidates:
         raise ValueError("path too short for an interior node failure")
     failed_node = rng.choice(candidates)
 
-    sim, network = _build_network(protocol, topo, rng_streams, config)
-    drop_counter = DropCounter(network.bus, window_start=config.fail_time)
-    sink = PacketSink(flow_id=1, ttl_at_send=config.ttl)
-    network.node(receiver).attach_app(sink)
-    source = CbrSource(
-        sim,
-        network,
-        FlowSpec(
-            flow_id=1,
-            src=sender,
-            dst=receiver,
-            rate_pps=config.rate_pps,
-            start=config.traffic_start,
-            stop=config.end_time,
-            packet_bytes=config.packet_bytes,
-            ttl=config.ttl,
-        ),
-    )
-    source.start()
-    injector = LinkScheduler(sim, network, detection_delay=config.detection_delay)
-    injector.fail_node(failed_node, at=config.fail_time)
-    sim.run(until=config.end_time)
+    def crash(plan):
+        return ScriptedDriver(
+            tuple(
+                LinkEvent("fail", failed_node, neighbor, plan.fail_at)
+                for neighbor in plan.topology.neighbors(failed_node)
+            )
+        )
 
+    run = ScenarioRun(protocol, degree, seed, config, layout, driver_factory=crash)
+    result = run.execute().to_result()
     # Recovered = traffic flowing at full rate in the final five seconds.
     tail = [
-        d for d in sink.stats.deliveries if d.time >= config.end_time - 5.0
+        d for d in run.sinks[0].stats.deliveries if d.time >= run.end_at - 5.0
     ]
-    recovered = len(tail) >= 0.8 * config.rate_pps * 5.0
     return NodeFailureResult(
         protocol=protocol,
         degree=degree,
         seed=seed,
         failed_node=failed_node,
-        sent=source.sent,
-        delivered=sink.stats.delivered,
-        drops_no_route=drop_counter.no_route,
-        drops_ttl=drop_counter.ttl_expired,
-        recovered=recovered,
+        sent=result.sent,
+        delivered=result.delivered,
+        drops_no_route=result.drops_no_route,
+        drops_ttl=result.drops_ttl,
+        recovered=len(tail) >= 0.8 * config.rate_pps * 5.0,
+        violations=result.violations,
     )
 
 
@@ -535,109 +438,22 @@ def run_random_topology_scenario(
     seed: int,
     config: Optional[ExperimentConfig] = None,
     n_nodes: int = 49,
-):
+) -> ScenarioResult:
     """The paper's experiment on a connected random ``degree``-regular graph.
 
     Returns the same :class:`~repro.experiments.scenario.ScenarioResult`
-    shape as the mesh experiment, so results are directly comparable; used to
-    check that the degree findings are not lattice artifacts.
+    as the mesh experiment — every field, including reordering, the MANET
+    triple, the loop report and monitor findings — so results are directly
+    comparable; used to check that the degree findings are not lattice
+    artifacts.
     """
-    from .scenario import (  # local import to avoid cycle noise
-        ScenarioResult,
-        TopologyEventOutcome,
-    )
-    from ..metrics.convergence import ConvergenceTracker, NetworkConvergenceWatcher
-    from ..metrics.counters import MessageCounter
-    from ..metrics.timeseries import delay_series, throughput_series
-
     config = config or ExperimentConfig.quick()
-    rng_streams = RngStreams(seed)
-    rng = rng_streams.stream("scenario")
-
+    rng = RngStreams(seed).stream("scenario")
     if (n_nodes * degree) % 2 != 0:
         n_nodes += 1  # a degree-regular graph needs an even degree sum
     topo = random_regular(n_nodes, degree, seed=seed)
     routers = sorted(topo.nodes)
     sender_router = rng.choice(routers)
     receiver_router = rng.choice([r for r in routers if r != sender_router])
-    sender = attach_host(topo, sender_router)
-    receiver = attach_host(topo, receiver_router)
-    pre_path = topo.shortest_path(sender, receiver)
-    assert pre_path is not None
-    mesh_edges = [
-        (pre_path[i], pre_path[i + 1]) for i in range(1, len(pre_path) - 2)
-    ]
-    if not mesh_edges:
-        # Adjacent routers: the only on-path mesh link is between them.
-        mesh_edges = [(pre_path[1], pre_path[2])]
-    failed = rng.choice(mesh_edges)
-    expected_final = topo.shortest_path(sender, receiver, exclude_link=failed)
-
-    sim, network = _build_network(protocol, topo, rng_streams, config)
-    tracker = ConvergenceTracker(network.bus, dest=receiver, src=sender)
-    tracker.seed_from_network(network)
-    net_watcher = NetworkConvergenceWatcher(network.bus)
-    drop_counter = DropCounter(network.bus, window_start=config.fail_time)
-    message_counter = MessageCounter(network.bus, window_start=config.fail_time)
-
-    sink = PacketSink(flow_id=1, ttl_at_send=config.ttl)
-    network.node(receiver).attach_app(sink)
-    source = CbrSource(
-        sim,
-        network,
-        FlowSpec(
-            flow_id=1,
-            src=sender,
-            dst=receiver,
-            rate_pps=config.rate_pps,
-            start=config.traffic_start,
-            stop=config.end_time,
-            packet_bytes=config.packet_bytes,
-            ttl=config.ttl,
-        ),
-    )
-    source.start()
-    injector = LinkScheduler(sim, network, detection_delay=config.detection_delay)
-    injector.fail_link(failed[0], failed[1], at=config.fail_time)
-    sim.run(until=config.end_time)
-
-    detect_at = config.fail_time + config.detection_delay
-    deliveries = sink.stats.deliveries
-    return ScenarioResult(
-        protocol=protocol,
-        degree=degree,
-        seed=seed,
-        sender=sender,
-        receiver=receiver,
-        initial_path=tuple(pre_path),
-        expected_final_path=tuple(expected_final) if expected_final else None,
-        events=(
-            TopologyEventOutcome(
-                kind="fail",
-                link=(min(failed), max(failed)),
-                time=config.fail_time,
-                detect_time=detect_at,
-            ),
-        ),
-        sent=source.sent,
-        delivered=sink.stats.delivered,
-        drops_no_route=drop_counter.no_route,
-        drops_ttl=drop_counter.ttl_expired,
-        drops_link_down=drop_counter.link_down,
-        drops_queue=drop_counter.queue_overflow,
-        routing_convergence=net_watcher.convergence_time(detect_at),
-        destination_convergence=tracker.routing_convergence_time(detect_at),
-        forwarding_convergence=tracker.forwarding_convergence_delay(detect_at),
-        converged_to_expected=(
-            tracker.converged_to(tuple(expected_final)) if expected_final else False
-        ),
-        transient_path_count=len(tracker.transient_paths(config.fail_time)),
-        throughput=throughput_series(
-            deliveries, config.traffic_start, config.end_time, origin=config.fail_time
-        ),
-        delay=delay_series(
-            deliveries, config.traffic_start, config.end_time, origin=config.fail_time
-        ),
-        messages=message_counter.messages,
-        withdrawals=message_counter.withdrawals,
-    )
+    layout = lay_out(topo, sender_router, receiver_router, rng)
+    return ScenarioRun(protocol, degree, seed, config, layout).execute().to_result()

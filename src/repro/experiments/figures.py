@@ -25,7 +25,7 @@ from ..metrics.timeseries import BinnedSeries
 from ..topology.mesh import interior_nodes, regular_mesh
 from ..topology.validate import check_interior_degree, degree_histogram
 from .config import ExperimentConfig
-from .runner import PointResult, run_point
+from .runner import PointResult, mean, run_point
 
 __all__ = [
     "SweepTable",
@@ -232,7 +232,7 @@ def _mean_link_down(point: PointResult) -> float:
     # In-flight deaths on the failed link are identical across protocols
     # (they happen before any protocol reacts); exclude them from the
     # protocol comparison.
-    return sum(r.drops_link_down for r in point.runs) / max(1, point.n_runs)
+    return mean([r.drops_link_down for r in point.runs])
 
 
 # ----------------------------------------------------------------- ablations
@@ -314,20 +314,19 @@ def extension_multiflow(
     config = config or ExperimentConfig.quick()
     out: dict[str, dict[str, float]] = {}
     for protocol in config.protocols:
-        ratios, worst, drops = [], [], []
-        for i in range(config.runs):
-            r = run_multiflow_scenario(
-                protocol, degree, config.seed + i, config,
+        runs = [
+            run_multiflow_scenario(
+                protocol, degree, seed, config,
                 n_flows=n_flows, n_failures=n_failures,
             )
-            ratios.append(r.delivery_ratio)
-            worst.append(r.worst_flow_ratio)
-            drops.append(float(r.drops_no_route + r.drops_ttl))
-        n = len(ratios)
+            for seed in config.seeds
+        ]
         out[protocol] = {
-            "delivery_ratio": sum(ratios) / n,
-            "worst_flow_ratio": sum(worst) / n,
-            "convergence_drops": sum(drops) / n,
+            "delivery_ratio": mean([r.delivery_ratio for r in runs]),
+            "worst_flow_ratio": mean([r.worst_flow_ratio for r in runs]),
+            "convergence_drops": mean(
+                [float(r.drops_no_route + r.drops_ttl) for r in runs]
+            ),
         }
     return out
 
@@ -347,17 +346,15 @@ def extension_transport(
     config = config or ExperimentConfig.quick()
     out: dict[str, dict[str, float]] = {}
     for protocol in config.protocols:
-        penalties, retx = [], []
-        for i in range(config.runs):
-            r = transport_with_baseline(
-                protocol, degree, config.seed + i, config, total_segments
-            )
-            if r.stall_penalty is not None:
-                penalties.append(r.stall_penalty)
-            retx.append(float(r.stats.retransmissions))
+        runs = [
+            transport_with_baseline(protocol, degree, seed, config, total_segments)
+            for seed in config.seeds
+        ]
+        penalties = [r.stall_penalty for r in runs if r.stall_penalty is not None]
         out[protocol] = {
-            "stall_penalty": sum(penalties) / len(penalties) if penalties else float("inf"),
-            "retransmissions": sum(retx) / len(retx),
+            # No run completed: the stall is unbounded, not zero.
+            "stall_penalty": mean(penalties) if penalties else float("inf"),
+            "retransmissions": mean([float(r.stats.retransmissions) for r in runs]),
         }
     return out
 
@@ -539,11 +536,9 @@ def extension_random_topology(
     )
     for protocol in config.protocols:
         for degree in degrees:
-            drops = []
-            for i in range(config.runs):
-                r = run_random_topology_scenario(
-                    protocol, degree, config.seed + i, config
-                )
-                drops.append(r.drops_no_route)
-            table.values[(protocol, degree)] = sum(drops) / len(drops)
+            runs = [
+                run_random_topology_scenario(protocol, degree, seed, config)
+                for seed in config.seeds
+            ]
+            table.values[(protocol, degree)] = mean([r.drops_no_route for r in runs])
     return table

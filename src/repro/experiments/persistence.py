@@ -5,22 +5,13 @@ results (`save_points`) and reload them for later analysis or plotting
 (`load_points`) without re-simulating.  The format is plain JSON — stable,
 diff-able, and readable outside Python.
 
-Format history:
-
-* **v3** (current) — the single-failure scalars (``failed_link``,
-  ``pre_failure_path``) became a general topology-event schedule: each run
-  records ``initial_path`` plus an ``events`` list (kind, link, event and
-  detection times, and the attributed reconvergence wave).  A
-  save→load→save round trip is byte-identical.
-* **v2** — lossless for everything a single-failure sweep produced:
-  scenario measurements, the throughput/delay series, loop and reordering
-  reports, monitor skips, and per-point :class:`SweepFailure` records.
-* **v1** — scalar measurements plus series only; silently dropped
-  ``monitor_skips``, ``loop_report``, and point ``failures``.
-
-v1 and v2 stay loadable: their one ``failed_link`` is migrated to a
-single ``fail`` event with unknown (``None``) times, and re-saving
-upgrades the file to v3.
+One format, v3: each run records its measurements, the throughput/delay
+series, loop and reordering reports, monitor findings and skips, its
+``initial_path`` and an ``events`` list (kind, link, event and detection
+times, and the attributed reconvergence wave); each point also records its
+:class:`SweepFailure` entries.  A save→load→save round trip is
+byte-identical.  Files written by the single-failure formats v1/v2 are
+refused with an error naming the version found — re-run the sweep.
 """
 
 from __future__ import annotations
@@ -43,10 +34,9 @@ __all__ = [
     "load_points",
 ]
 
-#: Version written by :func:`save_points` / the sweep shard store.
+#: The one version :func:`save_points` / the sweep shard store write and
+#: :func:`load_points` reads.
 FORMAT_VERSION = 3
-#: Versions :func:`load_points` understands.
-SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 def _series_to_dict(series: BinnedSeries | None) -> dict | None:
@@ -140,13 +130,10 @@ def scenario_to_dict(result: ScenarioResult) -> dict:
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioResult:
-    """Inverse of :func:`scenario_to_dict` (accepts v1, v2, and v3 dicts).
+    """Inverse of :func:`scenario_to_dict`.
 
     Present-but-empty collections are restored as empty, not collapsed to
-    ``None``: only a JSON ``null`` (or a missing v1 field) maps to ``None``.
-    v1/v2 dicts carry ``failed_link``/``pre_failure_path`` instead of the
-    event schedule; the link is migrated to one ``fail`` event with unknown
-    (``None``) times — the old formats never recorded when it fired.
+    ``None``: only a JSON ``null`` (or a missing field) maps to ``None``.
     """
     reordering = None
     if data.get("reordering") is not None:
@@ -167,26 +154,14 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioResult:
             max_extra_hops=lr["max_extra_hops"],
         )
     expected_final_path = data.get("expected_final_path")
-    if "events" in data:
-        events = tuple(_event_from_dict(e) for e in data["events"])
-        initial_path = tuple(data["initial_path"])
-    else:
-        # v1/v2 migration: one failure, canonical link key, times unknown.
-        a, b = data["failed_link"]
-        events = (
-            TopologyEventOutcome(
-                kind="fail", link=(min(a, b), max(a, b)), time=None, detect_time=None
-            ),
-        )
-        initial_path = tuple(data["pre_failure_path"])
     return ScenarioResult(
         protocol=data["protocol"],
         degree=data["degree"],
         seed=data["seed"],
         sender=data["sender"],
         receiver=data["receiver"],
-        initial_path=initial_path,
-        events=events,
+        initial_path=tuple(data["initial_path"]),
+        events=tuple(_event_from_dict(e) for e in data["events"]),
         expected_final_path=(
             tuple(expected_final_path) if expected_final_path is not None else None
         ),
@@ -252,12 +227,15 @@ def save_points(points: Mapping[tuple[str, int], PointResult], path: str) -> Non
 
 
 def load_points(path: str) -> dict[tuple[str, int], PointResult]:
-    """Read a sweep previously written by :func:`save_points` (v1-v3)."""
+    """Read a sweep previously written by :func:`save_points`."""
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
     version = payload.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(f"unsupported results format version {version!r}")
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported results format version {version!r} in {path!r} "
+            f"(this build reads only version {FORMAT_VERSION})"
+        )
     out: dict[tuple[str, int], PointResult] = {}
     for entry in payload["points"]:
         point = PointResult(protocol=entry["protocol"], degree=entry["degree"])

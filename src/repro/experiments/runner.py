@@ -57,7 +57,7 @@ _MAX_RETRY_BACKOFF = 5.0
 _SUPERVISOR_TICK = 0.05
 
 
-def _mean(values: list[float]) -> float:
+def mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
@@ -97,39 +97,39 @@ class PointResult:
 
     @property
     def mean_drops_no_route(self) -> float:
-        return _mean([r.drops_no_route for r in self.runs])
+        return mean([r.drops_no_route for r in self.runs])
 
     @property
     def mean_drops_ttl(self) -> float:
-        return _mean([r.drops_ttl for r in self.runs])
+        return mean([r.drops_ttl for r in self.runs])
 
     @property
     def mean_total_drops(self) -> float:
-        return _mean([r.total_drops for r in self.runs])
+        return mean([r.total_drops for r in self.runs])
 
     @property
     def mean_delivery_ratio(self) -> float:
-        return _mean([r.delivery_ratio for r in self.runs])
+        return mean([r.delivery_ratio for r in self.runs])
 
     @property
     def mean_routing_convergence(self) -> float:
-        return _mean([r.routing_convergence for r in self.runs])
+        return mean([r.routing_convergence for r in self.runs])
 
     @property
     def mean_forwarding_convergence(self) -> float:
-        return _mean([r.forwarding_convergence for r in self.runs])
+        return mean([r.forwarding_convergence for r in self.runs])
 
     @property
     def mean_messages(self) -> float:
-        return _mean([float(r.messages) for r in self.runs])
+        return mean([float(r.messages) for r in self.runs])
 
     @property
     def mean_transient_paths(self) -> float:
-        return _mean([float(r.transient_path_count) for r in self.runs])
+        return mean([float(r.transient_path_count) for r in self.runs])
 
     @property
     def convergence_success_rate(self) -> float:
-        return _mean([1.0 if r.converged_to_expected else 0.0 for r in self.runs])
+        return mean([1.0 if r.converged_to_expected else 0.0 for r in self.runs])
 
     @property
     def violations(self) -> list[str]:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 from ..metrics.convergence import (
     ConvergenceTracker,
@@ -59,12 +59,20 @@ from ..traffic.flows import FlowSpec
 from ..traffic.sink import PacketSink
 from .config import ExperimentConfig
 
+#: Distance-vector protocols: oracle costs at/above ``dv_infinity`` are unreachable.
+DV_PROTOCOLS = ("rip", "rip-hd", "dbf")
+
 __all__ = [
+    "Layout",
     "ScenarioPlan",
     "ScenarioResult",
+    "ScenarioRun",
     "TopologyEventOutcome",
+    "lay_out",
+    "mesh_layout",
     "run_scenario",
     "make_protocol_factory",
+    "mesh_links",
 ]
 
 
@@ -75,15 +83,13 @@ class TopologyEventOutcome:
     ``wave_start``/``wave_end`` are the first and last network-wide route
     changes inside the event's attribution window (from its detection to
     the next event's detection, the last window running to the end of the
-    run); both ``None`` when the window saw no routing activity.  Results
-    migrated from format v1/v2 carry ``time=None``/``detect_time=None`` —
-    the old formats recorded only which link failed, not when.
+    run); both ``None`` when the window saw no routing activity.
     """
 
     kind: str  # "fail" | "restore"
     link: tuple[int, int]
-    time: Optional[float]
-    detect_time: Optional[float]
+    time: float
+    detect_time: float
     wave_start: Optional[float] = None
     wave_end: Optional[float] = None
 
@@ -96,7 +102,8 @@ class ScenarioPlan:
     sender: int
     receiver: int
     pre_path: tuple[int, ...]
-    failed: tuple[int, int]
+    #: The layout's default on-path link (None on a mobility field).
+    failed: Optional[tuple[int, int]]
     fail_at: float
     detect_at: float
     end_at: float
@@ -184,95 +191,422 @@ def make_protocol_factory(
     config: ExperimentConfig,
 ) -> Callable[[Node], object]:
     """Protocol constructor-by-name, sharing one RNG family per run."""
-    dv_config = DistanceVectorConfig(infinity=config.dv_infinity)
-
-    def factory(node: Node) -> object:
-        if name == "rip":
-            return RipProtocol(node, rng_streams, dv_config)
-        if name == "rip-hd":
-            from dataclasses import replace
-
-            return RipProtocol(
-                node, rng_streams, replace(dv_config, holddown=90.0)
-            )
-        if name == "dbf":
-            return DbfProtocol(node, rng_streams, dv_config)
-        if name == "bgp":
-            return BgpProtocol(node, rng_streams, network, BgpConfig.standard())
-        if name == "bgp3":
-            return BgpProtocol(node, rng_streams, network, BgpConfig.fast())
-        if name == "bgp-pd":
-            cfg = BgpConfig(per_destination_mrai=True, label="bgp-pd")
-            return BgpProtocol(node, rng_streams, network, cfg)
-        if name == "bgp3-pd":
-            cfg = BgpConfig(
-                mrai_base=3.0, mrai_jitter=0.5, per_destination_mrai=True, label="bgp3-pd"
-            )
-            return BgpProtocol(node, rng_streams, network, cfg)
-        if name == "bgp3-ssld":
-            cfg = BgpConfig(
-                mrai_base=3.0,
-                mrai_jitter=0.5,
-                sender_side_loop_detection=True,
-                label="bgp3-ssld",
-            )
-            return BgpProtocol(node, rng_streams, network, cfg)
-        if name == "bgp-ssld":
-            cfg = BgpConfig(sender_side_loop_detection=True, label="bgp-ssld")
-            return BgpProtocol(node, rng_streams, network, cfg)
-        if name == "bgp-rfd":
-            cfg = BgpConfig(damping=DampingConfig(), label="bgp-rfd")
-            return BgpProtocol(node, rng_streams, network, cfg)
-        if name == "bgp3-rfd":
-            cfg = BgpConfig(
-                mrai_base=3.0, mrai_jitter=0.5, damping=DampingConfig(), label="bgp3-rfd"
-            )
-            return BgpProtocol(node, rng_streams, network, cfg)
-        if name == "dual":
-            return DualProtocol(node, rng_streams, network)
-        if name == "spf":
-            return SpfProtocol(node, rng_streams)
-        if name == "spf-slow":
-            return SpfProtocol(node, rng_streams, SpfConfig(spf_delay=2.0, label="spf-slow"))
-        if name == "spf-lfa":
-            return SpfProtocol(
-                node, rng_streams, SpfConfig(spf_delay=2.0, lfa=True, label="spf-lfa")
-            )
-        if name == "static":
-            return StaticProtocol(node, rng_streams, topology)
-        if name == "aodv":
-            return AodvProtocol(node, rng_streams)
-        if name == "dsr":
-            return DsrProtocol(node, rng_streams)
-        if name == "olsr":
-            return OlsrProtocol(node, rng_streams)
+    dv = DistanceVectorConfig(infinity=config.dv_infinity)
+    base, _, option = name.partition("-")
+    bgp_timers = {"bgp": {}, "bgp3": {"mrai_base": 3.0, "mrai_jitter": 0.5}}
+    bgp_options = {
+        "": {},
+        "pd": {"per_destination_mrai": True},
+        "ssld": {"sender_side_loop_detection": True},
+        "rfd": {"damping": DampingConfig()},
+    }
+    if base in bgp_timers and option in bgp_options:
+        bgp = BgpConfig(**bgp_timers[base], **bgp_options[option], label=name)
+        return lambda node: BgpProtocol(node, rng_streams, network, bgp)
+    slow = SpfConfig(spf_delay=2.0, label="spf-slow")
+    lfa = SpfConfig(spf_delay=2.0, lfa=True, label="spf-lfa")
+    builders: dict[str, Callable[[Node], object]] = {
+        "rip": lambda node: RipProtocol(node, rng_streams, dv),
+        "rip-hd": lambda node: RipProtocol(
+            node, rng_streams, replace(dv, holddown=90.0)
+        ),
+        "dbf": lambda node: DbfProtocol(node, rng_streams, dv),
+        "dual": lambda node: DualProtocol(node, rng_streams, network),
+        "spf": lambda node: SpfProtocol(node, rng_streams),
+        "spf-slow": lambda node: SpfProtocol(node, rng_streams, slow),
+        "spf-lfa": lambda node: SpfProtocol(node, rng_streams, lfa),
+        "static": lambda node: StaticProtocol(node, rng_streams, topology),
+        "aodv": lambda node: AodvProtocol(node, rng_streams),
+        "dsr": lambda node: DsrProtocol(node, rng_streams),
+        "olsr": lambda node: OlsrProtocol(node, rng_streams),
+    }
+    if name not in builders:
         raise ValueError(f"unknown protocol {name!r}")
-
-    return factory
-
-
-def _pick_endpoints(
-    rng: random.Random, rows: int, cols: int
-) -> tuple[int, int]:
-    """Random first-row and last-row routers (paper's attachment rule)."""
-    sender_router = rng.randrange(0, cols)
-    receiver_router = (rows - 1) * cols + rng.randrange(0, cols)
-    return sender_router, receiver_router
+    return builders[name]
 
 
-def _pick_failed_link(
-    rng: random.Random, path: list[int], sender: int, receiver: int
-) -> tuple[int, int]:
-    """Random mesh link on the shortest path (access links excluded)."""
-    edges = [
-        (path[i], path[i + 1])
-        for i in range(len(path) - 1)
-        if sender not in (path[i], path[i + 1])
-        and receiver not in (path[i], path[i + 1])
-    ]
-    if not edges:
+@dataclass(frozen=True)
+class Layout:
+    """Where a run happens: the live topology, the measured flow, and the
+    on-path link the default scenario fails.
+
+    Mobility runs build the network over the union of every link that ever
+    exists; ``initial_topology`` is then the t=0 connectivity the protocols
+    warm-start on and ``initially_down`` the union links outside it.
+    """
+
+    topology: Topology
+    sender: int
+    receiver: int
+    pre_path: tuple[int, ...]
+    #: Default link to fail (None when the caller's driver picks its own),
+    #: and the path the network should converge to once it is gone.
+    failed: Optional[tuple[int, int]] = None
+    expected_final: Optional[tuple[int, ...]] = None
+    initial_topology: Optional[Topology] = None
+    initially_down: tuple[tuple[int, int], ...] = ()
+
+
+def mesh_links(path: Sequence[int]) -> list[tuple[int, int]]:
+    """The failable links of a host-to-host path: every hop but the two
+    access links at its ends."""
+    return list(zip(path[1:-2], path[2:-1]))
+
+
+def lay_out(
+    topo: Topology,
+    sender_router: int,
+    receiver_router: int,
+    rng: Optional[random.Random] = None,
+) -> Layout:
+    """Attach the flow's two hosts to ``topo`` and walk the pre-failure path.
+
+    With ``rng``, also draw the default perturbation: a random mesh link on
+    that path (the access links at either end are never failed).
+    """
+    sender = attach_host(topo, sender_router)
+    receiver = attach_host(topo, receiver_router)
+    path = topo.shortest_path(sender, receiver)
+    if path is None:
+        raise ValueError(f"hosts {sender} and {receiver} are not connected")
+    if rng is None:
+        return Layout(topo, sender, receiver, tuple(path))
+    candidates = mesh_links(path)
+    if not candidates:
         raise ValueError("shortest path has no mesh links to fail")
-    return rng.choice(edges)
+    failed = rng.choice(candidates)
+    final = topo.shortest_path(sender, receiver, exclude_link=failed)
+    return Layout(
+        topo, sender, receiver, tuple(path), failed, tuple(final) if final else None
+    )
+
+
+def mesh_layout(
+    config: ExperimentConfig,
+    degree: int,
+    rng: random.Random,
+    draw_link: bool = True,
+) -> Layout:
+    """The paper's layout (§5): sender on a random first-row router, receiver
+    on a random last-row router, one random on-path link to fail.
+
+    Every mesh runner — single-process, sharded, narrated, repair, transport,
+    node failure — draws from the run's ``"scenario"`` stream through this
+    one function, so the same seed always means the same experiment.
+    """
+    topo = regular_mesh(config.rows, config.cols, degree)
+    sender_router = rng.randrange(0, config.cols)
+    receiver_router = (config.rows - 1) * config.cols + rng.randrange(0, config.cols)
+    return lay_out(topo, sender_router, receiver_router, rng if draw_link else None)
+
+
+class ScenarioRun:
+    """One built, instrumented and armed run — the only place outside the
+    shard workers where a live network is constructed.
+
+    Construction fixes the order every runner shares: simulator, bus (obs
+    and recorder attached first, so they see warm-start installs), network,
+    protocols, warm or cold start, then tracker, watcher and the three
+    counters, one CBR source and sink per flow, the driver's link events,
+    and finally the monitors.  :meth:`execute` runs the phase-split
+    timeline; :meth:`to_result` folds the instruments into a
+    :class:`ScenarioResult`.  Runners with a bespoke result type project it
+    from the instruments exposed here (``tracker``, ``sinks``, ``sources``,
+    ``scheduled``) and from that result.
+
+    ``layout`` defaults to :func:`mesh_layout` on the seed's ``"scenario"``
+    stream.  ``flows`` is a sequence of ``(src, dst)`` host pairs, default
+    the layout's one flow; pass ``()`` to attach applications by hand.
+    ``driver_factory`` maps the :class:`ScenarioPlan` to the run's
+    :class:`~repro.net.dynamics.TopologyDriver`, default the paper's single
+    on-path failure.  ``bus`` substitutes a retaining
+    :class:`~repro.sim.tracing.TraceBus` (narration reads records off it).
+    ``kind`` and ``meta`` label the live log and post-mortem dump.
+    """
+
+    def __init__(
+        self,
+        protocol: str,
+        degree: int,
+        seed: int,
+        config: ExperimentConfig,
+        layout: Optional[Layout] = None,
+        *,
+        flows: Optional[Sequence[tuple[int, int]]] = None,
+        driver_factory: Optional[Callable[[ScenarioPlan], TopologyDriver]] = None,
+        monitors: Optional[object] = None,
+        obs: Optional[object] = None,
+        recorder: Optional[FlightRecorder] = None,
+        dump_dir: Optional[str] = None,
+        live_log=None,
+        bus: Optional[TraceBus] = None,
+        kind: str = "scenario",
+        meta: Optional[dict] = None,
+        reactive_strict: bool = True,
+    ) -> None:
+        if recorder is None and dump_dir is not None:
+            recorder = FlightRecorder()
+        if monitors is None and config.validate:
+            from ..validation.monitors import MonitorSuite
+
+            monitors = MonitorSuite()
+        self.protocol, self.degree, self.seed, self.config = protocol, degree, seed, config
+        self.monitors, self.obs, self.recorder = monitors, obs, recorder
+        self.dump_dir, self.kind = dump_dir, kind
+        self.meta = {"protocol": protocol, "degree": degree, "seed": seed, **(meta or {})}
+        self.profiler = obs.profiler if obs is not None else NULL_PROFILER
+
+        from ..obs.live import open_live_log
+
+        self.log, self._owns_log = open_live_log(live_log, run=kind, meta=self.meta)
+        self._log_started = time.perf_counter()
+
+        with self.profiler.span("setup"):
+            if layout is None:
+                rng = RngStreams(seed).stream("scenario")
+                layout = mesh_layout(config, degree, rng)
+            self.layout = layout
+            topo, sender, receiver = layout.topology, layout.sender, layout.receiver
+            initial = layout.initial_topology or topo
+
+            self.sim = sim = Simulator()
+            if bus is None:
+                bus = TraceBus(keep_routes=False, keep_links=False)
+            self.bus = bus
+            if obs is not None:
+                obs.attach(bus)
+            if recorder is not None:
+                recorder.attach(bus)
+            self.network = network = Network(
+                sim,
+                topo,
+                bus,
+                queue_capacity=config.queue_capacity,
+                record_paths=config.record_paths,
+                # Monitors and the flight recorder want the hop-by-hop TTL view.
+                record_forwards=monitors is not None or recorder is not None,
+                priority_control=config.prioritize_control,
+            )
+            network.attach_protocols(
+                make_protocol_factory(protocol, network, RngStreams(seed), initial, config)
+            )
+            scheduler = LinkScheduler(sim, network, config.detection_delay)
+            scheduler.take_down_initially(layout.initially_down)
+
+        with self.profiler.span("warmup", sim=sim):
+            base = 0.0
+            if config.cold_start:
+                network.start_protocols()
+                sim.run(until=config.cold_warmup)
+                base = config.cold_warmup
+            else:
+                for node in network.iter_nodes():
+                    assert node.protocol is not None
+                    node.protocol.warm_start(initial)
+        self._beat("warmup")
+
+        self.traffic_start = base + config.traffic_start
+        self.fail_at = fail_at = base + config.fail_time
+        self.end_at = end_at = base + config.end_time
+        detect_at = fail_at + config.detection_delay
+        if driver_factory is None:
+            if layout.failed is None:
+                raise ValueError("layout draws no link to fail; pass a driver_factory")
+            driver: TopologyDriver = SingleLinkFailureDriver(layout.failed, fail_at)
+        else:
+            plan = ScenarioPlan(
+                topo, sender, receiver, layout.pre_path, layout.failed,
+                fail_at=fail_at, detect_at=detect_at, end_at=end_at,
+            )
+            driver = driver_factory(plan)
+        events = driver.generate(end_at)
+        self.detect_times = [e.detected_at(config.detection_delay) for e in events]
+        #: The post-failure window opens at the first event (``fail_at`` for
+        #: an event-free run); drops, overhead and series are relative to it.
+        self.first_at = events[0].time if events else fail_at
+        self.first_detect = self.detect_times[0] if events else detect_at
+
+        self.tracker = ConvergenceTracker(bus, dest=receiver, src=sender)
+        self.tracker.seed_from_network(network)
+        self.watcher = NetworkConvergenceWatcher(bus)
+        self.drop_counter = DropCounter(bus, window_start=self.first_at)
+        self.message_counter = MessageCounter(bus, window_start=self.first_at)
+        # Whole-run overhead for the MANET triple: NRL counts every control
+        # packet the protocol ever sent, not just the post-failure window.
+        self.overhead_counter = MessageCounter(bus)
+
+        self.sinks: list[PacketSink] = []
+        self.sources: list[CbrSource] = []
+        if flows is None:
+            flows = [(sender, receiver)]
+        for flow_id, (src, dst) in enumerate(flows, start=1):
+            sink = PacketSink(flow_id=flow_id, ttl_at_send=config.ttl)
+            network.node(dst).attach_app(sink)
+            spec = FlowSpec(
+                flow_id=flow_id, src=src, dst=dst, rate_pps=config.rate_pps,
+                start=self.traffic_start, stop=end_at,
+                packet_bytes=config.packet_bytes, ttl=config.ttl,
+            )
+            source = CbrSource(sim, network, spec)
+            source.start()
+            self.sinks.append(sink)
+            self.sources.append(source)
+
+        self.scheduled = scheduler.load(events)
+
+        if monitors is not None:
+            from ..validation.monitors import RunContext, settle_margin_for
+
+            monitors.attach(
+                RunContext(
+                    sim=sim,
+                    network=network,
+                    bus=bus,
+                    topology=topo,
+                    protocol=protocol,
+                    failed_links=tuple(
+                        sorted({e.link_key for e in events if e.kind == "fail"})
+                    ),
+                    detect_time=self.first_detect,
+                    end_time=end_at,
+                    infinity=config.dv_infinity if protocol in DV_PROTOCOLS else None,
+                    settle_margin=settle_margin_for(protocol),
+                    # Destinations data wants: what reactive protocols are judged on.
+                    active_dests=frozenset(dst for _, dst in flows),
+                    reactive_strict=reactive_strict,
+                )
+            )
+
+    def _beat(self, phase: str) -> None:
+        """Phase-boundary heartbeat — written between sim.run calls only."""
+        if self.log is not None:
+            self.log.heartbeat(
+                shard=0,
+                clock=self.sim.now,
+                events=self.sim.events_processed,
+                wall_s=time.perf_counter() - self._log_started,
+                phase=phase,
+            )
+
+    def execute(
+        self, phases: tuple[str, str, str] = ("steady", "failure", "convergence")
+    ) -> "ScenarioRun":
+        """Run to ``end_at``, split at the first event and its detection.
+
+        The split happens at the same instants whether observed or not:
+        repeated ``run(until=...)`` calls form one contiguous timeline, so
+        the event order is identical to a single ``run(until=end_at)`` (the
+        golden on/off test pins this).  ``phases`` names the three stretches
+        for the profiler and the live log.
+        """
+        for phase, until in zip(phases, (self.first_at, self.first_detect, self.end_at)):
+            with self.profiler.span(phase, sim=self.sim):
+                self.sim.run(until=min(until, self.end_at))
+            self._beat(phase)
+        return self
+
+    def to_result(self) -> ScenarioResult:
+        """Fold the instruments into a result and release them.
+
+        Packet accounting and the delivery-derived series follow the first
+        flow; drops and routing overhead are network-wide.  Finalizes the
+        monitors, writes the post-mortem dump if one is armed and a monitor
+        fired, and closes counters, recorder, observation and live log.
+        """
+        layout, tracker = self.layout, self.tracker
+        first_at, first_detect, end_at = self.first_at, self.first_detect, self.end_at
+        window = (self.traffic_start, end_at)
+        with self.profiler.span("drain", sim=self.sim):
+            deliveries = self.sinks[0].stats.deliveries if self.sinks else []
+            sent = self.sources[0].sent if self.sources else 0
+            waves = attribute_waves(self.detect_times, self.watcher.change_times, end_at)
+            result = ScenarioResult(
+                protocol=self.protocol,
+                degree=self.degree,
+                seed=self.seed,
+                sender=layout.sender,
+                receiver=layout.receiver,
+                initial_path=layout.pre_path,
+                expected_final_path=layout.expected_final,
+                events=tuple(
+                    TopologyEventOutcome(e.kind, e.link_key, e.time, detected, *wave)
+                    for e, detected, wave in zip(self.scheduled, self.detect_times, waves)
+                ),
+                sent=sent,
+                delivered=len(deliveries),
+                drops_no_route=self.drop_counter.no_route,
+                drops_ttl=self.drop_counter.ttl_expired,
+                drops_link_down=self.drop_counter.link_down,
+                drops_queue=self.drop_counter.queue_overflow,
+                routing_convergence=self.watcher.convergence_time(first_detect),
+                destination_convergence=tracker.routing_convergence_time(first_detect),
+                forwarding_convergence=tracker.forwarding_convergence_delay(first_detect),
+                converged_to_expected=bool(
+                    layout.expected_final and tracker.converged_to(layout.expected_final)
+                ),
+                transient_path_count=len(tracker.transient_paths(first_at)),
+                throughput=throughput_series(deliveries, *window, origin=first_at),
+                delay=delay_series(deliveries, *window, origin=first_at),
+                messages=self.message_counter.messages,
+                withdrawals=self.message_counter.withdrawals,
+                reordering=analyze_reordering(deliveries),
+                manet=analyze_manet(
+                    sent,
+                    deliveries,
+                    self.overhead_counter.messages,
+                    control_bytes=self.overhead_counter.bytes_sent,
+                ),
+            )
+            if self.config.record_paths:
+                # Forwarding hops on the original path.
+                result.loop_report = analyze_deliveries(
+                    deliveries, shortest_hops=len(layout.pre_path) - 2
+                )
+            if self.monitors is not None:
+                result.violations = tuple(str(v) for v in self.monitors.finalize())
+                result.monitor_skips = dict(self.monitors.skips)
+            if result.violations and self.recorder is not None and self.dump_dir:
+                result.dump_path = self._dump(result.violations)
+        if self.recorder is not None:
+            self.recorder.close()
+        self.drop_counter.close()
+        self.message_counter.close()
+        self.overhead_counter.close()
+        if self.obs is not None:
+            self.obs.finalize(sim=self.sim, network=self.network, bus=self.bus)
+        if self.log is not None:
+            for finding in result.violations:
+                self.log.violation(finding)
+            self.log.end(ok=not result.violations)
+            if self._owns_log:
+                self.log.close()
+        return result
+
+    def _dump(self, violations: tuple[str, ...]) -> str:
+        """Snapshot the recorder's rings to a versioned post-mortem file."""
+        os.makedirs(self.dump_dir, exist_ok=True)
+        dump = build_dump(
+            self.recorder,
+            meta={
+                **self.meta,
+                "sender": self.layout.sender,
+                "receiver": self.layout.receiver,
+                "failed_link": list(self.layout.failed or ()),
+                "fail_time": self.fail_at,
+                "detect_time": self.first_detect,
+                "end_time": self.end_at,
+                "events": [[e.kind, e.a, e.b, e.time] for e in self.scheduled],
+            },
+            violations=violations,
+            counters=self.bus.counters.as_dict(),
+        )
+        prefix = "" if self.kind == "scenario" else f"{self.kind}-"
+        path = os.path.join(
+            self.dump_dir,
+            f"flight-{prefix}{self.protocol}-d{self.degree}-s{self.seed}.json",
+        )
+        save_dump(dump, path)
+        return path
 
 
 def run_scenario(
@@ -294,8 +628,7 @@ def run_scenario(
     on-path link the default scenario would fail, and the run's clock) and
     returns any :class:`~repro.net.dynamics.TopologyDriver`.  The default is
     the paper's single on-path failure,
-    ``SingleLinkFailureDriver(plan.failed, plan.fail_at)``, which schedules
-    the exact same engine events the pre-driver implementation did.
+    ``SingleLinkFailureDriver(plan.failed, plan.fail_at)``.
 
     ``monitors`` is an optional :class:`repro.validation.MonitorSuite` to
     attach to the run; with ``config.validate`` set a default suite is
@@ -328,13 +661,10 @@ def run_scenario(
     if config.shards > 1:
         # Delegate to the sharded runtime (repro.dist): same layout, same
         # schedule, byte-identical result — pinned by the differential suite.
-        unsupported = {
-            "monitors": monitors,
-            "obs": obs,
-            "recorder": recorder,
-            "dump_dir": dump_dir,
-            "driver_factory": driver_factory,
-        }
+        unsupported = dict(
+            monitors=monitors, obs=obs, recorder=recorder,
+            dump_dir=dump_dir, driver_factory=driver_factory,
+        )
         given = sorted(name for name, value in unsupported.items() if value is not None)
         if given:
             raise ValueError(
@@ -344,282 +674,10 @@ def run_scenario(
             )
         from ..dist.runner import run_scenario_sharded
 
-        return run_scenario_sharded(
-            protocol, degree, seed, config, live_log=live_log
-        )
-    if recorder is None and dump_dir is not None:
-        recorder = FlightRecorder()
-    if monitors is None and config.validate:
-        from ..validation.monitors import MonitorSuite
-
-        monitors = MonitorSuite()
-    profiler = obs.profiler if obs is not None else NULL_PROFILER
-
-    from ..obs.live import open_live_log
-
-    log, owns_log = open_live_log(
-        live_log,
-        run="scenario",
-        meta={"protocol": protocol, "degree": degree, "seed": seed},
+        return run_scenario_sharded(protocol, degree, seed, config, live_log=live_log)
+    run = ScenarioRun(
+        protocol, degree, seed, config,
+        monitors=monitors, obs=obs, recorder=recorder, dump_dir=dump_dir,
+        driver_factory=driver_factory, live_log=live_log,
     )
-    log_started = time.perf_counter()
-
-    def beat(phase: str, sim) -> None:
-        """Phase-boundary heartbeat — written between sim.run calls only."""
-        if log is not None:
-            log.heartbeat(
-                shard=0,
-                clock=sim.now,
-                events=sim.events_processed,
-                wall_s=time.perf_counter() - log_started,
-                phase=phase,
-            )
-
-    rng_streams = RngStreams(seed)
-    scenario_rng = rng_streams.stream("scenario")
-
-    with profiler.span("setup"):
-        # --- topology with sender/receiver hosts attached -------------------
-        topo = regular_mesh(config.rows, config.cols, degree)
-        sender_router, receiver_router = _pick_endpoints(
-            scenario_rng, config.rows, config.cols
-        )
-        sender = attach_host(topo, sender_router)
-        receiver = attach_host(topo, receiver_router)
-
-        pre_path = topo.shortest_path(sender, receiver)
-        assert pre_path is not None, "mesh must be connected"
-        failed = _pick_failed_link(scenario_rng, pre_path, sender, receiver)
-        expected_final = topo.shortest_path(sender, receiver, exclude_link=failed)
-
-        # --- live network ----------------------------------------------------
-        sim = Simulator()
-        bus = TraceBus(keep_routes=False, keep_links=False)
-        if obs is not None:
-            obs.attach(bus)
-        if recorder is not None:
-            recorder.attach(bus)
-        network = Network(
-            sim,
-            topo,
-            bus,
-            queue_capacity=config.queue_capacity,
-            record_paths=config.record_paths,
-            # Monitors and the flight recorder want the hop-by-hop TTL view.
-            record_forwards=monitors is not None or recorder is not None,
-            priority_control=config.prioritize_control,
-        )
-        factory = make_protocol_factory(protocol, network, rng_streams, topo, config)
-        network.attach_protocols(factory)
-
-    with profiler.span("warmup", sim=sim):
-        base = 0.0
-        if config.cold_start:
-            network.start_protocols()
-            sim.run(until=config.cold_warmup)
-            base = config.cold_warmup
-        else:
-            for node in network.iter_nodes():
-                assert node.protocol is not None
-                node.protocol.warm_start(topo)
-    beat("warmup", sim)
-
-    traffic_start = base + config.traffic_start
-    fail_at = base + config.fail_time
-    end_at = base + config.end_time
-
-    # --- instrumentation ------------------------------------------------------
-    tracker = ConvergenceTracker(bus, dest=receiver, src=sender)
-    tracker.seed_from_network(network)
-    net_watcher = NetworkConvergenceWatcher(bus)
-    drop_counter = DropCounter(bus, window_start=fail_at)
-    message_counter = MessageCounter(bus, window_start=fail_at)
-    # Whole-run overhead for the MANET triple: NRL counts every control
-    # packet the protocol ever sent, not just the post-failure window.
-    overhead_counter = MessageCounter(bus)
-
-    sink = PacketSink(flow_id=1, ttl_at_send=config.ttl)
-    network.node(receiver).attach_app(sink)
-    flow = FlowSpec(
-        flow_id=1,
-        src=sender,
-        dst=receiver,
-        rate_pps=config.rate_pps,
-        start=traffic_start,
-        stop=end_at,
-        packet_bytes=config.packet_bytes,
-        ttl=config.ttl,
-    )
-    source = CbrSource(sim, network, flow)
-    source.start()
-
-    detect_at = fail_at + config.detection_delay
-    scheduler = LinkScheduler(sim, network, detection_delay=config.detection_delay)
-    if driver_factory is None:
-        driver: TopologyDriver = SingleLinkFailureDriver(failed, fail_at)
-    else:
-        driver = driver_factory(
-            ScenarioPlan(
-                topology=topo,
-                sender=sender,
-                receiver=receiver,
-                pre_path=tuple(pre_path),
-                failed=failed,
-                fail_at=fail_at,
-                detect_at=detect_at,
-                end_at=end_at,
-            )
-        )
-    scheduled = scheduler.run_driver(driver, until=end_at)
-    first_at = scheduled[0].time if scheduled else fail_at
-    detect_times = [
-        e.time
-        + (
-            e.detection_delay
-            if e.detection_delay is not None
-            else config.detection_delay
-        )
-        for e in scheduled
-    ]
-    first_detect = detect_times[0] if detect_times else detect_at
-
-    if monitors is not None:
-        from ..validation.monitors import RunContext, settle_margin_for
-
-        monitors.attach(
-            RunContext(
-                sim=sim,
-                network=network,
-                bus=bus,
-                topology=topo,
-                protocol=protocol,
-                failed_links=tuple(
-                    sorted({e.link_key for e in scheduled if e.kind == "fail"})
-                ),
-                detect_time=first_detect,
-                end_time=end_at,
-                infinity=(
-                    config.dv_infinity
-                    if protocol in ("rip", "rip-hd", "dbf")
-                    else None
-                ),
-                settle_margin=settle_margin_for(protocol),
-                # One CBR flow: the receiver is the only destination data
-                # wants, which is what reactive protocols are judged on.
-                active_dests=frozenset({receiver}),
-            )
-        )
-
-    # --- run ------------------------------------------------------------------
-    # The run is split at the same instants whether observed or not: repeated
-    # ``run(until=...)`` calls form one contiguous timeline, so the event
-    # order is identical to a single ``run(until=end_at)`` (the golden on/off
-    # test pins this).
-    with profiler.span("steady", sim=sim):
-        sim.run(until=min(first_at, end_at))
-    beat("steady", sim)
-    with profiler.span("failure", sim=sim):
-        sim.run(until=min(first_detect, end_at))
-    beat("failure", sim)
-    with profiler.span("convergence", sim=sim):
-        sim.run(until=end_at)
-    beat("convergence", sim)
-
-    with profiler.span("drain", sim=sim):
-        deliveries = sink.stats.deliveries
-        waves = attribute_waves(detect_times, net_watcher.change_times, end_at)
-        outcomes = tuple(
-            TopologyEventOutcome(
-                kind=e.kind,
-                link=e.link_key,
-                time=e.time,
-                detect_time=dt,
-                wave_start=w[0],
-                wave_end=w[1],
-            )
-            for e, dt, w in zip(scheduled, detect_times, waves)
-        )
-        result = ScenarioResult(
-            protocol=protocol,
-            degree=degree,
-            seed=seed,
-            sender=sender,
-            receiver=receiver,
-            initial_path=tuple(pre_path),
-            expected_final_path=tuple(expected_final) if expected_final else None,
-            events=outcomes,
-            sent=source.sent,
-            delivered=sink.stats.delivered,
-            drops_no_route=drop_counter.no_route,
-            drops_ttl=drop_counter.ttl_expired,
-            drops_link_down=drop_counter.link_down,
-            drops_queue=drop_counter.queue_overflow,
-            routing_convergence=net_watcher.convergence_time(first_detect),
-            destination_convergence=tracker.routing_convergence_time(first_detect),
-            forwarding_convergence=tracker.forwarding_convergence_delay(first_detect),
-            converged_to_expected=(
-                tracker.converged_to(tuple(expected_final)) if expected_final else False
-            ),
-            transient_path_count=len(tracker.transient_paths(first_at)),
-            throughput=throughput_series(
-                deliveries, traffic_start, end_at, origin=first_at
-            ),
-            delay=delay_series(deliveries, traffic_start, end_at, origin=first_at),
-            messages=message_counter.messages,
-            withdrawals=message_counter.withdrawals,
-            reordering=analyze_reordering(deliveries),
-            manet=analyze_manet(
-                source.sent,
-                deliveries,
-                overhead_counter.messages,
-                control_bytes=overhead_counter.bytes_sent,
-            ),
-        )
-        if config.record_paths:
-            steady_hops = len(pre_path) - 2  # forwarding hops on the original path
-            result.loop_report = analyze_deliveries(
-                deliveries, shortest_hops=steady_hops
-            )
-        if monitors is not None:
-            result.violations = tuple(str(v) for v in monitors.finalize())
-            result.monitor_skips = dict(monitors.skips)
-        if result.violations and recorder is not None and dump_dir is not None:
-            os.makedirs(dump_dir, exist_ok=True)
-            dump = build_dump(
-                recorder,
-                meta={
-                    "protocol": protocol,
-                    "degree": degree,
-                    "seed": seed,
-                    "sender": sender,
-                    "receiver": receiver,
-                    "failed_link": list(failed),
-                    "fail_time": fail_at,
-                    "detect_time": first_detect,
-                    "end_time": end_at,
-                    "events": [
-                        [e.kind, e.a, e.b, e.time] for e in scheduled
-                    ],
-                },
-                violations=result.violations,
-                counters=bus.counters.as_dict(),
-            )
-            path = os.path.join(
-                dump_dir, f"flight-{protocol}-d{degree}-s{seed}.json"
-            )
-            save_dump(dump, path)
-            result.dump_path = path
-    if recorder is not None:
-        recorder.close()
-    drop_counter.close()
-    message_counter.close()
-    overhead_counter.close()
-    if obs is not None:
-        obs.finalize(sim=sim, network=network, bus=bus)
-    if log is not None:
-        for finding in result.violations:
-            log.violation(str(finding))
-        log.end(ok=not result.violations)
-        if owns_log:
-            log.close()
-    return result
+    return run.execute().to_result()

@@ -86,20 +86,20 @@ class LinkEvent:
         """Legacy alias: the event instant (failure injection time)."""
         return self.time
 
-    @property
-    def detect_time(self) -> float:
+    def detected_at(self, default_delay: float = DEFAULT_DETECTION_DELAY) -> float:
         """Time both endpoints know about the change.
 
-        Resolved against the module default when the event carries no
-        per-event delay; a scheduler with a non-default delay resolves it at
-        execution time instead.
+        ``default_delay`` stands in when the event carries no delay of its
+        own — pass the scheduler's (``config.detection_delay``).
         """
-        delay = (
-            self.detection_delay
-            if self.detection_delay is not None
-            else DEFAULT_DETECTION_DELAY
-        )
-        return self.time + delay
+        if self.detection_delay is not None:
+            return self.time + self.detection_delay
+        return self.time + default_delay
+
+    @property
+    def detect_time(self) -> float:
+        """:meth:`detected_at` under the module-default delay."""
+        return self.detected_at()
 
 
 @runtime_checkable

@@ -23,15 +23,6 @@ TINY = ExperimentConfig.quick().with_(
 )
 
 
-def _as_v2_run(run_dict: dict) -> dict:
-    """Downgrade a current (v3) run dict to the v1/v2 single-failure shape."""
-    d = dict(run_dict)
-    events = d.pop("events")
-    d["failed_link"] = list(events[0]["link"])
-    d["pre_failure_path"] = d.pop("initial_path")
-    return d
-
-
 class TestScenarioRoundTrip:
     def test_all_scalars_survive(self):
         original = run_scenario("dbf", 4, 1, TINY)
@@ -165,81 +156,18 @@ class TestSweepFiles:
         with pytest.raises(ValueError):
             load_points(str(path))
 
-    def test_v1_file_still_loads(self, tmp_path):
-        """Back-compat: a v1 results file (no failures/monitor_skips/
-        loop_report fields, scalar failed_link) loads, with the missing
-        fields defaulted and the failure migrated to one fail event."""
-        run = run_scenario("dbf", 4, 1, TINY)
-        v1_run = _as_v2_run(scenario_to_dict(run))
-        # v1 writers never emitted these keys.
-        for key in ("monitor_skips", "loop_report"):
-            del v1_run[key]
-        payload = {
-            "format_version": 1,
-            "points": [{"protocol": "dbf", "degree": 4, "runs": [v1_run]}],
-        }
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(payload))
-        loaded = load_points(str(path))
-        point = loaded[("dbf", 4)]
-        assert point.n_runs == 1
-        assert point.failures == []
-        restored = point.runs[0]
-        assert restored.monitor_skips == {}
-        assert restored.loop_report is None
-        assert restored.delivered == run.delivered
-        assert restored.throughput.values == run.throughput.values
-        # Migrated event: same link, unknown times.
-        assert restored.failed_link == run.failed_link
-        assert restored.pre_failure_path == run.pre_failure_path
-        assert len(restored.events) == 1
-        assert restored.events[0].kind == "fail"
-        assert restored.events[0].time is None
-        assert restored.events[0].detect_time is None
-
-    def test_v2_file_still_loads(self, tmp_path):
-        """Back-compat: a v2 file (lossless, but still single-failure)."""
-        run = run_scenario("dbf", 4, 1, TINY.with_(record_paths=True))
-        v2_run = _as_v2_run(scenario_to_dict(run))
-        payload = {
-            "format_version": 2,
-            "points": [
-                {
-                    "protocol": "dbf",
-                    "degree": 4,
-                    "runs": [v2_run],
-                    "failures": [],
-                }
-            ],
-        }
-        path = tmp_path / "v2.json"
-        path.write_text(json.dumps(payload))
-        restored = load_points(str(path))[("dbf", 4)].runs[0]
-        assert restored.failed_link == run.failed_link
-        assert restored.initial_path == run.initial_path
-        assert restored.loop_report == run.loop_report
-        assert restored.events[0].link == run.events[0].link
-
-    def test_old_formats_resave_as_v3(self, tmp_path):
-        run = run_scenario("dbf", 4, 1, TINY)
-        v1_run = _as_v2_run(scenario_to_dict(run))
-        for key in ("monitor_skips", "loop_report"):
-            del v1_run[key]
-        v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps({
-            "format_version": 1,
-            "points": [{"protocol": "dbf", "degree": 4, "runs": [v1_run]}],
-        }))
-        upgraded = tmp_path / "v3.json"
-        save_points(load_points(str(v1)), str(upgraded))
-        payload = json.loads(upgraded.read_text())
-        assert payload["format_version"] == 3
-        assert payload["points"][0]["failures"] == []
-        migrated = payload["points"][0]["runs"][0]
-        assert migrated["monitor_skips"] == {}
-        assert "failed_link" not in migrated
-        assert migrated["events"][0]["kind"] == "fail"
-        assert migrated["events"][0]["time"] is None
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pre_v3_file_refused_by_name(self, tmp_path, version):
+        """No migration shim: a single-failure-era file fails with one line
+        naming the version found and the version supported."""
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format_version": version, "points": []}))
+        with pytest.raises(ValueError) as excinfo:
+            load_points(str(path))
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert f"version {version}" in message
+        assert "only version 3" in message
 
     def test_v3_events_round_trip(self):
         original = run_scenario("dbf", 4, 1, TINY)
