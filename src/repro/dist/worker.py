@@ -193,7 +193,7 @@ class ShardHost:
                 gated.add(a if a in owned_set else b)
         self._gated = gated
         for node_id in sorted(gated):
-            for nbr in sorted(sub.neighbors(node_id)):
+            for nbr in sub.neighbors(node_id):
                 link = self.network.link(nbr, node_id)
                 link._channels[nbr].arrival_gate = self._packet_gate
                 # Set at link level (not per session): reliable sessions may
@@ -365,7 +365,7 @@ class ShardHost:
             if handle.pending:
                 handle.cancel()
             add(relay.tx_start, relay.src, "relay", None, relay)
-        for nbr in sorted(self.sub.neighbors(node_id)):
+        for nbr in self.sub.neighbors(node_id):
             link = self.network.link(nbr, node_id)
             channel = link._channels[nbr]
             for handle, packet in list(channel._in_flight.values()):

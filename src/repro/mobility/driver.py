@@ -18,6 +18,7 @@ model past a different horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ..net.dynamics import LinkEvent
@@ -53,22 +54,24 @@ class MobilitySchedule:
         """Union links absent from the t=0 connectivity, canonical order."""
         return sorted(set(self.topology.links) - self.initial_links)
 
+    @cached_property
+    def _component_at_start(self) -> dict[int, int]:
+        """Linked node -> representative of its t=0 connected component."""
+        parent: dict[int, int] = {}
+
+        def find(node: int) -> int:
+            while parent.setdefault(node, node) != node:
+                parent[node] = node = parent[parent[node]]
+            return node
+
+        for x, y in self.initial_links:
+            parent[find(x)] = find(y)
+        return {node: find(node) for node in parent}
+
     def connected_at_start(self, a: int, b: int) -> bool:
         """Whether a and b are in the same t=0 connected component."""
-        adjacency: dict[int, list[int]] = {}
-        for x, y in self.initial_links:
-            adjacency.setdefault(x, []).append(y)
-            adjacency.setdefault(y, []).append(x)
-        frontier, seen = [a], {a}
-        while frontier:
-            node = frontier.pop()
-            if node == b:
-                return True
-            for nbr in adjacency.get(node, ()):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    frontier.append(nbr)
-        return a == b
+        component = self._component_at_start
+        return component.get(a, a) == component.get(b, b)
 
 
 class MobilityDriver:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ..net.node import Node
 from ..sim.rng import RngStreams
-from ..topology.graph import Topology, all_shortest_path_trees
+from ..topology.graph import Topology, all_shortest_path_costs, all_shortest_path_trees
 from .dv_common import DistanceVectorConfig, DistanceVectorProtocol
 from .rib import NeighborVectorCache, best_vector_choice
 
@@ -73,10 +73,9 @@ class DbfProtocol(DistanceVectorProtocol):
 
     def _warm_start_extra(self, topology: Topology, tree: dict[int, list[int]]) -> None:
         trees = all_shortest_path_trees(topology)
-        graph = topology.to_networkx()
+        costs = all_shortest_path_costs(topology)
         for nbr in self.node.up_neighbors():
-            nbr_tree = trees[nbr]
-            for dest, path in nbr_tree.items():
+            for dest, path in trees[nbr].items():
                 if dest == nbr:
                     self.cache.learn(nbr, dest, 0)
                     continue
@@ -85,8 +84,4 @@ class DbfProtocol(DistanceVectorProtocol):
                     # Poison reverse: the neighbor routes through us.
                     self.cache.learn(nbr, dest, self.config.infinity)
                     continue
-                cost = sum(
-                    graph.edges[path[i], path[i + 1]].get("weight", 1)
-                    for i in range(len(path) - 1)
-                )
-                self.cache.learn(nbr, dest, cost)
+                self.cache.learn(nbr, dest, costs[nbr][dest])

@@ -49,7 +49,7 @@ from ..net.network import Network
 from ..net.node import Node
 from ..net.packet import CONTROL_HEADER_BYTES
 from ..sim.rng import RngStreams
-from ..topology.graph import Topology, all_shortest_path_trees
+from ..topology.graph import Topology, all_shortest_path_costs, all_shortest_path_trees
 from .base import RoutingProtocol
 
 __all__ = ["DualUpdate", "DualQuery", "DualReply", "DualProtocol"]
@@ -157,20 +157,11 @@ class DualProtocol(RoutingProtocol):
 
     def warm_start(self, topology: Topology) -> None:
         trees = all_shortest_path_trees(topology)
-        graph = topology.to_networkx()
-
-        def cost_of(path: list[int]) -> float:
-            return float(
-                sum(
-                    graph.edges[path[i], path[i + 1]].get("weight", 1)
-                    for i in range(len(path) - 1)
-                )
-            )
-
+        costs = all_shortest_path_costs(topology)
         for nbr in self.node.up_neighbors():
             self._open_session(nbr)
             self.neighbor_dist[nbr] = {
-                dest: cost_of(path) for dest, path in trees[nbr].items()
+                dest: float(cost) for dest, cost in costs[nbr].items()
             }
         my_tree = trees[self.node.id]
         for dest, path in my_tree.items():
@@ -179,7 +170,7 @@ class DualProtocol(RoutingProtocol):
                 state.distance = 0.0
                 state.feasible_distance = 0.0
                 continue
-            state.distance = cost_of(path)
+            state.distance = float(costs[self.node.id][dest])
             state.feasible_distance = state.distance
             state.successor = path[1]
             self.node.set_next_hop(dest, path[1])

@@ -23,7 +23,7 @@ from typing import Any, Iterable, Optional
 from ..net.node import Node
 from ..sim.rng import RngStreams
 from ..sim.timers import JitteredInterval, OneShotTimer, PeriodicTimer
-from ..topology.graph import Topology, all_shortest_path_trees
+from ..topology.graph import Topology, all_shortest_path_costs, all_shortest_path_trees
 from .base import RoutingProtocol
 from .messages import DistanceVectorUpdate, pack_distance_vector
 from .rib import RIP_INFINITY, DistanceVectorRoute
@@ -94,15 +94,12 @@ class DistanceVectorProtocol(RoutingProtocol):
 
     def warm_start(self, topology: Topology) -> None:
         self._install_self_route()
-        graph = topology.to_networkx()
         tree = all_shortest_path_trees(topology)[self.node.id]
+        costs = all_shortest_path_costs(topology)[self.node.id]
         for dest, path in tree.items():
             if dest == self.node.id:
                 continue
-            cost = sum(
-                graph.edges[path[i], path[i + 1]].get("weight", 1)
-                for i in range(len(path) - 1)
-            )
+            cost = costs[dest]
             if cost >= self.config.infinity:
                 continue
             route = DistanceVectorRoute(

@@ -25,13 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
-import networkx as nx
-
 from ..net.node import Node
 from ..net.packet import CONTROL_HEADER_BYTES
 from ..sim.rng import RngStreams
 from ..sim.timers import JitteredInterval, PeriodicTimer
-from ..topology.graph import Topology, shortest_path_tree
+from ..topology.graph import Topology, per_topology, shortest_path_tree
 from .base import RoutingProtocol
 
 __all__ = ["OlsrConfig", "OlsrProtocol", "OlsrHello", "OlsrTc", "select_mprs"]
@@ -126,6 +124,16 @@ def select_mprs(
     return mprs
 
 
+@per_topology
+def _mpr_choices(topology: Topology) -> tuple[dict[int, set[int]], dict[int, frozenset[int]]]:
+    """``(mprs, selectors)`` per node at convergence.  Everyone runs the same
+    deterministic heuristic, so who selected whom can be reconstructed without
+    exchanging a single message, once for all routers of a topology."""
+    adj = topology.adjacency()
+    mprs = {n: select_mprs(n, adj[n], {m: adj[m] for m in adj[n]}) for n in adj}
+    return mprs, {n: frozenset(m for m in adj[n] if n in mprs[m]) for n in adj}
+
+
 class OlsrProtocol(RoutingProtocol):
     """Proactive link state over an MPR flooding backbone."""
 
@@ -154,6 +162,9 @@ class OlsrProtocol(RoutingProtocol):
         #: TOP_HOLD_TIME = 3 TC intervals instead of haunting the graph.
         self._topo: dict[int, tuple[int, frozenset[int], float]] = {}
         self._metrics: dict[int, int] = {}
+        #: (edge set, symmetric neighbors) the FIB was last computed from.
+        self._computed_from: Optional[tuple[set, set]] = None
+        self.recomputes_skipped = 0
         #: Keep originating (empty, retracting) TCs until this time even if
         #: we have no selectors left — remote nodes must learn our old edges
         #: are gone without waiting a full TOP_HOLD_TIME for expiry.
@@ -182,18 +193,15 @@ class OlsrProtocol(RoutingProtocol):
     def warm_start(self, topology: Topology) -> None:
         """Install the state cold HELLO/TC exchange converges to."""
         me = self.node.id
-        adj = {n: set(topology.neighbors(n)) for n in topology.nodes}
-        for nbr in sorted(adj.get(me, ())):
+        adj = topology.adjacency()
+        all_mprs, all_selectors = _mpr_choices(topology)
+        for nbr in adj.get(me, ()):
             self._nbr[nbr] = "sym"
             self._two_hop[nbr] = set(adj[nbr]) - {me}
-        self.mprs = select_mprs(me, self._nbr, self._two_hop)
-        # Everyone runs the same deterministic heuristic, so each node can
-        # reconstruct who selected whom without exchanging a single message.
-        all_mprs = {n: select_mprs(n, adj[n], {m: adj[m] for m in adj[n]}) for n in adj}
-        self.mpr_selectors = {n for n in adj.get(me, ()) if me in all_mprs[n]}
+        self.mprs = set(all_mprs.get(me, ()))
+        self.mpr_selectors = set(all_selectors.get(me, ()))
         expires = self.sim.now + self._hold_time()
-        for origin in sorted(adj):
-            selectors = frozenset(n for n in adj[origin] if origin in all_mprs[n])
+        for origin, selectors in all_selectors.items():
             if selectors:
                 self._topo[origin] = (1, selectors, expires)
         self._tc_seq = 1
@@ -304,30 +312,43 @@ class OlsrProtocol(RoutingProtocol):
 
     # ---------------------------------------------------------------- routing
 
-    def _graph(self) -> nx.Graph:
-        graph = nx.Graph()
+    def _edges(self) -> set[tuple[int, int]]:
+        """The routing set as canonical (low, high) pairs; expires old TCs."""
+        edges: set[tuple[int, int]] = set()
         me = self.node.id
         now = self.sim.now
-        graph.add_node(me)
         for nbr, status in self._nbr.items():
             if status == "sym":
-                graph.add_edge(me, nbr)
+                edges.add((me, nbr) if me < nbr else (nbr, me))
                 # RFC 3626 §10: the 2-hop neighborhood from HELLOs is part
                 # of the routing set — TCs only cover the MPR backbone, and
                 # a node that selects no MPRs appears in no TC at all.
                 for two in self._two_hop.get(nbr, ()):
-                    graph.add_edge(nbr, two)
+                    edges.add((nbr, two) if nbr < two else (two, nbr))
         for origin in list(self._topo):
             seq, selectors, expires_at = self._topo[origin]
             if expires_at < now:
                 del self._topo[origin]
                 continue
             for s in selectors:
-                graph.add_edge(origin, s)
-        return graph
+                edges.add((origin, s) if origin < s else (s, origin))
+        return edges
 
     def _recompute(self) -> None:
-        paths = shortest_path_tree(self._graph(), self.node.id)
+        # Always build the edge set (that is what ages TCs out); most HELLOs
+        # and TCs only refresh what is known, and then the tree and the FIB
+        # the last run derived from the same inputs still stand.
+        edges = self._edges()
+        sym = {n for n, status in self._nbr.items() if status == "sym"}
+        if (edges, sym) == self._computed_from:
+            self.recomputes_skipped += 1
+            return
+        self._computed_from = edges, sym
+        adj: dict[int, dict[int, int]] = {self.node.id: {}}
+        for a, b in edges:
+            adj.setdefault(a, {})[b] = 1
+            adj.setdefault(b, {})[a] = 1
+        paths, _ = shortest_path_tree(adj, self.node.id)
         new_metrics: dict[int, int] = {}
         for dest, path in paths.items():
             if dest == self.node.id:
@@ -336,7 +357,7 @@ class OlsrProtocol(RoutingProtocol):
             # actually use yet (asymmetric or down from our side); only
             # install routes whose first hop is a live symmetric neighbor.
             first = path[1]
-            if self._nbr.get(first) != "sym":
+            if first not in sym:
                 continue
             new_metrics[dest] = len(path) - 1
             self.node.set_next_hop(dest, first)

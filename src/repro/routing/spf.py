@@ -25,13 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-import networkx as nx
-
 from ..net.node import Node
 from ..net.packet import CONTROL_HEADER_BYTES
 from ..sim.rng import RngStreams
 from ..sim.timers import OneShotTimer
-from ..topology.graph import Topology, shortest_path_tree
+from ..topology.graph import Adjacency, Topology, shortest_path_tree
 from .base import RoutingProtocol
 
 __all__ = ["Lsa", "SpfConfig", "SpfProtocol"]
@@ -101,12 +99,10 @@ class SpfProtocol(RoutingProtocol):
 
     def warm_start(self, topology: Topology) -> None:
         # Converged database: one LSA per router, seq 1.
-        for origin in sorted(topology.nodes):
-            adj = tuple(
-                (nbr, topology.link(origin, nbr).cost)
-                for nbr in topology.neighbors(origin)
+        for origin, nbrs in topology.adjacency().items():
+            self.database[origin] = Lsa(
+                origin=origin, seq=1, adjacencies=tuple(nbrs.items())
             )
-            self.database[origin] = Lsa(origin=origin, seq=1, adjacencies=adj)
         self._seq = 1
         self._recompute()
 
@@ -175,20 +171,18 @@ class SpfProtocol(RoutingProtocol):
         elif not self._spf_timer.running:
             self._spf_timer.start(self.config.spf_delay)
 
-    def _graph(self) -> nx.Graph:
+    def _adjacency(self) -> dict[int, dict[int, int]]:
         """Two-way-checked topology view from the database."""
-        graph = nx.Graph()
-        graph.add_node(self.node.id)
-        for lsa in self.database.values():
-            for nbr, cost in lsa.adjacencies:
-                other = self.database.get(nbr)
-                if other is None:
-                    continue
-                if any(back == lsa.origin for back, _ in other.adjacencies):
-                    graph.add_edge(lsa.origin, nbr, weight=cost)
-        if self.node.id not in graph:
-            graph.add_node(self.node.id)
-        return graph
+        adj: dict[int, dict[int, int]] = {self.node.id: {}}
+        listed = {origin: dict(lsa.adjacencies) for origin, lsa in self.database.items()}
+        for origin, nbrs in listed.items():
+            for nbr, cost in nbrs.items():
+                if origin in listed.get(nbr, ()):
+                    # Both directions on every add: when the two ends
+                    # advertise different costs, the later LSA's wins.
+                    adj.setdefault(origin, {})[nbr] = cost
+                    adj.setdefault(nbr, {})[origin] = cost
+        return adj
 
     def _recompute(self) -> None:
         """Dijkstra over the database; sync the FIB (and LFA backups)."""
@@ -199,27 +193,18 @@ class SpfProtocol(RoutingProtocol):
 
     def _recompute_inner(self) -> None:
         self.recomputations += 1
-        graph = self._graph()
-        paths = shortest_path_tree(graph, self.node.id)
-        new_metrics: dict[int, int] = {}
-        reachable: set[int] = set()
-        for dest, path in paths.items():
-            if dest == self.node.id:
-                continue
-            reachable.add(dest)
-            cost = sum(
-                graph.edges[path[i], path[i + 1]].get("weight", 1)
-                for i in range(len(path) - 1)
-            )
-            new_metrics[dest] = cost
-            self.node.set_next_hop(dest, path[1])
-        for dest in set(self._metrics) - reachable:
+        adj = self._adjacency()
+        paths, new_metrics = shortest_path_tree(adj, self.node.id)
+        del new_metrics[self.node.id]
+        for dest in new_metrics:
+            self.node.set_next_hop(dest, paths[dest][1])
+        for dest in set(self._metrics) - set(new_metrics):
             self.node.set_next_hop(dest, None)
         self._metrics = new_metrics
         if self.config.lfa:
-            self._compute_backups(graph, new_metrics)
+            self._compute_backups(adj, new_metrics)
 
-    def _compute_backups(self, graph: nx.Graph, metrics: dict[int, int]) -> None:
+    def _compute_backups(self, adj: Adjacency, metrics: dict[int, int]) -> None:
         """Precompute one loop-free alternate per destination, if any.
 
         LFA condition (RFC 5286 basic): a neighbor n protects s's route to d
@@ -228,10 +213,8 @@ class SpfProtocol(RoutingProtocol):
         self.backups.clear()
         neighbor_dist: dict[int, dict[int, int]] = {}
         for nbr in self.node.up_neighbors():
-            if nbr in graph:
-                neighbor_dist[nbr] = nx.single_source_dijkstra_path_length(
-                    graph, nbr, weight="weight"
-                )
+            if nbr in adj:
+                neighbor_dist[nbr] = shortest_path_tree(adj, nbr)[1]
         for dest, dist_sd in metrics.items():
             primary = self.node.next_hop(dest)
             best: Optional[tuple[int, int]] = None

@@ -10,7 +10,7 @@ from typing import Any, Optional
 
 from ..net.node import Node
 from ..sim.rng import RngStreams
-from ..topology.graph import Topology, all_shortest_path_trees
+from ..topology.graph import Topology, all_shortest_path_costs, all_shortest_path_trees
 from .base import RoutingProtocol
 
 __all__ = ["StaticProtocol"]
@@ -30,16 +30,13 @@ class StaticProtocol(RoutingProtocol):
         self.warm_start(self._topology)
 
     def warm_start(self, topology: Topology) -> None:
-        graph = topology.to_networkx()
         tree = all_shortest_path_trees(topology)[self.node.id]
+        costs = all_shortest_path_costs(topology)[self.node.id]
         for dest, path in tree.items():
             if dest == self.node.id:
                 continue
             self.node.set_next_hop(dest, path[1])
-            self._metrics[dest] = sum(
-                graph.edges[path[i], path[i + 1]].get("weight", 1)
-                for i in range(len(path) - 1)
-            )
+            self._metrics[dest] = costs[dest]
 
     def handle_message(self, payload: Any, from_node: int) -> None:
         raise TypeError("static routing exchanges no messages")

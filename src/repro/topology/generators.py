@@ -13,8 +13,6 @@ import itertools
 import random
 from typing import Optional
 
-import networkx as nx
-
 from ..sim import units
 from ..sim.rng import RngStreams
 from .graph import LinkSpec, Topology
@@ -87,6 +85,8 @@ def random_regular(
         raise ValueError(f"n*degree must be even, got n={n} degree={degree}")
     if degree >= n:
         raise ValueError(f"degree must be < n, got degree={degree} n={n}")
+    import networkx as nx
+
     attempt_seed = seed
     for _ in range(100):
         graph = nx.random_regular_graph(degree, n, seed=attempt_seed)
@@ -172,6 +172,8 @@ def waxman(
     """
     if n < 2:
         raise ValueError(f"waxman needs >= 2 nodes, got {n}")
+    import networkx as nx
+
     attempt = seed
     for _ in range(100):
         graph = nx.waxman_graph(n, alpha=alpha, beta=beta, seed=attempt)
@@ -181,8 +183,8 @@ def waxman(
     raise RuntimeError(f"no connected Waxman graph found from seed {seed}")
 
 
-def from_networkx(graph: nx.Graph, name: str = "imported", **attrs) -> Topology:
-    """Convert an undirected networkx graph of integer nodes."""
+def from_networkx(graph, name: str = "imported", **attrs) -> Topology:
+    """Convert an undirected ``networkx.Graph`` of integer nodes."""
     topo = Topology(name=name)
     for node in graph.nodes:
         topo.add_node(int(node))

@@ -3,27 +3,36 @@
 A :class:`Topology` is an undirected multigraph-free graph of integer node
 ids with per-link attributes (cost, propagation delay, bandwidth).  It is a
 pure description — the network substrate (:mod:`repro.net`) instantiates the
-live simulation objects from it, and the analysis helpers convert it to a
-``networkx`` graph for shortest-path queries.
+live simulation objects from it, and every path query (warm starts, the
+validation oracle, the link-state protocols) runs one kernel,
+:func:`shortest_path_tree`, over a plain ``{node: {neighbor: cost}}`` mapping.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
-
-import networkx as nx
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from ..sim import units
 
 __all__ = [
+    "Adjacency",
     "LinkSpec",
     "Topology",
     "shortest_path_tree",
+    "without_links",
+    "is_connected",
+    "per_topology",
     "all_shortest_path_trees",
+    "all_shortest_path_costs",
     "destination_path_trees",
     "merge",
 ]
+
+#: ``{node: {neighbor: cost}}`` with every link written in both directions.
+Adjacency = Mapping[int, Mapping[int, int]]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,18 @@ class LinkSpec:
 
 
 @dataclass
+class _Index:
+    """What a :class:`Topology` derives from its nodes and links."""
+
+    stamp: tuple[int, int]
+    adj: dict[int, dict[int, int]]
+    #: :func:`destination_path_trees` results, per destination.
+    dest_trees: dict[int, dict[int, list[int]]] = field(default_factory=dict)
+    #: This topology's :func:`per_topology` results, once looked up.
+    memo: Optional[dict] = None
+
+
+@dataclass
 class Topology:
     """Named collection of nodes and links."""
 
@@ -65,6 +86,11 @@ class Topology:
     links: dict[tuple[int, int], LinkSpec] = field(default_factory=dict)
     #: Optional (row, col) positions for mesh topologies (rendering/tests).
     positions: dict[int, tuple[int, int]] = field(default_factory=dict)
+    _index: Optional[_Index] = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # Derived state: pool children and shard workers rebuild what they use.
+        return {**self.__dict__, "_index": None}
 
     def add_node(self, node: int, position: Optional[tuple[int, int]] = None) -> None:
         self.nodes.add(node)
@@ -92,18 +118,36 @@ class Topology:
     def link(self, a: int, b: int) -> LinkSpec:
         return self.links[(min(a, b), max(a, b))]
 
+    def _indexed(self) -> _Index:
+        # ``nodes`` and ``links`` are public and tests edit them directly, so
+        # staleness is detected on access: a change in either count rebuilds.
+        stamp = (len(self.links), len(self.nodes))
+        index = self._index
+        if index is None or index.stamp != stamp:
+            adj: dict[int, dict[int, int]] = {node: {} for node in sorted(self.nodes)}
+            # Canonical keys are (low, high): one sorted pass fills every
+            # node's lower neighbors, then its higher ones, both ascending.
+            for a, b in sorted(self.links):
+                cost = self.links[a, b].cost
+                adj.setdefault(a, {})[b] = cost
+                adj.setdefault(b, {})[a] = cost
+            index = self._index = _Index(stamp, adj)
+        return index
+
+    def adjacency(self) -> dict[int, dict[int, int]]:
+        """``{node: {neighbor: cost}}``, nodes and neighbors in sorted order.
+
+        Built on first use and shared by every query below; callers must not
+        mutate it (:func:`without_links` makes an edited copy).
+        """
+        return self._indexed().adj
+
     def neighbors(self, node: int) -> Iterator[int]:
         """Neighbors of ``node`` in deterministic (sorted) order."""
-        found = set()
-        for a, b in self.links:
-            if a == node:
-                found.add(b)
-            elif b == node:
-                found.add(a)
-        return iter(sorted(found))
+        return iter(self.adjacency().get(node, ()))
 
     def degree(self, node: int) -> int:
-        return sum(1 for _ in self.neighbors(node))
+        return len(self.adjacency().get(node, ()))
 
     @property
     def n_nodes(self) -> int:
@@ -113,8 +157,11 @@ class Topology:
     def n_links(self) -> int:
         return len(self.links)
 
-    def to_networkx(self) -> nx.Graph:
-        """Weighted ``networkx`` view (``weight`` = link cost)."""
+    def to_networkx(self):
+        """Weighted ``networkx.Graph`` view (``weight`` = link cost), for
+        export and oracle tests; no run path calls it or loads the library."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(sorted(self.nodes))
         for (a, b), spec in self.links.items():
@@ -129,20 +176,13 @@ class Topology:
         ``exclude_link`` removes one link first — used to compute the
         post-failure path the network should converge to.
         """
-        graph = self.to_networkx()
+        adj = self.adjacency()
         if exclude_link is not None:
-            a, b = exclude_link
-            if graph.has_edge(a, b):
-                graph.remove_edge(a, b)
-        try:
-            return _deterministic_shortest_path(graph, src, dst)
-        except nx.NetworkXNoPath:
-            return None
+            adj = without_links(adj, [exclude_link])
+        return shortest_path_tree(adj, src)[0].get(dst)
 
     def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        return nx.is_connected(self.to_networkx())
+        return is_connected(self.adjacency())
 
     def copy(self, name: Optional[str] = None) -> "Topology":
         return Topology(
@@ -153,19 +193,23 @@ class Topology:
         )
 
 
-def shortest_path_tree(graph: nx.Graph, src: int) -> dict[int, list[int]]:
-    """Deterministic shortest paths from ``src`` to every reachable node.
+def shortest_path_tree(
+    adj: Adjacency, src: int
+) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """Deterministic shortest paths from ``src``: ``(paths, costs)``, both
+    keyed by every reachable node (``src`` included, unreachable ones absent).
 
     Dijkstra with (cost, hop count, lexicographic node sequence) tie-breaking.
     The protocols in this package break cost ties by lowest neighbor id, which
     for unit-cost graphs yields exactly the lexicographic-minimum shortest
     path — so analysis and warm-start code predict the same winner the
-    protocols converge to.
-    """
-    import heapq
+    protocols converge to.  The order neighbors are listed in does not
+    matter: every heap entry is distinct, so pop order is fixed by content.
 
+    Callers install routes in ``paths`` order, which is the iteration order
+    of the visited *set* filled in pop order; recorded runs pin it.
+    """
     dist: dict[int, tuple] = {src: (0, 0, ())}
-    prev: dict[int, Optional[int]] = {src: None}
     heap: list[tuple] = [(0, 0, (), src)]
     visited: set[int] = set()
     while heap:
@@ -173,60 +217,84 @@ def shortest_path_tree(graph: nx.Graph, src: int) -> dict[int, list[int]]:
         if node in visited:
             continue
         visited.add(node)
-        for nbr in sorted(graph.neighbors(node)):
+        for nbr, w in adj[node].items():
             if nbr in visited:
                 continue
-            w = graph.edges[node, nbr].get("weight", 1)
             cand = (cost + w, hops + 1, key + (nbr,))
             if nbr not in dist or cand < dist[nbr]:
                 dist[nbr] = cand
-                prev[nbr] = node
                 heapq.heappush(heap, (*cand, nbr))
     paths: dict[int, list[int]] = {}
+    costs: dict[int, int] = {}
     for node in visited:
-        path = [node]
-        while prev[path[-1]] is not None:
-            path.append(prev[path[-1]])  # type: ignore[arg-type]
-        path.reverse()
-        paths[node] = path
-    return paths
+        costs[node], _, key = dist[node]
+        paths[node] = [src, *key]  # the tie-break key is the path itself
+    return paths, costs
 
 
-def _deterministic_shortest_path(graph: nx.Graph, src: int, dst: int) -> list[int]:
-    paths = shortest_path_tree(graph, src)
-    if dst not in paths:
-        raise nx.NetworkXNoPath(f"no path {src}->{dst}")
-    return paths[dst]
+def without_links(
+    adj: Adjacency, links: Iterable[tuple[int, int]]
+) -> dict[int, Mapping[int, int]]:
+    """Copy of ``adj`` minus ``links`` (absent ones ignored); shares the
+    neighbor maps it did not have to edit."""
+    out = dict(adj)
+    for a, b in links:
+        if b in out.get(a, ()):
+            for x, y in ((a, b), (b, a)):
+                out[x] = {nbr: cost for nbr, cost in out[x].items() if nbr != y}
+    return out
 
 
-_TREE_CACHE: dict[tuple, dict[int, dict[int, list[int]]]] = {}
+def is_connected(adj: Adjacency) -> bool:
+    """Whether every node of ``adj`` is reachable from every other."""
+    return not adj or len(shortest_path_tree(adj, next(iter(adj)))[1]) == len(adj)
 
 
-def all_shortest_path_trees(topo: "Topology") -> dict[int, dict[int, list[int]]]:
-    """Deterministic shortest-path trees from every node, memoized per
-    link-set (warm starts of all 49 routers share one computation)."""
-    key = tuple(sorted((a, b, spec.cost) for (a, b), spec in topo.links.items()))
-    cached = _TREE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    graph = topo.to_networkx()
-    trees = {src: shortest_path_tree(graph, src) for src in sorted(topo.nodes)}
-    if len(_TREE_CACHE) > 32:  # bound memory across large sweeps
-        _TREE_CACHE.clear()
-    _TREE_CACHE[key] = trees
-    return trees
+_MEMO: dict[tuple, dict] = {}
 
 
-# Keyed by id(topo), validated against a weak reference to the owning
-# Topology: building a sorted-link-set key is O(E log E) per call, too slow
-# to repeat for every router of a 10k-node warm start.  The weakref guard
-# makes id() reuse after garbage collection safe.
-_DEST_TREE_CACHE: dict[int, dict[int, dict[int, list[int]]]] = {}
-_DEST_TREE_OWNERS: "weakref.WeakValueDictionary[int, Topology]" = None  # type: ignore[assignment]
+def per_topology(compute: Callable[[Topology], _T]) -> Callable[[Topology], _T]:
+    """Memoize ``compute(topo)`` across every :class:`Topology` with the same
+    nodes, links and costs: whole-network precomputation a warm start would
+    otherwise repeat per router and per scenario (a campaign's 42 scenarios
+    run over 2 distinct meshes).  Results are shared; treat them as read-only."""
+
+    def memoized(topo: Topology) -> _T:
+        index = topo._indexed()
+        if index.memo is None:
+            key = tuple((node, tuple(nbrs.items())) for node, nbrs in index.adj.items())
+            if key not in _MEMO and len(_MEMO) > 32:  # bound memory across large sweeps
+                _MEMO.clear()
+            index.memo = _MEMO.setdefault(key, {})
+        if compute not in index.memo:
+            index.memo[compute] = compute(topo)
+        return index.memo[compute]
+
+    return memoized
+
+
+@per_topology
+def _all_pairs(topo: Topology) -> tuple[dict, dict]:
+    adj = topo.adjacency()
+    trees, costs = {}, {}
+    for src in adj:
+        trees[src], costs[src] = shortest_path_tree(adj, src)
+    return trees, costs
+
+
+def all_shortest_path_trees(topo: Topology) -> dict[int, dict[int, list[int]]]:
+    """Deterministic shortest-path trees from every node, ``{src: {dst: path}}``,
+    memoized (warm starts of all 49 routers share one computation)."""
+    return _all_pairs(topo)[0]
+
+
+def all_shortest_path_costs(topo: Topology) -> dict[int, dict[int, int]]:
+    """Cost of every path in :func:`all_shortest_path_trees`, same memo."""
+    return _all_pairs(topo)[1]
 
 
 def destination_path_trees(
-    topo: "Topology", dests: Iterable[int]
+    topo: Topology, dests: Iterable[int]
 ) -> dict[int, dict[int, list[int]]]:
     """Deterministic shortest paths *toward* each destination.
 
@@ -234,35 +302,24 @@ def destination_path_trees(
     destination, with each path reversed to run from the node to the root.
     One Dijkstra per destination network-wide (instead of one per node as in
     :func:`all_shortest_path_trees`), which is what makes a 10k-node warm
-    start restricted to a few traffic destinations affordable.
+    start restricted to a few traffic destinations affordable; the trees are
+    kept on the topology's index, so every router of that warm start shares
+    them and they go when the topology does.
 
     Tie-breaking is the destination-rooted lexicographic minimum, so a path
     may legitimately differ from the source-rooted tree's choice for the
     same pair; within one call the result is prefix-closed and loop-free,
     which is all a restricted warm start needs.
     """
-    global _DEST_TREE_OWNERS
-    import weakref
-
-    if _DEST_TREE_OWNERS is None:
-        _DEST_TREE_OWNERS = weakref.WeakValueDictionary()
-    key = id(topo)
-    if _DEST_TREE_OWNERS.get(key) is not topo:
-        _DEST_TREE_CACHE.pop(key, None)
-        if len(_DEST_TREE_CACHE) > 8:
-            _DEST_TREE_CACHE.clear()
-        _DEST_TREE_OWNERS[key] = topo
-    per_dest = _DEST_TREE_CACHE.setdefault(key, {})
-    graph: Optional[nx.Graph] = None
+    index = topo._indexed()
     out: dict[int, dict[int, list[int]]] = {}
     for dest in sorted(set(dests)):
-        tree = per_dest.get(dest)
+        tree = index.dest_trees.get(dest)
         if tree is None:
-            if graph is None:
-                graph = topo.to_networkx()
-            rooted = shortest_path_tree(graph, dest)
-            tree = {node: list(reversed(path)) for node, path in rooted.items()}
-            per_dest[dest] = tree
+            rooted, _ = shortest_path_tree(index.adj, dest)
+            tree = index.dest_trees[dest] = {
+                node: path[::-1] for node, path in rooted.items()
+            }
         out[dest] = tree
     return out
 

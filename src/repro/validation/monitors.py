@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..sim.tracing import DropCause, PacketRecord, RouteChangeRecord, TraceBus
+from ..topology.graph import Adjacency, is_connected, shortest_path_tree, without_links
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.network import Network
@@ -870,43 +871,26 @@ class RibConsistencyMonitor(Monitor):
             seen.add(nh)
             current = ctx.network.node(nh)
 
-    def _dist_cache(self, graph, src: int) -> dict[int, int]:
+    def _dist_cache(self, graph: Adjacency, src: int) -> dict[int, int]:
         cache = getattr(self, "_dists", None)
         if cache is None:
             cache = self._dists = {}
         dists = cache.get(src)
         if dists is None:
-            from ..topology.graph import shortest_path_tree
-
-            tree = shortest_path_tree(graph, src)
-            dists = {dest: _path_cost(graph, path) for dest, path in tree.items()}
-            cache[src] = dists
+            dists = cache[src] = shortest_path_tree(graph, src)[1]
         return dists
 
 
-def _path_cost(graph, path: list[int]) -> int:
-    return sum(
-        graph.edges[path[i], path[i + 1]].get("weight", 1)
-        for i in range(len(path) - 1)
+def _post_failure_graph(ctx: RunContext) -> Adjacency:
+    """Adjacency of the topology with every failed link removed."""
+    return without_links(
+        ctx.topology.adjacency(),
+        (link.endpoints for link in ctx.network.iter_links() if not link.up),
     )
 
 
-def _post_failure_graph(ctx: RunContext):
-    """networkx view of the topology with every failed link removed."""
-    graph = ctx.topology.to_networkx()
-    for link in ctx.network.iter_links():
-        if not link.up:
-            a, b = link.endpoints
-            if graph.has_edge(a, b):
-                graph.remove_edge(a, b)
-    return graph
-
-
 def _oracle_fully_connected(ctx: RunContext) -> bool:
-    import networkx as nx
-
-    graph = _post_failure_graph(ctx)
-    return nx.is_connected(graph) if len(graph) else True
+    return is_connected(_post_failure_graph(ctx))
 
 
 class MonitorSuite:

@@ -108,7 +108,7 @@ def _snapshot_metrics(network) -> dict[int, dict[int, Optional[int]]]:
 def _oracle_costs(suite: MonitorSuite) -> dict[int, dict[int, Optional[int]]]:
     """SPF costs on the post-failure graph, shaped like a metric snapshot."""
     from ..topology.graph import shortest_path_tree
-    from .monitors import _path_cost, _post_failure_graph
+    from .monitors import _post_failure_graph
 
     ctx = suite.context
     assert ctx is not None
@@ -116,8 +116,7 @@ def _oracle_costs(suite: MonitorSuite) -> dict[int, dict[int, Optional[int]]]:
     nodes = sorted(ctx.topology.nodes)
     out: dict[int, dict[int, Optional[int]]] = {}
     for src in nodes:
-        tree = shortest_path_tree(graph, src)
-        costs = {dest: _path_cost(graph, path) for dest, path in tree.items()}
+        _, costs = shortest_path_tree(graph, src)
         row: dict[int, Optional[int]] = {}
         for dest in nodes:
             if dest == src:

@@ -104,9 +104,9 @@ def routes_converged(network: Network, infinity: int = 10_000) -> bool:
     """True if every node's FIB matches deterministic shortest paths."""
     from repro.topology.graph import shortest_path_tree
 
-    graph = network.topology.to_networkx()
+    graph = network.topology.adjacency()
     for node in network.iter_nodes():
-        tree = shortest_path_tree(graph, node.id)
+        tree, _ = shortest_path_tree(graph, node.id)
         for dest, path in tree.items():
             if dest == node.id:
                 continue

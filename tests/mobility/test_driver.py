@@ -88,3 +88,18 @@ class TestSchedule:
             make_driver(step=0.0)
         with pytest.raises(ValueError):
             make_driver(start=-1.0)
+
+    def test_connected_at_start_agrees_with_t0_path_search_for_every_pair(self):
+        # A short range splits the field, so both answers occur (and
+        # isolated nodes, which appear in no t=0 link, are exercised).
+        from repro.topology.spatial import derive_topology
+
+        schedule = make_driver(radio_range=250.0).build(10.0)
+        initial = derive_topology(schedule.initial_positions, 250.0)
+        answers = set()
+        for a in sorted(initial.nodes):
+            for b in sorted(initial.nodes):
+                reachable = initial.shortest_path(a, b) is not None
+                assert schedule.connected_at_start(a, b) == reachable, (a, b)
+                answers.add(reachable)
+        assert answers == {True, False}

@@ -1,0 +1,63 @@
+"""networkx stays off the run path.
+
+It costs ~0.1 s and ~24 MiB per process, paid again in every pool child and
+shard worker, so only the generators that wrap it (``random_regular``,
+``waxman``) and ``Topology.to_networkx`` may import it, and only when called.
+A fresh interpreter runs one scenario of each execution mode and must end
+with the library unloaded.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import repro
+
+_RUNS = """
+import sys
+
+import repro, repro.dist
+from repro.dist import ShardScenarioSpec, run_sharded
+from repro.experiments import ChurnConfig, ExperimentConfig, run_churn_scenario, run_scenario
+from repro.net.dynamics import SingleLinkFailureDriver
+from repro.topology.generators import scale_free
+
+quick = ExperimentConfig.quick()
+run_scenario("dbf", 4, 7, quick)
+
+churn = ChurnConfig(model="waypoint", n_nodes=12, radio_range=400.0)
+result = run_churn_scenario(
+    "olsr", 7, quick.with_(validate=True, post_fail_window=10.0, churn=churn)
+)
+assert result.violations == (), result.violations
+
+topo = scale_free(200, m=2, seed=3)
+sender, receiver = 199, 198
+path = topo.shortest_path(sender, receiver)
+failed = (min(path[1], path[2]), max(path[1], path[2]))
+config = quick.with_(runs=1, post_fail_window=5.0, shards=2, partition="mincut")
+sharded = run_sharded(
+    ShardScenarioSpec(
+        protocol="bgp3", degree=2, seed=3, config=config, topology=topo,
+        sender=sender, receiver=receiver, pre_path=tuple(path),
+        expected_final=tuple(topo.shortest_path(sender, receiver, exclude_link=failed)),
+        events=tuple(SingleLinkFailureDriver(failed, config.fail_time).generate(config.end_time)),
+        warm_dests=(sender, receiver),
+    ),
+    exchange="local",
+)
+assert sharded.delivered > 0
+
+assert "networkx" not in sys.modules, "networkx was imported on a run path"
+"""
+
+
+def test_no_run_path_imports_networkx():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNS], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr

@@ -123,7 +123,7 @@ class TestShortestPaths:
         topo = Topology()
         for a, b in [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]:
             topo.connect(a, b)
-        tree = shortest_path_tree(topo.to_networkx(), 0)
+        tree, _ = shortest_path_tree(topo.adjacency(), 0)
         for dest in topo.nodes:
             assert tree[dest] == topo.shortest_path(0, dest)
 
@@ -146,7 +146,7 @@ class TestShortestPaths:
         from repro.topology.mesh import regular_mesh
 
         topo = regular_mesh(4, 4, 5)
-        tree = shortest_path_tree(topo.to_networkx(), 0)
+        tree, _ = shortest_path_tree(topo.adjacency(), 0)
         for dest, path in tree.items():
             for i in range(1, len(path)):
                 assert tree[path[i]] == path[: i + 1]
