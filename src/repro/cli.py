@@ -24,6 +24,7 @@ reduced quick profile.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -202,11 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     repro_p.add_argument("--degrees", type=int, nargs="+")
     repro_p.add_argument(
         "--workers", type=int, default=1,
-        help="process pool size for the campaign's full sweep",
+        help="process pool size for the campaign's one sweep, which every "
+             "figure is drawn from",
     )
     repro_p.add_argument(
         "--checkpoint", metavar="DIR",
-        help="durable shard store for the campaign's full sweep",
+        help="durable shard store for that sweep: an interrupted campaign "
+             "resumes from it and a finished one re-simulates nothing "
+             "(config must match)",
     )
 
     val_p = sub.add_parser(
@@ -578,30 +582,60 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled figure {n}")
 
 
+def _checkpoint_errors(command):
+    """Exit paths shared by the commands that sweep into ``--checkpoint``.
+
+    A checkpoint that belongs to another configuration is a one-line error
+    (exit 2), and Ctrl-C says where the completed seeds are (exit 130).
+    """
+
+    @functools.wraps(command)
+    def guarded(args: argparse.Namespace) -> int:
+        from .experiments.store import StoreMismatchError
+
+        try:
+            return command(args)
+        except StoreMismatchError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except KeyboardInterrupt:
+            if getattr(args, "checkpoint", None):
+                print(
+                    f"\ninterrupted; completed seeds are checkpointed in "
+                    f"{args.checkpoint!r} — rerun with --checkpoint "
+                    f"{args.checkpoint} to continue",
+                    file=sys.stderr,
+                )
+            else:
+                print(
+                    "\ninterrupted; nothing checkpointed (use --checkpoint DIR "
+                    "to make this resumable)",
+                    file=sys.stderr,
+                )
+            return 130
+
+    return guarded
+
+
+@_checkpoint_errors
 def _cmd_sweep(args: argparse.Namespace) -> int:
     store = None
     if getattr(args, "resume", False) and not getattr(args, "checkpoint", None):
         print("error: --resume requires --checkpoint DIR", file=sys.stderr)
         return 2
     if getattr(args, "checkpoint", None):
-        from .experiments.store import StoreMismatchError, SweepStore
+        from .experiments.store import SweepStore
 
         store = SweepStore(args.checkpoint)
-        if args.resume:
-            if not store.exists():
-                print(
-                    f"error: no sweep manifest in {args.checkpoint!r} to "
-                    "resume from",
-                    file=sys.stderr,
-                )
-                return 2
-            try:
-                config = store.load_config()
-            except StoreMismatchError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        else:
-            config = _config(args)
+    if getattr(args, "resume", False):
+        if not store.exists():
+            print(
+                f"error: no sweep manifest in {args.checkpoint!r} to "
+                "resume from",
+                file=sys.stderr,
+            )
+            return 2
+        config = store.load_config()
     else:
         config = _config(args)
 
@@ -610,31 +644,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         def progress(done: int, total: int, message: str) -> None:
             print(f"[{done}/{total}] {message}")
 
-    try:
-        results = run_sweep(
-            config,
-            workers=getattr(args, "workers", 1),
-            store=store,
-            timeout=getattr(args, "timeout", None),
-            retries=getattr(args, "retries", 1),
-            progress=progress,
-            live_log=getattr(args, "live_log", None),
-        )
-    except KeyboardInterrupt:
-        if store is not None:
-            print(
-                f"\ninterrupted; completed seeds are checkpointed in "
-                f"{args.checkpoint!r} — rerun with --checkpoint "
-                f"{args.checkpoint} (or --resume) to continue",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                "\ninterrupted; nothing checkpointed (use --checkpoint DIR "
-                "for resumable sweeps)",
-                file=sys.stderr,
-            )
-        return 130
+    results = run_sweep(
+        config,
+        workers=getattr(args, "workers", 1),
+        store=store,
+        timeout=getattr(args, "timeout", None),
+        retries=getattr(args, "retries", 1),
+        progress=progress,
+        live_log=getattr(args, "live_log", None),
+    )
     if getattr(args, "save", None):
         from .experiments.persistence import save_points
 
@@ -996,6 +1014,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return watch(args.log, once=args.once, interval=args.interval)
 
 
+@_checkpoint_errors
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from .experiments.campaign import reproduce
 

@@ -30,7 +30,7 @@ from .figures import (
     headline_bgp_vs_bgp3,
 )
 from .persistence import save_points
-from .plotting import save_svg, series_chart, sweep_chart
+from .plotting import series_chart, sweep_chart
 from .report import format_series_grid, format_sweep_table
 from .runner import run_sweep
 from .validation import format_checks, validate_observations
@@ -70,16 +70,18 @@ def reproduce(
 ) -> CampaignReport:
     """Run the full figure suite and write all artifacts to ``out_dir``.
 
-    ``checkpoint_dir`` makes the campaign's full sweep (the one behind
-    Figure 6 and ``results.json``) durable: completed seeds are appended to
-    a shard store there, and an interrupted campaign resumes the sweep from
-    the shards instead of re-simulating.  ``workers`` parallelizes that
-    sweep over a supervised process pool.
+    The campaign simulates each (protocol, degree, seed) of ``config.grid()``
+    once, in one sweep, and every figure is a projection of that sweep.
+    ``workers`` parallelizes it over a supervised process pool;
+    ``checkpoint_dir`` makes it durable: completed seeds are appended to a
+    shard store there, an interrupted campaign resumes from the shards, and
+    a campaign resumed from a complete store simulates nothing.
 
-    ``profiler`` (a :class:`repro.obs.profiler.PhaseProfiler`) gets one span
-    per figure so slow campaigns can be broken down by phase; ``telemetry``
-    (a :class:`repro.obs.sweeps.SweepTelemetry`) collects per-seed execution
-    telemetry from the Figure 6 sweep.
+    ``profiler`` (a :class:`repro.obs.profiler.PhaseProfiler`) gets a
+    ``sweep`` span (all the simulating) and one span per figure (projecting
+    and rendering), so slow campaigns can be broken down by phase;
+    ``telemetry`` (a :class:`repro.obs.sweeps.SweepTelemetry`) collects
+    per-seed execution telemetry from the sweep.
     """
     config = config or ExperimentConfig.quick()
     profiler = profiler if profiler is not None else NULL_PROFILER
@@ -89,6 +91,18 @@ def reproduce(
     def log(msg: str) -> None:
         if progress:
             print(msg)
+
+    def panel(paper_degrees: tuple[int, ...]) -> tuple[int, ...]:
+        """The paper's panel degrees this campaign sweeps (else its first)."""
+        swept = tuple(d for d in paper_degrees if d in config.degrees)
+        return swept or config.degrees[:1]
+
+    log(f"Sweep: {len(config.grid())} scenario(s) ...")
+    with profiler.span("sweep"):
+        points = run_sweep(
+            config, workers=workers, store=checkpoint_dir, telemetry=telemetry,
+            progress=lambda done, total, msg: log(f"[{done}/{total}] {msg}"),
+        )
 
     log("Figure 2: topology family ...")
     with profiler.span("figure2_topologies"):
@@ -103,26 +117,20 @@ def reproduce(
 
     log("Figure 3: drops vs degree ...")
     with profiler.span("figure3_drops"):
-        fig3 = figure3_drops_no_route(config)
+        fig3 = figure3_drops_no_route(config, points=points)
         _write(report, "figure3_drops.txt", format_sweep_table(fig3))
-        save_svg(sweep_chart(fig3, ylabel="packet drops (no route)"),
-                 report.path("figure3_drops.svg"))
-        report.artifacts.append("figure3_drops.svg")
+        _write(report, "figure3_drops.svg",
+               sweep_chart(fig3, ylabel="packet drops (no route)"))
 
     log("Figure 4: TTL expirations vs degree ...")
     with profiler.span("figure4_ttl"):
-        fig4 = figure4_ttl_expirations(config)
+        fig4 = figure4_ttl_expirations(config, points=points)
         _write(report, "figure4_ttl.txt", format_sweep_table(fig4))
-        save_svg(sweep_chart(fig4, ylabel="TTL expirations"),
-                 report.path("figure4_ttl.svg"))
-        report.artifacts.append("figure4_ttl.svg")
+        _write(report, "figure4_ttl.svg", sweep_chart(fig4, ylabel="TTL expirations"))
 
     log("Figure 5: throughput vs time ...")
     with profiler.span("figure5_throughput"):
-        degrees5 = (
-            tuple(d for d in (3, 4, 6) if d in config.degrees) or config.degrees[:1]
-        )
-        fig5 = figure5_throughput(config, degrees5)
+        fig5 = figure5_throughput(config, panel((3, 4, 6)), points=points)
         _write(
             report,
             "figure5_throughput.txt",
@@ -131,39 +139,27 @@ def reproduce(
                 t_min=-5, t_max=min(50.0, config.post_fail_window - 10), step=5,
             ),
         )
-        save_svg(
+        _write(
+            report,
+            "figure5_throughput.svg",
             series_chart(fig5, "Figure 5: instantaneous throughput",
                          "packets/second", t_min=-5, t_max=50),
-            report.path("figure5_throughput.svg"),
         )
-        report.artifacts.append("figure5_throughput.svg")
 
     log("Figure 6: convergence vs degree ...")
     with profiler.span("figure6_convergence"):
-        sweep_points = run_sweep(
-            config, workers=workers, store=checkpoint_dir, telemetry=telemetry
-        )
-        fwd, rt = figure6_convergence(config, points=sweep_points)
-        _write(
-            report,
-            "figure6_convergence.txt",
-            format_sweep_table(fwd, 2) + "\n\n" + format_sweep_table(rt, 2),
-        )
-        save_svg(sweep_chart(fwd, ylabel="seconds"),
-                 report.path("figure6a_forwarding.svg"))
-        save_svg(sweep_chart(rt, ylabel="seconds"),
-                 report.path("figure6b_routing.svg"))
-        report.artifacts.extend(["figure6a_forwarding.svg", "figure6b_routing.svg"])
-        # Persist the underlying runs once (figure 6 computed a full sweep).
-        save_points(fwd.points, report.path("results.json"))
+        fwd, rt = figure6_convergence(config, points=points)
+        tables = format_sweep_table(fwd, 2) + "\n\n" + format_sweep_table(rt, 2)
+        _write(report, "figure6_convergence.txt", tables)
+        _write(report, "figure6a_forwarding.svg", sweep_chart(fwd, ylabel="seconds"))
+        _write(report, "figure6b_routing.svg", sweep_chart(rt, ylabel="seconds"))
+        # Here, not beside the sweep: REPORT.md lists artifacts in write order.
+        save_points(points, report.path("results.json"))
         report.artifacts.append("results.json")
 
     log("Figure 7: delay vs time ...")
     with profiler.span("figure7_delay"):
-        degrees7 = (
-            tuple(d for d in (4, 5, 6) if d in config.degrees) or config.degrees[:1]
-        )
-        fig7 = figure7_delay(config, degrees7)
+        fig7 = figure7_delay(config, panel((4, 5, 6)), points=points)
         _write(
             report,
             "figure7_delay.txt",
@@ -173,21 +169,23 @@ def reproduce(
                 precision=4,
             ),
         )
-        save_svg(
+        _write(
+            report,
+            "figure7_delay.svg",
             series_chart(fig7, "Figure 7: instantaneous packet delay", "seconds",
                          t_min=-5, t_max=50),
-            report.path("figure7_delay.svg"),
         )
-        report.artifacts.append("figure7_delay.svg")
 
     log("Headline: BGP vs BGP-3 ...")
     with profiler.span("headline"):
         headline_degree = 5 if 5 in config.degrees else config.degrees[-1]
-        report.headline = headline_bgp_vs_bgp3(config, degree=headline_degree)
+        report.headline = headline_bgp_vs_bgp3(
+            config, degree=headline_degree, points=points
+        )
 
     log("Validating the paper's Observations against the sweep ...")
     with profiler.span("validation"):
-        checks = validate_observations(fwd.points)
+        checks = validate_observations(points)
         _write(report, "validation.txt", format_checks(checks))
 
     summary = [

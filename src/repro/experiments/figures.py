@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 
+#: A sweep as ``run_sweep`` returns it: (protocol, degree) -> point.
+Points = dict[tuple[str, int], PointResult]
+
+
 @dataclass
 class SweepTable:
     """Degree-by-protocol grid of scalar results (one paper figure panel)."""
@@ -61,7 +65,7 @@ class SweepTable:
     protocols: tuple[str, ...]
     degrees: tuple[int, ...]
     values: dict[tuple[str, int], float] = field(default_factory=dict)
-    points: dict[tuple[str, int], PointResult] = field(default_factory=dict)
+    points: Points = field(default_factory=dict)
 
     def value(self, protocol: str, degree: int) -> float:
         return self.values[(protocol, degree)]
@@ -71,22 +75,47 @@ class SweepTable:
         return [(d, self.values[(protocol, d)]) for d in self.degrees]
 
 
+def _point(
+    protocol: str, degree: int, config: ExperimentConfig, points: Optional[Points]
+) -> PointResult:
+    """``points``' own result for this cell, else a fresh :func:`run_point`.
+
+    Seeds and grid order of ``run_sweep`` match ``run_point``, so a figure is
+    identical either way; cells outside the sweep's grid are simulated.
+    """
+    if points is not None and (protocol, degree) in points:
+        return points[(protocol, degree)]
+    return run_point(protocol, degree, config)
+
+
 def _sweep(
     title: str,
-    config: ExperimentConfig,
+    config: Optional[ExperimentConfig],
     metric: Callable[[PointResult], float],
-    protocols: Optional[tuple[str, ...]] = None,
-    degrees: Optional[tuple[int, ...]] = None,
+    points: Optional[Points] = None,
 ) -> SweepTable:
-    protocols = protocols or config.protocols
-    degrees = degrees or config.degrees
-    table = SweepTable(title=title, protocols=protocols, degrees=degrees)
-    for protocol in protocols:
-        for degree in degrees:
-            point = run_point(protocol, degree, config)
+    config = config or ExperimentConfig.quick()
+    table = SweepTable(title=title, protocols=config.protocols, degrees=config.degrees)
+    for protocol in config.protocols:
+        for degree in config.degrees:
+            point = _point(protocol, degree, config, points)
             table.points[(protocol, degree)] = point
             table.values[(protocol, degree)] = metric(point)
     return table
+
+
+def _series(
+    config: Optional[ExperimentConfig],
+    degrees: tuple[int, ...],
+    curve: Callable[[PointResult], BinnedSeries],
+    points: Optional[Points],
+) -> dict[tuple[str, int], BinnedSeries]:
+    config = config or ExperimentConfig.quick()
+    return {
+        (protocol, degree): curve(_point(protocol, degree, config, points))
+        for protocol in config.protocols
+        for degree in degrees
+    }
 
 
 # --------------------------------------------------------------------- FIG 2
@@ -113,116 +142,89 @@ def figure2_topologies(
     return out
 
 
-# --------------------------------------------------------------------- FIG 3
+# ---------------------------------------------------------------- FIGS 3-7
+#
+# Every figure below is a view of the same (protocol, degree) runs.  Each
+# accepts ``points``, a precomputed sweep (as from ``run_sweep``, e.g. the
+# campaign's pooled, checkpointed one), and projects it instead of simulating.
 
 
-def figure3_drops_no_route(config: Optional[ExperimentConfig] = None) -> SweepTable:
+def figure3_drops_no_route(
+    config: Optional[ExperimentConfig] = None, points: Optional[Points] = None
+) -> SweepTable:
     """Average number of packet drops due to no route vs node degree."""
-    config = config or ExperimentConfig.quick()
     return _sweep(
         "Figure 3: packet drops due to no route vs node degree",
         config,
         lambda p: p.mean_drops_no_route,
+        points,
     )
 
 
-# --------------------------------------------------------------------- FIG 4
-
-
-def figure4_ttl_expirations(config: Optional[ExperimentConfig] = None) -> SweepTable:
+def figure4_ttl_expirations(
+    config: Optional[ExperimentConfig] = None, points: Optional[Points] = None
+) -> SweepTable:
     """Average number of TTL expirations (loop deaths) vs node degree."""
-    config = config or ExperimentConfig.quick()
     return _sweep(
         "Figure 4: TTL expirations during convergence vs node degree",
         config,
         lambda p: p.mean_drops_ttl,
+        points,
     )
-
-
-# --------------------------------------------------------------------- FIG 5
 
 
 def figure5_throughput(
     config: Optional[ExperimentConfig] = None,
     degrees: tuple[int, ...] = (3, 4, 6),
+    points: Optional[Points] = None,
 ) -> dict[tuple[str, int], BinnedSeries]:
     """Instantaneous receiver throughput vs time (failure at t=0)."""
-    config = config or ExperimentConfig.quick()
-    out: dict[tuple[str, int], BinnedSeries] = {}
-    for protocol in config.protocols:
-        for degree in degrees:
-            point = run_point(protocol, degree, config)
-            out[(protocol, degree)] = point.mean_throughput()
-    return out
-
-
-# --------------------------------------------------------------------- FIG 6
+    return _series(config, degrees, PointResult.mean_throughput, points)
 
 
 def figure6_convergence(
-    config: Optional[ExperimentConfig] = None,
-    points: Optional[dict[tuple[str, int], PointResult]] = None,
+    config: Optional[ExperimentConfig] = None, points: Optional[Points] = None
 ) -> tuple[SweepTable, SweepTable]:
     """(a) forwarding-path convergence delay and (b) network routing
-    convergence time, vs node degree.
-
-    ``points`` accepts a precomputed sweep (as from ``run_sweep``, e.g. a
-    checkpointed/parallel one) instead of re-simulating; seeds and grid
-    order match ``run_point``, so the tables are identical either way.
-    """
-    config = config or ExperimentConfig.quick()
-    forwarding = SweepTable(
-        title="Figure 6a: forwarding path convergence time vs node degree",
-        protocols=config.protocols,
-        degrees=config.degrees,
+    convergence time, vs node degree (two metrics of the same points)."""
+    forwarding = _sweep(
+        "Figure 6a: forwarding path convergence time vs node degree",
+        config,
+        lambda p: p.mean_forwarding_convergence,
+        points,
     )
-    routing = SweepTable(
-        title="Figure 6b: network routing convergence time vs node degree",
-        protocols=config.protocols,
-        degrees=config.degrees,
+    routing = _sweep(
+        "Figure 6b: network routing convergence time vs node degree",
+        config,
+        lambda p: p.mean_routing_convergence,
+        forwarding.points,
     )
-    for protocol in config.protocols:
-        for degree in config.degrees:
-            if points is not None:
-                point = points[(protocol, degree)]
-            else:
-                point = run_point(protocol, degree, config)
-            forwarding.points[(protocol, degree)] = point
-            routing.points[(protocol, degree)] = point
-            forwarding.values[(protocol, degree)] = point.mean_forwarding_convergence
-            routing.values[(protocol, degree)] = point.mean_routing_convergence
     return forwarding, routing
-
-
-# --------------------------------------------------------------------- FIG 7
 
 
 def figure7_delay(
     config: Optional[ExperimentConfig] = None,
     degrees: tuple[int, ...] = (4, 5, 6),
+    points: Optional[Points] = None,
 ) -> dict[tuple[str, int], BinnedSeries]:
     """Instantaneous end-to-end delay of delivered packets vs time."""
-    config = config or ExperimentConfig.quick()
-    out: dict[tuple[str, int], BinnedSeries] = {}
-    for protocol in config.protocols:
-        for degree in degrees:
-            point = run_point(protocol, degree, config)
-            out[(protocol, degree)] = point.mean_delay()
-    return out
+    return _series(config, degrees, PointResult.mean_delay, points)
 
 
 # ------------------------------------------------------------------ headline
 
 
 def headline_bgp_vs_bgp3(
-    config: Optional[ExperimentConfig] = None, degree: int = 5
+    config: Optional[ExperimentConfig] = None,
+    degree: int = 5,
+    points: Optional[Points] = None,
 ) -> dict[str, float]:
     """§1 headline: with the same topology and packet rate, BGP drops many
     times more packets than the 3-second-MRAI variant."""
     config = config or ExperimentConfig.quick()
     out: dict[str, float] = {}
     for protocol in ("bgp", "bgp3"):
-        point = run_point(protocol, degree, config)
+        point = _point(protocol, degree, config, points)
         out[protocol] = point.mean_total_drops - _mean_link_down(point)
     out["ratio"] = out["bgp"] / out["bgp3"] if out["bgp3"] else float("inf")
     return out
@@ -366,7 +368,6 @@ def overhead_sweep(config: Optional[ExperimentConfig] = None) -> SweepTable:
     update counts during convergence; this harness reports the mean number
     of routing messages sent network-wide in the post-failure window.
     """
-    config = config or ExperimentConfig.quick()
     return _sweep(
         "Overhead: routing messages in the post-failure window vs degree",
         config,

@@ -256,8 +256,8 @@ _MEMO: dict[tuple, dict] = {}
 def per_topology(compute: Callable[[Topology], _T]) -> Callable[[Topology], _T]:
     """Memoize ``compute(topo)`` across every :class:`Topology` with the same
     nodes, links and costs: whole-network precomputation a warm start would
-    otherwise repeat per router and per scenario (a campaign's 42 scenarios
-    run over 2 distinct meshes).  Results are shared; treat them as read-only."""
+    otherwise repeat per router and per scenario (a campaign's scenarios run
+    over one mesh per degree).  Results are shared; treat them as read-only."""
 
     def memoized(topo: Topology) -> _T:
         index = topo._indexed()

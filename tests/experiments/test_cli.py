@@ -103,6 +103,39 @@ class TestCommands:
         assert "different version/configuration" in line
         assert "event_queue" in line and "fresh directory" in line
 
+    @pytest.mark.parametrize("command", ["sweep", "reproduce"])
+    def test_checkpoint_of_another_config_is_a_one_line_error(
+        self, command, capsys, tmp_path
+    ):
+        # Without --resume the command line's config meets the manifest's.
+        store = SweepStore(tmp_path / "ck")
+        store.open(ExperimentConfig.quick().with_(degrees=(4,), runs=1))
+        argv = [command, "--checkpoint", store.directory, "--degrees", "6", "--runs", "1"]
+        if command == "reproduce":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: checkpoint at")
+        assert "different configuration" in line and "Traceback" not in line
+        assert not (tmp_path / "ck" / "shards.jsonl").exists()  # nothing simulated
+
+    @pytest.mark.parametrize("command", ["sweep", "reproduce"])
+    def test_ctrl_c_names_the_checkpoint_and_exits_130(
+        self, command, capsys, tmp_path, monkeypatch
+    ):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.experiments.runner.run_scenario", interrupted)
+        ck = str(tmp_path / "ck")
+        argv = [command, "--checkpoint", ck, "--degrees", "4", "--runs", "1"]
+        if command == "reproduce":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 130
+        err = capsys.readouterr().err
+        assert f"rerun with --checkpoint {ck} to continue" in err
+        assert "Traceback" not in err
+
     def test_validate_command_small(self, capsys):
         assert (
             main(["validate", "--seeds", "2", "--degrees", "3",

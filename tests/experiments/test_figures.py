@@ -19,6 +19,7 @@ from repro.experiments.figures import (
     figure7_delay,
     headline_bgp_vs_bgp3,
 )
+from repro.experiments.runner import run_sweep
 
 TINY = ExperimentConfig.quick().with_(
     rows=5,
@@ -74,6 +75,49 @@ class TestSeriesFigures:
         out = figure7_delay(TINY, degrees=(4,))
         for series in out.values():
             assert all(v >= 0 for v in series.values)
+
+
+class TestProjection:
+    """``points=run_sweep(cfg)`` gives every figure the value it computes by
+    simulating on its own."""
+
+    CFG = TINY.with_(protocols=("bgp", "bgp3"))
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        return run_sweep(self.CFG)
+
+    @pytest.mark.parametrize(
+        "figure",
+        [figure3_drops_no_route, figure4_ttl_expirations, figure6_convergence],
+    )
+    def test_sweep_tables(self, figure, points):
+        def tables(result):  # Figure 6 returns a pair of tables
+            return result if isinstance(result, tuple) else (result,)
+
+        projected = tables(figure(self.CFG, points=points))
+        for ours, theirs in zip(projected, tables(figure(self.CFG)), strict=True):
+            assert ours.title == theirs.title
+            assert ours.values == theirs.values
+            assert list(ours.points) == list(theirs.points)
+            assert all(ours.points[key] is points[key] for key in points)
+
+    @pytest.mark.parametrize("figure", [figure5_throughput, figure7_delay])
+    def test_series(self, figure, points):
+        projected = figure(self.CFG, degrees=(4, 6), points=points)
+        assert projected == figure(self.CFG, degrees=(4, 6))
+        assert list(projected) == [(p, d) for p in self.CFG.protocols for d in (4, 6)]
+
+    def test_headline(self, points):
+        projected = headline_bgp_vs_bgp3(self.CFG, degree=6, points=points)
+        assert projected == headline_bgp_vs_bgp3(self.CFG, degree=6)
+
+    def test_cells_missing_from_points_are_simulated(self, points):
+        partial = {key: point for key, point in points.items() if key[1] == 4}
+        assert (
+            figure3_drops_no_route(self.CFG, points=partial).values
+            == figure3_drops_no_route(self.CFG, points=points).values
+        )
 
 
 class TestHeadlineAndAblations:
