@@ -39,6 +39,7 @@ from .experiments import figures as fig
 from .experiments.report import format_series_grid, format_sweep_table
 from .experiments.runner import run_sweep
 from .experiments.scenario import run_scenario
+from .records import ArtifactError, is_num, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -583,21 +584,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _checkpoint_errors(command):
-    """Exit paths shared by the commands that sweep into ``--checkpoint``.
-
-    A checkpoint that belongs to another configuration is a one-line error
-    (exit 2), and Ctrl-C says where the completed seeds are (exit 130).
+    """Ctrl-C in a command that sweeps into ``--checkpoint`` says where the
+    completed seeds are (exit 130).  A checkpoint of another configuration
+    is an ``ArtifactError`` like any unreadable artifact: see :func:`main`.
     """
 
     @functools.wraps(command)
     def guarded(args: argparse.Namespace) -> int:
-        from .experiments.store import StoreMismatchError
-
         try:
             return command(args)
-        except StoreMismatchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except KeyboardInterrupt:
             if getattr(args, "checkpoint", None):
                 print(
@@ -628,14 +623,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         store = SweepStore(args.checkpoint)
     if getattr(args, "resume", False):
-        if not store.exists():
-            print(
-                f"error: no sweep manifest in {args.checkpoint!r} to "
-                "resume from",
-                file=sys.stderr,
-            )
-            return 2
-        config = store.load_config()
+        config = store.load_config()  # no manifest there is an ArtifactError
     else:
         config = _config(args)
 
@@ -800,8 +788,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
     from .obs import RunObservation, SweepTelemetry
     from .obs.report import build_report, check_report, format_report
 
@@ -849,9 +835,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     problems = check_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=1)
-            f.write("\n")
+        write_json(report, args.out, newline=True)
         print(f"report written to {args.out}\n")
     print(format_report(report))
     if problems:
@@ -901,7 +885,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         links = rings.get("link", [])
         messages = rings.get("message", [])
         meta = dump.get("meta", {})
-        origin = float(meta.get("fail_time") or 0.0)
+        origin = meta["fail_time"] if is_num(meta.get("fail_time")) else 0.0
         violations = list(dump.get("violations") or ())
         print(
             f"flight dump {args.dump}: "
@@ -1046,7 +1030,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "profile": _cmd_profile,
         "watch": _cmd_watch,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ArtifactError as exc:
+        # A torn, truncated, wrong-shape, wrong-version or foreign file.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

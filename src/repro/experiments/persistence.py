@@ -16,12 +16,13 @@ refused with an error naming the version found — re-run the sweep.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..metrics.loops import LoopReport
 from ..metrics.reordering import ReorderingReport
 from ..metrics.timeseries import BinnedSeries
+from ..records import BOOL, COUNT, INT, NUM, STR, TEXT, Check, nullable
+from ..records import ArtifactError, read_json, write_json
 from .runner import PointResult, SweepFailure
 from .scenario import ScenarioResult, TopologyEventOutcome
 
@@ -39,94 +40,130 @@ __all__ = [
 FORMAT_VERSION = 3
 
 
-def _series_to_dict(series: BinnedSeries | None) -> dict | None:
-    if series is None:
-        return None
-    return {"times": list(series.times), "values": list(series.values)}
+def _same(value: Any) -> Any:
+    return value
 
 
-def _series_from_dict(data: Mapping | None) -> BinnedSeries | None:
-    if data is None:
-        return None
-    return BinnedSeries(times=tuple(data["times"]), values=tuple(data["values"]))
+def _maybe(convert: Callable) -> Callable:
+    """``convert`` for a present value; ``None`` (JSON ``null``) stays ``None``."""
+    return lambda value: None if value is None else convert(value)
 
 
-def _event_to_dict(event: TopologyEventOutcome) -> dict:
-    return {
-        "kind": event.kind,
-        "link": list(event.link),
-        "time": event.time,
-        "detect_time": event.detect_time,
-        "wave_start": event.wave_start,
-        "wave_end": event.wave_end,
-    }
+def _each(convert: Callable, into: Callable = list) -> Callable:
+    return lambda values: into(convert(v) for v in values)
 
 
-def _event_from_dict(data: Mapping[str, Any]) -> TopologyEventOutcome:
-    return TopologyEventOutcome(
-        kind=data["kind"],
-        link=tuple(data["link"]),
-        time=data["time"],
-        detect_time=data["detect_time"],
-        wave_start=data.get("wave_start"),
-        wave_end=data.get("wave_end"),
-    )
+def _checked(check: Check) -> Callable:
+    """The value itself, once it passes ``check`` (a ``(predicate, label)``)."""
+    predicate, label = check
+
+    def from_json(value: Any) -> Any:
+        if not predicate(value):
+            raise ValueError(f"must be {label}, got {value!r}")
+        return value
+
+    return from_json
+
+
+#: In the ``absent`` slot of a field: the key may not be missing.
+_REQUIRED = object()
+
+
+class _Record:
+    """One persisted record type: its class and its field list, written once.
+
+    Fields come in file order.  ``(names, check)`` declares fields stored as
+    they are (space-separated names, as for ``namedtuple``) and checked on
+    load; ``(name, to_json, from_json)`` one that is converted.  Every key
+    is required unless a fourth element gives the JSON value a missing one
+    reads as.
+    """
+
+    def __init__(self, cls: type, *fields: tuple) -> None:
+        self.cls = cls
+        self.fields: list[tuple] = []
+        for field in fields:
+            if len(field) == 2:
+                names, check = field
+                self.fields += [
+                    (name, _same, _checked(check), _REQUIRED) for name in names.split()
+                ]
+            else:
+                self.fields.append((*field, _REQUIRED)[:4])
+
+    def to_dict(self, obj: Any) -> dict:
+        return {name: to_json(getattr(obj, name)) for name, to_json, _, _ in self.fields}
+
+    def from_dict(self, data: Any) -> Any:
+        """Rebuild the record; a wrong shape is an :class:`ArtifactError`."""
+        what = self.cls.__name__
+        if not isinstance(data, dict):
+            raise ArtifactError(f"{what} must be a JSON object, got {data!r}")
+        kwargs = {}
+        for name, _, from_json, absent in self.fields:
+            value = data.get(name, absent)
+            if value is _REQUIRED:
+                raise ArtifactError(f"{what} lacks {name!r}")
+            try:
+                kwargs[name] = from_json(value)
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ArtifactError(f"{what}.{name}: {exc}") from exc
+        return self.cls(**kwargs)
+
+
+_INTS = _each(_checked(INT), tuple)
+_NUMS = _each(_checked(NUM), tuple)
+_EVENT = _Record(
+    TopologyEventOutcome,
+    ("kind", TEXT),
+    ("link", list, _INTS),
+    ("time detect_time", NUM),
+    ("wave_start wave_end", nullable(NUM)),
+)
+_SERIES = _Record(BinnedSeries, ("times", list, _NUMS), ("values", list, _NUMS))
+_REORDERING = _Record(
+    ReorderingReport, ("delivered late_packets max_displacement episodes", COUNT)
+)
+_LOOPS = _Record(
+    LoopReport,
+    ("delivered escaped_loop", COUNT),
+    ("loop_cycles", _each(list), _each(_INTS, tuple)),
+    ("max_extra_hops", INT),
+)
+_FAILURE = _Record(SweepFailure, ("protocol", TEXT), ("degree seed", INT), ("error", STR))
+#: ``ScenarioResult.manet`` is deliberately absent: it is not persisted.
+_SCENARIO = _Record(
+    ScenarioResult,
+    ("protocol", TEXT),
+    ("degree seed sender receiver", INT),
+    ("initial_path", list, _INTS),
+    ("events", _each(_EVENT.to_dict), _each(_EVENT.from_dict, tuple)),
+    ("expected_final_path", _maybe(list), _maybe(_INTS)),
+    ("sent delivered drops_no_route drops_ttl drops_link_down drops_queue", COUNT),
+    ("routing_convergence destination_convergence forwarding_convergence", NUM),
+    ("converged_to_expected", BOOL),
+    ("transient_path_count messages withdrawals", COUNT),
+    ("violations", list, _each(_checked(STR), tuple)),
+    ("monitor_skips", dict, lambda skips: {k: _checked(STR)(v) for k, v in skips.items()}),
+    # The one key older v3 files may lack.
+    ("dump_path", _same, _checked(nullable(STR)), None),
+    ("throughput", _maybe(_SERIES.to_dict), _maybe(_SERIES.from_dict)),
+    ("delay", _maybe(_SERIES.to_dict), _maybe(_SERIES.from_dict)),
+    ("reordering", _maybe(_REORDERING.to_dict), _maybe(_REORDERING.from_dict)),
+    ("loop_report", _maybe(_LOOPS.to_dict), _maybe(_LOOPS.from_dict)),
+)
+_POINT = _Record(
+    PointResult,
+    ("protocol", TEXT),
+    ("degree", INT),
+    ("runs", _each(_SCENARIO.to_dict), _each(_SCENARIO.from_dict)),
+    ("failures", _each(_FAILURE.to_dict), _each(_FAILURE.from_dict)),
+)
 
 
 def scenario_to_dict(result: ScenarioResult) -> dict:
     """JSON-ready representation of one run's measurements (format v3)."""
-    return {
-        "protocol": result.protocol,
-        "degree": result.degree,
-        "seed": result.seed,
-        "sender": result.sender,
-        "receiver": result.receiver,
-        "initial_path": list(result.initial_path),
-        "events": [_event_to_dict(e) for e in result.events],
-        "expected_final_path": (
-            list(result.expected_final_path)
-            if result.expected_final_path is not None
-            else None
-        ),
-        "sent": result.sent,
-        "delivered": result.delivered,
-        "drops_no_route": result.drops_no_route,
-        "drops_ttl": result.drops_ttl,
-        "drops_link_down": result.drops_link_down,
-        "drops_queue": result.drops_queue,
-        "routing_convergence": result.routing_convergence,
-        "destination_convergence": result.destination_convergence,
-        "forwarding_convergence": result.forwarding_convergence,
-        "converged_to_expected": result.converged_to_expected,
-        "transient_path_count": result.transient_path_count,
-        "messages": result.messages,
-        "withdrawals": result.withdrawals,
-        "violations": list(result.violations),
-        "monitor_skips": dict(result.monitor_skips),
-        "dump_path": result.dump_path,
-        "throughput": _series_to_dict(result.throughput),
-        "delay": _series_to_dict(result.delay),
-        "reordering": (
-            {
-                "delivered": result.reordering.delivered,
-                "late_packets": result.reordering.late_packets,
-                "max_displacement": result.reordering.max_displacement,
-                "episodes": result.reordering.episodes,
-            }
-            if result.reordering is not None
-            else None
-        ),
-        "loop_report": (
-            {
-                "delivered": result.loop_report.delivered,
-                "escaped_loop": result.loop_report.escaped_loop,
-                "loop_cycles": [list(c) for c in result.loop_report.loop_cycles],
-                "max_extra_hops": result.loop_report.max_extra_hops,
-            }
-            if result.loop_report is not None
-            else None
-        ),
-    }
+    return _SCENARIO.to_dict(result)
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioResult:
@@ -135,113 +172,36 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioResult:
     Present-but-empty collections are restored as empty, not collapsed to
     ``None``: only a JSON ``null`` (or a missing field) maps to ``None``.
     """
-    reordering = None
-    if data.get("reordering") is not None:
-        r = data["reordering"]
-        reordering = ReorderingReport(
-            delivered=r["delivered"],
-            late_packets=r["late_packets"],
-            max_displacement=r["max_displacement"],
-            episodes=r["episodes"],
-        )
-    loop_report = None
-    if data.get("loop_report") is not None:
-        lr = data["loop_report"]
-        loop_report = LoopReport(
-            delivered=lr["delivered"],
-            escaped_loop=lr["escaped_loop"],
-            loop_cycles=tuple(tuple(c) for c in lr["loop_cycles"]),
-            max_extra_hops=lr["max_extra_hops"],
-        )
-    expected_final_path = data.get("expected_final_path")
-    return ScenarioResult(
-        protocol=data["protocol"],
-        degree=data["degree"],
-        seed=data["seed"],
-        sender=data["sender"],
-        receiver=data["receiver"],
-        initial_path=tuple(data["initial_path"]),
-        events=tuple(_event_from_dict(e) for e in data["events"]),
-        expected_final_path=(
-            tuple(expected_final_path) if expected_final_path is not None else None
-        ),
-        sent=data["sent"],
-        delivered=data["delivered"],
-        drops_no_route=data["drops_no_route"],
-        drops_ttl=data["drops_ttl"],
-        drops_link_down=data["drops_link_down"],
-        drops_queue=data["drops_queue"],
-        routing_convergence=data["routing_convergence"],
-        destination_convergence=data.get("destination_convergence", 0.0),
-        forwarding_convergence=data["forwarding_convergence"],
-        converged_to_expected=data["converged_to_expected"],
-        transient_path_count=data["transient_path_count"],
-        violations=tuple(data.get("violations", ())),
-        monitor_skips=dict(data.get("monitor_skips") or {}),
-        dump_path=data.get("dump_path"),
-        throughput=_series_from_dict(data.get("throughput")),
-        delay=_series_from_dict(data.get("delay")),
-        messages=data["messages"],
-        withdrawals=data["withdrawals"],
-        loop_report=loop_report,
-        reordering=reordering,
-    )
+    return _SCENARIO.from_dict(data)
 
 
 def failure_to_dict(failure: SweepFailure) -> dict:
     """JSON-ready representation of one :class:`SweepFailure`."""
-    return {
-        "protocol": failure.protocol,
-        "degree": failure.degree,
-        "seed": failure.seed,
-        "error": failure.error,
-    }
+    return _FAILURE.to_dict(failure)
 
 
 def failure_from_dict(data: Mapping[str, Any]) -> SweepFailure:
     """Inverse of :func:`failure_to_dict`."""
-    return SweepFailure(
-        protocol=data["protocol"],
-        degree=data["degree"],
-        seed=data["seed"],
-        error=data["error"],
-    )
+    return _FAILURE.from_dict(data)
 
 
 def save_points(points: Mapping[tuple[str, int], PointResult], path: str) -> None:
     """Write a sweep (as from ``run_sweep``) to ``path`` as JSON (v3)."""
     payload = {
         "format_version": FORMAT_VERSION,
-        "points": [
-            {
-                "protocol": protocol,
-                "degree": degree,
-                "runs": [scenario_to_dict(r) for r in point.runs],
-                "failures": [failure_to_dict(f) for f in point.failures],
-            }
-            for (protocol, degree), point in sorted(points.items())
-        ],
+        "points": [_POINT.to_dict(point) for _, point in sorted(points.items())],
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1)
+    write_json(payload, path)
 
 
 def load_points(path: str) -> dict[tuple[str, int], PointResult]:
     """Read a sweep previously written by :func:`save_points`."""
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported results format version {version!r} in {path!r} "
-            f"(this build reads only version {FORMAT_VERSION})"
-        )
-    out: dict[tuple[str, int], PointResult] = {}
-    for entry in payload["points"]:
-        point = PointResult(protocol=entry["protocol"], degree=entry["degree"])
-        point.runs.extend(scenario_from_dict(r) for r in entry["runs"])
-        point.failures.extend(
-            failure_from_dict(f) for f in entry.get("failures", ())
-        )
-        out[(entry["protocol"], entry["degree"])] = point
-    return out
+    payload = read_json(path, "results file", "format_version", FORMAT_VERSION)
+    entries = payload.get("points")
+    if not isinstance(entries, list):
+        raise ArtifactError(f"results file {path!r} lacks a 'points' list")
+    try:
+        points = [_POINT.from_dict(entry) for entry in entries]
+    except ArtifactError as exc:
+        raise ArtifactError(f"results file {path!r}: {exc}") from exc
+    return {(point.protocol, point.degree): point for point in points}

@@ -8,30 +8,29 @@ Ctrl-C is not acceptable at that scale.  The store makes sweeps durable:
   configuration (and its content hash), and the full task grid.  Written
   atomically once, when the store is first opened.
 * ``shards.jsonl`` — one JSON record per completed task, appended and flushed
-  as each seed finishes.  A record is either a full v2 scenario dict
+  as each seed finishes.  A record is either a full v3 scenario dict
   (``{"kind": "run", ...}``) or a recorded failure
   (``{"kind": "failure", ...}``).
 
 Resume semantics: reopening the store with the *same* configuration (checked
 by content hash — see :meth:`ExperimentConfig.fingerprint`) yields the set of
 already-completed tasks; the executor re-runs only what is missing.  Because
-every seed is deterministic in (protocol, degree, seed, config) and the v2
+every seed is deterministic in (protocol, degree, seed, config) and the v3
 format round-trips losslessly, a killed-and-resumed sweep is bit-identical
 to an uninterrupted one.
 
 Crash tolerance: a process killed mid-append can leave a torn final line;
 :meth:`SweepStore.open` repairs the shard file by truncating it back to the
 last complete record before any new append, so the file never accretes
-garbage between two valid records.
+garbage between two valid records.  Both files go through :mod:`repro.records`.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import os
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
+from ..records import ArtifactError, JsonlWriter, read_json, read_jsonl, write_json
 from .config import ExperimentConfig
 from .persistence import (
     FORMAT_VERSION,
@@ -54,7 +53,7 @@ MANIFEST_NAME = "manifest.json"
 SHARDS_NAME = "shards.jsonl"
 
 
-class StoreMismatchError(ValueError):
+class StoreMismatchError(ArtifactError):
     """The store on disk belongs to a different sweep configuration."""
 
 
@@ -81,7 +80,7 @@ class SweepStore:
     def __init__(self, directory: Union[str, os.PathLike]) -> None:
         self.directory = os.fspath(directory)
         self._manifest: Optional[dict] = None
-        self._shard_file: Optional[io.TextIOWrapper] = None
+        self._shards: Optional[JsonlWriter] = None
 
     # ------------------------------------------------------------- paths
 
@@ -117,7 +116,6 @@ class SweepStore:
                     f"{config.fingerprint()!r}); use a fresh directory or "
                     "the manifest's own config"
                 )
-            self._manifest = manifest
         else:
             manifest = {
                 "format_version": FORMAT_VERSION,
@@ -125,66 +123,58 @@ class SweepStore:
                 "config": config.to_dict(),
                 "grid": [list(task) for task in config.grid()],
             }
-            self._write_manifest(manifest)
+            # Atomic: a crash during creation leaves either no manifest
+            # (fresh start next time) or a complete one.
+            write_json(manifest, self.manifest_path)
             self._manifest = manifest
-        self._repair_shards()
+        # Truncate a torn trailing record left by a hard kill mid-append.
+        read_jsonl(self.shards_path, repair=True)
 
     def _read_manifest(self) -> dict:
-        with open(self.manifest_path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-        version = manifest.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported sweep manifest version {version!r} "
-                f"in {self.manifest_path!r}"
-            )
-        return manifest
-
-    def _write_manifest(self, manifest: dict) -> None:
-        # Atomic: a crash during creation leaves either no manifest (fresh
-        # start next time) or a complete one, never a torn half-manifest.
-        tmp = self.manifest_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=1)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self.manifest_path)
+        return read_json(
+            self.manifest_path, "sweep manifest", "format_version", FORMAT_VERSION
+        )
 
     def load_config(self) -> ExperimentConfig:
         """The configuration recorded in the manifest (for ``--resume``)."""
         manifest = self._manifest or self._read_manifest()
         try:
-            return ExperimentConfig.from_dict(manifest["config"])
-        except ValueError as exc:
+            config = ExperimentConfig.from_dict(manifest["config"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise StoreMismatchError(
                 f"checkpoint at {self.directory!r} was created by a different "
                 f"version/configuration ({exc}); use a fresh directory"
             ) from exc
+        if config.fingerprint() != manifest.get("config_hash"):
+            raise ArtifactError(
+                f"{self.manifest_path!r}: 'config' does not hash to the "
+                "recorded 'config_hash'"
+            )
+        return config
 
     def grid(self) -> list[Task]:
-        """The full task grid recorded in the manifest."""
-        manifest = self._manifest or self._read_manifest()
-        return [(str(p), int(d), int(s)) for p, d, s in manifest["grid"]]
+        """The full task grid: the hash-checked configuration's, which the
+        manifest's own ``grid`` list restates for readers outside Python."""
+        return self.load_config().grid()
 
     # ------------------------------------------------------------ shards
 
-    def _repair_shards(self) -> None:
-        """Truncate a torn trailing record left by a hard kill mid-append."""
-        if not os.path.exists(self.shards_path):
-            return
-        valid_end = 0
-        with open(self.shards_path, "rb") as f:
-            for line in f:
-                if not line.endswith(b"\n"):
-                    break  # partial tail: no terminator
-                try:
-                    json.loads(line)
-                except json.JSONDecodeError:
-                    break  # terminator present but record torn
-                valid_end += len(line)
-        if valid_end < os.path.getsize(self.shards_path):
-            with open(self.shards_path, "r+b") as f:
-                f.truncate(valid_end)
+    def _records(self) -> Iterator[tuple[str, str, dict]]:
+        """``(where, kind, payload)`` of every complete shard record, in order.
+
+        A record is ``{"kind": kind, kind: payload}``; reading stops at a
+        torn tail, and any other shape is an :class:`ArtifactError`.
+        """
+        for n, record in enumerate(read_jsonl(self.shards_path), start=1):
+            where = f"{self.shards_path!r} record {n}"
+            kind = record.get("kind") if isinstance(record, dict) else None
+            if kind not in ("run", "failure", "telemetry"):
+                raise ArtifactError(
+                    f"{where}: unknown shard record kind in {repr(record)[:80]}"
+                )
+            if not isinstance(record.get(kind), dict):
+                raise ArtifactError(f"{where}: lacks its {kind!r} object")
+            yield where, kind, record[kind]
 
     def load_outcomes(self) -> dict[Task, Outcome]:
         """All durably recorded outcomes, keyed by (protocol, degree, seed).
@@ -194,34 +184,19 @@ class SweepStore:
         completed and may already have reported).
         """
         out: dict[Task, Outcome] = {}
-        if not os.path.exists(self.shards_path):
-            return out
-        with open(self.shards_path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail from a crash mid-append
-                if record.get("kind") == "telemetry":
-                    # Execution telemetry rides alongside results but is not
-                    # a result: skipping it keeps resumed sweeps bit-identical
-                    # to uninterrupted ones.
-                    continue
-                outcome = self._decode(record)
-                out.setdefault(_outcome_key(outcome), outcome)
+        for where, kind, payload in self._records():
+            if kind == "telemetry":
+                # Execution telemetry rides alongside results but is not
+                # a result: skipping it keeps resumed sweeps bit-identical
+                # to uninterrupted ones.
+                continue
+            decode = scenario_from_dict if kind == "run" else failure_from_dict
+            try:
+                outcome = decode(payload)
+            except ArtifactError as exc:
+                raise ArtifactError(f"{where}: {exc}") from exc
+            out.setdefault(_outcome_key(outcome), outcome)
         return out
-
-    @staticmethod
-    def _decode(record: dict) -> Outcome:
-        kind = record.get("kind")
-        if kind == "run":
-            return scenario_from_dict(record["run"])
-        if kind == "failure":
-            return failure_from_dict(record["failure"])
-        raise ValueError(f"unknown shard record kind {kind!r}")
 
     def append(self, outcome: Outcome) -> None:
         """Durably record one completed task (flushed immediately)."""
@@ -243,27 +218,12 @@ class SweepStore:
 
     def load_telemetry(self) -> list[dict]:
         """All per-seed telemetry records, in append order."""
-        out: list[dict] = []
-        if not os.path.exists(self.shards_path):
-            return out
-        with open(self.shards_path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail from a crash mid-append
-                if record.get("kind") == "telemetry":
-                    out.append(record["telemetry"])
-        return out
+        return [payload for _, kind, payload in self._records() if kind == "telemetry"]
 
     def _append_record(self, record: dict) -> None:
-        if self._shard_file is None:
-            self._shard_file = open(self.shards_path, "a", encoding="utf-8")
-        self._shard_file.write(json.dumps(record) + "\n")
-        self._shard_file.flush()
+        if self._shards is None:
+            self._shards = JsonlWriter(self.shards_path, "a")
+        self._shards.write(record)
 
     def completed_tasks(self) -> set[Task]:
         """Tasks with a durable outcome (run or recorded failure)."""
@@ -276,11 +236,9 @@ class SweepStore:
 
     def close(self) -> None:
         """Flush and fsync the shard file (safe to call repeatedly)."""
-        if self._shard_file is not None:
-            self._shard_file.flush()
-            os.fsync(self._shard_file.fileno())
-            self._shard_file.close()
-            self._shard_file = None
+        if self._shards is not None:
+            self._shards.close()
+            self._shards = None
 
     # ----------------------------------------------------- context manager
 

@@ -8,11 +8,12 @@ across runs — and reads them back into the same record types.
 
 from __future__ import annotations
 
-import json
 import warnings
 from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
+from ..records import JsonlWriter, encode_line, iter_jsonl
 from ..sim.tracing import (
+    _KIND_OF_TYPE,
     DropCause,
     LinkEventRecord,
     MessageRecord,
@@ -25,100 +26,50 @@ __all__ = ["write_trace", "read_trace", "export_bus"]
 
 Record = Union[PacketRecord, RouteChangeRecord, LinkEventRecord, MessageRecord]
 
+#: ``type`` value -> record class.  The records are NamedTuples whose field
+#: order is the JSON key order, so the field lists live only on the classes.
+_TYPES = {kind: cls for cls, kind in _KIND_OF_TYPE.items()}
+
 
 def _encode(record: Record) -> dict:
-    if isinstance(record, PacketRecord):
-        return {
-            "type": "packet",
-            "time": record.time,
-            "kind": record.kind,
-            "packet_id": record.packet_id,
-            "node": record.node,
-            "flow_id": record.flow_id,
-            "ttl": record.ttl,
-            "cause": record.cause.value if record.cause else None,
-            "dst": record.dst,
-        }
-    if isinstance(record, RouteChangeRecord):
-        return {
-            "type": "route",
-            "time": record.time,
-            "node": record.node,
-            "dest": record.dest,
-            "old_next_hop": record.old_next_hop,
-            "new_next_hop": record.new_next_hop,
-            "cause": list(record.cause) if record.cause is not None else None,
-        }
-    if isinstance(record, LinkEventRecord):
-        return {
-            "type": "link",
-            "time": record.time,
-            "node_a": record.node_a,
-            "node_b": record.node_b,
-            "up": record.up,
-        }
-    if isinstance(record, MessageRecord):
-        return {
-            "type": "message",
-            "time": record.time,
-            "sender": record.sender,
-            "receiver": record.receiver,
-            "protocol": record.protocol,
-            "n_routes": record.n_routes,
-            "is_withdrawal": record.is_withdrawal,
-            "size_bytes": record.size_bytes,
-        }
-    raise TypeError(f"unknown record type {type(record).__name__}")
-
-
-def _decode(data: dict) -> Record:
-    kind = data.get("type")
+    kind = _KIND_OF_TYPE.get(type(record))
+    if kind is None:
+        raise TypeError(f"unknown record type {type(record).__name__}")
+    data = {"type": kind, **record._asdict()}
     if kind == "packet":
-        return PacketRecord(
-            time=data["time"],
-            kind=data["kind"],
-            packet_id=data["packet_id"],
-            node=data["node"],
-            flow_id=data["flow_id"],
-            ttl=data["ttl"],
-            cause=DropCause(data["cause"]) if data.get("cause") else None,
-            dst=data.get("dst"),
-        )
-    if kind == "route":
-        cause = data.get("cause")
-        return RouteChangeRecord(
-            time=data["time"],
-            node=data["node"],
-            dest=data["dest"],
-            old_next_hop=data["old_next_hop"],
-            new_next_hop=data["new_next_hop"],
-            cause=(cause[0], cause[1]) if cause is not None else None,
-        )
-    if kind == "link":
-        return LinkEventRecord(
-            time=data["time"],
-            node_a=data["node_a"],
-            node_b=data["node_b"],
-            up=data["up"],
-        )
-    if kind == "message":
-        return MessageRecord(
-            time=data["time"],
-            sender=data["sender"],
-            receiver=data["receiver"],
-            protocol=data["protocol"],
-            n_routes=data["n_routes"],
-            is_withdrawal=data["is_withdrawal"],
-            size_bytes=data.get("size_bytes", 0),
-        )
-    raise ValueError(f"unknown trace record type {kind!r}")
+        data["cause"] = record.cause.value if record.cause else None
+    elif kind == "route":
+        data["cause"] = list(record.cause) if record.cause is not None else None
+    return data
+
+
+def _decode(data: object) -> Record:
+    """Inverse of :func:`_encode`; anything that is not one is a ``ValueError``.
+
+    Keys the class does not know (a newer writer's) are ignored and keys
+    with a default may be absent (an older writer's).
+    """
+    kind = data.get("type") if isinstance(data, dict) else None
+    cls = _TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown trace record type {kind!r}")
+    fields = {name: data[name] for name in cls._fields if name in data}
+    try:
+        cause = fields.get("cause")
+        if kind == "packet":
+            fields["cause"] = DropCause(cause) if cause else None
+        elif kind == "route" and cause is not None:
+            fields["cause"] = (cause[0], cause[1])
+        return cls(**fields)
+    except (TypeError, LookupError) as exc:
+        raise ValueError(f"malformed {kind!r} trace record: {exc}") from exc
 
 
 def write_trace(records: Iterable[Record], fp: IO[str]) -> int:
     """Write records as JSONL; returns the count written."""
     count = 0
     for record in records:
-        fp.write(json.dumps(_encode(record)) + "\n")
+        fp.write(encode_line(_encode(record)))
         count += 1
     return count
 
@@ -128,31 +79,25 @@ def read_trace(
     strict: bool = True,
     on_skip: Optional[Callable[[dict], None]] = None,
 ) -> Iterator[Record]:
-    """Yield records from a JSONL trace file.
+    """Yield records from a JSONL trace file, up to a torn tail if it has one.
 
-    With ``strict=False``, records of an unknown ``type`` (written by a newer
-    reader of this format) are skipped with one :mod:`warnings` warning each
-    instead of raising — mirroring the sweep store's telemetry-record skip.
-    ``on_skip``, if given, is called with each skipped record's raw dict
+    With ``strict=False``, records that do not decode — an unknown ``type``
+    written by a newer writer of this format, or a known one missing a
+    field — are skipped with one :mod:`warnings` warning each instead of
+    raising ``ValueError``, mirroring the sweep store's telemetry-record skip.
+    ``on_skip``, if given, is called with each skipped record's raw value
     (so callers can count or log them) in place of the warning.
     """
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        data = json.loads(line)
+    for _, data in iter_jsonl(fp):
         try:
             yield _decode(data)
-        except ValueError:
+        except ValueError as exc:
             if strict:
                 raise
             if on_skip is not None:
                 on_skip(data)
             else:
-                warnings.warn(
-                    f"skipping trace record of unknown type {data.get('type')!r}",
-                    stacklevel=2,
-                )
+                warnings.warn(f"skipping trace record: {exc}", stacklevel=2)
 
 
 def export_bus(bus: TraceBus, path: str) -> int:
@@ -164,5 +109,7 @@ def export_bus(bus: TraceBus, path: str) -> int:
         *bus.messages,
     ]
     records.sort(key=lambda r: r.time)
-    with open(path, "w", encoding="utf-8") as f:
-        return write_trace(records, f)
+    with JsonlWriter(path) as out:
+        for record in records:
+            out.write(_encode(record))
+    return len(records)

@@ -27,13 +27,14 @@ See ``docs/tracing.md`` for ring sizing and the dump schema.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from ..metrics.loops import first_loop
 from ..metrics.traceio import _decode, _encode
+from ..records import COUNT, LIST, NUM, OBJECT, POSITIVE, check_envelope, check_fields
+from ..records import is_int, nullable, read_json, write_json
 from ..sim.tracing import (
     TRACE_KINDS,
     DropCause,
@@ -659,15 +660,12 @@ def build_dump(
 
 def save_dump(dump: dict, path: str) -> None:
     """Write a dump as JSON.  ``save -> load -> save`` is byte-identical."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(dump, f, indent=1)
-        f.write("\n")
+    write_json(dump, path, newline=True)
 
 
 def load_dump(path: str) -> dict:
-    """Read a dump written by :func:`save_dump`."""
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+    """Read a dump written by :func:`save_dump`; :func:`check_dump` judges it."""
+    return read_json(path, "flight dump")
 
 
 def dump_records(dump: dict) -> dict[str, list]:
@@ -683,33 +681,23 @@ def dump_records(dump: dict) -> dict[str, list]:
         for data in ring.get("records", ()):
             try:
                 decoded.append(_decode(data))
-            except (ValueError, KeyError, TypeError):
+            except ValueError as exc:
                 warnings.warn(
-                    f"skipping undecodable {kind!r} record in flight dump: "
-                    f"type={data.get('type')!r}",
+                    f"skipping undecodable {kind!r} record in flight dump: {exc}",
                     stacklevel=2,
                 )
         out[kind] = decoded
     return out
 
 
+_RING_SPEC = {"capacity": POSITIVE, "appended": COUNT, "records": LIST}
+
+
 def _check_ring(kind: str, ring: object, problems: list[str]) -> None:
     path = f"rings[{kind!r}]"
-    if not isinstance(ring, dict):
-        problems.append(f"{path}: must be an object")
+    if not check_fields(ring, _RING_SPEC, path, problems):
         return
-    capacity = ring.get("capacity")
-    appended = ring.get("appended")
-    records = ring.get("records")
-    if not isinstance(capacity, int) or capacity <= 0:
-        problems.append(f"{path}: 'capacity' must be an int > 0, got {capacity!r}")
-        return
-    if not isinstance(appended, int) or appended < 0:
-        problems.append(f"{path}: 'appended' must be an int >= 0, got {appended!r}")
-        return
-    if not isinstance(records, list):
-        problems.append(f"{path}: 'records' must be a list")
-        return
+    capacity, appended, records = ring["capacity"], ring["appended"], ring["records"]
     if len(records) > capacity:
         problems.append(
             f"{path}: holds {len(records)} records but capacity is {capacity}"
@@ -723,21 +711,13 @@ def _check_ring(kind: str, ring: object, problems: list[str]) -> None:
             f"{path}: overflowed ({appended} appends) so it must be full, "
             f"holds {len(records)}/{capacity}"
         )
+    record_spec = {"type": (lambda v: v == kind, repr(kind)), "time": NUM}
     last_time = None
     for i, data in enumerate(records):
         rpath = f"{path}.records[{i}]"
-        if not isinstance(data, dict):
-            problems.append(f"{rpath}: must be an object")
+        if not check_fields(data, record_spec, rpath, problems):
             continue
-        if data.get("type") != kind:
-            problems.append(
-                f"{rpath}: 'type' must be {kind!r}, got {data.get('type')!r}"
-            )
-            continue
-        t = data.get("time")
-        if not isinstance(t, (int, float)) or isinstance(t, bool):
-            problems.append(f"{rpath}: 'time' must be a number, got {t!r}")
-            continue
+        t = data["time"]
         if last_time is not None and t < last_time:
             problems.append(
                 f"{rpath}: time {t} goes backwards (previous {last_time})"
@@ -745,8 +725,20 @@ def _check_ring(kind: str, ring: object, problems: list[str]) -> None:
         last_time = t
         try:
             _decode(data)
-        except Exception as exc:  # noqa: BLE001 - any decode failure is a finding
+        except ValueError as exc:
             problems.append(f"{rpath}: does not decode: {exc}")
+
+
+_DUMP_ENVELOPE = {"schema_version": DUMP_SCHEMA_VERSION, "kind": DUMP_KIND}
+_DUMP_SPEC = {
+    "meta": OBJECT,
+    "violations": (
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "a list of strings",
+    ),
+    "counters": nullable(OBJECT),
+    "rings": OBJECT,
+}
 
 
 def check_dump(dump: object) -> list[str]:
@@ -754,33 +746,17 @@ def check_dump(dump: object) -> list[str]:
     problems: list[str] = []
     if not isinstance(dump, dict):
         return ["dump must be a JSON object"]
-    if dump.get("schema_version") != DUMP_SCHEMA_VERSION:
-        problems.append(
-            f"schema_version must be {DUMP_SCHEMA_VERSION}, got "
-            f"{dump.get('schema_version')!r}"
-        )
-    if dump.get("kind") != DUMP_KIND:
-        problems.append(f"kind must be {DUMP_KIND!r}, got {dump.get('kind')!r}")
-    if not isinstance(dump.get("meta"), dict):
-        problems.append("meta: must be an object")
-    violations = dump.get("violations")
-    if not isinstance(violations, list) or any(
-        not isinstance(v, str) for v in violations
-    ):
-        problems.append("violations: must be a list of strings")
+    check_envelope(dump, _DUMP_ENVELOPE, "", problems)
+    check_fields(dump, _DUMP_SPEC, "dump", problems)
     counters = dump.get("counters")
-    if counters is not None:
-        if not isinstance(counters, dict):
-            problems.append("counters: must be an object or null")
-        else:
-            for name, value in counters.items():
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    problems.append(
-                        f"counters[{name!r}]: must be an int >= 0, got {value!r}"
-                    )
+    if isinstance(counters, dict):
+        for name, value in counters.items():
+            if not is_int(value) or value < 0:
+                problems.append(
+                    f"counters[{name!r}]: must be an int >= 0, got {value!r}"
+                )
     rings = dump.get("rings")
     if not isinstance(rings, dict):
-        problems.append("rings: must be an object")
         return problems
     unknown = set(rings) - set(TRACE_KINDS)
     if unknown:
@@ -927,6 +903,4 @@ def perfetto_trace(
 
 def write_perfetto(trace: dict, path: str) -> None:
     """Write a :func:`perfetto_trace` document to ``path``."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(trace, f, indent=1)
-        f.write("\n")
+    write_json(trace, path, newline=True)

@@ -32,12 +32,14 @@ transparency tests).  See ``docs/live.md``.
 
 from __future__ import annotations
 
-import io
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO, Union
+
+from ..records import BOOL, COUNT, INT, NUM, NUM_GE0, OBJECT, POSITIVE, STR, TEXT
+from ..records import JsonlWriter, check_envelope, check_fields, is_int, is_num
+from ..records import nullable, optional, read_jsonl
 
 __all__ = [
     "LOG_SCHEMA_VERSION",
@@ -62,22 +64,60 @@ __all__ = [
 LOG_SCHEMA_VERSION = 1
 LOG_KIND = "repro-run-log"
 
-#: Every record kind a version-1 log may contain.  ``header`` must be the
-#: first record (and only the first); everything else may appear anywhere.
-RECORD_KINDS = (
-    "header",
-    "heartbeat",
-    "window",
-    "seed",
-    "sweep",
-    "shard-end",
-    "violation",
-    "stall",
-    "end",
-)
-
 #: Run flavors a header may declare (what produced the log).
 RUN_KINDS = ("scenario", "shard", "sweep", "churn")
+
+#: The fields of every record kind but ``header`` (checked apart): required
+#: unless ``optional`` (may be absent) or ``nullable`` (may be ``null``).
+_SPECS = {
+    "heartbeat": {
+        "shard": COUNT,
+        "clock": NUM,
+        "events": COUNT,
+        "barrier": optional(NUM),
+        **dict.fromkeys(("relays_out", "relays_in"), optional(COUNT)),
+        **dict.fromkeys(("busy_s", "wall_s"), optional(NUM_GE0)),
+        "phase": optional(TEXT),
+    },
+    "window": {
+        "index": COUNT,
+        "e_min": nullable(NUM),
+        "barrier": NUM,
+        "n_windows": POSITIVE,
+        "n_relays": COUNT,
+        "wall_s": NUM_GE0,
+    },
+    "seed": {
+        "protocol": TEXT,
+        "degree": INT,
+        "seed": INT,
+        "ok": BOOL,
+        "elapsed_s": nullable(NUM),
+        "attempts": POSITIVE,
+        "timed_out": BOOL,
+        "done": COUNT,
+        "total": COUNT,
+    },
+    "sweep": {
+        "phase": (lambda v: v in ("begin", "end"), "begin|end"),
+        **dict.fromkeys(("total_tasks", "resumed_tasks"), optional(COUNT)),
+        "workers": optional(POSITIVE),
+        "wall_s": optional(NUM_GE0),
+    },
+    "shard-end": dict.fromkeys(("shard", "events", "relays_out", "relays_in"), COUNT),
+    "violation": {"text": STR},
+    "stall": {
+        "shard": COUNT,
+        "window": NUM,
+        "reason": TEXT,
+        "heartbeat": nullable(OBJECT),
+    },
+    "end": {"ok": BOOL},
+}
+
+#: Every record kind a version-1 log may contain.  ``header`` must be the
+#: first record (and only the first); everything else may appear anywhere.
+RECORD_KINDS = ("header", *_SPECS)
 
 #: Perfetto lane ids: shard ``i`` renders as process ``SHARD_LANE_PID + i``
 #: so lanes never collide with node ids (node pids are small integers).
@@ -90,7 +130,7 @@ COORDINATOR_PID = 999_999
 # --------------------------------------------------------------------------
 
 
-class RunEventLog:
+class RunEventLog(JsonlWriter):
     """Append-only JSONL writer for one run's event log.
 
     Every ``append`` writes one complete line and flushes it, so a crash
@@ -108,8 +148,7 @@ class RunEventLog:
     ) -> None:
         if run not in RUN_KINDS:
             raise ValueError(f"unknown run kind {run!r} (one of {RUN_KINDS})")
-        self.path = os.fspath(path)
-        self._file: Optional[TextIO] = open(self.path, "w", encoding="utf-8")
+        super().__init__(path)
         self.append(
             "header",
             schema_version=LOG_SCHEMA_VERSION,
@@ -118,18 +157,9 @@ class RunEventLog:
             meta=dict(meta or {}),
         )
 
-    @property
-    def closed(self) -> bool:
-        return self._file is None
-
     def append(self, kind: str, **fields) -> None:
         """Write one ``{"kind": kind, **fields}`` record and flush it."""
-        if self._file is None:
-            raise ValueError(f"run-event log {self.path!r} is closed")
-        record = {"kind": kind}
-        record.update(fields)
-        self._file.write(json.dumps(record) + "\n")
-        self._file.flush()
+        self.write({"kind": kind, **fields})
 
     # ---------------------------------------------------- typed convenience
 
@@ -252,18 +282,6 @@ class RunEventLog:
     def end(self, ok: bool, **fields) -> None:
         self.append("end", ok=ok, **fields)
 
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            self._file.close()
-            self._file = None
-
-    def __enter__(self) -> "RunEventLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def open_live_log(
     target: Union[None, str, os.PathLike, RunEventLog],
@@ -288,92 +306,25 @@ def open_live_log(
 # --------------------------------------------------------------------------
 
 
-def read_log(path: Union[str, os.PathLike]) -> list[dict]:
+def read_log(path: Union[str, os.PathLike]) -> list:
     """Read a run-event log, tolerating the torn tail of a live writer.
 
     Reading stops at the first line that is not complete valid JSON — the
     same convention as the sweep store — so tailing a log mid-append never
-    raises.
+    raises.  A log that does not exist yet has no records.
     """
-    records: list[dict] = []
-    with open(os.fspath(path), "r", encoding="utf-8") as f:
-        for line in f:
-            if not line.endswith("\n"):
-                break  # partial tail: the writer is mid-append
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
-    return records
+    return read_jsonl(path)
 
 
 def write_log(records: Iterable[dict], path: Union[str, os.PathLike]) -> None:
     """Write records as JSONL; ``read_log -> write_log`` is byte-identical."""
-    with open(os.fspath(path), "w", encoding="utf-8") as f:
+    with JsonlWriter(path) as out:
         for record in records:
-            f.write(json.dumps(record) + "\n")
+            out.write(record)
 
 
-def _is_num(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_fields(
-    record: dict, index: int, spec: dict[str, tuple], problems: list[str]
-) -> bool:
-    """Validate required fields of one record against ``(checker, label)``."""
-    ok = True
-    for name, (checker, label) in spec.items():
-        value = record.get(name)
-        if not checker(value):
-            problems.append(
-                f"records[{index}] ({record.get('kind')}): {name!r} must be "
-                f"{label}, got {value!r}"
-            )
-            ok = False
-    return ok
-
-
-_HEARTBEAT_SPEC = {
-    "shard": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
-    "clock": (_is_num, "a number"),
-    "events": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
-}
-_WINDOW_SPEC = {
-    "index": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
-    "barrier": (_is_num, "a number"),
-    "n_windows": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
-    "n_relays": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
-    "wall_s": (lambda v: _is_num(v) and v >= 0, "a number >= 0"),
-}
-_SEED_SPEC = {
-    "protocol": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
-    "degree": (_is_int, "an int"),
-    "seed": (_is_int, "an int"),
-    "ok": (lambda v: isinstance(v, bool), "a bool"),
-    "attempts": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
-    "timed_out": (lambda v: isinstance(v, bool), "a bool"),
-    "done": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
-    "total": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
-}
-_SHARD_END_SPEC = {
-    "shard": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
-    "events": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
-    "relays_out": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
-    "relays_in": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
-}
-_STALL_SPEC = {
-    "shard": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
-    "window": (_is_num, "a number"),
-    "reason": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
-}
+_HEADER_ENVELOPE = {"schema_version": LOG_SCHEMA_VERSION, "log_kind": LOG_KIND}
+_HEADER_SPEC = {"run": (RUN_KINDS.__contains__, f"one of {RUN_KINDS}"), "meta": OBJECT}
 
 
 def check_log(records: Iterable[dict]) -> list[str]:
@@ -397,23 +348,8 @@ def check_log(records: Iterable[dict]) -> list[str]:
             f"{header.get('kind') if isinstance(header, dict) else header!r}"
         )
     else:
-        if header.get("schema_version") != LOG_SCHEMA_VERSION:
-            problems.append(
-                f"header: schema_version must be {LOG_SCHEMA_VERSION}, got "
-                f"{header.get('schema_version')!r}"
-            )
-        if header.get("log_kind") != LOG_KIND:
-            problems.append(
-                f"header: log_kind must be {LOG_KIND!r}, got "
-                f"{header.get('log_kind')!r}"
-            )
-        if header.get("run") not in RUN_KINDS:
-            problems.append(
-                f"header: run must be one of {RUN_KINDS}, got "
-                f"{header.get('run')!r}"
-            )
-        if not isinstance(header.get("meta"), dict):
-            problems.append("header: meta must be an object")
+        check_envelope(header, _HEADER_ENVELOPE, "header: ", problems)
+        check_fields(header, _HEADER_SPEC, "header", problems)
 
     last_beat: dict[int, tuple[float, int]] = {}
     last_window_index: Optional[int] = None
@@ -427,9 +363,10 @@ def check_log(records: Iterable[dict]) -> list[str]:
             continue
         if kind == "header":
             problems.append(f"records[{i}]: duplicate header")
-        elif kind == "heartbeat":
-            if not _check_fields(record, i, _HEARTBEAT_SPEC, problems):
-                continue
+        where = f"records[{i}] ({kind})"
+        if not check_fields(record, _SPECS.get(kind, {}), where, problems):
+            continue
+        if kind == "heartbeat":
             shard = record["shard"]
             prior = last_beat.get(shard)
             if prior is not None:
@@ -445,44 +382,17 @@ def check_log(records: Iterable[dict]) -> list[str]:
                     )
             last_beat[shard] = (record["clock"], record["events"])
         elif kind == "window":
-            if not _check_fields(record, i, _WINDOW_SPEC, problems):
-                continue
             if last_window_index is not None and record["index"] <= last_window_index:
                 problems.append(
                     f"records[{i}]: window index {record['index']} does not "
                     f"increase (previous {last_window_index})"
                 )
             last_window_index = record["index"]
-        elif kind == "seed":
-            if _check_fields(record, i, _SEED_SPEC, problems):
-                if record["done"] > record["total"]:
-                    problems.append(
-                        f"records[{i}]: done {record['done']} exceeds total "
-                        f"{record['total']}"
-                    )
-                if record.get("elapsed_s") is not None and not _is_num(
-                    record["elapsed_s"]
-                ):
-                    problems.append(
-                        f"records[{i}]: elapsed_s must be a number or null, "
-                        f"got {record['elapsed_s']!r}"
-                    )
-        elif kind == "sweep":
-            if record.get("phase") not in ("begin", "end"):
-                problems.append(
-                    f"records[{i}]: sweep phase must be begin|end, got "
-                    f"{record.get('phase')!r}"
-                )
-        elif kind == "shard-end":
-            _check_fields(record, i, _SHARD_END_SPEC, problems)
-        elif kind == "violation":
-            if not isinstance(record.get("text"), str):
-                problems.append(f"records[{i}]: violation text must be a string")
-        elif kind == "stall":
-            _check_fields(record, i, _STALL_SPEC, problems)
-        elif kind == "end":
-            if not isinstance(record.get("ok"), bool):
-                problems.append(f"records[{i}]: end 'ok' must be a bool")
+        elif kind == "seed" and record["done"] > record["total"]:
+            problems.append(
+                f"records[{i}]: done {record['done']} exceeds total "
+                f"{record['total']}"
+            )
     return problems
 
 
@@ -567,26 +477,22 @@ def summarize_log(records: Iterable[dict]) -> LiveSummary:
         summary.n_records += 1
         kind = record.get("kind")
         if kind == "header":
-            if record.get("schema_version") != LOG_SCHEMA_VERSION:
-                summary.problems.append(
-                    f"unsupported schema_version "
-                    f"{record.get('schema_version')!r}"
-                )
+            check_envelope(record, _HEADER_ENVELOPE, "header: ", summary.problems)
             summary.run = record.get("run", "scenario")
             meta = record.get("meta")
             summary.meta = meta if isinstance(meta, dict) else {}
         elif kind == "heartbeat":
             shard = record.get("shard")
-            if not _is_int(shard):
+            if not is_int(shard):
                 continue
             view = summary.shards.setdefault(shard, ShardView(shard=shard))
             new_wall = record.get("wall_s")
             new_events = record.get("events", view.events)
             if (
-                _is_num(new_wall)
+                is_num(new_wall)
                 and view.n_beats
                 and new_wall > view.wall_s
-                and _is_int(new_events)
+                and is_int(new_events)
             ):
                 view.rate = (new_events - view.events) / (new_wall - view.wall_s)
             view.clock = record.get("clock", view.clock)
@@ -594,7 +500,7 @@ def summarize_log(records: Iterable[dict]) -> LiveSummary:
             view.relays_out = record.get("relays_out", view.relays_out)
             view.relays_in = record.get("relays_in", view.relays_in)
             view.busy_s = record.get("busy_s", view.busy_s)
-            if _is_num(new_wall):
+            if is_num(new_wall):
                 view.wall_s = new_wall
             view.phase = record.get("phase", view.phase)
             view.n_beats += 1
@@ -612,7 +518,7 @@ def summarize_log(records: Iterable[dict]) -> LiveSummary:
             if record.get("timed_out") is True:
                 sweep.timed_out += 1
             attempts = record.get("attempts")
-            if _is_int(attempts) and attempts > 1:
+            if is_int(attempts) and attempts > 1:
                 sweep.retried += attempts - 1
             sweep.last_label = (
                 f"{record.get('protocol')} degree={record.get('degree')} "
@@ -630,7 +536,7 @@ def summarize_log(records: Iterable[dict]) -> LiveSummary:
                 sweep.wall_s = record.get("wall_s", sweep.wall_s)
         elif kind == "shard-end":
             shard = record.get("shard")
-            if _is_int(shard):
+            if is_int(shard):
                 summary.shard_totals[shard] = {
                     "events": record.get("events"),
                     "relays_out": record.get("relays_out"),
@@ -760,7 +666,8 @@ def watch(
         out.write(text + "\n")
         out.flush()
         prev_lines = text.count("\n") + 1
-        if not records or records[0].get("kind") != "header":
+        first = records[0] if records else None
+        if not isinstance(first, dict) or first.get("kind") != "header":
             print("not a run-event log (no header record)", file=out)
             return 1
         if once or summary.ended:
@@ -799,7 +706,7 @@ def shard_lane_events(records: Iterable[dict]) -> list[dict]:
         if not isinstance(record, dict):
             continue
         kind = record.get("kind")
-        if kind == "heartbeat" and _is_int(record.get("shard")):
+        if kind == "heartbeat" and is_int(record.get("shard")):
             shard = record["shard"]
             pid = SHARD_LANE_PID + shard
             lanes.add(shard)
@@ -816,7 +723,7 @@ def shard_lane_events(records: Iterable[dict]) -> list[dict]:
                 "relays_in": record.get("relays_in"),
             }
             busy, wall = record.get("busy_s"), record.get("wall_s")
-            if _is_num(busy) and _is_num(wall) and wall > 0:
+            if is_num(busy) and is_num(wall) and wall > 0:
                 args["barrier_wait_fraction"] = round(1.0 - busy / wall, 4)
             events.append(
                 {
@@ -832,7 +739,7 @@ def shard_lane_events(records: Iterable[dict]) -> list[dict]:
             )
             if last is not None:
                 injected = record.get("relays_in", 0) - last.get("relays_in", 0)
-                if _is_int(injected) and injected > 0:
+                if is_int(injected) and injected > 0:
                     events.append(
                         {
                             "name": f"inject {injected} relay(s)",
@@ -846,7 +753,7 @@ def shard_lane_events(records: Iterable[dict]) -> list[dict]:
                         }
                     )
             prev[shard] = record
-        elif kind == "window" and _is_num(record.get("barrier")):
+        elif kind == "window" and is_num(record.get("barrier")):
             barrier = record["barrier"]
             events.append(
                 {

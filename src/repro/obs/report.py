@@ -11,8 +11,10 @@ instead of feeding bad numbers into a regression dashboard.
 
 from __future__ import annotations
 
-import numbers
 from typing import Any, Optional
+
+from ..records import BOOL, COUNT, INT, LIST, NUM, NUM_GE0, OBJECT, POSITIVE, STR, TEXT
+from ..records import check_envelope, check_fields, is_int, is_num, nullable, optional
 
 __all__ = ["SCHEMA_VERSION", "REPORT_KIND", "build_report", "check_report", "format_report"]
 
@@ -48,25 +50,20 @@ def build_report(
 # --------------------------------------------------------------------------
 
 
-def _is_num(value: Any) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+_ENVELOPE = {"schema_version": SCHEMA_VERSION, "kind": REPORT_KIND}
+_SPAN_SPEC = {
+    "name": TEXT,
+    "wall_s": NUM_GE0,
+    # Engine attribution: absent on spans that ran no events.
+    "events": optional(INT),
+    **dict.fromkeys(("run_wall_s", "sim_s", "mem_peak_kb"), optional(NUM)),
+}
 
 
 def _check_span(span: Any, path: str, problems: list[str]) -> None:
+    check_fields(span, _SPAN_SPEC, path, problems)
     if not isinstance(span, dict):
-        problems.append(f"{path}: span must be an object, got {type(span).__name__}")
         return
-    if not isinstance(span.get("name"), str) or not span.get("name"):
-        problems.append(f"{path}: span needs a non-empty string 'name'")
-    wall = span.get("wall_s")
-    if not _is_num(wall) or wall < 0:
-        problems.append(f"{path}: 'wall_s' must be a number >= 0, got {wall!r}")
-    for key in ("events",):
-        if key in span and not isinstance(span[key], int):
-            problems.append(f"{path}: {key!r} must be an integer, got {span[key]!r}")
-    for key in ("run_wall_s", "sim_s", "mem_peak_kb"):
-        if key in span and not _is_num(span[key]):
-            problems.append(f"{path}: {key!r} must be a number, got {span[key]!r}")
     children = span.get("children", [])
     if not isinstance(children, list):
         problems.append(f"{path}: 'children' must be a list")
@@ -82,24 +79,22 @@ def _check_metric(name: str, metric: Any, problems: list[str]) -> None:
         return
     kind = metric.get("kind")
     if kind == "counter":
-        value = metric.get("value")
-        if not isinstance(value, int) or value < 0:
-            problems.append(f"{path}: counter value must be an int >= 0, got {value!r}")
+        check_fields(metric, {"value": COUNT}, f"{path} (counter)", problems)
     elif kind == "gauge":
-        value, hwm = metric.get("value"), metric.get("hwm")
-        if not _is_num(value) or not _is_num(hwm):
-            problems.append(f"{path}: gauge needs numeric 'value' and 'hwm'")
-        elif hwm < value:
-            problems.append(f"{path}: gauge hwm {hwm} is below its value {value}")
+        if check_fields(metric, {"value": NUM, "hwm": NUM}, f"{path} (gauge)", problems):
+            if metric["hwm"] < metric["value"]:
+                problems.append(
+                    f"{path}: gauge hwm {metric['hwm']} is below its value "
+                    f"{metric['value']}"
+                )
     elif kind == "histogram":
         bounds = metric.get("bounds")
         counts = metric.get("counts")
         count = metric.get("count")
-        total = metric.get("total")
         if not isinstance(bounds, list) or not bounds:
             problems.append(f"{path}: histogram needs a non-empty 'bounds' list")
             return
-        if any(not _is_num(b) for b in bounds):
+        if any(not is_num(b) for b in bounds):
             problems.append(f"{path}: histogram bounds must be numbers")
             return
         if any(b >= c for b, c in zip(bounds, bounds[1:])):
@@ -111,56 +106,45 @@ def _check_metric(name: str, metric: Any, problems: list[str]) -> None:
                 f"{path}: histogram needs len(bounds)+1 bucket counts, got "
                 f"{counts!r}"
             )
-        elif any(not isinstance(c, int) or c < 0 for c in counts):
+        elif any(not is_int(c) or c < 0 for c in counts):
             problems.append(f"{path}: histogram bucket counts must be ints >= 0")
-        elif not isinstance(count, int) or sum(counts) != count:
+        elif not is_int(count) or sum(counts) != count:
             problems.append(
                 f"{path}: histogram bucket counts sum to {sum(counts)} but "
                 f"'count' says {count!r}"
             )
-        if not _is_num(total):
-            problems.append(f"{path}: histogram 'total' must be a number")
+        check_fields(metric, {"total": NUM}, f"{path} (histogram)", problems)
     else:
         problems.append(f"{path}: unknown metric kind {kind!r}")
 
 
+_SWEEP_SPEC = {
+    "workers": POSITIVE,
+    "wall_s": NUM,
+    "busy_s": NUM,
+    "utilization": (lambda v: is_num(v) and 0.0 <= v <= 1.0, "a number within [0, 1]"),
+    **dict.fromkeys(("n_timeouts", "n_retries", "total_tasks", "completed_tasks"), COUNT),
+    "resumed_tasks": COUNT,
+    "seeds": LIST,
+}
+_SEED_SPEC = {
+    "protocol": STR,
+    "degree": INT,
+    "seed": INT,
+    "ok": BOOL,
+    "elapsed_s": nullable(NUM_GE0),
+}
+
+
 def _check_sweep(sweep: Any, problems: list[str]) -> None:
+    check_fields(sweep, _SWEEP_SPEC, "sweep", problems)
     if not isinstance(sweep, dict):
-        problems.append("sweep: must be an object or null")
         return
-    workers = sweep.get("workers")
-    if not isinstance(workers, int) or workers < 1:
-        problems.append(f"sweep: 'workers' must be an int >= 1, got {workers!r}")
-    for key in ("wall_s", "busy_s", "utilization"):
-        if not _is_num(sweep.get(key)):
-            problems.append(f"sweep: {key!r} must be a number")
-    util = sweep.get("utilization")
-    if _is_num(util) and not 0.0 <= util <= 1.0:
-        problems.append(f"sweep: utilization must be within [0, 1], got {util!r}")
-    for key in ("n_timeouts", "n_retries", "total_tasks", "completed_tasks"):
-        value = sweep.get(key)
-        if not isinstance(value, int) or value < 0:
-            problems.append(f"sweep: {key!r} must be an int >= 0, got {value!r}")
+    if sweep.get("slowest") is not None:
+        check_fields(sweep["slowest"], _SEED_SPEC, "sweep.slowest", problems)
     seeds = sweep.get("seeds")
-    if not isinstance(seeds, list):
-        problems.append("sweep: 'seeds' must be a list")
-        return
-    for i, timing in enumerate(seeds):
-        if not isinstance(timing, dict):
-            problems.append(f"sweep.seeds[{i}]: must be an object")
-            continue
-        if not isinstance(timing.get("protocol"), str):
-            problems.append(f"sweep.seeds[{i}]: 'protocol' must be a string")
-        for key in ("degree", "seed"):
-            if not isinstance(timing.get(key), int):
-                problems.append(f"sweep.seeds[{i}]: {key!r} must be an int")
-        if not isinstance(timing.get("ok"), bool):
-            problems.append(f"sweep.seeds[{i}]: 'ok' must be a bool")
-        elapsed = timing.get("elapsed_s")
-        if elapsed is not None and (not _is_num(elapsed) or elapsed < 0):
-            problems.append(
-                f"sweep.seeds[{i}]: 'elapsed_s' must be null or a number >= 0"
-            )
+    for i, timing in enumerate(seeds if isinstance(seeds, list) else ()):
+        check_fields(timing, _SEED_SPEC, f"sweep.seeds[{i}]", problems)
 
 
 def check_report(report: Any) -> list[str]:
@@ -168,24 +152,12 @@ def check_report(report: Any) -> list[str]:
     problems: list[str] = []
     if not isinstance(report, dict):
         return ["report must be a JSON object"]
-    if report.get("schema_version") != SCHEMA_VERSION:
-        problems.append(
-            f"schema_version must be {SCHEMA_VERSION}, got "
-            f"{report.get('schema_version')!r}"
-        )
-    if report.get("kind") != REPORT_KIND:
-        problems.append(f"kind must be {REPORT_KIND!r}, got {report.get('kind')!r}")
-    scenario = report.get("scenario")
-    if not isinstance(scenario, dict):
-        problems.append("scenario: must be an object")
-    phases = report.get("phases")
-    if phases is not None:
-        _check_span(phases, "phases", problems)
-    metrics = report.get("metrics")
-    if not isinstance(metrics, dict):
-        problems.append("metrics: must be an object")
-    else:
-        for name, metric in metrics.items():
+    check_envelope(report, _ENVELOPE, "", problems)
+    check_fields(report, {"scenario": OBJECT, "metrics": OBJECT}, "report", problems)
+    if report.get("phases") is not None:
+        _check_span(report["phases"], "phases", problems)
+    if isinstance(report.get("metrics"), dict):
+        for name, metric in report["metrics"].items():
             _check_metric(name, metric, problems)
     if report.get("sweep") is not None:
         _check_sweep(report["sweep"], problems)

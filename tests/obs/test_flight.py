@@ -442,6 +442,14 @@ class TestDumps:
         problems = check_dump(dump)
         assert any(needle in p for p in problems), problems
 
+    @pytest.mark.parametrize("field", ["capacity", "appended"])
+    def test_check_dump_rejects_json_true_as_a_ring_count(self, field):
+        """``isinstance(True, int)`` holds in Python; in a dump it is damage."""
+        dump = build_dump(_populated_recorder())
+        dump["rings"]["link"][field] = True
+        problems = check_dump(dump)
+        assert any(f"{field!r} must be an int" in p and "got True" in p for p in problems)
+
     def test_check_dump_flags_ring_invariant_violations(self):
         dump = build_dump(_populated_recorder())
         ring = dump["rings"]["packet"]

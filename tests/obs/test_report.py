@@ -92,6 +92,24 @@ class TestCheckReport:
     def test_non_dict_report_is_rejected(self):
         assert check_report([]) == ["report must be a JSON object"]
 
+    @pytest.mark.parametrize(
+        "mutate, needle",
+        [
+            (lambda r: r["metrics"]["engine.events"].update(value=True), "'value'"),
+            (lambda r: r["sweep"].update(workers=True), "'workers'"),
+            (lambda r: r["sweep"]["seeds"][0].update(degree=True), "'degree'"),
+            (lambda r: r["phases"]["children"][0].update(events=True), "'events'"),
+            (lambda r: r.update(schema_version=True), "schema_version"),
+        ],
+        ids=["counter-value", "sweep-workers", "seed-degree", "span-events", "version"],
+    )
+    def test_json_true_is_not_an_int(self, report, mutate, needle):
+        """``isinstance(True, int)`` holds in Python; in a report it is damage."""
+        bad = copy.deepcopy(report)
+        mutate(bad)
+        problems = check_report(bad)
+        assert any(needle in p and "got True" in p for p in problems), problems
+
 
 class TestFormatReport:
     def test_summary_names_phases_metrics_and_sweep(self, report):

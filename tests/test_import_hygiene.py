@@ -85,3 +85,65 @@ def test_no_run_path_imports_networkx():
 
 def test_importing_the_package_loads_no_network_stack():
     _fresh_interpreter(_IMPORTS)
+
+
+# --------------------------------------------------------------------------
+# One artifact codec (pins the design, as PR 13 pinned four ``schedule*``).
+# --------------------------------------------------------------------------
+
+_SRC = os.path.dirname(os.path.abspath(repro.__file__))
+
+
+def _sources() -> dict[str, str]:
+    """``{path relative to src/repro: text}`` of every module in the package."""
+    out = {}
+    for folder, _, files in os.walk(_SRC):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as f:
+                    out[os.path.relpath(path, _SRC)] = f.read()
+    return out
+
+
+def test_json_is_parsed_and_written_only_by_the_codec():
+    """Six formats, one module that touches ``json``: a seventh hand-rolled
+    reader or writer fails here.  The one exception hashes a config, it
+    reads and writes no file."""
+    needles = ("json.load(", "json.loads(", "json.dump(", "json.dumps(", "JSONDecodeError")
+    allowed = {
+        "records.py": needles,
+        os.path.join("experiments", "config.py"): ("json.dumps(",),
+    }
+    offenders = [
+        (path, needle)
+        for path, text in _sources().items()
+        for needle in needles
+        if needle in text and needle not in allowed.get(path, ())
+    ]
+    assert offenders == [], offenders
+
+
+def test_int_and_number_predicates_are_defined_once():
+    """``true`` passed as an int wherever a validator rolled its own check."""
+    definitions = [
+        (path, line.strip())
+        for path, text in _sources().items()
+        for line in text.splitlines()
+        if line.lstrip().startswith(("def is_int", "def _is_int", "def is_num", "def _is_num"))
+    ]
+    assert [path for path, _ in definitions] == ["records.py", "records.py"], definitions
+
+
+def test_the_codec_imports_only_json_and_os():
+    """Every pool and shard worker imports it through ``import repro``."""
+    import ast
+
+    tree = ast.parse(_sources()["records.py"])
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "json", "os", "typing"}, imported
