@@ -9,13 +9,13 @@ the owning shard.  Reliable routing messages (BGP's TCP abstraction) are
 captured via :attr:`~repro.net.link.Link.message_tap` as
 :class:`MessageRelay`.
 
-Determinism hinges on capture-time loss resolution: whether an in-flight
-packet survives the link's future failures is decided *when it departs*,
-against the precomputed outage schedule the coordinator ships to every
-worker.  A packet killed in flight is never relayed — the sending shard's
-own ``flush_on_failure`` produces the identical ``LINK_DOWN`` drop the
-single-process run would — so the receiving shard can schedule every relay
-it is handed unconditionally.
+Determinism hinges on capture-time loss resolution: whether a packet
+survives the link's future failures is decided *when it starts serializing*
+(a reliable message: when it is sent), against the precomputed outage
+schedule the coordinator ships to every worker.  A packet killed in flight
+is never relayed — the sending shard's own channel produces the identical
+``LINK_DOWN`` drop the single-process run would — so the receiving shard
+can schedule every relay it is handed unconditionally.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from typing import Callable, NamedTuple
 from ..net.link import Link, _Channel
 from ..net.packet import Packet
 from ..sim.engine import Simulator
-from ..sim.tracing import DropCause
-from ..sim.units import BITS_PER_BYTE
 
 __all__ = [
     "PacketRelay",
@@ -124,9 +122,16 @@ def killed_in_flight(outages: tuple[float, ...], depart: float, arrive: float) -
 
 
 class BoundaryChannel(_Channel):
-    """Outbound direction of a cut link, relaying instead of delivering."""
+    """Outbound direction of a cut link, relaying instead of delivering.
 
-    __slots__ = ("_outbox", "_outages", "_capture_seq")
+    Queueing, serialization, occupancy and failure drops are the inherited
+    channel's.  Only the launch hook is extended: the moment a packet starts
+    serializing, its relay is captured, unless a failure still to execute
+    on this link falls at or before its arrival (then the sending shard's
+    own channel drops it, exactly as the single-process run does).
+    """
+
+    __slots__ = ("_outbox", "_outages", "_capture_seq", "_fails_seen")
 
     def __init__(
         self,
@@ -142,40 +147,37 @@ class BoundaryChannel(_Channel):
         self._outbox = outbox
         self._outages = outages
         self._capture_seq = capture_seq
+        #: Failures of this link executed so far: ``_outages[_fails_seen:]``
+        #: are the ones still to come (a failure at the launch instant may
+        #: not have executed yet).
+        self._fails_seen = 0
 
-    def _serialized(self, packet: Packet) -> None:
-        # Mirror of _Channel._serialized: the propagation event is kept (so
-        # occupancy and flush_on_failure behave identically) but consumes the
-        # packet instead of delivering it.
-        self._serializing = None
-        if not self._link.up:
-            self._link._drop(packet, self.src, DropCause.LINK_DOWN)
-            self._busy = False
-            return
-        handle = self._sim.schedule(self._prop_delay, self._consume, packet)
-        self._in_flight[id(packet)] = (handle, packet)
-        self.transmitted += 1
-        depart = self._sim.now
-        arrive_at = depart + self._prop_delay
-        if not killed_in_flight(self._outages, depart, arrive_at):
-            tx = (packet.size_bytes * BITS_PER_BYTE) / self._bandwidth
-            self._outbox.append(
-                PacketRelay(
-                    link=self._link.endpoints,
-                    src=self.src,
-                    dst=self.dst,
-                    arrive_at=arrive_at,
-                    blob=pickle.dumps(packet, pickle.HIGHEST_PROTOCOL),
-                    seq=next(self._capture_seq),
-                    tx_start=depart - tx,
-                )
+    def _launch(self, packet: Packet) -> None:
+        super()._launch(packet)
+        arrive_at = self._tx_end + self._prop_delay
+        outages, next_fail = self._outages, self._fails_seen
+        if next_fail < len(outages) and outages[next_fail] <= arrive_at:
+            return  # killed on the transmitter or on the wire
+        self._outbox.append(
+            PacketRelay(
+                link=self._link.endpoints,
+                src=self.src,
+                dst=self.dst,
+                arrive_at=arrive_at,
+                blob=pickle.dumps(packet, pickle.HIGHEST_PROTOCOL),
+                seq=next(self._capture_seq),
+                tx_start=self._tx_start,
             )
-        self._start_next()
+        )
 
-    def _consume(self, packet: Packet) -> None:
+    def _arrive(self, packet: Packet) -> None:
         # The packet left this shard; the owning shard delivers the relayed
         # copy.  Only the in-flight bookkeeping ends here.
-        del self._in_flight[id(packet)]
+        self._in_flight.pop(0)
+
+    def flush_on_failure(self) -> None:
+        self._fails_seen += 1
+        super().flush_on_failure()
 
 
 def make_message_tap(

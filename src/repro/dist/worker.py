@@ -368,18 +368,21 @@ class ShardHost:
         for nbr in self.sub.neighbors(node_id):
             link = self.network.link(nbr, node_id)
             channel = link._channels[nbr]
-            for handle, packet in list(channel._in_flight.values()):
-                if handle.pending and handle.time == t:
-                    handle.cancel()
-                    del channel._in_flight[id(packet)]
-                    tx = (packet.size_bytes * BITS_PER_BYTE) / channel._bandwidth
-                    add(
-                        t - channel._prop_delay - tx,
-                        channel.src,
-                        "packet",
-                        channel,
-                        packet,
-                    )
+            # Arrivals on one channel fire in launch order, so at most the
+            # oldest in-flight packet is due now.
+            flight = channel._in_flight
+            if flight and flight[0].time == t:
+                handle = flight.pop(0)
+                handle.cancel()
+                packet = handle.args[0]
+                tx = (packet.size_bytes * BITS_PER_BYTE) / channel._bandwidth
+                add(
+                    t - channel._prop_delay - tx,
+                    channel.src,
+                    "packet",
+                    channel,
+                    packet,
+                )
             for listener in link.fail_listeners:
                 owner = getattr(listener, "__self__", None)
                 if not isinstance(owner, ReliableChannel) or owner.dst != node_id:
@@ -407,7 +410,7 @@ class ShardHost:
                     # the payload straight to the peer with attribution.
                     protocol.apply_message(obj, relay.src)
                 else:
-                    # Mirror of _Channel._arrive -> link._deliver -> receive.
+                    # Mirror of _Channel._arrive -> Node.receive.
                     node.receive(obj, relay.src)
             else:
                 channel.deliver_now(payload)

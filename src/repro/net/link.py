@@ -6,21 +6,47 @@ for the transmitter to go idle, occupies it for ``size/bandwidth`` seconds,
 then propagates for ``delay`` seconds before arriving at the far node.
 
 Failure semantics (single-failure model of the paper): when the link fails,
-every queued and in-flight packet is dropped with cause ``LINK_DOWN``, and
+every queued and propagating packet is dropped with cause ``LINK_DOWN``, and
 any later transmit attempt is dropped the same way until the link is
-restored.  Failure *detection* is separate — the endpoints learn about the
-failure only after the injector's detection delay (see
+restored.  A packet still serializing dies with ``LINK_DOWN`` when its
+serialization ends, and holds the transmitter until then even if the link
+is restored meanwhile.  Failure *detection* is separate — the endpoints
+learn about the failure only after the injector's detection delay (see
 :mod:`repro.net.dynamics`).
 
-Hot-path notes: serialization and propagation events pass the packet to
-``Simulator.schedule`` as an argument (no per-packet lambda allocation), the
-per-link bandwidth/propagation figures are cached on the channel, and in-flight
-packets are tracked in a dict keyed by packet identity for O(1) arrival.
+Link channel (one event per packet-hop).  A channel keeps a ``tx_end`` stamp:
+the instant its transmitter frees.  When a packet starts serializing, its
+arrival is scheduled at once, at ``(now + tx) + prop``.  A *transmitter* event
+at ``tx_end`` exists only while a queue has formed (it starts the next
+packet, control queue first) or while a failure has caught a packet on the
+transmitter (it kills that packet).  So an idle link costs one event per
+packet, where a two-event model (serialization done, then arrival) costs
+two.
+
+The events are ranked where that two-event model put them, so no result
+changes: the arrival is ranked as of ``tx_end`` (the instant the
+"serialization done" event scheduled it), and the transmitter event as of
+``tx_start`` with the engine counter value drawn then (the rank the
+"serialization done" event had).  See :meth:`Simulator._schedule_ranked`.
+When a packet is sent at exactly ``tx_end``, :meth:`Simulator._has_run` says
+whether the transmitter has already freed at that instant.  One tie is
+ranked differently: an event scheduled during the instant ``tx_end``, before
+the transmitter frees, for exactly ``tx_end + prop`` runs after the arrival
+here and before it in the two-event model.  That takes a serialization time
+equal to the propagation delay, or a timer of exactly that length, started
+at that instant.
+
+Hot-path notes: a packet that finds the transmitter idle skips the queue's
+push and pop (its counters still record the pass), the arrival handle carries
+the packet as its argument (no closure), in-flight handles are a FIFO list
+(arrivals on one channel fire in launch order), and arrivals are handed
+straight to the receiving node's ``receive`` (bound by :meth:`Link.deliver_to`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..sim.engine import EventHandle, Simulator
 from ..sim.tracing import DropCause
@@ -28,9 +54,6 @@ from ..sim.units import BITS_PER_BYTE
 from ..topology.graph import LinkSpec
 from .packet import Packet
 from .queues import DropTailQueue
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .node import Node
 
 __all__ = ["Link", "DEFAULT_QUEUE_CAPACITY"]
 
@@ -51,12 +74,17 @@ class _Channel:
         "dst",
         "queue",
         "control_queue",
-        "_busy",
-        "_serializing",
+        "_tx_start",
+        "_tx_end",
+        "_tx_seq",
+        "_tx_event",
+        "_doomed",
         "_in_flight",
+        "_launched",
         "_bandwidth",
         "_prop_delay",
-        "transmitted",
+        "_receive",
+        "_dropper",
         "arrival_gate",
     )
 
@@ -71,73 +99,123 @@ class _Channel:
         self.control_queue = (
             DropTailQueue(link.queue_capacity) if link.priority_control else None
         )
-        self._busy = False
-        self._serializing: Optional[Packet] = None
-        self._in_flight: dict[int, tuple[EventHandle, Packet]] = {}
+        # The latest serialization started at _tx_start and frees the
+        # transmitter at _tx_end; _tx_seq is the engine counter value drawn
+        # when it started.  (_tx_end, _tx_start, _tx_seq) is its rank.
+        self._tx_start = -float("inf")
+        self._tx_end = -float("inf")
+        self._tx_seq = -1
+        #: The transmitter event at _tx_end, while one is needed.
+        self._tx_event: Optional[EventHandle] = None
+        #: A packet a failure caught on the transmitter; it dies at _tx_end.
+        self._doomed: Optional[Packet] = None
+        #: Arrival handles of the packets on the wire (serializing or
+        #: propagating), oldest first; each handle's one argument is its packet.
+        #: A list, not a deque: it rarely holds more than two, and an empty
+        #: deque weighs 760 bytes per channel.
+        self._in_flight: list[EventHandle] = []
+        self._launched = 0
         self._bandwidth = link.spec.bandwidth
         self._prop_delay = link.spec.delay
-        self.transmitted = 0
+        deliver = link._deliver
+        #: Called as ``receive(packet, from_node)`` for each arrival.
+        self._receive = partial(deliver, dst) if deliver is not None else None
+        self._dropper = link._dropper
         #: Optional arrival interceptor, called as ``gate(channel, packet)``
         #: instead of delivering.  Installed by repro.dist on channels into
         #: cut-adjacent nodes so same-instant arrivals can be sequenced; the
         #: gate finishes the delivery via :meth:`deliver_now`.
         self.arrival_gate: Optional[Callable[["_Channel", Packet], None]] = None
 
+    def _serializing(self) -> bool:
+        """Is the latest serialization still in progress at this instant?"""
+        return not self._sim._has_run(self._tx_end, self._tx_start, self._tx_seq)
+
+    def _schedule_tx_event(self) -> None:
+        self._tx_event = self._sim._schedule_ranked(
+            self._tx_end, self._tx_start, self._tx_seq, self._tx_done, ()
+        )
+
     def send(self, packet: Packet) -> None:
         if not self._link.up:
-            self._link._drop(packet, self.src, DropCause.LINK_DOWN)
+            self._dropper(packet, self.src, DropCause.LINK_DOWN)
             return
-        queue = (
-            self.control_queue
-            if self.control_queue is not None and packet.is_control
-            else self.queue
-        )
+        cq = self.control_queue
+        queue = cq if cq is not None and packet.kind == "control" else self.queue
+        if self._tx_event is None:
+            # No queue has formed: the transmitter is idle unless it is
+            # still serializing.
+            now = self._sim._now
+            tx_end = self._tx_end
+            if now > tx_end or (now == tx_end and not self._serializing()):
+                # Straight through the empty queue onto the wire.
+                queue.enqueued += 1
+                if not queue.depth_hwm:
+                    queue.depth_hwm = 1
+                self._launch(packet)
+                return
+            self._schedule_tx_event()
         if not queue.push(packet):
-            self._link._drop(packet, self.src, DropCause.QUEUE_OVERFLOW)
-            return
-        if not self._busy:
-            self._start_next()
+            self._dropper(packet, self.src, DropCause.QUEUE_OVERFLOW)
 
-    def _start_next(self) -> None:
-        packet = None
-        if self.control_queue is not None:
-            packet = self.control_queue.pop()
+    def _launch(self, packet: Packet) -> None:
+        """Start serializing ``packet`` now and schedule its arrival.
+
+        The one launch hook: repro.dist's boundary channel extends it to
+        capture the packet for the far shard.
+        """
+        sim = self._sim
+        now = sim._now
+        tx_end = now + (packet.size_bytes * BITS_PER_BYTE) / self._bandwidth
+        seq = next(sim._seq)
+        self._tx_start = now
+        self._tx_end = tx_end
+        self._tx_seq = seq
+        self._in_flight.append(
+            sim._schedule_ranked(
+                tx_end + self._prop_delay, tx_end, seq, self._arrive, (packet,)
+            )
+        )
+        self._launched += 1
+
+    def _tx_done(self) -> None:
+        """The transmitter frees: a packet a failure caught on it dies now,
+        then the next queued packet (control first) starts."""
+        self._tx_event = None
+        doomed = self._doomed
+        if doomed is not None:
+            self._doomed = None
+            self._dropper(doomed, self.src, DropCause.LINK_DOWN)
+        cq = self.control_queue
+        packet = cq.pop() if cq is not None else None
         if packet is None:
             packet = self.queue.pop()
-        if packet is None:
-            self._busy = False
-            self._serializing = None
-            return
-        self._busy = True
-        self._serializing = packet
-        tx = (packet.size_bytes * BITS_PER_BYTE) / self._bandwidth
-        self._sim.schedule(tx, self._serialized, packet)
-
-    def _serialized(self, packet: Packet) -> None:
-        # Serialization finished; packet enters propagation.  The transmitter
-        # is free to start the next packet.
-        self._serializing = None
-        if not self._link.up:
-            self._link._drop(packet, self.src, DropCause.LINK_DOWN)
-            self._busy = False
-            return
-        handle = self._sim.schedule(self._prop_delay, self._arrive, packet)
-        self._in_flight[id(packet)] = (handle, packet)
-        self.transmitted += 1
-        self._start_next()
+            if packet is None:
+                return
+        self._launch(packet)
+        if len(self.queue) or (cq is not None and len(cq)):
+            self._schedule_tx_event()
 
     def _arrive(self, packet: Packet) -> None:
-        del self._in_flight[id(packet)]
+        self._in_flight.pop(0)
         gate = self.arrival_gate
         if gate is not None:
             gate(self, packet)
             return
-        self._link._deliver(self.dst, packet, self.src)
+        self._receive(packet, self.src)
 
     def deliver_now(self, packet: Packet) -> None:
         """Finish an arrival whose propagation event already fired (or was
         cancelled by a sequencer that is replaying the slot in order)."""
-        self._link._deliver(self.dst, packet, self.src)
+        self._receive(packet, self.src)
+
+    @property
+    def transmitted(self) -> int:
+        """Packets that finished serializing onto the wire: not one still on
+        the transmitter, nor one a failure caught there."""
+        if self._doomed is None and self._serializing():
+            return self._launched - 1
+        return self._launched
 
     def occupancy(self, data_only: bool = False) -> int:
         """Packets currently held by this channel: queued, serializing, or
@@ -146,25 +224,38 @@ class _Channel:
         packets = list(self.queue)
         if self.control_queue is not None:
             packets.extend(self.control_queue)
-        if self._serializing is not None:
-            packets.append(self._serializing)
-        packets.extend(p for _, p in self._in_flight.values())
+        packets.extend(handle.args[0] for handle in self._in_flight)
+        if self._doomed is not None:
+            packets.append(self._doomed)
         if data_only:
-            return sum(1 for p in packets if p.is_data)
+            return sum(1 for p in packets if p.kind == "data")
         return len(packets)
 
     def flush_on_failure(self) -> None:
-        """Drop everything queued or propagating (link just failed)."""
-        for handle, packet in self._in_flight.values():
+        """Drop everything queued or propagating (link just failed).
+
+        A packet still serializing is not dropped here: it dies with
+        ``LINK_DOWN`` at its ``tx_end``, and the transmitter stays busy until
+        then, so a packet sent after a quick restore waits for it.
+        """
+        flight = self._in_flight
+        if flight and self._doomed is None and self._serializing():
+            handle = flight.pop()  # the newest arrival is the serializing one
             handle.cancel()
-            self._link._drop(packet, self.src, DropCause.LINK_DOWN)
-        self._in_flight.clear()
+            self._doomed = handle.args[0]
+            self._launched -= 1
+            if self._tx_event is None:
+                self._schedule_tx_event()
+        dropper = self._dropper
+        for handle in flight:
+            handle.cancel()
+            dropper(handle.args[0], self.src, DropCause.LINK_DOWN)
+        flight.clear()
         for packet in self.queue.drain():
-            self._link._drop(packet, self.src, DropCause.LINK_DOWN)
+            dropper(packet, self.src, DropCause.LINK_DOWN)
         if self.control_queue is not None:
             for packet in self.control_queue.drain():
-                self._link._drop(packet, self.src, DropCause.LINK_DOWN)
-        self._busy = False
+                dropper(packet, self.src, DropCause.LINK_DOWN)
 
 
 class Link:
@@ -176,7 +267,7 @@ class Link:
         "queue_capacity",
         "priority_control",
         "up",
-        "_deliver_cb",
+        "_deliver",
         "_dropper",
         "_channels",
         "failed_at",
@@ -189,7 +280,7 @@ class Link:
         self,
         sim: Simulator,
         spec: LinkSpec,
-        deliver: Callable[[int, Packet, int], None],
+        deliver: Optional[Callable[[int, Packet, int], None]],
         dropper: Dropper,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         priority_control: bool = False,
@@ -199,7 +290,10 @@ class Link:
         self.queue_capacity = queue_capacity
         self.priority_control = priority_control
         self.up = True
-        self._deliver_cb = deliver
+        #: Called as ``deliver(dst, packet, src)`` for each arrival, unless the
+        #: receiving endpoint bound itself with :meth:`deliver_to`.  May be
+        #: None when both endpoints do (as every Node does).
+        self._deliver = deliver
         self._dropper = dropper
         a, b = spec.endpoints
         self._channels = {a: _Channel(sim, self, a, b), b: _Channel(sim, self, b, a)}
@@ -245,6 +339,15 @@ class Link:
             )
         return channel.send
 
+    def deliver_to(self, node: int, receive: Callable[[Packet, int], None]) -> None:
+        """Hand packets arriving at ``node`` straight to
+        ``receive(packet, from_node)`` instead of the ``deliver`` callback.
+
+        :meth:`Node.add_link` binds the node's ``receive`` here, so an
+        arrival is one call into the node.
+        """
+        self._channels[self.other_end(node)]._receive = receive
+
     def transmit(self, from_node: int, packet: Packet) -> None:
         """Send ``packet`` from ``from_node`` toward the other endpoint."""
         channel = self._channels.get(from_node)
@@ -255,7 +358,8 @@ class Link:
         channel.send(packet)
 
     def fail(self) -> None:
-        """Take the link down, killing all queued and in-flight packets."""
+        """Take the link down, killing all queued and in-flight packets (one
+        still serializing dies when its serialization ends)."""
         if not self.up:
             return
         self.up = False
@@ -295,12 +399,6 @@ class Link:
     @property
     def packets_transmitted(self) -> int:
         return sum(c.transmitted for c in self._channels.values())
-
-    def _deliver(self, dst: int, packet: Packet, src: int) -> None:
-        self._deliver_cb(dst, packet, src)
-
-    def _drop(self, packet: Packet, node: int, cause: DropCause) -> None:
-        self._dropper(packet, node, cause)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "DOWN"

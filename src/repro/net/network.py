@@ -1,9 +1,9 @@
 """Network: live instantiation of a topology.
 
 Builds one :class:`~repro.net.node.Node` per topology node and one
-:class:`~repro.net.link.Link` per topology link, wires delivery/drop
-callbacks, and offers the lookups the routing, traffic and failure layers
-need.
+:class:`~repro.net.link.Link` per topology link, wires arrivals into the
+nodes and link drops into the nodes' accounting, and offers the lookups the
+routing, traffic and failure layers need.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class Network:
             link = Link(
                 sim,
                 spec,
-                deliver=self._deliver,
+                deliver=None,  # each Node binds its receive (Node.add_link)
                 dropper=self._drop,
                 queue_capacity=queue_capacity,
                 priority_control=priority_control,
@@ -110,9 +110,6 @@ class Network:
         return sum(node.originated for node in self.nodes.values())
 
     # -------------------------------------------------------------- callbacks
-
-    def _deliver(self, dst: int, packet: Packet, src: int) -> None:
-        self.nodes[dst].receive(packet, src)
 
     def _drop(self, packet: Packet, node_id: int, cause: DropCause) -> None:
         self.nodes[node_id].drop(packet, cause)

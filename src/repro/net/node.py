@@ -109,6 +109,7 @@ class Node:
             raise ValueError(f"node {self.id} already linked to {neighbor}")
         self.links[neighbor] = link
         self._tx[neighbor] = link.sender_from(self.id)
+        link.deliver_to(self.id, self.receive)
 
     def neighbors(self) -> list[int]:
         """Directly connected neighbor ids, sorted for determinism."""
@@ -162,7 +163,7 @@ class Node:
 
     def originate(self, packet: Packet) -> None:
         """Inject a locally generated data packet into the network."""
-        if not packet.is_data:
+        if packet.kind != "data":
             raise ValueError("originate() is for data packets")
         packet.send_time = self.sim.now
         self.originated += 1
@@ -179,11 +180,18 @@ class Node:
         if packet.dst == self.id:
             self._deliver_local(packet)
             return
-        self._lookup_and_transmit(packet)
+        # FIB lookup straight to the outgoing channel; ``_tx`` has no None
+        # key, so a FIB miss and a stale next hop both read as None.
+        send = self._tx.get(self.fib.get(packet.dst))
+        if send is None:
+            self._miss(packet)
+            return
+        send(packet)
 
     def receive(self, packet: Packet, from_node: int) -> None:
-        """Entry point for packets arriving off a link."""
-        if packet.is_control:
+        """Entry point for packets arriving off a link: control messages go
+        to the protocol, data is delivered here or forwarded."""
+        if packet.kind == "control":
             if self.protocol is not None:
                 self.route_cause = ("message", from_node)
                 try:
@@ -194,9 +202,6 @@ class Node:
         if packet.dst == self.id:
             self._deliver_local(packet)
             return
-        self._forward(packet)
-
-    def _forward(self, packet: Packet) -> None:
         packet.ttl -= 1
         if packet.ttl <= 0:
             self.drop(packet, DropCause.TTL_EXPIRED)
@@ -211,24 +216,19 @@ class Node:
                 packet.flow_id, packet.ttl, None, packet.dst,
             )))
         self.forwarded += 1
-        self._lookup_and_transmit(packet)
-
-    def _lookup_and_transmit(self, packet: Packet) -> None:
-        nh = self.fib.get(packet.dst)
-        if nh is None:
-            if self.route_miss is not None:
-                self.route_miss(packet)
-            else:
-                self.drop(packet, DropCause.NO_ROUTE)
-            return
-        send = self._tx.get(nh)
+        send = self._tx.get(self.fib.get(packet.dst))
         if send is None:
-            if self.route_miss is not None:
-                self.route_miss(packet)
-            else:
-                self.drop(packet, DropCause.NO_ROUTE)
+            self._miss(packet)
             return
         send(packet)
+
+    def _miss(self, packet: Packet) -> None:
+        """No usable next hop: hand the packet to the reactive-routing hook,
+        or drop it as NO_ROUTE."""
+        if self.route_miss is not None:
+            self.route_miss(packet)
+        else:
+            self.drop(packet, DropCause.NO_ROUTE)
 
     def transmit_to(self, packet: Packet, next_hop: int) -> bool:
         """Push ``packet`` onto the channel toward ``next_hop`` directly.
@@ -261,7 +261,7 @@ class Node:
 
     def drop(self, packet: Packet, cause: DropCause) -> None:
         """Account a packet death at this node."""
-        if packet.is_data:
+        if packet.kind == "data":
             self.drops[cause] += 1
             bus = self.bus
             bus.counters.drops += 1

@@ -5,15 +5,21 @@ callbacks scheduled at absolute or relative times; ties are broken by
 insertion order so execution is fully deterministic.  Cancellation is done
 lazily: :meth:`EventHandle.cancel` marks the entry and the main loop skips it.
 
-The queue stores plain ``(time, seq, handle)`` tuples in a binary heap
-(:class:`repro.sim.eventq.HeapEventQueue`) and pops them in ``(time, seq)``
-order.
+The queue stores plain ``(time, as_of, seq, handle)`` tuples in a binary heap
+(:class:`repro.sim.eventq.HeapEventQueue`) and pops them in
+``(time, as_of, seq)`` order.  ``as_of`` is the virtual time the event is
+ranked as having been scheduled at, and ``seq`` a number drawn from one
+monotone counter.  Every public entry point uses ``as_of = now`` and a fresh
+``seq``, so for them the order is plain insertion order.  The link layer
+alone ranks its events as of another instant (an arrival is scheduled when
+serialization starts but ranked as of when it ends; see
+:mod:`repro.net.link`), through the private :meth:`Simulator._schedule_ranked`.
 
 There are four scheduling entry points.  :meth:`Simulator.schedule` and
 :meth:`Simulator.schedule_at` take optional ``*args`` that are stored on the
-handle, so per-packet hot paths (link serialization/propagation) allocate no
-closure per event; batch producers use :meth:`Simulator.schedule_many_at`;
-repeating timers recycle their handle via :meth:`Simulator.reschedule`.
+handle, so callers allocate no closure per event; batch producers use
+:meth:`Simulator.schedule_many_at`; repeating timers recycle their handle via
+:meth:`Simulator.reschedule`.
 
 This is the substrate every other package builds on (links schedule packet
 arrivals, protocols schedule timers, traffic sources schedule departures).
@@ -24,7 +30,7 @@ from __future__ import annotations
 import itertools
 import time as _wallclock
 from dataclasses import dataclass
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
 
 from .eventq import HeapEventQueue
@@ -106,8 +112,9 @@ class Simulator:
     __slots__ = (
         "_now",
         "_queue",
-        "_push",
+        "_heap",
         "_seq",
+        "_current",
         "_events_processed",
         "_cancel_skipped",
         "_wall_time",
@@ -118,8 +125,11 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._queue = HeapEventQueue()
-        self._push = self._queue.push
+        self._heap = self._queue._q
         self._seq = itertools.count()
+        #: Heap entry of the event executing now (or last executed, after a
+        #: stopped run); None when every event at or before ``now`` has run.
+        self._current: Optional[tuple] = None
         self._events_processed = 0
         self._cancel_skipped = 0
         self._wall_time = 0.0
@@ -170,17 +180,17 @@ class Simulator:
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        The arguments are stored on the handle, so per-packet hot paths (link
-        serialization, propagation) allocate no lambda cell objects.
+        The arguments are stored on the handle, so hot paths allocate no
+        lambda cell objects.
         """
         if not 0.0 <= delay < _INF:  # rejects negatives, NaN and +inf
             raise SimulationError(
                 f"delay must be finite and >= 0, got {delay!r}"
             )
-        time = self._now + delay
-        handle = EventHandle(time, callback, args)
-        self._push((time, next(self._seq), handle))
-        return handle
+        now = self._now
+        return self._schedule_ranked(
+            now + delay, now, next(self._seq), callback, args
+        )
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args
@@ -195,9 +205,9 @@ class Simulator:
             raise SimulationError(
                 f"time must be finite and >= now, got t={time!r} (now={self._now})"
             )
-        handle = EventHandle(time, callback, args)
-        self._push((time, next(self._seq), handle))
-        return handle
+        return self._schedule_ranked(
+            time, self._now, next(self._seq), callback, args
+        )
 
     def schedule_many_at(
         self, events: Iterable[tuple[float, Callable[[], None]]]
@@ -211,7 +221,7 @@ class Simulator:
         without a per-event Python round trip through ``schedule``.
         """
         now = self._now
-        push = self._push
+        push = self._schedule_ranked
         seq = self._seq
         handles: list[EventHandle] = []
         for time, callback in events:
@@ -219,9 +229,7 @@ class Simulator:
                 raise SimulationError(
                     f"time must be finite and >= now, got t={time!r} (now={now})"
                 )
-            handle = EventHandle(time, callback)
-            push((time, next(seq), handle))
-            handles.append(handle)
+            handles.append(push(time, now, next(seq), callback, ()))
         return handles
 
     def reschedule(self, handle: EventHandle, delay: float) -> EventHandle:
@@ -248,11 +256,52 @@ class Simulator:
             raise SimulationError(
                 f"delay must be finite and >= 0, got {delay!r}"
             )
-        time = self._now + delay
+        now = self._now
+        time = now + delay
         handle.time = time
         handle._fired = False
-        self._push((time, next(self._seq), handle))
+        self._queue.push((time, now, next(self._seq), handle))
         return handle
+
+    def _schedule_ranked(
+        self,
+        time: float,
+        as_of: float,
+        seq: int,
+        callback: Callable[..., None],
+        args: tuple,
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` at ``time``, ranked ``(as_of, seq)``
+        among the events due at that instant.
+
+        The one place a new handle enters the heap.  The public entry points
+        validate ``time`` and pass ``as_of = now`` with a fresh ``seq``.  The
+        link layer passes an ``as_of`` and a ``seq`` it fixed itself (the
+        instant and counter value at which a two-event model would have
+        scheduled the event), so it must guarantee that no two pending
+        events share ``(time, as_of, seq)`` — the heap would then compare
+        handles and raise.
+        """
+        handle = EventHandle(time, callback, args)
+        # HeapEventQueue.push, inlined: this runs once per event.
+        heap = self._heap
+        heappush(heap, (time, as_of, seq, handle))
+        if len(heap) > self._queue.hwm:
+            self._queue.hwm = len(heap)
+        return handle
+
+    def _has_run(self, time: float, as_of: float, seq: int) -> bool:
+        """Would an event ranked ``(time, as_of, seq)`` already have run?
+
+        True when it sorts before the event executing now (or, after a
+        stopped :meth:`run`, the last one executed), and between runs when
+        ``time`` is not after ``now``.  Lets the link layer tell, at an exact
+        time tie, whether an event it never scheduled would have fired.
+        """
+        current = self._current
+        if current is None:
+            return time <= self._now
+        return (time, as_of, seq) < current
 
     # -------------------------------------------------------------- execution
 
@@ -267,7 +316,7 @@ class Simulator:
             entry = queue.peek()
             if entry is None:
                 return None
-            if entry[2]._cancelled:
+            if entry[3]._cancelled:
                 queue.pop()
                 self._cancel_skipped += 1
                 continue
@@ -296,20 +345,23 @@ class Simulator:
         try:
             # The heap is consumed inline: peek is a plain index and pop the
             # raw C heappop, saving two method calls per event.
-            heap = self._queue._q
+            heap = self._heap
             pop = heappop
             while heap and not self._stopped:
-                time, _, handle = heap[0]
+                entry = heap[0]
+                handle = entry[3]
                 if handle._cancelled:
                     pop(heap)
                     self._cancel_skipped += 1
                     continue
+                time = entry[0]
                 if until is not None and time > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 pop(heap)
                 self._now = time
+                self._current = entry
                 handle._fired = True
                 args = handle.args
                 if args:
@@ -325,4 +377,7 @@ class Simulator:
             next_time = self.peek_time()
             if next_time is None or next_time > until:
                 self._now = until
+        heap = self._heap
+        if not heap or heap[0][0] > self._now:
+            self._current = None  # every event at or before now has run
         return executed

@@ -1,10 +1,12 @@
 """The event queue of the simulation engine.
 
-The :class:`~repro.sim.engine.Simulator` orders events by ``(time, seq)``
-tuples — absolute fire time, ties broken by a monotone insertion counter so
-same-time events execute FIFO.  :class:`HeapEventQueue` holds plain
-``(time, seq, handle)`` tuples in a binary heap: ``O(log n)`` push/pop through
-the C-implemented :mod:`heapq`.
+The :class:`~repro.sim.engine.Simulator` orders events by
+``(time, as_of, seq)`` tuples — absolute fire time, then the instant the event
+is ranked as scheduled at, then a monotone insertion counter, so same-time
+events scheduled at the same instant execute FIFO.  :class:`HeapEventQueue`
+holds plain ``(time, as_of, seq, handle)`` tuples in a binary heap:
+``O(log n)`` push/pop through the C-implemented :mod:`heapq`.  The queue itself
+only compares tuples; it does not care how many rank fields precede the handle.
 
 Lazy cancellation lives above the queue: the engine pops flagged husks itself.
 """

@@ -130,6 +130,26 @@ class TestFailure:
             channel.queue
         ) + 1  # the serializing packet was popped for transmission
 
+    def test_fail_and_restore_mid_serialization_kills_the_packet(self, sim):
+        # A packet a failure catches on the transmitter dies when its
+        # serialization ends, even if the link is back up by then, and the
+        # transmitter stays busy until that instant: a packet sent after the
+        # restore waits for it instead of going onto the wire alongside.
+        h = Harness(sim)
+        a, b = _pkt(500), _pkt(500)  # 4 ms each at 1 Mb/s, 1 ms propagation
+        h.link.transmit(1, a)
+        sim.schedule(0.001, h.link.fail)
+        sim.schedule(0.002, h.link.restore)
+        sim.schedule(0.0025, h.link.transmit, 1, b)
+        sim.run()
+        assert len(h.dropped) == 1
+        t, packet, node, cause = h.dropped[0]
+        assert (packet, node, cause) == (a, 1, DropCause.LINK_DOWN)
+        assert t == pytest.approx(0.004)
+        assert [p for _, _, p, _ in h.delivered] == [b]
+        assert h.delivered[0][0] == pytest.approx(0.009)
+        assert h.link.packets_transmitted == 1
+
     def test_fail_is_idempotent(self, sim):
         h = Harness(sim)
         h.link.fail()
