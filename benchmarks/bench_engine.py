@@ -72,7 +72,8 @@ def _cancel_churn(n_timers: int) -> float:
     def tick():
         done[0] += 1
 
-    sim.schedule_many_at([(0.001 * (i + 1), tick) for i in range(n_timers)])
+    for i in range(n_timers):
+        sim.schedule_at(0.001 * (i + 1), tick)
     started = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - started
@@ -127,7 +128,8 @@ def _forwarding_rate(n_packets: int) -> float:
     def emit():
         net.node(0).originate(Packet(src=0, dst=48, size_bytes=64))
 
-    sim.schedule_many_at([(i * 0.001, emit) for i in range(n_packets)])
+    for i in range(n_packets):
+        sim.schedule_at(i * 0.001, emit)
     started = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - started

@@ -10,16 +10,14 @@ The queue stores plain ``(time, as_of, seq, handle)`` tuples in a binary heap
 ``(time, as_of, seq)`` order.  ``as_of`` is the virtual time the event is
 ranked as having been scheduled at, and ``seq`` a number drawn from one
 monotone counter.  Every public entry point uses ``as_of = now`` and a fresh
-``seq``, so for them the order is plain insertion order.  The link layer
-alone ranks its events as of another instant (an arrival is scheduled when
-serialization starts but ranked as of when it ends; see
-:mod:`repro.net.link`), through the private :meth:`Simulator._schedule_ranked`.
+``seq``, so for them the order is plain insertion order.  The link layer and
+the CBR source rank their events otherwise (see :mod:`repro.net.link` and
+:mod:`repro.traffic.cbr`), through the private :meth:`Simulator._schedule_ranked`.
 
-There are four scheduling entry points.  :meth:`Simulator.schedule` and
+There are three scheduling entry points.  :meth:`Simulator.schedule` and
 :meth:`Simulator.schedule_at` take optional ``*args`` that are stored on the
-handle, so callers allocate no closure per event; batch producers use
-:meth:`Simulator.schedule_many_at`; repeating timers recycle their handle via
-:meth:`Simulator.reschedule`.
+handle, so callers allocate no closure per event; repeating timers recycle
+their handle via :meth:`Simulator.reschedule`.
 
 This is the substrate every other package builds on (links schedule packet
 arrivals, protocols schedule timers, traffic sources schedule departures).
@@ -31,7 +29,7 @@ import itertools
 import time as _wallclock
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .eventq import HeapEventQueue
 
@@ -209,29 +207,6 @@ class Simulator:
             time, self._now, next(self._seq), callback, args
         )
 
-    def schedule_many_at(
-        self, events: Iterable[tuple[float, Callable[[], None]]]
-    ) -> list[EventHandle]:
-        """Schedule a batch of ``(time, callback)`` pairs at absolute times.
-
-        Times are exact (no ``now + delay`` float round trip), insertion
-        order within the batch is preserved for same-time ties, and the
-        handles are returned in input order.  This is how array-generated
-        producers (the CBR source's whole emission schedule) enter the queue
-        without a per-event Python round trip through ``schedule``.
-        """
-        now = self._now
-        push = self._schedule_ranked
-        seq = self._seq
-        handles: list[EventHandle] = []
-        for time, callback in events:
-            if not now <= time < _INF:
-                raise SimulationError(
-                    f"time must be finite and >= now, got t={time!r} (now={now})"
-                )
-            handles.append(push(time, now, next(seq), callback, ()))
-        return handles
-
     def reschedule(self, handle: EventHandle, delay: float) -> EventHandle:
         """Re-arm an already-fired handle ``delay`` seconds from now.
 
@@ -276,11 +251,11 @@ class Simulator:
 
         The one place a new handle enters the heap.  The public entry points
         validate ``time`` and pass ``as_of = now`` with a fresh ``seq``.  The
-        link layer passes an ``as_of`` and a ``seq`` it fixed itself (the
-        instant and counter value at which a two-event model would have
-        scheduled the event), so it must guarantee that no two pending
-        events share ``(time, as_of, seq)`` — the heap would then compare
-        handles and raise.
+        link layer and the CBR source pass an ``as_of`` and a ``seq`` they
+        fixed themselves (where a two-event link or a whole-window batch
+        would have ranked the event), so they must guarantee that no two
+        pending events share ``(time, as_of, seq)`` — the heap would then
+        compare handles and raise.
         """
         handle = EventHandle(time, callback, args)
         # HeapEventQueue.push, inlined: this runs once per event.

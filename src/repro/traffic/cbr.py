@@ -4,13 +4,19 @@ The paper's workload: a single sender emitting fixed-size IP packets with
 TTL 127 at a constant rate toward a single receiver, starting after the
 routing warm-up.
 
-The whole emission schedule is known at :meth:`CbrSource.start` (constant
-rate, fixed window), so the source batches it into the engine in one
-:meth:`~repro.sim.engine.Simulator.schedule_many_at` call instead of paying
-a schedule/reschedule Python round trip per packet.  Emission times are
-generated by the same float accumulation the per-packet recycle loop used
-(``t += interval`` from the first emission), so runs are bit-identical with
-the historical behaviour.
+The source keeps one pending emission and re-arms the next from ``_emit``.
+Times come from the historical float accumulation (``t += interval`` from a
+first emission at ``now + max(0, start - now)``), and every emission is
+ranked where a batch of the whole window, scheduled at ``start()``, put it.
+
+That batch ranked emission *k* ``(t_k, t0, s0 + k)``, ``t0`` being the time
+of ``start()``; here every emission ranks ``(t_k, t0, s0)``, one counter
+value per flow.  With one emission pending, no two heap entries share a
+rank.  An event tying with it at ``t_k`` as of ``t0`` was scheduled before
+``start()`` (``seq`` below ``s0`` in both designs) or after it (above
+``s0 + n - 1`` in the batch, above ``s0`` here), so it compares the same
+way; all other counter values shift by the same ``n - 1``.  A rank does not
+depend on when it is pushed, so re-arming after ``originate`` is safe.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ __all__ = ["CbrSource"]
 class CbrSource:
     """Originates one packet every ``1/rate`` seconds during [start, stop)."""
 
-    __slots__ = ("sim", "network", "spec", "sent", "_started", "_handles", "_src_node")
+    __slots__ = (
+        "sim", "network", "spec", "sent", "_started", "_src_node", "_next", "_as_of", "_seq"
+    )
 
     def __init__(self, sim: Simulator, network: Network, spec: FlowSpec) -> None:
         self.sim = sim
@@ -34,33 +42,21 @@ class CbrSource:
         self.spec = spec
         self.sent = 0
         self._started = False
-        self._handles: list = []
         self._src_node = network.node(spec.src)
 
     def start(self) -> None:
-        """Arm every transmission in the flow's window (idempotent)."""
+        """Arm the flow's first transmission (idempotent)."""
         if self._started:
             return
         self._started = True
-        spec = self.spec
-        # First emission lands where schedule(max(0, start - now)) would
-        # have put it; each subsequent time accumulates one interval, like
-        # the reschedule-per-packet loop this batch replaces.
-        t = self.sim.now + max(0.0, spec.start - self.sim.now)
-        times = []
-        stop = spec.stop
-        interval = spec.interval
-        while t < stop:
-            times.append(t)
-            t += interval
-        emit = self._emit
-        self._handles = self.sim.schedule_many_at((t, emit) for t in times)
-
-    def stop(self) -> None:
-        """Cancel any emissions that have not fired yet."""
-        for handle in self._handles:
-            if handle.pending:
-                handle.cancel()
+        sim = self.sim
+        now = sim.now
+        t = now + max(0.0, self.spec.start - now)
+        if t < self.spec.stop:
+            self._as_of = now
+            self._seq = next(sim._seq)
+            self._next = t
+            sim._schedule_ranked(t, now, self._seq, self._emit, ())
 
     def _emit(self) -> None:
         spec = self.spec
@@ -74,3 +70,7 @@ class CbrSource:
         )
         self._src_node.originate(packet)
         self.sent += 1
+        t = self._next + spec.interval
+        if t < spec.stop:
+            self._next = t
+            self.sim._schedule_ranked(t, self._as_of, self._seq, self._emit, ())

@@ -222,40 +222,33 @@ class TestReschedule:
         assert fired == [1.0]
 
 
-class TestBatchScheduling:
-    def test_schedule_many_at_preserves_tie_order(self, sim):
+class TestAbsoluteScheduling:
+    def test_schedule_at_loop_preserves_tie_order(self, sim):
         fired = []
-        sim.schedule_many_at(
-            [(1.0, lambda l=l: fired.append(l)) for l in "abc"]
-        )
+        for label in "abc":
+            sim.schedule_at(1.0, fired.append, label)
         sim.run()
         assert fired == ["a", "b", "c"]
 
-    def test_schedule_many_at_absolute_times_are_exact(self, sim):
+    def test_schedule_at_loop_times_are_exact(self, sim):
         seen = []
-        handles = sim.schedule_many_at(
-            [(t, lambda t=t: seen.append(sim.now)) for t in (0.3, 0.1, 0.2)]
-        )
+        handles = [
+            sim.schedule_at(t, lambda: seen.append(sim.now)) for t in (0.3, 0.1, 0.2)
+        ]
         sim.run()
         assert seen == [0.1, 0.2, 0.3]
         assert [h.time for h in handles] == [0.3, 0.1, 0.2]
 
-    def test_schedule_many_at_rejects_past(self, sim):
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_many_at([(1.0, lambda: None)])
-
 
 class TestSchedulingSurface:
-    def test_one_engine_four_entry_points(self):
+    def test_one_engine_three_entry_points(self):
         # Pins the simplification: no backend selector, no extra schedulers.
         public = {
             name
             for name in dir(Simulator)
             if name.startswith("schedule") or name == "reschedule"
         }
-        assert public == {"schedule", "schedule_at", "schedule_many_at", "reschedule"}
+        assert public == {"schedule", "schedule_at", "reschedule"}
         assert list(inspect.signature(Simulator).parameters) == []
 
     def test_stats_report_queue_high_water_mark_and_drain(self, sim):

@@ -1,4 +1,4 @@
-"""Tests for the hot-path scheduler API: validation, closure-free and batch
+"""Tests for the hot-path scheduler API: validation, closure-free
 scheduling, handle recycling, and the EventStats snapshot."""
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ class TestTimeValidation:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
-
-    @pytest.mark.parametrize("bad", BAD_TIMES)
-    def test_schedule_many_at_rejects_bad_time(self, sim, bad):
-        with pytest.raises(SimulationError):
-            sim.schedule_many_at([(0.0, lambda: None), (bad, lambda: None)])
 
     @pytest.mark.parametrize("delay", BAD_TIMES)
     def test_reschedule_rejects_non_finite_delay(self, sim, delay):
@@ -76,20 +71,18 @@ class TestFastPathScheduling:
         sim.run()
         assert seen == []
 
-    def test_schedule_many_at_ties_keep_batch_order(self, sim):
+    def test_schedule_at_with_args_ties_keep_loop_order(self, sim):
         fired = []
-        sim.schedule_many_at(
-            [(1.0, lambda l=label: fired.append(l)) for label in "abcde"]
-        )
+        for label in "abcde":
+            sim.schedule_at(1.0, fired.append, label)
         sim.run()
         assert fired == list("abcde")
 
-    def test_schedule_many_at_interleaves_by_time(self, sim):
+    def test_schedule_at_interleaves_with_relative_by_time(self, sim):
         fired = []
         sim.schedule(1.5, lambda: fired.append("mid"))
-        sim.schedule_many_at(
-            [(1.0, lambda: fired.append("first")), (2.0, lambda: fired.append("last"))]
-        )
+        for t, label in ((1.0, "first"), (2.0, "last")):
+            sim.schedule_at(t, fired.append, label)
         sim.run()
         assert fired == ["first", "mid", "last"]
 
@@ -161,7 +154,7 @@ class TestDeterminism:
         fired = []
         sim.schedule(1.0, lambda: fired.append("a"))
         sim.schedule(1.0, fired.append, "b")
-        sim.schedule_many_at([(1.0, lambda: fired.append("c"))])
+        sim.schedule_at(1.0, lambda: fired.append("c"))
         sim.schedule_at(1.0, lambda: fired.append("d"))
         sim.run()
         assert fired == ["a", "b", "c", "d"]

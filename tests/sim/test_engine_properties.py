@@ -1,17 +1,16 @@
 """Property tests for the slotted scheduler's full API surface.
 
 Complements ``test_engine_stateful.py`` (schedule/cancel machine) with all
-four scheduling entry points: ``schedule`` and ``schedule_at`` (each with and
-without ``*args``), ``schedule_many_at`` batches, and handle-recycling
-``reschedule``.  Hypothesis drives random interleavings and checks the
-scheduler's ``(time, seq)`` contract:
+three scheduling entry points: ``schedule`` and ``schedule_at`` (each with and
+without ``*args``) and handle-recycling ``reschedule``.  Hypothesis drives
+random interleavings and checks the scheduler's ``(time, seq)`` contract:
 
 * events fire in non-decreasing time order, ties in insertion order;
 * a handle cancelled while pending never fires;
 * every non-cancelled arming fires exactly once (including re-armings of a
   recycled handle);
 * non-finite and negative delays (or past times) are rejected by every
-  scheduling entry point, including mid-batch in ``schedule_many_at``.
+  scheduling entry point.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ _delay = st.floats(min_value=0.0, max_value=50.0)
 _op = st.one_of(
     # (kind, delay, pass the payload through *args?)
     st.tuples(st.sampled_from(["schedule", "schedule_at"]), _delay, st.booleans()),
-    st.tuples(
-        st.just("schedule_many_at"), st.lists(_delay, min_size=1, max_size=4)
-    ),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10**6)),
     st.tuples(
         st.just("reschedule"),
@@ -86,17 +82,6 @@ def test_interleavings_preserve_contract(ops):
                 handle = entry_point(when, make_callback(cell))
             arm(cell, op[1])
             cells.append((handle, cell))
-        elif kind == "schedule_many_at":
-            batch = []
-            batch_cells = []
-            for delay in op[1]:
-                cell = []
-                batch.append((sim.now + delay, make_callback(cell)))
-                batch_cells.append(cell)
-            handles = sim.schedule_many_at(batch)
-            for handle, cell, delay in zip(handles, batch_cells, op[1]):
-                arm(cell, delay)
-                cells.append((handle, cell))
         elif kind == "cancel":
             pending = [(h, c) for h, c in cells if h.pending]
             if pending:
@@ -137,18 +122,6 @@ _bad_delay = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    prefix=st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=3),
-    bad=_bad_delay,
-)
-def test_schedule_many_at_rejects_bad_times_mid_batch(prefix, bad):
-    sim = Simulator()
-    events = [(t, lambda: None) for t in prefix] + [(bad, lambda: None)]
-    with pytest.raises(SimulationError):
-        sim.schedule_many_at(events)
-
-
-@settings(max_examples=60, deadline=None)
 @given(bad=_bad_delay)
 def test_all_entry_points_reject_bad_delays(bad):
     sim = Simulator()
@@ -160,8 +133,6 @@ def test_all_entry_points_reject_bad_delays(bad):
         sim.schedule_at(bad, lambda: None)  # now == 0: a bad delay is a bad time
     with pytest.raises(SimulationError):
         sim.schedule_at(bad, print, "never")
-    with pytest.raises(SimulationError):
-        sim.schedule_many_at([(bad, lambda: None)])
     fired_handle = sim.schedule(0.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):

@@ -56,7 +56,7 @@ class TestOrder:
 
         def at_one():
             sim.schedule(1.0, fired.append, "b")
-            sim.schedule_many_at([(2.0, lambda: fired.append("c"))])
+            sim.schedule_at(2.0, lambda: fired.append("c"))
             sim.schedule_at(2.0, fired.append, "d")
 
         sim.schedule(1.0, at_one)
