@@ -112,16 +112,6 @@ class RoutingProtocol(abc.ABC):
 
     # ---------------------------------------------------------------- helpers
 
-    def link_costs(self, only_up: bool = True) -> dict[int, int]:
-        """Map of neighbor -> link cost (up links only by default)."""
-        costs = {}
-        for nbr in self.node.neighbors():
-            link = self.node.link_to(nbr)
-            if only_up and not link.up:
-                continue
-            costs[nbr] = link.spec.cost
-        return costs
-
     def _record_message(
         self,
         neighbor: int,

@@ -30,6 +30,7 @@ Two parameterizations reproduce the paper's curves: ``BgpConfig.standard()``
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional
 
@@ -45,6 +46,40 @@ from .messages import PathVectorUpdate, PathVectorWithdrawal
 from .rib import PathAttr
 
 __all__ = ["BgpConfig", "BgpProtocol"]
+
+#: ``network -> (topology, dests, {node: {dest: PathAttr}})``: the warm-start
+#: paths, built once per network and shared by its routers.  Weak keys, so
+#: the paths are freed with the network rather than kept per topology.
+_WARM_PATHS: weakref.WeakKeyDictionary[Network, tuple] = weakref.WeakKeyDictionary()
+
+
+def _warm_paths(
+    network: Network, topology: Topology, dests: Optional[Iterable[int]]
+) -> dict[int, dict[int, PathAttr]]:
+    """Every node's warm-start path (``[node, ..., dest]``) to each destination.
+
+    With ``dests`` (10k-node sharded runs) only paths toward those
+    destinations are built, from destination-rooted trees: one Dijkstra per
+    destination instead of one per router.  The result is prefix-closed and
+    loop-free but not byte-identical to the unrestricted table, whose
+    tie-breaks are source-rooted.
+    """
+    wanted = None if dests is None else frozenset(dests)
+    entry = _WARM_PATHS.get(network)
+    if entry is None or entry[0] is not topology or entry[1] != wanted:
+        if wanted is None:
+            trees = all_shortest_path_trees(topology)
+        else:
+            trees = {}
+            for dest, tree in destination_path_trees(topology, wanted).items():
+                for node, path in tree.items():
+                    trees.setdefault(node, {})[dest] = path
+        table = {
+            node: {dest: PathAttr(tuple(path)) for dest, path in found.items()}
+            for node, found in trees.items()
+        }
+        entry = _WARM_PATHS[network] = (topology, wanted, table)
+    return entry[2]
 
 
 @dataclass(frozen=True)
@@ -125,49 +160,33 @@ class BgpProtocol(RoutingProtocol):
     def warm_start(
         self, topology: Topology, dests: Optional[Iterable[int]] = None
     ) -> None:
-        # With ``dests`` (10k-node sharded runs) only routes toward those
-        # destinations are installed, from destination-rooted trees: one
-        # Dijkstra per destination instead of one per router.  The result is
-        # prefix-closed and loop-free but not byte-identical to the
-        # unrestricted warm start, whose tie-breaks are source-rooted.
-        if dests is None:
-            trees = all_shortest_path_trees(topology)
-
-            def paths_from(node: int) -> dict[int, list[int]]:
-                return trees[node]
-
-        else:
-            rooted = destination_path_trees(topology, dests)
-
-            def paths_from(node: int) -> dict[int, list[int]]:
-                restricted: dict[int, list[int]] = {}
-                for dest, tree in rooted.items():
-                    path = tree.get(node)
-                    if path is not None:
-                        restricted[dest] = path
-                return restricted
-
-        my_tree = paths_from(self.node.id)
-        for dest, path in my_tree.items():
-            if dest == self.node.id:
-                continue
-            self.best[dest] = PathAttr.of(path[1:])
-            self.node.set_next_hop(dest, path[1])
+        # Paths come from one table per network (see _warm_paths), shared by
+        # reference: rib_in[nbr] holds the neighbor's own path objects, and
+        # rib_out[nbr] this router's, which equal best.prepend(me).
+        me = self.node.id
+        paths = _warm_paths(self._network, topology, dests)
+        mine = paths.get(me, {})
+        for dest, attr in mine.items():
+            if dest != me:
+                hop = attr.nodes[1]
+                self.best[dest] = paths[hop][dest]  # trees are suffix-closed
+                self.node.set_next_hop(dest, hop)
+        ssld = self.config.sender_side_loop_detection
         for nbr in self.node.up_neighbors():
             self._open_session(nbr)
-            rib_in_n: dict[int, PathAttr] = {}
-            for dest, path in paths_from(nbr).items():
-                attr = PathAttr.of(path)
-                if not attr.contains(self.node.id):
-                    rib_in_n[dest] = attr
-            self.rib_in[nbr] = rib_in_n
-            # What we have already advertised to this neighbor.
-            out: dict[int, PathAttr] = {self.node.id: PathAttr.of((self.node.id,))}
-            for dest, best in self.best.items():
-                if self.config.sender_side_loop_detection and best.contains(nbr):
-                    continue  # SSLD: this was never advertised to nbr
-                out[dest] = best.prepend(self.node.id)
-            self.rib_out[nbr] = out
+            self.rib_in[nbr] = {
+                dest: attr
+                for dest, attr in paths.get(nbr, {}).items()
+                if me not in attr.nodes
+            }
+            # What we have already advertised to this neighbor (SSLD: a path
+            # through nbr never was).
+            out = self.rib_out[nbr] = (
+                {dest: attr for dest, attr in mine.items() if nbr not in attr.nodes}
+                if ssld
+                else dict(mine)
+            )
+            out.setdefault(me, PathAttr((me,)))
 
     def _open_session(self, neighbor: int) -> None:
         if neighbor in self._channels:

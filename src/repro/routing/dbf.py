@@ -31,6 +31,9 @@ class DbfProtocol(DistanceVectorProtocol):
     def __init__(self, node: Node, rng_streams: RngStreams, config=None) -> None:
         super().__init__(node, rng_streams, config)
         self.cache = NeighborVectorCache(infinity=self.config.infinity)
+        #: ``node.links`` as sorted ``(neighbor, link)`` pairs; links are only
+        #: ever added (``Node.add_link``), so a length change means stale.
+        self._links: tuple = ()
 
     # ------------------------------------------------------------- selection
 
@@ -61,8 +64,10 @@ class DbfProtocol(DistanceVectorProtocol):
         """Bellman-Ford over the cache; returns True if the route changed."""
         if dest == self.node.id:
             return False
+        if len(self._links) != len(self.node.links):
+            self._links = tuple(sorted(self.node.links.items()))
         metric, next_hop = best_vector_choice(
-            self.cache, dest, self.link_costs(), infinity=self.config.infinity
+            self.cache, dest, self._links, infinity=self.config.infinity
         )
         changed = self._set_route(dest, metric, next_hop)
         if not changed and metric < self.config.infinity:

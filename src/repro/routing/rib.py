@@ -11,8 +11,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Optional
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..net.link import Link
 
 __all__ = [
     "RIP_INFINITY",
@@ -25,6 +28,9 @@ __all__ = [
 #: RFC 2453 infinity metric.
 RIP_INFINITY = 16
 
+#: The (read-only) vector of a neighbor never heard from.
+_NO_VECTOR: dict[int, int] = {}
+
 
 @dataclass
 class DistanceVectorRoute:
@@ -35,10 +41,6 @@ class DistanceVectorRoute:
     next_hop: Optional[int]
     #: Simulation time of the last refreshing update (drives the 180 s timeout).
     updated_at: float = 0.0
-
-    @property
-    def reachable(self) -> bool:
-        return self.metric < RIP_INFINITY and self.next_hop is not None
 
 
 class NeighborVectorCache:
@@ -52,45 +54,40 @@ class NeighborVectorCache:
         self.infinity = infinity
         self._vectors: dict[int, dict[int, int]] = {}
 
-    def neighbors(self) -> list[int]:
-        return sorted(self._vectors)
-
     def learn(self, neighbor: int, dest: int, metric: int) -> None:
         """Record neighbor's advertised metric for dest."""
         self._vectors.setdefault(neighbor, {})[dest] = min(metric, self.infinity)
 
     def advertised(self, neighbor: int, dest: int) -> int:
         """Metric neighbor last advertised for dest (infinity if never)."""
-        return self._vectors.get(neighbor, {}).get(dest, self.infinity)
+        return self._vectors.get(neighbor, _NO_VECTOR).get(dest, self.infinity)
 
     def forget_neighbor(self, neighbor: int) -> None:
         """Drop the whole vector (the link to this neighbor died)."""
         self._vectors.pop(neighbor, None)
 
-    def known_destinations(self) -> set[int]:
-        dests: set[int] = set()
-        for vector in self._vectors.values():
-            dests.update(vector)
-        return dests
-
 
 def best_vector_choice(
     cache: NeighborVectorCache,
     dest: int,
-    link_costs: dict[int, int],
+    links: Iterable[tuple[int, Link]],
     infinity: int = RIP_INFINITY,
 ) -> tuple[int, Optional[int]]:
     """Bellman-Ford selection over a neighbor cache.
 
     Returns ``(metric, next_hop)`` minimizing advertised metric + link cost,
     ties broken by lowest neighbor id; ``(infinity, None)`` if nothing usable.
-    ``link_costs`` maps each *usable* (up) neighbor to its link cost, so
-    failed links are excluded by simply not listing them.
+    ``links`` is ``(neighbor, link)`` pairs in ascending neighbor order.  A
+    link's ``up`` and cost are read here, live: a link that is down but not
+    yet detected down is already skipped.
     """
+    vectors, unknown = cache._vectors, cache.infinity  # cache.advertised, inlined
     best_metric = infinity
     best_nbr: Optional[int] = None
-    for nbr in sorted(link_costs):
-        metric = cache.advertised(nbr, dest) + link_costs[nbr]
+    for nbr, link in links:
+        if not link.up:
+            continue
+        metric = vectors.get(nbr, _NO_VECTOR).get(dest, unknown) + link.spec.cost
         if metric < best_metric:
             best_metric = metric
             best_nbr = nbr
@@ -99,7 +96,7 @@ def best_vector_choice(
     return best_metric, best_nbr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathAttr:
     """A BGP path: sequence of node ids from the advertising neighbor to the
     destination (inclusive on both ends)."""
@@ -131,8 +128,13 @@ class PathAttr:
         return node in self.nodes
 
     def prepend(self, node: int) -> "PathAttr":
-        """The path as re-advertised by ``node``."""
-        return PathAttr((node,) + self.nodes)
+        """The path as re-advertised by ``node``.  The tail is already
+        repeat-free, so only the new head is checked."""
+        if node in self.nodes:
+            raise ValueError(f"path {self.nodes} already contains {node}")
+        path = object.__new__(PathAttr)
+        object.__setattr__(path, "nodes", (node,) + self.nodes)
+        return path
 
     def preference_key(self) -> tuple[int, int]:
         """Sort key: shorter path first, then lowest first hop (the paper's

@@ -112,7 +112,10 @@ class TestDbfInvariants:
             )
         for dest in (5, 6, 7, 8):
             metric, nbr = best_vector_choice(
-                proto.cache, dest, proto.link_costs(), infinity=proto.config.infinity
+                proto.cache,
+                dest,
+                sorted(net.node(0).links.items()),
+                infinity=proto.config.infinity,
             )
             assert proto.route_metric(dest) == (None if nbr is None else metric)
             assert net.node(0).next_hop(dest) == nbr

@@ -2,23 +2,45 @@
 
 from __future__ import annotations
 
+import pickle
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.routing.dv_common import DistanceVectorConfig
+from repro.routing.messages import DistanceVectorUpdate, PathVectorUpdate
 from repro.routing.rib import (
     RIP_INFINITY,
-    DistanceVectorRoute,
     NeighborVectorCache,
     PathAttr,
     best_vector_choice,
 )
+from repro.topology import generators
+
+from ..conftest import build_network
+
+
+def links(costs: dict[int, int], down: tuple[int, ...] = ()):
+    """``(neighbor, link)`` pairs, ascending, as a node's links read."""
+    return tuple(
+        (nbr, SimpleNamespace(up=nbr not in down, spec=SimpleNamespace(cost=cost)))
+        for nbr, cost in sorted(costs.items())
+    )
 
 
 class TestDistanceVectorRoute:
-    def test_reachable(self):
-        assert DistanceVectorRoute(5, 3, 2).reachable
-        assert not DistanceVectorRoute(5, RIP_INFINITY, None).reachable
-        assert not DistanceVectorRoute(5, 3, None).reachable
+    def test_route_metric_reachability_follows_configured_infinity(self):
+        # Experiments run at infinity 32: a metric-20 route is reachable.
+        sim, net, _ = build_network(
+            generators.line(2), "rip", dv_config=DistanceVectorConfig(infinity=32)
+        )
+        proto = net.node(0).protocol
+        proto.start()
+        proto.handle_message(DistanceVectorUpdate(routes=((5, 19),)), from_node=1)
+        assert proto.route_metric(5) == 20
+        proto.handle_message(DistanceVectorUpdate(routes=((5, 31),)), from_node=1)
+        assert proto.route_metric(5) is None
 
 
 class TestNeighborVectorCache:
@@ -41,13 +63,13 @@ class TestNeighborVectorCache:
         cache.learn(1, 9, 4)
         cache.forget_neighbor(1)
         assert cache.advertised(1, 9) == RIP_INFINITY
-        assert cache.neighbors() == []
 
-    def test_known_destinations(self):
+    def test_vectors_are_per_neighbor(self):
         cache = NeighborVectorCache()
         cache.learn(1, 9, 4)
         cache.learn(2, 8, 3)
-        assert cache.known_destinations() == {8, 9}
+        assert (cache.advertised(1, 9), cache.advertised(2, 8)) == (4, 3)
+        assert cache.advertised(1, 8) == cache.advertised(2, 9) == RIP_INFINITY
 
 
 class TestBestVectorChoice:
@@ -55,33 +77,33 @@ class TestBestVectorChoice:
         cache = NeighborVectorCache()
         cache.learn(1, 9, 4)
         cache.learn(2, 9, 2)
-        metric, nbr = best_vector_choice(cache, 9, {1: 1, 2: 1})
+        metric, nbr = best_vector_choice(cache, 9, links({1: 1, 2: 1}))
         assert (metric, nbr) == (3, 2)
 
     def test_tie_breaks_by_lowest_neighbor(self):
         cache = NeighborVectorCache()
         cache.learn(5, 9, 2)
         cache.learn(3, 9, 2)
-        metric, nbr = best_vector_choice(cache, 9, {3: 1, 5: 1})
+        metric, nbr = best_vector_choice(cache, 9, links({3: 1, 5: 1}))
         assert nbr == 3
 
     def test_excluded_neighbors_ignored(self):
         cache = NeighborVectorCache()
         cache.learn(1, 9, 1)
         cache.learn(2, 9, 5)
-        metric, nbr = best_vector_choice(cache, 9, {2: 1})  # link to 1 is down
+        metric, nbr = best_vector_choice(cache, 9, links({1: 1, 2: 1}, down=(1,)))
         assert nbr == 2
 
     def test_all_infinity_unreachable(self):
         cache = NeighborVectorCache()
         cache.learn(1, 9, RIP_INFINITY)
-        metric, nbr = best_vector_choice(cache, 9, {1: 1})
+        metric, nbr = best_vector_choice(cache, 9, links({1: 1}))
         assert (metric, nbr) == (RIP_INFINITY, None)
 
     def test_link_cost_added(self):
         cache = NeighborVectorCache()
         cache.learn(1, 9, 2)
-        metric, nbr = best_vector_choice(cache, 9, {1: 5})
+        metric, nbr = best_vector_choice(cache, 9, links({1: 5}))
         assert metric == 7
 
     @given(
@@ -96,8 +118,7 @@ class TestBestVectorChoice:
         cache = NeighborVectorCache()
         for nbr, m in metrics.items():
             cache.learn(nbr, 99, m)
-        costs = {nbr: 1 for nbr in metrics}
-        metric, nbr = best_vector_choice(cache, 99, costs)
+        metric, nbr = best_vector_choice(cache, 99, links({nbr: 1 for nbr in metrics}))
         candidates = [min(m, RIP_INFINITY) + 1 for m in metrics.values()]
         true_min = min(candidates)
         if true_min >= RIP_INFINITY:
@@ -129,6 +150,30 @@ class TestPathAttr:
     def test_repeated_node_rejected(self):
         with pytest.raises(ValueError):
             PathAttr.of((1, 2, 1))
+
+    def test_prepend_of_a_contained_node_rejected(self):
+        p = PathAttr.of((3, 5, 9))
+        for node in p.nodes:
+            with pytest.raises(ValueError):
+                p.prepend(node)
+
+    def test_slotted_and_immutable(self):
+        p = PathAttr.of((3, 9)).prepend(1)
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(AttributeError):
+            p.nodes = (1,)
+
+    def test_prepended_path_equals_constructed_one(self):
+        p = PathAttr.of((3, 9)).prepend(1)
+        assert p == PathAttr.of((1, 3, 9))
+        assert hash(p) == hash(PathAttr.of((1, 3, 9)))
+
+    def test_update_round_trips_through_pickle(self):
+        # Shard relays pickle control payloads.
+        update = PathVectorUpdate(path=PathAttr.of((3, 9)).prepend(1), dests=(9,))
+        copy = pickle.loads(pickle.dumps(update))
+        assert copy == update
+        assert copy.path.nodes == (1, 3, 9)
 
     def test_preference_shorter_wins(self):
         short = PathAttr.of((9, 5))
