@@ -1,37 +1,32 @@
 """Merge per-shard outputs into one ``ScenarioResult``.
 
-The merge replicates ``run_scenario``'s result assembly field by field:
-counters are sums (every record is observed by exactly one shard), the
-convergence clocks are replayed offline over the merged route-change
-stream, and the conservation / FIB-loop invariants are re-checked from the
-shipped end-of-run state.  The only genuinely order-sensitive step is the
-route-record merge; see :func:`merge_route_records` for the tie-break.
+The merge owns only what sharding adds: counters are sums (every record is
+observed by exactly one shard), and the per-shard route streams are
+interleaved into one (see :func:`merge_route_records` for the tie-break,
+the only genuinely order-sensitive step).  The merged stream is published
+on a fresh bus to a convergence tracker, a watcher and, when validating,
+the FIB-loop monitor, each subscribed as in a live run; the result is then
+assembled by :func:`~repro.experiments.scenario.fold_result`, the fold a
+single-process run uses.  Packet conservation is re-checked from the
+shipped end-of-run state.
 """
 
 from __future__ import annotations
 
-import pickle
 from types import SimpleNamespace
 from typing import Optional
 
-from ..experiments.scenario import ScenarioResult, TopologyEventOutcome
-from ..metrics.convergence import (
-    ConvergenceTracker,
-    NetworkConvergenceWatcher,
-    PathSnapshot,
-    attribute_waves,
-    walk_forwarding_path,
-)
-from ..metrics.loops import analyze_deliveries
-from ..metrics.manet import analyze_manet
-from ..metrics.reordering import analyze_reordering
-from ..metrics.timeseries import delay_series, throughput_series
+from ..experiments.persistence import scenario_to_dict
+from ..experiments.scenario import EventClock, Layout, ScenarioResult, fold_result
+from ..metrics.convergence import ConvergenceTracker, NetworkConvergenceWatcher
 from ..net.packet import reset_packet_ids
 from ..sim.tracing import DropCause, TraceBus
 from ..validation.monitors import (
     LOOP_FREE_PROTOCOLS,
     SOURCE_ROUTED_PROTOCOLS,
     FibLoopMonitor,
+    MonitorSuite,
+    PacketConservationMonitor,
     Violation,
 )
 from .partition import Partition
@@ -48,14 +43,9 @@ __all__ = [
     "run_sharded_with_traces",
 ]
 
-#: Monitors that need a live simulator and are not re-derivable offline.
-_SHARD_SKIPPED_MONITORS = (
-    "convergence-sentinel",
-    "ttl",
-    "queue-occupancy",
-    "no-route-after-convergence",
-    "rib-consistency",
-)
+#: The monitors the merge re-derives offline; every other monitor of the
+#: default suite needs a live simulator and is skipped by name.
+_REPLAYED_MONITORS = (PacketConservationMonitor.name, FibLoopMonitor.name)
 _SHARD_SKIP_REASON = "not evaluated under sharded execution"
 
 
@@ -89,56 +79,57 @@ def merge_route_records(
     return merged
 
 
-def _offline_violations(
-    protocol: str,
-    outputs: list[ShardOutput],
-    merged_records: list,
-    sent: int,
-    delivered: int,
-    end_at: float,
-) -> tuple[tuple[str, ...], dict[str, str]]:
-    """Re-check the invariants that survive sharding, skip the rest loudly."""
-    violations: list[Violation] = []
-    skips = {name: _SHARD_SKIP_REASON for name in _SHARD_SKIPPED_MONITORS}
+def _offline_monitors(
+    protocol: str, fibs: dict, bus: TraceBus
+) -> tuple[Optional[FibLoopMonitor], dict[str, str]]:
+    """The FIB-loop monitor, subscribed to the replay bus where it can judge,
+    and the skips: every default monitor the merge does not replay."""
+    skips = {
+        monitor.name: _SHARD_SKIP_REASON
+        for monitor in MonitorSuite.default_monitors()
+        if monitor.name not in _REPLAYED_MONITORS
+    }
+    if protocol not in LOOP_FREE_PROTOCOLS:
+        skips[FibLoopMonitor.name] = f"protocol {protocol!r} makes no loop-freedom promise"
+    elif protocol in SOURCE_ROUTED_PROTOCOLS:
+        skips[FibLoopMonitor.name] = (
+            f"{_SHARD_SKIP_REASON} (source-routed cache needs a live sampler)"
+        )
+    else:
+        monitor = FibLoopMonitor()
+        monitor.follow(fibs, bus)
+        return monitor, skips
+    return None, skips
 
-    # Packet conservation: same arithmetic as the live monitor, from global
-    # sums (drops_total is whole-run, data-only, owned nodes only).
+
+def _offline_violations(
+    outputs: list[ShardOutput],
+    loops: Optional[FibLoopMonitor],
+    result: ScenarioResult,
+    end_at: float,
+) -> tuple[str, ...]:
+    """Packet conservation from the shipped state, then the replayed loops."""
+    violations: list[Violation] = []
+    # Same arithmetic as the live monitor, from global sums (drops_total is
+    # whole-run, data-only, owned nodes only).
     dropped = sum(sum(o.drops_total.values()) for o in outputs)
-    outstanding = sent - delivered - dropped
+    outstanding = result.sent - result.delivered - dropped
     in_network = sum(o.end_occupancy_data for o in outputs)
     buffered = sum(o.pending_data for o in outputs)
     if outstanding != in_network + buffered:
         violations.append(
             Violation(
-                "packet-conservation",
+                PacketConservationMonitor.name,
                 end_at,
                 f"{outstanding} packet(s) unaccounted for but {in_network} "
                 f"data packet(s) physically in the network and {buffered} "
                 f"buffered awaiting routes",
             )
         )
-
-    # FIB loops: replay the real monitor over the merged stream.
-    if protocol not in LOOP_FREE_PROTOCOLS:
-        skips["fib-loop"] = (
-            f"protocol {protocol!r} makes no loop-freedom promise"
-        )
-    elif protocol in SOURCE_ROUTED_PROTOCOLS:
-        skips["fib-loop"] = (
-            f"{_SHARD_SKIP_REASON} (source-routed cache needs a live sampler)"
-        )
-    else:
-        monitor = FibLoopMonitor()
-        for output in sorted(outputs, key=lambda o: o.shard_index):
-            for node, fib in sorted(output.initial_fibs.items()):
-                for dest, next_hop in fib.items():
-                    monitor._views.setdefault(dest, {})[node] = next_hop
-        for record in merged_records:
-            monitor._on_route(record)
-        monitor.finalize(SimpleNamespace(end_time=end_at))
-        violations.extend(monitor.violations)
-
-    return tuple(str(v) for v in violations), skips
+    if loops is not None:
+        loops.finalize(SimpleNamespace(end_time=end_at))
+        violations.extend(loops.violations)
+    return tuple(str(v) for v in violations)
 
 
 def merge_results(
@@ -146,107 +137,49 @@ def merge_results(
     partition: Partition,
     outputs: list[ShardOutput],
     scheduled,
-    detect_times,
-    first_at: float,
-    first_detect: float,
+    clock: EventClock,
     validate: bool,
     collect_traces: bool,
 ) -> ScenarioResult:
     config = spec.config
-    traffic_start = config.traffic_start
-    end_at = config.end_time
     outputs = sorted(outputs, key=lambda o: o.shard_index)
+    fibs = {node: fib for o in outputs for node, fib in o.initial_fibs.items()}
 
-    merged_records = merge_route_records(outputs, scheduled, detect_times)
-
-    # Offline replay of the two convergence observers over the merged stream.
     bus = TraceBus(keep_routes=False, keep_links=False)
     tracker = ConvergenceTracker(bus, dest=spec.receiver, src=spec.sender)
-    view: dict[int, Optional[int]] = {}
-    for output in outputs:
-        view.update(output.initial_next_hops)
-    tracker._fib_view = dict(sorted(view.items()))
-    snap = walk_forwarding_path(tracker._fib_view, spec.sender, spec.receiver)
-    tracker.snapshots.append(
-        PathSnapshot(time=0.0, path=snap.path, state=snap.state)
-    )
+    tracker.seed({node: fib.get(spec.receiver) for node, fib in fibs.items()}, 0.0)
     watcher = NetworkConvergenceWatcher(bus)
-    for record in merged_records:
-        tracker._on_route_change(record)
-        watcher._on_route_change(record)
-
-    sent = sum(o.sent for o in outputs)
-    delivered = sum(o.delivered for o in outputs)
-    deliveries = outputs[partition.shard_of(spec.receiver)].deliveries
-    drops: dict[DropCause, int] = {cause: 0 for cause in DropCause}
-    messages = withdrawals = overhead_messages = overhead_bytes = 0
-    for output in outputs:
-        for cause, count in output.drops_window.items():
-            drops[cause] += count
-        messages += output.messages
-        withdrawals += output.withdrawals
-        overhead_messages += output.overhead_messages
-        overhead_bytes += output.overhead_bytes
-
-    waves = attribute_waves(detect_times, watcher.change_times, end_at)
-    outcomes = tuple(
-        TopologyEventOutcome(
-            kind=e.kind,
-            link=e.link_key,
-            time=e.time,
-            detect_time=dt,
-            wave_start=w[0],
-            wave_end=w[1],
-        )
-        for e, dt, w in zip(scheduled, detect_times, waves)
+    loops, skips = (
+        _offline_monitors(spec.protocol, fibs, bus) if validate else (None, {})
     )
+    for record in merge_route_records(outputs, scheduled, clock.detect_times):
+        bus.publish(record)
 
-    expected_final = spec.expected_final
-    result = ScenarioResult(
-        protocol=spec.protocol,
-        degree=spec.degree,
-        seed=spec.seed,
-        sender=spec.sender,
-        receiver=spec.receiver,
-        initial_path=tuple(spec.pre_path),
-        expected_final_path=expected_final,
-        events=outcomes,
-        sent=sent,
-        delivered=delivered,
-        drops_no_route=drops[DropCause.NO_ROUTE],
-        drops_ttl=drops[DropCause.TTL_EXPIRED],
-        drops_link_down=drops[DropCause.LINK_DOWN],
-        drops_queue=drops[DropCause.QUEUE_OVERFLOW],
-        routing_convergence=watcher.convergence_time(first_detect),
-        destination_convergence=tracker.routing_convergence_time(first_detect),
-        forwarding_convergence=tracker.forwarding_convergence_delay(first_detect),
-        converged_to_expected=(
-            tracker.converged_to(expected_final) if expected_final else False
-        ),
-        transient_path_count=len(tracker.transient_paths(first_at)),
-        throughput=throughput_series(
-            deliveries, traffic_start, end_at, origin=first_at
-        ),
-        delay=delay_series(deliveries, traffic_start, end_at, origin=first_at),
-        messages=messages,
-        withdrawals=withdrawals,
-        reordering=analyze_reordering(deliveries),
-        manet=analyze_manet(
-            sent,
-            deliveries,
-            overhead_messages,
-            control_bytes=overhead_bytes,
-        ),
+    layout = Layout(
+        spec.topology, spec.sender, spec.receiver, tuple(spec.pre_path),
+        expected_final=spec.expected_final,
     )
-    if config.record_paths:
-        steady_hops = len(spec.pre_path) - 2
-        result.loop_report = analyze_deliveries(
-            deliveries, shortest_hops=steady_hops
-        )
+    result = fold_result(
+        spec.protocol, spec.degree, spec.seed, layout, scheduled, clock,
+        traffic_start=config.traffic_start,
+        end_at=config.end_time,
+        tracker=tracker,
+        watcher=watcher,
+        sent=sum(o.sent for o in outputs),
+        deliveries=outputs[partition.shard_of(spec.receiver)].deliveries,
+        drops={
+            cause: sum(o.drops_window.get(cause, 0) for o in outputs)
+            for cause in DropCause
+        },
+        messages=sum(o.messages for o in outputs),
+        withdrawals=sum(o.withdrawals for o in outputs),
+        control_messages=sum(o.overhead_messages for o in outputs),
+        control_bytes=sum(o.overhead_bytes for o in outputs),
+        record_paths=config.record_paths,
+    )
     if validate:
-        result.violations, result.monitor_skips = _offline_violations(
-            spec.protocol, outputs, merged_records, sent, delivered, end_at
-        )
+        result.violations = _offline_violations(outputs, loops, result, config.end_time)
+        result.monitor_skips = skips
     if collect_traces:
         result.traces = canonical_trace_streams(
             packets=[r for o in outputs for r in o.trace_packets],
@@ -308,47 +241,24 @@ def shard_perfetto_trace(traces: dict, log_records) -> dict:
     )
 
 
-#: ScenarioResult fields the differential harness compares exactly.
-COMPARED_FIELDS = (
-    "protocol",
-    "degree",
-    "seed",
-    "sender",
-    "receiver",
-    "initial_path",
-    "expected_final_path",
-    "sent",
-    "delivered",
-    "drops_no_route",
-    "drops_ttl",
-    "drops_link_down",
-    "drops_queue",
-    "routing_convergence",
-    "destination_convergence",
-    "forwarding_convergence",
-    "converged_to_expected",
-    "transient_path_count",
-    "messages",
-    "withdrawals",
-)
+#: Persisted fields that legitimately differ by run mode: the sharded run
+#: judges fewer monitors and writes no flight dump.
+_MODE_FIELDS = ("violations", "monitor_skips", "dump_path")
 
 
 def diff_results(single, single_traces, sharded, sharded_traces) -> list[str]:
     """Byte-identity check: every mismatch between the two runs, as strings.
 
-    Compares the pinned scalar fields, the binned throughput/delay series,
-    and all four canonical trace streams.  Empty list == identical.
+    Compares every persisted field (:func:`~repro.experiments.persistence.
+    scenario_to_dict`) except the three that differ by run mode, then all
+    four canonical trace streams.  Empty list == identical.
     """
     problems: list[str] = []
-    for name in COMPARED_FIELDS:
-        a, b = getattr(single, name), getattr(sharded, name)
-        if a != b:
+    a_fields, b_fields = scenario_to_dict(single), scenario_to_dict(sharded)
+    for name in a_fields:
+        a, b = a_fields[name], b_fields[name]
+        if name not in _MODE_FIELDS and a != b:
             problems.append(f"{name}: single={a!r} sharded={b!r}")
-    for series in ("throughput", "delay"):
-        a = tuple(getattr(single, series).values)
-        b = tuple(getattr(sharded, series).values)
-        if a != b:
-            problems.append(f"{series} series differ ({len(a)} vs {len(b)} bins)")
     for stream in ("packet", "route", "link", "message"):
         a, b = single_traces[stream], sharded_traces[stream]
         if a != b:

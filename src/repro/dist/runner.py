@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..experiments.config import ExperimentConfig
-from ..experiments.scenario import mesh_layout
+from ..experiments.scenario import event_clock, mesh_layout
 from ..obs.registry import MetricsRegistry
 from ..net.dynamics import LinkEvent, SingleLinkFailureDriver
 from ..net.packet import reset_packet_ids
@@ -391,13 +391,8 @@ def run_sharded(
     if config.churn is not None:
         raise ValueError("sharded execution does not support churn configs")
     end_at = config.end_time
-    fail_at = config.fail_time
     scheduled = [e for e in spec.events if e.time < end_at]
-    detect_times = [e.detected_at(config.detection_delay) for e in scheduled]
-    first_at = scheduled[0].time if scheduled else fail_at
-    first_detect = (
-        detect_times[0] if detect_times else fail_at + config.detection_delay
-    )
+    clock = event_clock(scheduled, config.detection_delay, config.fail_time)
 
     partition = partition_topology(
         spec.topology, config.shards, strategy=config.partition
@@ -422,7 +417,7 @@ def run_sharded(
             receiver=spec.receiver,
             events=tuple(scheduled),
             traffic_start=config.traffic_start,
-            window_start=fail_at,
+            window_start=clock.first_at,
             end_at=end_at,
             warm_dests=spec.warm_dests,
             collect_traces=collect_traces,
@@ -579,9 +574,7 @@ def run_sharded(
         partition=partition,
         outputs=outputs,
         scheduled=scheduled,
-        detect_times=detect_times,
-        first_at=first_at,
-        first_detect=first_detect,
+        clock=clock,
         validate=config.validate if validate is None else validate,
         collect_traces=collect_traces,
     )

@@ -73,7 +73,7 @@ class ShardPlan:
     #: in its sub-topology (cut-link events execute in both shards).
     events: tuple[LinkEvent, ...]
     traffic_start: float
-    #: Post-failure counting window start (== fail time of the scenario).
+    #: Post-failure counting window start (the event clock's ``first_at``).
     window_start: float
     end_at: float
     #: Restrict warm start to these destinations (BGP, 10k-node runs);
@@ -88,7 +88,6 @@ class ShardOutput:
 
     shard_index: int
     sent: int = 0
-    delivered: int = 0
     deliveries: list = field(default_factory=list)
     #: Post-failure-window drops by cause (mirrors DropCounter.by_cause).
     drops_window: dict[DropCause, int] = field(default_factory=dict)
@@ -100,9 +99,8 @@ class ShardOutput:
     overhead_bytes: int = 0
     #: RouteChangeRecords in publish order (the shard-local total order).
     route_records: list = field(default_factory=list)
-    #: Owned node -> next hop toward the receiver, post warm start.
-    initial_next_hops: dict[int, Optional[int]] = field(default_factory=dict)
-    #: Owned node -> full FIB copy, post warm start (fib-loop replay).
+    #: Owned node -> full FIB copy, post warm start (convergence-tracker
+    #: seed and fib-loop replay).
     initial_fibs: dict[int, dict[int, Optional[int]]] = field(default_factory=dict)
     #: Data packets physically inside this shard's links at end of run.
     end_occupancy_data: int = 0
@@ -219,9 +217,7 @@ class ShardHost:
         out = ShardOutput(shard_index=plan.shard_index)
         self.output = out
         for node_id in self.owned:
-            node = self.network.node(node_id)
-            out.initial_next_hops[node_id] = node.next_hop(plan.receiver)
-            out.initial_fibs[node_id] = dict(node.fib)
+            out.initial_fibs[node_id] = dict(self.network.node(node_id).fib)
         self.bus.subscribe("route", out.route_records.append)
         self.drop_counter = DropCounter(self.bus, window_start=plan.window_start)
         self.message_counter = MessageCounter(self.bus, window_start=plan.window_start)
@@ -423,7 +419,6 @@ class ShardHost:
         if self.source is not None:
             out.sent = self.source.sent
         if self.sink is not None:
-            out.delivered = self.sink.stats.delivered
             out.deliveries = list(self.sink.stats.deliveries)
         out.drops_window = dict(self.drop_counter.by_cause)
         out.messages = self.message_counter.messages

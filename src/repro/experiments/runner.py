@@ -452,52 +452,26 @@ def run_point(
 ) -> PointResult:
     """Run ``config.runs`` seeds of one (protocol, degree) experiment.
 
-    ``workers > 1`` fans the seeds out over a supervised process pool — each
-    simulation is single-threaded and independent, so sweeps parallelize
-    perfectly.  Failed seeds are recorded on ``PointResult.failures`` and
-    the remaining seeds still run, matching :func:`run_sweep`; pass
-    ``strict=True`` for the old fail-fast behavior (raise ``RuntimeError``
-    naming the first failed seed).
-
-    ``timeout`` (wall-clock seconds per seed) and ``retries`` (transient
-    worker deaths) are honored whenever the pool runs — a serial in-process
-    run cannot preempt a hung simulation, so ``timeout`` with ``workers <= 1``
-    still routes through a one-worker pool.
+    One cell of :func:`run_sweep`: ``workers > 1`` fans the seeds out over
+    its supervised process pool, and ``timeout`` (wall-clock seconds per
+    seed) and ``retries`` (transient worker deaths) route even a serial run
+    through a one-worker pool.  Failed seeds are recorded on
+    ``PointResult.failures`` and the remaining seeds still run; pass
+    ``strict=True`` to raise ``RuntimeError`` naming the first failed seed
+    instead.  The raise comes after every seed has run, serial or not.
     """
-    config = config or ExperimentConfig.quick()
-    point = PointResult(protocol=protocol, degree=degree)
-    seeds = config.seeds
-    if workers <= 1 and timeout is None:
-        for seed in seeds:
-            outcome = _run_task(protocol, degree, seed, config)
-            if isinstance(outcome, SweepFailure):
-                if strict:
-                    raise RuntimeError(
-                        f"run_point({protocol!r}, degree={degree}) seed {seed} "
-                        f"failed: {outcome.error}"
-                    )
-                point.failures.append(outcome)
-            else:
-                point.runs.append(outcome)
-        return point
-    outcomes: dict[Task, Outcome] = {}
-    _execute_supervised(
-        [(protocol, degree, seed) for seed in seeds],
-        config,
-        workers,
-        timeout,
-        retries,
-        retry_backoff=0.5,
-        on_outcome=outcomes.__setitem__,
+    config = (config or ExperimentConfig.quick()).with_(
+        protocols=(protocol,), degrees=(degree,)
     )
-    for seed in seeds:
-        outcome = outcomes[(protocol, degree, seed)]
-        if isinstance(outcome, SweepFailure):
-            if strict:
-                raise RuntimeError(str(outcome))
-            point.failures.append(outcome)
-        else:
-            point.runs.append(outcome)
+    point = run_sweep(config, workers=workers, timeout=timeout, retries=retries)[
+        (protocol, degree)
+    ]
+    if strict and point.failures:
+        first = point.failures[0]
+        raise RuntimeError(
+            f"run_point({protocol!r}, degree={degree}): seed {first.seed} is the "
+            f"first of {len(point.failures)} failed seed(s); {first}"
+        )
     return point
 
 

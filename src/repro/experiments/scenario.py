@@ -20,7 +20,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from ..metrics.convergence import (
     ConvergenceTracker,
@@ -32,7 +32,12 @@ from ..metrics.loops import LoopReport, analyze_deliveries
 from ..metrics.manet import ManetReport, analyze_manet
 from ..metrics.reordering import ReorderingReport, analyze_reordering
 from ..metrics.timeseries import BinnedSeries, delay_series, throughput_series
-from ..net.dynamics import LinkScheduler, SingleLinkFailureDriver, TopologyDriver
+from ..net.dynamics import (
+    LinkEvent,
+    LinkScheduler,
+    SingleLinkFailureDriver,
+    TopologyDriver,
+)
 from ..net.network import Network
 from ..net.node import Node
 from ..obs.flight import FlightRecorder, build_dump, save_dump
@@ -50,7 +55,7 @@ from ..routing.spf import SpfConfig, SpfProtocol
 from ..routing.static import StaticProtocol
 from ..sim.engine import Simulator
 from ..sim.rng import RngStreams
-from ..sim.tracing import TraceBus
+from ..sim.tracing import DropCause, TraceBus
 from ..topology.generators import attach_host
 from ..topology.graph import Topology
 from ..topology.mesh import regular_mesh
@@ -63,11 +68,14 @@ from .config import ExperimentConfig
 DV_PROTOCOLS = ("rip", "rip-hd", "dbf")
 
 __all__ = [
+    "EventClock",
     "Layout",
     "ScenarioPlan",
     "ScenarioResult",
     "ScenarioRun",
     "TopologyEventOutcome",
+    "event_clock",
+    "fold_result",
     "lay_out",
     "mesh_layout",
     "run_scenario",
@@ -300,6 +308,102 @@ def mesh_layout(
     return lay_out(topo, sender_router, receiver_router, rng if draw_link else None)
 
 
+class EventClock(NamedTuple):
+    """When a run's topology events land, as both run modes measure it."""
+
+    #: Each event's detection instant, in schedule order.
+    detect_times: tuple[float, ...]
+    #: The post-failure window opens at the first event (``fail_at`` for an
+    #: event-free run); drops, overhead and series are relative to it.
+    first_at: float
+    #: The convergence clocks start at the first detection.
+    first_detect: float
+
+
+def event_clock(
+    events: Sequence[LinkEvent], detection_delay: float, fail_at: float
+) -> EventClock:
+    """The one derivation of a run's event clock from its schedule."""
+    detect_times = tuple(e.detected_at(detection_delay) for e in events)
+    if not events:
+        return EventClock((), fail_at, fail_at + detection_delay)
+    return EventClock(detect_times, events[0].time, detect_times[0])
+
+
+def fold_result(
+    protocol: str,
+    degree: int,
+    seed: int,
+    layout: Layout,
+    scheduled: Sequence[LinkEvent],
+    clock: EventClock,
+    *,
+    traffic_start: float,
+    end_at: float,
+    tracker: ConvergenceTracker,
+    watcher: NetworkConvergenceWatcher,
+    sent: int,
+    deliveries: list,
+    drops: Mapping[DropCause, int],
+    messages: int,
+    withdrawals: int,
+    control_messages: int,
+    control_bytes: int,
+    record_paths: bool,
+) -> ScenarioResult:
+    """Fold one run's measurements into a :class:`ScenarioResult`.
+
+    The one assembly both run modes share: a single-process run passes its
+    live instruments, a sharded run the merged per-shard totals and a
+    tracker and watcher fed the merged route stream.  ``deliveries`` are
+    the measured flow's; drops, ``messages`` and ``withdrawals`` are
+    network-wide over the post-failure window, ``control_*`` over the whole
+    run (the MANET triple's routing load).
+    """
+    first_at, first_detect = clock.first_at, clock.first_detect
+    waves = attribute_waves(clock.detect_times, watcher.change_times, end_at)
+    return ScenarioResult(
+        protocol=protocol,
+        degree=degree,
+        seed=seed,
+        sender=layout.sender,
+        receiver=layout.receiver,
+        initial_path=layout.pre_path,
+        expected_final_path=layout.expected_final,
+        events=tuple(
+            TopologyEventOutcome(e.kind, e.link_key, e.time, detected, *wave)
+            for e, detected, wave in zip(scheduled, clock.detect_times, waves)
+        ),
+        sent=sent,
+        delivered=len(deliveries),
+        drops_no_route=drops[DropCause.NO_ROUTE],
+        drops_ttl=drops[DropCause.TTL_EXPIRED],
+        drops_link_down=drops[DropCause.LINK_DOWN],
+        drops_queue=drops[DropCause.QUEUE_OVERFLOW],
+        routing_convergence=watcher.convergence_time(first_detect),
+        destination_convergence=tracker.routing_convergence_time(first_detect),
+        forwarding_convergence=tracker.forwarding_convergence_delay(first_detect),
+        converged_to_expected=bool(
+            layout.expected_final and tracker.converged_to(layout.expected_final)
+        ),
+        transient_path_count=len(tracker.transient_paths(first_at)),
+        throughput=throughput_series(deliveries, traffic_start, end_at, origin=first_at),
+        delay=delay_series(deliveries, traffic_start, end_at, origin=first_at),
+        messages=messages,
+        withdrawals=withdrawals,
+        # Forwarding hops on the original path.
+        loop_report=(
+            analyze_deliveries(deliveries, shortest_hops=len(layout.pre_path) - 2)
+            if record_paths
+            else None
+        ),
+        reordering=analyze_reordering(deliveries),
+        manet=analyze_manet(
+            sent, deliveries, control_messages, control_bytes=control_bytes
+        ),
+    )
+
+
 class ScenarioRun:
     """One built, instrumented and armed run — the only place outside the
     shard workers where a live network is constructed.
@@ -310,7 +414,8 @@ class ScenarioRun:
     counters, one CBR source and sink per flow, the driver's link events,
     and finally the monitors.  :meth:`execute` runs the phase-split
     timeline; :meth:`to_result` folds the instruments into a
-    :class:`ScenarioResult`.  Runners with a bespoke result type project it
+    :class:`ScenarioResult` through :func:`fold_result`, the fold the
+    sharded merge shares.  Runners with a bespoke result type project it
     from the instruments exposed here (``tracker``, ``sinks``, ``sources``,
     ``scheduled``) and from that result.
 
@@ -420,17 +525,15 @@ class ScenarioRun:
             )
             driver = driver_factory(plan)
         events = driver.generate(end_at)
-        self.detect_times = [e.detected_at(config.detection_delay) for e in events]
-        #: The post-failure window opens at the first event (``fail_at`` for
-        #: an event-free run); drops, overhead and series are relative to it.
-        self.first_at = events[0].time if events else fail_at
-        self.first_detect = self.detect_times[0] if events else detect_at
+        self.clock = event_clock(events, config.detection_delay, fail_at)
 
         self.tracker = ConvergenceTracker(bus, dest=receiver, src=sender)
-        self.tracker.seed_from_network(network)
+        self.tracker.seed(
+            {node.id: node.next_hop(receiver) for node in network.iter_nodes()}, sim.now
+        )
         self.watcher = NetworkConvergenceWatcher(bus)
-        self.drop_counter = DropCounter(bus, window_start=self.first_at)
-        self.message_counter = MessageCounter(bus, window_start=self.first_at)
+        self.drop_counter = DropCounter(bus, window_start=self.clock.first_at)
+        self.message_counter = MessageCounter(bus, window_start=self.clock.first_at)
         # Whole-run overhead for the MANET triple: NRL counts every control
         # packet the protocol ever sent, not just the post-failure window.
         self.overhead_counter = MessageCounter(bus)
@@ -467,7 +570,7 @@ class ScenarioRun:
                     failed_links=tuple(
                         sorted({e.link_key for e in events if e.kind == "fail"})
                     ),
-                    detect_time=self.first_detect,
+                    detect_time=self.clock.first_detect,
                     end_time=end_at,
                     infinity=config.dv_infinity if protocol in DV_PROTOCOLS else None,
                     settle_margin=settle_margin_for(protocol),
@@ -499,7 +602,8 @@ class ScenarioRun:
         golden on/off test pins this).  ``phases`` names the three stretches
         for the profiler and the live log.
         """
-        for phase, until in zip(phases, (self.first_at, self.first_detect, self.end_at)):
+        clock = self.clock
+        for phase, until in zip(phases, (clock.first_at, clock.first_detect, self.end_at)):
             with self.profiler.span(phase, sim=self.sim):
                 self.sim.run(until=min(until, self.end_at))
             self._beat(phase)
@@ -509,59 +613,27 @@ class ScenarioRun:
         """Fold the instruments into a result and release them.
 
         Packet accounting and the delivery-derived series follow the first
-        flow; drops and routing overhead are network-wide.  Finalizes the
-        monitors, writes the post-mortem dump if one is armed and a monitor
-        fired, and closes counters, recorder, observation and live log.
+        flow (see :func:`fold_result`).  Finalizes the monitors, writes the
+        post-mortem dump if one is armed and a monitor fired, and closes
+        counters, recorder, observation and live log.
         """
-        layout, tracker = self.layout, self.tracker
-        first_at, first_detect, end_at = self.first_at, self.first_detect, self.end_at
-        window = (self.traffic_start, end_at)
         with self.profiler.span("drain", sim=self.sim):
-            deliveries = self.sinks[0].stats.deliveries if self.sinks else []
-            sent = self.sources[0].sent if self.sources else 0
-            waves = attribute_waves(self.detect_times, self.watcher.change_times, end_at)
-            result = ScenarioResult(
-                protocol=self.protocol,
-                degree=self.degree,
-                seed=self.seed,
-                sender=layout.sender,
-                receiver=layout.receiver,
-                initial_path=layout.pre_path,
-                expected_final_path=layout.expected_final,
-                events=tuple(
-                    TopologyEventOutcome(e.kind, e.link_key, e.time, detected, *wave)
-                    for e, detected, wave in zip(self.scheduled, self.detect_times, waves)
-                ),
-                sent=sent,
-                delivered=len(deliveries),
-                drops_no_route=self.drop_counter.no_route,
-                drops_ttl=self.drop_counter.ttl_expired,
-                drops_link_down=self.drop_counter.link_down,
-                drops_queue=self.drop_counter.queue_overflow,
-                routing_convergence=self.watcher.convergence_time(first_detect),
-                destination_convergence=tracker.routing_convergence_time(first_detect),
-                forwarding_convergence=tracker.forwarding_convergence_delay(first_detect),
-                converged_to_expected=bool(
-                    layout.expected_final and tracker.converged_to(layout.expected_final)
-                ),
-                transient_path_count=len(tracker.transient_paths(first_at)),
-                throughput=throughput_series(deliveries, *window, origin=first_at),
-                delay=delay_series(deliveries, *window, origin=first_at),
+            result = fold_result(
+                self.protocol, self.degree, self.seed, self.layout, self.scheduled,
+                self.clock,
+                traffic_start=self.traffic_start,
+                end_at=self.end_at,
+                tracker=self.tracker,
+                watcher=self.watcher,
+                sent=self.sources[0].sent if self.sources else 0,
+                deliveries=self.sinks[0].stats.deliveries if self.sinks else [],
+                drops=self.drop_counter.by_cause,
                 messages=self.message_counter.messages,
                 withdrawals=self.message_counter.withdrawals,
-                reordering=analyze_reordering(deliveries),
-                manet=analyze_manet(
-                    sent,
-                    deliveries,
-                    self.overhead_counter.messages,
-                    control_bytes=self.overhead_counter.bytes_sent,
-                ),
+                control_messages=self.overhead_counter.messages,
+                control_bytes=self.overhead_counter.bytes_sent,
+                record_paths=self.config.record_paths,
             )
-            if self.config.record_paths:
-                # Forwarding hops on the original path.
-                result.loop_report = analyze_deliveries(
-                    deliveries, shortest_hops=len(layout.pre_path) - 2
-                )
             if self.monitors is not None:
                 result.violations = tuple(str(v) for v in self.monitors.finalize())
                 result.monitor_skips = dict(self.monitors.skips)
@@ -593,7 +665,7 @@ class ScenarioRun:
                 "receiver": self.layout.receiver,
                 "failed_link": list(self.layout.failed or ()),
                 "fail_time": self.fail_at,
-                "detect_time": self.first_detect,
+                "detect_time": self.clock.first_detect,
                 "end_time": self.end_at,
                 "events": [[e.kind, e.a, e.b, e.time] for e in self.scheduled],
             },

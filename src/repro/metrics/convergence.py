@@ -18,9 +18,8 @@ route change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
-from ..net.network import Network
 from ..sim.tracing import RouteChangeRecord, TraceBus
 
 __all__ = [
@@ -98,7 +97,7 @@ class NetworkConvergenceWatcher:
 
 
 def attribute_waves(
-    detect_times: list[float], change_times: list[float], end_time: float
+    detect_times: Sequence[float], change_times: list[float], end_time: float
 ) -> list[tuple[Optional[float], Optional[float]]]:
     """Attribute FIB-change activity to the topology event windows.
 
@@ -133,14 +132,12 @@ class ConvergenceTracker:
         self.snapshots: list[PathSnapshot] = []
         bus.subscribe("route", self._on_route_change)
 
-    def seed_from_network(self, network: Network) -> None:
-        """Capture the current FIBs (call after warm start, before failure)."""
-        for node in network.iter_nodes():
-            self._fib_view[node.id] = node.next_hop(self.dest)
+    def seed(self, next_hops: Mapping[int, Optional[int]], time: float) -> None:
+        """Start from every node's next hop toward the destination at ``time``
+        (after warm start, before the first event)."""
+        self._fib_view.update(next_hops)
         snap = walk_forwarding_path(self._fib_view, self.src, self.dest)
-        self.snapshots.append(
-            PathSnapshot(time=network.sim.now, path=snap.path, state=snap.state)
-        )
+        self.snapshots.append(PathSnapshot(time=time, path=snap.path, state=snap.state))
 
     def _on_route_change(self, record: RouteChangeRecord) -> None:
         if record.dest != self.dest:

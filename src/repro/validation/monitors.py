@@ -37,7 +37,7 @@ The standard catalog (see ``docs/validation.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..sim.tracing import DropCause, PacketRecord, RouteChangeRecord, TraceBus
 from ..topology.graph import Adjacency, is_connected, shortest_path_tree, without_links
@@ -572,10 +572,17 @@ class FibLoopMonitor(Monitor):
             self._ctx = ctx
             ctx.sim.schedule(self.sample_interval, self._sample_source_routes)
             return
-        for node in ctx.network.iter_nodes():
-            for dest, nh in node.fib.items():
-                self._views.setdefault(dest, {})[node.id] = nh
-        ctx.bus.subscribe("route", self._on_route)
+        self.follow({node.id: node.fib for node in ctx.network.iter_nodes()}, ctx.bus)
+
+    def follow(
+        self, fibs: Mapping[int, Mapping[int, Optional[int]]], bus: TraceBus
+    ) -> None:
+        """Start from ``fibs`` (node -> {dest: next hop}) and judge every
+        route record ``bus`` publishes from now on — live, or replayed."""
+        for node, fib in fibs.items():
+            for dest, nh in fib.items():
+                self._views.setdefault(dest, {})[node] = nh
+        bus.subscribe("route", self._on_route)
 
     def _sample_source_routes(self) -> None:
         ctx = self._ctx

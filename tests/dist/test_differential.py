@@ -2,12 +2,15 @@
 
 The keystone of repro.dist: over the golden scenarios, a run partitioned
 across 2, 3, or 4 shards must reproduce the single-process run exactly:
-every pinned metric, every violation, and all four canonical trace streams.
+every persisted field except the three that differ by mode (violations,
+monitor skips, dump path), and all four canonical trace streams.
 A hypothesis sweep extends the proof to random mesh layouts and random
 partition choices.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from repro.dist.merge import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import run_scenario
+from repro.validation.monitors import Monitor, MonitorSuite
 
 # Mirrors tests/experiments/test_golden_metrics.py: small enough to run the
 # full matrix, big enough that the failure forces a real reconvergence.
@@ -63,6 +67,41 @@ def test_sharded_violations_match_single_process():
     assert "not evaluated under sharded execution" in (
         sharded.monitor_skips or {}
     ).get("convergence-sentinel", "")
+
+
+def test_a_monitor_added_to_the_suite_is_skipped_by_name(monkeypatch):
+    """The sharded skip list is the default suite minus what the merge
+    replays, so a new monitor is named rather than silently missing."""
+
+    class ExtraMonitor(Monitor):
+        name = "extra-invariant"
+
+    defaults = MonitorSuite.default_monitors
+    monkeypatch.setattr(
+        MonitorSuite,
+        "default_monitors",
+        staticmethod(lambda: [*defaults(), ExtraMonitor()]),
+    )
+    config = GOLDEN_CONFIG.with_(post_fail_window=5.0, shards=2)
+    sharded, _ = run_sharded_with_traces("dbf", 4, 7, config, validate=True)
+    skips = sharded.monitor_skips
+    assert skips["extra-invariant"] == "not evaluated under sharded execution"
+    # dbf makes no loop-freedom promise: only conservation is judged.
+    suite = {monitor.name for monitor in MonitorSuite.default_monitors()}
+    assert set(skips) == suite - {"packet-conservation"}
+
+
+@pytest.mark.parametrize("field", ["events", "reordering"])
+def test_diff_names_every_persisted_field(field):
+    single, traces = _single("dbf", 7)
+    if field == "events":
+        first = single.events[0]
+        perturbed = (replace(first, wave_end=first.wave_end + 1.0), *single.events[1:])
+    else:
+        late = single.reordering.late_packets + 1
+        perturbed = replace(single.reordering, late_packets=late)
+    problems = diff_results(single, traces, replace(single, **{field: perturbed}), traces)
+    assert [problem.split(":")[0] for problem in problems] == [field]
 
 
 def test_process_exchange_matches_local_exchange():

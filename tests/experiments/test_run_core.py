@@ -9,6 +9,7 @@ the behavioural tests pin what each runner now does with those fields.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -52,6 +53,40 @@ class TestOneRunCore:
             if re.search(r"(?<![\w.])Network\(\s", text)
         )
         assert sites == ["dist/worker.py", "experiments/scenario.py"]
+
+    @pytest.mark.parametrize("cls", ["ScenarioResult", "TopologyEventOutcome"])
+    def test_result_folded_in_exactly_one_place(self, cls):
+        sites = {
+            name: count
+            for name, text in _sources().items()
+            if (count := len(re.findall(rf"(?<![\w.]){cls}\(", text)))
+        }
+        assert sites == {"experiments/scenario.py": 1}
+
+    def test_dist_reaches_into_no_observer_privates(self):
+        """The merge replays through the observers' public surface only."""
+        from repro.metrics.convergence import ConvergenceTracker, NetworkConvergenceWatcher
+        from repro.sim.tracing import TraceBus
+        from repro.validation.monitors import MonitorSuite
+
+        observers = [
+            ConvergenceTracker(TraceBus(), dest=1, src=0),
+            NetworkConvergenceWatcher(TraceBus()),
+            *MonitorSuite.default_monitors(),
+        ]
+        private = {
+            name
+            for obj in observers
+            for name in (*dir(type(obj)), *vars(obj))
+            if name.startswith("_") and not name.endswith("__")
+        }
+        offenders = [
+            (path.name, node.lineno, node.attr)
+            for path in sorted((SRC / "dist").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in private
+        ]
+        assert offenders == []
 
     def test_build_network_is_gone(self):
         assert not [n for n, text in _sources().items() if "_build_network" in text]

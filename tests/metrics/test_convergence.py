@@ -55,7 +55,7 @@ class TestConvergenceTracker:
         net.node(0).set_next_hop(2, 1)
         net.node(1).set_next_hop(2, 2)
         tracker = ConvergenceTracker(bus, dest=2, src=0)
-        tracker.seed_from_network(net)
+        tracker.seed({node.id: node.next_hop(2) for node in net.iter_nodes()}, sim.now)
         return sim, bus, net, tracker
 
     def test_seed_captures_initial_path(self):

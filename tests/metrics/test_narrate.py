@@ -173,7 +173,7 @@ class TestEndToEnd:
         for node in net.iter_nodes():
             node.protocol.warm_start(topo)
         tracker = ConvergenceTracker(net.bus, dest=2, src=0)
-        tracker.seed_from_network(net)
+        tracker.seed({node.id: node.next_hop(2) for node in net.iter_nodes()}, sim.now)
         injector = LinkScheduler(sim, net, detection_delay=0.05)
         injector.fail_link(1, 2, at=10.0)
         sim.run(until=30.0)

@@ -106,13 +106,13 @@ class TestLoopFreedom:
         from repro.metrics.convergence import ConvergenceTracker
 
         trackers = []
-        original = ConvergenceTracker.seed_from_network
+        original = ConvergenceTracker.seed
 
-        def capture(self, network):
+        def capture(self, next_hops, time):
             trackers.append(self)
-            return original(self, network)
+            return original(self, next_hops, time)
 
-        ConvergenceTracker.seed_from_network = capture
+        ConvergenceTracker.seed = capture
         try:
             cfg = ExperimentConfig.quick().with_(post_fail_window=40.0)
             for seed in (1, 2, 3, 4):
@@ -122,7 +122,7 @@ class TestLoopFreedom:
                 states = [s.state for s in trackers[0].snapshots]
                 assert "loop" not in states
         finally:
-            ConvergenceTracker.seed_from_network = original
+            ConvergenceTracker.seed = original
 
 
 class TestQueryReplyMachinery:
