@@ -93,6 +93,9 @@ class DualReply:
         return CONTROL_HEADER_BYTES + DUAL_ENTRY_BYTES * len(self.routes)
 
 
+_MESSAGE_CLASSES = {"update": DualUpdate, "query": DualQuery, "reply": DualReply}
+
+
 class _DestState:
     """Per-destination DUAL state at one router."""
 
@@ -286,34 +289,28 @@ class DualProtocol(RoutingProtocol):
 
     # ----------------------------------------------------------- computations
 
-    def _candidates(self, dest: int) -> list[tuple[float, int]]:
-        """(distance via n, n) for every up neighbor, sorted.  Distances at
-        or beyond ``max_distance`` count as unreachable (partition bound)."""
-        out = []
-        for nbr in sorted(self._channels):
-            advertised = self.neighbor_dist.get(nbr, {}).get(dest, INFINITY)
-            link = self.node.links.get(nbr)
+    def _best(self, dest: int, below: float = INFINITY) -> Optional[tuple[float, int]]:
+        """Minimum ``(distance via n, n)`` over the up neighbors whose
+        advertised distance is strictly below ``below`` (the feasibility
+        condition when ``below`` is FD).  Distances at or beyond
+        ``max_distance`` count as unreachable (partition bound)."""
+        best: Optional[tuple[float, int]] = None
+        links, tables = self.node.links, self.neighbor_dist
+        for nbr in self._channels:  # every session has a distance table
+            advertised = tables[nbr].get(dest, INFINITY)
+            if advertised >= below:
+                continue
+            link = links.get(nbr)
             if link is None or not link.up:
                 continue
             via = advertised + link.spec.cost
-            if via >= self.max_distance:
-                continue
-            out.append((via, nbr))
-        out.sort()
-        return out
+            if via < self.max_distance and (best is None or (via, nbr) < best):
+                best = (via, nbr)
+        return best
 
     def _would_improve(self, dest: int, state: _DestState) -> bool:
-        candidates = self._candidates(dest)
-        return bool(candidates) and candidates[0][0] < state.distance
-
-    def _feasible_best(self, dest: int, state: _DestState) -> Optional[tuple[float, int]]:
-        """Best candidate whose advertised distance passes the feasibility
-        condition (strictly below FD)."""
-        for dist_via, nbr in self._candidates(dest):
-            advertised = self.neighbor_dist.get(nbr, {}).get(dest, INFINITY)
-            if advertised < state.feasible_distance:
-                return dist_via, nbr
-        return None
+        best = self._best(dest)
+        return best is not None and best[0] < state.distance
 
     def _reconsider(self, dest: int) -> None:
         """Entry point for any passive-state input affecting ``dest``."""
@@ -326,7 +323,7 @@ class DualProtocol(RoutingProtocol):
     def _local_computation(self, dest: int, state: _DestState) -> bool:
         """Try to (re)select under the feasibility condition.  Returns False
         when a diffusing computation is required."""
-        best = self._feasible_best(dest, state)
+        best = self._best(dest, below=state.feasible_distance)
         if best is None:
             # No feasible successor.  If we had no route anyway, nothing to
             # diffuse over — stay unreachable until someone advertises.
@@ -349,8 +346,8 @@ class DualProtocol(RoutingProtocol):
         self, dest: int, state: _DestState, deferred_reply_to: Optional[int]
     ) -> None:
         self.diffusions_started += 1
-        candidates = self._candidates(dest)
-        state.distance = candidates[0][0] if candidates else INFINITY
+        best = self._best(dest)
+        state.distance = best[0] if best is not None else INFINITY
         state.active = True
         state.deferred_reply_to = deferred_reply_to
         # The route is frozen; if the old successor's link is gone the
@@ -374,9 +371,9 @@ class DualProtocol(RoutingProtocol):
 
     def _complete_diffusion(self, dest: int, state: _DestState) -> None:
         state.active = False
-        candidates = self._candidates(dest)
-        if candidates and candidates[0][0] < INFINITY:
-            state.distance, state.successor = candidates[0]
+        best = self._best(dest)
+        if best is not None:
+            state.distance, state.successor = best
             state.feasible_distance = state.distance
             self.node.set_next_hop(dest, state.successor)
         else:
@@ -398,18 +395,20 @@ class DualProtocol(RoutingProtocol):
         self._batch[kind].setdefault(neighbor, {})[dest] = dist
 
     def _flush(self) -> None:
-        classes = {"update": DualUpdate, "query": DualQuery, "reply": DualReply}
         for kind, per_nbr in self._batch.items():
+            if not per_nbr:
+                continue
+            message_class = _MESSAGE_CLASSES[kind]
             for nbr in sorted(per_nbr):
                 routes = tuple(sorted(per_nbr[nbr].items()))
                 if not routes:
                     continue
-                message = classes[kind](routes=routes)
+                message = message_class(routes=routes)
+                size = message.size_bytes
                 channel = self._channels.get(nbr)
-                if channel is not None and channel.send(message, message.size_bytes):
+                if channel is not None and channel.send(message, size):
                     self._record_message(
-                        nbr, len(routes), is_withdrawal=(kind == "query"),
-                        size_bytes=message.size_bytes,
+                        nbr, len(routes), is_withdrawal=(kind == "query"), size_bytes=size
                     )
             per_nbr.clear()
 

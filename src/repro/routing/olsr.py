@@ -22,6 +22,7 @@ tie-break used across this repo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
@@ -161,7 +162,15 @@ class OlsrProtocol(RoutingProtocol):
         #: (lost all its selectors, or left the network) ages out after
         #: TOP_HOLD_TIME = 3 TC intervals instead of haunting the graph.
         self._topo: dict[int, tuple[int, frozenset[int], float]] = {}
+        #: No ``_topo`` entry expires before this (a lower bound), so the
+        #: aging sweep scans the table only once it lies in the past.
+        self._next_expiry = math.inf
         self._metrics: dict[int, int] = {}
+        #: Set where a routing input changed since the last ``_recompute`` (a
+        #: neighbor's status or 2-hop set, a TC selector set, an aged-out TC),
+        #: and where an MPR input changed since the last selection.
+        self._inputs_changed = True
+        self._mprs_stale = False
         #: (edge set, symmetric neighbors) the FIB was last computed from.
         self._computed_from: Optional[tuple[set, set]] = None
         self.recomputes_skipped = 0
@@ -200,10 +209,9 @@ class OlsrProtocol(RoutingProtocol):
             self._two_hop[nbr] = set(adj[nbr]) - {me}
         self.mprs = set(all_mprs.get(me, ()))
         self.mpr_selectors = set(all_selectors.get(me, ()))
-        expires = self.sim.now + self._hold_time()
         for origin, selectors in all_selectors.items():
             if selectors:
-                self._topo[origin] = (1, selectors, expires)
+                self._store_tc(origin, 1, selectors)
         self._tc_seq = 1
         if self.mpr_selectors:
             self._retract_until = self.sim.now + self._hold_time()
@@ -222,13 +230,15 @@ class OlsrProtocol(RoutingProtocol):
             raise TypeError(f"olsr got unexpected payload {type(payload).__name__}")
 
     def handle_link_down(self, neighbor: int) -> None:
-        self._nbr.pop(neighbor, None)
+        self._neighbor_changed(self._nbr.pop(neighbor, None), None)
         self._two_hop.pop(neighbor, None)
         self.mpr_selectors.discard(neighbor)
         self._refresh_mprs()
         self._recompute()
 
     def handle_link_up(self, neighbor: int) -> None:
+        # May demote a neighbor whose HELLOs made it symmetric already.
+        self._neighbor_changed(self._nbr.get(neighbor), "heard")
         self._nbr[neighbor] = "heard"
         # Beacon immediately so the new adjacency turns symmetric within one
         # exchange instead of one full period.
@@ -242,28 +252,44 @@ class OlsrProtocol(RoutingProtocol):
             neighbors=tuple(sorted(self._nbr.items())),
             mprs=tuple(sorted(self.mprs)),
         )
+        size = hello.size_bytes
         for nbr in self.node.up_neighbors():
-            self.node.send_control(nbr, hello, hello.size_bytes, protocol=self.name)
-            self._record_message(nbr, 1, size_bytes=hello.size_bytes)
+            self.node.send_control(nbr, hello, size, protocol=self.name)
+            self._record_message(nbr, 1, size_bytes=size)
 
     def _handle_hello(self, hello: OlsrHello, from_node: int) -> None:
         link = self.node.links.get(from_node)
         if link is None or not link.up:
             return
+        me = self.node.id
         listed = dict(hello.neighbors)
         # They hear us -> the link is symmetric from our side.
-        self._nbr[from_node] = "sym" if self.node.id in listed else "heard"
-        self._two_hop[from_node] = {
-            n for n, status in hello.neighbors if status == "sym" and n != self.node.id
-        }
-        if self.node.id in hello.mprs:
+        status = "sym" if me in listed else "heard"
+        two_hop = {n for n, s in hello.neighbors if s == "sym" and n != me}
+        was = self._nbr.get(from_node)
+        if was != status or self._two_hop.get(from_node) != two_hop:
+            self._nbr[from_node] = status
+            self._two_hop[from_node] = two_hop
+            self._neighbor_changed(was, status)
+        if me in hello.mprs:
             self.mpr_selectors.add(from_node)
         else:
             self.mpr_selectors.discard(from_node)
         self._refresh_mprs()
         self._recompute()
 
+    def _neighbor_changed(self, was: Optional[str], status: Optional[str]) -> None:
+        """A neighbor's entry moved from status ``was`` to ``status``.  Only
+        symmetric neighbors (and their 2-hop sets) feed the MPR selection
+        and the routing set."""
+        if was == "sym" or status == "sym":
+            self._inputs_changed = self._mprs_stale = True
+
     def _refresh_mprs(self) -> None:
+        """Re-run MPR selection if its inputs moved since the last run."""
+        if not self._mprs_stale:
+            return
+        self._mprs_stale = False
         sym = [n for n, status in self._nbr.items() if status == "sym"]
         self.mprs = select_mprs(self.node.id, sym, self._two_hop)
 
@@ -278,32 +304,44 @@ class OlsrProtocol(RoutingProtocol):
             seq=self._tc_seq,
             selectors=tuple(sorted(self.mpr_selectors)),
         )
-        self._topo[self.node.id] = (
-            self._tc_seq,
-            frozenset(self.mpr_selectors),
-            self.sim.now + self._hold_time(),
-        )
+        self._store_tc(self.node.id, self._tc_seq, frozenset(self.mpr_selectors))
         self._flood_tc(tc, exclude=None)
 
     def _flood_tc(self, tc: OlsrTc, exclude: Optional[int]) -> None:
+        size = tc.size_bytes
         for nbr in self.node.up_neighbors():
             if nbr != exclude:
-                self.node.send_control(nbr, tc, tc.size_bytes, protocol=self.name)
-                self._record_message(nbr, 1, size_bytes=tc.size_bytes)
+                self.node.send_control(nbr, tc, size, protocol=self.name)
+                self._record_message(nbr, 1, size_bytes=size)
 
     def _hold_time(self) -> float:
         """TC validity (RFC 3626 TOP_HOLD_TIME): three advertisement periods."""
         return 3.0 * self.config.tc_interval
 
+    def _store_tc(self, origin: int, seq: int, selectors: frozenset[int]) -> None:
+        """Record ``origin``'s TC for one hold time.  A newer seq with the
+        same selectors is a refresh: it changes no routing input."""
+        known = self._topo.get(origin)
+        if known is None or known[1] != selectors:
+            self._inputs_changed = True
+        expires_at = self.sim.now + self._hold_time()
+        self._topo[origin] = (seq, selectors, expires_at)
+        self._next_expiry = min(self._next_expiry, expires_at)
+
+    def _expire_tcs(self, now: float) -> None:
+        """Age out every TC entry whose hold time has passed by ``now``."""
+        expired = [origin for origin, entry in self._topo.items() if entry[2] < now]
+        for origin in expired:
+            del self._topo[origin]
+        if expired:
+            self._inputs_changed = True
+        self._next_expiry = min((entry[2] for entry in self._topo.values()), default=math.inf)
+
     def _handle_tc(self, tc: OlsrTc, from_node: int) -> None:
         known = self._topo.get(tc.origin)
         if known is not None and known[0] >= tc.seq:
             return  # duplicate or stale: the flood stops here
-        self._topo[tc.origin] = (
-            tc.seq,
-            frozenset(tc.selectors),
-            self.sim.now + self._hold_time(),
-        )
+        self._store_tc(tc.origin, tc.seq, frozenset(tc.selectors))
         # MPR-only forwarding: relay solely on behalf of our selectors.
         if from_node in self.mpr_selectors:
             self.tc_forwards += 1
@@ -313,10 +351,9 @@ class OlsrProtocol(RoutingProtocol):
     # ---------------------------------------------------------------- routing
 
     def _edges(self) -> set[tuple[int, int]]:
-        """The routing set as canonical (low, high) pairs; expires old TCs."""
+        """The routing set as canonical (low, high) pairs."""
         edges: set[tuple[int, int]] = set()
         me = self.node.id
-        now = self.sim.now
         for nbr, status in self._nbr.items():
             if status == "sym":
                 edges.add((me, nbr) if me < nbr else (nbr, me))
@@ -325,19 +362,26 @@ class OlsrProtocol(RoutingProtocol):
                 # a node that selects no MPRs appears in no TC at all.
                 for two in self._two_hop.get(nbr, ()):
                     edges.add((nbr, two) if nbr < two else (two, nbr))
-        for origin in list(self._topo):
-            seq, selectors, expires_at = self._topo[origin]
-            if expires_at < now:
-                del self._topo[origin]
-                continue
+        for origin, (_, selectors, _) in self._topo.items():
             for s in selectors:
                 edges.add((origin, s) if origin < s else (s, origin))
         return edges
 
     def _recompute(self) -> None:
-        # Always build the edge set (that is what ages TCs out); most HELLOs
-        # and TCs only refresh what is known, and then the tree and the FIB
-        # the last run derived from the same inputs still stand.
+        # Most HELLOs and TCs only refresh what is known; then the tree and
+        # the FIB the last run derived from the same inputs still stand.  A
+        # change can also cancel out (a neighbor drops to "heard" and back),
+        # which the comparison with the last run's inputs catches.
+        # Aging runs at every call, skipped or not: ``_handle_tc``'s
+        # stale-seq check reads the swept table, so an entry still held past
+        # its expiry would turn away a TC that should be accepted.
+        now = self.sim.now
+        if self._next_expiry < now:
+            self._expire_tcs(now)
+        if not self._inputs_changed:
+            self.recomputes_skipped += 1
+            return
+        self._inputs_changed = False
         edges = self._edges()
         sym = {n for n, status in self._nbr.items() if status == "sym"}
         if (edges, sym) == self._computed_from:

@@ -4,8 +4,8 @@ The paper's §6 proposes extending the comparison to link-state routing; this
 module provides that extension.  Each router originates a Link State
 Advertisement (LSA) describing its live adjacencies, floods LSAs with
 sequence-number-based duplicate suppression, and recomputes shortest paths
-(deterministic Dijkstra, same tie-break as the other protocols) whenever its
-link-state database changes.
+(deterministic Dijkstra, same tie-break as the other protocols) whenever the
+two-way-checked view of its link-state database changes.
 
 Two knobs model real deployments (and enable the fast-reroute ablation from
 the paper's related work — Alaettinoglu/Zinin's "IGP fast reroute" [1] and
@@ -36,6 +36,9 @@ __all__ = ["Lsa", "SpfConfig", "SpfProtocol"]
 
 #: Bytes per adjacency entry in an LSA.
 LSA_LINK_BYTES = 8
+
+#: The listing of an origin the database does not hold.
+_NO_LINKS: dict[int, int] = {}
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,17 @@ class SpfProtocol(RoutingProtocol):
         self.name = self.config.label
         super().__init__(node, rng_streams)
         self.database: dict[int, Lsa] = {}
+        #: Each origin's adjacencies as a dict, and the order origins first
+        #: entered the database in (the later one wins a cost dispute).
+        self._listed: dict[int, dict[int, int]] = {}
+        self._rank: dict[int, int] = {}
+        #: The two-way-checked topology view, kept in step with the database
+        #: by ``_install``: an edge exists iff both ends list each other.
+        self._view: dict[int, dict[int, int]] = {node.id: {}}
+        #: Whether the view, or the FIB behind SPF's back, changed since the
+        #: last Dijkstra; and the up neighbors the LFA backups were built for.
+        self._stale = True
+        self._lfa_neighbors: Optional[list[int]] = None
         self._seq = 0
         self._metrics: dict[int, int] = {}
         #: Precomputed loop-free alternate next hop per destination.
@@ -90,6 +104,7 @@ class SpfProtocol(RoutingProtocol):
         #: message's cause scope has closed — so it is captured here).
         self._recompute_cause: Optional[tuple[str, Optional[int]]] = None
         self.recomputations = 0
+        self.recomputes_skipped = 0
         self.lfa_activations = 0
 
     # --------------------------------------------------------------- lifecycle
@@ -100,9 +115,7 @@ class SpfProtocol(RoutingProtocol):
     def warm_start(self, topology: Topology) -> None:
         # Converged database: one LSA per router, seq 1.
         for origin, nbrs in topology.adjacency().items():
-            self.database[origin] = Lsa(
-                origin=origin, seq=1, adjacencies=tuple(nbrs.items())
-            )
+            self._install(Lsa(origin=origin, seq=1, adjacencies=tuple(nbrs.items())))
         self._seq = 1
         self._recompute()
 
@@ -114,7 +127,7 @@ class SpfProtocol(RoutingProtocol):
         known = self.database.get(payload.origin)
         if known is not None and known.seq >= payload.seq:
             return  # duplicate or stale: stop the flood here
-        self.database[payload.origin] = payload
+        self._install(payload)
         self._flood(payload, exclude=from_node)
         self._schedule_recompute()
 
@@ -143,6 +156,7 @@ class SpfProtocol(RoutingProtocol):
                 if link is not None and link.up:
                     self.node.set_next_hop(dest, backup)
                     self.lfa_activations += 1
+                    self._stale = True  # the next SPF run must resync the FIB
 
     def _originate(self) -> None:
         self._seq += 1
@@ -150,7 +164,7 @@ class SpfProtocol(RoutingProtocol):
             (nbr, self.node.link_to(nbr).spec.cost) for nbr in self.node.up_neighbors()
         )
         lsa = Lsa(origin=self.node.id, seq=self._seq, adjacencies=adjacencies)
-        self.database[self.node.id] = lsa
+        self._install(lsa)
         self._flood(lsa, exclude=None)
         self._schedule_recompute()
 
@@ -160,8 +174,9 @@ class SpfProtocol(RoutingProtocol):
                 self._send_lsa(nbr, lsa)
 
     def _send_lsa(self, neighbor: int, lsa: Lsa) -> None:
-        self.node.send_control(neighbor, lsa, lsa.size_bytes, protocol=self.name)
-        self._record_message(neighbor, 1, size_bytes=lsa.size_bytes)
+        size = lsa.size_bytes
+        self.node.send_control(neighbor, lsa, size, protocol=self.name)
+        self._record_message(neighbor, 1, size_bytes=size)
 
     def _schedule_recompute(self) -> None:
         # Latest trigger wins; good enough for attribution of a batched run.
@@ -171,21 +186,35 @@ class SpfProtocol(RoutingProtocol):
         elif not self._spf_timer.running:
             self._spf_timer.start(self.config.spf_delay)
 
-    def _adjacency(self) -> dict[int, dict[int, int]]:
-        """Two-way-checked topology view from the database."""
-        adj: dict[int, dict[int, int]] = {self.node.id: {}}
-        listed = {origin: dict(lsa.adjacencies) for origin, lsa in self.database.items()}
-        for origin, nbrs in listed.items():
-            for nbr, cost in nbrs.items():
-                if origin in listed.get(nbr, ()):
-                    # Both directions on every add: when the two ends
-                    # advertise different costs, the later LSA's wins.
-                    adj.setdefault(origin, {})[nbr] = cost
-                    adj.setdefault(nbr, {})[origin] = cost
-        return adj
+    def _install(self, lsa: Lsa) -> None:
+        """Write ``lsa`` into the database and re-derive the view's edge to
+        every neighbor its old or its new listing names: the edge exists iff
+        both ends list each other, and when they advertise different costs
+        the origin that entered the database later wins."""
+        origin, listed, view = lsa.origin, self._listed, self._view
+        old = listed.get(origin, _NO_LINKS)
+        mine = listed[origin] = dict(lsa.adjacencies)
+        rank = self._rank.setdefault(origin, len(self._rank))
+        self.database[origin] = lsa
+        for nbr in old.keys() | mine.keys():
+            theirs = listed.get(nbr, _NO_LINKS)
+            cost: Optional[int] = None
+            if nbr in mine and origin in theirs:
+                cost = mine[nbr] if rank > self._rank[nbr] else theirs[origin]
+            if view.get(origin, _NO_LINKS).get(nbr) == cost:
+                continue
+            self._stale = True
+            if cost is not None:
+                view.setdefault(origin, {})[nbr] = cost
+                view.setdefault(nbr, {})[origin] = cost
+                continue
+            for x, y in ((origin, nbr), (nbr, origin)):
+                del view[x][y]
+                if not view[x] and x != self.node.id:
+                    del view[x]
 
     def _recompute(self) -> None:
-        """Dijkstra over the database; sync the FIB (and LFA backups)."""
+        """Dijkstra over the two-way view; sync the FIB (and LFA backups)."""
         cause = self._recompute_cause or ("spf_recompute", None)
         self._recompute_cause = None
         with self.route_cause(*cause):
@@ -193,7 +222,17 @@ class SpfProtocol(RoutingProtocol):
 
     def _recompute_inner(self) -> None:
         self.recomputations += 1
-        adj = self._adjacency()
+        # Dijkstra's output depends only on the view's content, so over an
+        # unchanged view (and a FIB nobody else touched) the sync below is a
+        # no-op.  LFA backups also read which local links are up, and a link
+        # goes down or comes back before its detection reaches us.
+        up = self.node.up_neighbors() if self.config.lfa else None
+        if not self._stale and up == self._lfa_neighbors:
+            self.recomputes_skipped += 1
+            return
+        self._stale = False
+        self._lfa_neighbors = up
+        adj = self._view
         paths, new_metrics = shortest_path_tree(adj, self.node.id)
         del new_metrics[self.node.id]
         for dest in new_metrics:
@@ -201,10 +240,12 @@ class SpfProtocol(RoutingProtocol):
         for dest in set(self._metrics) - set(new_metrics):
             self.node.set_next_hop(dest, None)
         self._metrics = new_metrics
-        if self.config.lfa:
-            self._compute_backups(adj, new_metrics)
+        if up is not None:
+            self._compute_backups(adj, new_metrics, up)
 
-    def _compute_backups(self, adj: Adjacency, metrics: dict[int, int]) -> None:
+    def _compute_backups(
+        self, adj: Adjacency, metrics: dict[int, int], up_neighbors: list[int]
+    ) -> None:
         """Precompute one loop-free alternate per destination, if any.
 
         LFA condition (RFC 5286 basic): a neighbor n protects s's route to d
@@ -212,7 +253,7 @@ class SpfProtocol(RoutingProtocol):
         """
         self.backups.clear()
         neighbor_dist: dict[int, dict[int, int]] = {}
-        for nbr in self.node.up_neighbors():
+        for nbr in up_neighbors:
             if nbr in adj:
                 neighbor_dist[nbr] = shortest_path_tree(adj, nbr)[1]
         for dest, dist_sd in metrics.items():

@@ -25,9 +25,21 @@ import repro.routing.olsr as olsr_module
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import run_scenario
 from repro.routing.aodv import AodvProtocol
+from repro.topology import graph
 from repro.validation.monitors import MonitorSuite
 
 _REAL_SELECT_MPRS = olsr_module.select_mprs
+
+
+@pytest.fixture(autouse=True)
+def _fresh_topology_memo():
+    """The per-topology memo keeps the MPR choices a warm start reconstructs;
+    a run under the inverted selection must not hand them to the next test.
+    OLSR re-selects MPRs only when its neighbor table changes, so a stale
+    choice would survive a whole clean run."""
+    graph._MEMO.clear()
+    yield
+    graph._MEMO.clear()
 
 
 def _suppressed_rerr(self, affected):
