@@ -402,7 +402,7 @@ class ShardHost:
                 if isinstance(relay, MessageRelay):
                     protocol = node.protocol
                     assert protocol is not None, "message relayed to a ghost"
-                    # Mirror of BGP's _deliver_to: reliable channels hand
+                    # Mirror of SessionProtocol._deliver_to: sessions hand
                     # the payload straight to the peer with attribution.
                     protocol.apply_message(obj, relay.src)
                 else:

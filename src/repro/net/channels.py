@@ -109,6 +109,14 @@ class ReliableChannel:
         self.messages_delivered += 1
         self._deliver(payload)
 
+    def close(self) -> None:
+        """The session is over: stop listening to the link's failures, unless
+        a message is still in flight (a link restored before its failure was
+        detected can carry one; a later failure must still destroy it, and
+        the sharded delivery sequencer finds it through the listeners)."""
+        if not any(entry.handle.pending for entry in self._in_flight):
+            self._link.fail_listeners.remove(self._on_link_fail)
+
     def _on_link_fail(self) -> None:
         for entry in self._in_flight:
             if entry.handle.pending:

@@ -39,7 +39,7 @@ from ..sim.rng import RngStreams
 from ..sim.timers import OneShotTimer
 from ..sim.tracing import DropCause
 from ..topology.graph import Topology
-from .base import RoutingProtocol
+from .reactive import ReactiveProtocol
 
 __all__ = ["AodvConfig", "AodvProtocol", "Rreq", "Rrep", "Rerr"]
 
@@ -134,18 +134,7 @@ class _Route:
         self.installed_at = installed_at
 
 
-class _Discovery:
-    """In-flight route discovery for one destination."""
-
-    __slots__ = ("attempts", "timer", "packets")
-
-    def __init__(self, timer: OneShotTimer) -> None:
-        self.attempts = 0
-        self.timer = timer
-        self.packets: list[Packet] = []
-
-
-class AodvProtocol(RoutingProtocol):
+class AodvProtocol(ReactiveProtocol):
     """On-demand distance vector routing with sequence-numbered routes."""
 
     name = "aodv"
@@ -156,17 +145,16 @@ class AodvProtocol(RoutingProtocol):
         rng_streams: RngStreams,
         config: Optional[AodvConfig] = None,
     ) -> None:
-        self.config = config or AodvConfig()
-        self.name = self.config.label
-        super().__init__(node, rng_streams)
+        self.config = config = config or AodvConfig()
+        self.name = config.label
+        super().__init__(
+            node, rng_streams,
+            config.path_discovery_time, config.rreq_retries, config.buffer_limit,
+        )
         #: Own destination sequence number — never decreases (loop freedom).
         self.seq = 0
         self._rreq_id = 0
         self.routes: dict[int, _Route] = {}
-        self._seen: set[tuple[int, int]] = set()
-        self._pending: dict[int, _Discovery] = {}
-        self.discoveries = 0
-        self.discovery_failures = 0
         self._expiry_timer = OneShotTimer(self.sim, self._purge_expired)
         node.route_miss = self._on_route_miss
 
@@ -209,67 +197,30 @@ class AodvProtocol(RoutingProtocol):
         if affected:
             self._propagate_rerr(affected)
 
-    def handle_link_up(self, neighbor: int) -> None:
-        pass  # routes are built on demand
-
     # --------------------------------------------------------------- data path
 
     def _on_route_miss(self, packet: Packet) -> None:
-        dest = packet.dst
         if packet.src != self.node.id:
             # Mid-path FIB miss (route expired/invalidated under the packet):
             # RFC §6.11 — drop and leave repair to the origin's next discovery.
             self.node.drop(packet, DropCause.NO_ROUTE)
             return
-        disc = self._pending.get(dest)
-        if disc is None:
-            disc = _Discovery(OneShotTimer(self.sim, lambda d=dest: self._retry(d)))
-            self._pending[dest] = disc
-            self._buffer(disc, packet)
-            self.discoveries += 1
-            disc.attempts = 1
-            self._send_rreq(dest)
-            disc.timer.start(self.config.path_discovery_time)
-        else:
-            self._buffer(disc, packet)
+        self._discover(packet)
 
-    def _buffer(self, disc: _Discovery, packet: Packet) -> None:
-        if len(disc.packets) >= self.config.buffer_limit:
-            oldest = disc.packets.pop(0)
-            self.node.drop(oldest, DropCause.QUEUE_OVERFLOW)
-        disc.packets.append(packet)
-
-    def _retry(self, dest: int) -> None:
-        disc = self._pending.get(dest)
-        if disc is None:
-            return
-        if disc.attempts > self.config.rreq_retries:
-            del self._pending[dest]
-            self.discovery_failures += 1
-            for packet in disc.packets:
-                self.node.drop(packet, DropCause.NO_ROUTE)
-            return
-        disc.attempts += 1
-        self._send_rreq(dest)
-        # Binary exponential backoff (RFC §6.3).
-        disc.timer.start(self.config.path_discovery_time * 2 ** (disc.attempts - 1))
-
-    def _release(self, dest: int) -> None:
-        disc = self._pending.pop(dest, None)
-        if disc is None:
-            return
-        disc.timer.cancel()
+    def _resolved(self, dest: int) -> bool:
         route = self.routes.get(dest)
+        return route is not None and route.valid
+
+    def _forward(self, packet: Packet) -> None:
+        route = self.routes.get(packet.dst)
         if route is None or not route.valid:
-            for packet in disc.packets:
-                self.node.drop(packet, DropCause.NO_ROUTE)
-            return
-        for packet in disc.packets:
+            self.node.drop(packet, DropCause.NO_ROUTE)
+        else:
             self.node.transmit_to(packet, route.next_hop)
 
     # ----------------------------------------------------------- control plane
 
-    def _send_rreq(self, dest: int) -> None:
+    def _send_request(self, dest: int) -> None:
         self.seq += 1
         self._rreq_id += 1
         known = self.routes.get(dest)
@@ -282,20 +233,7 @@ class AodvProtocol(RoutingProtocol):
             hop_count=0,
         )
         self._seen.add((rreq.origin, rreq.rreq_id))
-        self._broadcast(rreq, exclude=None)
-
-    def _broadcast(self, msg: Any, exclude: Optional[int]) -> None:
-        for nbr in self.node.up_neighbors():
-            if nbr != exclude:
-                self.node.send_control(nbr, msg, msg.size_bytes, protocol=self.name)
-                self._record_message(nbr, 1, size_bytes=msg.size_bytes)
-
-    def _send_unicast(self, neighbor: int, msg: Any) -> None:
-        link = self.node.links.get(neighbor)
-        if link is None or not link.up:
-            return
-        self.node.send_control(neighbor, msg, msg.size_bytes, protocol=self.name)
-        self._record_message(neighbor, 1, size_bytes=msg.size_bytes)
+        self._flood(rreq)
 
     def _handle_rreq(self, rreq: Rreq, from_node: int) -> None:
         key = (rreq.origin, rreq.rreq_id)
@@ -309,9 +247,9 @@ class AodvProtocol(RoutingProtocol):
             # anything the network has attributed to it (monotonic by max()).
             self.seq = max(self.seq + 1, rreq.dest_seq)
             rrep = Rrep(origin=rreq.origin, dst=self.node.id, dest_seq=self.seq, hop_count=0)
-            self._send_unicast(from_node, rrep)
+            self._send(from_node, rrep)
         else:
-            self._broadcast(replace(rreq, hop_count=rreq.hop_count + 1), exclude=from_node)
+            self._flood(replace(rreq, hop_count=rreq.hop_count + 1), exclude=from_node)
 
     def _handle_rrep(self, rrep: Rrep, from_node: int) -> None:
         self._maybe_update_route(rrep.dst, from_node, rrep.hop_count + 1, rrep.dest_seq)
@@ -321,7 +259,7 @@ class AodvProtocol(RoutingProtocol):
         reverse = self.routes.get(rrep.origin)
         if reverse is None or not reverse.valid:
             return  # reverse route evaporated; the origin's retry recovers
-        self._send_unicast(reverse.next_hop, replace(rrep, hop_count=rrep.hop_count + 1))
+        self._send(reverse.next_hop, replace(rrep, hop_count=rrep.hop_count + 1))
         forward = self.routes.get(rrep.dst)
         if forward is not None and forward.valid:
             forward.precursors.add(reverse.next_hop)
@@ -348,10 +286,7 @@ class AodvProtocol(RoutingProtocol):
             for p in precursors:
                 per_precursor.setdefault(p, []).append((dest, seq))
         for p in sorted(per_precursor):
-            link = self.node.links.get(p)
-            if link is None or not link.up:
-                continue
-            self._send_unicast(p, Rerr(unreachable=tuple(sorted(per_precursor[p]))))
+            self._send(p, Rerr(unreachable=tuple(sorted(per_precursor[p]))))
 
     # ---------------------------------------------------------------- routing
 
@@ -398,6 +333,3 @@ class AodvProtocol(RoutingProtocol):
         if route is None or not route.valid:
             return None
         return route.hop_count
-
-    def pending_data_packets(self) -> int:
-        return sum(len(d.packets) for d in self._pending.values())

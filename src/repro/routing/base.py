@@ -8,6 +8,9 @@ fires; the protocol drives the node's FIB via ``node.set_next_hop``.
 ``warm_start`` installs the protocol's exact converged state for a topology,
 letting experiments skip the multi-minute cold-start period; integration
 tests verify warm state equals what cold convergence reaches.
+
+Every message leaves a protocol through :meth:`RoutingProtocol._send`,
+:meth:`RoutingProtocol._flood` or :meth:`SessionProtocol._send_reliable`.
 """
 
 from __future__ import annotations
@@ -17,13 +20,15 @@ import random
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
+from ..net.channels import ReliableChannel
+from ..net.network import Network
 from ..net.node import Node
 from ..sim.engine import Simulator
 from ..sim.rng import RngStreams
 from ..sim.tracing import MessageRecord
 from ..topology.graph import Topology
 
-__all__ = ["RoutingProtocol"]
+__all__ = ["RoutingProtocol", "SessionProtocol"]
 
 
 class RoutingProtocol(abc.ABC):
@@ -110,7 +115,26 @@ class RoutingProtocol(abc.ABC):
         """
         return 0
 
-    # ---------------------------------------------------------------- helpers
+    # ---------------------------------------------------------------- sending
+
+    def _send(self, neighbor: int, message: Any, n_routes: int = 1) -> None:
+        """Send ``message`` to ``neighbor`` and account it, unless the link is
+        down: detection lags the link, so a protocol may still believe in an
+        adjacency the link layer has lost."""
+        link = self.node.links.get(neighbor)
+        if link is None or not link.up:
+            return
+        size = message.size_bytes
+        self.node.send_control(neighbor, message, size, protocol=self.name)
+        self._record_message(neighbor, n_routes, size_bytes=size)
+
+    def _flood(self, message: Any, exclude: Optional[int] = None) -> None:
+        """Send ``message`` to every up neighbor except ``exclude``."""
+        node, size = self.node, message.size_bytes
+        for nbr in node.up_neighbors():
+            if nbr != exclude:
+                node.send_control(nbr, message, size, protocol=self.name)
+                self._record_message(nbr, 1, size_bytes=size)
 
     def _record_message(
         self,
@@ -122,8 +146,7 @@ class RoutingProtocol(abc.ABC):
         """Account one sent message for overhead metrics.
 
         ``size_bytes`` feeds the per-protocol byte counters in the
-        observability layer; callers pass the same wire size they gave
-        ``node.send_control``.
+        observability layer: the same wire size the message was sent with.
         """
         self.messages_sent += 1
         self.routes_sent += n_routes
@@ -137,3 +160,47 @@ class RoutingProtocol(abc.ABC):
                 self.sim._now, self.node.id, neighbor, self.name,
                 n_routes, is_withdrawal, size_bytes,
             )))
+
+
+class SessionProtocol(RoutingProtocol):
+    """A protocol whose neighbors talk over reliable in-order sessions (BGP's
+    TCP, DUAL's RTP): one :class:`ReliableChannel` per open adjacency."""
+
+    def __init__(self, node: Node, rng_streams: RngStreams, network: Network) -> None:
+        super().__init__(node, rng_streams)
+        self.network = network
+        self._channels: dict[int, ReliableChannel] = {}
+
+    def _open_session(self, neighbor: int) -> bool:
+        """Open the session to ``neighbor``; False if it is already open."""
+        if neighbor in self._channels:
+            return False
+        self._channels[neighbor] = ReliableChannel(
+            self.sim, self.node.link_to(neighbor), self.node.id,
+            deliver=lambda payload, nbr=neighbor: self._deliver_to(nbr, payload),
+        )
+        return True
+
+    def _close_session(self, neighbor: int) -> None:
+        channel = self._channels.pop(neighbor, None)
+        if channel is not None:
+            channel.close()
+
+    def _deliver_to(self, neighbor: int, payload: Any) -> None:
+        # Sessions bypass Node.receive, so causal attribution has to happen
+        # here, on the receiving protocol.
+        peer = self.network.node(neighbor).protocol
+        if peer is not None:
+            peer.apply_message(payload, self.node.id)
+
+    def _send_reliable(
+        self, neighbor: int, message: Any, n_routes: int = 1, is_withdrawal: bool = False
+    ) -> bool:
+        """Send ``message`` over the session to ``neighbor`` and account it;
+        False (nothing accounted) if there is no session or its link is down."""
+        channel = self._channels.get(neighbor)
+        size = message.size_bytes
+        if channel is None or not channel.send(message, size):
+            return False
+        self._record_message(neighbor, n_routes, is_withdrawal, size)
+        return True

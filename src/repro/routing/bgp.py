@@ -34,13 +34,12 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional
 
-from ..net.channels import ReliableChannel
 from ..net.network import Network
 from ..net.node import Node
 from ..sim.rng import RngStreams
 from ..sim.timers import OneShotTimer
 from ..topology.graph import Topology, all_shortest_path_trees, destination_path_trees
-from .base import RoutingProtocol
+from .base import SessionProtocol
 from .damping import DampingConfig, RouteDampener
 from .messages import PathVectorUpdate, PathVectorWithdrawal
 from .rib import PathAttr
@@ -116,7 +115,7 @@ class BgpConfig:
         return cls(mrai_base=3.0, mrai_jitter=0.5, label="bgp3")
 
 
-class BgpProtocol(RoutingProtocol):
+class BgpProtocol(SessionProtocol):
     """Path-vector speaker bound to one node."""
 
     name = "bgp"
@@ -130,12 +129,10 @@ class BgpProtocol(RoutingProtocol):
     ) -> None:
         self.config = config or BgpConfig.standard()
         self.name = self.config.label
-        super().__init__(node, rng_streams)
-        self._network = network
+        super().__init__(node, rng_streams, network)
         self.rib_in: dict[int, dict[int, PathAttr]] = {}
         self.rib_out: dict[int, dict[int, PathAttr]] = {}
         self.best: dict[int, PathAttr] = {}
-        self._channels: dict[int, ReliableChannel] = {}
         self._mrai_timers: dict[Hashable, OneShotTimer] = {}
         self._mrai_pending: dict[Hashable, set[int]] = {}
         # Per-event export batches ("process all changed paths, send the
@@ -164,7 +161,7 @@ class BgpProtocol(RoutingProtocol):
         # reference: rib_in[nbr] holds the neighbor's own path objects, and
         # rib_out[nbr] this router's, which equal best.prepend(me).
         me = self.node.id
-        paths = _warm_paths(self._network, topology, dests)
+        paths = _warm_paths(self.network, topology, dests)
         mine = paths.get(me, {})
         for dest, attr in mine.items():
             if dest != me:
@@ -188,26 +185,10 @@ class BgpProtocol(RoutingProtocol):
             )
             out.setdefault(me, PathAttr((me,)))
 
-    def _open_session(self, neighbor: int) -> None:
-        if neighbor in self._channels:
-            return
-        link = self.node.link_to(neighbor)
-        channel = ReliableChannel(
-            self.sim,
-            link,
-            self.node.id,
-            deliver=lambda payload, nbr=neighbor: self._deliver_to(nbr, payload),
-        )
-        self._channels[neighbor] = channel
+    def _open_session(self, neighbor: int) -> bool:
         self.rib_in.setdefault(neighbor, {})
         self.rib_out.setdefault(neighbor, {})
-
-    def _deliver_to(self, neighbor: int, payload: Any) -> None:
-        # BGP bypasses Node.receive (messages ride the reliable channel), so
-        # causal attribution has to happen here, on the receiving protocol.
-        peer = self._network.node(neighbor).protocol
-        if peer is not None:
-            peer.apply_message(payload, self.node.id)
+        return super()._open_session(neighbor)
 
     # ------------------------------------------------------------------ events
 
@@ -268,7 +249,7 @@ class BgpProtocol(RoutingProtocol):
         self._flush_batch()
 
     def handle_link_down(self, neighbor: int) -> None:
-        self._channels.pop(neighbor, None)
+        self._close_session(neighbor)
         if self._dampener is not None:
             self._dampener.forget(neighbor)
         lost = self.rib_in.pop(neighbor, {})
@@ -396,8 +377,7 @@ class BgpProtocol(RoutingProtocol):
     def _send_current(self, neighbor: int, dest: int) -> bool:
         """Synchronize the neighbor's view of ``dest`` right now (announce or
         withdraw); returns True if something was sent."""
-        channel = self._channels.get(neighbor)
-        if channel is None:
+        if neighbor not in self._channels:
             return False
         advertised = self.rib_out.setdefault(neighbor, {})
         export_path = self._export_path(dest, neighbor)
@@ -407,25 +387,19 @@ class BgpProtocol(RoutingProtocol):
             self._send_withdrawal(neighbor, [dest])
             return True
         update = PathVectorUpdate(path=export_path, dests=(dest,))
-        if channel.send(update, update.size_bytes):
-            advertised[dest] = export_path
-            self._record_message(neighbor, 1, size_bytes=update.size_bytes)
-            return True
-        return False
+        if not self._send_reliable(neighbor, update):
+            return False
+        advertised[dest] = export_path
+        return True
 
     def _send_withdrawal(self, neighbor: int, dests: list[int]) -> None:
-        channel = self._channels.get(neighbor)
-        if channel is None:
+        if neighbor not in self._channels:
             return
         advertised = self.rib_out.setdefault(neighbor, {})
         for dest in dests:
             advertised.pop(dest, None)
         message = PathVectorWithdrawal(dests=tuple(sorted(dests)))
-        if channel.send(message, message.size_bytes):
-            self._record_message(
-                neighbor, len(dests), is_withdrawal=True,
-                size_bytes=message.size_bytes,
-            )
+        self._send_reliable(neighbor, message, len(dests), is_withdrawal=True)
 
     def _start_mrai(self, key: Hashable, neighbor: int) -> None:
         if self.config.mrai_base <= 0:

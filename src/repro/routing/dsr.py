@@ -27,16 +27,15 @@ true for this simulator's symmetric links).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from ..net.node import Node
 from ..net.packet import CONTROL_HEADER_BYTES, Packet
 from ..sim.rng import RngStreams
-from ..sim.timers import OneShotTimer
 from ..sim.tracing import DropCause
 from ..topology.graph import Topology
-from .base import RoutingProtocol
+from .reactive import ReactiveProtocol
 
 __all__ = ["DsrConfig", "DsrProtocol", "RouteRequest", "RouteReply", "RouteError"]
 
@@ -104,18 +103,7 @@ class DsrConfig:
             raise ValueError("buffer_limit must be >= 1")
 
 
-class _Discovery:
-    """In-flight route discovery for one target."""
-
-    __slots__ = ("attempts", "timer", "packets")
-
-    def __init__(self, timer: OneShotTimer) -> None:
-        self.attempts = 0
-        self.timer = timer
-        self.packets: list[Packet] = []
-
-
-class DsrProtocol(RoutingProtocol):
+class DsrProtocol(ReactiveProtocol):
     """Source routing from a per-node path cache; the FIB stays empty."""
 
     name = "dsr"
@@ -126,16 +114,15 @@ class DsrProtocol(RoutingProtocol):
         rng_streams: RngStreams,
         config: Optional[DsrConfig] = None,
     ) -> None:
-        self.config = config or DsrConfig()
-        self.name = self.config.label
-        super().__init__(node, rng_streams)
+        self.config = config = config or DsrConfig()
+        self.name = config.label
+        super().__init__(
+            node, rng_streams,
+            config.discovery_timeout, config.request_retries, config.buffer_limit,
+        )
         #: dest -> cached full paths (each starts with this node's id).
         self.cache: dict[int, set[tuple[int, ...]]] = {}
         self._req_id = 0
-        self._seen: set[tuple[int, int]] = set()
-        self._pending: dict[int, _Discovery] = {}
-        self.discoveries = 0
-        self.discovery_failures = 0
         self.cache_poisonings = 0
         node.route_miss = self._on_route_miss
 
@@ -164,9 +151,6 @@ class DsrProtocol(RoutingProtocol):
         # must not offer paths through a link we already know is dead.
         self._purge_link(self.node.id, neighbor)
 
-    def handle_link_up(self, neighbor: int) -> None:
-        pass  # paths are rediscovered on demand
-
     # --------------------------------------------------------------- data path
 
     def _on_route_miss(self, packet: Packet) -> None:
@@ -185,22 +169,11 @@ class DsrProtocol(RoutingProtocol):
 
     def _originate(self, packet: Packet) -> None:
         path = self._best_path(packet.dst)
-        if path is not None:
-            packet.route = path
-            self.node.transmit_to(packet, path[1])
+        if path is None:
+            self._discover(packet)
             return
-        dest = packet.dst
-        disc = self._pending.get(dest)
-        if disc is None:
-            disc = _Discovery(OneShotTimer(self.sim, lambda d=dest: self._retry(d)))
-            self._pending[dest] = disc
-            self._buffer(disc, packet)
-            self.discoveries += 1
-            disc.attempts = 1
-            self._send_request(dest)
-            disc.timer.start(self.config.discovery_timeout)
-        else:
-            self._buffer(disc, packet)
+        packet.route = path
+        self.node.transmit_to(packet, path[1])
 
     def _relay(self, packet: Packet, route: tuple[int, ...], index: int) -> None:
         next_hop = route[index + 1]
@@ -221,43 +194,18 @@ class DsrProtocol(RoutingProtocol):
             error = RouteError(
                 broken=(self.node.id, next_hop), route=route[: index + 1]
             )
-            self._send_unicast(route[index - 1], error)
+            self._send(route[index - 1], error)
 
-    def _buffer(self, disc: _Discovery, packet: Packet) -> None:
-        if len(disc.packets) >= self.config.buffer_limit:
-            oldest = disc.packets.pop(0)
-            self.node.drop(oldest, DropCause.QUEUE_OVERFLOW)
-        disc.packets.append(packet)
+    def _resolved(self, dest: int) -> bool:
+        return self._best_path(dest) is not None
 
-    def _retry(self, dest: int) -> None:
-        disc = self._pending.get(dest)
-        if disc is None:
+    def _forward(self, packet: Packet) -> None:
+        path = self._best_path(packet.dst)
+        if path is None:
+            self.node.drop(packet, DropCause.NO_ROUTE)
             return
-        if self._best_path(dest) is not None:
-            self._release(dest)
-            return
-        if disc.attempts > self.config.request_retries:
-            del self._pending[dest]
-            self.discovery_failures += 1
-            for packet in disc.packets:
-                self.node.drop(packet, DropCause.NO_ROUTE)
-            return
-        disc.attempts += 1
-        self._send_request(dest)
-        disc.timer.start(self.config.discovery_timeout * 2 ** (disc.attempts - 1))
-
-    def _release(self, dest: int) -> None:
-        disc = self._pending.pop(dest, None)
-        if disc is None:
-            return
-        disc.timer.cancel()
-        for packet in disc.packets:
-            path = self._best_path(dest)
-            if path is None:
-                self.node.drop(packet, DropCause.NO_ROUTE)
-                continue
-            packet.route = path
-            self.node.transmit_to(packet, path[1])
+        packet.route = path
+        self.node.transmit_to(packet, path[1])
 
     # ----------------------------------------------------------- control plane
 
@@ -270,16 +218,7 @@ class DsrProtocol(RoutingProtocol):
             route=(self.node.id,),
         )
         self._seen.add((request.origin, request.req_id))
-        for nbr in self.node.up_neighbors():
-            self.node.send_control(nbr, request, request.size_bytes, protocol=self.name)
-            self._record_message(nbr, 1, size_bytes=request.size_bytes)
-
-    def _send_unicast(self, neighbor: int, msg: Any) -> None:
-        link = self.node.links.get(neighbor)
-        if link is None or not link.up:
-            return
-        self.node.send_control(neighbor, msg, msg.size_bytes, protocol=self.name)
-        self._record_message(neighbor, 1, size_bytes=msg.size_bytes)
+        self._flood(request)
 
     def _handle_request(self, request: RouteRequest, from_node: int) -> None:
         node_id = self.node.id
@@ -291,20 +230,9 @@ class DsrProtocol(RoutingProtocol):
         # The accumulated record, reversed, is a path back to the originator.
         self._cache_path(tuple(reversed(route)))
         if request.target == node_id:
-            self._send_unicast(from_node, RouteReply(route=route))
+            self._send(from_node, RouteReply(route=route))
         else:
-            relayed = RouteRequest(
-                origin=request.origin,
-                req_id=request.req_id,
-                target=request.target,
-                route=route,
-            )
-            for nbr in self.node.up_neighbors():
-                if nbr != from_node:
-                    self.node.send_control(
-                        nbr, relayed, relayed.size_bytes, protocol=self.name
-                    )
-                    self._record_message(nbr, 1, size_bytes=relayed.size_bytes)
+            self._flood(replace(request, route=route), exclude=from_node)
 
     def _handle_reply(self, reply: RouteReply, from_node: int) -> None:
         route = reply.route
@@ -317,7 +245,7 @@ class DsrProtocol(RoutingProtocol):
         if index == 0:
             self._release(route[-1])
         else:
-            self._send_unicast(route[index - 1], reply)
+            self._send(route[index - 1], reply)
 
     def _handle_error(self, error: RouteError, from_node: int) -> None:
         self._purge_link(*error.broken)
@@ -327,7 +255,7 @@ class DsrProtocol(RoutingProtocol):
             return
         index = route.index(node_id)
         if index > 0:
-            self._send_unicast(route[index - 1], error)
+            self._send(route[index - 1], error)
 
     # ------------------------------------------------------------------- cache
 
@@ -376,9 +304,6 @@ class DsrProtocol(RoutingProtocol):
             return 0
         path = self._best_path(dest)
         return None if path is None else len(path) - 1
-
-    def pending_data_packets(self) -> int:
-        return sum(len(d.packets) for d in self._pending.values())
 
     def route_path(self, dest: int) -> Optional[tuple[int, ...]]:
         """The path this node would stamp on a packet to ``dest`` right now.

@@ -44,13 +44,12 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..net.channels import ReliableChannel
 from ..net.network import Network
 from ..net.node import Node
 from ..net.packet import CONTROL_HEADER_BYTES
 from ..sim.rng import RngStreams
 from ..topology.graph import Topology, all_shortest_path_costs, all_shortest_path_trees
-from .base import RoutingProtocol
+from .base import SessionProtocol
 
 __all__ = ["DualUpdate", "DualQuery", "DualReply", "DualProtocol"]
 
@@ -117,7 +116,7 @@ class _DestState:
         self.deferred_reply_to: Optional[int] = None
 
 
-class DualProtocol(RoutingProtocol):
+class DualProtocol(SessionProtocol):
     """Loop-free distance vector with diffusing computations."""
 
     name = "dual"
@@ -129,15 +128,13 @@ class DualProtocol(RoutingProtocol):
         network: Network,
         max_distance: float = 64.0,
     ) -> None:
-        super().__init__(node, rng_streams)
-        self._network = network
+        super().__init__(node, rng_streams, network)
         if max_distance <= 0:
             raise ValueError("max_distance must be positive")
         self.max_distance = max_distance
         #: neighbor -> dest -> advertised distance.
         self.neighbor_dist: dict[int, dict[int, float]] = {}
         self.states: dict[int, _DestState] = {}
-        self._channels: dict[int, ReliableChannel] = {}
         # Per-event outgoing batches: nbr -> {dest: dist} per message kind.
         self._batch: dict[str, dict[int, dict[int, float]]] = {
             "update": {},
@@ -178,22 +175,9 @@ class DualProtocol(RoutingProtocol):
             state.successor = path[1]
             self.node.set_next_hop(dest, path[1])
 
-    def _open_session(self, neighbor: int) -> None:
-        if neighbor in self._channels:
-            return
-        link = self.node.link_to(neighbor)
-        self._channels[neighbor] = ReliableChannel(
-            self.sim,
-            link,
-            self.node.id,
-            deliver=lambda payload, nbr=neighbor: self._deliver_to(nbr, payload),
-        )
+    def _open_session(self, neighbor: int) -> bool:
         self.neighbor_dist.setdefault(neighbor, {})
-
-    def _deliver_to(self, neighbor: int, payload: Any) -> None:
-        peer = self._network.node(neighbor).protocol
-        if peer is not None:
-            peer.apply_message(payload, self.node.id)
+        return super()._open_session(neighbor)
 
     def _state(self, dest: int) -> _DestState:
         state = self.states.get(dest)
@@ -221,7 +205,7 @@ class DualProtocol(RoutingProtocol):
         self._flush()
 
     def handle_link_down(self, neighbor: int) -> None:
-        self._channels.pop(neighbor, None)
+        self._close_session(neighbor)
         self.neighbor_dist.pop(neighbor, None)
         for kind in self._batch.values():
             kind.pop(neighbor, None)
@@ -404,12 +388,7 @@ class DualProtocol(RoutingProtocol):
                 if not routes:
                     continue
                 message = message_class(routes=routes)
-                size = message.size_bytes
-                channel = self._channels.get(nbr)
-                if channel is not None and channel.send(message, size):
-                    self._record_message(
-                        nbr, len(routes), is_withdrawal=(kind == "query"), size_bytes=size
-                    )
+                self._send_reliable(nbr, message, len(routes), is_withdrawal=(kind == "query"))
             per_nbr.clear()
 
     # -------------------------------------------------------------- inspection

@@ -283,9 +283,4 @@ class DistanceVectorProtocol(RoutingProtocol):
 
     def _advertise(self, neighbor: int, routes: Iterable[tuple[int, int]]) -> None:
         for message in pack_distance_vector(routes):
-            self.node.send_control(
-                neighbor, message, message.size_bytes, protocol=self.name
-            )
-            self._record_message(
-                neighbor, len(message), size_bytes=message.size_bytes
-            )
+            self._send(neighbor, message, len(message))

@@ -247,15 +247,11 @@ class OlsrProtocol(RoutingProtocol):
     # ----------------------------------------------------------- control plane
 
     def _send_hello(self) -> None:
-        hello = OlsrHello(
+        self._flood(OlsrHello(
             origin=self.node.id,
             neighbors=tuple(sorted(self._nbr.items())),
             mprs=tuple(sorted(self.mprs)),
-        )
-        size = hello.size_bytes
-        for nbr in self.node.up_neighbors():
-            self.node.send_control(nbr, hello, size, protocol=self.name)
-            self._record_message(nbr, 1, size_bytes=size)
+        ))
 
     def _handle_hello(self, hello: OlsrHello, from_node: int) -> None:
         link = self.node.links.get(from_node)
@@ -305,14 +301,7 @@ class OlsrProtocol(RoutingProtocol):
             selectors=tuple(sorted(self.mpr_selectors)),
         )
         self._store_tc(self.node.id, self._tc_seq, frozenset(self.mpr_selectors))
-        self._flood_tc(tc, exclude=None)
-
-    def _flood_tc(self, tc: OlsrTc, exclude: Optional[int]) -> None:
-        size = tc.size_bytes
-        for nbr in self.node.up_neighbors():
-            if nbr != exclude:
-                self.node.send_control(nbr, tc, size, protocol=self.name)
-                self._record_message(nbr, 1, size_bytes=size)
+        self._flood(tc)
 
     def _hold_time(self) -> float:
         """TC validity (RFC 3626 TOP_HOLD_TIME): three advertisement periods."""
@@ -345,7 +334,7 @@ class OlsrProtocol(RoutingProtocol):
         # MPR-only forwarding: relay solely on behalf of our selectors.
         if from_node in self.mpr_selectors:
             self.tc_forwards += 1
-            self._flood_tc(tc, exclude=from_node)
+            self._flood(tc, exclude=from_node)
         self._recompute()
 
     # ---------------------------------------------------------------- routing

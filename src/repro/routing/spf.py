@@ -140,7 +140,7 @@ class SpfProtocol(RoutingProtocol):
         self._originate()
         # Database sync on adjacency (re)establishment.
         for lsa in list(self.database.values()):
-            self._send_lsa(neighbor, lsa)
+            self._send(neighbor, lsa)
 
     # -------------------------------------------------------------- mechanics
 
@@ -165,18 +165,8 @@ class SpfProtocol(RoutingProtocol):
         )
         lsa = Lsa(origin=self.node.id, seq=self._seq, adjacencies=adjacencies)
         self._install(lsa)
-        self._flood(lsa, exclude=None)
+        self._flood(lsa)
         self._schedule_recompute()
-
-    def _flood(self, lsa: Lsa, exclude: Optional[int]) -> None:
-        for nbr in self.node.up_neighbors():
-            if nbr != exclude:
-                self._send_lsa(nbr, lsa)
-
-    def _send_lsa(self, neighbor: int, lsa: Lsa) -> None:
-        size = lsa.size_bytes
-        self.node.send_control(neighbor, lsa, size, protocol=self.name)
-        self._record_message(neighbor, 1, size_bytes=size)
 
     def _schedule_recompute(self) -> None:
         # Latest trigger wins; good enough for attribution of a batched run.

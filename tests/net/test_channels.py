@@ -70,3 +70,21 @@ class TestReliableChannel:
         t_a, t_b = (t for t, _ in got)
         assert t_a == pytest.approx(0.011)
         assert t_b == pytest.approx(0.021)
+
+    def test_close_detaches_an_idle_channel(self, sim):
+        link, channel, got = make_channel(sim)
+        channel.send("a", 125)
+        sim.run()
+        channel.close()
+        assert link.fail_listeners == []
+
+    def test_close_keeps_a_channel_with_a_message_in_flight(self, sim):
+        # The link may come back before its failure is detected and carry a
+        # message; a later failure must still destroy it.
+        link, channel, got = make_channel(sim)
+        channel.send("x", 125)
+        channel.close()
+        assert link.fail_listeners == [channel._on_link_fail]
+        sim.schedule(0.0015, link.fail)
+        sim.run()
+        assert got == [] and channel.messages_lost == 1

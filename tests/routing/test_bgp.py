@@ -225,6 +225,24 @@ class TestFailureResponse:
         assert 1 not in proto0.rib_in
         assert 1 not in proto0._channels
 
+    def test_closed_sessions_leave_their_link(self):
+        topo = generators.line(2)
+        sim, net, _ = build_network(topo, "bgp", bgp_config=FAST)
+        for node in net.iter_nodes():
+            node.protocol.warm_start(topo)
+        link = net.link(0, 1)
+        injector = LinkScheduler(sim, net, detection_delay=0.05)
+        injector.fail_link(0, 1, at=10.0)
+        injector.restore_link(0, 1, at=20.0)
+        injector.fail_link(0, 1, at=30.0)
+        listeners = []
+        for t in (10.1, 20.1, 30.1):
+            sim.run(until=t)
+            listeners.append(len(link.fail_listeners))
+        # One session per direction while up, none once the failure is seen.
+        assert listeners == [0, 2, 0]
+        assert net.node(0).protocol._channels == {}
+
     def test_network_reconverges_after_failure(self):
         topo = diamond()
         sim, net, _ = build_network(topo, "bgp", bgp_config=FAST)

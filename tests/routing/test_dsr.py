@@ -69,6 +69,29 @@ class TestSourceRouting:
         assert proto.route_path(2) == (0, 1, 2)
 
 
+class TestDiscoveryRetry:
+    def test_retry_releases_to_a_path_learned_meanwhile(self):
+        """A retry first checks the cache: a path learned some other way
+        while the discovery waited ends it without another flood."""
+        config = DsrConfig(discovery_timeout=0.5)
+        sim, net, rng = build_network(generators.line(3), "none")
+        net.attach_protocols(lambda node: DsrProtocol(node, rng, config))
+        net.start_protocols()
+        injector = LinkScheduler(sim, net, detection_delay=0.01)
+        injector.fail_link(1, 2, at=0.1)
+        sim.run(until=0.2)  # node 2 is unreachable: no reply will come
+        packet = _send_data(net, 0, 2)
+        proto = net.node(0).protocol
+        sim.run(until=0.3)
+        sent = proto.messages_sent
+        proto._cache_path((0, 1, 2))
+        sim.run(until=5.0)
+        assert proto.messages_sent == sent  # released, not re-requested
+        assert proto.discoveries == 1 and proto.discovery_failures == 0
+        assert proto.pending_data_packets() == 0
+        assert packet.route == (0, 1, 2)
+
+
 class TestRouteErrors:
     def test_broken_relay_sends_error_back_and_origin_purges(self):
         sim, net, _ = build_network(generators.line(4), "dsr")
