@@ -66,7 +66,7 @@ def _scenario_cpu_seconds(post_fail_window: float, variant: str) -> float:
 
     ``variant`` is ``"off"`` (the default zero-instrumentation path),
     ``"obs"`` (a full :class:`RunObservation`), ``"flight"`` (a
-    :class:`FlightRecorder` ring-buffering every record kind), or
+    :class:`FlightRecorder` keeping every record of every kind), or
     ``"live"`` (a ``--live-log`` run-event log streamed to a temp file —
     opening, writing, and flushing the log all land inside the timed
     region, since that is exactly what a logged run pays).

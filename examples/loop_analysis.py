@@ -27,7 +27,7 @@ def main() -> None:
 
         print(f"\nseed {seed}: loop found")
         print(f"  failed link            {result.failed_link}")
-        print(f"  pre-failure path       {' -> '.join(map(str, result.pre_failure_path))}")
+        print(f"  pre-failure path       {' -> '.join(map(str, result.initial_path))}")
         print(f"  packets sent           {result.sent}")
         print(f"  delivered              {result.delivered}")
         print(f"  died of TTL expiry     {result.drops_ttl}")

@@ -18,7 +18,7 @@ def main() -> None:
     print("Scenario")
     print(f"  topology            7x7 regular mesh, interior degree 4")
     print(f"  sender -> receiver  host {result.sender} -> host {result.receiver}")
-    print(f"  pre-failure path    {' -> '.join(map(str, result.pre_failure_path))}")
+    print(f"  pre-failure path    {' -> '.join(map(str, result.initial_path))}")
     print(f"  failed link         {result.failed_link} (at t=0, detected +50 ms)")
     if result.expected_final_path:
         print(f"  expected new path   {' -> '.join(map(str, result.expected_final_path))}")

@@ -15,7 +15,7 @@ Exposes the experiment harness without writing Python::
     python -m repro profile --out prof.json   # phase/metric/sweep telemetry
     python -m repro trace --packet 17         # hop-by-hop packet autopsy
     python -m repro trace --timeline          # causal convergence timeline
-    python -m repro trace --dump flight.json  # read a post-mortem dump
+    python -m repro trace --dump flight.json  # re-run a post-mortem dump
 
 Use ``--paper-scale`` for the full 10-seed configuration; the default is the
 reduced quick profile.
@@ -39,7 +39,7 @@ from .experiments import figures as fig
 from .experiments.report import format_series_grid, format_sweep_table
 from .experiments.runner import run_sweep
 from .experiments.scenario import run_scenario
-from .records import ArtifactError, is_num, write_json
+from .records import ArtifactError, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -304,12 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_p.add_argument(
         "--dump", metavar="FILE",
-        help="read records from a post-mortem flight dump instead of "
-             "running a scenario (the dump is schema-checked first)",
+        help="re-run the run a post-mortem flight dump names instead of "
+             "the --protocol/--degree/--seed scenario (the re-run must "
+             "reproduce the dump's result)",
     )
     trace_p.add_argument(
         "--out", metavar="FILE",
-        help="write the recorded rings as a flight dump here",
+        help="write a flight dump naming the run here",
     )
     trace_p.add_argument(
         "--perfetto", metavar="FILE",
@@ -362,7 +363,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.protocol, args.degree, args.seed, config, live_log=args.live_log
     )
     print(f"protocol={r.protocol} degree={r.degree} seed={r.seed}")
-    print(f"pre-failure path: {' -> '.join(map(str, r.pre_failure_path))}")
+    print(f"pre-failure path: {' -> '.join(map(str, r.initial_path))}")
     print(f"failed link: {r.failed_link}")
     print(
         f"sent={r.sent} delivered={r.delivered} ({r.delivery_ratio:.1%}) "
@@ -847,12 +848,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .experiments.persistence import scenario_to_dict
+    from .experiments.scenario import replay
     from .obs.flight import (
         FlightRecorder,
         build_causal_timeline,
         build_dump,
         check_dump,
-        dump_records,
         format_autopsy,
         format_causal_timeline,
         load_dump,
@@ -863,61 +865,41 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_perfetto,
     )
 
-    config = _config(args)
-    if args.smoke:
-        config = config.with_(post_fail_window=30.0)
-        if not args.out:
-            args.out = "trace-smoke-dump.json"
-
-    recorder = None
-    violations: list[str] = []
     if args.dump:
-        dump = load_dump(args.dump)
-        problems = check_dump(dump)
-        if problems:
-            print(f"{args.dump} failed its dump self-check:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 1
-        rings = dump_records(dump)
-        packets = rings.get("packet", [])
-        routes = rings.get("route", [])
-        links = rings.get("link", [])
-        messages = rings.get("message", [])
-        meta = dump.get("meta", {})
-        origin = meta["fail_time"] if is_num(meta.get("fail_time")) else 0.0
-        violations = list(dump.get("violations") or ())
-        print(
-            f"flight dump {args.dump}: "
-            + ", ".join(f"{len(rings.get(k, []))} {k}" for k in
-                        ("packet", "route", "link", "message"))
-        )
-        if meta:
-            print("  " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())))
+        ticket = load_dump(args.dump)
+        try:
+            result, recorder = replay(ticket)
+        except ArtifactError as exc:
+            raise ArtifactError(f"flight dump {args.dump!r}: {exc}") from exc
+        run, config = ticket["run"], ExperimentConfig.from_dict(ticket["config"])
+        print(f"replayed flight dump {args.dump}: the re-run reproduces its result")
     else:
+        run, config = "scenario", _config(args)
+        if args.smoke:
+            config = config.with_(post_fail_window=30.0)
+            if not args.out:
+                args.out = "trace-smoke-dump.json"
         recorder = FlightRecorder()
         result = run_scenario(
             args.protocol, args.degree, args.seed, config, recorder=recorder
         )
-        packets = recorder.records("packet")
-        routes = recorder.records("route")
-        links = recorder.records("link")
-        messages = recorder.records("message")
-        origin = config.fail_time if not config.cold_start else (
-            config.cold_warmup + config.fail_time
-        )
-        print(
-            f"protocol={result.protocol} degree={result.degree} "
-            f"seed={result.seed}: sent={result.sent} "
-            f"delivered={result.delivered} drops={result.total_drops}"
-        )
-        print(
-            f"recorded: {len(packets)} packet, {len(routes)} route, "
-            f"{len(links)} link, {len(messages)} message record(s)"
-        )
-    if violations:
+    packets = recorder.records("packet")
+    routes = recorder.records("route")
+    links = recorder.records("link")
+    messages = recorder.records("message")
+    origin = config.fail_time + (config.cold_warmup if config.cold_start else 0.0)
+    print(
+        f"protocol={result.protocol} degree={result.degree} "
+        f"seed={result.seed}: sent={result.sent} "
+        f"delivered={result.delivered} drops={result.total_drops}"
+    )
+    print(
+        f"recorded: {len(packets)} packet, {len(routes)} route, "
+        f"{len(links)} link, {len(messages)} message record(s)"
+    )
+    if result.violations:
         print("violations:")
-        for v in violations:
+        for v in result.violations:
             print(f"  {v}")
 
     if args.packet is not None:
@@ -952,29 +934,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     rc = 0
     if args.out:
-        if recorder is None:
-            print("note: --out ignored when reading from --dump")
+        ticket = build_dump(
+            run, result.protocol, result.degree, result.seed, config,
+            scenario_to_dict(result),
+        )
+        save_dump(ticket, args.out)
+        problems = check_dump(load_dump(args.out))
+        if problems:
+            print(f"{args.out} failed its dump self-check:", file=sys.stderr)
+            for problem in problems:
+                print(f"  {problem}", file=sys.stderr)
+            rc = 1
         else:
-            dump = build_dump(
-                recorder,
-                meta={
-                    "protocol": args.protocol,
-                    "degree": args.degree,
-                    "seed": args.seed,
-                    "fail_time": origin,
-                },
-            )
-            save_dump(dump, args.out)
-            problems = check_dump(load_dump(args.out))
-            if problems:
-                print(
-                    f"{args.out} failed its dump self-check:", file=sys.stderr
-                )
-                for problem in problems:
-                    print(f"  {problem}", file=sys.stderr)
-                rc = 1
-            else:
-                print(f"\nflight dump written to {args.out} (self-check ok)")
+            print(f"\nflight dump written to {args.out} (self-check ok)")
     if args.perfetto:
         write_perfetto(
             perfetto_trace(packets, routes, links, messages), args.perfetto
@@ -1033,7 +1005,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return handlers[args.command](args)
     except ArtifactError as exc:
-        # A torn, truncated, wrong-shape, wrong-version or foreign file.
+        # A torn, half-written, wrong-shape, wrong-version or foreign file.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,8 +40,10 @@ from ..net.dynamics import (
 )
 from ..net.network import Network
 from ..net.node import Node
-from ..obs.flight import FlightRecorder, build_dump, save_dump
+from ..net.packet import reset_packet_ids
+from ..obs.flight import FlightRecorder, build_dump, check_dump, save_dump
 from ..obs.profiler import NULL_PROFILER
+from ..records import ArtifactError
 from ..routing.aodv import AodvProtocol
 from ..routing.bgp import BgpConfig, BgpProtocol
 from ..routing.damping import DampingConfig
@@ -81,6 +83,7 @@ __all__ = [
     "run_scenario",
     "make_protocol_factory",
     "mesh_links",
+    "replay",
 ]
 
 
@@ -159,7 +162,7 @@ class ScenarioResult:
     violations: tuple[str, ...] = ()
     # Monitors that declined to judge this run: name -> reason.
     monitor_skips: dict[str, str] = field(default_factory=dict)
-    # Post-mortem flight dump written because a monitor fired (None otherwise).
+    # Post-mortem ticket written because a monitor fired (None otherwise).
     dump_path: Optional[str] = None
 
     @property
@@ -175,8 +178,6 @@ class ScenarioResult:
     def delivery_ratio(self) -> float:
         return self.delivered / self.sent if self.sent else 0.0
 
-    # Legacy accessors (pre-event-schedule results had exactly one failure).
-
     @property
     def failed_link(self) -> Optional[tuple[int, int]]:
         """The first failed link, or ``None`` for an event-free run."""
@@ -184,11 +185,6 @@ class ScenarioResult:
             if event.kind == "fail":
                 return event.link
         return None
-
-    @property
-    def pre_failure_path(self) -> tuple[int, ...]:
-        """Legacy alias for :attr:`initial_path`."""
-        return self.initial_path
 
 
 def make_protocol_factory(
@@ -426,7 +422,8 @@ class ScenarioRun:
     :class:`~repro.net.dynamics.TopologyDriver`, default the paper's single
     on-path failure.  ``bus`` substitutes a retaining
     :class:`~repro.sim.tracing.TraceBus` (narration reads records off it).
-    ``kind`` and ``meta`` label the live log and post-mortem dump.
+    ``kind`` and ``meta`` label the live log; ``kind`` is also the run a
+    post-mortem ticket names (see :func:`replay`).
     """
 
     def __init__(
@@ -449,8 +446,6 @@ class ScenarioRun:
         meta: Optional[dict] = None,
         reactive_strict: bool = True,
     ) -> None:
-        if recorder is None and dump_dir is not None:
-            recorder = FlightRecorder()
         if monitors is None and config.validate:
             from ..validation.monitors import MonitorSuite
 
@@ -614,7 +609,7 @@ class ScenarioRun:
 
         Packet accounting and the delivery-derived series follow the first
         flow (see :func:`fold_result`).  Finalizes the monitors, writes the
-        post-mortem dump if one is armed and a monitor fired, and closes
+        post-mortem ticket if one is armed and a monitor fired, and closes
         counters, recorder, observation and live log.
         """
         with self.profiler.span("drain", sim=self.sim):
@@ -637,8 +632,8 @@ class ScenarioRun:
             if self.monitors is not None:
                 result.violations = tuple(str(v) for v in self.monitors.finalize())
                 result.monitor_skips = dict(self.monitors.skips)
-            if result.violations and self.recorder is not None and self.dump_dir:
-                result.dump_path = self._dump(result.violations)
+            if result.violations and self.dump_dir:
+                result.dump_path = self._dump(result)
         if self.recorder is not None:
             self.recorder.close()
         self.drop_counter.close()
@@ -654,30 +649,25 @@ class ScenarioRun:
                 self.log.close()
         return result
 
-    def _dump(self, violations: tuple[str, ...]) -> str:
-        """Snapshot the recorder's rings to a versioned post-mortem file."""
+    def _dump(self, result: ScenarioResult) -> str:
+        """Write the post-mortem ticket naming this run (see :func:`replay`).
+
+        The ticket's config asks for validation, so its replay attaches the
+        default monitor suite however this run got its monitors.
+        """
+        from .persistence import scenario_to_dict
+
         os.makedirs(self.dump_dir, exist_ok=True)
-        dump = build_dump(
-            self.recorder,
-            meta={
-                **self.meta,
-                "sender": self.layout.sender,
-                "receiver": self.layout.receiver,
-                "failed_link": list(self.layout.failed or ()),
-                "fail_time": self.fail_at,
-                "detect_time": self.clock.first_detect,
-                "end_time": self.end_at,
-                "events": [[e.kind, e.a, e.b, e.time] for e in self.scheduled],
-            },
-            violations=violations,
-            counters=self.bus.counters.as_dict(),
+        ticket = build_dump(
+            self.kind, self.protocol, self.degree, self.seed,
+            self.config.with_(validate=True), scenario_to_dict(result),
         )
         prefix = "" if self.kind == "scenario" else f"{self.kind}-"
         path = os.path.join(
             self.dump_dir,
             f"flight-{prefix}{self.protocol}-d{self.degree}-s{self.seed}.json",
         )
-        save_dump(dump, path)
+        save_dump(ticket, path)
         return path
 
 
@@ -715,12 +705,13 @@ def run_scenario(
 
     ``recorder`` is an optional :class:`repro.obs.FlightRecorder`; it is
     attached to the run's bus (capturing warm-start route installs too) and
-    detached before return, rings left readable for autopsies/timelines.
-    ``dump_dir`` arms post-mortems: if any monitor fires, the recorder's
-    rings are snapshotted to a versioned JSON dump there (a recorder is
-    created on the fly when only ``dump_dir`` is given) and
-    ``ScenarioResult.dump_path`` names the file.  Like ``obs``, recording is
-    read-only and does not perturb results.
+    detached before return, every record left readable for
+    autopsies/timelines.  Like ``obs``, recording is read-only and does not
+    perturb results.  ``dump_dir`` arms post-mortems: if any monitor fires,
+    a ticket naming the run is written there and
+    ``ScenarioResult.dump_path`` names the file; :func:`replay` re-runs it
+    with a recorder.  A ``driver_factory`` schedule cannot be named by a
+    ticket, so the two are refused together.
 
     ``live_log`` (a path or an open :class:`~repro.obs.live.RunEventLog`)
     streams progress records: single-process runs emit one heartbeat at
@@ -730,6 +721,12 @@ def run_scenario(
     stay byte-identical either way (pinned by the transparency tests).
     """
     config = config or ExperimentConfig.quick()
+    if dump_dir is not None and driver_factory is not None:
+        raise ValueError(
+            "run_scenario takes dump_dir or driver_factory, not both: a "
+            "post-mortem ticket names its run by config and seed, and cannot "
+            "name a driver_factory's schedule"
+        )
     if config.shards > 1:
         # Delegate to the sharded runtime (repro.dist): same layout, same
         # schedule, byte-identical result — pinned by the differential suite.
@@ -753,3 +750,55 @@ def run_scenario(
         driver_factory=driver_factory, live_log=live_log,
     )
     return run.execute().to_result()
+
+
+def replay(dump: Mapping) -> tuple[ScenarioResult, FlightRecorder]:
+    """Re-run the run a post-mortem ticket names, recording every record.
+
+    The ticket (see :func:`repro.obs.flight.build_dump`) names a
+    ``"scenario"`` run through :func:`run_scenario` or a ``"churn"`` run
+    through :func:`~repro.experiments.churn.run_churn_scenario`; the re-run
+    must reproduce the ticket's ``scenario_to_dict`` field by field.
+    Returns the re-run's result and the recorder that watched it; packet
+    ids in its records count from zero, as in a fresh process.  A
+    malformed ticket, a config that does not build or does not match its
+    fingerprint, a run that does not build, or a field the re-run does not
+    reproduce is an :class:`~repro.records.ArtifactError` naming the defect.
+    """
+    from .churn import run_churn_scenario
+    from .persistence import scenario_from_dict, scenario_to_dict
+
+    problems = check_dump(dump)
+    if problems:
+        raise ArtifactError("; ".join(problems))
+    try:
+        config = ExperimentConfig.from_dict(dump["config"])
+    except (TypeError, ValueError) as exc:
+        raise ArtifactError(f"config does not build: {exc}") from exc
+    if config.fingerprint() != dump["fingerprint"]:
+        raise ArtifactError("config does not match its fingerprint")
+    recorded = scenario_to_dict(scenario_from_dict(dump["result"]))
+    for name in ("protocol", "degree", "seed"):
+        if recorded[name] != dump[name]:
+            raise ArtifactError(
+                f"names {name} {dump[name]!r} but its result is for {recorded[name]!r}"
+            )
+    recorder = FlightRecorder()
+    protocol, seed = dump["protocol"], dump["seed"]
+    reset_packet_ids()
+    try:
+        if dump["run"] == "churn":
+            result = run_churn_scenario(protocol, seed, config, recorder=recorder)
+        else:
+            result = run_scenario(protocol, dump["degree"], seed, config, recorder=recorder)
+    except ValueError as exc:
+        raise ArtifactError(f"names a run that does not build: {exc}") from exc
+    replayed = scenario_to_dict(result)
+    for name, value in recorded.items():
+        if replayed[name] != value:
+            values = (
+                "" if isinstance(value, (list, dict))
+                else f" (ticket {value!r}, re-run {replayed[name]!r})"
+            )
+            raise ArtifactError(f"does not replay: the re-run differs in {name}{values}")
+    return result, recorder

@@ -19,9 +19,10 @@ Three pieces, designed to cost nothing when idle:
 report (see :mod:`repro.obs.report` and ``docs/observability.md``).
 
 A fourth piece, the forensic layer (:mod:`repro.obs.flight`): the
-:class:`FlightRecorder` keeps bounded rings of trace records, reconstructs
-per-packet autopsies and the causal convergence timeline, and snapshots
-post-mortem dumps when a validation monitor fires.  ``python -m repro
+:class:`FlightRecorder` keeps every trace record of a run, reconstructs
+per-packet autopsies and the causal convergence timeline, and a
+validation monitor that fires writes a post-mortem ticket naming the run,
+which ``repro trace --dump`` re-runs.  ``python -m repro
 trace`` is its CLI; see ``docs/tracing.md``.
 
 A fifth, the streaming layer (:mod:`repro.obs.live`): the
@@ -53,7 +54,6 @@ from .flight import (
     build_causal_timeline,
     build_dump,
     check_dump,
-    dump_records,
     format_autopsy,
     format_causal_timeline,
     load_dump,
@@ -86,7 +86,6 @@ __all__ = [
     "build_causal_timeline",
     "build_dump",
     "check_dump",
-    "dump_records",
     "format_autopsy",
     "format_causal_timeline",
     "load_dump",

@@ -1,14 +1,15 @@
-"""Packet flight recorder: bounded trace rings, autopsies, causal timelines.
+"""Packet flight recorder: complete trace recordings, autopsies, causal timelines.
 
 The paper's results are *explanations* — which packets died in a transient
 loop, which update message flipped which FIB entry — not just counts.  This
 module is the forensic half of the observability layer:
 
-* :class:`FlightRecorder` — fixed-size ring buffers, one per trace kind,
-  subscribed to the :class:`~repro.sim.tracing.TraceBus` through the same
-  ``wants_*`` guard discipline every collector uses.  Detached, it costs
-  nothing: no subscription, no guard flip, no record allocation on the
-  packet hot path (the golden on/off test pins bit-identical results).
+* :class:`FlightRecorder` — one list per trace kind, subscribed to the
+  :class:`~repro.sim.tracing.TraceBus` through the same ``wants_*`` guard
+  discipline every collector uses, keeping every record of the run.
+  Detached, it costs nothing: no subscription, no guard flip, no record
+  allocation on the packet hot path (the golden on/off test pins
+  bit-identical results).
 * :func:`packet_autopsy` — stitches one packet's send/forward/deliver/drop
   records into a hop-by-hop walk with drop cause, loop detection, and the
   FIB entry each hop consulted.
@@ -16,25 +17,27 @@ module is the forensic half of the observability layer:
   FIB changes they triggered (via the ``cause`` field threaded through
   ``routing.base``), reconstructing the update wave from failure to
   convergence with per-node first/last-change timestamps.
-* Post-mortem dumps — a versioned JSON snapshot of the rings written when a
-  validation monitor fires, with a :func:`check_dump` self-validator
+* Post-mortem dumps — a versioned JSON *ticket* naming the run (its kind,
+  protocol, degree, seed and ``ExperimentConfig``) and the result it gave,
+  written when a validation monitor fires.  Runs are deterministic, so the
+  ticket holds no records: :func:`repro.experiments.scenario.replay`
+  re-runs it with a recorder.  :func:`check_dump` is its self-validator,
   mirroring :func:`repro.obs.report.check_report`.
 * :func:`perfetto_trace` — Chrome trace-event JSON viewable in Perfetto
   (``pid``/``tid`` map to node ids, ``ts`` is microseconds).
 
-See ``docs/tracing.md`` for ring sizing and the dump schema.
+See ``docs/tracing.md`` for the ticket schema and replay.
 """
 
 from __future__ import annotations
 
-import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from ..metrics.loops import first_loop
-from ..metrics.traceio import _decode, _encode
-from ..records import COUNT, LIST, NUM, OBJECT, POSITIVE, check_envelope, check_fields
-from ..records import is_int, nullable, read_json, write_json
+from ..records import COUNT, INT, OBJECT, TEXT, check_envelope, check_fields
+from ..records import read_json, write_json
 from ..sim.tracing import (
     TRACE_KINDS,
     DropCause,
@@ -46,10 +49,9 @@ from ..sim.tracing import (
 )
 
 __all__ = [
-    "DEFAULT_CAPACITIES",
     "DUMP_KIND",
+    "DUMP_RUNS",
     "DUMP_SCHEMA_VERSION",
-    "Ring",
     "FlightRecorder",
     "Hop",
     "PacketAutopsy",
@@ -65,113 +67,28 @@ __all__ = [
     "build_dump",
     "save_dump",
     "load_dump",
-    "dump_records",
     "check_dump",
     "perfetto_trace",
     "write_perfetto",
 ]
 
-#: Default ring capacities (records kept per kind).  Sized for one scenario:
-#: a 5x5 quick mesh warm start installs ~600 routes and a paper-scale
-#: post-failure window generates a few thousand packet events; link
-#: transitions are rare.  See docs/tracing.md "Ring sizing".
-DEFAULT_CAPACITIES: dict[str, int] = {
-    "packet": 8192,
-    "route": 4096,
-    "link": 512,
-    "message": 4096,
-}
-
-DUMP_SCHEMA_VERSION = 1
+DUMP_SCHEMA_VERSION = 2
 DUMP_KIND = "repro-flight-dump"
-
-
-class Ring:
-    """Record buffer that keeps exactly the newest ``capacity`` appends.
-
-    Logically a ring; physically an append-only list trimmed to capacity on
-    every read (``records``/``len``/``iter``/``evicted``/:meth:`trim`).  The
-    split exists for the hot path: :attr:`push` is the raw C-level
-    ``list.append``, which is what :class:`FlightRecorder` subscribes to the
-    bus — a Python-level ``append`` wrapper would roughly double the
-    recorder's per-record cost (see benchmarks/bench_overhead.py).  The
-    price is that peak memory between reads is the run's record volume, not
-    ``capacity``; scenario-scoped recordings stay small, and long-lived
-    users can call :meth:`trim` periodically.
-    """
-
-    __slots__ = ("capacity", "push", "_evicted", "_buf")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"ring capacity must be > 0, got {capacity}")
-        self.capacity = capacity
-        self._evicted = 0
-        # The list object must never be rebound: ``push`` (and any bus
-        # subscription holding it) aliases its bound C append forever.
-        self._buf: list = []
-        self.push = self._buf.append
-
-    def append(self, record: object) -> None:
-        """Append one record (convenience wrapper around :attr:`push`)."""
-        self.push(record)
-
-    def trim(self) -> None:
-        """Drop everything but the newest ``capacity`` records."""
-        buf = self._buf
-        overflow = len(buf) - self.capacity
-        if overflow > 0:
-            del buf[:overflow]
-            self._evicted += overflow
-
-    @property
-    def appended(self) -> int:
-        """Total records ever appended (exact, trim-independent)."""
-        return self._evicted + len(self._buf)
-
-    @property
-    def evicted(self) -> int:
-        """How many records have been pushed out by newer ones."""
-        self.trim()
-        return self._evicted
-
-    def records(self) -> list:
-        """Snapshot of the retained records, oldest first."""
-        self.trim()
-        return list(self._buf)
-
-    def clear(self) -> None:
-        self._buf.clear()
-        self._evicted = 0
-
-    def __len__(self) -> int:
-        self.trim()
-        return len(self._buf)
-
-    def __iter__(self):
-        self.trim()
-        return iter(self._buf)
+#: The runs a ticket can name (``ScenarioRun.kind``).
+DUMP_RUNS = ("scenario", "churn")
 
 
 class FlightRecorder:
-    """Bounded, always-consistent recording of a run's trace records.
+    """Complete recording of a run's trace records, one list per kind.
 
     Attach to a bus to start recording (this flips the bus's ``wants_*``
     guards on, like any subscriber); ``close()`` detaches and returns the
-    hot path to the zero-allocation regime while keeping the rings readable.
-    Works as a context manager.
+    hot path to the zero-allocation regime while keeping the records
+    readable.  Works as a context manager.
     """
 
-    def __init__(self, capacities: Optional[Mapping[str, int]] = None) -> None:
-        sizes = dict(DEFAULT_CAPACITIES)
-        if capacities:
-            unknown = set(capacities) - set(TRACE_KINDS)
-            if unknown:
-                raise ValueError(f"unknown trace kinds {sorted(unknown)}")
-            sizes.update(capacities)
-        self.rings: dict[str, Ring] = {
-            kind: Ring(sizes[kind]) for kind in TRACE_KINDS
-        }
+    def __init__(self) -> None:
+        self.streams: dict[str, list] = {kind: [] for kind in TRACE_KINDS}
         self._bus: Optional[TraceBus] = None
 
     @property
@@ -179,23 +96,22 @@ class FlightRecorder:
         return self._bus is not None
 
     def attach(self, bus: TraceBus) -> None:
-        """Subscribe every ring to ``bus`` (exactly one bus at a time)."""
+        """Subscribe every stream to ``bus`` (exactly one bus at a time)."""
         if self._bus is not None:
             raise RuntimeError("recorder is already attached to a bus")
         self._bus = bus
-        for kind, ring in self.rings.items():
-            # Subscribe the C-level push, not the Python append wrapper: at
-            # flight-recorder record rates the wrapper call itself is the
-            # single largest cost (see Ring docstring).
-            bus.subscribe(kind, ring.push)
+        for kind, stream in self.streams.items():
+            # Subscribe the list's C-level append: a Python-level wrapper
+            # would roughly double the recorder's per-record cost (see
+            # benchmarks/bench_overhead.py).
+            bus.subscribe(kind, stream.append)
 
     def close(self) -> None:
-        """Unsubscribe from the bus (idempotent); rings stay readable."""
+        """Unsubscribe from the bus (idempotent); records stay readable."""
         if self._bus is None:
             return
-        for kind, ring in self.rings.items():
-            self._bus.unsubscribe(kind, ring.push)
-            ring.trim()
+        for kind, stream in self.streams.items():
+            self._bus.unsubscribe(kind, stream.append)
         self._bus = None
 
     def __enter__(self) -> "FlightRecorder":
@@ -207,45 +123,33 @@ class FlightRecorder:
     # ------------------------------------------------------------- analysis
 
     def records(self, kind: str) -> list:
-        """Retained records of ``kind``, oldest first."""
-        return self.rings[kind].records()
+        """Every record of ``kind`` published while attached, oldest first."""
+        return list(self.streams[kind])
 
     def packet_ids(self) -> list[int]:
-        """Distinct packet ids present in the packet ring, first-seen order."""
-        seen: dict[int, None] = {}
-        for record in self.rings["packet"]:
-            seen.setdefault(record.packet_id, None)
-        return list(seen)
+        """Distinct packet ids recorded, first-seen order."""
+        return list(dict.fromkeys(r.packet_id for r in self.streams["packet"]))
 
     def packet_autopsy(self, packet_id: int) -> "PacketAutopsy":
         return packet_autopsy(
-            self.records("packet"), packet_id, route_changes=self.records("route")
+            self.streams["packet"], packet_id, route_changes=self.streams["route"]
         )
 
     def autopsies(self) -> dict[int, "PacketAutopsy"]:
         return packet_autopsies(
-            self.records("packet"), route_changes=self.records("route")
+            self.streams["packet"], route_changes=self.streams["route"]
         )
 
     def timeline(
         self, since: Optional[float] = None, dest: Optional[int] = None
     ) -> "CausalTimeline":
         return build_causal_timeline(
-            self.records("route"),
-            messages=self.records("message"),
-            link_events=self.records("link"),
+            self.streams["route"],
+            messages=self.streams["message"],
+            link_events=self.streams["link"],
             since=since,
             dest=dest,
         )
-
-    def snapshot(
-        self,
-        meta: Optional[dict] = None,
-        violations: Iterable[str] = (),
-        counters: Optional[Mapping[str, int]] = None,
-    ) -> dict:
-        """The post-mortem dump document (see :func:`build_dump`)."""
-        return build_dump(self, meta=meta, violations=violations, counters=counters)
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +167,7 @@ class Hop:
     ttl: int
     #: FIB next hop this node held for the packet's destination at this
     #: instant, reconstructed from route-change records (None = unknown —
-    #: no route records available, or the entry predates the route ring).
+    #: no route records available, or no entry installed yet).
     fib_next_hop: Optional[int] = None
 
 
@@ -279,8 +183,6 @@ class PacketAutopsy:
     path: tuple[int, ...]  # node visits, consecutive duplicates collapsed
     loop: Optional[tuple[int, ...]]  # first node cycle, e.g. (7, 8, 7)
     hops: tuple[Hop, ...]
-    #: True when the earliest record is not the "send" (ring evicted it).
-    truncated: bool
 
     @property
     def n_hops(self) -> int:
@@ -294,7 +196,7 @@ def packet_autopsy(
 ) -> PacketAutopsy:
     """Stitch one packet's records into a hop-by-hop account.
 
-    ``packets`` may contain many interleaved packets (a ring snapshot, a
+    ``packets`` may contain many interleaved packets (a recording, a
     trace file); only records matching ``packet_id`` are used.  Pass the
     matching ``route_changes`` to also reconstruct the FIB entry each hop
     consulted.  Raises ``KeyError`` if the packet left no records at all.
@@ -303,7 +205,7 @@ def packet_autopsy(
     if not events:
         raise KeyError(f"no trace records for packet {packet_id}")
     events.sort(key=lambda r: r.time)  # stable: preserves publish order at ties
-    return _autopsy_from_events(packet_id, events, list(route_changes))
+    return _autopsy_from_events(packet_id, events, _fib_index(route_changes))
 
 
 def packet_autopsies(
@@ -314,31 +216,44 @@ def packet_autopsies(
     by_id: dict[int, list[PacketRecord]] = {}
     for record in packets:
         by_id.setdefault(record.packet_id, []).append(record)
-    routes = list(route_changes)
+    fibs = _fib_index(route_changes)
     out: dict[int, PacketAutopsy] = {}
     for pid, events in by_id.items():
         events.sort(key=lambda r: r.time)
-        out[pid] = _autopsy_from_events(pid, events, routes)
+        out[pid] = _autopsy_from_events(pid, events, fibs)
     return out
 
 
-def _fib_at(
-    routes: list[RouteChangeRecord], node: int, dest: int, when: float
-) -> Optional[int]:
-    """Next hop ``node`` held for ``dest`` at ``when`` (last change wins)."""
-    hop: Optional[int] = None
-    known = False
-    for r in routes:
-        if r.node == node and r.dest == dest and r.time <= when:
-            hop = r.new_next_hop
-            known = True
-    return hop if known else None
+#: ``(node, dest) -> (times, next hops)`` of every change, in input order,
+#: with each time lowered to the minimum of it and every later one.
+_FibIndex = dict[tuple[int, int], tuple[list[float], list[Optional[int]]]]
+
+
+def _fib_index(route_changes: Iterable[RouteChangeRecord]) -> _FibIndex:
+    index: _FibIndex = {}
+    for r in route_changes:
+        times, hops = index.setdefault((r.node, r.dest), ([], []))
+        times.append(r.time)
+        hops.append(r.new_next_hop)
+    for times, _ in index.values():
+        for i in range(len(times) - 2, -1, -1):
+            times[i] = min(times[i], times[i + 1])
+    return index
+
+
+def _fib_at(fibs: _FibIndex, node: int, dest: int, when: float) -> Optional[int]:
+    """Next hop ``node`` held for ``dest`` at ``when``: the last change in
+    input order made at or before ``when``.  The suffix minima are sorted,
+    and the last one at or below ``when`` sits on exactly that change."""
+    times, hops = fibs.get((node, dest), ((), ()))
+    i = bisect_right(times, when)
+    return hops[i - 1] if i else None
 
 
 def _autopsy_from_events(
     packet_id: int,
     events: list[PacketRecord],
-    routes: list[RouteChangeRecord],
+    fibs: _FibIndex,
 ) -> PacketAutopsy:
     terminal = events[-1]
     outcome = "in_flight"
@@ -363,7 +278,7 @@ def _autopsy_from_events(
             kind=r.kind,
             ttl=r.ttl,
             fib_next_hop=(
-                _fib_at(routes, r.node, dst, r.time)
+                _fib_at(fibs, r.node, dst, r.time)
                 if dst is not None and r.kind in ("send", "forward")
                 else None
             ),
@@ -379,7 +294,6 @@ def _autopsy_from_events(
         path=tuple(path),
         loop=first_loop(path),
         hops=hops,
-        truncated=events[0].kind != "send",
     )
 
 
@@ -393,8 +307,6 @@ def format_autopsy(autopsy: PacketAutopsy, origin: float = 0.0) -> str:
     if autopsy.drop_cause is not None:
         head += f" ({autopsy.drop_cause.value})"
     head += f" after {autopsy.n_hops} hop(s)"
-    if autopsy.truncated:
-        head += "  [record start evicted from ring]"
     lines = [head]
     for hop in autopsy.hops:
         fib = f"  fib->{hop.fib_next_hop}" if hop.fib_next_hop is not None else ""
@@ -634,27 +546,26 @@ def format_causal_timeline(
 
 
 def build_dump(
-    recorder: FlightRecorder,
-    meta: Optional[dict] = None,
-    violations: Iterable[str] = (),
-    counters: Optional[Mapping[str, int]] = None,
+    run: str, protocol: str, degree: int, seed: int, config, result: dict
 ) -> dict:
-    """Assemble the versioned post-mortem document from a recorder."""
-    rings = {}
-    for kind in TRACE_KINDS:
-        ring = recorder.rings[kind]
-        rings[kind] = {
-            "capacity": ring.capacity,
-            "appended": ring.appended,
-            "records": [_encode(r) for r in ring],
-        }
+    """The post-mortem ticket naming one run.
+
+    ``run`` is the :class:`~repro.experiments.scenario.ScenarioRun` kind
+    (one of :data:`DUMP_RUNS`), ``config`` the run's
+    :class:`~repro.experiments.config.ExperimentConfig` and ``result`` its
+    ``scenario_to_dict``, violations included.  The ticket holds no trace
+    records: :func:`repro.experiments.scenario.replay` re-runs it.
+    """
     return {
         "schema_version": DUMP_SCHEMA_VERSION,
         "kind": DUMP_KIND,
-        "meta": dict(meta or {}),
-        "violations": [str(v) for v in violations],
-        "counters": dict(counters) if counters is not None else None,
-        "rings": rings,
+        "run": run,
+        "protocol": protocol,
+        "degree": degree,
+        "seed": seed,
+        "config": config.to_dict(),
+        "fingerprint": config.fingerprint(),
+        "result": result,
     }
 
 
@@ -664,108 +575,35 @@ def save_dump(dump: dict, path: str) -> None:
 
 
 def load_dump(path: str) -> dict:
-    """Read a dump written by :func:`save_dump`; :func:`check_dump` judges it."""
-    return read_json(path, "flight dump")
-
-
-def dump_records(dump: dict) -> dict[str, list]:
-    """Decode a dump's rings back into trace record objects.
-
-    Records that no longer decode (an unknown kind from a newer writer) are
-    skipped with one warning each, mirroring the sweep store's
-    telemetry-record skip convention.
-    """
-    out: dict[str, list] = {}
-    for kind, ring in dump.get("rings", {}).items():
-        decoded = []
-        for data in ring.get("records", ()):
-            try:
-                decoded.append(_decode(data))
-            except ValueError as exc:
-                warnings.warn(
-                    f"skipping undecodable {kind!r} record in flight dump: {exc}",
-                    stacklevel=2,
-                )
-        out[kind] = decoded
-    return out
-
-
-_RING_SPEC = {"capacity": POSITIVE, "appended": COUNT, "records": LIST}
-
-
-def _check_ring(kind: str, ring: object, problems: list[str]) -> None:
-    path = f"rings[{kind!r}]"
-    if not check_fields(ring, _RING_SPEC, path, problems):
-        return
-    capacity, appended, records = ring["capacity"], ring["appended"], ring["records"]
-    if len(records) > capacity:
-        problems.append(
-            f"{path}: holds {len(records)} records but capacity is {capacity}"
-        )
-    if len(records) > appended:
-        problems.append(
-            f"{path}: holds {len(records)} records but only {appended} were appended"
-        )
-    if appended > capacity and len(records) != capacity:
-        problems.append(
-            f"{path}: overflowed ({appended} appends) so it must be full, "
-            f"holds {len(records)}/{capacity}"
-        )
-    record_spec = {"type": (lambda v: v == kind, repr(kind)), "time": NUM}
-    last_time = None
-    for i, data in enumerate(records):
-        rpath = f"{path}.records[{i}]"
-        if not check_fields(data, record_spec, rpath, problems):
-            continue
-        t = data["time"]
-        if last_time is not None and t < last_time:
-            problems.append(
-                f"{rpath}: time {t} goes backwards (previous {last_time})"
-            )
-        last_time = t
-        try:
-            _decode(data)
-        except ValueError as exc:
-            problems.append(f"{rpath}: does not decode: {exc}")
+    """Read a dump written by :func:`save_dump`; another version is an
+    :class:`~repro.records.ArtifactError`, and :func:`check_dump` judges
+    the rest."""
+    return read_json(path, "flight dump", "schema_version", DUMP_SCHEMA_VERSION)
 
 
 _DUMP_ENVELOPE = {"schema_version": DUMP_SCHEMA_VERSION, "kind": DUMP_KIND}
 _DUMP_SPEC = {
-    "meta": OBJECT,
-    "violations": (
-        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-        "a list of strings",
-    ),
-    "counters": nullable(OBJECT),
-    "rings": OBJECT,
+    "run": (lambda v: v in DUMP_RUNS, f"one of {list(DUMP_RUNS)}"),
+    "protocol": TEXT,
+    "degree": COUNT,
+    "seed": INT,
+    "config": OBJECT,
+    "fingerprint": TEXT,
+    "result": OBJECT,
 }
 
 
 def check_dump(dump: object) -> list[str]:
-    """Validate a flight dump; returns a list of problems (empty = ok)."""
-    problems: list[str] = []
+    """Validate a flight dump's shape; returns a list of problems (empty = ok).
+
+    Whether the ticket's config builds and its result replays is
+    :func:`repro.experiments.scenario.replay`'s to judge.
+    """
     if not isinstance(dump, dict):
         return ["dump must be a JSON object"]
+    problems: list[str] = []
     check_envelope(dump, _DUMP_ENVELOPE, "", problems)
     check_fields(dump, _DUMP_SPEC, "dump", problems)
-    counters = dump.get("counters")
-    if isinstance(counters, dict):
-        for name, value in counters.items():
-            if not is_int(value) or value < 0:
-                problems.append(
-                    f"counters[{name!r}]: must be an int >= 0, got {value!r}"
-                )
-    rings = dump.get("rings")
-    if not isinstance(rings, dict):
-        return problems
-    unknown = set(rings) - set(TRACE_KINDS)
-    if unknown:
-        problems.append(f"rings: unknown kinds {sorted(unknown)}")
-    for kind in TRACE_KINDS:
-        if kind not in rings:
-            problems.append(f"rings: missing kind {kind!r}")
-            continue
-        _check_ring(kind, rings[kind], problems)
     return problems
 
 

@@ -32,7 +32,7 @@ class TestScenarioRoundTrip:
             "drops_no_route", "drops_ttl", "drops_link_down", "drops_queue",
             "routing_convergence", "forwarding_convergence",
             "converged_to_expected", "transient_path_count",
-            "messages", "withdrawals", "failed_link", "pre_failure_path",
+            "messages", "withdrawals", "failed_link", "initial_path",
         ):
             assert getattr(restored, field) == getattr(original, field), field
 

@@ -24,14 +24,14 @@ class TestRunScenario:
     def test_sender_receiver_on_first_and_last_row(self):
         r = run_scenario("static", degree=4, seed=3, config=TINY)
         # Hosts get ids above the mesh; their routers are path[1] / path[-2].
-        sender_router = r.pre_failure_path[1]
-        receiver_router = r.pre_failure_path[-2]
+        sender_router = r.initial_path[1]
+        receiver_router = r.initial_path[-2]
         assert 0 <= sender_router < TINY.cols
         assert (TINY.rows - 1) * TINY.cols <= receiver_router < TINY.rows * TINY.cols
 
     def test_failed_link_is_on_pre_failure_path(self):
         r = run_scenario("dbf", degree=4, seed=2, config=TINY)
-        edges = set(zip(r.pre_failure_path, r.pre_failure_path[1:]))
+        edges = set(zip(r.initial_path, r.initial_path[1:]))
         a, b = r.failed_link
         assert (a, b) in edges or (b, a) in edges
 

@@ -3,21 +3,25 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.scenario import run_scenario
+from repro.cli import main
+from repro.experiments.churn import run_churn_scenario
+from repro.experiments.config import ChurnConfig, ExperimentConfig
+from repro.experiments.persistence import scenario_to_dict
+from repro.experiments.scenario import replay, run_scenario
+from repro.net.dynamics import ScriptedDriver
+from repro.net.packet import reset_packet_ids
 from repro.obs.flight import (
-    DEFAULT_CAPACITIES,
     DUMP_KIND,
     DUMP_SCHEMA_VERSION,
     FlightRecorder,
-    Ring,
     build_causal_timeline,
     build_dump,
     check_dump,
-    dump_records,
     format_autopsy,
     format_causal_timeline,
     load_dump,
@@ -27,6 +31,7 @@ from repro.obs.flight import (
     save_dump,
     write_perfetto,
 )
+from repro.records import ArtifactError
 from repro.routing.dv_common import DistanceVectorProtocol
 from repro.sim.tracing import (
     TRACE_KINDS,
@@ -60,45 +65,6 @@ def msg(t, sender, receiver, protocol="rip"):
     )
 
 
-class TestRing:
-    @pytest.mark.parametrize("capacity", [0, -1])
-    def test_rejects_non_positive_capacity(self, capacity):
-        with pytest.raises(ValueError):
-            Ring(capacity)
-
-    def test_keeps_exactly_the_newest_n(self):
-        ring = Ring(3)
-        for i in range(10):
-            ring.append(i)
-        assert ring.records() == [7, 8, 9]
-        assert ring.appended == 10
-        assert ring.evicted == 7
-        assert len(ring) == 3
-
-    def test_under_capacity_keeps_everything(self):
-        ring = Ring(5)
-        ring.append("a")
-        ring.append("b")
-        assert ring.records() == ["a", "b"]
-        assert ring.evicted == 0
-
-    def test_clear_resets_counters(self):
-        ring = Ring(2)
-        ring.append(1)
-        ring.append(2)
-        ring.append(3)
-        ring.clear()
-        assert ring.records() == []
-        assert ring.appended == 0
-        assert ring.evicted == 0
-
-    def test_iterates_oldest_first(self):
-        ring = Ring(2)
-        for i in range(4):
-            ring.append(i)
-        assert list(ring) == [2, 3]
-
-
 class TestFlightRecorder:
     def _quiet_bus(self):
         return TraceBus(
@@ -106,15 +72,8 @@ class TestFlightRecorder:
             keep_links=False,
         )
 
-    def test_default_capacities_cover_every_kind(self):
-        recorder = FlightRecorder()
-        assert set(recorder.rings) == set(TRACE_KINDS)
-        for kind in TRACE_KINDS:
-            assert recorder.rings[kind].capacity == DEFAULT_CAPACITIES[kind]
-
-    def test_rejects_unknown_capacity_kind(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacities={"quic": 16})
+    def test_one_stream_per_kind(self):
+        assert set(FlightRecorder().streams) == set(TRACE_KINDS)
 
     def test_attach_flips_every_wants_guard(self):
         bus = self._quiet_bus()
@@ -125,7 +84,7 @@ class TestFlightRecorder:
         recorder.close()
         assert not any(bus.wants(kind) for kind in TRACE_KINDS)
 
-    def test_records_each_kind_into_its_ring(self):
+    def test_records_each_kind_into_its_stream(self):
         bus = self._quiet_bus()
         with FlightRecorder() as recorder:
             recorder.attach(bus)
@@ -133,7 +92,7 @@ class TestFlightRecorder:
             bus.publish(route(0.2, 1, 9, None, 2))
             bus.publish(LinkEventRecord(time=0.3, node_a=0, node_b=1, up=False))
             bus.publish(msg(0.4, 0, 1))
-        assert [len(recorder.rings[k]) for k in TRACE_KINDS] == [1, 1, 1, 1]
+        assert [len(recorder.records(k)) for k in TRACE_KINDS] == [1, 1, 1, 1]
 
     def test_double_attach_raises(self):
         recorder = FlightRecorder()
@@ -141,7 +100,7 @@ class TestFlightRecorder:
         with pytest.raises(RuntimeError):
             recorder.attach(self._quiet_bus())
 
-    def test_close_is_idempotent_and_rings_stay_readable(self):
+    def test_close_is_idempotent_and_records_stay_readable(self):
         bus = self._quiet_bus()
         recorder = FlightRecorder()
         recorder.attach(bus)
@@ -153,15 +112,13 @@ class TestFlightRecorder:
         bus.publish(pkt(0.2, "forward", 1))
         assert len(recorder.records("packet")) == 1  # detached: nothing lands
 
-    def test_capacity_override_evicts_oldest(self):
+    def test_keeps_every_record(self):
         bus = self._quiet_bus()
-        recorder = FlightRecorder(capacities={"packet": 2})
-        recorder.attach(bus)
-        for i in range(5):
-            bus.publish(pkt(float(i), "forward", i, pid=i))
-        recorder.close()
-        assert [r.packet_id for r in recorder.records("packet")] == [3, 4]
-        assert recorder.rings["packet"].evicted == 3
+        with FlightRecorder() as recorder:
+            recorder.attach(bus)
+            for i in range(20_000):
+                bus.publish(pkt(float(i), "forward", i % 7, pid=i))
+        assert [r.packet_id for r in recorder.records("packet")] == list(range(20_000))
 
     def test_packet_ids_first_seen_order(self):
         bus = self._quiet_bus()
@@ -187,7 +144,6 @@ class TestPacketAutopsy:
         assert a.path == (0, 1, 2, 9)
         assert a.n_hops == 3
         assert a.loop is None
-        assert not a.truncated
         assert a.dst == 9
 
     def test_drop_cause_reported(self):
@@ -222,12 +178,6 @@ class TestPacketAutopsy:
         a = packet_autopsy(records, 1)
         assert a.path == (0, 9)
         assert a.loop is None
-
-    def test_truncated_when_send_evicted(self):
-        records = [pkt(1.1, "forward", 3), pkt(1.2, "deliver", 9)]
-        a = packet_autopsy(records, 1)
-        assert a.truncated
-        assert a.outcome == "delivered"
 
     def test_in_flight_when_no_terminal_record(self):
         a = packet_autopsy([pkt(1.0, "send", 0), pkt(1.1, "forward", 1)], 1)
@@ -356,68 +306,58 @@ class TestCausalTimeline:
         assert "last FIB change t=+1.000s" in text
 
 
-def _populated_recorder():
-    bus = TraceBus(
-        keep_packets=False, keep_routes=False, keep_messages=False,
-        keep_links=False,
-    )
-    recorder = FlightRecorder(capacities={"packet": 4})
-    recorder.attach(bus)
-    for i in range(6):  # overflow the packet ring
-        bus.publish(pkt(float(i), "forward", i, pid=i))
-    bus.publish(route(1.0, 1, 9, None, 2, cause=("message", 2)))
-    bus.publish(LinkEventRecord(time=0.5, node_a=0, node_b=1, up=False))
-    bus.publish(msg(0.9, 2, 1))
-    recorder.close()
-    return recorder
+GOLDEN_CONFIG = ExperimentConfig.quick().with_(
+    rows=5, cols=5, runs=1, post_fail_window=30.0, record_paths=True
+)
+
+#: (protocol, seed): the two golden seed-7 points plus the rip seed-11 point.
+GOLDEN_CASES = (("dbf", 7), ("bgp3", 7), ("rip", 11))
+
+#: The mobility-churn cell whose monitors fire (16 nodes on a Manhattan grid).
+CHURN_CONFIG = ExperimentConfig.quick().with_(
+    post_fail_window=20.0,
+    churn=ChurnConfig(model="manhattan", n_nodes=16, radio_range=400.0),
+)
+
+#: A ticket names its run, it does not carry its records.
+TICKET_BYTES = 16_000
+
+
+def _ticket(protocol="dbf", seed=7):
+    result = run_scenario(protocol, 4, seed, GOLDEN_CONFIG)
+    return build_dump("scenario", protocol, 4, seed, GOLDEN_CONFIG, scenario_to_dict(result))
+
+
+def _streams(recorder):
+    return {kind: recorder.records(kind) for kind in TRACE_KINDS}
 
 
 class TestDumps:
-    def test_dump_shape_and_ring_accounting(self):
-        dump = build_dump(
-            _populated_recorder(),
-            meta={"protocol": "rip"},
-            violations=["[fib-loop] t=1.0: boom"],
-            counters={"sends": 6},
-        )
-        assert dump["schema_version"] == DUMP_SCHEMA_VERSION
+    def test_dump_is_a_ticket_naming_the_run(self):
+        dump = _ticket()
+        assert dump["schema_version"] == DUMP_SCHEMA_VERSION == 2
         assert dump["kind"] == DUMP_KIND
-        assert dump["meta"] == {"protocol": "rip"}
-        assert dump["violations"] == ["[fib-loop] t=1.0: boom"]
-        assert dump["counters"] == {"sends": 6}
-        ring = dump["rings"]["packet"]
-        assert ring["capacity"] == 4
-        assert ring["appended"] == 6
-        assert len(ring["records"]) == 4
+        assert (dump["run"], dump["protocol"], dump["degree"], dump["seed"]) == (
+            "scenario", "dbf", 4, 7,
+        )
+        assert dump["config"] == GOLDEN_CONFIG.to_dict()
+        assert dump["fingerprint"] == GOLDEN_CONFIG.fingerprint()
+        assert dump["result"]["violations"] == []
+        assert set(dump) == {
+            "schema_version", "kind", "run", "protocol", "degree", "seed",
+            "config", "fingerprint", "result",
+        }
 
     def test_save_load_save_byte_identical(self, tmp_path):
-        dump = build_dump(_populated_recorder(), meta={"seed": 7})
         first = tmp_path / "dump.json"
         second = tmp_path / "dump2.json"
-        save_dump(dump, str(first))
+        save_dump(_ticket(), str(first))
         save_dump(load_dump(str(first)), str(second))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_dump_records_round_trip(self, tmp_path):
-        recorder = _populated_recorder()
-        path = tmp_path / "dump.json"
-        save_dump(build_dump(recorder), str(path))
-        decoded = dump_records(load_dump(str(path)))
-        assert decoded["packet"] == recorder.records("packet")
-        assert decoded["route"] == recorder.records("route")
-        assert decoded["link"] == recorder.records("link")
-        assert decoded["message"] == recorder.records("message")
-
-    def test_dump_records_skips_unknown_kind_with_warning(self):
-        dump = build_dump(_populated_recorder())
-        dump["rings"]["packet"]["records"].append({"type": "quic", "time": 99.0})
-        with pytest.warns(UserWarning, match="quic"):
-            decoded = dump_records(dump)
-        assert len(decoded["packet"]) == 4  # the bad record was dropped
-
     def test_check_dump_accepts_a_real_dump(self, tmp_path):
         path = tmp_path / "dump.json"
-        save_dump(build_dump(_populated_recorder()), str(path))
+        save_dump(_ticket(), str(path))
         assert check_dump(load_dump(str(path))) == []
 
     def test_check_dump_rejects_non_object(self):
@@ -428,41 +368,157 @@ class TestDumps:
         [
             (lambda d: d.update(schema_version=99), "schema_version"),
             (lambda d: d.update(kind="nope"), "kind"),
-            (lambda d: d.update(meta=3), "meta"),
-            (lambda d: d.update(violations=[1]), "violations"),
-            (lambda d: d.update(counters={"sends": -1}), "counters['sends']"),
-            (lambda d: d["rings"].pop("link"), "missing kind 'link'"),
-            (lambda d: d["rings"].update(quic={}), "unknown kinds"),
-            (lambda d: d["rings"]["route"].update(capacity=0), "capacity"),
+            (lambda d: d.update(run="narrate"), "'run'"),
+            (lambda d: d.update(degree=True), "'degree' must be an int >= 0"),
+            (lambda d: d.pop("config"), "'config'"),
+            (lambda d: d.update(fingerprint=""), "'fingerprint'"),
+            (lambda d: d.update(result=[]), "'result'"),
         ],
     )
     def test_check_dump_flags_structural_damage(self, mutate, needle):
-        dump = build_dump(_populated_recorder(), counters={"sends": 6})
+        dump = _ticket()
         mutate(dump)
         problems = check_dump(dump)
         assert any(needle in p for p in problems), problems
 
-    @pytest.mark.parametrize("field", ["capacity", "appended"])
-    def test_check_dump_rejects_json_true_as_a_ring_count(self, field):
-        """``isinstance(True, int)`` holds in Python; in a dump it is damage."""
-        dump = build_dump(_populated_recorder())
-        dump["rings"]["link"][field] = True
-        problems = check_dump(dump)
-        assert any(f"{field!r} must be an int" in p and "got True" in p for p in problems)
+    def test_load_dump_names_an_old_version(self, tmp_path):
+        path = tmp_path / "v1.json"
+        save_dump({**_ticket(), "schema_version": 1}, str(path))
+        with pytest.raises(ArtifactError, match="version 1.*only version 2"):
+            load_dump(str(path))
 
-    def test_check_dump_flags_ring_invariant_violations(self):
-        dump = build_dump(_populated_recorder())
-        ring = dump["rings"]["packet"]
-        ring["records"].append(ring["records"][0])  # over capacity + backwards
-        problems = check_dump(dump)
-        assert any("capacity" in p for p in problems)
-        assert any("goes backwards" in p for p in problems)
 
-    def test_check_dump_flags_wrong_record_type(self):
-        dump = build_dump(_populated_recorder())
-        dump["rings"]["route"]["records"][0]["type"] = "packet"
-        problems = check_dump(dump)
-        assert any("'type' must be 'route'" in p for p in problems)
+class TestReplay:
+    """A ticket re-runs to the same result and a complete recording."""
+
+    @pytest.mark.parametrize("protocol, seed", GOLDEN_CASES)
+    def test_golden_ticket_replays(self, protocol, seed, tmp_path):
+        direct = FlightRecorder()
+        result = run_scenario(protocol, 4, seed, GOLDEN_CONFIG, recorder=direct)
+        path = str(tmp_path / "ticket.json")
+        save_dump(
+            build_dump("scenario", protocol, 4, seed, GOLDEN_CONFIG, scenario_to_dict(result)),
+            path,
+        )
+        assert os.path.getsize(path) < TICKET_BYTES
+        replayed, recorder = replay(load_dump(path))
+        assert scenario_to_dict(replayed) == scenario_to_dict(result)
+        assert _streams(recorder) == _streams(direct)
+        assert not recorder.attached
+
+    @pytest.mark.parametrize("protocol", ["rip", "dual"])
+    @pytest.mark.parametrize("how", ["monitors", "validate"])
+    def test_churn_post_mortem_replays(self, protocol, how, tmp_path):
+        """Both ways of asking for monitors write a ticket whose replay
+        attaches the same suite and reproduces every violation."""
+        if how == "monitors":
+            result = run_churn_scenario(
+                protocol, 1, CHURN_CONFIG, monitors=MonitorSuite(), dump_dir=str(tmp_path)
+            )
+        else:
+            result = run_churn_scenario(
+                protocol, 1, CHURN_CONFIG.with_(validate=True), dump_dir=str(tmp_path)
+            )
+        assert result.violations and result.dump_path is not None
+        assert os.path.getsize(result.dump_path) < TICKET_BYTES
+        ticket = load_dump(result.dump_path)
+        assert ticket["run"] == "churn"
+
+        replayed, recorder = replay(ticket)
+        assert replayed.violations == result.violations
+        assert scenario_to_dict(replayed) == {**scenario_to_dict(result), "dump_path": None}
+        direct = FlightRecorder()
+        reset_packet_ids()  # as the replay does
+        run_churn_scenario(protocol, 1, CHURN_CONFIG, monitors=MonitorSuite(), recorder=direct)
+        assert _streams(recorder) == _streams(direct)
+
+    def test_replay_keeps_every_control_message(self, tmp_path):
+        """The dual cell sends more messages than the old 4 096-record ring held."""
+        result = run_churn_scenario(
+            "dual", 1, CHURN_CONFIG, monitors=MonitorSuite(), dump_dir=str(tmp_path)
+        )
+        _, recorder = replay(load_dump(result.dump_path))
+        assert len(recorder.records("message")) == 7574
+
+    def test_edited_config_is_refused(self):
+        ticket = _ticket()
+        ticket["config"]["rate_pps"] += 1.0
+        with pytest.raises(ArtifactError, match="fingerprint"):
+            replay(ticket)
+
+    def test_config_that_does_not_build_is_refused(self):
+        ticket = _ticket()
+        ticket["config"]["warp"] = 9
+        with pytest.raises(ArtifactError, match="config does not build.*warp"):
+            replay(ticket)
+
+    def test_edited_result_field_is_refused(self):
+        ticket = _ticket()
+        ticket["result"]["sent"] += 1
+        with pytest.raises(ArtifactError, match="differs in sent"):
+            replay(ticket)
+
+    def test_result_of_another_run_is_refused(self):
+        ticket = _ticket()
+        ticket["seed"] = 8
+        with pytest.raises(ArtifactError, match="names seed 8"):
+            replay(ticket)
+
+    def test_v1_ticket_is_refused(self):
+        ticket = {**_ticket(), "schema_version": 1}
+        with pytest.raises(ArtifactError, match="schema_version must be 2"):
+            replay(ticket)
+
+    def test_dump_dir_and_driver_factory_are_refused_together(self, tmp_path):
+        with pytest.raises(ValueError, match="dump_dir.*driver_factory"):
+            run_scenario(
+                "dbf", 4, 7, GOLDEN_CONFIG, dump_dir=str(tmp_path),
+                driver_factory=lambda plan: ScriptedDriver(()),
+            )
+
+
+def _trace(argv, capsys):
+    assert main(["trace", *argv]) == 0
+    return capsys.readouterr().out
+
+
+class TestTraceCommand:
+    def test_default_run_shows_both_lost_packets(self, capsys):
+        """Both drops happen at the failure, ~12 000 packet records before
+        the run ends: the autopsies need the complete recording."""
+        out = _trace(["--protocol", "dbf", "--seed", "7"], capsys)
+        assert "drops=2" in out
+        assert "2 dropped/looped packet(s)" in out
+        assert "packet 100 (flow 1, dst 50): dropped (link_down)" in out
+        assert "packet 101 (flow 1, dst 50): dropped (no_route)" in out
+
+    def test_dump_replays_the_live_output(self, capsys, tmp_path):
+        ticket = str(tmp_path / "ticket.json")
+        live = _trace(["--seed", "7", "--out", ticket], capsys).splitlines()
+        replayed = _trace(["--dump", ticket], capsys).splitlines()
+        assert replayed[0] == f"replayed flight dump {ticket}: the re-run reproduces its result"
+        assert live[-1] == f"flight dump written to {ticket} (self-check ok)"
+        assert replayed[1:] == live[:-2]
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            (lambda d: d.update(schema_version=1), "version 1.*only version 2"),
+            (lambda d: d["config"].update(rate_pps=21.0), "fingerprint"),
+            (lambda d: d["result"].update(sent=1), "differs in sent"),
+        ],
+        ids=["v1", "config", "result"],
+    )
+    def test_hostile_ticket_is_one_named_error(self, edit, needle, capsys, tmp_path):
+        ticket = _ticket()
+        edit(ticket)
+        path = str(tmp_path / "ticket.json")
+        save_dump(ticket, path)
+        assert main(["trace", "--dump", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert path in captured.err
+        assert re.search(needle, captured.err), captured.err
 
 
 class TestPerfetto:
@@ -505,10 +561,6 @@ class TestPerfetto:
         assert loaded == self._trace()
 
 
-GOLDEN_CONFIG = ExperimentConfig.quick().with_(
-    rows=5, cols=5, runs=1, post_fail_window=30.0, record_paths=True
-)
-
 _RESULT_FIELDS = (
     "sent",
     "delivered",
@@ -526,7 +578,7 @@ _RESULT_FIELDS = (
     "sender",
     "receiver",
     "failed_link",
-    "pre_failure_path",
+    "initial_path",
     "expected_final_path",
 )
 
@@ -560,16 +612,14 @@ def _inverted_split_horizon(self, dest, neighbor):
 
 class TestPostMortemEndToEnd:
     def test_violation_dumps_and_autopsy_shows_the_loop(self, tmp_path, monkeypatch):
-        """Fuzzer-style bug -> monitor fires -> dump written -> the dump's own
+        """Fuzzer-style bug -> monitor fires -> ticket written -> its replay's
         packet autopsies exhibit the transient loop hop sequence."""
         monkeypatch.setattr(
             DistanceVectorProtocol, "_advertised_metric", _inverted_split_horizon
         )
         config = ExperimentConfig.quick().with_(post_fail_window=30.0)
-        recorder = FlightRecorder()
         result = run_scenario(
-            "rip", 3, 19, config, monitors=MonitorSuite(),
-            recorder=recorder, dump_dir=str(tmp_path),
+            "rip", 3, 19, config, monitors=MonitorSuite(), dump_dir=str(tmp_path),
         )
         assert any("[fib-loop]" in v for v in result.violations)
         assert result.dump_path is not None
@@ -577,12 +627,12 @@ class TestPostMortemEndToEnd:
 
         dump = load_dump(result.dump_path)
         assert check_dump(dump) == []
-        assert dump["violations"] == list(result.violations)
-        assert dump["meta"]["protocol"] == "rip"
-        assert dump["meta"]["seed"] == 19
+        assert dump["result"]["violations"] == list(result.violations)
+        assert (dump["protocol"], dump["seed"]) == ("rip", 19)
 
-        records = dump_records(dump)
-        autopsies = packet_autopsies(records["packet"], records["route"])
+        replayed, recorder = replay(dump)
+        assert replayed.violations == result.violations
+        autopsies = recorder.autopsies()
         looped = [a for a in autopsies.values() if a.loop is not None]
         assert looped, "expected packets caught in the transient loop"
         victim = looped[0]

@@ -1,27 +1,12 @@
-"""Property tests: packet_autopsy vs a brute-force oracle; ring eviction."""
+"""Property tests: packet_autopsy vs a brute-force oracle."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.flight import Ring, packet_autopsies, packet_autopsy
+from repro.obs.flight import packet_autopsies, packet_autopsy
 from repro.sim.tracing import DropCause, PacketRecord, RouteChangeRecord
-
-
-class TestRingProperties:
-    @given(
-        capacity=st.integers(min_value=1, max_value=50),
-        items=st.lists(st.integers(), max_size=200),
-    )
-    def test_eviction_keeps_exactly_the_newest_n(self, capacity, items):
-        ring = Ring(capacity)
-        for item in items:
-            ring.append(item)
-        assert ring.records() == items[-capacity:]
-        assert ring.appended == len(items)
-        assert ring.evicted == max(0, len(items) - capacity)
-        assert len(ring) == min(capacity, len(items))
 
 
 # --- random packet histories ------------------------------------------------
@@ -95,7 +80,6 @@ def _oracle(history):
         "outcome": outcome,
         "drop_cause": drop_cause,
         "path": tuple(path),
-        "truncated": events[0].kind != "send",
         "times": tuple(r.time for r in events),
     }
 
@@ -113,7 +97,6 @@ class TestAutopsyVsOracle:
             assert a.outcome == expected["outcome"]
             assert a.drop_cause == expected["drop_cause"]
             assert a.path == expected["path"]
-            assert a.truncated == expected["truncated"]
             assert tuple(h.time for h in a.hops) == expected["times"]
             # Loop invariants: a loop exists iff the path revisits a node,
             # and the reported cycle is a closed contiguous slice of it.

@@ -140,7 +140,7 @@ _RESULT_FIELDS = (
     "sender",
     "receiver",
     "failed_link",
-    "pre_failure_path",
+    "initial_path",
     "expected_final_path",
 )
 

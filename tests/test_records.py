@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.experiments import ExperimentConfig, load_points, run_sweep, save_points
-from repro.experiments.scenario import run_scenario
+from repro.experiments.persistence import scenario_to_dict
+from repro.experiments.scenario import replay, run_scenario
 from repro.experiments.store import SweepStore
 from repro.metrics.traceio import read_trace, write_trace
 from repro.obs import FlightRecorder, RunObservation, SweepTelemetry
-from repro.obs.flight import build_dump, check_dump, dump_records, load_dump, save_dump
+from repro.obs.flight import build_dump, load_dump, save_dump
 from repro.obs.live import (
     RunEventLog,
     check_log,
@@ -113,11 +114,7 @@ def _use_trace(path):
 
 
 def _use_dump(path):
-    dump = load_dump(path)
-    if not check_dump(dump):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a checked dump decodes in full
-            dump_records(dump)
+    replay(load_dump(path))  # a ticket that loads re-runs to its own result
 
 
 def _use_log(path):
@@ -157,9 +154,7 @@ def artifacts(tmp_path_factory):
 
     save_points(run_sweep(TINY, store=paths["manifest"]), paths["results"])
 
-    # Small rings keep the dump and the trace a few hundred records long.
-    small = {"packet": 96, "route": 64, "link": 8, "message": 64}
-    recorder, obs = FlightRecorder(small), RunObservation()
+    recorder, obs = FlightRecorder(), RunObservation()
     with RunEventLog(paths["log"], run="shard", meta={"seed": 7}) as log:
         result = run_scenario("dbf", 4, 7, TINY, recorder=recorder, obs=obs, live_log=log)
         # ... plus one of every record kind a sharded run or a sweep adds.
@@ -176,8 +171,10 @@ def artifacts(tmp_path_factory):
         log.violation("fib-loop at t=3")
         log.stall(shard=1, window=2.0, reason="no response", heartbeat={"clock": 2.0})
         log.end(ok=False)
-    save_dump(build_dump(recorder, meta={"seed": 7}, counters={"sends": 3}), paths["dump"])
-    records = [r for kind in recorder.rings for r in recorder.records(kind)]
+    save_dump(build_dump("scenario", "dbf", 4, 7, TINY, scenario_to_dict(result)), paths["dump"])
+    # The newest records of each kind keep the trace a few hundred records long.
+    newest = {"packet": 96, "route": 64, "link": 8, "message": 64}
+    records = [r for kind, n in newest.items() for r in recorder.records(kind)[-n:]]
     with open(paths["trace"], "w", encoding="utf-8") as f:
         write_trace(sorted(records, key=lambda r: r.time), f)
     telemetry = SweepTelemetry()
