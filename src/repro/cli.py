@@ -438,7 +438,6 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    from .dist.merge import diff_results, run_single_with_traces
     from .dist.runner import run_scenario_sharded
 
     config = _config(args).with_(
@@ -461,24 +460,24 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         f"shards={args.shards} partition={args.partition} exchange={exchange}"
     )
 
+    r = run_scenario_sharded(
+        args.protocol,
+        args.degree,
+        args.seed,
+        config,
+        exchange=exchange,
+        collect_traces=args.check or bool(args.perfetto),
+        validate=args.validate,
+        live_log=args.live_log,
+    )
     if args.check:
-        from .dist.merge import run_sharded_with_traces
+        from .dist.merge import MODE_FIELDS, run_single_with_traces
+        from .experiments.persistence import diff_runs
 
-        sharded, d_traces = run_sharded_with_traces(
-            args.protocol,
-            args.degree,
-            args.seed,
-            config,
-            exchange=exchange,
-            validate=args.validate,
-            live_log=args.live_log,
-        )
-        single, s_traces = run_single_with_traces(
-            args.protocol, args.degree, args.seed, config
-        )
-        problems = diff_results(single, s_traces, sharded, d_traces)
+        single = run_single_with_traces(args.protocol, args.degree, args.seed, config)
+        problems = diff_runs(single, r, ignore=MODE_FIELDS)
         streams = ", ".join(
-            f"{len(d_traces[k])} {k}" for k in ("packet", "route", "link", "message")
+            f"{len(records)} {kind}" for kind, records in r.traces.items()
         )
         print(f"trace streams: {streams}")
         if problems:
@@ -487,18 +486,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                 print(f"  {problem}")
             return 1
         print("byte-identity check: sharded == single-process")
-        r = sharded
-    else:
-        r = run_scenario_sharded(
-            args.protocol,
-            args.degree,
-            args.seed,
-            config,
-            exchange=exchange,
-            collect_traces=bool(args.perfetto),
-            validate=args.validate,
-            live_log=args.live_log,
-        )
     if args.live_log:
         print(f"run-event log written to {args.live_log}")
     if args.perfetto:

@@ -16,11 +16,10 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Optional
 
-from ..experiments.persistence import scenario_to_dict
 from ..experiments.scenario import EventClock, Layout, ScenarioResult, fold_result
 from ..metrics.convergence import ConvergenceTracker, NetworkConvergenceWatcher
 from ..net.packet import reset_packet_ids
-from ..sim.tracing import DropCause, TraceBus
+from ..sim.tracing import DropCause, RouteChangeRecord, TraceBus
 from ..validation.monitors import (
     LOOP_FREE_PROTOCOLS,
     SOURCE_ROUTED_PROTOCOLS,
@@ -37,11 +36,13 @@ __all__ = [
     "merge_route_records",
     "canonical_trace_streams",
     "shard_perfetto_trace",
-    "diff_results",
-    "TraceProbe",
+    "MODE_FIELDS",
     "run_single_with_traces",
-    "run_sharded_with_traces",
 ]
+
+#: Persisted fields that legitimately differ by run mode: the sharded run
+#: judges fewer monitors and writes no flight dump.
+MODE_FIELDS = ("violations", "monitor_skips", "dump_path")
 
 #: The monitors the merge re-derives offline; every other monitor of the
 #: default suite needs a live simulator and is skipped by name.
@@ -181,9 +182,15 @@ def merge_results(
         result.violations = _offline_violations(outputs, loops, result, config.end_time)
         result.monitor_skips = skips
     if collect_traces:
+        # Workers subscribe after warm start; a recorder sees its installs.
+        installs = [
+            RouteChangeRecord(0.0, node, dest, None, hop, None)
+            for node, fib in fibs.items()
+            for dest, hop in fib.items()
+        ]
         result.traces = canonical_trace_streams(
             packets=[r for o in outputs for r in o.trace_packets],
-            routes=[r for o in outputs for r in o.route_records],
+            routes=installs + [r for o in outputs for r in o.route_records],
             links=[r for o in outputs for r in o.trace_links],
             messages=[r for o in outputs for r in o.trace_messages],
         )
@@ -191,7 +198,7 @@ def merge_results(
 
 
 # --------------------------------------------------------------------------
-# trace canonicalization and the differential harness
+# trace canonicalization and the single-process reference run
 
 
 def _record_key(record) -> tuple:
@@ -241,99 +248,15 @@ def shard_perfetto_trace(traces: dict, log_records) -> dict:
     )
 
 
-#: Persisted fields that legitimately differ by run mode: the sharded run
-#: judges fewer monitors and writes no flight dump.
-_MODE_FIELDS = ("violations", "monitor_skips", "dump_path")
-
-
-def diff_results(single, single_traces, sharded, sharded_traces) -> list[str]:
-    """Byte-identity check: every mismatch between the two runs, as strings.
-
-    Compares every persisted field (:func:`~repro.experiments.persistence.
-    scenario_to_dict`) except the three that differ by run mode, then all
-    four canonical trace streams.  Empty list == identical.
-    """
-    problems: list[str] = []
-    a_fields, b_fields = scenario_to_dict(single), scenario_to_dict(sharded)
-    for name in a_fields:
-        a, b = a_fields[name], b_fields[name]
-        if name not in _MODE_FIELDS and a != b:
-            problems.append(f"{name}: single={a!r} sharded={b!r}")
-    for stream in ("packet", "route", "link", "message"):
-        a, b = single_traces[stream], sharded_traces[stream]
-        if a != b:
-            first = next(
-                (i for i, (x, y) in enumerate(zip(a, b)) if x != y),
-                min(len(a), len(b)),
-            )
-            problems.append(
-                f"trace stream {stream!r}: {len(a)} vs {len(b)} records, "
-                f"first divergence at index {first}"
-            )
-    return problems
-
-
-class TraceProbe:
-    """A monitors-shaped shim that only records the four trace streams.
-
-    Pass as ``run_scenario(..., monitors=probe)``: a non-``None`` monitors
-    argument also turns on ``record_forwards``, matching what sharded
-    workers do under ``collect_traces`` — so the streams are comparable.
-    """
-
-    def __init__(self) -> None:
-        self.packets: list = []
-        self.routes: list = []
-        self.links: list = []
-        self.messages: list = []
-        self.skips: dict[str, str] = {}
-
-    def attach(self, ctx) -> None:
-        ctx.bus.subscribe("packet", self.packets.append)
-        ctx.bus.subscribe("route", self.routes.append)
-        ctx.bus.subscribe("link", self.links.append)
-        ctx.bus.subscribe("message", self.messages.append)
-
-    def finalize(self) -> list:
-        return []
-
-    def streams(self) -> dict[str, tuple]:
-        return canonical_trace_streams(
-            self.packets, self.routes, self.links, self.messages
-        )
-
-
 def run_single_with_traces(protocol: str, degree: int, seed: int, config):
-    """Single-process reference run with canonical trace streams attached."""
+    """Single-process reference run with canonical ``result.traces``."""
     from ..experiments.scenario import run_scenario
+    from ..obs.flight import FlightRecorder
 
     reset_packet_ids()
-    probe = TraceProbe()
-    single_config = config.with_(shards=1) if config.shards != 1 else config
-    result = run_scenario(protocol, degree, seed, single_config, monitors=probe)
-    return result, probe.streams()
-
-
-def run_sharded_with_traces(
-    protocol: str,
-    degree: int,
-    seed: int,
-    config,
-    exchange: str = "local",
-    validate: bool = False,
-    live_log=None,
-):
-    """Sharded run with canonical trace streams attached (determinism proofs)."""
-    from .runner import run_scenario_sharded
-
-    result = run_scenario_sharded(
-        protocol,
-        degree,
-        seed,
-        config,
-        exchange=exchange,
-        collect_traces=True,
-        validate=validate,
-        live_log=live_log,
+    recorder = FlightRecorder()
+    result = run_scenario(
+        protocol, degree, seed, config.with_(shards=1), recorder=recorder
     )
-    return result, result.traces
+    result.traces = canonical_trace_streams(*recorder.streams.values())
+    return result

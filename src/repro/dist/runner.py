@@ -365,10 +365,12 @@ def run_sharded(
 
     Returns the same :class:`~repro.experiments.scenario.ScenarioResult` a
     single-process ``run_scenario`` would — byte-identical on any topology
-    small enough to run both (the differential suite pins this).  When
-    ``collect_traces`` is set the per-shard trace streams are attached to
-    the result as ``result.traces`` (see :func:`~repro.dist.merge.
-    canonical_trace_streams`).
+    small enough to run both (the differential suite pins this with
+    :func:`~repro.experiments.persistence.diff_runs`).  When
+    ``collect_traces`` is set the result carries ``result.traces``: the
+    per-shard streams plus the warm-start installs, in the
+    :func:`~repro.dist.merge.canonical_trace_streams` form of what a
+    :class:`~repro.obs.flight.FlightRecorder` would see.
 
     ``live_log`` (a path or an open :class:`~repro.obs.live.RunEventLog`)
     streams heartbeat/window records as the run executes; emission is

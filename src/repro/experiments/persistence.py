@@ -16,7 +16,7 @@ refused with an error naming the version found — re-run the sweep.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Collection, Mapping
 
 from ..metrics.loops import LoopReport
 from ..metrics.reordering import ReorderingReport
@@ -29,6 +29,7 @@ from .scenario import ScenarioResult, TopologyEventOutcome
 __all__ = [
     "scenario_to_dict",
     "scenario_from_dict",
+    "diff_runs",
     "failure_to_dict",
     "failure_from_dict",
     "save_points",
@@ -173,6 +174,44 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioResult:
     ``None``: only a JSON ``null`` (or a missing field) maps to ``None``.
     """
     return _SCENARIO.from_dict(data)
+
+
+def diff_runs(
+    a: ScenarioResult, b: ScenarioResult, *, ignore: Collection[str] = ()
+) -> list[str]:
+    """Every way ``a`` and ``b`` differ as runs; empty means the same run.
+
+    Compares every :func:`scenario_to_dict` field not in ``ignore``, then
+    ``manet`` when both results carry one (it is not persisted, so a
+    parsed result has none), then each trace stream when both carry
+    ``traces`` (a :func:`~repro.dist.merge.canonical_trace_streams` dict),
+    exactly as given.  A field is named ``"name (a vs b)"`` for a scalar
+    and ``"name"`` for a list or dict; a stream by its record counts and
+    its first diverging index.
+    """
+    problems: list[str] = []
+    b_fields = scenario_to_dict(b)
+    for name, value in scenario_to_dict(a).items():
+        other = b_fields[name]
+        if name not in ignore and value != other:
+            whole = isinstance(value, (list, dict)) or isinstance(other, (list, dict))
+            problems.append(name if whole else f"{name} ({value!r} vs {other!r})")
+    if a.manet is not None and b.manet is not None and a.manet != b.manet:
+        problems.append("manet")
+    a_traces, b_traces = getattr(a, "traces", None), getattr(b, "traces", None)
+    if a_traces is None or b_traces is None:
+        return problems
+    for stream, x in a_traces.items():
+        y = b_traces[stream]
+        if x != y:
+            first = next(
+                (i for i, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y))
+            )
+            problems.append(
+                f"trace stream {stream!r} ({len(x)} vs {len(y)} records, "
+                f"first divergence at index {first})"
+            )
+    return problems
 
 
 def failure_to_dict(failure: SweepFailure) -> dict:

@@ -758,7 +758,8 @@ def replay(dump: Mapping) -> tuple[ScenarioResult, FlightRecorder]:
     The ticket (see :func:`repro.obs.flight.build_dump`) names a
     ``"scenario"`` run through :func:`run_scenario` or a ``"churn"`` run
     through :func:`~repro.experiments.churn.run_churn_scenario`; the re-run
-    must reproduce the ticket's ``scenario_to_dict`` field by field.
+    must be the same run as the ticket's result (see
+    :func:`~repro.experiments.persistence.diff_runs`).
     Returns the re-run's result and the recorder that watched it; packet
     ids in its records count from zero, as in a fresh process.  A
     malformed ticket, a config that does not build or does not match its
@@ -766,7 +767,7 @@ def replay(dump: Mapping) -> tuple[ScenarioResult, FlightRecorder]:
     reproduce is an :class:`~repro.records.ArtifactError` naming the defect.
     """
     from .churn import run_churn_scenario
-    from .persistence import scenario_from_dict, scenario_to_dict
+    from .persistence import diff_runs, scenario_from_dict
 
     problems = check_dump(dump)
     if problems:
@@ -777,11 +778,12 @@ def replay(dump: Mapping) -> tuple[ScenarioResult, FlightRecorder]:
         raise ArtifactError(f"config does not build: {exc}") from exc
     if config.fingerprint() != dump["fingerprint"]:
         raise ArtifactError("config does not match its fingerprint")
-    recorded = scenario_to_dict(scenario_from_dict(dump["result"]))
+    ticket = scenario_from_dict(dump["result"])
     for name in ("protocol", "degree", "seed"):
-        if recorded[name] != dump[name]:
+        if getattr(ticket, name) != dump[name]:
             raise ArtifactError(
-                f"names {name} {dump[name]!r} but its result is for {recorded[name]!r}"
+                f"names {name} {dump[name]!r} but its result is for "
+                f"{getattr(ticket, name)!r}"
             )
     recorder = FlightRecorder()
     protocol, seed = dump["protocol"], dump["seed"]
@@ -793,12 +795,7 @@ def replay(dump: Mapping) -> tuple[ScenarioResult, FlightRecorder]:
             result = run_scenario(protocol, dump["degree"], seed, config, recorder=recorder)
     except ValueError as exc:
         raise ArtifactError(f"names a run that does not build: {exc}") from exc
-    replayed = scenario_to_dict(result)
-    for name, value in recorded.items():
-        if replayed[name] != value:
-            values = (
-                "" if isinstance(value, (list, dict))
-                else f" (ticket {value!r}, re-run {replayed[name]!r})"
-            )
-            raise ArtifactError(f"does not replay: the re-run differs in {name}{values}")
+    problems = diff_runs(ticket, result)
+    if problems:
+        raise ArtifactError(f"does not replay: the re-run differs in {problems[0]}")
     return result, recorder

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dist.merge import shard_perfetto_trace, run_sharded_with_traces
+from repro.dist.merge import shard_perfetto_trace
 from repro.dist.runner import ShardStallError, run_scenario_sharded
 from repro.dist.worker import HANG_ENV
 from repro.experiments.config import ExperimentConfig
@@ -94,10 +94,10 @@ class TestTelemetryTransparency:
 class TestShardPerfetto:
     def test_one_lane_per_shard(self, tmp_path):
         path = tmp_path / "shard.log"
-        result, traces = run_sharded_with_traces(
-            "bgp3", 4, 7, CONFIG, live_log=path
+        result = run_scenario_sharded(
+            "bgp3", 4, 7, CONFIG, collect_traces=True, live_log=path
         )
-        doc = shard_perfetto_trace(traces, read_log(path))
+        doc = shard_perfetto_trace(result.traces, read_log(path))
         events = doc["traceEvents"]
         lane_names = {
             e["args"]["name"]

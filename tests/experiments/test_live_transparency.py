@@ -10,12 +10,11 @@ and rip at seed 11 (slow periodic-update recovery), 1-process and 3-shard.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.dist.runner import run_scenario_sharded
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.persistence import diff_runs
 from repro.experiments.runner import run_sweep
 from repro.experiments.scenario import run_scenario
 from repro.obs.live import check_log, read_log, summarize_log
@@ -28,20 +27,12 @@ GOLDEN_CONFIG = ExperimentConfig.quick().with_(
 POINTS = [("dbf", 7), ("bgp3", 7), ("rip", 11)]
 
 
-def _fields(result) -> dict:
-    """Every dataclass field, for whole-result equality with clear diffs."""
-    return {
-        f.name: getattr(result, f.name)
-        for f in dataclasses.fields(type(result))
-    }
-
-
 @pytest.mark.parametrize("protocol,seed", POINTS)
 def test_single_process_log_is_transparent(tmp_path, protocol, seed):
     quiet = run_scenario(protocol, 4, seed, GOLDEN_CONFIG)
     path = tmp_path / "run.log"
     logged = run_scenario(protocol, 4, seed, GOLDEN_CONFIG, live_log=path)
-    assert _fields(logged) == _fields(quiet)
+    assert diff_runs(quiet, logged) == []
     records = read_log(path)
     assert check_log(records) == []
     assert summarize_log(records).ended
@@ -54,7 +45,7 @@ def test_sharded_log_is_transparent(tmp_path, protocol, seed):
     logged = run_scenario_sharded(
         protocol, 4, seed, config, live_log=tmp_path / "run.log"
     )
-    assert _fields(logged) == _fields(quiet)
+    assert diff_runs(quiet, logged) == []
     assert check_log(read_log(tmp_path / "run.log")) == []
 
 

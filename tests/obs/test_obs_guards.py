@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.persistence import diff_runs
 from repro.experiments.scenario import run_scenario
 from repro.net.network import Network
 from repro.net.packet import Packet
@@ -121,40 +122,14 @@ GOLDEN_CONFIG = ExperimentConfig.quick().with_(
     rows=5, cols=5, runs=1, post_fail_window=30.0, record_paths=True
 )
 
-# Every simulated quantity a run produces; wall-clock-derived fields are
-# deliberately absent (they legitimately differ run to run).
-_RESULT_FIELDS = (
-    "sent",
-    "delivered",
-    "drops_no_route",
-    "drops_ttl",
-    "drops_link_down",
-    "drops_queue",
-    "routing_convergence",
-    "destination_convergence",
-    "forwarding_convergence",
-    "converged_to_expected",
-    "transient_path_count",
-    "messages",
-    "withdrawals",
-    "sender",
-    "receiver",
-    "failed_link",
-    "initial_path",
-    "expected_final_path",
-)
-
 
 @pytest.mark.parametrize("protocol", ["dbf", "bgp3"])
 def test_golden_seed7_results_identical_with_and_without_observation(protocol):
     plain = run_scenario(protocol, 4, 7, GOLDEN_CONFIG)
     obs = RunObservation(trace_memory=False)
     observed = run_scenario(protocol, 4, 7, GOLDEN_CONFIG, obs=obs)
-    for field in _RESULT_FIELDS:
-        assert getattr(observed, field) == getattr(plain, field), field
-    # Bit-identical series, not just matching aggregates.
-    assert observed.delay.values == plain.delay.values
-    assert observed.throughput.values == plain.throughput.values
+    # Bit-identical series and reports, not just matching aggregates.
+    assert diff_runs(plain, observed) == []
     # And the observation actually measured the run it rode on.
     metrics = obs.registry.snapshot()
     assert metrics["trace.sends"]["value"] == plain.sent
