@@ -41,8 +41,8 @@ __all__ = [
 class ShardHeartbeat(NamedTuple):
     """One shard's progress snapshot, piggybacked on every barrier exchange.
 
-    Rides the existing ``("ok", value)`` pipe response of the ``run``
-    command — no extra sync point, and pickling cost is a few dozen bytes
+    Rides the ``("ok", value)`` pipe response of the ``advance`` command —
+    no extra sync point, and pickling cost is a few dozen bytes
     next to the relay batch it travels with.  All counts are cumulative
     since worker start; ``busy_s`` is wall time spent inside ``sim.run``
     and ``wall_s`` is wall time since the worker host was created, so

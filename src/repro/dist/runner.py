@@ -1,20 +1,23 @@
 """Sharded scenario coordinator: conservative time-window barriers.
 
-The coordinator advances all shards in lockstep windows.  Each round it
-asks every shard for its next event time and computes the safe horizon
+The coordinator advances all shards in lockstep windows, one command
+per shard per window: ``advance(barrier, inbound)`` injects the relays
+bound for a shard, runs it to ``barrier`` and answers with the relays it
+produced, a heartbeat and its next event time.  The next safe horizon is
 
     H = E_min + W
 
-where ``E_min`` is the earliest pending event anywhere and ``W`` the
+where ``E_min`` is the earliest pending event anywhere — the shards' next
+events and the arrivals of the relays about to be sent — and ``W`` the
 partition lookahead (minimum propagation delay over cut links).
 Conservative safety: any packet departing in the window departs at
 ``>= E_min``, so it arrives at ``>= E_min + W = H`` — *possibly exactly*
 at ``H``, which is why the horizon is exclusive: every shard runs events
-strictly below ``H`` (capped inclusively at ``end_at``), then the captured
+strictly below ``H`` (capped inclusively at ``end_at``), and the captured
 cross-shard relays — all arriving at ``>= H``, i.e. in future windows —
-are injected before the clock moves on.  Same-instant ordering at the
-arrival node is then the worker's delivery sequencer's job (see
-docs/distributed.md).
+are injected at the start of the next window, before the shard's clock
+moves on.  Same-instant ordering at the arrival node is then the worker's
+delivery sequencer's job (see docs/distributed.md).
 
 Two exchanges drive the same :class:`~repro.dist.worker.ShardHost` logic:
 
@@ -141,24 +144,14 @@ class LocalExchange:
     def __init__(self, plans: list[ShardPlan]) -> None:
         self.hosts = [ShardHost(plan) for plan in plans]
 
-    def peek_times(self) -> list[Optional[float]]:
+    def start(self) -> list[Optional[float]]:
         return [host.peek_time() for host in self.hosts]
 
-    def run_until(self, barrier: float) -> tuple[list[Relay], list[ShardHeartbeat]]:
-        relays: list[Relay] = []
-        beats: list[ShardHeartbeat] = []
-        for host in self.hosts:
-            out, beat = host.run_until(barrier)
-            relays.extend(out)
-            beats.append(beat)
-        return relays, beats
+    def advance(self, barrier: float, inbound: list[list[Relay]]) -> list[tuple]:
+        return [host.advance(barrier, r) for host, r in zip(self.hosts, inbound)]
 
-    def inject(self, per_shard: dict[int, list[Relay]]) -> None:
-        for shard in sorted(per_shard):
-            self.hosts[shard].inject(per_shard[shard])
-
-    def finalize(self) -> list[ShardOutput]:
-        return [host.finalize() for host in self.hosts]
+    def finalize(self, inbound: list[list[Relay]]) -> list[ShardOutput]:
+        return [host.finalize(relays) for host, relays in zip(self.hosts, inbound)]
 
     def close(self) -> None:
         pass
@@ -171,7 +164,8 @@ def _worker_main(plan: ShardPlan, conn) -> None:
         # construction must start from the same state a fresh run would.
         reset_packet_ids()
         host = ShardHost(plan)
-        conn.send(("ok", None))
+        # The build acknowledgement carries the first event time.
+        conn.send(("ok", host.peek_time()))
     except Exception:
         conn.send(("err", traceback.format_exc()))
         return
@@ -179,16 +173,12 @@ def _worker_main(plan: ShardPlan, conn) -> None:
         command = conn.recv()
         op = command[0]
         try:
-            if op == "peek":
-                conn.send(("ok", host.peek_time()))
-            elif op == "run":
-                maybe_fault(plan.shard_index, command[1])
-                conn.send(("ok", host.run_until(command[1])))
-            elif op == "inject":
-                host.inject(command[1])
-                conn.send(("ok", None))
+            if op == "advance":
+                _, barrier, inbound = command
+                maybe_fault(plan.shard_index, barrier)
+                conn.send(("ok", host.advance(barrier, inbound)))
             elif op == "finalize":
-                conn.send(("ok", host.finalize()))
+                conn.send(("ok", host.finalize(command[1])))
             elif op == "close":
                 conn.close()
                 return
@@ -203,6 +193,9 @@ class ProcessExchange:
 
     def __init__(self, plans: list[ShardPlan], timeout: float = 60.0) -> None:
         self._timeout = timeout
+        self._end_at = plans[0].end_at
+        # The barrier last sent: a stall is reported at this window.
+        self._window = 0.0
         ctx = multiprocessing.get_context("fork")
         self._procs = []
         self._conns = []
@@ -224,8 +217,6 @@ class ProcessExchange:
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
-        for index in range(len(plans)):
-            self._recv(index, window=0.0)
 
     def _pipes_open(self) -> dict[int, bool]:
         return {
@@ -233,11 +224,11 @@ class ProcessExchange:
             for index, (proc, conn) in enumerate(zip(self._procs, self._conns))
         }
 
-    def _stall(self, index: int, window: float, reason: str) -> ShardStallError:
+    def _stall(self, index: int, reason: str) -> ShardStallError:
         # Capture pipe state BEFORE teardown terminates every worker.
         error = ShardStallError(
             index,
-            window,
+            self._window,
             reason,
             last_windows=self._last_windows,
             pipes_open=self._pipes_open(),
@@ -246,50 +237,39 @@ class ProcessExchange:
         self._teardown()
         return error
 
-    def _recv(self, index: int, window: float):
+    def _recv(self, index: int):
         conn = self._conns[index]
         if not conn.poll(self._timeout):
-            raise self._stall(
-                index, window, f"no response within {self._timeout:.0f}s"
-            )
+            raise self._stall(index, f"no response within {self._timeout:.0f}s")
         try:
             status, value = conn.recv()
         except EOFError:
-            raise self._stall(index, window, "worker process died") from None
+            raise self._stall(index, "worker process died") from None
         if status != "ok":
             self._teardown()
             raise RuntimeError(f"shard {index} worker failed:\n{value}")
         return value
 
-    def _broadcast(self, command: tuple, window: float) -> list:
-        for conn in self._conns:
-            conn.send(command)
-        return [self._recv(index, window) for index in range(len(self._conns))]
+    def start(self) -> list[Optional[float]]:
+        return [self._recv(index) for index in range(len(self._conns))]
 
-    def peek_times(self) -> list[Optional[float]]:
-        return self._broadcast(("peek",), window=0.0)
-
-    def run_until(self, barrier: float) -> tuple[list[Relay], list[ShardHeartbeat]]:
-        relays: list[Relay] = []
-        beats: list[ShardHeartbeat] = []
-        for conn in self._conns:
-            conn.send(("run", barrier))
+    def advance(self, barrier: float, inbound: list[list[Relay]]) -> list[tuple]:
+        self._window = barrier
+        for conn, relays in zip(self._conns, inbound):
+            conn.send(("advance", barrier, relays))
+        replies = []
         for index in range(len(self._conns)):
-            batch, beat = self._recv(index, window=barrier)
-            relays.extend(batch)
-            beats.append(beat)
+            reply = self._recv(index)
+            replies.append(reply)
             self._last_windows[index] = barrier
-            self._heartbeats[index] = beat
-        return relays, beats
+            self._heartbeats[index] = reply[1]
+        return replies
 
-    def inject(self, per_shard: dict[int, list[Relay]]) -> None:
-        for shard in sorted(per_shard):
-            self._conns[shard].send(("inject", per_shard[shard]))
-        for shard in sorted(per_shard):
-            self._recv(shard, window=0.0)
-
-    def finalize(self) -> list[ShardOutput]:
-        return self._broadcast(("finalize",), window=0.0)
+    def finalize(self, inbound: list[list[Relay]]) -> list[ShardOutput]:
+        self._window = self._end_at
+        for conn, relays in zip(self._conns, inbound):
+            conn.send(("finalize", relays))
+        return [self._recv(index) for index in range(len(self._conns))]
 
     def close(self) -> None:
         for conn in self._conns:
@@ -501,9 +481,15 @@ def run_sharded(
             raise ValueError(f"unknown exchange {exchange!r} (local | process)")
 
         lookahead = partition.lookahead
+        next_times = xchg.start()
+        inbound: list[list[Relay]] = [[] for _ in plans]
         while True:
-            peeks = [t for t in xchg.peek_times() if t is not None]
-            e_min = min(peeks, default=None)
+            # A relay is scheduled when its shard takes it, so the earliest
+            # pending event is the min over the shards' next events and
+            # the relays about to be sent.
+            pending = [t for t in next_times if t is not None]
+            pending.extend(relays[0].arrive_at for relays in inbound if relays)
+            e_min = min(pending, default=None)
             if e_min is None or e_min > end_at:
                 barrier = end_at
             else:
@@ -520,29 +506,25 @@ def run_sharded(
                     if horizon > end_at
                     else math.nextafter(horizon, -math.inf)
                 )
-            relays, beats = xchg.run_until(barrier)
-            note(beats, len(relays))
-            while relays:
-                relays.sort(key=_relay_sort_key)
-                per_shard: dict[int, list[Relay]] = {}
-                for relay in relays:
-                    shard = partition.shard_of(relay.dst)
-                    per_shard.setdefault(shard, []).append(relay)
-                xchg.inject(per_shard)
-                if any(r.arrive_at <= barrier for r in relays):
-                    # Mop-up: something landed inside the closed window.
-                    # With the exclusive horizon every relay arrives at
-                    # >= e_min + lookahead > barrier, so this is a safety
-                    # net, not an expected path.
-                    relays, beats = xchg.run_until(barrier)
-                    note(beats, len(relays))
-                else:
+            while True:
+                replies = xchg.advance(barrier, inbound)
+                relays = [relay for batch, _, _ in replies for relay in batch]
+                note([beat for _, beat, _ in replies], len(relays))
+                inbound = [[] for _ in plans]
+                for relay in sorted(relays, key=_relay_sort_key):
+                    inbound[partition.shard_of(relay.dst)].append(relay)
+                # A relay landing inside the closed window would re-run it
+                # (a mop-up).  With the exclusive horizon every relay
+                # arrives at >= e_min + lookahead > barrier, so this is a
+                # safety net, not an expected path.
+                if not any(relay.arrive_at <= barrier for relay in relays):
                     break
+            next_times = [t for _, _, t in replies]
             if barrier >= next_emit:
                 emit(barrier, e_min)
             if barrier >= end_at:
                 break
-        outputs = xchg.finalize()
+        outputs = xchg.finalize(inbound)
         if log is not None:
             emit(end_at, None)  # flush a sub-interval tail, if any
             for shard in sorted(last_beats):

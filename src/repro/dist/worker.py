@@ -272,8 +272,16 @@ class ShardHost:
     def peek_time(self) -> Optional[float]:
         return self.sim.peek_time()
 
-    def run_until(self, barrier: float) -> tuple[list[Relay], ShardHeartbeat]:
-        """Run all events at or before ``barrier``; drain relays + heartbeat."""
+    def advance(
+        self, barrier: float, inbound: list[Relay]
+    ) -> tuple[list[Relay], ShardHeartbeat, Optional[float]]:
+        """One window: inject ``inbound``, run all events at or before
+        ``barrier``; drain relays + heartbeat + the next pending event time.
+
+        Injecting before the run schedules the relays at the previous
+        barrier's clock, as an injection between windows would.
+        """
+        self._inject(inbound)
         t0 = _wallclock.perf_counter()
         self.sim.run(until=barrier)
         self._busy_s += _wallclock.perf_counter() - t0
@@ -290,9 +298,9 @@ class ShardHost:
             busy_s=self._busy_s,
             wall_s=_wallclock.perf_counter() - self._created_wall,
         )
-        return out, heartbeat
+        return out, heartbeat, self.sim.peek_time()
 
-    def inject(self, relays: list[Relay]) -> None:
+    def _inject(self, relays: list[Relay]) -> None:
         """Register relayed cross-shard arrivals (already coordinator-sorted).
 
         Each relay is scheduled through the sequencer and indexed by its
@@ -411,7 +419,9 @@ class ShardHost:
             else:
                 channel.deliver_now(payload)
 
-    def finalize(self) -> ShardOutput:
+    def finalize(self, inbound: list[Relay]) -> ShardOutput:
+        """Inject the last window's relays, then ship what the shard measured."""
+        self._inject(inbound)
         out = self.output
         self.drop_counter.close()
         self.message_counter.close()
