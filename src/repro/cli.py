@@ -748,11 +748,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                         print(f"       {v}")
 
     if getattr(args, "churn", False):
-        from .validation.monitors import settle_margin_for
+        from .routing.catalog import settle_margin
         from .validation.oracle import run_churn_differential
 
         manet = ("aodv", "dsr", "olsr")
-        settle = max(settle_margin_for(p) for p in manet) + 17.0
+        settle = max(settle_margin(p) for p in manet) + 17.0
         models = ("waypoint", "manhattan")
         print(
             f"churn oracle: protocols={','.join(manet)} models={models} "

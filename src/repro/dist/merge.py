@@ -19,10 +19,9 @@ from typing import Optional
 from ..experiments.scenario import EventClock, Layout, ScenarioResult, fold_result
 from ..metrics.convergence import ConvergenceTracker, NetworkConvergenceWatcher
 from ..net.packet import reset_packet_ids
+from ..routing.catalog import protocol_spec
 from ..sim.tracing import DropCause, RouteChangeRecord, TraceBus
 from ..validation.monitors import (
-    LOOP_FREE_PROTOCOLS,
-    SOURCE_ROUTED_PROTOCOLS,
     FibLoopMonitor,
     MonitorSuite,
     PacketConservationMonitor,
@@ -90,9 +89,10 @@ def _offline_monitors(
         for monitor in MonitorSuite.default_monitors()
         if monitor.name not in _REPLAYED_MONITORS
     }
-    if protocol not in LOOP_FREE_PROTOCOLS:
+    spec = protocol_spec(protocol)
+    if not spec.loop_free:
         skips[FibLoopMonitor.name] = f"protocol {protocol!r} makes no loop-freedom promise"
-    elif protocol in SOURCE_ROUTED_PROTOCOLS:
+    elif spec.source_routed:
         skips[FibLoopMonitor.name] = (
             f"{_SHARD_SKIP_REASON} (source-routed cache needs a live sampler)"
         )

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..experiments.config import ExperimentConfig
-from ..experiments.scenario import make_protocol_factory
 from ..metrics.counters import DropCounter, MessageCounter
 from ..net.channels import ReliableChannel
 from ..net.dynamics import LinkEvent, LinkScheduler, ScriptedDriver
 from ..net.network import Network
+from ..routing.catalog import build_factory
 from ..sim.engine import EventHandle, Simulator
 from ..sim.rng import RngStreams
 from ..sim.tracing import DropCause, TraceBus
@@ -200,8 +200,8 @@ class ShardHost:
 
         # --- protocols on owned nodes only (ghosts stay protocol-less) -----
         rng_streams = RngStreams(plan.seed)
-        factory = make_protocol_factory(
-            plan.protocol, self.network, rng_streams, topo, config
+        factory = build_factory(
+            plan.protocol, self.network, rng_streams, topo, config.dv_infinity
         )
         for node_id in self.owned:
             factory(self.network.node(node_id))  # base ctor self-attaches

@@ -31,6 +31,7 @@ from typing import Optional
 
 from ..net.dynamics import DEFAULT_DETECTION_DELAY
 from ..net.link import DEFAULT_QUEUE_CAPACITY
+from ..routing.catalog import PROTOCOLS, protocol_spec
 
 __all__ = [
     "ChurnConfig",
@@ -131,28 +132,7 @@ class ChurnConfig:
         return cls(**kwargs)
 
 #: Protocols reproducible from the paper plus this package's extensions.
-PROTOCOL_NAMES = (
-    "rip",
-    "rip-hd",
-    "dbf",
-    "dual",
-    "bgp",
-    "bgp3",
-    "spf",
-    "spf-slow",
-    "spf-lfa",
-    "bgp-pd",
-    "bgp3-pd",
-    "bgp-rfd",
-    "bgp3-rfd",
-    "bgp-ssld",
-    "bgp3-ssld",
-    "static",
-    # MANET trio (reactive AODV/DSR, proactive OLSR); see docs/manet.md.
-    "aodv",
-    "dsr",
-    "olsr",
-)
+PROTOCOL_NAMES = tuple(PROTOCOLS)
 
 #: The full-matrix campaign: the paper's wired protocols side by side with
 #: the MANET trio, for Figures 3-7 on static meshes and mobility scenarios.
@@ -244,9 +224,8 @@ class ExperimentConfig:
             raise ValueError("need 0 < traffic_start < fail_time")
         if self.post_fail_window <= 0:
             raise ValueError("post_fail_window must be positive")
-        unknown = set(self.protocols) - set(PROTOCOL_NAMES)
-        if unknown:
-            raise ValueError(f"unknown protocols: {sorted(unknown)}")
+        for name in self.protocols:
+            protocol_spec(name)
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.partition not in PARTITION_STRATEGIES:

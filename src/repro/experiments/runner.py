@@ -124,10 +124,6 @@ class PointResult:
         return mean([float(r.messages) for r in self.runs])
 
     @property
-    def mean_transient_paths(self) -> float:
-        return mean([float(r.transient_path_count) for r in self.runs])
-
-    @property
     def convergence_success_rate(self) -> float:
         return mean([1.0 if r.converged_to_expected else 0.0 for r in self.runs])
 

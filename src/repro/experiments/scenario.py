@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from ..metrics.convergence import (
@@ -39,22 +39,11 @@ from ..net.dynamics import (
     TopologyDriver,
 )
 from ..net.network import Network
-from ..net.node import Node
 from ..net.packet import reset_packet_ids
 from ..obs.flight import FlightRecorder, build_dump, check_dump, save_dump
 from ..obs.profiler import NULL_PROFILER
 from ..records import ArtifactError
-from ..routing.aodv import AodvProtocol
-from ..routing.bgp import BgpConfig, BgpProtocol
-from ..routing.damping import DampingConfig
-from ..routing.dsr import DsrProtocol
-from ..routing.olsr import OlsrProtocol
-from ..routing.dbf import DbfProtocol
-from ..routing.dual import DualProtocol
-from ..routing.dv_common import DistanceVectorConfig
-from ..routing.rip import RipProtocol
-from ..routing.spf import SpfConfig, SpfProtocol
-from ..routing.static import StaticProtocol
+from ..routing.catalog import build_factory, protocol_spec
 from ..sim.engine import Simulator
 from ..sim.rng import RngStreams
 from ..sim.tracing import DropCause, TraceBus
@@ -65,9 +54,6 @@ from ..traffic.cbr import CbrSource
 from ..traffic.flows import FlowSpec
 from ..traffic.sink import PacketSink
 from .config import ExperimentConfig
-
-#: Distance-vector protocols: oracle costs at/above ``dv_infinity`` are unreachable.
-DV_PROTOCOLS = ("rip", "rip-hd", "dbf")
 
 __all__ = [
     "EventClock",
@@ -81,7 +67,6 @@ __all__ = [
     "lay_out",
     "mesh_layout",
     "run_scenario",
-    "make_protocol_factory",
     "mesh_links",
     "replay",
 ]
@@ -185,48 +170,6 @@ class ScenarioResult:
             if event.kind == "fail":
                 return event.link
         return None
-
-
-def make_protocol_factory(
-    name: str,
-    network: Network,
-    rng_streams: RngStreams,
-    topology: Topology,
-    config: ExperimentConfig,
-) -> Callable[[Node], object]:
-    """Protocol constructor-by-name, sharing one RNG family per run."""
-    dv = DistanceVectorConfig(infinity=config.dv_infinity)
-    base, _, option = name.partition("-")
-    bgp_timers = {"bgp": {}, "bgp3": {"mrai_base": 3.0, "mrai_jitter": 0.5}}
-    bgp_options = {
-        "": {},
-        "pd": {"per_destination_mrai": True},
-        "ssld": {"sender_side_loop_detection": True},
-        "rfd": {"damping": DampingConfig()},
-    }
-    if base in bgp_timers and option in bgp_options:
-        bgp = BgpConfig(**bgp_timers[base], **bgp_options[option], label=name)
-        return lambda node: BgpProtocol(node, rng_streams, network, bgp)
-    slow = SpfConfig(spf_delay=2.0, label="spf-slow")
-    lfa = SpfConfig(spf_delay=2.0, lfa=True, label="spf-lfa")
-    builders: dict[str, Callable[[Node], object]] = {
-        "rip": lambda node: RipProtocol(node, rng_streams, dv),
-        "rip-hd": lambda node: RipProtocol(
-            node, rng_streams, replace(dv, holddown=90.0)
-        ),
-        "dbf": lambda node: DbfProtocol(node, rng_streams, dv),
-        "dual": lambda node: DualProtocol(node, rng_streams, network),
-        "spf": lambda node: SpfProtocol(node, rng_streams),
-        "spf-slow": lambda node: SpfProtocol(node, rng_streams, slow),
-        "spf-lfa": lambda node: SpfProtocol(node, rng_streams, lfa),
-        "static": lambda node: StaticProtocol(node, rng_streams, topology),
-        "aodv": lambda node: AodvProtocol(node, rng_streams),
-        "dsr": lambda node: DsrProtocol(node, rng_streams),
-        "olsr": lambda node: OlsrProtocol(node, rng_streams),
-    }
-    if name not in builders:
-        raise ValueError(f"unknown protocol {name!r}")
-    return builders[name]
 
 
 @dataclass(frozen=True)
@@ -488,7 +431,7 @@ class ScenarioRun:
                 priority_control=config.prioritize_control,
             )
             network.attach_protocols(
-                make_protocol_factory(protocol, network, RngStreams(seed), initial, config)
+                build_factory(protocol, network, RngStreams(seed), initial, config.dv_infinity)
             )
             scheduler = LinkScheduler(sim, network, config.detection_delay)
             scheduler.take_down_initially(layout.initially_down)
@@ -553,8 +496,9 @@ class ScenarioRun:
         self.scheduled = scheduler.load(events)
 
         if monitors is not None:
-            from ..validation.monitors import RunContext, settle_margin_for
+            from ..validation.monitors import RunContext
 
+            spec = protocol_spec(protocol)
             monitors.attach(
                 RunContext(
                     sim=sim,
@@ -567,8 +511,8 @@ class ScenarioRun:
                     ),
                     detect_time=self.clock.first_detect,
                     end_time=end_at,
-                    infinity=config.dv_infinity if protocol in DV_PROTOCOLS else None,
-                    settle_margin=settle_margin_for(protocol),
+                    infinity=config.dv_infinity if spec.distance_vector else None,
+                    settle_margin=spec.settle_margin,
                     # Destinations data wants: what reactive protocols are judged on.
                     active_dests=frozenset(dst for _, dst in flows),
                     reactive_strict=reactive_strict,

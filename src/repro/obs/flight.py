@@ -612,8 +612,15 @@ def check_dump(dump: object) -> list[str]:
 # --------------------------------------------------------------------------
 
 
-def _us(t: float) -> float:
+def trace_us(t: float) -> float:
+    """Simulated seconds as trace-event microseconds."""
     return round(t * 1e6, 3)
+
+
+def lane_name(pid: int, name: str) -> dict:
+    """The metadata event that names lane ``pid``."""
+    args = {"name": name}
+    return dict(name="process_name", ph="M", ts=0, pid=pid, tid=pid, args=args)
 
 
 def perfetto_trace(
@@ -662,7 +669,7 @@ def perfetto_trace(
                 "name": f"pkt {r.packet_id} {r.kind}",
                 "cat": "packet",
                 "ph": "i",
-                "ts": _us(r.time),
+                "ts": trace_us(r.time),
                 "pid": r.node,
                 "tid": r.node,
                 "s": "t",
@@ -678,7 +685,7 @@ def perfetto_trace(
                 "name": f"fib dest={r.dest}",
                 "cat": "route",
                 "ph": "i",
-                "ts": _us(r.time),
+                "ts": trace_us(r.time),
                 "pid": r.node,
                 "tid": r.node,
                 "s": "t",
@@ -691,7 +698,7 @@ def perfetto_trace(
                 "name": f"{m.protocol} msg -> {m.receiver}",
                 "cat": "message",
                 "ph": "i",
-                "ts": _us(m.time),
+                "ts": trace_us(m.time),
                 "pid": m.sender,
                 "tid": m.sender,
                 "s": "t",
@@ -710,7 +717,7 @@ def perfetto_trace(
                 + ("up" if e.up else "DOWN"),
                 "cat": "link",
                 "ph": "i",
-                "ts": _us(e.time),
+                "ts": trace_us(e.time),
                 "pid": e.node_a,
                 "tid": e.node_a,
                 "s": "g",
@@ -725,17 +732,8 @@ def perfetto_trace(
             events.append(ev)
     events.sort(key=lambda ev: ev["ts"])
 
-    metadata = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "ts": 0,
-            "pid": node,
-            "tid": node,
-            "args": {"name": f"node {node}"},
-        }
-        for node in sorted(nodes)
-    ] + extra_metadata
+    metadata = [lane_name(node, f"node {node}") for node in sorted(nodes)]
+    metadata += extra_metadata
     return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
 

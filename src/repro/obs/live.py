@@ -40,6 +40,7 @@ from typing import Iterable, Optional, TextIO, Union
 from ..records import BOOL, COUNT, INT, NUM, NUM_GE0, OBJECT, POSITIVE, STR, TEXT
 from ..records import JsonlWriter, check_envelope, check_fields, is_int, is_num
 from ..records import nullable, optional, read_jsonl
+from .flight import lane_name, trace_us
 
 __all__ = [
     "LOG_SCHEMA_VERSION",
@@ -682,10 +683,6 @@ def watch(
 # --------------------------------------------------------------------------
 
 
-def _us(t: float) -> float:
-    return round(t * 1e6, 3)
-
-
 def shard_lane_events(records: Iterable[dict]) -> list[dict]:
     """Chrome trace events: one lane per shard plus a coordinator lane.
 
@@ -730,8 +727,8 @@ def shard_lane_events(records: Iterable[dict]) -> list[dict]:
                     "name": "window",
                     "cat": "shard",
                     "ph": "X",
-                    "ts": _us(start),
-                    "dur": max(0.0, _us(clock) - _us(start)),
+                    "ts": trace_us(start),
+                    "dur": max(0.0, trace_us(clock) - trace_us(start)),
                     "pid": pid,
                     "tid": pid,
                     "args": args,
@@ -745,7 +742,7 @@ def shard_lane_events(records: Iterable[dict]) -> list[dict]:
                             "name": f"inject {injected} relay(s)",
                             "cat": "shard",
                             "ph": "i",
-                            "ts": _us(clock),
+                            "ts": trace_us(clock),
                             "pid": pid,
                             "tid": pid,
                             "s": "t",
@@ -760,8 +757,8 @@ def shard_lane_events(records: Iterable[dict]) -> list[dict]:
                     "name": f"{record.get('n_windows', 1)} window(s)",
                     "cat": "coordinator",
                     "ph": "X",
-                    "ts": _us(prev_barrier),
-                    "dur": max(0.0, _us(barrier) - _us(prev_barrier)),
+                    "ts": trace_us(prev_barrier),
+                    "dur": max(0.0, trace_us(barrier) - trace_us(prev_barrier)),
                     "pid": COORDINATOR_PID,
                     "tid": COORDINATOR_PID,
                     "args": {
@@ -771,24 +768,7 @@ def shard_lane_events(records: Iterable[dict]) -> list[dict]:
                 }
             )
             prev_barrier = barrier
-    metadata = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "ts": 0,
-            "pid": COORDINATOR_PID,
-            "tid": COORDINATOR_PID,
-            "args": {"name": "coordinator"},
-        }
-    ] + [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "ts": 0,
-            "pid": SHARD_LANE_PID + shard,
-            "tid": SHARD_LANE_PID + shard,
-            "args": {"name": f"shard {shard}"},
-        }
-        for shard in sorted(lanes)
+    metadata = [lane_name(COORDINATOR_PID, "coordinator")] + [
+        lane_name(SHARD_LANE_PID + shard, f"shard {shard}") for shard in sorted(lanes)
     ]
     return metadata + events

@@ -20,7 +20,6 @@ See ``docs/validation.md`` for the catalog and semantics.
 from .monitors import (
     ConvergenceSentinel,
     FibLoopMonitor,
-    InvariantViolationError,
     Monitor,
     MonitorSuite,
     NoRouteAfterConvergenceMonitor,
@@ -30,7 +29,6 @@ from .monitors import (
     RunContext,
     TtlMonitor,
     Violation,
-    settle_margin_for,
 )
 from .oracle import DifferentialReport, ProtocolOutcome, run_differential
 from .fuzz import FuzzCase, FuzzOutcome, FuzzReport, fuzz, generate_case, run_case, shrink
@@ -42,7 +40,6 @@ __all__ = [
     "FuzzCase",
     "FuzzOutcome",
     "FuzzReport",
-    "InvariantViolationError",
     "Monitor",
     "MonitorSuite",
     "NoRouteAfterConvergenceMonitor",
@@ -57,6 +54,5 @@ __all__ = [
     "generate_case",
     "run_case",
     "run_differential",
-    "settle_margin_for",
     "shrink",
 ]

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from ..routing.catalog import protocol_spec
 from ..sim.tracing import DropCause, PacketRecord, RouteChangeRecord, TraceBus
 from ..topology.graph import Adjacency, is_connected, shortest_path_tree, without_links
 
@@ -49,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Violation",
-    "InvariantViolationError",
     "RunContext",
     "Monitor",
     "MonitorSuite",
@@ -60,102 +60,7 @@ __all__ = [
     "FibLoopMonitor",
     "NoRouteAfterConvergenceMonitor",
     "RibConsistencyMonitor",
-    "CONVERGENT_PROTOCOLS",
-    "LOOP_FREE_PROTOCOLS",
-    "REACTIVE_PROTOCOLS",
-    "SOURCE_ROUTED_PROTOCOLS",
-    "settle_margin_for",
 ]
-
-#: Protocols expected to re-converge to SPF-optimal routes after a single
-#: link failure (given a long enough observation window).  Route-flap
-#: damping variants may legitimately suppress routes past the end of the
-#: window and ``static`` never reacts at all, so they are excluded from the
-#: RIB consistency diff.
-CONVERGENT_PROTOCOLS = frozenset(
-    {
-        "rip",
-        "rip-hd",
-        "dbf",
-        "dual",
-        "bgp",
-        "bgp3",
-        "bgp-pd",
-        "bgp3-pd",
-        "bgp-ssld",
-        "bgp3-ssld",
-        "spf",
-        "spf-slow",
-        "spf-lfa",
-        # OLSR is proactive and MPR flooding preserves hop-count-optimal
-        # paths on unit-cost graphs, so it is held to the same bar.
-        "olsr",
-    }
-)
-
-#: On-demand protocols: converged means "every *active* destination's routes
-#: agree with the oracle", not "every node knows every destination" — a
-#: reactive node with no traffic legitimately has no routes at all.
-REACTIVE_PROTOCOLS = frozenset({"aodv", "dsr"})
-
-#: Protocols that forward on origin-stamped source routes instead of FIBs.
-#: The fib-loop monitor checks their cached paths (``source_route_loops``)
-#: rather than walking (empty) FIB views.
-SOURCE_ROUTED_PROTOCOLS = frozenset({"dsr"})
-
-
-#: Quiet time (s) after which each protocol's silence implies convergence.
-#: Every supported protocol name must appear here explicitly — see
-#: :func:`settle_margin_for`.
-_SETTLE_MARGINS: dict[str, float] = {
-    "rip": 6.0,  # 5 s max triggered-update damping
-    "rip-hd": 95.0,  # 90 s hold-down
-    "dbf": 6.0,  # 5 s max triggered-update damping
-    "dual": 3.0,
-    "bgp": 32.0,  # 30 s MRAI + 1 jitter
-    "bgp-pd": 32.0,
-    "bgp-rfd": 32.0,
-    "bgp-ssld": 32.0,
-    "bgp3": 5.0,  # 3 s MRAI + 0.5 jitter
-    "bgp3-pd": 5.0,
-    "bgp3-rfd": 5.0,
-    "bgp3-ssld": 5.0,
-    "spf": 4.0,  # spf_delay throttle
-    "spf-slow": 4.0,
-    "spf-lfa": 4.0,
-    "static": 3.0,
-    "aodv": 12.0,  # last RREQ retry fires up to 2.8 s * 2^2 after silence
-    "dsr": 12.0,  # same discovery backoff horizon
-    # TOP_HOLD_TIME (3 x 5 s TC interval) is OLSR's silent-churn horizon: a
-    # stale TC entry can age out — and reroute the node — that long after
-    # the last message, plus a HELLO period of slack.
-    "olsr": 18.0,
-}
-
-
-def settle_margin_for(protocol: str) -> float:
-    """Quiet time (s) after which a protocol's silence implies convergence.
-
-    A network can be *quiet* without being *converged*: BGP suppresses
-    updates for up to one MRAI interval, a distance-vector trigger can sit
-    in its damping window, and a held-down RIP route refuses replacements
-    for the whole hold-down period.  The margin is each protocol's maximum
-    silent-churn horizon plus slack — only after that much quiet may the
-    oracle treat the observed state as final.
-
-    Unknown names raise instead of falling back to a default: a protocol
-    added without a margin entry would otherwise be judged against a quiet
-    window that has nothing to do with its timers, and every monitor
-    downstream would silently misfire or mis-skip.
-    """
-    try:
-        return _SETTLE_MARGINS[protocol]
-    except KeyError:
-        raise ValueError(
-            f"no settle margin registered for protocol {protocol!r}; add it "
-            f"to _SETTLE_MARGINS (known: {sorted(_SETTLE_MARGINS)})"
-        ) from None
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -167,15 +72,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"[{self.monitor}] t={self.time:.3f}: {self.detail}"
-
-
-class InvariantViolationError(AssertionError):
-    """Raised by strict validation when any monitor recorded a violation."""
-
-    def __init__(self, violations: list[Violation]) -> None:
-        self.violations = violations
-        lines = "\n".join(f"  {v}" for v in violations)
-        super().__init__(f"{len(violations)} invariant violation(s):\n{lines}")
 
 
 @dataclass
@@ -195,7 +91,7 @@ class RunContext:
     infinity: Optional[int] = None
     #: Seconds of quiet (no FIB change) before ``end_time`` required before
     #: the RIB diff is meaningful; a still-churning network is skipped.
-    #: Scenario wiring sets this from :func:`settle_margin_for`.
+    #: Scenario wiring sets this from the protocol's catalogue row.
     settle_margin: float = 3.0
     #: Destinations that carry data traffic.  Reactive protocols (AODV/DSR)
     #: are judged per active destination only: nodes with no traffic toward
@@ -267,7 +163,7 @@ class ConvergenceSentinel(Monitor):
 
     def _metrics(self) -> dict[int, dict[int, Optional[int]]]:
         nodes = sorted(self._ctx.topology.nodes)
-        if self._ctx.protocol in REACTIVE_PROTOCOLS and self._ctx.active_dests:
+        if protocol_spec(self._ctx.protocol).reactive and self._ctx.active_dests:
             # Reactive tables churn with every discovery for every flow; the
             # convergence question is only about destinations with traffic.
             nodes = sorted(self._ctx.active_dests)
@@ -520,15 +416,6 @@ class NoRouteAfterConvergenceMonitor(Monitor):
                 )
 
 
-#: Protocols whose design guarantees loop-free FIB state at every instant:
-#: RIP's split horizon with poison reverse (the paper's Observation 2 — RIP
-#: never produced a single TTL drop), DUAL's feasibility condition, AODV's
-#: destination-sequence-number rule, and DSR's acyclic-by-construction
-#: source routes.  Cache-based protocols (DBF, BGP) loop transiently by
-#: design and are not checked.
-LOOP_FREE_PROTOCOLS = frozenset({"rip", "rip-hd", "dual", "aodv", "dsr"})
-
-
 class FibLoopMonitor(Monitor):
     """No forwarding loop may ever exist in a loop-free protocol's FIBs.
 
@@ -560,12 +447,13 @@ class FibLoopMonitor(Monitor):
         self._seen_paths: set[tuple[int, tuple[int, ...]]] = set()
 
     def attach(self, ctx: RunContext) -> None:
-        if ctx.protocol not in LOOP_FREE_PROTOCOLS:
+        spec = protocol_spec(ctx.protocol)
+        if not spec.loop_free:
             self.skipped = (
                 f"protocol {ctx.protocol!r} makes no loop-freedom promise"
             )
             return
-        if ctx.protocol in SOURCE_ROUTED_PROTOCOLS:
+        if spec.source_routed:
             # Source-routed protocols keep FIBs empty; the loop surface is
             # the per-node path cache, sampled on a virtual-time ticker.
             self._source_routed = True
@@ -693,10 +581,11 @@ class RibConsistencyMonitor(Monitor):
         self.last_route_change = record.time
 
     def finalize(self, ctx: RunContext) -> None:
-        if ctx.protocol in REACTIVE_PROTOCOLS:
+        spec = protocol_spec(ctx.protocol)
+        if spec.reactive:
             self._finalize_reactive(ctx)
             return
-        if ctx.protocol not in CONVERGENT_PROTOCOLS:
+        if not spec.converges:
             self.skipped = f"protocol {ctx.protocol!r} makes no convergence promise"
             return
         if not _quiesced(ctx, self.last_route_change):
@@ -950,7 +839,3 @@ class MonitorSuite:
     def skips(self) -> dict[str, str]:
         return {m.name: m.skipped for m in self.monitors if m.skipped}
 
-    def raise_on_violation(self) -> None:
-        violations = self.violations
-        if violations:
-            raise InvariantViolationError(violations)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..experiments.config import ExperimentConfig
-from .monitors import REACTIVE_PROTOCOLS, MonitorSuite, RibConsistencyMonitor
+from ..routing.catalog import protocol_spec, settle_margin
+from .monitors import MonitorSuite, RibConsistencyMonitor
 
 __all__ = [
     "ProtocolOutcome",
@@ -189,7 +190,7 @@ def run_differential(
             continue
         if oracle is None:
             oracle = _oracle_costs(suite)
-        reactive = protocol in REACTIVE_PROTOCOLS
+        reactive = protocol_spec(protocol).reactive
         active = suite.context.active_dests
         for node_id, row in sorted(outcome.metrics.items()):
             expected_row = oracle.get(node_id, {})
@@ -226,11 +227,10 @@ def run_churn_differential(
     is reported as skipped, not passed.
     """
     from ..experiments.churn import run_churn_scenario
-    from .monitors import settle_margin_for
 
     if config.churn is None:
         raise ValueError("run_churn_differential requires config.churn")
-    needed = max(settle_margin_for(p) for p in protocols) + 2.0
+    needed = max(settle_margin(p) for p in protocols) + 2.0
     if config.churn.settle_time < needed:
         raise ValueError(
             f"churn settle_time {config.churn.settle_time} too short for "

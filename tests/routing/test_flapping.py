@@ -19,11 +19,8 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import run_scenario
 from repro.net.dynamics import LinkEvent, ScriptedDriver
-from repro.validation.monitors import (
-    LOOP_FREE_PROTOCOLS,
-    MonitorSuite,
-    RibConsistencyMonitor,
-)
+from repro.routing.catalog import protocol_spec
+from repro.validation.monitors import MonitorSuite, RibConsistencyMonitor
 from repro.validation.oracle import _oracle_costs, _snapshot_metrics
 
 PROTOCOLS = ("rip", "dbf", "bgp3", "spf", "dual")
@@ -72,7 +69,9 @@ class TestFlapping:
         assert conservation == []
         assert result.delivered + result.total_drops <= result.sent
 
-    @pytest.mark.parametrize("protocol", sorted(LOOP_FREE_PROTOCOLS & set(PROTOCOLS)))
+    @pytest.mark.parametrize(
+        "protocol", sorted(p for p in PROTOCOLS if protocol_spec(p).loop_free)
+    )
     def test_loop_free_protocols_stay_loop_free(self, protocol):
         result, suite = run_flapping(protocol)
         loops = [v for v in result.violations if v.startswith("[fib-loop")]

@@ -30,7 +30,7 @@ from repro.experiments import ChurnConfig, ExperimentConfig, run_churn_scenario
 from repro.experiments import scenario as scenario_module
 from repro.experiments.persistence import scenario_to_dict
 from repro.net.network import Network
-from repro.routing import olsr
+from repro.routing import catalog, olsr
 from repro.routing.dual import DualProtocol
 from repro.routing.olsr import OlsrHello, OlsrProtocol, OlsrTc
 from repro.routing.spf import Lsa, SpfConfig, SpfProtocol
@@ -379,7 +379,14 @@ def test_dual_selection_is_the_head_of_the_sorted_candidates(case, below):
 
 
 def run_churn(monkeypatch, protocol: str, model: str, seed: int, oracle: bool):
-    buses = []
+    buses, built = [], []
+
+    def counted(cls):
+        def build(*args, **kwargs):
+            built.append(cls)
+            return cls(*args, **kwargs)
+
+        return build
 
     def keeping_bus(**_):
         buses.append(TraceBus(keep_routes=True, keep_links=False))
@@ -393,9 +400,12 @@ def run_churn(monkeypatch, protocol: str, model: str, seed: int, oracle: bool):
     with monkeypatch.context() as patch:
         patch.setattr(scenario_module, "TraceBus", keeping_bus)
         if oracle:
+            # The catalogue's builders look their class up when they run,
+            # so the swap must land there; ``built`` proves that it did.
             for name, cls in ORACLES.items():
-                patch.setattr(scenario_module, name, cls)
+                patch.setattr(catalog, name, counted(cls))
         result = run_churn_scenario(protocol, seed, config)
+    assert bool(built) == oracle, f"{protocol}: oracle classes built: {len(built)}"
     (bus,) = buses
     return scenario_to_dict(result), bus.route_changes, bus.counters.as_dict()
 

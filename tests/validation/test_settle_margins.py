@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import PROTOCOL_NAMES
-from repro.validation.monitors import settle_margin_for
+from repro.routing.catalog import settle_margin as settle_margin_for
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
