@@ -46,9 +46,6 @@ __all__ = ["PointResult", "SweepFailure", "run_point", "run_sweep"]
 Task = tuple[str, int, int]
 #: What a completed task produced.
 Outcome = Union[ScenarioResult, "SweepFailure"]
-#: Per-task timing callback: (protocol, degree, seed, ok, elapsed_s,
-#: attempts, timed_out).  See :class:`repro.obs.sweeps.SweepTelemetry`.
-TimingCallback = Callable[[str, int, int, bool, Optional[float], int, bool], None]
 
 #: Ceiling for the exponential retry backoff (seconds).
 _MAX_RETRY_BACKOFF = 5.0
@@ -255,19 +252,16 @@ def _execute_supervised(
     timeout: Optional[float],
     retries: int,
     retry_backoff: float,
-    on_outcome: Callable[[Task, Outcome], None],
-    on_timing: Optional[TimingCallback] = None,
+    on_done: Callable[[Task, Outcome, Optional[float], int, bool], None],
     dump_dir: Optional[str] = None,
 ) -> None:
     """Run ``tasks`` on a supervised pool, reporting each outcome as it lands.
 
-    ``on_outcome`` is called exactly once per task, in completion order —
-    this is where the sweep store appends its shard records.  ``on_timing``
-    (if given) is called right after it with the task's in-worker wall time
-    (``None`` when the worker died or timed out before reporting), attempt
-    count, and whether the task hit the wall-clock timeout.  Deadline and
-    liveness checks run every ``_SUPERVISOR_TICK`` seconds between result
-    arrivals.
+    ``on_done`` is called exactly once per task, in completion order, with
+    the outcome, the task's in-worker wall time (``None`` when the worker
+    died or timed out before reporting), its attempt count, and whether it
+    hit the wall-clock timeout.  Deadline and liveness checks run every
+    ``_SUPERVISOR_TICK`` seconds between result arrivals.
 
     Abrupt worker death — a crash, an OOM kill, or our own timeout
     ``terminate()`` — is handled by discarding the *whole* pool, shared
@@ -319,15 +313,7 @@ def _execute_supervised(
     ) -> None:
         if task not in done:
             done.add(task)
-            on_outcome(task, outcome)
-            if on_timing is not None:
-                on_timing(
-                    *task,
-                    not isinstance(outcome, SweepFailure),
-                    elapsed,
-                    attempts.get(task, 0) + 1,
-                    timed_out,
-                )
+            on_done(task, outcome, elapsed, attempts.get(task, 0) + 1, timed_out)
 
     pool = [spawn() for _ in range(n_workers)]
 
@@ -536,11 +522,17 @@ def run_sweep(
     ``retry_backoff`` seconds.  ``progress(completed, total, message)`` is
     invoked after every task.
 
-    Telemetry: pass ``telemetry`` (a :class:`repro.obs.sweeps.SweepTelemetry`)
-    to collect per-seed wall times, worker utilisation, and fault counts.
-    With a store attached, each seed's timing is also appended to the shard
-    log as a ``{"kind": "telemetry"}`` record; result loading skips those, so
-    telemetry never perturbs resumed-sweep identity.
+    Telemetry: the sweep describes its execution once, as run-log records —
+    a ``sweep begin``, one ``seed`` per completed task (with done/total
+    progress, wall time, attempts, timed-out flag) and a ``sweep end``.
+    Each record goes to ``live_log`` (a path or an open
+    :class:`~repro.obs.live.RunEventLog`) if one is given, so ``python -m
+    repro watch`` can follow the sweep from another process, and to
+    ``telemetry`` (a :class:`repro.obs.sweeps.SweepTelemetry`) if one is
+    given, which folds them into per-seed timings, worker utilisation and
+    fault counts.  The log also carries a ``violation`` record per monitor
+    finding.  The simulations themselves are untouched (resumed-sweep
+    identity and golden metrics stay byte-identical).
 
     Post-mortems: ``dump_dir`` names a directory for per-seed flight dumps
     written whenever a validation monitor fires (see
@@ -549,16 +541,6 @@ def run_sweep(
     dumps land next to the sweep checkpoint they explain;
     ``ScenarioResult.dump_path`` (persisted in the shard log) names each
     file.
-
-    Live telemetry: ``live_log`` (a path or an open
-    :class:`~repro.obs.live.RunEventLog`) streams the sweep's lifecycle as
-    it executes — a ``sweep begin`` record, one ``seed`` record per
-    completed task (with done/total progress), a ``violation`` record per
-    monitor finding, and a ``sweep end`` record — so ``python -m repro
-    watch`` can follow the sweep from another process.  Records ride the
-    same ``on_outcome``/``on_timing`` callbacks the store and telemetry
-    use; the simulations themselves are untouched (resumed-sweep identity
-    and golden metrics stay byte-identical).
     """
     from ..obs.live import open_live_log
 
@@ -589,111 +571,77 @@ def run_sweep(
         outcomes = {}
         todo = list(grid)
 
-    if telemetry is not None:
-        telemetry.begin(
-            workers=workers,
-            total_tasks=len(grid),
-            resumed_tasks=len(grid) - len(todo),
-        )
-    if log is not None:
-        log.sweep(
-            "begin",
-            total_tasks=len(grid),
-            resumed_tasks=len(grid) - len(todo),
-            workers=workers,
-        )
+    def emit(kind: str, **fields) -> None:
+        """The one account of a sweep event: a log record, folded as written."""
+        record = {"kind": kind, **fields}
+        if log is not None:
+            log.write(record)
+        if telemetry is not None:
+            telemetry.fold(record)
 
-    def on_outcome(task: Task, outcome: Outcome) -> None:
+    def on_done(
+        task: Task,
+        outcome: Outcome,
+        elapsed_s: Optional[float],
+        attempts: int,
+        timed_out: bool,
+    ) -> None:
         outcomes[task] = outcome
         if store is not None:
             store.append(outcome)
-        if log is not None and not isinstance(outcome, SweepFailure):
+        ok = not isinstance(outcome, SweepFailure)
+        label = f"{task[0]} degree={task[1]} seed={task[2]}"
+        if log is not None and ok:
             for finding in outcome.violations:
-                log.violation(
-                    f"{task[0]} degree={task[1]} seed={task[2]}: {finding}"
-                )
-        if progress is not None:
-            label = "failed" if isinstance(outcome, SweepFailure) else "ok"
-            progress(
-                len(outcomes),
-                len(grid),
-                f"{task[0]} degree={task[1]} seed={task[2]}: {label}",
-            )
-
-    def on_timing(
-        protocol: str,
-        degree: int,
-        seed: int,
-        ok: bool,
-        elapsed_s: Optional[float],
-        attempts: int = 1,
-        timed_out: bool = False,
-    ) -> None:
-        if log is not None:
-            # on_outcome has already run for this task (record() orders the
-            # callbacks), so len(outcomes) counts it as done.
-            log.seed(
-                protocol,
-                degree,
-                seed,
-                ok=ok,
-                elapsed_s=elapsed_s,
-                attempts=attempts,
-                timed_out=timed_out,
-                done=len(outcomes),
-                total=len(grid),
-            )
-        if telemetry is None:
-            return
-        timing = telemetry.record(
-            protocol, degree, seed, ok, elapsed_s, attempts, timed_out
+                log.violation(f"{label}: {finding}")
+        emit(
+            "seed",
+            protocol=task[0],
+            degree=task[1],
+            seed=task[2],
+            ok=ok,
+            elapsed_s=elapsed_s,
+            attempts=attempts,
+            timed_out=timed_out,
+            done=len(outcomes),
+            total=len(grid),
         )
-        if store is not None:
-            store.append_telemetry(timing.to_dict())
+        if progress is not None:
+            progress(len(outcomes), len(grid), f"{label}: {'ok' if ok else 'failed'}")
 
+    def finish(**end) -> None:
+        if store is not None:
+            store.close()
+        emit("sweep", phase="end", wall_s=time.perf_counter() - sweep_started)
+        if log is not None:
+            log.end(**end)
+            if owns_log:
+                log.close()
+
+    emit(
+        "sweep",
+        phase="begin",
+        total_tasks=len(grid),
+        resumed_tasks=len(grid) - len(todo),
+        workers=max(1, workers),
+    )
     try:
         if todo:
             if workers <= 1 and timeout is None:
                 for task in todo:
                     started = time.perf_counter()
                     outcome = _run_task(*task, config, dump_dir)
-                    elapsed = time.perf_counter() - started
-                    on_outcome(task, outcome)
-                    on_timing(
-                        *task, not isinstance(outcome, SweepFailure), elapsed
-                    )
+                    on_done(task, outcome, time.perf_counter() - started, 1, False)
             else:
                 _execute_supervised(
                     todo, config, workers, timeout, retries, retry_backoff,
-                    on_outcome,
-                    on_timing=(
-                        None
-                        if telemetry is None and log is None
-                        else on_timing
-                    ),
-                    dump_dir=dump_dir,
+                    on_done, dump_dir=dump_dir,
                 )
     except (KeyboardInterrupt, SystemExit):
         # Graceful interrupt: everything already completed is flushed (and
         # fsynced) before the exception propagates, so a Ctrl-C'd sweep
         # resumes exactly where it stopped.
-        if telemetry is not None:
-            telemetry.end()
-        if store is not None:
-            store.close()
-        if log is not None:
-            log.sweep("end", wall_s=time.perf_counter() - sweep_started)
-            log.end(ok=False, error="interrupted")
-            if owns_log:
-                log.close()
+        finish(ok=False, error="interrupted")
         raise
-    if telemetry is not None:
-        telemetry.end()
-    if store is not None:
-        store.close()
-    if log is not None:
-        log.sweep("end", wall_s=time.perf_counter() - sweep_started)
-        log.end(ok=True)
-        if owns_log:
-            log.close()
+    finish(ok=True)
     return _assemble(grid, outcomes, config)

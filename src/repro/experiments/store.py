@@ -10,7 +10,9 @@ Ctrl-C is not acceptable at that scale.  The store makes sweeps durable:
 * ``shards.jsonl`` — one JSON record per completed task, appended and flushed
   as each seed finishes.  A record is either a full v3 scenario dict
   (``{"kind": "run", ...}``) or a recorded failure
-  (``{"kind": "failure", ...}``).
+  (``{"kind": "failure", ...}``).  Stores written by older versions also
+  hold ``{"kind": "telemetry", ...}`` lines; they are read and skipped, so
+  such a store still resumes.
 
 Resume semantics: reopening the store with the *same* configuration (checked
 by content hash — see :meth:`ExperimentConfig.fingerprint`) yields the set of
@@ -28,7 +30,7 @@ garbage between two valid records.  Both files go through :mod:`repro.records`.
 from __future__ import annotations
 
 import os
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from ..records import ArtifactError, JsonlWriter, read_json, read_jsonl, write_json
 from .config import ExperimentConfig
@@ -159,12 +161,16 @@ class SweepStore:
 
     # ------------------------------------------------------------ shards
 
-    def _records(self) -> Iterator[tuple[str, str, dict]]:
-        """``(where, kind, payload)`` of every complete shard record, in order.
+    def load_outcomes(self) -> dict[Task, Outcome]:
+        """All durably recorded outcomes, keyed by (protocol, degree, seed).
 
         A record is ``{"kind": kind, kind: payload}``; reading stops at a
         torn tail, and any other shape is an :class:`ArtifactError`.
+        Duplicate records for the same task are tolerated (first record
+        wins — it is the one a previous run completed and may already have
+        reported).
         """
+        out: dict[Task, Outcome] = {}
         for n, record in enumerate(read_jsonl(self.shards_path), start=1):
             where = f"{self.shards_path!r} record {n}"
             kind = record.get("kind") if isinstance(record, dict) else None
@@ -174,25 +180,13 @@ class SweepStore:
                 )
             if not isinstance(record.get(kind), dict):
                 raise ArtifactError(f"{where}: lacks its {kind!r} object")
-            yield where, kind, record[kind]
-
-    def load_outcomes(self) -> dict[Task, Outcome]:
-        """All durably recorded outcomes, keyed by (protocol, degree, seed).
-
-        Tolerates a torn trailing line (ignored) and duplicate records for
-        the same task (first record wins — it is the one a previous run
-        completed and may already have reported).
-        """
-        out: dict[Task, Outcome] = {}
-        for where, kind, payload in self._records():
             if kind == "telemetry":
-                # Execution telemetry rides alongside results but is not
-                # a result: skipping it keeps resumed sweeps bit-identical
-                # to uninterrupted ones.
+                # Stores written by older versions interleave per-seed
+                # execution telemetry with the results; it is not a result.
                 continue
             decode = scenario_from_dict if kind == "run" else failure_from_dict
             try:
-                outcome = decode(payload)
+                outcome = decode(record[kind])
             except ArtifactError as exc:
                 raise ArtifactError(f"{where}: {exc}") from exc
             out.setdefault(_outcome_key(outcome), outcome)
@@ -204,23 +198,6 @@ class SweepStore:
             record = {"kind": "failure", "failure": failure_to_dict(outcome)}
         else:
             record = {"kind": "run", "run": scenario_to_dict(outcome)}
-        self._append_record(record)
-
-    def append_telemetry(self, timing: dict) -> None:
-        """Durably record one seed's execution telemetry.
-
-        Telemetry records (``{"kind": "telemetry", ...}``) share the shard
-        log with results but are invisible to :meth:`load_outcomes`; they
-        describe how the sweep *ran* (wall time, retries, timeouts), not what
-        it computed.
-        """
-        self._append_record({"kind": "telemetry", "telemetry": timing})
-
-    def load_telemetry(self) -> list[dict]:
-        """All per-seed telemetry records, in append order."""
-        return [payload for _, kind, payload in self._records() if kind == "telemetry"]
-
-    def _append_record(self, record: dict) -> None:
         if self._shards is None:
             self._shards = JsonlWriter(self.shards_path, "a")
         self._shards.write(record)

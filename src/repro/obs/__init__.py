@@ -13,7 +13,8 @@ Three pieces, designed to cost nothing when idle:
 * :class:`PhaseProfiler` — hierarchical wall-clock spans (setup / warmup /
   steady / failure / convergence / drain) with optional tracemalloc peaks;
 * :class:`SweepTelemetry` — per-seed runtime, worker utilisation, and
-  timeout/retry counts for :func:`repro.experiments.runner.run_sweep`.
+  timeout/retry counts for :func:`repro.experiments.runner.run_sweep`,
+  folded from the sweep's run-log records.
 
 ``python -m repro profile`` ties them together into one schema-checked JSON
 report (see :mod:`repro.obs.report` and ``docs/observability.md``).

@@ -41,6 +41,7 @@ from ..records import BOOL, COUNT, INT, NUM, NUM_GE0, OBJECT, POSITIVE, STR, TEX
 from ..records import JsonlWriter, check_envelope, check_fields, is_int, is_num
 from ..records import nullable, optional, read_jsonl
 from .flight import lane_name, trace_us
+from .sweeps import SweepTelemetry
 
 __all__ = [
     "LOG_SCHEMA_VERSION",
@@ -52,7 +53,6 @@ __all__ = [
     "write_log",
     "check_log",
     "ShardView",
-    "SweepView",
     "LiveSummary",
     "summarize_log",
     "format_live",
@@ -93,7 +93,7 @@ _SPECS = {
         "degree": INT,
         "seed": INT,
         "ok": BOOL,
-        "elapsed_s": nullable(NUM),
+        "elapsed_s": nullable(NUM_GE0),
         "attempts": POSITIVE,
         "timed_out": BOOL,
         "done": COUNT,
@@ -138,7 +138,9 @@ class RunEventLog(JsonlWriter):
     loses at most the in-flight record and a concurrent reader never sees a
     torn prefix (:func:`read_log` additionally tolerates a torn tail).  The
     header line is written by the constructor; the writer is otherwise
-    schema-agnostic — producers call the typed convenience methods below.
+    schema-agnostic — producers call the typed convenience methods below,
+    or ``write`` a record dict (the sweep executor builds each ``seed`` and
+    ``sweep`` record once and hands the same dict to its telemetry fold).
     """
 
     def __init__(
@@ -223,38 +225,6 @@ class RunEventLog(JsonlWriter):
             n_relays=n_relays,
             wall_s=wall_s,
         )
-
-    def seed(
-        self,
-        protocol: str,
-        degree: int,
-        seed: int,
-        ok: bool,
-        elapsed_s: Optional[float],
-        attempts: int,
-        timed_out: bool,
-        done: int,
-        total: int,
-    ) -> None:
-        """One sweep task's lifecycle record (mirrors ``SeedTiming``)."""
-        self.append(
-            "seed",
-            protocol=protocol,
-            degree=degree,
-            seed=seed,
-            ok=ok,
-            elapsed_s=elapsed_s,
-            attempts=attempts,
-            timed_out=timed_out,
-            done=done,
-            total=total,
-        )
-
-    def sweep(self, phase: str, **fields) -> None:
-        """Sweep lifecycle marker; ``phase`` is ``"begin"`` or ``"end"``."""
-        if phase not in ("begin", "end"):
-            raise ValueError(f"sweep phase must be begin|end, got {phase!r}")
-        self.append("sweep", phase=phase, **fields)
 
     def shard_end(
         self, shard: int, events: int, relays_out: int, relays_in: int
@@ -430,21 +400,6 @@ class ShardView:
 
 
 @dataclass
-class SweepView:
-    """Rolling view of a sweep's task lifecycle."""
-
-    total: int = 0
-    done: int = 0
-    failed: int = 0
-    retried: int = 0
-    timed_out: int = 0
-    resumed: int = 0
-    workers: int = 1
-    last_label: Optional[str] = None
-    wall_s: Optional[float] = None
-
-
-@dataclass
 class LiveSummary:
     """Everything the watch view renders, folded from a (partial) log."""
 
@@ -455,7 +410,8 @@ class LiveSummary:
     n_windows: int = 0
     n_relays: int = 0
     last_barrier: Optional[float] = None
-    sweep: Optional[SweepView] = None
+    #: The ``seed``/``sweep`` records folded (None for a run with neither).
+    sweep: Optional[SweepTelemetry] = None
     violations: list[str] = field(default_factory=list)
     stall: Optional[dict] = None
     ended: bool = False
@@ -509,32 +465,9 @@ def summarize_log(records: Iterable[dict]) -> LiveSummary:
             summary.n_windows += record.get("n_windows", 1)
             summary.n_relays += record.get("n_relays", 0)
             summary.last_barrier = record.get("barrier", summary.last_barrier)
-        elif kind == "seed":
-            sweep = summary.sweep or SweepView()
-            summary.sweep = sweep
-            sweep.total = record.get("total", sweep.total)
-            sweep.done = record.get("done", sweep.done)
-            if record.get("ok") is False:
-                sweep.failed += 1
-            if record.get("timed_out") is True:
-                sweep.timed_out += 1
-            attempts = record.get("attempts")
-            if is_int(attempts) and attempts > 1:
-                sweep.retried += attempts - 1
-            sweep.last_label = (
-                f"{record.get('protocol')} degree={record.get('degree')} "
-                f"seed={record.get('seed')}: "
-                f"{'ok' if record.get('ok') else 'FAILED'}"
-            )
-        elif kind == "sweep":
-            sweep = summary.sweep or SweepView()
-            summary.sweep = sweep
-            if record.get("phase") == "begin":
-                sweep.total = record.get("total_tasks", sweep.total)
-                sweep.resumed = record.get("resumed_tasks", sweep.resumed)
-                sweep.workers = record.get("workers", sweep.workers)
-            else:
-                sweep.wall_s = record.get("wall_s", sweep.wall_s)
+        elif kind in ("seed", "sweep"):
+            summary.sweep = summary.sweep or SweepTelemetry()
+            summary.sweep.fold(record)
         elif kind == "shard-end":
             shard = record.get("shard")
             if is_int(shard):
@@ -602,16 +535,16 @@ def format_live(summary: LiveSummary) -> str:
         )
     if summary.sweep is not None:
         s = summary.sweep
-        done = f"{s.done}/{s.total}" if s.total else str(s.done)
+        done = f"{s.done}/{s.total_tasks}" if s.total_tasks else str(s.done)
         extras = []
         if s.failed:
             extras.append(f"{s.failed} failed")
-        if s.timed_out:
-            extras.append(f"{s.timed_out} timed out")
-        if s.retried:
-            extras.append(f"{s.retried} retried")
-        if s.resumed:
-            extras.append(f"{s.resumed} resumed")
+        if s.n_timeouts:
+            extras.append(f"{s.n_timeouts} timed out")
+        if s.n_retries:
+            extras.append(f"{s.n_retries} retried")
+        if s.resumed_tasks:
+            extras.append(f"{s.resumed_tasks} resumed")
         tail = f" ({', '.join(extras)})" if extras else ""
         lines.append(f"  sweep: {done} seeds done{tail}  [{s.workers} worker(s)]")
         if s.last_label:

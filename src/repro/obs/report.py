@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..records import BOOL, COUNT, INT, LIST, NUM, NUM_GE0, OBJECT, POSITIVE, STR, TEXT
-from ..records import check_envelope, check_fields, is_int, is_num, nullable, optional
+from ..records import COUNT, INT, LIST, NUM, NUM_GE0, OBJECT, POSITIVE, TEXT
+from ..records import check_envelope, check_fields, is_int, is_num, optional
+from .live import _SPECS as _LOG_SPECS
 
 __all__ = ["SCHEMA_VERSION", "REPORT_KIND", "build_report", "check_report", "format_report"]
 
@@ -127,13 +128,8 @@ _SWEEP_SPEC = {
     "resumed_tasks": COUNT,
     "seeds": LIST,
 }
-_SEED_SPEC = {
-    "protocol": STR,
-    "degree": INT,
-    "seed": INT,
-    "ok": BOOL,
-    "elapsed_s": nullable(NUM_GE0),
-}
+#: A ``SeedTiming`` is a log ``seed`` record without its progress fields.
+_SEED_SPEC = {k: v for k, v in _LOG_SPECS["seed"].items() if k not in ("done", "total")}
 
 
 def _check_sweep(sweep: Any, problems: list[str]) -> None:

@@ -16,6 +16,7 @@ from repro.dist.merge import shard_perfetto_trace
 from repro.dist.runner import ShardStallError, run_scenario_sharded
 from repro.dist.worker import HANG_ENV
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.persistence import diff_runs
 from repro.obs.live import SHARD_LANE_PID, check_log, read_log, summarize_log
 
 CONFIG = ExperimentConfig.quick().with_(
@@ -88,7 +89,7 @@ class TestTelemetryTransparency:
         logged = run_scenario_sharded(
             "bgp3", 4, 7, CONFIG, live_log=tmp_path / "x.log", registries={}
         )
-        assert logged == quiet
+        assert diff_runs(quiet, logged) == []
 
 
 class TestShardPerfetto:

@@ -18,6 +18,7 @@ from repro.experiments.persistence import diff_runs
 from repro.experiments.runner import run_sweep
 from repro.experiments.scenario import run_scenario
 from repro.obs.live import check_log, read_log, summarize_log
+from repro.obs.sweeps import SweepTelemetry
 
 GOLDEN_CONFIG = ExperimentConfig.quick().with_(
     rows=5, cols=5, runs=1, post_fail_window=30.0, record_paths=True
@@ -80,5 +81,12 @@ def test_sweep_log_records_every_seed(tmp_path):
 def test_sweep_results_identical_with_and_without_log(tmp_path):
     config = GOLDEN_CONFIG.with_(protocols=("dbf",), degrees=(4,), runs=2)
     quiet = run_sweep(config)
-    logged = run_sweep(config, live_log=tmp_path / "sweep.log")
-    assert logged == quiet
+    logged = run_sweep(
+        config, live_log=tmp_path / "sweep.log", telemetry=SweepTelemetry()
+    )
+    assert logged.keys() == quiet.keys()
+    for key, point in quiet.items():
+        assert logged[key].failures == point.failures == []
+        assert len(logged[key].runs) == len(point.runs) == 2
+        for a, b in zip(point.runs, logged[key].runs):
+            assert diff_runs(a, b) == []

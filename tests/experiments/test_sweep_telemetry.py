@@ -1,11 +1,11 @@
-"""Sweep execution telemetry: per-seed timing, store records, resume safety.
+"""Sweep execution telemetry: per-seed timing, one account, resume safety.
 
-The telemetry contract has two halves: ``run_sweep(telemetry=...)`` fills a
-:class:`~repro.obs.sweeps.SweepTelemetry` with one timing per executed seed,
-and — with a store attached — each timing also lands in the shard log as a
-``{"kind": "telemetry"}`` record that result loading must skip, so a sweep
-resumed from a telemetry-bearing store stays bit-identical to an
-uninterrupted one.
+``run_sweep(telemetry=...)`` folds the sweep's run-log records into a
+:class:`~repro.obs.sweeps.SweepTelemetry` with one timing per executed seed;
+folding the written log gives the same account.  The checkpoint store
+carries no telemetry, but a store an older version wrote, with
+``{"kind": "telemetry"}`` lines interleaved, must still resume
+bit-identically.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import save_points
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import SweepStore
-from repro.obs.sweeps import SeedTiming, SweepTelemetry
+from repro.obs.live import check_log, read_log, summarize_log
+from repro.obs.sweeps import SweepTelemetry
 
 TINY = ExperimentConfig.quick().with_(
     rows=5, cols=5, degrees=(4,), runs=3, post_fail_window=10.0,
@@ -68,20 +69,31 @@ class TestPoolTelemetry:
         assert all(t.ok and t.elapsed_s > 0 for t in telemetry.seeds)
 
 
-class TestStoreTelemetry:
-    def test_timings_are_appended_as_telemetry_records(self, tmp_path):
-        store = SweepStore(tmp_path / "sweep")
-        telemetry = SweepTelemetry()
-        run_sweep(TINY, store=store, telemetry=telemetry)
-        loaded = store.load_telemetry()
-        assert len(loaded) == len(TINY.grid())
-        assert loaded == [t.to_dict() for t in telemetry.seeds]
-        # And they survive a dataclass round trip.
-        assert all(SeedTiming(**t).ok for t in loaded)
+#: A per-seed telemetry line as older versions appended to the shard log.
+LEGACY_TELEMETRY = {
+    "kind": "telemetry",
+    "telemetry": {
+        "protocol": "static", "degree": 4, "seed": 1, "elapsed_s": 0.25,
+        "ok": True, "attempts": 1, "timed_out": False,
+    },
+}
 
+
+def insert_legacy_telemetry(store: SweepStore) -> None:
+    """Put one legacy telemetry line between the first two run records."""
+    with open(store.shards_path, encoding="utf-8") as f:
+        lines = f.readlines()
+    assert [json.loads(line)["kind"] for line in lines[:2]] == ["run", "run"]
+    lines.insert(1, json.dumps(LEGACY_TELEMETRY) + "\n")
+    with open(store.shards_path, "w", encoding="utf-8") as f:
+        f.writelines(lines)
+
+
+class TestStoreTelemetry:
     def test_load_outcomes_skips_telemetry_records(self, tmp_path):
         store = SweepStore(tmp_path / "sweep")
         run_sweep(TINY, store=store, telemetry=SweepTelemetry())
+        insert_legacy_telemetry(store)
         reopened = SweepStore(tmp_path / "sweep")
         reopened.open(TINY)
         outcomes = reopened.load_outcomes()
@@ -89,10 +101,12 @@ class TestStoreTelemetry:
         assert reopened.missing_tasks() == []
 
     def test_resume_over_telemetry_records_is_identical(self, tmp_path):
-        # A store with telemetry interleaved must resume to the same results
-        # as a plain uninterrupted sweep.
+        # A store an older version wrote, telemetry interleaved, must resume
+        # to the same results as a plain uninterrupted sweep.
         store_dir = tmp_path / "sweep"
-        run_sweep(TINY, store=SweepStore(store_dir), telemetry=SweepTelemetry())
+        store = SweepStore(store_dir)
+        run_sweep(TINY, store=store)
+        insert_legacy_telemetry(store)
 
         resumed_telemetry = SweepTelemetry()
         resumed = run_sweep(
@@ -109,16 +123,32 @@ class TestStoreTelemetry:
         save_points(plain, plain_json)
         assert resumed_json.read_bytes() == plain_json.read_bytes()
 
-    def test_shard_log_interleaves_results_and_telemetry(self, tmp_path):
+    def test_shard_log_holds_only_outcomes(self, tmp_path):
+        cfg = TINY.with_(degrees=(4, 9), runs=1)  # degree 9 crashes in-run
         store = SweepStore(tmp_path / "sweep")
-        run_sweep(TINY, store=store, telemetry=SweepTelemetry())
-        kinds = []
+        run_sweep(cfg, store=store, telemetry=SweepTelemetry())
         with open(store.shards_path, encoding="utf-8") as f:
-            for line in f:
-                kinds.append(json.loads(line)["kind"])
-        assert kinds == ["run", "telemetry"] * len(TINY.grid())
+            kinds = [json.loads(line)["kind"] for line in f]
+        assert kinds == ["run", "failure"]
 
-    def test_no_telemetry_records_without_a_telemetry_sink(self, tmp_path):
-        store = SweepStore(tmp_path / "sweep")
-        run_sweep(TINY, store=store)
-        assert store.load_telemetry() == []
+
+class TestOneAccount:
+    def test_log_fold_equals_in_process_telemetry(self, tmp_path, monkeypatch):
+        # A pooled sweep with a crashing seed and a worker death per task:
+        # the log's fold and the in-process fold are the same account.
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        monkeypatch.setenv("REPRO_TEST_DIE_ONCE_DIR", str(markers))
+        cfg = TINY.with_(degrees=(4, 9), runs=1)  # degree 9 crashes in-run
+        log = tmp_path / "sweep.log"
+        telemetry = SweepTelemetry()
+        run_sweep(
+            cfg, workers=2, retries=2, retry_backoff=0.05, live_log=log,
+            telemetry=telemetry,
+        )
+        records = read_log(log)
+        assert check_log(records) == []
+        assert summarize_log(records).sweep.to_dict() == telemetry.to_dict()
+        assert telemetry.failed >= 1
+        assert telemetry.n_retries >= 1
+        assert telemetry.done == len(cfg.grid()) == len(telemetry.seeds)

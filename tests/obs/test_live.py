@@ -77,8 +77,9 @@ class TestRunEventLog:
 
     def test_sweep_phase_validated(self, tmp_path):
         with RunEventLog(tmp_path / "run.log", run="sweep") as log:
-            with pytest.raises(ValueError, match="begin|end"):
-                log.sweep("middle")
+            log.append("sweep", phase="middle")
+        problems = check_log(read_log(tmp_path / "run.log"))
+        assert any("'phase' must be begin|end" in p for p in problems)
 
     def test_every_line_is_flushed(self, tmp_path):
         log = RunEventLog(tmp_path / "run.log", run="scenario")
@@ -257,8 +258,8 @@ class TestSummarize:
             {"kind": "sweep", "phase": "end", "wall_s": 1.25},
         ])
         s = summary.sweep
-        assert (s.total, s.done, s.failed, s.timed_out, s.retried,
-                s.resumed, s.workers) == (4, 3, 1, 1, 1, 1, 2)
+        assert (s.total_tasks, s.done, s.failed, s.n_timeouts, s.n_retries,
+                s.resumed_tasks, s.workers) == (4, 3, 1, 1, 1, 1, 2)
         assert "FAILED" in s.last_label
         text = format_live(summary)
         assert "3/4 seeds done" in text

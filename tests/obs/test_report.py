@@ -27,9 +27,15 @@ def report() -> dict:
     obs = RunObservation()
     result = run_scenario("dbf", 4, 1, cfg, obs=obs)
     telemetry = SweepTelemetry()
-    telemetry.begin(workers=1, total_tasks=1)
-    telemetry.record("dbf", 4, 1, ok=True, elapsed_s=0.25)
-    telemetry.end()
+    for record in (
+        {"kind": "sweep", "phase": "begin", "total_tasks": 1, "resumed_tasks": 0,
+         "workers": 1},
+        {"kind": "seed", "protocol": "dbf", "degree": 4, "seed": 1, "ok": True,
+         "elapsed_s": 0.25, "attempts": 1, "timed_out": False, "done": 1,
+         "total": 1},
+        {"kind": "sweep", "phase": "end", "wall_s": 0.5},
+    ):
+        telemetry.fold(record)
     return build_report(
         scenario={"protocol": result.protocol, "degree": 4, "seed": 1},
         observation=obs.to_dict(),

@@ -50,6 +50,14 @@ from repro.records import (
 TINY = ExperimentConfig.quick().with_(
     rows=5, cols=5, degrees=(4,), runs=2, post_fail_window=10.0, protocols=("dbf",)
 )
+#: A sweep's run-log records: what the log carries and the report folds.
+SWEEP_RECORDS = (
+    {"kind": "sweep", "phase": "begin", "total_tasks": 2, "resumed_tasks": 0,
+     "workers": 1},
+    {"kind": "seed", "protocol": "dbf", "degree": 4, "seed": 1, "ok": True,
+     "elapsed_s": 0.1, "attempts": 1, "timed_out": False, "done": 1, "total": 2},
+    {"kind": "sweep", "phase": "end", "wall_s": 0.3},
+)
 
 
 # --------------------------------------------------------------------------
@@ -101,7 +109,6 @@ def _use_checkpoint(path):
     assert store.grid() == TINY.grid()
     for task, outcome in store.load_outcomes().items():
         assert task in TINY.grid() and isinstance(outcome.seed, int)
-    store.load_telemetry()
 
 
 def _use_trace(path):
@@ -163,10 +170,8 @@ def artifacts(tmp_path_factory):
         log.heartbeat(shard=1, clock=2.0, events=9, barrier=2.0, relays_out=3,
                       relays_in=4, busy_s=0.3, wall_s=1.0)
         log.window(index=0, e_min=0.5, barrier=1.0, n_windows=12, n_relays=3, wall_s=0.4)
-        log.sweep("begin", total_tasks=2, resumed_tasks=0, workers=1)
-        log.seed("dbf", 4, 1, ok=True, elapsed_s=0.1, attempts=1, timed_out=False,
-                 done=1, total=2)
-        log.sweep("end", wall_s=0.3)
+        for record in SWEEP_RECORDS:
+            log.write(record)
         log.shard_end(shard=1, events=9, relays_out=3, relays_in=4)
         log.violation("fib-loop at t=3")
         log.stall(shard=1, window=2.0, reason="no response", heartbeat={"clock": 2.0})
@@ -178,9 +183,8 @@ def artifacts(tmp_path_factory):
     with open(paths["trace"], "w", encoding="utf-8") as f:
         write_trace(sorted(records, key=lambda r: r.time), f)
     telemetry = SweepTelemetry()
-    telemetry.begin(workers=1, total_tasks=1)
-    telemetry.record("dbf", 4, 7, ok=True, elapsed_s=0.25)
-    telemetry.end()
+    for record in SWEEP_RECORDS:
+        telemetry.fold(record)
     report = build_report(
         scenario={"protocol": result.protocol, "degree": 4, "seed": 7},
         observation=obs.to_dict(),
