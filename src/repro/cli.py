@@ -12,7 +12,7 @@ Exposes the experiment harness without writing Python::
     python -m repro sweep --checkpoint runs/ --resume      # continue after a kill
     python -m repro topology --degree 5       # inspect a mesh
     python -m repro validate --seeds 25       # fuzzer + differential oracle
-    python -m repro profile --out prof.json   # phase/metric/sweep telemetry
+    python -m repro profile --out prof.log    # phase/metric/sweep run log
     python -m repro trace --packet 17         # hop-by-hop packet autopsy
     python -m repro trace --timeline          # causal convergence timeline
     python -m repro trace --dump flight.json  # re-run a post-mortem dump
@@ -39,7 +39,7 @@ from .experiments import figures as fig
 from .experiments.report import format_series_grid, format_sweep_table
 from .experiments.runner import run_sweep
 from .experiments.scenario import run_scenario
-from .records import ArtifactError, write_json
+from .records import ArtifactError
 
 __all__ = ["main", "build_parser"]
 
@@ -250,14 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof_p = sub.add_parser(
         "profile",
-        help="profile one scenario (and optionally a mini sweep): phase "
-             "wall times, metric registry snapshot, sweep telemetry",
+        help="profile one scenario (and optionally a mini sweep) into one "
+             "run-event log: phase wall times, metric registry snapshot, "
+             "sweep telemetry",
     )
     prof_p.add_argument("--protocol", choices=PROTOCOL_NAMES, default="dbf")
     prof_p.add_argument("--degree", type=int, default=4)
     prof_p.add_argument("--seed", type=int, default=1)
     prof_p.add_argument(
-        "--out", metavar="FILE", help="write the JSON report here"
+        "--out", metavar="FILE", help="keep the run-event log here"
     )
     prof_p.add_argument(
         "--memory", action="store_true",
@@ -776,8 +777,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .obs import RunObservation, SweepTelemetry
-    from .obs.report import build_report, check_report, format_report
+    import os
+    import tempfile
+
+    from .obs import RunObservation
+    from .obs.live import RunEventLog, check_log, format_live, read_log, summarize_log
 
     config = _config(args)
     sweep_seeds = args.sweep_seeds
@@ -785,49 +789,48 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         config = config.with_(runs=1, post_fail_window=30.0)
         sweep_seeds = sweep_seeds or 2
 
-    obs = RunObservation(trace_memory=args.memory)
-    result = run_scenario(args.protocol, args.degree, args.seed, config, obs=obs)
+    meta = {
+        "protocol": args.protocol,
+        "degree": args.degree,
+        "seed": args.seed,
+        "profile": "paper" if args.paper_scale else "quick",
+        "smoke": bool(args.smoke),
+        "memory": bool(args.memory),
+    }
+    with tempfile.TemporaryDirectory() as scratch:
+        path = args.out or os.path.join(scratch, "profile.log")
+        with RunEventLog(path, run="scenario", meta=meta) as log:
+            obs = RunObservation(trace_memory=args.memory)
+            result = run_scenario(
+                args.protocol, args.degree, args.seed, config, obs=obs, live_log=log
+            )
+            if sweep_seeds:
+                run_sweep(
+                    config.with_(
+                        protocols=(args.protocol,),
+                        degrees=(args.degree,),
+                        runs=sweep_seeds,
+                    ),
+                    workers=args.workers,
+                    live_log=log,
+                )
+        records = read_log(path)
 
-    sweep = None
-    if sweep_seeds:
-        telemetry = SweepTelemetry()
-        run_sweep(
-            config.with_(
-                protocols=(args.protocol,),
-                degrees=(args.degree,),
-                runs=sweep_seeds,
-            ),
-            workers=args.workers,
-            telemetry=telemetry,
-        )
-        sweep = telemetry.to_dict()
-
-    report = build_report(
-        scenario={
-            "protocol": result.protocol,
-            "degree": result.degree,
-            "seed": result.seed,
-            "sent": result.sent,
-            "delivered": result.delivered,
-            "total_drops": result.total_drops,
-            "forwarding_convergence_s": result.forwarding_convergence,
-            "routing_convergence_s": result.routing_convergence,
-        },
-        observation=obs.to_dict(),
-        sweep=sweep,
-        meta={
-            "profile": "paper" if args.paper_scale else "quick",
-            "smoke": bool(args.smoke),
-            "memory": bool(args.memory),
-        },
-    )
-    problems = check_report(report)
-    if args.out:
-        write_json(report, args.out, newline=True)
-        print(f"report written to {args.out}\n")
-    print(format_report(report))
+    outcome = {
+        "protocol": result.protocol,
+        "degree": result.degree,
+        "seed": result.seed,
+        "sent": result.sent,
+        "delivered": result.delivered,
+        "total_drops": result.total_drops,
+        "forwarding_convergence_s": result.forwarding_convergence,
+        "routing_convergence_s": result.routing_convergence,
+    }
+    print("profile: " + " ".join(f"{k}={v}" for k, v in outcome.items()))
+    print(format_live(summarize_log(records)))
+    problems = check_log(records)
     if problems:
-        print("\nreport failed its schema self-check:", file=sys.stderr)
+        print("\nlog failed its self-check:", file=sys.stderr)
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         return 1

@@ -586,6 +586,8 @@ class ScenarioRun:
         if self.obs is not None:
             self.obs.finalize(sim=self.sim, network=self.network, bus=self.bus)
         if self.log is not None:
+            if self.obs is not None:
+                self.log.append("profile", **self.obs.to_dict())
             for finding in result.violations:
                 self.log.violation(finding)
             self.log.end(ok=not result.violations)
@@ -663,6 +665,8 @@ def run_scenario(
     ``sim.run`` calls, so the event stream is untouched); sharded runs
     delegate to the coordinator's window-throttled heartbeats.  Metrics
     stay byte-identical either way (pinned by the transparency tests).
+    With ``obs`` as well, ``obs.to_dict()`` is written once, after the last
+    ``sim.run``, as the log's ``profile`` record.
     """
     config = config or ExperimentConfig.quick()
     if dump_dir is not None and driver_factory is not None:

@@ -16,8 +16,9 @@ Three pieces, designed to cost nothing when idle:
   timeout/retry counts for :func:`repro.experiments.runner.run_sweep`,
   folded from the sweep's run-log records.
 
-``python -m repro profile`` ties them together into one schema-checked JSON
-report (see :mod:`repro.obs.report` and ``docs/observability.md``).
+``python -m repro profile`` ties them together into one run-event log: the
+span tree and the registry snapshot are its ``profile`` record, a mini sweep
+adds its ``seed``/``sweep`` records (see ``docs/observability.md``).
 
 A fourth piece, the forensic layer (:mod:`repro.obs.flight`): the
 :class:`FlightRecorder` keeps every trace record of a run, reconstructs
@@ -28,8 +29,8 @@ trace`` is its CLI; see ``docs/tracing.md``.
 
 A fifth, the streaming layer (:mod:`repro.obs.live`): the
 :class:`RunEventLog` is an append-only JSONL run-event log (shard/sweep
-heartbeats, barrier windows, per-seed lifecycle, stalls) written while a
-run executes; ``python -m repro watch`` tails it from another process.
+heartbeats, barrier windows, per-seed lifecycle, stalls, an observed
+run's ``profile``) written while a run executes; ``python -m repro watch`` tails it from another process.
 See ``docs/live.md``.
 """
 
@@ -66,13 +67,6 @@ from .flight import (
 )
 from .profiler import NULL_PROFILER, PhaseProfiler, Span
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .report import (
-    REPORT_KIND,
-    SCHEMA_VERSION,
-    build_report,
-    check_report,
-    format_report,
-)
 from .sweeps import SeedTiming, SweepTelemetry
 
 __all__ = [
@@ -102,11 +96,6 @@ __all__ = [
     "RunObservation",
     "SeedTiming",
     "SweepTelemetry",
-    "SCHEMA_VERSION",
-    "REPORT_KIND",
-    "build_report",
-    "check_report",
-    "format_report",
     "LOG_SCHEMA_VERSION",
     "LiveSummary",
     "RunEventLog",

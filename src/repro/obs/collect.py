@@ -4,13 +4,14 @@
 :func:`repro.experiments.scenario.run_scenario` (and the ``repro profile``
 CLI builds): a :class:`~repro.obs.registry.MetricsRegistry`, a
 :class:`~repro.obs.profiler.PhaseProfiler`, and the trace-bus collectors
-that feed the registry during the run.
+that feed the registry during the run.  An unobserved run passes
+``obs=None`` and builds none of them.
 
-Cost contract: ``attach`` subscribes collectors only when the observation is
-enabled.  A disabled observation (``RunObservation.disabled()``) leaves the
-bus guards (``wants_*``) untouched, so the packet hot path still allocates
-no records — the overhead-guard test in ``tests/obs`` pins this with a
-publish-counting bus, mirroring ``tests/sim/test_tracing_guards.py``.
+Cost contract: ``attach`` subscribes to control-plane ``message`` records
+only, so the bus's packet guard (``wants_packet``) stays off and the packet
+hot path still allocates no records — the overhead-guard test in
+``tests/obs`` pins this with a publish-counting bus, mirroring
+``tests/sim/test_tracing_guards.py``.
 
 Everything cheap-and-always-on (engine :class:`EventStats`, the bus's
 :class:`TraceCounters`, queue/channel integers) is harvested once in
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.tracing import MessageRecord, TraceBus
-from .profiler import NULL_PROFILER, PhaseProfiler
+from .profiler import PhaseProfiler
 from .registry import MetricsRegistry
 
 __all__ = ["ProtocolTraffic", "RunObservation", "QUEUE_DEPTH_BUCKETS"]
@@ -88,44 +89,23 @@ class RunObservation:
 
         obs = RunObservation(trace_memory=False)
         result = run_scenario("dbf", 4, 7, config, obs=obs)
-        report = obs.to_dict()          # {"phases": ..., "metrics": ...}
+        observation = obs.to_dict()     # {"phases": ..., "metrics": ...}
 
-    ``RunObservation.disabled()`` builds an inert instance whose ``attach``
-    and ``finalize`` do nothing — useful for call sites that want one code
-    path — and whose profiler hands out no-op spans.
+    With a ``live_log`` beside it, the run also writes ``to_dict()`` as the
+    log's ``profile`` record.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        profiler: Optional[PhaseProfiler] = None,
-        trace_memory: bool = False,
-        enabled: bool = True,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry(enabled)
-        if profiler is not None:
-            self.profiler = profiler
-        else:
-            self.profiler = (
-                PhaseProfiler(trace_memory=trace_memory) if enabled else NULL_PROFILER
-            )
+    def __init__(self, trace_memory: bool = False) -> None:
+        self.registry = MetricsRegistry()
+        self.profiler = PhaseProfiler(trace_memory=trace_memory)
         self._traffic: Optional[ProtocolTraffic] = None
         self._finalized = False
-
-    @classmethod
-    def disabled(cls) -> "RunObservation":
-        """An inert observation: attaches nothing, collects nothing."""
-        return cls(enabled=False)
-
-    @property
-    def enabled(self) -> bool:
-        return self.registry.enabled
 
     # -------------------------------------------------------------- lifecycle
 
     def attach(self, bus: TraceBus) -> None:
-        """Wire the bus-driven collectors (no-op when disabled)."""
-        if not self.registry.enabled or self._traffic is not None:
+        """Wire the bus-driven collectors (once)."""
+        if self._traffic is not None:
             return
         self._traffic = ProtocolTraffic(bus, self.registry)
 
@@ -142,8 +122,6 @@ class RunObservation:
         if self._traffic is not None:
             self._traffic.close()
             self._traffic = None
-        if not self.registry.enabled:
-            return
         reg = self.registry
         if sim is not None:
             stats = sim.stats()
@@ -175,6 +153,6 @@ class RunObservation:
     def to_dict(self) -> dict:
         """JSON-ready view: profiler span tree plus metric snapshot."""
         return {
-            "phases": self.profiler.to_dict() if self.profiler.enabled else None,
+            "phases": self.profiler.to_dict(),
             "metrics": self.registry.snapshot(),
         }

@@ -22,7 +22,7 @@ module is the forensic half of the observability layer:
   written when a validation monitor fires.  Runs are deterministic, so the
   ticket holds no records: :func:`repro.experiments.scenario.replay`
   re-runs it with a recorder.  :func:`check_dump` is its self-validator,
-  mirroring :func:`repro.obs.report.check_report`.
+  mirroring :func:`repro.obs.live.check_log`.
 * :func:`perfetto_trace` — Chrome trace-event JSON viewable in Perfetto
   (``pid``/``tid`` map to node ids, ``ts`` is microseconds).
 

@@ -8,11 +8,12 @@ counterpart of the post-hoc observability layers (:mod:`repro.obs.registry`,
 
 * :class:`RunEventLog` — an append-only JSONL **run-event log**
   (``schema_version`` 1) with typed records: shard heartbeats, coordinator
-  window/barrier summaries, per-seed sweep lifecycle, violations, stalls.
+  window/barrier summaries, per-seed sweep lifecycle, violations, stalls,
+  and an observed run's ``profile`` (phase span tree + metric snapshot).
   Every record is flushed as written, so another process can tail the file
   while the run is still executing.  ``read_log -> write_log`` is
   byte-identical, and :func:`check_log` self-validates a log the same way
-  ``check_report``/``check_dump`` validate their documents.
+  ``check_dump`` validates a flight dump.
 * :func:`summarize_log` / :func:`format_live` — fold a log (complete or
   in-flight) into a per-shard / per-sweep health view; ``python -m repro
   watch <log>`` renders it in place, from the file alone, so it works on a
@@ -37,10 +38,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO, Union
 
-from ..records import BOOL, COUNT, INT, NUM, NUM_GE0, OBJECT, POSITIVE, STR, TEXT
+from ..records import BOOL, COUNT, INT, LIST, NUM, NUM_GE0, OBJECT, POSITIVE, STR, TEXT
 from ..records import JsonlWriter, check_envelope, check_fields, is_int, is_num
 from ..records import nullable, optional, read_jsonl
 from .flight import lane_name, trace_us
+from .registry import check_metrics
 from .sweeps import SweepTelemetry
 
 __all__ = [
@@ -113,6 +115,7 @@ _SPECS = {
         "reason": TEXT,
         "heartbeat": nullable(OBJECT),
     },
+    "profile": {"phases": OBJECT, "metrics": OBJECT},
     "end": {"ok": BOOL},
 }
 
@@ -298,14 +301,39 @@ _HEADER_ENVELOPE = {"schema_version": LOG_SCHEMA_VERSION, "log_kind": LOG_KIND}
 _HEADER_SPEC = {"run": (RUN_KINDS.__contains__, f"one of {RUN_KINDS}"), "meta": OBJECT}
 
 
+#: One node of a ``profile`` record's phase tree (``PhaseProfiler.to_dict``).
+_SPAN_SPEC = {
+    "name": TEXT,
+    "wall_s": NUM_GE0,
+    # Engine attribution: absent on spans that ran no events.
+    "events": optional(INT),
+    **dict.fromkeys(("run_wall_s", "sim_s", "mem_peak_kb"), optional(NUM)),
+    "children": optional(LIST),
+}
+
+
+def _check_span(span: object, path: str, problems: list[str]) -> None:
+    check_fields(span, _SPAN_SPEC, path, problems)
+    children = span.get("children") if isinstance(span, dict) else None
+    for i, child in enumerate(children if isinstance(children, list) else ()):
+        _check_span(child, f"{path}.children[{i}]", problems)
+
+
+def _check_profile(record: dict, where: str, problems: list[str]) -> None:
+    """The span tree and metric snapshot of a field-checked ``profile`` record."""
+    _check_span(record["phases"], f"{where}.phases", problems)
+    problems.extend(check_metrics(record["metrics"], f"{where}.metrics"))
+
+
 def check_log(records: Iterable[dict]) -> list[str]:
     """Validate a run-event log; returns human-readable problems (empty = ok).
 
     Checks the header (first record, version, run kind), every record's
     kind and required fields, per-shard heartbeat monotonicity (cumulative
     event counts and clocks never go backwards), window-record index
-    monotonicity, and sweep ``done <= total`` sanity.  Mirrors
-    ``check_report``/``check_dump``: corruption is reported, never repaired.
+    monotonicity, sweep ``done <= total`` sanity, and a ``profile``
+    record's span tree and metric invariants.  Like ``check_dump``,
+    corruption is reported, never repaired.
     """
     problems: list[str] = []
     records = list(records)
@@ -364,6 +392,8 @@ def check_log(records: Iterable[dict]) -> list[str]:
                 f"records[{i}]: done {record['done']} exceeds total "
                 f"{record['total']}"
             )
+        elif kind == "profile":
+            _check_profile(record, where, problems)
     return problems
 
 
@@ -412,6 +442,8 @@ class LiveSummary:
     last_barrier: Optional[float] = None
     #: The ``seed``/``sweep`` records folded (None for a run with neither).
     sweep: Optional[SweepTelemetry] = None
+    #: The latest valid ``profile`` record (None until one is seen).
+    profile: Optional[dict] = None
     violations: list[str] = field(default_factory=list)
     stall: Optional[dict] = None
     ended: bool = False
@@ -424,8 +456,8 @@ def summarize_log(records: Iterable[dict]) -> LiveSummary:
     """Fold a log (complete or mid-run) into a :class:`LiveSummary`.
 
     Tolerant by design — the watch CLI must render *something* for any
-    prefix of a valid log — but header problems are surfaced on
-    ``summary.problems`` so a corrupt log is visibly corrupt.
+    prefix of a valid log — but header and ``profile`` problems are
+    surfaced on ``summary.problems`` so a corrupt log is visibly corrupt.
     """
     summary = LiveSummary()
     for record in records:
@@ -480,9 +512,19 @@ def summarize_log(records: Iterable[dict]) -> LiveSummary:
             summary.violations.append(str(record.get("text")))
         elif kind == "stall":
             summary.stall = record
+        elif kind == "profile":
+            problems: list[str] = []
+            if check_fields(record, _SPECS["profile"], "profile", problems):
+                _check_profile(record, "profile", problems)
+            if problems:
+                summary.problems.extend(problems)
+            else:
+                summary.profile = record
         elif kind == "end":
             summary.ended = True
             summary.end_ok = record.get("ok")
+        else:
+            summary.problems.append(f"unknown record kind {kind!r}")
     return summary
 
 
@@ -550,7 +592,18 @@ def format_live(summary: LiveSummary) -> str:
         if s.last_label:
             lines.append(f"  last: {s.last_label}")
         if s.wall_s is not None:
-            lines.append(f"  wall: {s.wall_s:.2f}s")
+            # The fold keeps whatever ``workers`` the log holds; only a
+            # count makes a utilization.
+            util = f", utilization {s.utilization:.0%}" if is_int(s.workers) else ""
+            lines.append(f"  wall: {s.wall_s:.2f}s{util}")
+        slowest = s.slowest
+        if slowest is not None:
+            lines.append(
+                f"  slowest seed: {slowest.protocol} degree={slowest.degree} "
+                f"seed={slowest.seed} ({slowest.elapsed_s:.2f}s)"
+            )
+    if summary.profile is not None:
+        _format_profile(summary.profile, lines)
     if summary.stall is not None:
         st = summary.stall
         lines.append(
@@ -563,6 +616,43 @@ def format_live(summary: LiveSummary) -> str:
         lines.append(f"  ... {len(summary.violations) - 5} more violation(s)")
     lines.append(f"  [{summary.n_records} log record(s)]")
     return "\n".join(lines)
+
+
+def _format_span(span: dict, lines: list[str], depth: int) -> None:
+    label = f"{'  ' * depth}{span['name']}"
+    extra = ""
+    if "events" in span:
+        rate = span["events"] / span["run_wall_s"] if span.get("run_wall_s") else 0.0
+        extra = (
+            f"  [{span['events']:,} events, {span.get('sim_s', 0.0):.1f} sim-s"
+            + (f", {rate:,.0f} ev/s" if rate else "")
+            + "]"
+        )
+    if "mem_peak_kb" in span:
+        extra += f"  (peak {span['mem_peak_kb']:,.0f} KiB)"
+    lines.append(f"  {label:<28} {span['wall_s'] * 1e3:>9.1f} ms{extra}")
+    for child in span.get("children", ()):
+        _format_span(child, lines, depth + 1)
+
+
+def _format_profile(profile: dict, lines: list[str]) -> None:
+    """The phase tree and metric list of a checked ``profile`` record."""
+    lines.append("  phases (wall time):")
+    _format_span(profile["phases"], lines, 1)
+    metrics = profile["metrics"]
+    if metrics:
+        lines.append("  metrics:")
+    for name, m in sorted(metrics.items()):
+        if m["kind"] == "counter":
+            lines.append(f"    {name:<32} {m['value']:>12,}")
+        elif m["kind"] == "gauge":
+            lines.append(f"    {name:<32} {m['value']:>12,.2f} (hwm {m['hwm']:,.2f})")
+        else:
+            mean = m["total"] / m["count"] if m["count"] else 0.0
+            lines.append(
+                f"    {name:<32} n={m['count']:,} mean={mean:.3g} "
+                f"buckets={m['counts']}"
+            )
 
 
 def watch(

@@ -9,16 +9,16 @@ instruments, created lazily by name.
 Cost model (mirrors the ``TraceBus.wants_*`` contract): nothing in the hot
 path ever consults a registry.  Producers keep bumping their always-on plain
 integers (``TraceCounters``, ``EventStats``, queue counters); the obs layer
-*subscribes* collectors to the trace bus only when observation is enabled,
-and harvests the integer counters once per run.  A disabled registry is
-therefore never touched — zero allocations, zero attribute loads — which the
-overhead-guard tests in ``tests/obs`` pin.
+*subscribes* collectors to the trace bus only for an observed run, and
+harvests the integer counters once per run.  An unobserved run has no
+registry at all, which the overhead-guard tests in ``tests/obs`` pin.
 
-``self_check`` validates internal consistency (histogram bucket monotonicity,
-bucket-sum/count agreement, non-negative counters) so report corruption —
-whether from a bug or a bad deserialization — is detected rather than
-silently published; the mutation test corrupts a bucket boundary and asserts
-the check reports it.
+:func:`check_metrics` validates a snapshot's internal consistency (histogram
+bucket monotonicity, bucket-sum/count agreement, non-negative counters) —
+``self_check`` on a live registry, ``check_log`` on the ``profile`` record of
+a run-event log — so corruption is detected rather than silently published;
+the mutation tests corrupt one invariant at a time and assert the check
+names it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterable, Optional, Union
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+from ..records import INT, LIST, NUM, check_fields, is_int, is_num
+
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "check_metrics"]
 
 #: Default histogram boundaries for queue-depth style distributions.
 DEFAULT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
@@ -137,14 +139,9 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` are create-or-get: asking twice for
     the same name returns the same instrument, and asking for an existing
     name with a different type is an error (one name, one meaning).
-
-    ``enabled`` is the registry-wide master switch the attach paths consult
-    *once* (like a ``wants_*`` guard) before wiring any collector; a
-    disabled registry is never subscribed anywhere and so costs nothing.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
 
     # ------------------------------------------------------------ instruments
@@ -232,78 +229,68 @@ class MetricsRegistry:
         """JSON-ready view of every metric, sorted by name."""
         return {name: self._metrics[name].as_dict() for name in sorted(self._metrics)}
 
-    def to_dict(self) -> dict:
-        """Lossless JSON-ready serialization (``from_dict`` round-trips)."""
-        return {"enabled": self.enabled, "metrics": self.snapshot()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MetricsRegistry":
-        """Rebuild a registry serialized by :meth:`to_dict`."""
-        registry = cls(enabled=bool(payload.get("enabled", True)))
-        for name, data in payload.get("metrics", {}).items():
-            kind = data.get("kind")
-            if kind == "counter":
-                registry.counter(name).value = int(data["value"])
-            elif kind == "gauge":
-                gauge = registry.gauge(name)
-                gauge.value = float(data["value"])
-                gauge.hwm = float(data["hwm"])
-            elif kind == "histogram":
-                hist = registry.histogram(name, data["bounds"])
-                counts = [int(c) for c in data["counts"]]
-                if len(counts) != len(hist.bounds) + 1:
-                    raise ValueError(
-                        f"histogram {name!r} has {len(counts)} buckets for "
-                        f"{len(hist.bounds)} bounds"
-                    )
-                hist.counts = counts
-                hist.count = int(data["count"])
-                hist.total = float(data["total"])
-            else:
-                raise ValueError(f"metric {name!r} has unknown kind {kind!r}")
-        return registry
-
     def self_check(self) -> list[str]:
-        """Internal-consistency audit; returns human-readable problems.
+        """Internal-consistency audit of :meth:`snapshot`; see :func:`check_metrics`."""
+        return check_metrics(self.snapshot())
 
-        Catches corruption that would otherwise propagate silently into
-        reports: non-monotonic histogram bounds, bucket counts that no
-        longer sum to the observation count, negative counters, gauges
-        whose high-water mark trails their value.
-        """
-        problems: list[str] = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Counter):
-                if metric.value < 0:
-                    problems.append(f"counter {name!r} is negative: {metric.value}")
-            elif isinstance(metric, Gauge):
-                if metric.hwm < metric.value:
-                    problems.append(
-                        f"gauge {name!r} high-water mark {metric.hwm} is below "
-                        f"its value {metric.value}"
-                    )
-            elif isinstance(metric, Histogram):
-                bounds = metric.bounds
-                if any(b >= c for b, c in zip(bounds, bounds[1:])):
-                    problems.append(
-                        f"histogram {name!r} bucket bounds are not strictly "
-                        f"increasing: {list(bounds)}"
-                    )
-                if len(metric.counts) != len(bounds) + 1:
-                    problems.append(
-                        f"histogram {name!r} has {len(metric.counts)} buckets "
-                        f"for {len(bounds)} bounds (want {len(bounds) + 1})"
-                    )
-                if any(c < 0 for c in metric.counts):
-                    problems.append(
-                        f"histogram {name!r} has a negative bucket count: "
-                        f"{metric.counts}"
-                    )
-                if sum(metric.counts) != metric.count:
-                    problems.append(
-                        f"histogram {name!r} bucket counts sum to "
-                        f"{sum(metric.counts)} but {metric.count} observations "
-                        "were recorded"
-                    )
-        return problems
+
+#: The fields of each metric kind's snapshot (``as_dict``), ``kind`` aside.
+_METRIC_SPECS = {
+    "counter": {"value": INT},
+    "gauge": {"value": NUM, "hwm": NUM},
+    "histogram": {"bounds": LIST, "counts": LIST, "count": INT, "total": NUM},
+}
+_KIND = (tuple(_METRIC_SPECS).__contains__, "one of counter|gauge|histogram")
+
+
+def check_metrics(snapshot: dict, path: str = "metrics") -> list[str]:
+    """Validate a metric snapshot; returns human-readable problems (empty = ok).
+
+    The one statement of a snapshot's invariants, for a live registry
+    (:meth:`MetricsRegistry.self_check`) and for the ``profile`` record of a
+    run-event log alike: counters are ints >= 0, a gauge's high-water mark
+    is not below its value, and a histogram's bounds strictly increase, its
+    ``len(bounds) + 1`` bucket counts are ints >= 0 and sum to ``count``.
+    JSON ``true`` is not a number here either.
+    """
+    problems: list[str] = []
+    for name, metric in snapshot.items():
+        where = f"{path}[{name!r}]"
+        if not check_fields(metric, {"kind": _KIND}, where, problems):
+            continue
+        kind = metric["kind"]
+        if not check_fields(metric, _METRIC_SPECS[kind], where, problems):
+            continue
+        if kind == "counter" and metric["value"] < 0:
+            problems.append(f"{where}: counter is negative: {metric['value']}")
+        elif kind == "gauge" and metric["hwm"] < metric["value"]:
+            problems.append(
+                f"{where}: gauge high-water mark (hwm) {metric['hwm']} is "
+                f"below its value {metric['value']}"
+            )
+        elif kind == "histogram":
+            _check_histogram(metric, where, problems)
+    return problems
+
+
+def _check_histogram(metric: dict, where: str, problems: list[str]) -> None:
+    bounds, counts = metric["bounds"], metric["counts"]
+    if not bounds or not all(is_num(b) for b in bounds):
+        problems.append(f"{where}: histogram bounds must be a non-empty list of numbers")
+        return
+    if any(b >= c for b, c in zip(bounds, bounds[1:])):
+        problems.append(f"{where}: histogram bounds are not strictly increasing: {bounds}")
+    if len(counts) != len(bounds) + 1:
+        problems.append(
+            f"{where}: histogram has {len(counts)} buckets for {len(bounds)} "
+            f"bounds (want {len(bounds) + 1})"
+        )
+    elif not all(is_int(c) for c in counts):
+        problems.append(f"{where}: histogram bucket counts must be ints, got {counts}")
+    elif any(c < 0 for c in counts):
+        problems.append(f"{where}: histogram has a negative bucket count: {counts}")
+    elif sum(counts) != metric["count"]:
+        problems.append(
+            f"{where}: histogram bucket counts sum to {sum(counts)} but "
+            f"'count' says {metric['count']}"
+        )

@@ -1,18 +1,23 @@
 """Unit tests for the streaming run-event log (repro.obs.live).
 
-Follows the house style of ``tests/obs/test_report.py``: every structural
-rule ``check_log`` enforces gets one deliberate corruption asserting the
-rule fires, with a clean control beside it proving the checker is quiet on
-healthy data.
+Follows the house style of the registry's mutation tests
+(``tests/obs/test_registry.py``): every structural rule ``check_log``
+enforces gets one deliberate corruption asserting the rule fires, with a
+clean control beside it proving the checker is quiet on healthy data.
 """
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 
 import pytest
 
+from repro.cli import main
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.scenario import run_scenario
+from repro.obs import RunObservation
 from repro.obs.live import (
     COORDINATOR_PID,
     LOG_KIND,
@@ -214,6 +219,111 @@ class TestCheckLog:
         assert any("'reason' must be" in p for p in check_log(records))
 
 
+@pytest.fixture(scope="module")
+def profile_log(tmp_path_factory) -> list:
+    """The records of one observed run: header, phase beats, profile, end."""
+    path = tmp_path_factory.mktemp("profile") / "run.log"
+    cfg = ExperimentConfig.quick().with_(runs=1, post_fail_window=20.0)
+    run_scenario("dbf", 4, 1, cfg, obs=RunObservation(), live_log=path)
+    return read_log(path)
+
+
+def _with_profile(records: list, mutate) -> list:
+    """A deep copy of ``records`` with ``mutate`` applied to its profile."""
+    records = copy.deepcopy(records)
+    mutate(next(r for r in records if r["kind"] == "profile"))
+    return records
+
+
+class TestProfileRecord:
+    """An observed run's phase tree and metric snapshot, as one log record."""
+
+    def test_valid_profile_has_no_problems(self, profile_log):
+        assert [r["kind"] for r in profile_log].count("profile") == 1
+        assert check_log(profile_log) == []
+        summary = summarize_log(profile_log)
+        assert summary.problems == []
+        assert summary.profile["metrics"]["engine.events"]["value"] > 0
+
+    def test_json_round_trip_stays_valid(self, profile_log):
+        records = [json.loads(json.dumps(r)) for r in profile_log]
+        assert records == profile_log
+        assert check_log(records) == []
+
+    def test_histogram_bucket_corruption_is_reported(self, profile_log):
+        def corrupt(profile):
+            hist = profile["metrics"]["net.link_queue_hwm"]
+            assert hist["kind"] == "histogram"
+            hist["counts"][0] += 1  # sum(counts) no longer matches count
+
+        problems = check_log(_with_profile(profile_log, corrupt))
+        assert any("bucket counts sum" in p for p in problems), problems
+
+    def test_non_monotonic_bounds_are_reported(self, profile_log):
+        def corrupt(profile):
+            bounds = profile["metrics"]["net.link_queue_hwm"]["bounds"]
+            bounds[1] = bounds[0]
+
+        problems = check_log(_with_profile(profile_log, corrupt))
+        assert any("strictly increasing" in p for p in problems), problems
+
+    def test_gauge_hwm_below_value_is_reported(self, profile_log):
+        def corrupt(profile):
+            gauge = profile["metrics"]["engine.sim_s"]
+            gauge["hwm"] = gauge["value"] - 1.0
+
+        problems = check_log(_with_profile(profile_log, corrupt))
+        assert any("hwm" in p for p in problems), problems
+
+    def test_negative_counter_is_reported(self, profile_log):
+        def corrupt(profile):
+            profile["metrics"]["engine.events"]["value"] = -5
+
+        problems = check_log(_with_profile(profile_log, corrupt))
+        assert any("counter" in p and "-5" in p for p in problems), problems
+
+    def test_span_without_name_is_reported(self, profile_log):
+        def corrupt(profile):
+            del profile["phases"]["children"][0]["name"]
+
+        problems = check_log(_with_profile(profile_log, corrupt))
+        assert any("'name'" in p for p in problems), problems
+
+    @pytest.mark.parametrize(
+        "mutate, needle",
+        [
+            (lambda p: p["metrics"]["engine.events"].update(value=True), "'value'"),
+            (lambda p: p["phases"]["children"][2].update(events=True), "'events'"),
+        ],
+        ids=["counter-value", "span-events"],
+    )
+    def test_json_true_is_not_an_int(self, profile_log, mutate, needle):
+        """``isinstance(True, int)`` holds in Python; in a log it is damage."""
+        problems = check_log(_with_profile(profile_log, mutate))
+        assert any(needle in p and "got True" in p for p in problems), problems
+
+    def test_invalid_profile_is_a_log_problem_in_the_frame(self, profile_log):
+        def corrupt(profile):
+            profile["metrics"]["engine.events"]["value"] = -5
+
+        summary = summarize_log(_with_profile(profile_log, corrupt))
+        assert summary.profile is None
+        text = format_live(summary)
+        assert "LOG PROBLEM" in text and "engine.events" in text
+        assert "phases (wall time):" not in text
+
+    def test_frame_names_phases_and_metrics(self, profile_log):
+        text = format_live(summarize_log(profile_log))
+        for expected in (
+            "phases (wall time):",
+            "convergence",
+            "metrics:",
+            "engine.events",
+            "proto.dbf.messages",
+        ):
+            assert expected in text
+
+
 class TestSummarize:
     def test_shard_views_fold_cumulatively(self, tmp_path):
         summary = summarize_log(read_log(make_log(tmp_path / "run.log")))
@@ -265,6 +375,32 @@ class TestSummarize:
         assert "3/4 seeds done" in text
         assert "1 failed, 1 timed out, 1 retried, 1 resumed" in text
         assert "wall: 1.25s" in text
+
+    def test_sweep_utilization_and_slowest_seed(self):
+        records = [
+            {"kind": "header", "schema_version": LOG_SCHEMA_VERSION,
+             "log_kind": LOG_KIND, "run": "sweep", "meta": {}},
+            {"kind": "sweep", "phase": "begin", "total_tasks": 2,
+             "resumed_tasks": 0, "workers": 2},
+            {"kind": "seed", "protocol": "dbf", "degree": 4, "seed": 1,
+             "ok": True, "elapsed_s": 0.5, "attempts": 1,
+             "timed_out": False, "done": 1, "total": 2},
+            {"kind": "seed", "protocol": "dbf", "degree": 4, "seed": 2,
+             "ok": True, "elapsed_s": 0.75, "attempts": 1,
+             "timed_out": False, "done": 2, "total": 2},
+        ]
+        text = format_live(summarize_log(records))
+        assert "utilization" not in text  # no wall time before ``sweep end``
+        assert "slowest seed: dbf degree=4 seed=2 (0.75s)" in text
+        records.append({"kind": "sweep", "phase": "end", "wall_s": 1.25})
+        # 1.25 busy seconds of a 2 x 1.25 worker-second budget.
+        assert "wall: 1.25s, utilization 50%" in format_live(summarize_log(records))
+        # Like the fold, the frame skips what it cannot read.
+        records[1]["workers"] = "two"
+        records[2]["elapsed_s"] = "slow"
+        text = format_live(summarize_log(records))
+        assert "wall: 1.25s\n" in text
+        assert "slowest seed: dbf degree=4 seed=2 (0.75s)" in text
 
     def test_stall_and_violations_rendered(self, tmp_path):
         records = read_log(make_log(tmp_path / "run.log"))
@@ -339,3 +475,35 @@ class TestShardLanes:
     def test_json_serializable(self, tmp_path):
         events = shard_lane_events(read_log(make_log(tmp_path / "run.log")))
         json.dumps(events)  # must not raise
+
+
+class TestProfileCli:
+    def test_profile_smoke_writes_a_valid_log(self, tmp_path, capsys):
+        out = tmp_path / "profile.log"
+        assert main(["profile", "--smoke", "--out", str(out)]) == 0
+        records = read_log(out)
+        assert check_log(records) == []
+        (profile,) = [r for r in records if r["kind"] == "profile"]
+        # Per-phase wall times ...
+        names = [c["name"] for c in profile["phases"]["children"]]
+        assert "convergence" in names and "steady" in names
+        # ... per-protocol message/byte counts ...
+        assert profile["metrics"]["proto.dbf.messages"]["value"] > 0
+        assert profile["metrics"]["proto.dbf.bytes"]["value"] > 0
+        # ... and per-seed sweep telemetry.
+        seeds = [r for r in records if r["kind"] == "seed"]
+        assert len(seeds) == 2
+        assert all(r["ok"] and r["elapsed_s"] > 0 for r in seeds)
+        text = capsys.readouterr().out
+        assert text.startswith("profile: protocol=dbf degree=4 seed=1 sent=")
+        assert "phases (wall time):" in text
+
+    def test_profile_without_sweep_has_no_sweep_records(self, tmp_path):
+        out = tmp_path / "profile.log"
+        rc = main(["profile", "--protocol", "bgp3", "--seed", "2", "--out", str(out)])
+        assert rc == 0
+        records = read_log(out)
+        assert check_log(records) == []
+        assert records[0]["meta"]["protocol"] == "bgp3"
+        assert not [r for r in records if r["kind"] in ("seed", "sweep")]
+        assert [r["kind"] for r in records].count("profile") == 1

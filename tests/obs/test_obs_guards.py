@@ -1,17 +1,20 @@
 """Overhead-guard and determinism contracts for the observability layer.
 
 Mirrors ``tests/sim/test_tracing_guards.py``: publishes on a counting bus
-are a proxy for record allocations, so the packet hot path must stay at
-zero publishes when observation is disabled — and even an *enabled*
-observation only subscribes to control-plane messages, so pure data traffic
-still allocates nothing.
+are a proxy for record allocations.  An unobserved run (``obs=None``) builds
+no collector at all, which ``test_untraced_run_never_publishes`` there pins;
+an observation only subscribes to control-plane messages, so pure data
+traffic still allocates nothing.
 
 The golden test pins the other half of the contract: profiling a run reads
 wall clocks and counters only, so every simulated result is bit-identical
-with observation on and off.
+with observation on and off, and the run log it writes holds that one
+observation as its one ``profile`` record.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -20,7 +23,7 @@ from repro.experiments.persistence import diff_runs
 from repro.experiments.scenario import run_scenario
 from repro.net.network import Network
 from repro.net.packet import Packet
-from repro.obs import RunObservation
+from repro.obs import RunObservation, read_log
 from repro.sim.engine import Simulator
 from repro.sim.tracing import TraceBus
 from repro.topology import generators
@@ -54,35 +57,6 @@ def _push_traffic(bus: TraceBus, n_packets: int = 20) -> None:
 
 
 class TestZeroOverheadWhenDisabled:
-    def test_disabled_observation_never_publishes(self):
-        bus = CountingBus(
-            keep_packets=False, keep_routes=False, keep_messages=False
-        )
-        obs = RunObservation.disabled()
-        obs.attach(bus)
-        _push_traffic(bus)
-        assert bus.publish_count == 0
-        obs.finalize(bus=bus)
-        assert bus.publish_count == 0
-
-    def test_disabled_observation_leaves_wants_guards_off(self):
-        bus = TraceBus(keep_packets=False, keep_routes=False, keep_messages=False)
-        obs = RunObservation.disabled()
-        obs.attach(bus)
-        assert not bus.wants_packet
-        assert not bus.wants_message
-        assert not bus.wants_route
-
-    def test_disabled_observation_collects_no_metrics(self):
-        bus = CountingBus(
-            keep_packets=False, keep_routes=False, keep_messages=False
-        )
-        obs = RunObservation.disabled()
-        obs.attach(bus)
-        _push_traffic(bus)
-        obs.finalize(bus=bus)
-        assert obs.to_dict() == {"phases": None, "metrics": {}}
-
     def test_enabled_observation_leaves_the_packet_path_alone(self):
         # The enabled collectors subscribe to "message" records only; data
         # packets must still allocate nothing.
@@ -124,12 +98,21 @@ GOLDEN_CONFIG = ExperimentConfig.quick().with_(
 
 
 @pytest.mark.parametrize("protocol", ["dbf", "bgp3"])
-def test_golden_seed7_results_identical_with_and_without_observation(protocol):
+def test_golden_seed7_results_identical_with_and_without_observation(
+    protocol, tmp_path
+):
     plain = run_scenario(protocol, 4, 7, GOLDEN_CONFIG)
     obs = RunObservation(trace_memory=False)
-    observed = run_scenario(protocol, 4, 7, GOLDEN_CONFIG, obs=obs)
+    log = tmp_path / "observed.log"
+    observed = run_scenario(protocol, 4, 7, GOLDEN_CONFIG, obs=obs, live_log=log)
     # Bit-identical series and reports, not just matching aggregates.
     assert diff_runs(plain, observed) == []
+    # One account: the log holds the observation once, as it was measured.
+    profiles = [r for r in read_log(log) if r["kind"] == "profile"]
+    assert len(profiles) == 1
+    assert {k: v for k, v in profiles[0].items() if k != "kind"} == json.loads(
+        json.dumps(obs.to_dict())
+    )
     # And the observation actually measured the run it rode on.
     metrics = obs.registry.snapshot()
     assert metrics["trace.sends"]["value"] == plain.sent

@@ -107,7 +107,7 @@ def _sources() -> dict[str, str]:
 
 
 def test_json_is_parsed_and_written_only_by_the_codec():
-    """Six formats, one module that touches ``json``: a seventh hand-rolled
+    """Five formats, one module that touches ``json``: a sixth hand-rolled
     reader or writer fails here.  The one exception hashes a config, it
     reads and writes no file."""
     needles = ("json.load(", "json.loads(", "json.dump(", "json.dumps(", "JSONDecodeError")

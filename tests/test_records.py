@@ -1,7 +1,7 @@
-"""The one artifact codec (``repro.records``) and the six formats built on it.
+"""The one artifact codec (``repro.records``) and the five formats built on it.
 
 Every artifact below comes from one real small run.  Three promises are
-checked for each of the six formats: ``write -> read -> write`` is
+checked for each of the five formats: ``write -> read -> write`` is
 byte-identical; a file truncated at any byte or with any one field mutated
 gives a correct load of a valid prefix, a non-empty problems list, or an
 ``ArtifactError``/``ValueError`` and never another exception; and the nine
@@ -11,6 +11,7 @@ hostile inputs that used to escape as ``JSONDecodeError``/``AttributeError``
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import os
@@ -27,7 +28,7 @@ from repro.experiments.persistence import scenario_to_dict
 from repro.experiments.scenario import replay, run_scenario
 from repro.experiments.store import SweepStore
 from repro.metrics.traceio import read_trace, write_trace
-from repro.obs import FlightRecorder, RunObservation, SweepTelemetry
+from repro.obs import FlightRecorder, RunObservation
 from repro.obs.flight import build_dump, load_dump, save_dump
 from repro.obs.live import (
     RunEventLog,
@@ -38,7 +39,6 @@ from repro.obs.live import (
     summarize_log,
     write_log,
 )
-from repro.obs.report import build_report, check_report, format_report
 from repro.records import (
     ArtifactError,
     JsonlWriter,
@@ -50,7 +50,7 @@ from repro.records import (
 TINY = ExperimentConfig.quick().with_(
     rows=5, cols=5, degrees=(4,), runs=2, post_fail_window=10.0, protocols=("dbf",)
 )
-#: A sweep's run-log records: what the log carries and the report folds.
+#: A sweep's run-log records, as ``run_sweep`` writes them.
 SWEEP_RECORDS = (
     {"kind": "sweep", "phase": "begin", "total_tasks": 2, "resumed_tasks": 0,
      "workers": 1},
@@ -61,7 +61,7 @@ SWEEP_RECORDS = (
 
 
 # --------------------------------------------------------------------------
-# the six formats, from one real run
+# the five formats, from one real run
 # --------------------------------------------------------------------------
 
 
@@ -89,10 +89,6 @@ def _copy_dump(src, dst):
 
 def _copy_log(src, dst):
     write_log(read_log(src), dst)
-
-
-def _copy_report(src, dst):
-    write_json(read_json(src, "profile report"), dst, newline=True)
 
 
 def _use_results(path):
@@ -131,12 +127,6 @@ def _use_log(path):
         json.dumps(shard_lane_events(records))
 
 
-def _use_report(path):
-    report = read_json(path, "profile report")
-    if not check_report(report):
-        format_report(report)
-
-
 #: name -> (file inside the artifact that gets damaged, copy, use).
 FORMATS = {
     "results": ("", _copy_results, _use_results),
@@ -145,7 +135,6 @@ FORMATS = {
     "trace": ("", _copy_trace, _use_trace),
     "dump": ("", _copy_dump, _use_dump),
     "log": ("", _copy_log, _use_log),
-    "report": ("", _copy_report, _use_report),
 }
 
 
@@ -176,21 +165,14 @@ def artifacts(tmp_path_factory):
         log.violation("fib-loop at t=3")
         log.stall(shard=1, window=2.0, reason="no response", heartbeat={"clock": 2.0})
         log.end(ok=False)
+    # The observed run wrote its profile: the tests below damage it too.
+    assert [r["kind"] for r in read_log(paths["log"])].count("profile") == 1
     save_dump(build_dump("scenario", "dbf", 4, 7, TINY, scenario_to_dict(result)), paths["dump"])
     # The newest records of each kind keep the trace a few hundred records long.
     newest = {"packet": 96, "route": 64, "link": 8, "message": 64}
     records = [r for kind, n in newest.items() for r in recorder.records(kind)[-n:]]
     with open(paths["trace"], "w", encoding="utf-8") as f:
         write_trace(sorted(records, key=lambda r: r.time), f)
-    telemetry = SweepTelemetry()
-    for record in SWEEP_RECORDS:
-        telemetry.fold(record)
-    report = build_report(
-        scenario={"protocol": result.protocol, "degree": 4, "seed": 7},
-        observation=obs.to_dict(),
-        sweep=telemetry.to_dict(),
-    )
-    write_json(report, paths["report"], newline=True)
     return paths
 
 
@@ -245,9 +227,8 @@ def _slots(node, out):
     return out
 
 
-def _mutate(document, data):
-    slots = _slots(document, [])
-    container, key = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
+def _choices(container, key):
+    """The mutations that fit the value at ``container[key]``."""
     value = container[key]
     choices = ["drop", "null"] if isinstance(container, dict) else ["null"]
     if isinstance(value, bool):
@@ -256,11 +237,21 @@ def _mutate(document, data):
         choices += ["true", "string"]
     elif isinstance(value, (dict, str)):
         choices.append("list")  # for a string also: an unhashable dict key
-    choice = data.draw(st.sampled_from(choices), label="mutation")
+    return choices
+
+
+def _apply(container, key, choice):
     if choice == "drop":
         del container[key]
     else:
         container[key] = {"null": None, "true": True, "string": "x", "list": []}[choice]
+
+
+def _mutate(document, data):
+    slots = _slots(document, [])
+    container, key = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
+    choice = data.draw(st.sampled_from(_choices(container, key)), label="mutation")
+    _apply(container, key, choice)
 
 
 HOSTILE = settings(
@@ -304,6 +295,27 @@ def test_one_mutated_field_is_a_problem_or_a_named_error(name, artifacts, tmp_pa
         with open(victim, "w") as f:
             f.write("".join(line + "\n" for line in lines))
     _use_or_named_error(name, target)
+
+
+def test_every_mutated_profile_field_still_draws_a_frame(artifacts):
+    """Each single-field mutation of the ``profile`` record, exhaustively.
+
+    The watch view must draw a frame for every one, and show each damage
+    ``check_log`` finds as a ``LOG PROBLEM`` line.
+    """
+    records = read_log(artifacts["log"])
+    assert check_log(records) == []
+    n = next(i for i, r in enumerate(records) if r["kind"] == "profile")
+    slots = _slots(records[n], [])
+    assert len(slots) > 50  # the phase tree and every metric's fields
+    for i, (container, key) in enumerate(slots):
+        for choice in _choices(container, key):
+            mutated = list(records)
+            mutated[n] = copy.deepcopy(records[n])
+            _apply(*_slots(mutated[n], [])[i], choice)
+            frame = format_live(summarize_log(mutated))
+            if check_log(mutated):
+                assert "LOG PROBLEM" in frame, (key, choice)
 
 
 # --------------------------------------------------------------------------
