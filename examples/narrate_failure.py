@@ -15,7 +15,7 @@ import sys
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import ScenarioRun
 from repro.metrics.narrate import build_timeline, format_timeline
-from repro.sim.tracing import TraceBus
+from repro.obs.flight import FlightRecorder
 from repro.topology.render import render_mesh
 
 
@@ -26,10 +26,9 @@ def main() -> None:
 
     config = ExperimentConfig.quick().with_(post_fail_window=60.0)
     # The shared run core lays out the paper's mesh experiment; with no data
-    # flow and a retaining bus, what is left is the routing story.
-    run = ScenarioRun(
-        protocol, degree, seed, config, flows=(), bus=TraceBus(keep_routes=True)
-    )
+    # flow and a flight recorder, what is left is the routing story.
+    recorder = FlightRecorder()
+    run = ScenarioRun(protocol, degree, seed, config, flows=(), recorder=recorder)
     layout = run.layout
     sender, receiver = layout.sender, layout.receiver
 
@@ -43,8 +42,8 @@ def main() -> None:
 
     run.execute()
     events = build_timeline(
-        route_changes=run.bus.route_changes,
-        link_events=run.bus.link_events,
+        route_changes=recorder.records("route"),
+        link_events=recorder.records("link"),
         snapshots=run.tracker.snapshots,
         dest=receiver,
         since=run.fail_at - 0.1,

@@ -673,18 +673,14 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 def _cmd_narrate(args: argparse.Namespace) -> int:
     from .experiments.scenario import ScenarioRun
     from .metrics.narrate import build_timeline, format_timeline
-    from .sim.tracing import TraceBus
+    from .obs.flight import FlightRecorder
     from .topology.render import render_mesh
 
     config = _config(args).with_(post_fail_window=args.window)
-    # No data flow: the story is the routing reaction, read off a retaining bus.
+    # No data flow: the story is the routing reaction, read off a recorder.
+    recorder = FlightRecorder()
     run = ScenarioRun(
-        args.protocol,
-        args.degree,
-        args.seed,
-        config,
-        flows=(),
-        bus=TraceBus(keep_routes=True),
+        args.protocol, args.degree, args.seed, config, flows=(), recorder=recorder
     )
     layout = run.layout
     sender, receiver, failed = layout.sender, layout.receiver, layout.failed
@@ -698,8 +694,8 @@ def _cmd_narrate(args: argparse.Namespace) -> int:
 
     run.execute()
     events = build_timeline(
-        route_changes=run.bus.route_changes,
-        link_events=run.bus.link_events,
+        route_changes=recorder.records("route"),
+        link_events=recorder.records("link"),
         snapshots=run.tracker.snapshots,
         dest=receiver,
         since=run.fail_at - 0.1,

@@ -146,7 +146,7 @@ def merge_results(
     outputs = sorted(outputs, key=lambda o: o.shard_index)
     fibs = {node: fib for o in outputs for node, fib in o.initial_fibs.items()}
 
-    bus = TraceBus(keep_routes=False, keep_links=False)
+    bus = TraceBus()
     tracker = ConvergenceTracker(bus, dest=spec.receiver, src=spec.sender)
     tracker.seed({node: fib.get(spec.receiver) for node, fib in fibs.items()}, 0.0)
     watcher = NetworkConvergenceWatcher(bus)

@@ -141,7 +141,7 @@ class ShardHost:
 
         # --- live network (same construction order as run_scenario) --------
         self.sim = Simulator()
-        self.bus = TraceBus(keep_routes=False, keep_links=False)
+        self.bus = TraceBus()
         self.network = Network(
             self.sim,
             sub,

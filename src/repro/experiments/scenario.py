@@ -363,8 +363,9 @@ class ScenarioRun:
     the layout's one flow; pass ``()`` to attach applications by hand.
     ``driver_factory`` maps the :class:`ScenarioPlan` to the run's
     :class:`~repro.net.dynamics.TopologyDriver`, default the paper's single
-    on-path failure.  ``bus`` substitutes a retaining
-    :class:`~repro.sim.tracing.TraceBus` (narration reads records off it).
+    on-path failure.  ``recorder`` is a
+    :class:`~repro.obs.flight.FlightRecorder` that keeps every trace record
+    of the run (narration and post-mortems read records off it).
     ``kind`` and ``meta`` label the live log; ``kind`` is also the run a
     post-mortem ticket names (see :func:`replay`).
     """
@@ -384,7 +385,6 @@ class ScenarioRun:
         recorder: Optional[FlightRecorder] = None,
         dump_dir: Optional[str] = None,
         live_log=None,
-        bus: Optional[TraceBus] = None,
         kind: str = "scenario",
         meta: Optional[dict] = None,
         reactive_strict: bool = True,
@@ -413,9 +413,7 @@ class ScenarioRun:
             initial = layout.initial_topology or topo
 
             self.sim = sim = Simulator()
-            if bus is None:
-                bus = TraceBus(keep_routes=False, keep_links=False)
-            self.bus = bus
+            self.bus = bus = TraceBus()
             if obs is not None:
                 obs.attach(bus)
             if recorder is not None:

@@ -76,8 +76,6 @@ class NetworkConvergenceWatcher:
     """
 
     def __init__(self, bus: TraceBus) -> None:
-        self.last_change_time: Optional[float] = None
-        self.change_count = 0
         #: Every FIB-change instant, in bus order (non-decreasing).  Kept so
         #: multi-event runs can attribute each reconvergence wave to the
         #: topology event whose detection window it falls in.
@@ -85,15 +83,13 @@ class NetworkConvergenceWatcher:
         bus.subscribe("route", self._on_route_change)
 
     def _on_route_change(self, record: RouteChangeRecord) -> None:
-        self.last_change_time = record.time
-        self.change_count += 1
         self.change_times.append(record.time)
 
     def convergence_time(self, detect_time: float) -> float:
         """Seconds from detection to the final FIB change network-wide."""
-        if self.last_change_time is None or self.last_change_time < detect_time:
+        if not self.change_times or self.change_times[-1] < detect_time:
             return 0.0
-        return self.last_change_time - detect_time
+        return self.change_times[-1] - detect_time
 
 
 def attribute_waves(

@@ -31,7 +31,6 @@ class DropCounter:
     def __init__(self, bus: TraceBus, window_start: Optional[float] = None) -> None:
         self.window_start = window_start
         self.by_cause: dict[DropCause, int] = {cause: 0 for cause in DropCause}
-        self.drop_times: dict[DropCause, list[float]] = {cause: [] for cause in DropCause}
         self._bus: Optional[TraceBus] = bus
         bus.subscribe("packet", self._on_packet)
 
@@ -41,7 +40,6 @@ class DropCounter:
         if self.window_start is not None and record.time < self.window_start:
             return
         self.by_cause[record.cause] += 1
-        self.drop_times[record.cause].append(record.time)
 
     def close(self) -> None:
         """Unsubscribe from the bus (idempotent); counts remain readable."""

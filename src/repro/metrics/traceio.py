@@ -1,9 +1,11 @@
 """Trace export/import: JSONL files for external analysis.
 
 The paper's methodology revolves around routing/forwarding trace files; this
-module writes the bus's typed records as JSON Lines (one record per line,
-``type`` field first) so they can be grepped, loaded into pandas, or diffed
-across runs — and reads them back into the same record types.
+module writes a run's typed records (a
+:class:`~repro.obs.flight.FlightRecorder`'s streams) as JSON Lines (one
+record per line, ``type`` field first) so they can be grepped, loaded into
+pandas, or diffed across runs — and reads them back into the same record
+types.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import warnings
 from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
-from ..records import JsonlWriter, encode_line, iter_jsonl
+from ..records import encode_line, iter_jsonl
 from ..sim.tracing import (
     _KIND_OF_TYPE,
     DropCause,
@@ -19,10 +21,9 @@ from ..sim.tracing import (
     MessageRecord,
     PacketRecord,
     RouteChangeRecord,
-    TraceBus,
 )
 
-__all__ = ["write_trace", "read_trace", "export_bus"]
+__all__ = ["write_trace", "read_trace"]
 
 Record = Union[PacketRecord, RouteChangeRecord, LinkEventRecord, MessageRecord]
 
@@ -99,17 +100,3 @@ def read_trace(
             else:
                 warnings.warn(f"skipping trace record: {exc}", stacklevel=2)
 
-
-def export_bus(bus: TraceBus, path: str) -> int:
-    """Dump everything a bus retained to ``path`` in time order."""
-    records: list[Record] = [
-        *bus.packets,
-        *bus.route_changes,
-        *bus.link_events,
-        *bus.messages,
-    ]
-    records.sort(key=lambda r: r.time)
-    with JsonlWriter(path) as out:
-        for record in records:
-            out.write(_encode(record))
-    return len(records)

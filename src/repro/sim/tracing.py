@@ -3,8 +3,9 @@
 The paper's methodology is trace-driven: it studies "the forwarding and
 routing trace files" to attribute every drop and loop to a cause.  We mirror
 that with typed records published on a :class:`TraceBus`.  Metric collectors
-subscribe to the kinds they care about; retention of full in-memory traces is
-opt-in so large sweeps stay cheap.
+subscribe to the kinds they care about; the bus keeps nothing, so large
+sweeps stay cheap.  A run that wants its records afterwards attaches a
+:class:`~repro.obs.flight.FlightRecorder`, the one in-memory trace store.
 
 Hot-path contract: producers (``Node``/``Link``/protocols) must bump the
 always-on integer :class:`TraceCounters` and consult the per-kind
@@ -14,16 +15,16 @@ always-on integer :class:`TraceCounters` and consult the per-kind
     if bus.wants_packet:
         bus.publish(PacketRecord(...))
 
-When nothing subscribed to a kind and retention for it is off, no record
-object is ever allocated — the whole trace layer costs one integer increment
-per event.  Collectors therefore MUST register through :meth:`TraceBus.subscribe`
-(which flips the guard) rather than wrapping ``publish``.
+When nothing subscribed to a kind, no record object is ever allocated — the
+whole trace layer costs one integer increment per event.  Collectors
+therefore MUST register through :meth:`TraceBus.subscribe` (which flips the
+guard) rather than wrapping ``publish``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 __all__ = [
     "DropCause",
@@ -169,29 +170,16 @@ class TraceCounters:
 class TraceBus:
     """Publish/subscribe hub for trace records, organized per kind.
 
-    ``keep_packets`` / ``keep_routes`` / ``keep_links`` / ``keep_messages``
-    control whether the bus also retains full record lists for
-    after-the-fact analysis (hop path reconstruction, loop detection).
-    Subscribers always see every record of their kind.  ``keep_links``
-    defaults True — link transitions are rare and the narration tools read
-    them off the bus — but sweeps that want a fully quiet bus can turn it
-    off like any other kind.
+    The bus keeps nothing: a record reaches a handler only through
+    :meth:`subscribe`.
 
     The ``wants_packet`` / ``wants_route`` / ``wants_link`` / ``wants_message``
-    attributes are the hot-path guards: True iff some subscriber or retention
-    list would observe a record of that kind.  They are plain booleans (one
-    attribute load to check) recomputed on every subscribe/retention change.
+    attributes are the hot-path guards: True iff some subscriber would
+    observe a record of that kind.  They are plain booleans (one attribute
+    load to check) recomputed on every subscribe/unsubscribe.
     """
 
     __slots__ = (
-        "_keep_packets",
-        "_keep_routes",
-        "_keep_links",
-        "_keep_messages",
-        "packets",
-        "route_changes",
-        "link_events",
-        "messages",
         "_subs",
         "_packet_subs",
         "_route_subs",
@@ -204,21 +192,7 @@ class TraceBus:
         "counters",
     )
 
-    def __init__(
-        self,
-        keep_packets: bool = False,
-        keep_routes: bool = True,
-        keep_messages: bool = False,
-        keep_links: bool = True,
-    ) -> None:
-        self._keep_packets = keep_packets
-        self._keep_routes = keep_routes
-        self._keep_links = keep_links
-        self._keep_messages = keep_messages
-        self.packets: list[PacketRecord] = []
-        self.route_changes: list[RouteChangeRecord] = []
-        self.link_events: list[LinkEventRecord] = []
-        self.messages: list[MessageRecord] = []
+    def __init__(self) -> None:
         self._subs: dict[str, list[Callable[[object], None]]] = {
             kind: [] for kind in TRACE_KINDS
         }
@@ -232,105 +206,33 @@ class TraceBus:
         self.counters = TraceCounters()
         self._refresh_guards()
 
-    # ------------------------------------------------------- retention flags
-
-    @property
-    def keep_packets(self) -> bool:
-        return self._keep_packets
-
-    @keep_packets.setter
-    def keep_packets(self, value: bool) -> None:
-        self._keep_packets = value
-        self._refresh_guards()
-
-    @property
-    def keep_routes(self) -> bool:
-        return self._keep_routes
-
-    @keep_routes.setter
-    def keep_routes(self, value: bool) -> None:
-        self._keep_routes = value
-        self._refresh_guards()
-
-    @property
-    def keep_links(self) -> bool:
-        return self._keep_links
-
-    @keep_links.setter
-    def keep_links(self, value: bool) -> None:
-        self._keep_links = value
-        self._refresh_guards()
-
-    @property
-    def keep_messages(self) -> bool:
-        return self._keep_messages
-
-    @keep_messages.setter
-    def keep_messages(self, value: bool) -> None:
-        self._keep_messages = value
-        self._refresh_guards()
-
     def _refresh_guards(self) -> None:
-        subs = self._subs
-        self.wants_packet = bool(subs["packet"]) or self._keep_packets
-        self.wants_route = bool(subs["route"]) or self._keep_routes
-        self.wants_link = bool(subs["link"]) or self._keep_links
-        self.wants_message = bool(subs["message"]) or self._keep_messages
+        self.wants_packet = bool(self._packet_subs)
+        self.wants_route = bool(self._route_subs)
+        self.wants_link = bool(self._link_subs)
+        self.wants_message = bool(self._message_subs)
 
     # ----------------------------------------------------------- subscribing
 
-    def wants(self, kind: str) -> bool:
-        """Would a record of ``kind`` reach any observer right now?
-
-        ``kind`` is one of ``"packet"``, ``"route"``, ``"link"``,
-        ``"message"``.  Producers may cache the equivalent ``wants_<kind>``
-        attribute lookup in hot loops; the value only changes on
-        subscribe/retention mutation.
-        """
+    def subscribe(self, kind: str, handler: Callable[[object], None]) -> None:
+        """Call ``handler(record)`` for every published record of ``kind``,
+        one of :data:`TRACE_KINDS`."""
         if kind not in self._subs:
-            raise ValueError(f"unknown trace kind {kind!r}")
-        return getattr(self, f"wants_{kind}")
-
-    def subscribe(
-        self, kind: Union[str, type], handler: Callable[[object], None]
-    ) -> None:
-        """Call ``handler(record)`` for every published record of ``kind``.
-
-        ``kind`` is a kind string (``"packet"``, ``"route"``, ``"link"``,
-        ``"message"``) or, for backward compatibility, the record type itself.
-        """
-        if isinstance(kind, type):
-            try:
-                kind = _KIND_OF_TYPE[kind]
-            except KeyError:
-                raise ValueError(
-                    f"unknown trace record type {kind.__name__}"
-                ) from None
-        elif kind not in self._subs:
             raise ValueError(f"unknown trace kind {kind!r}")
         self._subs[kind].append(handler)
         self._refresh_guards()
 
-    def unsubscribe(
-        self, kind: Union[str, type], handler: Callable[[object], None]
-    ) -> None:
+    def unsubscribe(self, kind: str, handler: Callable[[object], None]) -> None:
         """Remove a previously registered ``handler`` for ``kind``.
 
         Recomputes the ``wants_*`` guards, so detaching the last subscriber
-        of a kind (with retention off) returns its hot path to the
-        zero-allocation regime.  Long-lived processes that attach collectors
-        per run (see :meth:`repro.metrics.counters.DropCounter.close`) must
-        use this rather than leaking dead subscribers.  Raises ``ValueError``
-        if the handler is not currently subscribed.
+        of a kind returns its hot path to the zero-allocation regime.
+        Long-lived processes that attach collectors per run (see
+        :meth:`repro.metrics.counters.DropCounter.close`) must use this
+        rather than leaking dead subscribers.  Raises ``ValueError`` if the
+        handler is not currently subscribed.
         """
-        if isinstance(kind, type):
-            try:
-                kind = _KIND_OF_TYPE[kind]
-            except KeyError:
-                raise ValueError(
-                    f"unknown trace record type {kind.__name__}"
-                ) from None
-        elif kind not in self._subs:
+        if kind not in self._subs:
             raise ValueError(f"unknown trace kind {kind!r}")
         try:
             self._subs[kind].remove(handler)
@@ -343,32 +245,17 @@ class TraceBus:
     # ------------------------------------------------------------ publishing
 
     def publish(self, record: object) -> None:
-        """Dispatch a record to its kind's retention list and subscribers."""
+        """Dispatch a record to its kind's subscribers."""
         cls = type(record)
         if cls is PacketRecord:
-            if self._keep_packets:
-                self.packets.append(record)
             subscribers = self._packet_subs
         elif cls is RouteChangeRecord:
-            if self._keep_routes:
-                self.route_changes.append(record)
             subscribers = self._route_subs
         elif cls is LinkEventRecord:
-            if self._keep_links:
-                self.link_events.append(record)
             subscribers = self._link_subs
         elif cls is MessageRecord:
-            if self._keep_messages:
-                self.messages.append(record)
             subscribers = self._message_subs
         else:
             return
         for handler in subscribers:
             handler(record)
-
-    def clear(self) -> None:
-        """Drop retained records (subscriptions and counters are kept)."""
-        self.packets.clear()
-        self.route_changes.clear()
-        self.link_events.clear()
-        self.messages.clear()

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.net.network import Network
 from repro.net.packet import reset_packet_ids
+from repro.obs.flight import FlightRecorder
 from repro.routing.aodv import AodvProtocol
 from repro.routing.bgp import BgpConfig, BgpProtocol
 from repro.routing.dsr import DsrProtocol
@@ -40,8 +43,42 @@ def rng() -> RngStreams:
 
 
 @pytest.fixture
-def bus() -> TraceBus:
-    return TraceBus(keep_packets=True, keep_routes=True, keep_messages=True)
+def recorder() -> FlightRecorder:
+    return FlightRecorder()
+
+
+@pytest.fixture
+def bus(recorder: FlightRecorder) -> TraceBus:
+    """A bus whose every record lands in the ``recorder`` fixture."""
+    bus = TraceBus()
+    recorder.attach(bus)
+    return bus
+
+
+#: The recorder :func:`recording_network` attached to each network it built,
+#: keyed weakly so that an entry goes with its network.
+_RECORDERS: "weakref.WeakKeyDictionary[Network, FlightRecorder]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def recording_network(sim: Simulator, topo: Topology, **kwargs) -> Network:
+    """A :class:`Network` on a fresh bus whose every trace record a
+    :class:`FlightRecorder` keeps; read them with :func:`recorded`."""
+    recorder = FlightRecorder()
+    bus = TraceBus()
+    recorder.attach(bus)
+    network = Network(sim, topo, bus, **kwargs)
+    _RECORDERS[network] = recorder
+    return network
+
+
+def recorded(network: Network) -> dict[str, list]:
+    """The trace streams, by kind, of a network :func:`recording_network`
+    built.  Each is the recorder's live list: ``recorded(net)["route"]
+    .clear()`` empties it between phases of a test.
+    """
+    return _RECORDERS[network].streams
 
 
 def build_network(
@@ -57,13 +94,13 @@ def build_network(
 
     ``protocol``: "rip" | "dbf" | "bgp" | "spf" | "static" | "none".
     Protocols are created but NOT started; call ``network.start_protocols()``
-    or ``warm_start`` them per test.
+    or ``warm_start`` them per test.  Read the trace records with
+    :func:`recorded`.
     """
     sim = Simulator()
-    bus = TraceBus(keep_packets=True, keep_routes=True, keep_messages=True)
     rng_streams = RngStreams(seed)
-    network = Network(
-        sim, topo, bus, queue_capacity=queue_capacity, record_paths=record_paths
+    network = recording_network(
+        sim, topo, queue_capacity=queue_capacity, record_paths=record_paths
     )
     if protocol != "none":
 

@@ -75,6 +75,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "FAILED" in out
         assert "Timeline" in out
+        assert "[route]" in out  # the routing story: FIB changes ...
+        assert "[ path]" in out  # ... and the forwarding path they make
 
     def test_sweep_save_option(self, capsys, tmp_path):
         path = tmp_path / "out.json"

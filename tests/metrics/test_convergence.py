@@ -109,7 +109,7 @@ class TestNetworkConvergenceWatcher:
         watcher = NetworkConvergenceWatcher(bus)
         bus.publish(_change(3.0, 0, 7, 1))
         bus.publish(_change(9.0, 4, 2, None))
-        assert watcher.change_count == 2
+        assert watcher.change_times == [3.0, 9.0]
         assert watcher.convergence_time(detect_time=1.0) == pytest.approx(8.0)
 
     def test_zero_when_no_changes_after_detect(self):

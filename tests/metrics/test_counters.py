@@ -29,7 +29,6 @@ class TestDropCounter:
         bus.publish(drop_record(time=5.0))
         bus.publish(drop_record(time=15.0))
         assert counter.no_route == 1
-        assert counter.drop_times[DropCause.NO_ROUTE] == [15.0]
 
     def test_non_drop_records_ignored(self):
         bus = TraceBus()

@@ -79,7 +79,6 @@ class TestDropCounterProperties:
         for cause in DropCause:
             expected = [t for t, c in in_window if c is cause]
             assert counter.by_cause[cause] == len(expected)
-            assert counter.drop_times[cause] == expected  # publish order
 
     @given(events=_packet_events)
     @settings(max_examples=30, deadline=None)
@@ -136,7 +135,7 @@ class TestCloseReleasesTheSubscription:
         assert counter.total == 1  # counts survive close; new drops don't
 
     def test_close_resets_the_wants_guard(self):
-        bus = TraceBus(keep_packets=False, keep_routes=False, keep_messages=False)
+        bus = TraceBus()
         counter = DropCounter(bus)
         assert bus.wants_packet
         counter.close()
@@ -149,14 +148,14 @@ class TestCloseReleasesTheSubscription:
         counter.close()  # second close must not raise or double-unsubscribe
 
     def test_message_counter_close_resets_the_wants_guard(self):
-        bus = TraceBus(keep_packets=False, keep_routes=False, keep_messages=False)
+        bus = TraceBus()
         counter = MessageCounter(bus)
         assert bus.wants_message
         counter.close()
         assert not bus.wants_message
 
     def test_context_manager_closes_on_exit(self):
-        bus = TraceBus(keep_packets=False, keep_routes=False, keep_messages=False)
+        bus = TraceBus()
         with MessageCounter(bus) as counter:
             bus.publish(
                 MessageRecord(
@@ -167,7 +166,7 @@ class TestCloseReleasesTheSubscription:
         assert counter.messages == 1
 
     def test_close_only_releases_its_own_subscription(self):
-        bus = TraceBus(keep_packets=False, keep_routes=False, keep_messages=False)
+        bus = TraceBus()
         first = DropCounter(bus)
         second = DropCounter(bus)
         first.close()

@@ -166,7 +166,7 @@ class TestEndToEnd:
         from repro.net.dynamics import LinkScheduler
         from repro.metrics.convergence import ConvergenceTracker
         from repro.topology import generators
-        from ..conftest import build_network
+        from ..conftest import build_network, recorded
 
         topo = generators.ring(4)
         sim, net, _ = build_network(topo, "dbf")
@@ -178,8 +178,8 @@ class TestEndToEnd:
         injector.fail_link(1, 2, at=10.0)
         sim.run(until=30.0)
         events = build_timeline(
-            route_changes=net.bus.route_changes,
-            link_events=net.bus.link_events,
+            route_changes=recorded(net)["route"],
+            link_events=recorded(net)["link"],
             snapshots=tracker.snapshots,
             dest=2,
             since=9.0,

@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 import io
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.traceio import export_bus, read_trace, write_trace
+from repro.metrics.traceio import read_trace, write_trace
 from repro.sim.tracing import (
     DropCause,
     LinkEventRecord,
     MessageRecord,
     PacketRecord,
     RouteChangeRecord,
-    TraceBus,
 )
 
 SAMPLES = [
@@ -127,23 +127,33 @@ class TestNonStrictRead:
             list(read_trace(io.StringIO(self.MIXED)))
 
 
+def _write_recording(streams: dict[str, list], path) -> int:
+    """Write every recorded stream to ``path`` in time order."""
+    records = sorted(chain.from_iterable(streams.values()), key=lambda r: r.time)
+    with open(path, "w") as f:
+        return write_trace(records, f)
+
+
 class TestExportBus:
-    def test_exports_retained_records_in_time_order(self, tmp_path):
-        bus = TraceBus(keep_packets=True, keep_routes=True, keep_messages=True)
+    """A run's bus keeps nothing; a recorder's streams go out through
+    ``write_trace``."""
+
+    def test_exports_retained_records_in_time_order(self, tmp_path, bus, recorder):
         for record in reversed(SAMPLES):
             bus.publish(record)
         path = tmp_path / "trace.jsonl"
-        count = export_bus(bus, str(path))
+        count = _write_recording(recorder.streams, path)
         assert count == len(SAMPLES)
         with open(path) as f:
             restored = list(read_trace(f))
         times = [r.time for r in restored]
         assert times == sorted(times)
+        assert sorted(restored, key=repr) == sorted(SAMPLES, key=repr)
 
     def test_real_run_exports(self, tmp_path):
         from repro.net.dynamics import LinkScheduler
         from repro.topology import generators
-        from ..conftest import build_network
+        from ..conftest import build_network, recorded
 
         topo = generators.ring(4)
         sim, net, _ = build_network(topo, "dbf")
@@ -152,8 +162,9 @@ class TestExportBus:
         LinkScheduler(sim, net, detection_delay=0.05).fail_link(0, 1, at=5.0)
         sim.run(until=20.0)
         path = tmp_path / "run.jsonl"
-        count = export_bus(net.bus, str(path))
+        count = _write_recording(recorded(net), path)
         assert count > 0
         with open(path) as f:
             restored = list(read_trace(f))
         assert len(restored) == count
+        assert set(restored) == set(chain.from_iterable(recorded(net).values()))

@@ -12,8 +12,9 @@ from repro.net.dynamics import (
 )
 from repro.net.network import Network
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.tracing import TraceBus
 from repro.topology import generators
+
+from ..conftest import recorded, recording_network
 
 
 class Recorder:
@@ -30,20 +31,19 @@ class Recorder:
 
 def make(detection_delay=0.05, topo=None):
     sim = Simulator()
-    bus = TraceBus()
-    net = Network(sim, topo if topo is not None else generators.line(3), bus)
+    net = recording_network(sim, topo if topo is not None else generators.line(3))
     recorders = {}
     for node in net.iter_nodes():
         rec = Recorder()
         recorders[node.id] = rec
         node.attach_protocol(rec)
     scheduler = LinkScheduler(sim, net, detection_delay=detection_delay)
-    return sim, net, bus, recorders, scheduler
+    return sim, net, recorded(net), recorders, scheduler
 
 
 class TestFailureInjection:
     def test_link_goes_down_at_fail_time(self):
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         scheduler.fail_link(0, 1, at=5.0)
         sim.run(until=4.9)
         assert net.link(0, 1).up
@@ -51,7 +51,7 @@ class TestFailureInjection:
         assert not net.link(0, 1).up
 
     def test_endpoints_notified_after_detection_delay(self):
-        sim, net, bus, recorders, scheduler = make(detection_delay=0.5)
+        sim, net, trace, recorders, scheduler = make(detection_delay=0.5)
         scheduler.fail_link(0, 1, at=1.0)
         sim.run(until=1.4)
         assert recorders[0].down == []
@@ -61,22 +61,22 @@ class TestFailureInjection:
         assert recorders[2].down == []
 
     def test_event_record_published(self):
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         scheduler.fail_link(1, 2, at=2.0)
         sim.run()
-        assert len(bus.link_events) == 1
-        ev = bus.link_events[0]
+        assert len(trace["link"]) == 1
+        ev = trace["link"][0]
         assert (ev.node_a, ev.node_b, ev.up) == (1, 2, False)
 
     def test_failure_event_metadata(self):
-        sim, net, bus, recorders, scheduler = make(detection_delay=0.05)
+        sim, net, trace, recorders, scheduler = make(detection_delay=0.05)
         event = scheduler.fail_link(0, 1, at=3.0)
         assert event.detect_time == 3.05
         assert event.link_key == (0, 1)
         assert event.fail_time == 3.0  # legacy alias for .time
 
     def test_unknown_link_rejected_immediately(self):
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         with pytest.raises(KeyError):
             scheduler.fail_link(0, 2, at=1.0)
 
@@ -87,7 +87,7 @@ class TestFailureInjection:
             LinkScheduler(sim, net, detection_delay=-1.0)
 
     def test_restore_notifies_link_up(self):
-        sim, net, bus, recorders, scheduler = make(detection_delay=0.1)
+        sim, net, trace, recorders, scheduler = make(detection_delay=0.1)
         scheduler.fail_link(0, 1, at=1.0)
         scheduler.restore_link(0, 1, at=2.0)
         sim.run()
@@ -101,14 +101,14 @@ class TestStrictStateTransitions:
     def test_restoring_an_up_link_is_a_loud_error(self):
         # Regression: the old injector silently skipped the bookkeeping when
         # restoring a link that never failed, hiding driver bugs.
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         scheduler.restore_link(0, 1, at=1.0)
         with pytest.raises(SimulationError, match="already up"):
             sim.run()
         assert recorders[0].up == []  # no phantom notification either
 
     def test_failing_a_down_link_is_a_loud_error(self):
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         scheduler.fail_link(0, 1, at=1.0)
         scheduler.fail_link(0, 1, at=2.0)
         with pytest.raises(SimulationError, match="already down"):
@@ -125,7 +125,7 @@ class TestStrictStateTransitions:
 
 class TestNodeFailure:
     def test_fails_every_attached_link(self):
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         events = scheduler.fail_node(1, at=2.0)
         assert sorted(e.link_key for e in events) == [(0, 1), (1, 2)]
         sim.run()
@@ -137,7 +137,7 @@ class TestNodeFailure:
         # so a degree-zero node left the run half-armed.
         topo = generators.line(3)
         topo.add_node(99)  # isolated
-        sim, net, bus, recorders, scheduler = make(topo=topo)
+        sim, net, trace, recorders, scheduler = make(topo=topo)
         with pytest.raises(ValueError, match="no links to fail"):
             scheduler.fail_node(99, at=1.0)
         assert scheduler.events == []
@@ -145,7 +145,7 @@ class TestNodeFailure:
 
 class TestFlapBookkeeping:
     def test_each_fail_records_its_own_outage(self):
-        sim, net, bus, recorders, scheduler = make(detection_delay=0.01)
+        sim, net, trace, recorders, scheduler = make(detection_delay=0.01)
         for cycle in range(3):
             scheduler.fail_link(0, 1, at=1.0 + 2.0 * cycle)
             scheduler.restore_link(0, 1, at=2.0 + 2.0 * cycle)
@@ -154,11 +154,11 @@ class TestFlapBookkeeping:
         assert [e.restored_time for e in fails] == [2.0, 4.0, 6.0]
         assert net.link(0, 1).up
         # One LinkEventRecord per transition, alternating down/up.
-        assert [e.up for e in bus.link_events] == [False, True] * 3
-        assert bus.counters.link_events == 6
+        assert [e.up for e in trace["link"]] == [False, True] * 3
+        assert net.bus.counters.link_events == 6
 
     def test_notifications_delivered_per_transition(self):
-        sim, net, bus, recorders, scheduler = make(detection_delay=0.01)
+        sim, net, trace, recorders, scheduler = make(detection_delay=0.01)
         for cycle in range(2):
             scheduler.fail_link(0, 1, at=1.0 + cycle)
             scheduler.restore_link(0, 1, at=1.5 + cycle)
@@ -169,7 +169,7 @@ class TestFlapBookkeeping:
 
 class TestDrivers:
     def test_single_link_failure_driver_matches_manual_injection(self):
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         driver = SingleLinkFailureDriver((0, 1), fail_at=3.0)
         scheduled = scheduler.run_driver(driver, until=10.0)
         assert [(e.kind, e.link_key, e.time) for e in scheduled] == [
@@ -179,7 +179,7 @@ class TestDrivers:
         assert not net.link(0, 1).up
 
     def test_single_link_driver_with_repair(self):
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         driver = SingleLinkFailureDriver((0, 1), fail_at=3.0, restore_at=5.0)
         scheduler.run_driver(driver, until=10.0)
         sim.run(until=10.0)
@@ -207,28 +207,28 @@ class TestDrivers:
 
 class TestInitialState:
     def test_take_down_initially_is_silent(self):
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         scheduler.take_down_initially([(0, 1)])
         assert not net.link(0, 1).up
-        assert bus.link_events == []
+        assert trace["link"] == []
         assert recorders[0].down == []
         assert scheduler.events == []
 
     def test_take_down_initially_refuses_mid_run(self):
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         sim.schedule(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             scheduler.take_down_initially([(0, 1)])
 
     def test_take_down_initially_refuses_double_down(self):
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         scheduler.take_down_initially([(0, 1)])
         with pytest.raises(SimulationError):
             scheduler.take_down_initially([(0, 1)])
 
     def test_initially_down_link_can_be_restored(self):
-        sim, net, bus, recorders, scheduler = make()
+        sim, net, trace, recorders, scheduler = make()
         scheduler.take_down_initially([(0, 1)])
         scheduler.restore_link(0, 1, at=2.0)
         sim.run()

@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.tracing import DropCause, PacketRecord, RouteChangeRecord, TraceBus
+from repro.sim.tracing import DropCause, PacketRecord, RouteChangeRecord
 from repro.topology import generators
+
+from ..conftest import recorded, recording_network
 
 
 def make_line(n=3, record_paths=False):
     sim = Simulator()
-    bus = TraceBus(keep_packets=True, keep_routes=True)
-    net = Network(sim, generators.line(n), bus, record_paths=record_paths)
-    return sim, net, bus
+    net = recording_network(sim, generators.line(n), record_paths=record_paths)
+    return sim, net, recorded(net)
 
 
 def install_line_routes(net, n=3):
@@ -26,16 +26,16 @@ def install_line_routes(net, n=3):
 
 class TestForwarding:
     def test_end_to_end_delivery(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         install_line_routes(net)
         net.node(0).originate(Packet(src=0, dst=2, ttl=10))
         sim.run()
         assert net.node(2).delivered == 1
-        kinds = [r.kind for r in bus.packets]
+        kinds = [r.kind for r in trace["packet"]]
         assert kinds == ["send", "deliver"]
 
     def test_ttl_decrement_per_forwarding_hop(self):
-        sim, net, bus = make_line(4)
+        sim, net, trace = make_line(4)
         install_line_routes(net, 4)
         p = Packet(src=0, dst=3, ttl=10)
         net.node(0).originate(p)
@@ -44,7 +44,7 @@ class TestForwarding:
         assert p.ttl == 8
 
     def test_ttl_expiry_drops(self):
-        sim, net, bus = make_line(4)
+        sim, net, trace = make_line(4)
         install_line_routes(net, 4)
         net.node(0).originate(Packet(src=0, dst=3, ttl=1))
         sim.run()
@@ -52,7 +52,7 @@ class TestForwarding:
         assert net.node(3).delivered == 0
 
     def test_no_route_drop(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         # No routes installed at node 1.
         net.node(0).set_next_hop(2, 1)
         net.node(0).originate(Packet(src=0, dst=2))
@@ -60,17 +60,17 @@ class TestForwarding:
         assert net.node(1).drops[DropCause.NO_ROUTE] == 1
 
     def test_originate_to_self_delivers_locally(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         net.node(0).originate(Packet(src=0, dst=0))
         assert net.node(0).delivered == 1
 
     def test_originate_requires_data_packet(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         with pytest.raises(ValueError):
             net.node(0).originate(Packet(src=0, dst=1, kind="control", ttl=1))
 
     def test_hop_recording(self):
-        sim, net, bus = make_line(4, record_paths=True)
+        sim, net, trace = make_line(4, record_paths=True)
         install_line_routes(net, 4)
         p = Packet(src=0, dst=3)
         net.node(0).originate(p)
@@ -78,7 +78,7 @@ class TestForwarding:
         assert p.hops == [0, 1, 2, 3]
 
     def test_forwarded_counter(self):
-        sim, net, bus = make_line(4)
+        sim, net, trace = make_line(4)
         install_line_routes(net, 4)
         net.node(0).originate(Packet(src=0, dst=3))
         sim.run()
@@ -88,36 +88,36 @@ class TestForwarding:
 
 class TestFib:
     def test_set_next_hop_publishes_change(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         net.node(0).set_next_hop(2, 1)
-        changes = bus.route_changes
+        changes = trace["route"]
         assert len(changes) == 1
         assert changes[0] == RouteChangeRecord(
             time=0.0, node=0, dest=2, old_next_hop=None, new_next_hop=1
         )
 
     def test_idempotent_set_publishes_nothing(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         net.node(0).set_next_hop(2, 1)
         net.node(0).set_next_hop(2, 1)
-        assert len(bus.route_changes) == 1
+        assert len(trace["route"]) == 1
 
     def test_withdraw_route(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         net.node(0).set_next_hop(2, 1)
         net.node(0).set_next_hop(2, None)
         assert net.node(0).next_hop(2) is None
-        assert bus.route_changes[-1].new_next_hop is None
+        assert trace["route"][-1].new_next_hop is None
 
     def test_next_hop_must_be_neighbor(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         with pytest.raises(ValueError):
             net.node(0).set_next_hop(2, 2)  # 2 is not adjacent to 0
 
 
 class TestControlPlaneWiring:
     def test_control_message_dispatched_to_protocol(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         got = []
 
         class FakeProto:
@@ -133,12 +133,12 @@ class TestControlPlaneWiring:
         assert got == [("hello", 0)]
 
     def test_send_control_requires_neighbor(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         with pytest.raises(ValueError):
             net.node(0).send_control(2, payload=None, size_bytes=10, protocol="x")
 
     def test_link_down_notifies_protocol(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         got = []
 
         class FakeProto:
@@ -150,7 +150,7 @@ class TestControlPlaneWiring:
         assert got == [1]
 
     def test_double_protocol_attach_rejected(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         net.node(0).attach_protocol(object())
         with pytest.raises(ValueError):
             net.node(0).attach_protocol(object())
@@ -158,7 +158,7 @@ class TestControlPlaneWiring:
 
 class TestApps:
     def test_apps_receive_local_deliveries(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         install_line_routes(net)
         got = []
 
@@ -172,7 +172,7 @@ class TestApps:
         assert len(got) == 1 and got[0][1] == 2
 
     def test_control_drops_not_counted_as_data(self):
-        sim, net, bus = make_line()
+        sim, net, trace = make_line()
         net.link(0, 1).fail()
         net.node(0).send_control(1, payload=None, size_bytes=10, protocol="x")
         sim.run()

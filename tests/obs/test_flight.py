@@ -65,27 +65,25 @@ def msg(t, sender, receiver, protocol="rip"):
     )
 
 
-class TestFlightRecorder:
-    def _quiet_bus(self):
-        return TraceBus(
-            keep_packets=False, keep_routes=False, keep_messages=False,
-            keep_links=False,
-        )
+def guards(bus):
+    return [getattr(bus, f"wants_{kind}") for kind in TRACE_KINDS]
 
+
+class TestFlightRecorder:
     def test_one_stream_per_kind(self):
         assert set(FlightRecorder().streams) == set(TRACE_KINDS)
 
     def test_attach_flips_every_wants_guard(self):
-        bus = self._quiet_bus()
-        assert not any(bus.wants(kind) for kind in TRACE_KINDS)
+        bus = TraceBus()
+        assert not any(guards(bus))
         recorder = FlightRecorder()
         recorder.attach(bus)
-        assert all(bus.wants(kind) for kind in TRACE_KINDS)
+        assert all(guards(bus))
         recorder.close()
-        assert not any(bus.wants(kind) for kind in TRACE_KINDS)
+        assert not any(guards(bus))
 
     def test_records_each_kind_into_its_stream(self):
-        bus = self._quiet_bus()
+        bus = TraceBus()
         with FlightRecorder() as recorder:
             recorder.attach(bus)
             bus.publish(pkt(0.1, "send", 0))
@@ -96,12 +94,12 @@ class TestFlightRecorder:
 
     def test_double_attach_raises(self):
         recorder = FlightRecorder()
-        recorder.attach(self._quiet_bus())
+        recorder.attach(TraceBus())
         with pytest.raises(RuntimeError):
-            recorder.attach(self._quiet_bus())
+            recorder.attach(TraceBus())
 
     def test_close_is_idempotent_and_records_stay_readable(self):
-        bus = self._quiet_bus()
+        bus = TraceBus()
         recorder = FlightRecorder()
         recorder.attach(bus)
         bus.publish(pkt(0.1, "send", 0))
@@ -113,7 +111,7 @@ class TestFlightRecorder:
         assert len(recorder.records("packet")) == 1  # detached: nothing lands
 
     def test_keeps_every_record(self):
-        bus = self._quiet_bus()
+        bus = TraceBus()
         with FlightRecorder() as recorder:
             recorder.attach(bus)
             for i in range(20_000):
@@ -121,7 +119,7 @@ class TestFlightRecorder:
         assert [r.packet_id for r in recorder.records("packet")] == list(range(20_000))
 
     def test_packet_ids_first_seen_order(self):
-        bus = self._quiet_bus()
+        bus = TraceBus()
         recorder = FlightRecorder()
         recorder.attach(bus)
         for pid in (7, 3, 7, 5):

@@ -60,9 +60,7 @@ class TestZeroOverheadWhenDisabled:
     def test_enabled_observation_leaves_the_packet_path_alone(self):
         # The enabled collectors subscribe to "message" records only; data
         # packets must still allocate nothing.
-        bus = CountingBus(
-            keep_packets=False, keep_routes=False, keep_messages=False
-        )
+        bus = CountingBus()
         obs = RunObservation()
         obs.attach(bus)
         assert bus.wants_message  # the collector is live ...
@@ -71,7 +69,7 @@ class TestZeroOverheadWhenDisabled:
         assert bus.publish_count == 0
 
     def test_finalize_releases_the_message_subscription(self):
-        bus = TraceBus(keep_packets=False, keep_routes=False, keep_messages=False)
+        bus = TraceBus()
         obs = RunObservation()
         obs.attach(bus)
         assert bus.wants_message
@@ -79,9 +77,7 @@ class TestZeroOverheadWhenDisabled:
         assert not bus.wants_message
 
     def test_finalize_still_harvests_the_always_on_counters(self):
-        bus = CountingBus(
-            keep_packets=False, keep_routes=False, keep_messages=False
-        )
+        bus = CountingBus()
         obs = RunObservation()
         obs.attach(bus)
         _push_traffic(bus, n_packets=7)

@@ -12,7 +12,7 @@ from repro.sim.rng import RngStreams
 from repro.topology import generators
 from repro.topology.graph import Topology
 
-from ..conftest import build_network, metrics_match_shortest_paths
+from ..conftest import build_network, metrics_match_shortest_paths, recorded
 
 FAST = BgpConfig(mrai_base=0.2, mrai_jitter=0.0, label="bgp")
 
@@ -118,7 +118,7 @@ class TestSelection:
 class TestMrai:
     def _two_neighbor_speaker(self):
         sim, net, _ = build_network(generators.star(2), "none")
-        bus = net.bus
+        trace = recorded(net)
         proto = BgpProtocol(
             net.node(0), RngStreams(1), net, BgpConfig(mrai_base=10.0, mrai_jitter=0.0)
         )
@@ -129,10 +129,10 @@ class TestMrai:
         # start() announces the self route, arming MRAI for 10 s; let that
         # initial timer drain so the tests begin from a quiet steady state.
         sim.run(until=12.0)
-        return sim, net, bus, proto
+        return sim, net, trace, proto
 
     def test_second_change_held_by_mrai(self):
-        sim, net, bus, proto = self._two_neighbor_speaker()
+        sim, net, trace, proto = self._two_neighbor_speaker()
         # First learned route: announced immediately, arming MRAI.
         proto.handle_message(
             PathVectorUpdate(path=PathAttr.of((1, 9)), dests=(9,)), from_node=1
@@ -150,7 +150,7 @@ class TestMrai:
         sim.run(until=40.0)
         route9 = [
             m
-            for m in bus.messages
+            for m in trace["message"]
             if m.sender == 0
             and m.receiver == 2
             and not m.is_withdrawal
@@ -161,7 +161,7 @@ class TestMrai:
         assert route9[1].time - route9[0].time >= 10.0 - 1e-9
 
     def test_withdrawals_exempt_from_mrai(self):
-        sim, net, bus, proto = self._two_neighbor_speaker()
+        sim, net, trace, proto = self._two_neighbor_speaker()
         proto.handle_message(
             PathVectorUpdate(path=PathAttr.of((1, 9)), dests=(9,)), from_node=1
         )
@@ -169,13 +169,13 @@ class TestMrai:
         # Route dies entirely: the withdrawal must go out immediately even
         # though MRAI timers are armed.
         proto.handle_message(PathVectorWithdrawal(dests=(9,)), from_node=1)
-        withdrawals = [m for m in bus.messages if m.sender == 0 and m.is_withdrawal]
+        withdrawals = [m for m in trace["message"] if m.sender == 0 and m.is_withdrawal]
         assert withdrawals
         assert withdrawals[-1].time == pytest.approx(sim.now)
 
     def test_per_destination_mrai_does_not_block_other_dests(self):
         sim, net, _ = build_network(generators.star(2), "none")
-        bus = net.bus
+        trace = recorded(net)
         cfg = BgpConfig(mrai_base=10.0, mrai_jitter=0.0, per_destination_mrai=True)
         proto = BgpProtocol(net.node(0), RngStreams(1), net, cfg)
         BgpProtocol(net.node(1), RngStreams(2), net, FAST)
@@ -192,7 +192,7 @@ class TestMrai:
         sim.run(until=5.0)
         ann = [
             m
-            for m in bus.messages
+            for m in trace["message"]
             if m.sender == 0 and m.receiver == 2 and not m.is_withdrawal and m.time >= t0
         ]
         # Both destinations announced promptly (within the same event burst

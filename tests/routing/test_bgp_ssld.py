@@ -10,7 +10,7 @@ from repro.routing.rib import PathAttr
 from repro.sim.rng import RngStreams
 from repro.topology import generators
 
-from ..conftest import build_network, metrics_match_shortest_paths
+from ..conftest import build_network, metrics_match_shortest_paths, recorded
 
 SSLD = BgpConfig(
     mrai_base=0.2, mrai_jitter=0.0, sender_side_loop_detection=True, label="bgp-ssld"
@@ -53,12 +53,12 @@ class TestSsld:
         sim, net, _ = build_network(topo, "bgp", bgp_config=SSLD)
         for node in net.iter_nodes():
             node.protocol.warm_start(topo)
-        net.bus.route_changes.clear()
-        net.bus.messages.clear()
+        recorded(net)["route"].clear()
+        recorded(net)["message"].clear()
         sim.run(until=60.0)
         # Quiet: warm rib_out matched what SSLD would actually have sent.
-        assert net.bus.route_changes == []
-        assert net.bus.messages == []
+        assert recorded(net)["route"] == []
+        assert recorded(net)["message"] == []
 
     def test_export_suppression_recorded_as_withdrawal_when_needed(self):
         """If a previously announced path changes to one containing the

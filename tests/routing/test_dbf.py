@@ -12,7 +12,7 @@ from repro.sim.rng import RngStreams
 from repro.topology import generators
 from repro.topology.graph import Topology
 
-from ..conftest import build_network, metrics_match_shortest_paths
+from ..conftest import build_network, metrics_match_shortest_paths, recorded
 
 
 def diamond() -> Topology:
@@ -51,7 +51,7 @@ class TestInstantSwitchOver:
         switches to a cached alternate in the same instant."""
         topo = diamond()
         sim, net, _ = build_network(topo, "dbf")
-        bus = net.bus
+        trace = recorded(net)
         for node in net.iter_nodes():
             node.protocol.warm_start(topo)
         assert net.node(0).next_hop(3) == 1  # tie-break: lowest neighbor
@@ -61,7 +61,7 @@ class TestInstantSwitchOver:
         # Switched at the detection instant, not a periodic interval later.
         assert net.node(0).next_hop(3) == 2
         changes = [
-            r for r in bus.route_changes if r.node == 0 and r.dest == 3
+            r for r in trace["route"] if r.node == 0 and r.dest == 3
         ]
         assert changes[-1].time == pytest.approx(10.05)
 

@@ -11,7 +11,7 @@ from repro.sim.rng import RngStreams
 from repro.topology import generators
 from repro.topology.graph import Topology
 
-from ..conftest import build_network, metrics_match_shortest_paths
+from ..conftest import build_network, metrics_match_shortest_paths, recorded
 
 
 def diamond() -> Topology:
@@ -55,7 +55,7 @@ class TestFeasibility:
         sim, net, _ = build_network(topo, "dual")
         for node in net.iter_nodes():
             node.protocol.warm_start(topo)
-        bus = net.bus
+        trace = recorded(net)
         injector = LinkScheduler(sim, net, detection_delay=0.05)
         injector.fail_link(0, 1, at=10.0)
         sim.run(until=10.06)
@@ -63,7 +63,7 @@ class TestFeasibility:
         # for dest 3 happens at the detection instant (no diffusion wait).
         assert net.node(0).next_hop(3) == 2
         switch = [
-            r for r in bus.route_changes if r.node == 0 and r.dest == 3 and r.time >= 10.0
+            r for r in trace["route"] if r.node == 0 and r.dest == 3 and r.time >= 10.0
         ]
         assert switch and switch[-1].time == pytest.approx(10.05)
 
@@ -196,9 +196,9 @@ class TestWarmStart:
         sim, net, _ = build_network(topo, "dual")
         for node in net.iter_nodes():
             node.protocol.warm_start(topo)
-        net.bus.route_changes.clear()
+        recorded(net)["route"].clear()
         sim.run(until=120.0)
-        assert net.bus.route_changes == []
+        assert recorded(net)["route"] == []
 
     def test_warm_equals_cold(self):
         topo = generators.ring(5)

@@ -11,7 +11,7 @@ from repro.routing.rip import RipProtocol
 from repro.sim.rng import RngStreams
 from repro.topology import generators
 
-from ..conftest import build_network, metrics_match_shortest_paths
+from ..conftest import build_network, metrics_match_shortest_paths, recorded
 
 
 class TestLinkUpHandling:
@@ -35,9 +35,9 @@ class TestLinkUpHandling:
         injector = LinkScheduler(sim, net, detection_delay=0.05)
         injector.fail_link(0, 1, at=5.0)
         injector.restore_link(0, 1, at=10.0)
-        before = len([m for m in net.bus.messages if 10.0 <= m.time < 10.2])
+        before = len([m for m in recorded(net)["message"] if 10.0 <= m.time < 10.2])
         sim.run(until=10.2)
-        after = [m for m in net.bus.messages if 10.0 <= m.time < 10.2]
+        after = [m for m in recorded(net)["message"] if 10.0 <= m.time < 10.2]
         # Both endpoints advertise their tables right at re-detection, long
         # before the next periodic cycle.
         assert len(after) >= 2

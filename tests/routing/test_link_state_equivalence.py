@@ -30,6 +30,7 @@ from repro.experiments import ChurnConfig, ExperimentConfig, run_churn_scenario
 from repro.experiments import scenario as scenario_module
 from repro.experiments.persistence import scenario_to_dict
 from repro.net.network import Network
+from repro.obs.flight import FlightRecorder
 from repro.routing import catalog, olsr
 from repro.routing.dual import DualProtocol
 from repro.routing.olsr import OlsrHello, OlsrProtocol, OlsrTc
@@ -38,6 +39,8 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import TraceBus
 from repro.topology.graph import Topology, shortest_path_tree
+
+from ..conftest import recorded, recording_network
 
 INFINITY = math.inf
 SETTINGS = settings(
@@ -151,7 +154,7 @@ def lockstep_pair(topo: Topology, make, warm: tuple[int, ...]):
     nets = []
     for oracle in (False, True):
         sim = Simulator()
-        net = Network(sim, topo, TraceBus(keep_routes=True))
+        net = recording_network(sim, topo)
         rng = RngStreams(3)
         net.attach_protocols(lambda node, oracle=oracle: make(node, rng, oracle))
         for node_id in warm:
@@ -244,7 +247,7 @@ def test_spf_matches_a_rebuilt_view_and_dijkstra_per_trigger(lfa, ops):
         a, b = live.node(0).protocol, oracle.node(0).protocol
         assert a.database == b.database
         assert a._view == oracle_view(a.database, 0)
-        assert live.bus.route_changes == oracle.bus.route_changes
+        assert recorded(live)["route"] == recorded(oracle)["route"]
         assert a.node.fib == b.node.fib and a._metrics == b._metrics
         assert a.backups == b.backups
         assert a.recomputations == b.recomputations
@@ -335,7 +338,7 @@ def test_olsr_matches_per_message_edges_and_mpr_selection(ops):
         for net, queue in zip((live, oracle), pending):
             olsr_step(net, op, queue)
         assert olsr_state(live) == olsr_state(oracle)
-        assert live.bus.route_changes == oracle.bus.route_changes
+        assert recorded(live)["route"] == recorded(oracle)["route"]
 
 
 # -------------------------------------------------------------------- DUAL
@@ -379,7 +382,7 @@ def test_dual_selection_is_the_head_of_the_sorted_candidates(case, below):
 
 
 def run_churn(monkeypatch, protocol: str, model: str, seed: int, oracle: bool):
-    buses, built = [], []
+    recorder, buses, built = FlightRecorder(), [], []
 
     def counted(cls):
         def build(*args, **kwargs):
@@ -388,8 +391,8 @@ def run_churn(monkeypatch, protocol: str, model: str, seed: int, oracle: bool):
 
         return build
 
-    def keeping_bus(**_):
-        buses.append(TraceBus(keep_routes=True, keep_links=False))
+    def seen_bus():
+        buses.append(TraceBus())
         return buses[-1]
 
     config = ExperimentConfig.quick().with_(
@@ -398,16 +401,16 @@ def run_churn(monkeypatch, protocol: str, model: str, seed: int, oracle: bool):
         churn=ChurnConfig(model=model, n_nodes=16, radio_range=400.0),
     )
     with monkeypatch.context() as patch:
-        patch.setattr(scenario_module, "TraceBus", keeping_bus)
+        patch.setattr(scenario_module, "TraceBus", seen_bus)
         if oracle:
             # The catalogue's builders look their class up when they run,
             # so the swap must land there; ``built`` proves that it did.
             for name, cls in ORACLES.items():
                 patch.setattr(catalog, name, counted(cls))
-        result = run_churn_scenario(protocol, seed, config)
+        result = run_churn_scenario(protocol, seed, config, recorder=recorder)
     assert bool(built) == oracle, f"{protocol}: oracle classes built: {len(built)}"
     (bus,) = buses
-    return scenario_to_dict(result), bus.route_changes, bus.counters.as_dict()
+    return scenario_to_dict(result), recorder.streams["route"], bus.counters.as_dict()
 
 
 @pytest.mark.parametrize("model", ["waypoint", "gauss-markov", "manhattan"])

@@ -23,7 +23,7 @@ from repro.experiments import ChurnConfig, ExperimentConfig, run_churn_scenario
 from repro.experiments import scenario as scenario_module
 from repro.experiments.config import MATRIX_PROTOCOLS, MOBILITY_MODELS
 from repro.experiments.persistence import scenario_to_dict
-from repro.sim.tracing import TraceBus
+from repro.obs.flight import FlightRecorder
 
 SEED = 7
 
@@ -104,13 +104,8 @@ def _sha(text: str) -> str:
 
 
 def run_cell(protocol: str, model: str, radio_range: float, patch):
-    """One churn run: its result, its trace bus and its network."""
-    buses, networks = [], []
-
-    def keeping_bus(**_):
-        buses.append(TraceBus(keep_routes=True, keep_messages=True, keep_links=False))
-        return buses[-1]
-
+    """One churn run: its result, its trace recording and its network."""
+    recorder, networks = FlightRecorder(), []
     to_result = scenario_module.ScenarioRun.to_result
 
     def keeping_network(run):
@@ -123,19 +118,18 @@ def run_cell(protocol: str, model: str, radio_range: float, patch):
         churn=ChurnConfig(model=model, n_nodes=16, radio_range=radio_range),
     )
     with patch.context() as p:
-        p.setattr(scenario_module, "TraceBus", keeping_bus)
         p.setattr(scenario_module.ScenarioRun, "to_result", keeping_network)
-        result = run_churn_scenario(protocol, SEED, config)
-    return result, buses[0], networks[0]
+        result = run_churn_scenario(protocol, SEED, config, recorder=recorder)
+    return result, recorder.streams, networks[0]
 
 
 def stream_digests(case: tuple[str, str, float], patch) -> tuple[str, str, str]:
-    result, bus, _ = run_cell(*case, patch)
-    assert bus.messages, f"{case} sent no messages"
+    result, trace, _ = run_cell(*case, patch)
+    assert trace["message"], f"{case} sent no messages"
     return (
         _sha(json.dumps(scenario_to_dict(result), sort_keys=True)),
-        _sha(repr([tuple(r) for r in bus.route_changes])),
-        _sha(repr([tuple(r) for r in bus.messages])),
+        _sha(repr([tuple(r) for r in trace["route"]])),
+        _sha(repr([tuple(r) for r in trace["message"]])),
     )
 
 

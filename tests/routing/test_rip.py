@@ -11,7 +11,7 @@ from repro.routing.rip import RipProtocol
 from repro.sim.rng import RngStreams
 from repro.topology import generators
 
-from ..conftest import build_network, metrics_match_shortest_paths
+from ..conftest import build_network, metrics_match_shortest_paths, recorded
 
 
 class TestColdConvergence:
@@ -173,9 +173,9 @@ class TestRouteSelection:
 
 
 class TestTriggeredUpdateDamping:
-    def test_consecutive_triggered_updates_are_spaced(self, bus):
+    def test_consecutive_triggered_updates_are_spaced(self):
         sim, net, _ = build_network(generators.line(2), "none")
-        bus = net.bus
+        trace = recorded(net)
         proto = RipProtocol(net.node(0), RngStreams(1))
         proto.start()
         proto._periodic.stop()  # isolate triggered updates from periodic ones
@@ -185,7 +185,7 @@ class TestTriggeredUpdateDamping:
         proto.handle_message(DistanceVectorUpdate(routes=((8, 1),)), from_node=1)
         sim.run(until=10.0)
         triggered = [
-            m for m in bus.messages if m.protocol == "rip" and m.sender == 0
+            m for m in trace["message"] if m.protocol == "rip" and m.sender == 0
         ]
         assert len(triggered) >= 2
         gap = triggered[1].time - triggered[0].time

@@ -10,7 +10,7 @@ from repro.sim.rng import RngStreams
 from repro.topology import generators
 from repro.topology.graph import Topology
 
-from ..conftest import build_network, metrics_match_shortest_paths
+from ..conftest import build_network, metrics_match_shortest_paths, recorded
 
 
 def diamond() -> Topology:
@@ -114,6 +114,6 @@ class TestWarmStart:
         sim, net, _ = build_network(topo, "spf")
         for node in net.iter_nodes():
             node.protocol.warm_start(topo)
-        net.bus.route_changes.clear()
+        recorded(net)["route"].clear()
         sim.run(until=60.0)
-        assert net.bus.route_changes == []
+        assert recorded(net)["route"] == []

@@ -23,11 +23,9 @@ def diamond() -> Topology:
 def build_spf(topo, config):
     from repro.net.network import Network
     from repro.sim.engine import Simulator
-    from repro.sim.tracing import TraceBus
 
     sim = Simulator()
-    bus = TraceBus(keep_routes=True)
-    net = Network(sim, topo, bus)
+    net = Network(sim, topo)
     rng = RngStreams(1)
     net.attach_protocols(lambda node: SpfProtocol(node, rng, config))
     for node in net.iter_nodes():

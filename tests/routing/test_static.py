@@ -7,7 +7,7 @@ import pytest
 from repro.net.dynamics import LinkScheduler
 from repro.topology import generators
 
-from ..conftest import build_network, metrics_match_shortest_paths
+from ..conftest import build_network, metrics_match_shortest_paths, recorded
 
 
 class TestStatic:
@@ -32,6 +32,6 @@ class TestStatic:
         sim, net, _ = build_network(topo, "static")
         net.start_protocols()
         sim.run(until=60.0)
-        assert net.bus.messages == []
+        assert recorded(net)["message"] == []
         with pytest.raises(TypeError):
             net.node(0).protocol.handle_message(None, 1)

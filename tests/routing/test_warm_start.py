@@ -15,7 +15,7 @@ from repro.routing.bgp import BgpConfig
 from repro.topology import generators
 from repro.topology.graph import Topology
 
-from ..conftest import build_network, metrics_match_shortest_paths
+from ..conftest import build_network, metrics_match_shortest_paths, recorded
 
 PROTOCOLS = ["rip", "dbf", "bgp", "spf"]
 FAST_BGP = BgpConfig(mrai_base=0.5, mrai_jitter=0.1)
@@ -57,9 +57,9 @@ class TestWarmEqualsConvergedCold:
         sim, net, _ = build_network(topo, protocol, bgp_config=FAST_BGP)
         for node in net.iter_nodes():
             node.protocol.warm_start(topo)
-        net.bus.route_changes.clear()
+        recorded(net)["route"].clear()
         sim.run(until=120.0)
-        assert net.bus.route_changes == []
+        assert recorded(net)["route"] == []
 
     def test_warm_network_delivers_traffic(self, protocol):
         topo = tie_free_topology()
@@ -84,6 +84,6 @@ class TestWarmStartOnMesh:
         sim, net, _ = build_network(topo, protocol, bgp_config=FAST_BGP)
         for node in net.iter_nodes():
             node.protocol.warm_start(topo)
-        net.bus.route_changes.clear()
+        recorded(net)["route"].clear()
         sim.run(until=70.0)
-        assert net.bus.route_changes == []
+        assert recorded(net)["route"] == []

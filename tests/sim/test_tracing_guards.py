@@ -1,9 +1,9 @@
 """Guard-contract tests for the per-kind TraceBus hot path.
 
-The load-bearing regression here: with no subscribers and retention off,
-pushing traffic through a live network must perform *zero* ``publish``
-calls — producers check the ``wants_*`` guard before constructing a record,
-so publishes are a proxy for record allocations.
+The load-bearing regression here: with no subscribers, pushing traffic
+through a live network must perform *zero* ``publish`` calls — producers
+check the ``wants_*`` guard before constructing a record, so publishes are
+a proxy for record allocations.
 """
 
 from __future__ import annotations
@@ -12,13 +12,15 @@ import pytest
 
 from repro.net.network import Network
 from repro.net.packet import Packet
+from repro.obs.flight import FlightRecorder
+from repro.routing.spf import SpfProtocol
 from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
 from repro.sim.tracing import (
     TRACE_KINDS,
     LinkEventRecord,
     MessageRecord,
     PacketRecord,
-    RouteChangeRecord,
     TraceBus,
     TraceCounters,
 )
@@ -28,8 +30,8 @@ from repro.topology import generators
 class CountingBus(TraceBus):
     """TraceBus that counts every publish call (i.e. record construction)."""
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
+    def __init__(self) -> None:
+        super().__init__()
         self.publish_count = 0
 
     def publish(self, record: object) -> None:
@@ -55,16 +57,12 @@ def _push_traffic(bus: TraceBus, n_packets: int = 20) -> Simulator:
 
 class TestZeroAllocationFastPath:
     def test_untraced_run_never_publishes(self):
-        bus = CountingBus(
-            keep_packets=False, keep_routes=False, keep_messages=False
-        )
+        bus = CountingBus()
         _push_traffic(bus)
         assert bus.publish_count == 0
 
     def test_untraced_run_still_counts(self):
-        bus = CountingBus(
-            keep_packets=False, keep_routes=False, keep_messages=False
-        )
+        bus = CountingBus()
         _push_traffic(bus, n_packets=20)
         assert bus.counters.sends == 20
         assert bus.counters.delivers == 20
@@ -73,9 +71,7 @@ class TestZeroAllocationFastPath:
         assert bus.counters.drops == 0
 
     def test_subscriber_turns_the_records_back_on(self):
-        bus = CountingBus(
-            keep_packets=False, keep_routes=False, keep_messages=False
-        )
+        bus = CountingBus()
         seen = []
         bus.subscribe("packet", seen.append)
         _push_traffic(bus, n_packets=5)
@@ -84,11 +80,14 @@ class TestZeroAllocationFastPath:
         assert all(isinstance(r, PacketRecord) for r in seen)
 
     def test_retention_alone_turns_the_records_back_on(self):
-        bus = CountingBus(
-            keep_packets=True, keep_routes=False, keep_messages=False
-        )
+        """A flight recorder, the one record store, is a subscriber like any
+        other: it alone turns records on, and keeps each one published."""
+        bus = CountingBus()
+        recorder = FlightRecorder()
+        recorder.attach(bus)
         _push_traffic(bus, n_packets=5)
-        assert bus.publish_count == len(bus.packets) > 0
+        assert recorder.streams["packet"]
+        assert bus.publish_count == sum(map(len, recorder.streams.values()))
 
     def test_unobserved_link_flap_never_publishes(self):
         """Link records obey the guard too: a fully quiet bus sees zero
@@ -96,10 +95,7 @@ class TestZeroAllocationFastPath:
         count both transitions)."""
         from repro.net.dynamics import LinkScheduler
 
-        bus = CountingBus(
-            keep_packets=False, keep_routes=False, keep_messages=False,
-            keep_links=False,
-        )
+        bus = CountingBus()
         sim = Simulator()
         net = Network(sim, generators.line(4), bus)
         injector = LinkScheduler(sim, net, detection_delay=0.05)
@@ -108,15 +104,11 @@ class TestZeroAllocationFastPath:
         sim.run(until=3.0)
         assert bus.counters.link_events == 2
         assert bus.publish_count == 0
-        assert bus.link_events == []
 
     def test_subscribed_link_flap_publishes_both_transitions(self):
         from repro.net.dynamics import LinkScheduler
 
-        bus = CountingBus(
-            keep_packets=False, keep_routes=False, keep_messages=False,
-            keep_links=False,
-        )
+        bus = CountingBus()
         seen = []
         bus.subscribe("link", seen.append)
         sim = Simulator()
@@ -129,63 +121,50 @@ class TestZeroAllocationFastPath:
         assert bus.publish_count == 2
 
 
+def guards(bus: TraceBus) -> dict[str, bool]:
+    return {kind: getattr(bus, f"wants_{kind}") for kind in TRACE_KINDS}
+
+
 class TestWantsGuards:
-    def test_quiet_bus_wants_nothing_but_link(self):
-        bus = TraceBus(keep_packets=False, keep_routes=False, keep_messages=False)
-        assert not bus.wants_packet
-        assert not bus.wants_route
-        assert not bus.wants_message
-        assert bus.wants_link  # link retention defaults on (narration reads it)
+    def test_a_bus_with_no_subscriber_wants_nothing(self):
+        """The bus keeps nothing, so neither a fresh bus nor a network's
+        default one asks any producer for a record, warm start or not."""
+        assert not any(guards(TraceBus()).values())
+        topo = generators.ring(4)
+        net = Network(Simulator(), topo)
+        assert not any(guards(net.bus).values())
+        net.attach_protocols(lambda node: SpfProtocol(node, RngStreams(1)))
+        for node in net.iter_nodes():
+            node.protocol.warm_start(topo)
+        assert net.bus.counters.route_changes > 0
+        assert not any(guards(net.bus).values())
 
     def test_link_guard_follows_retention_and_subscription(self):
-        bus = TraceBus(
-            keep_packets=False, keep_routes=False, keep_messages=False,
-            keep_links=False,
-        )
+        bus = TraceBus()
         assert not bus.wants_link  # nothing would observe a link record
         handler = lambda record: None  # noqa: E731
         bus.subscribe("link", handler)
         assert bus.wants_link
         bus.unsubscribe("link", handler)
         assert not bus.wants_link
-        bus.keep_links = True
-        assert bus.wants_link
-
-    def test_wants_tracks_retention_flags(self):
-        bus = TraceBus(keep_packets=False, keep_routes=False, keep_messages=False)
-        bus.keep_packets = True
-        assert bus.wants_packet and bus.wants("packet")
-        bus.keep_packets = False
-        assert not bus.wants_packet
+        with FlightRecorder() as recorder:  # retention is a subscriber too
+            recorder.attach(bus)
+            assert bus.wants_link
+        assert not bus.wants_link
 
     @pytest.mark.parametrize("kind", TRACE_KINDS)
     def test_wants_tracks_subscriptions(self, kind):
-        bus = TraceBus(keep_packets=False, keep_routes=False, keep_messages=False)
-        bus.subscribe(kind, lambda record: None)
-        assert bus.wants(kind)
-
-    def test_wants_rejects_unknown_kind(self):
         bus = TraceBus()
-        with pytest.raises(ValueError):
-            bus.wants("quic")
+        bus.subscribe(kind, lambda record: None)
+        assert guards(bus) == {k: k == kind for k in TRACE_KINDS}
 
     def test_subscribe_rejects_unknown_kind(self):
         bus = TraceBus()
         with pytest.raises(ValueError):
             bus.subscribe("quic", lambda record: None)
 
-    def test_subscribe_by_record_type_still_works(self):
-        bus = TraceBus()
-        seen = []
-        bus.subscribe(RouteChangeRecord, seen.append)
-        record = RouteChangeRecord(
-            time=1.0, node=0, dest=3, old_next_hop=None, new_next_hop=1
-        )
-        bus.publish(record)
-        assert seen == [record]
-
     def test_publish_routes_each_kind_to_its_subscribers(self):
-        bus = TraceBus(keep_packets=False, keep_routes=False, keep_messages=False)
+        bus = TraceBus()
         by_kind = {kind: [] for kind in TRACE_KINDS}
         for kind in TRACE_KINDS:
             bus.subscribe(kind, by_kind[kind].append)
@@ -213,15 +192,3 @@ class TestTraceCounters:
             "link_events",
             "messages",
         }
-
-    def test_clear_keeps_counters_and_subscriptions(self):
-        bus = TraceBus(keep_packets=True)
-        seen = []
-        bus.subscribe("packet", seen.append)
-        bus.counters.sends = 3
-        bus.publish(PacketRecord(time=0.0, kind="send", packet_id=1, node=0, flow_id=0, ttl=64))
-        bus.clear()
-        assert bus.packets == []
-        assert bus.counters.sends == 3
-        bus.publish(PacketRecord(time=0.0, kind="send", packet_id=2, node=0, flow_id=0, ttl=64))
-        assert len(seen) == 2
