@@ -20,7 +20,7 @@ from ..experiments.scenario import EventClock, Layout, ScenarioResult, fold_resu
 from ..metrics.convergence import ConvergenceTracker, NetworkConvergenceWatcher
 from ..net.packet import reset_packet_ids
 from ..routing.catalog import protocol_spec
-from ..sim.tracing import DropCause, RouteChangeRecord, TraceBus
+from ..sim.tracing import DropCause, TraceBus
 from ..validation.monitors import (
     FibLoopMonitor,
     MonitorSuite,
@@ -182,15 +182,9 @@ def merge_results(
         result.violations = _offline_violations(outputs, loops, result, config.end_time)
         result.monitor_skips = skips
     if collect_traces:
-        # Workers subscribe after warm start; a recorder sees its installs.
-        installs = [
-            RouteChangeRecord(0.0, node, dest, None, hop, None)
-            for node, fib in fibs.items()
-            for dest, hop in fib.items()
-        ]
         result.traces = canonical_trace_streams(
             packets=[r for o in outputs for r in o.trace_packets],
-            routes=installs + [r for o in outputs for r in o.route_records],
+            routes=[r for o in outputs for r in o.trace_installs + o.route_records],
             links=[r for o in outputs for r in o.trace_links],
             messages=[r for o in outputs for r in o.trace_messages],
         )

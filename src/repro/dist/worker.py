@@ -106,6 +106,8 @@ class ShardOutput:
     end_occupancy_data: int = 0
     #: Data packets parked in owned protocols' discovery buffers.
     pending_data: int = 0
+    #: RouteChangeRecords published during warm start (collect_traces only).
+    trace_installs: list = field(default_factory=list)
     trace_packets: list = field(default_factory=list)
     trace_links: list = field(default_factory=list)
     trace_messages: list = field(default_factory=list)
@@ -205,6 +207,12 @@ class ShardHost:
         )
         for node_id in self.owned:
             factory(self.network.node(node_id))  # base ctor self-attaches
+        out = ShardOutput(shard_index=plan.shard_index)
+        self.output = out
+        if plan.collect_traces:
+            # A recorder sees the installs, with the cause each protocol
+            # gives them (SPF's is its recompute).
+            self.bus.subscribe("route", out.trace_installs.append)
         for node_id in self.owned:
             protocol = self.network.node(node_id).protocol
             assert protocol is not None
@@ -212,10 +220,10 @@ class ShardHost:
                 protocol.warm_start(topo, dests=plan.warm_dests)
             else:
                 protocol.warm_start(topo)
+        if plan.collect_traces:
+            self.bus.unsubscribe("route", out.trace_installs.append)
 
         # --- collectors (after warm start, exactly like run_scenario) ------
-        out = ShardOutput(shard_index=plan.shard_index)
-        self.output = out
         for node_id in self.owned:
             out.initial_fibs[node_id] = dict(self.network.node(node_id).fib)
         self.bus.subscribe("route", out.route_records.append)

@@ -45,17 +45,33 @@ class _Pending:
 class ReliableChannel:
     """One direction of a reliable neighbor session."""
 
+    __slots__ = (
+        "_sim",
+        "_link",
+        "src",
+        "dst",
+        "_deliver",
+        "_busy_until",
+        "_in_flight",
+        "messages_sent",
+        "messages_delivered",
+        "messages_lost",
+        "arrival_gate",
+    )
+
     def __init__(
         self,
         sim: Simulator,
         link: Link,
         src: int,
-        deliver: Callable[[Any], None],
+        deliver: Callable[[int, Any], None],
     ) -> None:
         self._sim = sim
         self._link = link
         self.src = src
         self.dst = link.other_end(src)
+        #: Called as ``deliver(dst, payload)`` for each arrival, so one bound
+        #: method serves every session a protocol opens.
         self._deliver = deliver
         self._busy_until = 0.0
         self._in_flight: list[_Pending] = []
@@ -82,9 +98,7 @@ class ReliableChannel:
         self._busy_until = start + tx
         arrive_at = self._busy_until + self._link.spec.delay
         entry = _Pending(None, payload, start)  # type: ignore[arg-type]
-        entry.handle = self._sim.schedule_at(
-            arrive_at, lambda: self._arrive(entry)
-        )
+        entry.handle = self._sim.schedule_at(arrive_at, self._arrive, entry)
         self._in_flight.append(entry)
         self.messages_sent += 1
         tap = self._link.message_tap
@@ -107,7 +121,7 @@ class ReliableChannel:
         """Finish an arrival whose event already fired (or was cancelled by
         a sequencer replaying the slot in canonical order)."""
         self.messages_delivered += 1
-        self._deliver(payload)
+        self._deliver(self.dst, payload)
 
     def close(self) -> None:
         """The session is over: stop listening to the link's failures, unless

@@ -18,6 +18,7 @@ from __future__ import annotations
 import abc
 import random
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Any, Iterator, Optional
 
 from ..net.channels import ReliableChannel
@@ -40,10 +41,18 @@ class RoutingProtocol(abc.ABC):
     def __init__(self, node: Node, rng_streams: RngStreams) -> None:
         self.node = node
         self.sim: Simulator = node.sim
-        self.rng: random.Random = rng_streams.stream(f"{self.name}.node{node.id}")
+        self._rng_streams = rng_streams
         self.messages_sent = 0
         self.routes_sent = 0
         node.attach_protocol(self)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """This router's jitter stream, created on its first draw: most BGP
+        routers of a large run never draw, and a ``random.Random`` weighs
+        2.5 KiB.  The stream is seeded from its label alone, so when it is
+        created changes no draw."""
+        return self._rng_streams.stream(f"{self.name}.node{self.node.id}")
 
     # --------------------------------------------------------------- lifecycle
 
@@ -170,14 +179,15 @@ class SessionProtocol(RoutingProtocol):
         super().__init__(node, rng_streams)
         self.network = network
         self._channels: dict[int, ReliableChannel] = {}
+        #: The one bound method every session of this router delivers through.
+        self._deliver = self._deliver_to
 
     def _open_session(self, neighbor: int) -> bool:
         """Open the session to ``neighbor``; False if it is already open."""
         if neighbor in self._channels:
             return False
         self._channels[neighbor] = ReliableChannel(
-            self.sim, self.node.link_to(neighbor), self.node.id,
-            deliver=lambda payload, nbr=neighbor: self._deliver_to(nbr, payload),
+            self.sim, self.node.link_to(neighbor), self.node.id, self._deliver
         )
         return True
 

@@ -12,6 +12,7 @@ another protocol's margin and promises, its monitors would silently misfire.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -65,16 +66,18 @@ class ProtocolSpec:
     distance_vector: bool = False
 
 
+# The configs are frozen and named after the row, so each row builds its one
+# config on first use and every router of every run shares it.
+
+
 def _spf(**options) -> Callable[[Node, BuildEnv], RoutingProtocol]:
-    return lambda node, env: SpfProtocol(
-        node, env.rng, SpfConfig(label=env.name, **options)
-    )
+    config = cache(lambda label: SpfConfig(label=label, **options))
+    return lambda node, env: SpfProtocol(node, env.rng, config(env.name))
 
 
 def _bgp(timers: BgpConfig, **options) -> Callable[[Node, BuildEnv], RoutingProtocol]:
-    return lambda node, env: BgpProtocol(
-        node, env.rng, env.network, replace(timers, label=env.name, **options)
-    )
+    config = cache(lambda label: replace(timers, label=label, **options))
+    return lambda node, env: BgpProtocol(node, env.rng, env.network, config(env.name))
 
 
 _STANDARD, _FAST = BgpConfig.standard(), BgpConfig.fast()

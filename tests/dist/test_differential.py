@@ -121,8 +121,8 @@ def test_diff_names_the_manet_report():
 
 
 def test_sharded_traces_include_warm_start_installs():
-    """A recorder attached before warm start sees its installs; the merge
-    adds them from the shipped FIBs, so the streams match a recorder's."""
+    """A recorder attached before warm start sees its installs; the shards
+    ship the ones they published, so the streams match a recorder's."""
     reset_packet_ids()
     recorder = FlightRecorder()
     run_scenario("dbf", 4, 7, GOLDEN_CONFIG, recorder=recorder)
@@ -132,6 +132,17 @@ def test_sharded_traces_include_warm_start_installs():
     )
     for kind, records in recorded.items():
         assert sharded.traces[kind] == records, kind
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_sharded_warm_start_installs_keep_their_cause(seed):
+    """SPF installs its warm-start routes inside its recompute scope, so a
+    recorder sees them caused by ``('spf_recompute', None)``, not by None."""
+    sharded = run_scenario_sharded(
+        "spf", 4, seed, GOLDEN_CONFIG.with_(shards=2), collect_traces=True
+    )
+    problems = diff_runs(_single("spf", seed), sharded, ignore=MODE_FIELDS)
+    assert problems == [], "\n".join(problems)
 
 
 def _scale_free_spec(shards: int) -> ShardScenarioSpec:

@@ -19,19 +19,22 @@ from repro.topology.generators import scale_free
 N_NODES = 10_000
 
 
-def test_10k_node_bgp_scenario_across_4_shards():
-    topo = scale_free(N_NODES, m=2, seed=3)
-    assert topo.n_nodes == N_NODES
+def failure_spec(n_nodes: int, shards: int) -> ShardScenarioSpec:
+    """A bgp3 failure on ``scale_free(n_nodes, m=2, seed=3)``: the flow's
+    path loses its second link, and the warm start covers only the flow's
+    two destinations."""
+    topo = scale_free(n_nodes, m=2, seed=3)
+    assert topo.n_nodes == n_nodes
 
     config = ExperimentConfig.quick().with_(
         runs=1,
         post_fail_window=5.0,
-        shards=4,
+        shards=shards,
         partition="mincut",
     )
     # Deterministic far-apart stub nodes: the two highest-id leaves hang off
     # different parts of the graph (late joiners attach to earlier nodes).
-    sender, receiver = N_NODES - 1, N_NODES - 2
+    sender, receiver = n_nodes - 1, n_nodes - 2
     pre_path = topo.shortest_path(sender, receiver)
     assert pre_path is not None and len(pre_path) >= 3
     failed = (
@@ -41,7 +44,7 @@ def test_10k_node_bgp_scenario_across_4_shards():
     expected_final = topo.shortest_path(sender, receiver, exclude_link=failed)
     driver = SingleLinkFailureDriver(failed, config.fail_time)
 
-    spec = ShardScenarioSpec(
+    return ShardScenarioSpec(
         protocol="bgp3",
         degree=2,
         seed=3,
@@ -54,7 +57,10 @@ def test_10k_node_bgp_scenario_across_4_shards():
         events=tuple(driver.generate(config.end_time)),
         warm_dests=(sender, receiver),
     )
-    result = run_sharded(spec, validate=True)
+
+
+def test_10k_node_bgp_scenario_across_4_shards():
+    result = run_sharded(failure_spec(N_NODES, shards=4), validate=True)
 
     assert result.sent > 0
     assert result.delivered > 0

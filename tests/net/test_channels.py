@@ -14,7 +14,7 @@ def make_channel(sim, delay=0.001, bandwidth=1_000_000):
     spec = LinkSpec(1, 2, delay=delay, bandwidth=bandwidth)
     link = Link(sim, spec, deliver=lambda *a: None, dropper=lambda *a: None)
     got = []
-    channel = ReliableChannel(sim, link, src=1, deliver=lambda p: got.append((sim.now, p)))
+    channel = ReliableChannel(sim, link, src=1, deliver=lambda _dst, p: got.append((sim.now, p)))
     return link, channel, got
 
 

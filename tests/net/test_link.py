@@ -130,6 +130,28 @@ class TestFailure:
             channel.queue
         ) + 1  # the serializing packet was popped for transmission
 
+    def test_full_queue_stays_fifo_and_conserved_across_failures(self, sim):
+        # Two bursts into a 3-packet queue, each cut by a failure: overflow is
+        # counted, survivors arrive in send order, and every packet the queue
+        # took is popped, drained or still queued.
+        h = Harness(sim, queue_capacity=3)
+        queue = h.link._channels[1].queue
+        sent = []
+        for burst_at in (0.0, 0.1):
+            for _ in range(6):  # 1 onto the wire, 3 queued, 2 overflow
+                packet = _pkt()
+                sent.append(packet)
+                sim.schedule_at(burst_at, h.link.transmit, 1, packet)
+            sim.schedule_at(burst_at + 0.006, h.link.fail)
+            sim.schedule_at(burst_at + 0.05, h.link.restore)
+        sim.run()
+        assert queue.dropped == 4
+        delivered = [p for _, _, p, _ in h.delivered]
+        assert delivered == [p for p in sent if p in delivered]
+        popped = len(delivered) + 2  # each failure caught one on the wire
+        assert queue.enqueued == popped + queue.drained + len(queue)
+        assert queue.drained == 4 and len(queue) == 0
+
     def test_fail_and_restore_mid_serialization_kills_the_packet(self, sim):
         # A packet a failure catches on the transmitter dies when its
         # serialization ends, even if the link is back up by then, and the

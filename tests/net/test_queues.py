@@ -96,3 +96,31 @@ class TestDropTailQueue:
                 else:
                     assert got is None
             assert len(q) == len(model) <= 7
+
+    @given(st.lists(st.sampled_from(["push", "pop", "drain"]), max_size=80))
+    def test_property_fifo_drops_and_conservation_across_drains(self, ops):
+        """At capacity a push is refused and counted; order stays FIFO; and
+        ``enqueued == popped + drained + len`` holds after every step, drains
+        (link failures) included."""
+        q = DropTailQueue(capacity=3)
+        model: list[Packet] = []
+        popped = overflow = 0
+        for op in ops:
+            if op == "push":
+                p = _pkt()
+                if len(model) < 3:
+                    assert q.push(p)
+                    model.append(p)
+                else:
+                    assert not q.push(p)
+                    overflow += 1
+            elif op == "pop":
+                got = q.pop()
+                assert got is (model.pop(0) if model else None)
+                popped += got is not None
+            else:
+                assert q.drain() == model
+                model = []
+            assert list(q) == model
+            assert q.dropped == overflow
+            assert q.enqueued == popped + q.drained + len(q)

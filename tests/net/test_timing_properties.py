@@ -97,7 +97,7 @@ class TestReliableChannelProperties:
             dropper=lambda *a: None,
         )
         got = []
-        channel = ReliableChannel(sim, link, src=1, deliver=got.append)
+        channel = ReliableChannel(sim, link, src=1, deliver=lambda _dst, p: got.append(p))
         for i, size in enumerate(sizes):
             assert channel.send(i, size)
         sim.run()
@@ -119,7 +119,7 @@ class TestReliableChannelProperties:
             dropper=lambda *a: None,
         )
         got = []
-        channel = ReliableChannel(sim, link, src=1, deliver=got.append)
+        channel = ReliableChannel(sim, link, src=1, deliver=lambda _dst, p: got.append(p))
         for i in range(n_before):
             channel.send(i, 100)
         sim.run()  # drain

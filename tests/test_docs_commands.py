@@ -71,11 +71,28 @@ def argv_of(arguments: str) -> list[str]:
     return argv
 
 
-CASES = [
-    pytest.param(arguments, id=f"{os.path.relpath(path, ROOT)}:{number}")
-    for path in DOCS
-    for number, arguments in fenced_commands(path)
-]
+#: Width of a command's param id before any ``#n`` suffix: the whole test
+#: name then fits in 100 characters, so a one-line test report shows it.
+ID_WIDTH = 40
+
+
+def _cases() -> list:
+    """One param per documented command, keyed by file and command words
+    joined by ``_`` (not by line number, so editing the prose around a
+    command keeps its id), cut to ``ID_WIDTH``; a repeated key gets a
+    ``#2``, ``#3``, ... suffix."""
+    cases, seen = [], {}
+    for path in DOCS:
+        for _, arguments in fenced_commands(path):
+            words = "_".join(argv_of(arguments))
+            key = f"{os.path.relpath(path, ROOT)}:{words}"[:ID_WIDTH]
+            seen[key] = seen.get(key, 0) + 1
+            suffix = f"#{seen[key]}" if seen[key] > 1 else ""
+            cases.append(pytest.param(arguments, id=key + suffix))
+    return cases
+
+
+CASES = _cases()
 
 
 def test_the_docs_show_commands():
