@@ -1,7 +1,7 @@
 """Merge per-shard outputs into one ``ScenarioResult``.
 
-The merge owns only what sharding adds: counters are sums (every record is
-observed by exactly one shard), and the per-shard route streams are
+The merge owns only what sharding adds: tallies are sums (every drop and
+message is counted by exactly one shard), and the per-shard route streams are
 interleaved into one (see :func:`merge_route_records` for the tie-break,
 the only genuinely order-sensitive step).  The merged stream is published
 on a fresh bus to a convergence tracker, a watcher and, when validating,
@@ -18,9 +18,10 @@ from typing import Optional
 
 from ..experiments.scenario import EventClock, Layout, ScenarioResult, fold_result
 from ..metrics.convergence import ConvergenceTracker, NetworkConvergenceWatcher
+from ..metrics.counters import Tally
 from ..net.packet import reset_packet_ids
 from ..routing.catalog import protocol_spec
-from ..sim.tracing import DropCause, TraceBus
+from ..sim.tracing import TraceBus
 from ..validation.monitors import (
     FibLoopMonitor,
     MonitorSuite,
@@ -111,9 +112,9 @@ def _offline_violations(
 ) -> tuple[str, ...]:
     """Packet conservation from the shipped state, then the replayed loops."""
     violations: list[Violation] = []
-    # Same arithmetic as the live monitor, from global sums (drops_total is
-    # whole-run, data-only, owned nodes only).
-    dropped = sum(sum(o.drops_total.values()) for o in outputs)
+    # Same arithmetic as the live monitor, from global sums (no data packet
+    # is dropped before warm start ends).
+    dropped = sum(o.run.drops for o in outputs)
     outstanding = result.sent - result.delivered - dropped
     in_network = sum(o.end_occupancy_data for o in outputs)
     buffered = sum(o.pending_data for o in outputs)
@@ -168,14 +169,8 @@ def merge_results(
         watcher=watcher,
         sent=sum(o.sent for o in outputs),
         deliveries=outputs[partition.shard_of(spec.receiver)].deliveries,
-        drops={
-            cause: sum(o.drops_window.get(cause, 0) for o in outputs)
-            for cause in DropCause
-        },
-        messages=sum(o.messages for o in outputs),
-        withdrawals=sum(o.withdrawals for o in outputs),
-        control_messages=sum(o.overhead_messages for o in outputs),
-        control_bytes=sum(o.overhead_bytes for o in outputs),
+        window=sum((o.window for o in outputs), Tally()),
+        run=sum((o.run for o in outputs), Tally()),
         record_paths=config.record_paths,
     )
     if validate:

@@ -60,18 +60,6 @@ class ShardHeartbeat(NamedTuple):
     busy_s: float
     wall_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "shard": self.shard,
-            "barrier": self.barrier,
-            "clock": self.clock,
-            "events": self.events,
-            "relays_out": self.relays_out,
-            "relays_in": self.relays_in,
-            "busy_s": self.busy_s,
-            "wall_s": self.wall_s,
-        }
-
 
 @dataclass(frozen=True)
 class Relay:

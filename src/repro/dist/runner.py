@@ -455,17 +455,7 @@ def run_sharded(
         )
         emit_index += 1
         for shard in sorted(last_beats):
-            beat = last_beats[shard]
-            log.heartbeat(
-                shard=beat.shard,
-                clock=beat.clock,
-                events=beat.events,
-                barrier=beat.barrier,
-                relays_out=beat.relays_out,
-                relays_in=beat.relays_in,
-                busy_s=beat.busy_s,
-                wall_s=beat.wall_s,
-            )
+            log.heartbeat(**last_beats[shard]._asdict())
         pending_windows = 0
         pending_relays = 0
         emit_from = now
@@ -543,7 +533,7 @@ def run_sharded(
                 shard=stall.shard_index,
                 window=stall.window_time,
                 reason=stall.reason,
-                heartbeat=beat.to_dict() if beat is not None else None,
+                heartbeat=beat._asdict() if beat is not None else None,
             )
             log.end(ok=False, error=str(stall))
         raise

@@ -14,6 +14,7 @@ what makes the sharded run byte-identical (see docs/distributed.md).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import pickle
 import time as _wallclock
@@ -21,14 +22,14 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..experiments.config import ExperimentConfig
-from ..metrics.counters import DropCounter, MessageCounter
+from ..metrics.counters import Tally, tally
 from ..net.channels import ReliableChannel
 from ..net.dynamics import LinkEvent, LinkScheduler, ScriptedDriver
 from ..net.network import Network
 from ..routing.catalog import build_factory
 from ..sim.engine import EventHandle, Simulator
 from ..sim.rng import RngStreams
-from ..sim.tracing import DropCause, TraceBus
+from ..sim.tracing import TraceBus
 from ..sim.units import BITS_PER_BYTE
 from ..topology.graph import Topology
 from ..traffic.cbr import CbrSource
@@ -89,14 +90,10 @@ class ShardOutput:
     shard_index: int
     sent: int = 0
     deliveries: list = field(default_factory=list)
-    #: Post-failure-window drops by cause (mirrors DropCounter.by_cause).
-    drops_window: dict[DropCause, int] = field(default_factory=dict)
-    #: Whole-run per-cause drops over owned nodes (conservation check).
-    drops_total: dict[DropCause, int] = field(default_factory=dict)
-    messages: int = 0
-    withdrawals: int = 0
-    overhead_messages: int = 0
-    overhead_bytes: int = 0
+    #: Drops and messages from the window start on (``fold_result``'s window).
+    window: Tally = Tally()
+    #: Drops and messages from warm start on (``fold_result``'s run).
+    run: Tally = Tally()
     #: RouteChangeRecords in publish order (the shard-local total order).
     route_records: list = field(default_factory=list)
     #: Owned node -> full FIB copy, post warm start (convergence-tracker
@@ -227,9 +224,9 @@ class ShardHost:
         for node_id in self.owned:
             out.initial_fibs[node_id] = dict(self.network.node(node_id).fib)
         self.bus.subscribe("route", out.route_records.append)
-        self.drop_counter = DropCounter(self.bus, window_start=plan.window_start)
-        self.message_counter = MessageCounter(self.bus, window_start=plan.window_start)
-        self.overhead_counter = MessageCounter(self.bus)
+        self._warm = tally(self.network)
+        #: The tally just before ``plan.window_start``, once a window reaches it.
+        self._window_open: Optional[Tally] = None
         if plan.collect_traces:
             self.bus.subscribe("packet", out.trace_packets.append)
             self.bus.subscribe("link", out.trace_links.append)
@@ -287,10 +284,15 @@ class ShardHost:
         ``barrier``; drain relays + heartbeat + the next pending event time.
 
         Injecting before the run schedules the relays at the previous
-        barrier's clock, as an injection between windows would.
+        barrier's clock, as an injection between windows would.  The window
+        that reaches ``plan.window_start`` stops just short of it once to
+        tally what came before, as a single-process run does.
         """
         self._inject(inbound)
         t0 = _wallclock.perf_counter()
+        if self._window_open is None and barrier >= self.plan.window_start:
+            self.sim.run(until=math.nextafter(self.plan.window_start, -math.inf))
+            self._window_open = tally(self.network)
         self.sim.run(until=barrier)
         self._busy_s += _wallclock.perf_counter() - t0
         out = list(self.outbox)
@@ -431,23 +433,14 @@ class ShardHost:
         """Inject the last window's relays, then ship what the shard measured."""
         self._inject(inbound)
         out = self.output
-        self.drop_counter.close()
-        self.message_counter.close()
-        self.overhead_counter.close()
         if self.source is not None:
             out.sent = self.source.sent
         if self.sink is not None:
             out.deliveries = list(self.sink.stats.deliveries)
-        out.drops_window = dict(self.drop_counter.by_cause)
-        out.messages = self.message_counter.messages
-        out.withdrawals = self.message_counter.withdrawals
-        out.overhead_messages = self.overhead_counter.messages
-        out.overhead_bytes = self.overhead_counter.bytes_sent
-        totals: dict[DropCause, int] = {cause: 0 for cause in DropCause}
-        for node_id in self.owned:
-            for cause, count in self.network.node(node_id).drops.items():
-                totals[cause] += count
-        out.drops_total = totals
+        end = tally(self.network)
+        # No window reached the start: the whole run came before it.
+        out.window = Tally() if self._window_open is None else end - self._window_open
+        out.run = end - self._warm
         out.end_occupancy_data = sum(
             link.occupancy(data_only=True) for link in self.network.iter_links()
         )

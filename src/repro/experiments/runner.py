@@ -121,10 +121,6 @@ class PointResult:
         return mean([float(r.messages) for r in self.runs])
 
     @property
-    def convergence_success_rate(self) -> float:
-        return mean([1.0 if r.converged_to_expected else 0.0 for r in self.runs])
-
-    @property
     def violations(self) -> list[str]:
         """Invariant-monitor findings across all runs (validated runs only;
         see ``ExperimentConfig.validate``), each prefixed with its seed."""

@@ -16,6 +16,7 @@ reconvergence wave attributed from the network-wide route-change stream.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
@@ -27,7 +28,7 @@ from ..metrics.convergence import (
     NetworkConvergenceWatcher,
     attribute_waves,
 )
-from ..metrics.counters import DropCounter, MessageCounter
+from ..metrics.counters import Tally, tally
 from ..metrics.loops import LoopReport, analyze_deliveries
 from ..metrics.manet import ManetReport, analyze_manet
 from ..metrics.reordering import ReorderingReport, analyze_reordering
@@ -46,7 +47,7 @@ from ..records import ArtifactError
 from ..routing.catalog import build_factory, protocol_spec
 from ..sim.engine import Simulator
 from ..sim.rng import RngStreams
-from ..sim.tracing import DropCause, TraceBus
+from ..sim.tracing import TraceBus
 from ..topology.generators import attach_host
 from ..topology.graph import Topology
 from ..topology.mesh import regular_mesh
@@ -283,11 +284,8 @@ def fold_result(
     watcher: NetworkConvergenceWatcher,
     sent: int,
     deliveries: list,
-    drops: Mapping[DropCause, int],
-    messages: int,
-    withdrawals: int,
-    control_messages: int,
-    control_bytes: int,
+    window: Tally,
+    run: Tally,
     record_paths: bool,
 ) -> ScenarioResult:
     """Fold one run's measurements into a :class:`ScenarioResult`.
@@ -295,9 +293,9 @@ def fold_result(
     The one assembly both run modes share: a single-process run passes its
     live instruments, a sharded run the merged per-shard totals and a
     tracker and watcher fed the merged route stream.  ``deliveries`` are
-    the measured flow's; drops, ``messages`` and ``withdrawals`` are
-    network-wide over the post-failure window, ``control_*`` over the whole
-    run (the MANET triple's routing load).
+    the measured flow's; ``window`` counts network-wide drops and messages
+    from the first event on, ``run`` from warm start on (the MANET triple's
+    routing load).
     """
     first_at, first_detect = clock.first_at, clock.first_detect
     waves = attribute_waves(clock.detect_times, watcher.change_times, end_at)
@@ -315,10 +313,10 @@ def fold_result(
         ),
         sent=sent,
         delivered=len(deliveries),
-        drops_no_route=drops[DropCause.NO_ROUTE],
-        drops_ttl=drops[DropCause.TTL_EXPIRED],
-        drops_link_down=drops[DropCause.LINK_DOWN],
-        drops_queue=drops[DropCause.QUEUE_OVERFLOW],
+        drops_no_route=window.drops_no_route,
+        drops_ttl=window.drops_ttl,
+        drops_link_down=window.drops_link_down,
+        drops_queue=window.drops_queue,
         routing_convergence=watcher.convergence_time(first_detect),
         destination_convergence=tracker.routing_convergence_time(first_detect),
         forwarding_convergence=tracker.forwarding_convergence_delay(first_detect),
@@ -328,8 +326,8 @@ def fold_result(
         transient_path_count=len(tracker.transient_paths(first_at)),
         throughput=throughput_series(deliveries, traffic_start, end_at, origin=first_at),
         delay=delay_series(deliveries, traffic_start, end_at, origin=first_at),
-        messages=messages,
-        withdrawals=withdrawals,
+        messages=window.messages,
+        withdrawals=window.withdrawals,
         # Forwarding hops on the original path.
         loop_report=(
             analyze_deliveries(deliveries, shortest_hops=len(layout.pre_path) - 2)
@@ -338,7 +336,7 @@ def fold_result(
         ),
         reordering=analyze_reordering(deliveries),
         manet=analyze_manet(
-            sent, deliveries, control_messages, control_bytes=control_bytes
+            sent, deliveries, run.messages, control_bytes=run.message_bytes
         ),
     )
 
@@ -347,16 +345,17 @@ class ScenarioRun:
     """One built, instrumented and armed run — the only place outside the
     shard workers where a live network is constructed.
 
-    Construction fixes the order every runner shares: simulator, bus (obs
-    and recorder attached first, so they see warm-start installs), network,
-    protocols, warm or cold start, then tracker, watcher and the three
-    counters, one CBR source and sink per flow, the driver's link events,
-    and finally the monitors.  :meth:`execute` runs the phase-split
-    timeline; :meth:`to_result` folds the instruments into a
-    :class:`ScenarioResult` through :func:`fold_result`, the fold the
-    sharded merge shares.  Runners with a bespoke result type project it
-    from the instruments exposed here (``tracker``, ``sinks``, ``sources``,
-    ``scheduled``) and from that result.
+    Construction fixes the order every runner shares: simulator, bus (the
+    recorder attached first, so it sees warm-start installs), network,
+    protocols, warm or cold start, then tracker, watcher and the warm-start
+    :func:`~repro.metrics.counters.tally`, one CBR source and sink per
+    flow, the driver's link events, and finally the monitors.
+    :meth:`execute` runs the phase-split timeline; :meth:`to_result` folds
+    the instruments into a :class:`ScenarioResult` through
+    :func:`fold_result`, the fold the sharded merge shares.  Runners with a
+    bespoke result type project it from the instruments exposed here
+    (``tracker``, ``sinks``, ``sources``, ``scheduled``) and from that
+    result.
 
     ``layout`` defaults to :func:`mesh_layout` on the seed's ``"scenario"``
     stream.  ``flows`` is a sequence of ``(src, dst)`` host pairs, default
@@ -414,8 +413,6 @@ class ScenarioRun:
 
             self.sim = sim = Simulator()
             self.bus = bus = TraceBus()
-            if obs is not None:
-                obs.attach(bus)
             if recorder is not None:
                 recorder.attach(bus)
             self.network = network = Network(
@@ -468,11 +465,9 @@ class ScenarioRun:
             {node.id: node.next_hop(receiver) for node in network.iter_nodes()}, sim.now
         )
         self.watcher = NetworkConvergenceWatcher(bus)
-        self.drop_counter = DropCounter(bus, window_start=self.clock.first_at)
-        self.message_counter = MessageCounter(bus, window_start=self.clock.first_at)
-        # Whole-run overhead for the MANET triple: NRL counts every control
-        # packet the protocol ever sent, not just the post-failure window.
-        self.overhead_counter = MessageCounter(bus)
+        # The MANET triple's routing load counts every message after warm
+        # start, not just the post-failure window's.
+        self._warm = tally(network)
 
         self.sinks: list[PacketSink] = []
         self.sources: list[CbrSource] = []
@@ -537,12 +532,18 @@ class ScenarioRun:
         repeated ``run(until=...)`` calls form one contiguous timeline, so
         the event order is identical to a single ``run(until=end_at)`` (the
         golden on/off test pins this).  ``phases`` names the three stretches
-        for the profiler and the live log.
+        for the profiler and the live log.  The first stretch also stops
+        just short of the first event to tally what came before the window,
+        so drops and messages stamped at the event itself count inside it.
         """
-        clock = self.clock
-        for phase, until in zip(phases, (clock.first_at, clock.first_detect, self.end_at)):
-            with self.profiler.span(phase, sim=self.sim):
-                self.sim.run(until=min(until, self.end_at))
+        clock, sim = self.clock, self.sim
+        stops = (clock.first_at, clock.first_detect, self.end_at)
+        for index, (phase, until) in enumerate(zip(phases, stops)):
+            with self.profiler.span(phase, sim=sim):
+                if index == 0:
+                    sim.run(until=min(math.nextafter(until, -math.inf), self.end_at))
+                    self._window_open = tally(self.network)
+                sim.run(until=min(until, self.end_at))
             self._beat(phase)
         return self
 
@@ -552,9 +553,10 @@ class ScenarioRun:
         Packet accounting and the delivery-derived series follow the first
         flow (see :func:`fold_result`).  Finalizes the monitors, writes the
         post-mortem ticket if one is armed and a monitor fired, and closes
-        counters, recorder, observation and live log.
+        recorder, observation and live log.
         """
         with self.profiler.span("drain", sim=self.sim):
+            end = tally(self.network)
             result = fold_result(
                 self.protocol, self.degree, self.seed, self.layout, self.scheduled,
                 self.clock,
@@ -564,11 +566,8 @@ class ScenarioRun:
                 watcher=self.watcher,
                 sent=self.sources[0].sent if self.sources else 0,
                 deliveries=self.sinks[0].stats.deliveries if self.sinks else [],
-                drops=self.drop_counter.by_cause,
-                messages=self.message_counter.messages,
-                withdrawals=self.message_counter.withdrawals,
-                control_messages=self.overhead_counter.messages,
-                control_bytes=self.overhead_counter.bytes_sent,
+                window=end - self._window_open,
+                run=end - self._warm,
                 record_paths=self.config.record_paths,
             )
             if self.monitors is not None:
@@ -578,9 +577,6 @@ class ScenarioRun:
                 result.dump_path = self._dump(result)
         if self.recorder is not None:
             self.recorder.close()
-        self.drop_counter.close()
-        self.message_counter.close()
-        self.overhead_counter.close()
         if self.obs is not None:
             self.obs.finalize(sim=self.sim, network=self.network, bus=self.bus)
         if self.log is not None:

@@ -206,11 +206,6 @@ class SweepStore:
         """Tasks with a durable outcome (run or recorded failure)."""
         return set(self.load_outcomes())
 
-    def missing_tasks(self) -> list[Task]:
-        """Grid tasks with no durable outcome yet, in grid order."""
-        done = self.completed_tasks()
-        return [task for task in self.grid() if task not in done]
-
     def close(self) -> None:
         """Flush and fsync the shard file (safe to call repeatedly)."""
         if self._shards is not None:

@@ -1,7 +1,8 @@
-"""Measurement layer: drop counters, time series, convergence, loop analysis."""
+"""Measurement layer: drop and message tallies, time series, convergence,
+loop analysis."""
 
 from .convergence import ConvergenceTracker, PathSnapshot, walk_forwarding_path
-from .counters import DropCounter, MessageCounter
+from .counters import Tally, tally
 from .loops import LoopReport, analyze_deliveries, first_loop, path_has_loop
 from .manet import DelayStats, ManetReport, analyze_manet, delay_stats
 from .narrate import TimelineEvent, build_timeline, format_timeline
@@ -15,8 +16,8 @@ from .timeseries import (
 )
 
 __all__ = [
-    "DropCounter",
-    "MessageCounter",
+    "Tally",
+    "tally",
     "BinnedSeries",
     "throughput_series",
     "delay_series",

@@ -1,108 +1,54 @@
-"""Drop and message counters driven by the trace bus.
+"""Drop and message counts read off the counters a run always keeps.
 
-Both collectors subscribe on construction and hold a back-reference to the
-bus so they can ``close()`` — i.e. unsubscribe — when their run is over.
-Long campaign processes attach fresh collectors per scenario; without the
-unsubscribe, every dead collector would stay on the bus's handler list,
-keeping the ``wants_*`` guards stuck on (per-packet record allocations
-forever) and growing the dispatch fan-out run after run.  Both collectors
-are context managers; keep using the counts after ``close()`` — only the
-subscription is released.
+Every node counts its data-packet drops by cause and every bus counts the
+routing messages sent on it, whether or not anything subscribed.  A
+:func:`tally` is one snapshot of those counters; the counts of a stretch of
+simulated time are the difference of the snapshots at its ends, and a
+sharded run's counts are the sum of its shards' differences.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple
 
-from ..sim.tracing import DropCause, MessageRecord, PacketRecord, TraceBus
+from ..net.network import Network
+from ..sim.tracing import DropCause
 
-__all__ = ["DropCounter", "MessageCounter"]
+__all__ = ["Tally", "tally"]
 
 
-class DropCounter:
-    """Counts data-packet drops by cause, with optional time windowing.
+class Tally(NamedTuple):
+    """Data-packet drops by cause plus routing messages, withdrawals and
+    bytes sent.  ``-`` and ``+`` act field by field."""
 
-    The paper reports drops during the convergence period; passing
-    ``window_start`` (failure time) restricts counting to drops at or after
-    that instant — pre-failure steady state contributes nothing anyway, which
-    tests assert.
-    """
-
-    def __init__(self, bus: TraceBus, window_start: Optional[float] = None) -> None:
-        self.window_start = window_start
-        self.by_cause: dict[DropCause, int] = {cause: 0 for cause in DropCause}
-        self._bus: Optional[TraceBus] = bus
-        bus.subscribe("packet", self._on_packet)
-
-    def _on_packet(self, record: PacketRecord) -> None:
-        if record.kind != "drop" or record.cause is None:
-            return
-        if self.window_start is not None and record.time < self.window_start:
-            return
-        self.by_cause[record.cause] += 1
-
-    def close(self) -> None:
-        """Unsubscribe from the bus (idempotent); counts remain readable."""
-        if self._bus is not None:
-            self._bus.unsubscribe("packet", self._on_packet)
-            self._bus = None
-
-    def __enter__(self) -> "DropCounter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    drops_no_route: int = 0
+    drops_ttl: int = 0
+    drops_link_down: int = 0
+    drops_queue: int = 0
+    messages: int = 0
+    withdrawals: int = 0
+    message_bytes: int = 0
 
     @property
-    def no_route(self) -> int:
-        return self.by_cause[DropCause.NO_ROUTE]
+    def drops(self) -> int:
+        return self.drops_no_route + self.drops_ttl + self.drops_link_down + self.drops_queue
 
-    @property
-    def ttl_expired(self) -> int:
-        return self.by_cause[DropCause.TTL_EXPIRED]
+    def __sub__(self, other: "Tally") -> "Tally":
+        return Tally(*(a - b for a, b in zip(self, other)))
 
-    @property
-    def link_down(self) -> int:
-        return self.by_cause[DropCause.LINK_DOWN]
-
-    @property
-    def queue_overflow(self) -> int:
-        return self.by_cause[DropCause.QUEUE_OVERFLOW]
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_cause.values())
+    def __add__(self, other: "Tally") -> "Tally":
+        return Tally(*(a + b for a, b in zip(self, other)))
 
 
-class MessageCounter:
-    """Routing overhead: messages, route entries, and bytes sent."""
-
-    def __init__(self, bus: TraceBus, window_start: Optional[float] = None) -> None:
-        self.window_start = window_start
-        self.messages = 0
-        self.routes = 0
-        self.withdrawals = 0
-        self.bytes_sent = 0
-        self._bus: Optional[TraceBus] = bus
-        bus.subscribe("message", self._on_message)
-
-    def _on_message(self, record: MessageRecord) -> None:
-        if self.window_start is not None and record.time < self.window_start:
-            return
-        self.messages += 1
-        self.routes += record.n_routes
-        self.bytes_sent += record.size_bytes
-        if record.is_withdrawal:
-            self.withdrawals += 1
-
-    def close(self) -> None:
-        """Unsubscribe from the bus (idempotent); counts remain readable."""
-        if self._bus is not None:
-            self._bus.unsubscribe("message", self._on_message)
-            self._bus = None
-
-    def __enter__(self) -> "MessageCounter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+def tally(network: Network) -> Tally:
+    """The drop and message counts ``network`` has seen so far."""
+    counters = network.bus.counters
+    return Tally(
+        network.total_drops(DropCause.NO_ROUTE),
+        network.total_drops(DropCause.TTL_EXPIRED),
+        network.total_drops(DropCause.LINK_DOWN),
+        network.total_drops(DropCause.QUEUE_OVERFLOW),
+        counters.messages,
+        counters.withdrawals,
+        counters.message_bytes,
+    )

@@ -15,9 +15,10 @@ from the wired paper's convergence-centric loss accounting:
 
 This module computes the triple from the primitives the harness already
 emits — sent/delivered counts, :class:`~repro.traffic.flows.Delivery`
-records, and :class:`~repro.metrics.counters.MessageCounter` totals — so
-wired and MANET protocols are measured by the same instruments and the
-numbers are directly comparable across the family.
+records, and the message counts of a
+:func:`~repro.metrics.counters.tally` — so wired and MANET protocols are
+measured by the same instruments and the numbers are directly comparable
+across the family.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ def analyze_manet(
 ) -> ManetReport:
     """Build the MANET triple from harness primitives.
 
-    ``control_packets`` should come from a whole-run
-    :class:`~repro.metrics.counters.MessageCounter` (``window_start=None``):
+    ``control_packets`` should count every message sent after warm start
+    (the difference of two :func:`~repro.metrics.counters.tally` snapshots):
     NRL is a whole-protocol cost, unlike the paper's post-failure overhead
     window.
     """

@@ -211,19 +211,6 @@ class LinkScheduler:
         """
         return self.add(LinkEvent("restore", a, b, at, detection_delay))
 
-    def fail_node(self, node: int, at: float) -> list[LinkEvent]:
-        """Schedule every link attached to ``node`` to fail at ``at``.
-
-        Models a whole-router crash (the other failure mode of the paper's
-        related work [28]); neighbors detect each adjacent link failure
-        after the usual detection delay.  The neighbor set is validated
-        up front, so a degree-zero node schedules nothing before raising.
-        """
-        neighbors = list(self._network.node(node).neighbors())
-        if not neighbors:
-            raise ValueError(f"node {node} has no links to fail")
-        return [self.fail_link(node, nbr, at) for nbr in neighbors]
-
     # --------------------------------------------------------- initial state
 
     def take_down_initially(self, links: Iterable[tuple[int, int]]) -> None:

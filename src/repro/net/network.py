@@ -100,14 +100,14 @@ class Network:
     # --------------------------------------------------------------- counters
 
     def total_drops(self, cause: DropCause) -> int:
-        """Sum of data-packet drops of ``cause`` across all nodes and links."""
-        return sum(node.drops[cause] for node in self.nodes.values())
+        """Sum of data-packet drops of ``cause`` across all nodes and links.
+
+        A list, not a generator: every run tallies drops three times, and a
+        generator is resumed once per node."""
+        return sum([node.drops[cause] for node in self.nodes.values()])
 
     def total_delivered(self) -> int:
         return sum(node.delivered for node in self.nodes.values())
-
-    def total_originated(self) -> int:
-        return sum(node.originated for node in self.nodes.values())
 
     # -------------------------------------------------------------- callbacks
 

@@ -6,7 +6,8 @@ Forwarding follows the paper's §4 description exactly: as long as a packet's
 TTL is positive and the router knows *some* next hop, the packet is forwarded
 and the TTL decremented — regardless of whether routing has converged.
 
-Drop accounting:
+Drop accounting (``Node.drops``, per cause, data packets only; a run's
+drop counts are :func:`~repro.metrics.counters.tally` snapshots of it):
 
 * ``NO_ROUTE``     — FIB miss (the router is inside its path switch-over period)
 * ``TTL_EXPIRED``  — TTL hit zero (transient forwarding loop)
@@ -14,11 +15,11 @@ Drop accounting:
 
 Hot-path notes: every deliver/forward/drop bumps the bus's always-on integer
 counters, but full :class:`~repro.sim.tracing.PacketRecord` objects are only
-constructed when the bus's ``wants_packet`` guard says someone is listening.
-When they are, records are built with ``tuple.__new__`` (they are
-NamedTuples), skipping the generated ``__new__``'s extra Python call — at a
-flight-recorder-grade record rate that call is the single largest
-instrumentation cost.  Transmission goes through a precomputed per-neighbor
+constructed when the bus's ``wants_packet`` guard says someone is listening
+(a flight recorder or a monitor; nothing in a plain run).  When they are,
+records are built with ``tuple.__new__`` (they are NamedTuples), skipping
+the generated ``__new__``'s extra Python call — at a flight-recorder-grade
+record rate that call is the single largest instrumentation cost.  Transmission goes through a precomputed per-neighbor
 dispatch table (``neighbor id -> channel.send``) so the FIB lookup resolves
 straight to the outgoing channel without re-walking Link internals per packet.
 """
@@ -60,7 +61,6 @@ class Node:
         "protocol",
         "apps",
         "delivered",
-        "originated",
         "forwarded",
         "drops",
         "route_cause",
@@ -89,7 +89,6 @@ class Node:
         self.apps: list[PacketApp] = []
         # Counters (data packets only).
         self.delivered = 0
-        self.originated = 0
         self.forwarded = 0
         self.drops: dict[DropCause, int] = {cause: 0 for cause in DropCause}
         #: Control-plane scope marker: while a protocol event is being
@@ -166,7 +165,6 @@ class Node:
         if packet.kind != "data":
             raise ValueError("originate() is for data packets")
         packet.send_time = self.sim.now
-        self.originated += 1
         if self.record_paths:
             packet.hops.append(self.id)
         bus = self.bus

@@ -9,7 +9,7 @@ Three pieces, designed to cost nothing when idle:
 
 * :class:`MetricsRegistry` — typed counters/gauges/histograms harvested from
   the always-on integer counters (``TraceCounters``, ``EventStats``, queue
-  high-water marks) plus bus-driven per-protocol traffic collectors;
+  high-water marks, the protocols' route counts);
 * :class:`PhaseProfiler` — hierarchical wall-clock spans (setup / warmup /
   steady / failure / convergence / drain) with optional tracemalloc peaks;
 * :class:`SweepTelemetry` — per-seed runtime, worker utilisation, and
@@ -34,7 +34,7 @@ run's ``profile``) written while a run executes; ``python -m repro watch`` tails
 See ``docs/live.md``.
 """
 
-from .collect import ProtocolTraffic, RunObservation
+from .collect import RunObservation
 from .live import (
     LOG_SCHEMA_VERSION,
     LiveSummary,
@@ -92,7 +92,6 @@ __all__ = [
     "PhaseProfiler",
     "Span",
     "NULL_PROFILER",
-    "ProtocolTraffic",
     "RunObservation",
     "SeedTiming",
     "SweepTelemetry",

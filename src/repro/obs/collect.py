@@ -2,84 +2,31 @@
 
 :class:`RunObservation` is the bundle a caller hands to
 :func:`repro.experiments.scenario.run_scenario` (and the ``repro profile``
-CLI builds): a :class:`~repro.obs.registry.MetricsRegistry`, a
-:class:`~repro.obs.profiler.PhaseProfiler`, and the trace-bus collectors
-that feed the registry during the run.  An unobserved run passes
-``obs=None`` and builds none of them.
+CLI builds): a :class:`~repro.obs.registry.MetricsRegistry` and a
+:class:`~repro.obs.profiler.PhaseProfiler`.  An unobserved run passes
+``obs=None`` and builds neither.
 
-Cost contract: ``attach`` subscribes to control-plane ``message`` records
-only, so the bus's packet guard (``wants_packet``) stays off and the packet
-hot path still allocates no records — the overhead-guard test in
-``tests/obs`` pins this with a publish-counting bus, mirroring
-``tests/sim/test_tracing_guards.py``.
-
-Everything cheap-and-always-on (engine :class:`EventStats`, the bus's
-:class:`TraceCounters`, queue/channel integers) is harvested once in
-``finalize`` rather than observed per event.
+Cost contract: an observation subscribes to nothing, so an observed run
+publishes exactly the records an unobserved one does — the overhead-guard
+test in ``tests/obs`` pins this with a publish-counting bus, mirroring
+``tests/sim/test_tracing_guards.py``.  Everything it reports (engine
+:class:`EventStats`, the bus's :class:`TraceCounters`, the protocols'
+route counts, queue/channel integers) is harvested once in ``finalize``
+from counters the run keeps anyway.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..sim.tracing import MessageRecord, TraceBus
 from .profiler import PhaseProfiler
 from .registry import MetricsRegistry
 
-__all__ = ["ProtocolTraffic", "RunObservation", "QUEUE_DEPTH_BUCKETS"]
+__all__ = ["RunObservation", "QUEUE_DEPTH_BUCKETS"]
 
 #: Bucket upper edges for the per-channel queue-depth HWM distribution
 #: (queues are DEFAULT_QUEUE_CAPACITY=20 packets by default, so the last
 #: finite bucket sits at capacity and the overflow bucket catches larger
 #: configured capacities).
 QUEUE_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0)
-
-
-class ProtocolTraffic:
-    """Per-protocol control-plane traffic counters, fed by the trace bus.
-
-    Subscribes to ``"message"`` records and maintains, per protocol label,
-    message / route-entry / withdrawal / byte counters in the registry
-    (``proto.<name>.messages`` etc.).  Must be ``close()``d when the run is
-    over so long-lived processes don't accumulate dead bus subscribers.
-    """
-
-    def __init__(self, bus: TraceBus, registry: MetricsRegistry) -> None:
-        self._bus: Optional[TraceBus] = bus
-        self._registry = registry
-        self._per_protocol: dict[str, tuple] = {}
-        bus.subscribe("message", self._on_message)
-
-    def _on_message(self, record: MessageRecord) -> None:
-        counters = self._per_protocol.get(record.protocol)
-        if counters is None:
-            reg = self._registry
-            prefix = f"proto.{record.protocol}"
-            counters = (
-                reg.counter(f"{prefix}.messages"),
-                reg.counter(f"{prefix}.routes"),
-                reg.counter(f"{prefix}.withdrawals"),
-                reg.counter(f"{prefix}.bytes"),
-            )
-            self._per_protocol[record.protocol] = counters
-        messages, routes, withdrawals, nbytes = counters
-        messages.inc()
-        routes.inc(record.n_routes)
-        if record.is_withdrawal:
-            withdrawals.inc()
-        nbytes.inc(record.size_bytes)
-
-    def close(self) -> None:
-        """Unsubscribe from the bus (idempotent)."""
-        if self._bus is not None:
-            self._bus.unsubscribe("message", self._on_message)
-            self._bus = None
-
-    def __enter__(self) -> "ProtocolTraffic":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class RunObservation:
@@ -98,19 +45,12 @@ class RunObservation:
     def __init__(self, trace_memory: bool = False) -> None:
         self.registry = MetricsRegistry()
         self.profiler = PhaseProfiler(trace_memory=trace_memory)
-        self._traffic: Optional[ProtocolTraffic] = None
         self._finalized = False
 
     # -------------------------------------------------------------- lifecycle
 
-    def attach(self, bus: TraceBus) -> None:
-        """Wire the bus-driven collectors (once)."""
-        if self._traffic is not None:
-            return
-        self._traffic = ProtocolTraffic(bus, self.registry)
-
     def finalize(self, sim=None, network=None, bus=None) -> None:
-        """Harvest the always-on counters and release bus subscriptions.
+        """Harvest the always-on counters.
 
         Safe to call repeatedly; only the first call harvests.  Each source
         is optional so partial setups (tests, other drivers) can finalize
@@ -119,9 +59,6 @@ class RunObservation:
         if self._finalized:
             return
         self._finalized = True
-        if self._traffic is not None:
-            self._traffic.close()
-            self._traffic = None
         reg = self.registry
         if sim is not None:
             stats = sim.stats()
@@ -146,7 +83,21 @@ class RunObservation:
                 transmitted += link.packets_transmitted
             reg.gauge("net.queue_depth_hwm").set(hwm)
             reg.counter("net.packets_transmitted").inc(transmitted)
+            self._harvest_protocol(network)
         self.profiler.finish()
+
+    def _harvest_protocol(self, network) -> None:
+        """``proto.<name>.*``: the run's control-plane traffic, for the one
+        protocol every router runs; nothing when no message was sent."""
+        counters = network.bus.counters
+        protocols = [n.protocol for n in network.iter_nodes() if n.protocol is not None]
+        if not counters.messages or not protocols:
+            return
+        reg, prefix = self.registry, f"proto.{protocols[0].name}"
+        reg.counter(f"{prefix}.messages").inc(counters.messages)
+        reg.counter(f"{prefix}.routes").inc(sum(p.routes_sent for p in protocols))
+        reg.counter(f"{prefix}.withdrawals").inc(counters.withdrawals)
+        reg.counter(f"{prefix}.bytes").inc(counters.message_bytes)
 
     # -------------------------------------------------------------- reporting
 

@@ -126,10 +126,6 @@ class FlightRecorder:
         """Every record of ``kind`` published while attached, oldest first."""
         return list(self.streams[kind])
 
-    def packet_ids(self) -> list[int]:
-        """Distinct packet ids recorded, first-seen order."""
-        return list(dict.fromkeys(r.packet_id for r in self.streams["packet"]))
-
     def packet_autopsy(self, packet_id: int) -> "PacketAutopsy":
         return packet_autopsy(
             self.streams["packet"], packet_id, route_changes=self.streams["route"]

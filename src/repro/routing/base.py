@@ -154,13 +154,17 @@ class RoutingProtocol(abc.ABC):
     ) -> None:
         """Account one sent message for overhead metrics.
 
-        ``size_bytes`` feeds the per-protocol byte counters in the
-        observability layer: the same wire size the message was sent with.
+        ``size_bytes`` is the wire size the message was sent with; the bus's
+        counters sum it for the run's byte overhead.
         """
         self.messages_sent += 1
         self.routes_sent += n_routes
         bus = self.node.bus
-        bus.counters.messages += 1
+        counters = bus.counters
+        counters.messages += 1
+        counters.message_bytes += size_bytes
+        if is_withdrawal:
+            counters.withdrawals += 1
         if bus.wants_message:
             # Fields: (time, sender, receiver, protocol, n_routes,
             # is_withdrawal, size_bytes); tuple.__new__ skips the generated

@@ -90,12 +90,6 @@ class EventStats:
         """Executed events per wall-clock second spent inside ``run()``."""
         return self.events_processed / self.wall_time if self.wall_time > 0 else 0.0
 
-    @property
-    def cancel_ratio(self) -> float:
-        """Fraction of popped queue entries that were lazily-cancelled husks."""
-        popped = self.events_processed + self.cancelled_skipped
-        return self.cancelled_skipped / popped if popped else 0.0
-
 
 class Simulator:
     """Deterministic discrete-event scheduler.

@@ -2,9 +2,12 @@
 
 The paper's methodology is trace-driven: it studies "the forwarding and
 routing trace files" to attribute every drop and loop to a cause.  We mirror
-that with typed records published on a :class:`TraceBus`.  Metric collectors
-subscribe to the kinds they care about; the bus keeps nothing, so large
-sweeps stay cheap.  A run that wants its records afterwards attaches a
+that with typed records published on a :class:`TraceBus`.  Consumers that
+need the records themselves (convergence clocks, monitors) subscribe to the
+kinds they care about; counts come from the always-on
+:class:`TraceCounters` and the nodes' drop counters, so nothing subscribes
+just to count.  The bus keeps nothing, so large sweeps stay cheap.  A run
+that wants its records afterwards attaches a
 :class:`~repro.obs.flight.FlightRecorder`, the one in-memory trace store.
 
 Hot-path contract: producers (``Node``/``Link``/protocols) must bump the
@@ -134,7 +137,9 @@ class TraceCounters:
 
     These are the cheap aggregate view of the packet/routing activity a bus
     would have seen: producers increment them unconditionally (one integer
-    add), independent of whether any record object was constructed.
+    add), independent of whether any record object was constructed.  A
+    run's message, withdrawal and byte counts are read off them (see
+    :func:`repro.metrics.counters.tally`).
     """
 
     __slots__ = (
@@ -145,6 +150,8 @@ class TraceCounters:
         "route_changes",
         "link_events",
         "messages",
+        "withdrawals",
+        "message_bytes",
     )
 
     def __init__(self) -> None:
@@ -158,6 +165,8 @@ class TraceCounters:
         self.route_changes = 0
         self.link_events = 0
         self.messages = 0
+        self.withdrawals = 0
+        self.message_bytes = 0
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -227,9 +236,9 @@ class TraceBus:
 
         Recomputes the ``wants_*`` guards, so detaching the last subscriber
         of a kind returns its hot path to the zero-allocation regime.
-        Long-lived processes that attach collectors per run (see
-        :meth:`repro.metrics.counters.DropCounter.close`) must use this
-        rather than leaking dead subscribers.  Raises ``ValueError`` if the
+        Long-lived processes that attach subscribers per run (see
+        :meth:`repro.obs.flight.FlightRecorder.close`) must use this rather
+        than leaking dead subscribers.  Raises ``ValueError`` if the
         handler is not currently subscribed.
         """
         if kind not in self._subs:

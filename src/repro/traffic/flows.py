@@ -33,10 +33,6 @@ class FlowSpec:
     def interval(self) -> float:
         return 1.0 / self.rate_pps
 
-    @property
-    def expected_packets(self) -> int:
-        return int((self.stop - self.start) * self.rate_pps)
-
 
 @dataclass(frozen=True)
 class Delivery:

@@ -55,7 +55,7 @@ class TestDurableRun:
         results = run_sweep(cfg, store=store)
         assert len(results[("static", 9)].failures) == 1
         # Resume re-runs nothing: the failure is a durable outcome.
-        assert store.missing_tasks() == []
+        assert store.completed_tasks() == set(cfg.grid())
 
     def test_complete_store_reloads_without_rerunning(self, tmp_path):
         store_dir = tmp_path / "ck"
@@ -222,7 +222,7 @@ class TestTimeoutsAndRetries:
             del os.environ["REPRO_TEST_HANG_SEEDS"]
         outcome = store.load_outcomes()[("static", 4, 2)]
         assert isinstance(outcome, SweepFailure)
-        assert store.missing_tasks() == []
+        assert store.completed_tasks() == set(TINY.grid())
 
     def test_dead_worker_retried_then_succeeds(self, tmp_path):
         markers = tmp_path / "markers"

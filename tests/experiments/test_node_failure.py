@@ -2,43 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.extensions import run_node_failure_scenario
-from repro.net.dynamics import LinkScheduler
-from repro.net.network import Network
-from repro.sim.engine import Simulator
-from repro.topology import generators
 
 TINY = ExperimentConfig.quick().with_(
     rows=5, cols=5, degrees=(4,), runs=1, post_fail_window=40.0
 )
-
-
-class TestFailNode:
-    def test_all_adjacent_links_fail(self):
-        sim = Simulator()
-        net = Network(sim, generators.ring(5))
-        injector = LinkScheduler(sim, net, detection_delay=0.05)
-        events = injector.fail_node(2, at=1.0)
-        assert len(events) == 2
-        sim.run(until=2.0)
-        assert not net.link(1, 2).up
-        assert not net.link(2, 3).up
-        assert net.link(0, 1).up
-
-    def test_isolated_node_rejected(self):
-        from repro.topology.graph import Topology
-
-        sim = Simulator()
-        topo = Topology()
-        topo.connect(0, 1)
-        topo.add_node(9)
-        net = Network(sim, topo)
-        injector = LinkScheduler(sim, net, detection_delay=0.05)
-        with pytest.raises(ValueError):
-            injector.fail_node(9, at=1.0)
 
 
 class TestNodeFailureScenario:

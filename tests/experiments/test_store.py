@@ -69,12 +69,11 @@ class TestShards:
         assert outcomes[("static", 4, 2)] == failure
         assert outcomes[("static", 4, 1)].delivered == run.delivered
 
-    def test_missing_tasks_in_grid_order(self, tmp_path):
+    def test_completed_tasks_name_what_was_appended(self, tmp_path):
         store = make_store(tmp_path)
         store.append(run_scenario("static", 4, 2, TINY))  # second seed first
         store.close()
         assert store.completed_tasks() == {("static", 4, 2)}
-        assert store.missing_tasks() == [("static", 4, 1)]
 
     def test_torn_trailing_line_ignored_on_load(self, tmp_path):
         store = make_store(tmp_path)
@@ -121,7 +120,6 @@ class TestShards:
     def test_empty_store_has_no_outcomes(self, tmp_path):
         store = make_store(tmp_path)
         assert store.load_outcomes() == {}
-        assert store.missing_tasks() == TINY.grid()
 
 
 class TestConfigDictRoundTrip:

@@ -1,15 +1,13 @@
-"""Property tests for the trace-driven drop/message counters.
+"""Property tests for drop and message tallies.
 
-Hypothesis drives random record streams through a real ``TraceBus`` and
-checks the counters against brute-force oracles:
+Hypothesis drives random streams of packet deaths and sent messages
+through a live network and checks :func:`tally` against straight counts:
 
-* every drop lands in exactly one cause bucket, so the per-cause counts
-  always sum to ``total`` and match a manual count over the stream;
-* ``window_start`` filters on record time exactly (``time >= window``);
-* byte/route/withdrawal accounting matches a straight sum.
-
-Plus the unsubscribe bugfix: a ``close()``d counter stops counting, releases
-the bus's ``wants_*`` guard, and is idempotent.
+* the difference of the snapshots at a stretch's ends counts exactly the
+  events inside it, each data-packet drop in its one cause bucket, and a
+  control packet's death never;
+* snapshots taken along the way add back up to the last one, the way a
+  run's counts before and inside its window make up its whole.
 """
 
 from __future__ import annotations
@@ -17,164 +15,115 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.counters import DropCounter, MessageCounter
-from repro.sim.tracing import DropCause, MessageRecord, PacketRecord, TraceBus
+from repro.metrics.counters import Tally, tally
+from repro.net.network import Network
+from repro.net.packet import Packet
+from repro.routing.spf import SpfProtocol
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
+from repro.sim.tracing import DropCause
+from repro.topology import generators
 
 _CAUSES = list(DropCause)
 
-_packet_events = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-        st.sampled_from(["send", "forward", "deliver", "drop"]),
-        st.sampled_from(_CAUSES),
-    ),
-    max_size=60,
+_drop = st.tuples(
+    st.just("drop"),
+    st.integers(min_value=0, max_value=3),  # node
+    st.sampled_from(_CAUSES),
+    st.sampled_from(["data", "control"]),
 )
-
-_message_events = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-        st.integers(min_value=0, max_value=25),  # n_routes
-        st.integers(min_value=0, max_value=4096),  # size_bytes
-        st.booleans(),  # is_withdrawal
-    ),
-    max_size=60,
+_message = st.tuples(
+    st.just("message"),
+    st.integers(min_value=0, max_value=3),  # sender
+    st.integers(min_value=0, max_value=4096),  # size_bytes
+    st.booleans(),  # is_withdrawal
 )
-
-_window = st.one_of(
-    st.none(), st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
-)
+_events = st.lists(st.one_of(_drop, _message), max_size=60)
 
 
-def _publish_packets(bus: TraceBus, events) -> None:
-    for i, (time, kind, cause) in enumerate(events):
-        bus.publish(
-            PacketRecord(
-                time=time,
-                kind=kind,
-                packet_id=i,
-                node=0,
-                flow_id=1,
-                ttl=64,
-                cause=cause if kind == "drop" else None,
-            )
+def _network() -> Network:
+    net = Network(Simulator(), generators.line(4))
+    net.attach_protocols(lambda node: SpfProtocol(node, RngStreams(1)))
+    return net
+
+
+def _apply(net: Network, event) -> None:
+    if event[0] == "drop":
+        _, node, cause, kind = event
+        net.node(node).drop(Packet(src=0, dst=3, kind=kind), cause)
+    else:
+        _, sender, size_bytes, is_withdrawal = event
+        neighbor = 1 if sender == 0 else sender - 1
+        net.node(sender).protocol._record_message(
+            neighbor, 1, is_withdrawal=is_withdrawal, size_bytes=size_bytes
         )
+
+
+def _oracle(events) -> Tally:
+    drops = [e[2] for e in events if e[0] == "drop" and e[3] == "data"]
+    messages = [e for e in events if e[0] == "message"]
+    return Tally(
+        drops.count(DropCause.NO_ROUTE),
+        drops.count(DropCause.TTL_EXPIRED),
+        drops.count(DropCause.LINK_DOWN),
+        drops.count(DropCause.QUEUE_OVERFLOW),
+        len(messages),
+        sum(1 for e in messages if e[3]),
+        sum(e[2] for e in messages),
+    )
+
+
+def _window(events, data) -> tuple[Tally, list]:
+    """Apply ``events`` to a fresh network; tally the stretch after a drawn
+    split, and return it with the events inside it."""
+    split = data.draw(st.integers(min_value=0, max_value=len(events)))
+    net = _network()
+    for event in events[:split]:
+        _apply(net, event)
+    opened = tally(net)
+    for event in events[split:]:
+        _apply(net, event)
+    return tally(net) - opened, events[split:]
 
 
 class TestDropCounterProperties:
-    @given(events=_packet_events, window=_window)
+    @given(events=_events, data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_by_cause_sums_to_total_and_matches_oracle(self, events, window):
-        bus = TraceBus()
-        counter = DropCounter(bus, window_start=window)
-        _publish_packets(bus, events)
+    def test_by_cause_sums_to_total_and_matches_oracle(self, events, data):
+        counts, inside = _window(events, data)
+        oracle = _oracle(inside)
+        assert counts[:4] == oracle[:4]
+        assert sum(counts[:4]) == counts.drops == oracle.drops
 
-        in_window = [
-            (time, cause)
-            for time, kind, cause in events
-            if kind == "drop" and (window is None or time >= window)
-        ]
-        assert counter.total == len(in_window)
-        assert sum(counter.by_cause.values()) == counter.total
-        for cause in DropCause:
-            expected = [t for t, c in in_window if c is cause]
-            assert counter.by_cause[cause] == len(expected)
-
-    @given(events=_packet_events)
+    @given(events=_events, data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_non_drop_records_never_count(self, events):
-        bus = TraceBus()
-        counter = DropCounter(bus)
-        _publish_packets(
-            bus, [(t, k, c) for t, k, c in events if k != "drop"]
-        )
-        assert counter.total == 0
+    def test_non_drop_records_never_count(self, events, data):
+        quiet = [e for e in events if e[0] == "message" or e[3] == "control"]
+        counts, _ = _window(quiet, data)
+        assert counts.drops == 0
 
 
 class TestMessageCounterProperties:
-    @given(events=_message_events, window=_window)
+    @given(events=_events, data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_counts_match_straight_sums(self, events, window):
-        bus = TraceBus()
-        counter = MessageCounter(bus, window_start=window)
-        for time, n_routes, size_bytes, is_withdrawal in events:
-            bus.publish(
-                MessageRecord(
-                    time=time,
-                    sender=0,
-                    receiver=1,
-                    protocol="rip",
-                    n_routes=n_routes,
-                    is_withdrawal=is_withdrawal,
-                    size_bytes=size_bytes,
-                )
-            )
-        kept = [
-            e for e in events if window is None or e[0] >= window
-        ]
-        assert counter.messages == len(kept)
-        assert counter.routes == sum(e[1] for e in kept)
-        assert counter.bytes_sent == sum(e[2] for e in kept)
-        assert counter.withdrawals == sum(1 for e in kept if e[3])
+    def test_counts_match_straight_sums(self, events, data):
+        counts, inside = _window(events, data)
+        assert counts[4:] == _oracle(inside)[4:]
 
 
-class TestCloseReleasesTheSubscription:
-    """Regression for the original leak: counters never unsubscribed, so
-    dead collectors kept the ``wants_*`` guards stuck on forever."""
-
-    def test_closed_drop_counter_stops_counting(self):
-        bus = TraceBus()
-        counter = DropCounter(bus)
-        record = PacketRecord(
-            time=1.0, kind="drop", packet_id=1, node=0, flow_id=1, ttl=64,
-            cause=DropCause.NO_ROUTE,
-        )
-        bus.publish(record)
-        counter.close()
-        bus.publish(record)
-        assert counter.total == 1  # counts survive close; new drops don't
-
-    def test_close_resets_the_wants_guard(self):
-        bus = TraceBus()
-        counter = DropCounter(bus)
-        assert bus.wants_packet
-        counter.close()
-        assert not bus.wants_packet
-
-    def test_close_is_idempotent(self):
-        bus = TraceBus()
-        counter = DropCounter(bus)
-        counter.close()
-        counter.close()  # second close must not raise or double-unsubscribe
-
-    def test_message_counter_close_resets_the_wants_guard(self):
-        bus = TraceBus()
-        counter = MessageCounter(bus)
-        assert bus.wants_message
-        counter.close()
-        assert not bus.wants_message
-
-    def test_context_manager_closes_on_exit(self):
-        bus = TraceBus()
-        with MessageCounter(bus) as counter:
-            bus.publish(
-                MessageRecord(
-                    time=0.0, sender=0, receiver=1, protocol="rip", n_routes=2
-                )
-            )
-        assert not bus.wants_message
-        assert counter.messages == 1
-
-    def test_close_only_releases_its_own_subscription(self):
-        bus = TraceBus()
-        first = DropCounter(bus)
-        second = DropCounter(bus)
-        first.close()
-        assert bus.wants_packet  # the survivor keeps the guard up
-        record = PacketRecord(
-            time=1.0, kind="drop", packet_id=1, node=0, flow_id=1, ttl=64,
-            cause=DropCause.TTL_EXPIRED,
-        )
-        bus.publish(record)
-        assert first.total == 0
-        assert second.total == 1
+class TestTallyProperties:
+    @given(events=_events, data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_stretches_add_up_to_the_whole(self, events, data):
+        position = st.integers(min_value=0, max_value=len(events))
+        cuts = sorted(data.draw(st.lists(position, max_size=4)))
+        net = _network()
+        snapshots = [tally(net)]
+        done = 0
+        for cut in cuts + [len(events)]:
+            for event in events[done:cut]:
+                _apply(net, event)
+            done = cut
+            snapshots.append(tally(net))
+        stretches = [b - a for a, b in zip(snapshots, snapshots[1:])]
+        assert sum(stretches, Tally()) == snapshots[-1] == _oracle(events)

@@ -123,26 +123,6 @@ class TestStrictStateTransitions:
             LinkEvent("fail", 0, 1, 1.0, detection_delay=-0.1)
 
 
-class TestNodeFailure:
-    def test_fails_every_attached_link(self):
-        sim, net, trace, recorders, scheduler = make()
-        events = scheduler.fail_node(1, at=2.0)
-        assert sorted(e.link_key for e in events) == [(0, 1), (1, 2)]
-        sim.run()
-        assert not net.link(0, 1).up
-        assert not net.link(1, 2).up
-
-    def test_zero_link_node_raises_before_scheduling(self):
-        # Regression: the old injector raised only after its scheduling loop,
-        # so a degree-zero node left the run half-armed.
-        topo = generators.line(3)
-        topo.add_node(99)  # isolated
-        sim, net, trace, recorders, scheduler = make(topo=topo)
-        with pytest.raises(ValueError, match="no links to fail"):
-            scheduler.fail_node(99, at=1.0)
-        assert scheduler.events == []
-
-
 class TestFlapBookkeeping:
     def test_each_fail_records_its_own_outage(self):
         sim, net, trace, recorders, scheduler = make(detection_delay=0.01)

@@ -12,7 +12,6 @@ class TestPacket:
         p = Packet(src=1, dst=2)
         assert p.kind == "data"
         assert p.ttl == DEFAULT_TTL == 127
-        assert p.is_data and not p.is_control
 
     def test_ids_are_unique_and_increasing(self):
         a, b = Packet(src=1, dst=2), Packet(src=1, dst=2)
@@ -25,7 +24,7 @@ class TestPacket:
 
     def test_control_packet(self):
         p = Packet(src=1, dst=2, kind="control", payload={"x": 1}, protocol="rip")
-        assert p.is_control
+        assert p.kind == "control"
         assert p.payload == {"x": 1}
 
     @pytest.mark.parametrize(

@@ -118,15 +118,6 @@ class TestFlightRecorder:
                 bus.publish(pkt(float(i), "forward", i % 7, pid=i))
         assert [r.packet_id for r in recorder.records("packet")] == list(range(20_000))
 
-    def test_packet_ids_first_seen_order(self):
-        bus = TraceBus()
-        recorder = FlightRecorder()
-        recorder.attach(bus)
-        for pid in (7, 3, 7, 5):
-            bus.publish(pkt(0.1, "forward", 0, pid=pid))
-        recorder.close()
-        assert recorder.packet_ids() == [7, 3, 5]
-
 
 class TestPacketAutopsy:
     def test_delivered_walk(self):

@@ -1,10 +1,9 @@
 """Overhead-guard and determinism contracts for the observability layer.
 
 Mirrors ``tests/sim/test_tracing_guards.py``: publishes on a counting bus
-are a proxy for record allocations.  An unobserved run (``obs=None``) builds
-no collector at all, which ``test_untraced_run_never_publishes`` there pins;
-an observation only subscribes to control-plane messages, so pure data
-traffic still allocates nothing.
+are a proxy for record allocations.  An observation subscribes to nothing:
+it harvests the counters a run always keeps, so an observed run allocates
+no record an unobserved one does not.
 
 The golden test pins the other half of the contract: profiling a run reads
 wall clocks and counters only, so every simulated result is bit-identical
@@ -58,28 +57,30 @@ def _push_traffic(bus: TraceBus, n_packets: int = 20) -> None:
 
 class TestZeroOverheadWhenDisabled:
     def test_enabled_observation_leaves_the_packet_path_alone(self):
-        # The enabled collectors subscribe to "message" records only; data
-        # packets must still allocate nothing.
+        # An observed run publishes on the bus's guards alone: none is up.
         bus = CountingBus()
         obs = RunObservation()
-        obs.attach(bus)
-        assert bus.wants_message  # the collector is live ...
-        assert not bus.wants_packet  # ... but the data path stays guarded
         _push_traffic(bus)
+        obs.finalize(bus=bus)
         assert bus.publish_count == 0
 
-    def test_finalize_releases_the_message_subscription(self):
-        bus = TraceBus()
-        obs = RunObservation()
-        obs.attach(bus)
-        assert bus.wants_message
-        obs.finalize(bus=bus)
-        assert not bus.wants_message
+    def test_observed_run_publishes_what_an_unobserved_one_does(self, monkeypatch):
+        buses = []
+
+        class KeptBus(CountingBus):
+            def __init__(self) -> None:
+                super().__init__()
+                buses.append(self)
+
+        monkeypatch.setattr("repro.experiments.scenario.TraceBus", KeptBus)
+        run_scenario("dbf", 4, 7, GOLDEN_CONFIG)
+        run_scenario("dbf", 4, 7, GOLDEN_CONFIG, obs=RunObservation())
+        plain, observed = buses
+        assert observed.publish_count == plain.publish_count > 0
 
     def test_finalize_still_harvests_the_always_on_counters(self):
         bus = CountingBus()
         obs = RunObservation()
-        obs.attach(bus)
         _push_traffic(bus, n_packets=7)
         obs.finalize(bus=bus)
         metrics = obs.registry.snapshot()

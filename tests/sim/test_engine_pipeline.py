@@ -170,7 +170,6 @@ class TestEventStats:
         assert isinstance(stats, EventStats)
         assert stats.events_processed == 2
         assert stats.cancelled_skipped == 2
-        assert stats.cancel_ratio == pytest.approx(0.5)
         assert stats.pending == 0
         assert stats.sim_time == 4.0
 
@@ -193,5 +192,4 @@ class TestEventStats:
         stats = Simulator().stats()
         assert stats.events_processed == 0
         assert stats.cancelled_skipped == 0
-        assert stats.cancel_ratio == 0.0
         assert stats.events_per_sec == 0.0

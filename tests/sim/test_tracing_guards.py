@@ -8,8 +8,12 @@ a proxy for record allocations.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.scenario import run_scenario
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.obs.flight import FlightRecorder
@@ -21,6 +25,7 @@ from repro.sim.tracing import (
     LinkEventRecord,
     MessageRecord,
     PacketRecord,
+    RouteChangeRecord,
     TraceBus,
     TraceCounters,
 )
@@ -60,6 +65,28 @@ class TestZeroAllocationFastPath:
         bus = CountingBus()
         _push_traffic(bus)
         assert bus.publish_count == 0
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_unobserved_scenario_publishes_route_records_only(self, monkeypatch, shards):
+        """Drops and messages are counted off the always-on counters, so a
+        plain run (and each local shard of a sharded one) builds no packet
+        or message record: the route stream feeds the convergence clocks."""
+        published = Counter()
+
+        class KindCountingBus(TraceBus):
+            def publish(self, record: object) -> None:
+                published[type(record)] += 1
+                super().publish(record)
+
+        monkeypatch.setattr("repro.experiments.scenario.TraceBus", KindCountingBus)
+        monkeypatch.setattr("repro.dist.worker.TraceBus", KindCountingBus)
+        config = ExperimentConfig.quick().with_(
+            rate_pps=400.0, post_fail_window=15.0, shards=shards
+        )
+        result = run_scenario("dbf", 3, 1, config)
+        assert result.sent > 0 and result.messages > 0
+        assert published[PacketRecord] == published[MessageRecord] == 0
+        assert published[RouteChangeRecord] > 0
 
     def test_untraced_run_still_counts(self):
         bus = CountingBus()
@@ -158,6 +185,18 @@ class TestWantsGuards:
         bus.subscribe(kind, lambda record: None)
         assert guards(bus) == {k: k == kind for k in TRACE_KINDS}
 
+    def test_unsubscribe_releases_only_that_handler(self):
+        bus = TraceBus()
+        first, second = [], []
+        bus.subscribe("packet", first.append)
+        bus.subscribe("packet", second.append)
+        bus.unsubscribe("packet", first.append)
+        assert bus.wants_packet  # the survivor keeps the guard up
+        bus.publish(PacketRecord(time=0.0, kind="send", packet_id=1, node=0, flow_id=0, ttl=64))
+        assert (len(first), len(second)) == (0, 1)
+        with pytest.raises(ValueError):
+            bus.unsubscribe("packet", first.append)
+
     def test_subscribe_rejects_unknown_kind(self):
         bus = TraceBus()
         with pytest.raises(ValueError):
@@ -191,4 +230,6 @@ class TestTraceCounters:
             "route_changes",
             "link_events",
             "messages",
+            "withdrawals",
+            "message_bytes",
         }

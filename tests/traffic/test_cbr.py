@@ -19,10 +19,9 @@ def make(spec):
 
 
 class TestFlowSpec:
-    def test_interval_and_expected_packets(self):
+    def test_interval(self):
         spec = FlowSpec(flow_id=1, src=0, dst=1, rate_pps=20, start=0.0, stop=5.0)
         assert spec.interval == pytest.approx(0.05)
-        assert spec.expected_packets == 100
 
     @pytest.mark.parametrize(
         "kwargs",
