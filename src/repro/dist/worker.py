@@ -335,15 +335,15 @@ class ShardHost:
         else:
             channel.deliver_now(packet)
 
-    def _message_gate(self, channel, entry) -> None:
+    def _message_gate(self, channel, payload, tx_start) -> None:
         if channel.dst not in self._gated:  # session toward a ghost
-            channel.deliver_now(entry.payload)
+            channel.deliver_now(payload)
             return
         key = (self.sim.now, channel.dst)
         if key in self._relay_slots:
-            self._drain_slot(key, ("message", channel, entry))
+            self._drain_slot(key, ("message", channel, (payload, tx_start)))
         else:
-            channel.deliver_now(entry.payload)
+            channel.deliver_now(payload)
 
     def _deliver_relay(self, relay: Relay) -> None:
         self._drain_slot((relay.arrive_at, relay.dst), None)
@@ -374,7 +374,8 @@ class ShardHost:
                 tx = (obj.size_bytes * BITS_PER_BYTE) / channel._bandwidth
                 add(t - channel._prop_delay - tx, channel.src, kind, channel, obj)
             else:
-                add(obj.tx_start, channel.src, kind, channel, obj.payload)
+                payload, tx_start = obj
+                add(tx_start, channel.src, kind, channel, payload)
         for relay, handle in self._relay_slots.pop(key, ()):
             if handle.pending:
                 handle.cancel()
@@ -401,16 +402,11 @@ class ShardHost:
                 owner = getattr(listener, "__self__", None)
                 if not isinstance(owner, ReliableChannel) or owner.dst != node_id:
                     continue
-                for entry in owner._in_flight:
-                    if entry.handle.pending and entry.handle.time == t:
-                        entry.handle.cancel()
-                        add(
-                            entry.tx_start,
-                            owner.src,
-                            "message",
-                            owner,
-                            entry.payload,
-                        )
+                for handle in owner._in_flight:
+                    if handle.pending and handle.time == t:
+                        handle.cancel()
+                        payload, tx_start = handle.args
+                        add(tx_start, owner.src, "message", owner, payload)
 
         entries.sort(key=lambda e: e[:3])
         for _, _, _, kind, channel, payload in entries:
@@ -430,7 +426,8 @@ class ShardHost:
                 channel.deliver_now(payload)
 
     def finalize(self, inbound: list[Relay]) -> ShardOutput:
-        """Inject the last window's relays, then ship what the shard measured."""
+        """Inject the last window's relays, ship what the shard measured and
+        end the shard's run (its network cannot run again)."""
         self._inject(inbound)
         out = self.output
         if self.source is not None:
@@ -448,6 +445,12 @@ class ShardHost:
             self.network.node(node_id).protocol.pending_data_packets()
             for node_id in self.owned
         )
+        # End the shard's run as ScenarioRun.to_result ends one: cut the
+        # reference cycles so the shard is freed by reference count.
+        self._relay_slots.clear()
+        self.sim.close()
+        self.network.close()
+        self.bus.close()
         return out
 
 

@@ -548,12 +548,17 @@ class ScenarioRun:
         return self
 
     def to_result(self) -> ScenarioResult:
-        """Fold the instruments into a result and release them.
+        """Fold the instruments into a result, release them and end the run.
 
         Packet accounting and the delivery-derived series follow the first
         flow (see :func:`fold_result`).  Finalizes the monitors, writes the
-        post-mortem ticket if one is armed and a monitor fired, and closes
-        recorder, observation and live log.
+        post-mortem ticket if one is armed and a monitor fired, closes
+        recorder, observation and live log, and then closes simulator,
+        network and bus: nothing can run on the network again, and its
+        protocols are gone.  A caller that needs live state (a protocol's
+        table, a link's listeners) reads it before calling this; the
+        instruments (``tracker``, ``sinks``, ``sources``, ``scheduled``)
+        stay readable.
         """
         with self.profiler.span("drain", sim=self.sim):
             end = tally(self.network)
@@ -587,6 +592,12 @@ class ScenarioRun:
             self.log.end(ok=not result.violations)
             if self._owns_log:
                 self.log.close()
+        # End the run: the pending events, the network and the bus's
+        # subscribers are reference cycles; cut, the run is freed by
+        # reference count once its caller drops it.
+        self.sim.close()
+        self.network.close()
+        self.bus.close()
         return result
 
     def _dump(self, result: ScenarioResult) -> str:

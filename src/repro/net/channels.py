@@ -26,22 +26,6 @@ from .link import Link
 __all__ = ["ReliableChannel"]
 
 
-class _Pending:
-    """One in-flight reliable message.
-
-    Besides the cancelable event handle, the entry keeps the payload and the
-    serialization start time: the sharded delivery sequencer (repro.dist)
-    needs both to replay same-instant arrivals in canonical order.
-    """
-
-    __slots__ = ("handle", "payload", "tx_start")
-
-    def __init__(self, handle: EventHandle, payload: Any, tx_start: float) -> None:
-        self.handle = handle
-        self.payload = payload
-        self.tx_start = tx_start
-
-
 class ReliableChannel:
     """One direction of a reliable neighbor session."""
 
@@ -74,13 +58,17 @@ class ReliableChannel:
         #: method serves every session a protocol opens.
         self._deliver = deliver
         self._busy_until = 0.0
-        self._in_flight: list[_Pending] = []
+        #: Arrival handles of the messages in flight, oldest first; each
+        #: handle's arguments are ``(payload, tx_start)``: the sharded
+        #: delivery sequencer (repro.dist) needs both to replay same-instant
+        #: arrivals in canonical order.
+        self._in_flight: list[EventHandle] = []
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_lost = 0
-        #: Arrival interceptor, called as ``gate(channel, entry)`` instead of
-        #: delivering; inherited from the link so sessions opened at any time
-        #: get it (see Link.reliable_gate).
+        #: Arrival interceptor, called as ``gate(channel, payload, tx_start)``
+        #: instead of delivering; inherited from the link so sessions opened
+        #: at any time get it (see Link.reliable_gate).
         self.arrival_gate = link.reliable_gate
         link.fail_listeners.append(self._on_link_fail)
 
@@ -97,25 +85,25 @@ class ReliableChannel:
         tx = transmission_delay(size_bytes, self._link.spec.bandwidth)
         self._busy_until = start + tx
         arrive_at = self._busy_until + self._link.spec.delay
-        entry = _Pending(None, payload, start)  # type: ignore[arg-type]
-        entry.handle = self._sim.schedule_at(arrive_at, self._arrive, entry)
-        self._in_flight.append(entry)
+        self._in_flight.append(
+            self._sim.schedule_at(arrive_at, self._arrive, payload, start)
+        )
         self.messages_sent += 1
         tap = self._link.message_tap
         if tap is not None:
             tap(self.src, self.dst, payload, arrive_at, start)
         return True
 
-    def _arrive(self, entry: _Pending) -> None:
-        self._in_flight = [e for e in self._in_flight if e.handle.pending]
+    def _arrive(self, payload: Any, tx_start: float) -> None:
+        self._in_flight = [h for h in self._in_flight if h.pending]
         if not self._link.up:
             self.messages_lost += 1
             return
         gate = self.arrival_gate
         if gate is not None:
-            gate(self, entry)
+            gate(self, payload, tx_start)
             return
-        self.deliver_now(entry.payload)
+        self.deliver_now(payload)
 
     def deliver_now(self, payload: Any) -> None:
         """Finish an arrival whose event already fired (or was cancelled by
@@ -128,13 +116,13 @@ class ReliableChannel:
         a message is still in flight (a link restored before its failure was
         detected can carry one; a later failure must still destroy it, and
         the sharded delivery sequencer finds it through the listeners)."""
-        if not any(entry.handle.pending for entry in self._in_flight):
+        if not any(handle.pending for handle in self._in_flight):
             self._link.fail_listeners.remove(self._on_link_fail)
 
     def _on_link_fail(self) -> None:
-        for entry in self._in_flight:
-            if entry.handle.pending:
-                entry.handle.cancel()
+        for handle in self._in_flight:
+            if handle.pending:
+                handle.cancel()
                 self.messages_lost += 1
         self._in_flight.clear()
         self._busy_until = self._sim.now

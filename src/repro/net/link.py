@@ -209,6 +209,14 @@ class _Channel:
         cancelled by a sequencer that is replaying the slot in order)."""
         self._receive(packet, self.src)
 
+    def close(self) -> None:
+        """End the run: drop the callbacks, the link and the packets on the
+        wire (see :meth:`Link.close`)."""
+        self._link = None
+        self._receive = self._dropper = self.arrival_gate = None
+        self._in_flight.clear()
+        self._tx_event = None
+
     @property
     def transmitted(self) -> int:
         """Packets that finished serializing onto the wire: not one still on
@@ -309,7 +317,7 @@ class Link:
             Callable[[int, int, object, float, float], None]
         ] = None
         #: Optional arrival interceptor inherited by every ReliableChannel
-        #: opened over this link, called as ``gate(channel, entry)``.
+        #: opened over this link, called as ``gate(channel, payload, tx_start)``.
         #: Installed by repro.dist on links into cut-adjacent nodes (at link
         #: creation, so sessions opened at any later point inherit it too).
         self.reliable_gate = None
@@ -373,6 +381,16 @@ class Link:
         """Bring the link back up (used by repair experiments, not the paper's)."""
         self.up = True
         self.failed_at = None
+
+    def close(self) -> None:
+        """End the run: drop every callback into the network (the channels'
+        deliveries and drops, fail listeners, taps and gates).  Counters and
+        ``up`` stay readable."""
+        self._deliver = self._dropper = None
+        self.fail_listeners.clear()
+        self.message_tap = self.reliable_gate = None
+        for channel in self._channels.values():
+            channel.close()
 
     def queue_length(self, from_node: int) -> int:
         return len(self._channels[from_node].queue)

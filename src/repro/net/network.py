@@ -97,6 +97,19 @@ class Network:
             if node.protocol is not None:
                 node.protocol.start()
 
+    def close(self) -> None:
+        """End the run: close every node (and so its protocol) and link.
+
+        Nodes, links, channels and protocols call one another back, so a
+        live network is one large reference cycle; after this it is freed
+        by reference count.  FIBs, counters and link states stay readable,
+        but nothing can run on the network again.
+        """
+        for node in self.nodes.values():
+            node.close()
+        for link in self.links.values():
+            link.close()
+
     # --------------------------------------------------------------- counters
 
     def total_drops(self, cause: DropCause) -> int:

@@ -61,7 +61,6 @@ class Node:
         "protocol",
         "apps",
         "delivered",
-        "forwarded",
         "drops",
         "route_cause",
         "route_miss",
@@ -89,7 +88,6 @@ class Node:
         self.apps: list[PacketApp] = []
         # Counters (data packets only).
         self.delivered = 0
-        self.forwarded = 0
         self.drops: dict[DropCause, int] = {cause: 0 for cause in DropCause}
         #: Control-plane scope marker: while a protocol event is being
         #: applied (see ``RoutingProtocol.route_cause``), names the event so
@@ -128,6 +126,17 @@ class Node:
 
     def attach_app(self, app: PacketApp) -> None:
         self.apps.append(app)
+
+    def close(self) -> None:
+        """End the run: close the protocol and drop links, dispatch table,
+        apps and the reactive hook (see :meth:`Network.close`)."""
+        if self.protocol is not None:
+            self.protocol.close()
+            self.protocol = None
+        self.links.clear()
+        self._tx.clear()
+        self.apps.clear()
+        self.route_miss = None
 
     # ------------------------------------------------------------------- FIB
 
@@ -213,7 +222,6 @@ class Node:
                 self.sim._now, "forward", packet.packet_id, self.id,
                 packet.flow_id, packet.ttl, None, packet.dst,
             )))
-        self.forwarded += 1
         send = self._tx.get(self.fib.get(packet.dst))
         if send is None:
             self._miss(packet)

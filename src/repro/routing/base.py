@@ -64,6 +64,16 @@ class RoutingProtocol(abc.ABC):
     def warm_start(self, topology: Topology) -> None:
         """Install converged state for ``topology`` and arm steady-state timers."""
 
+    def close(self) -> None:
+        """End this router's run: drop its timers, tables and sessions.
+
+        Timers and sessions call back into the protocol, so each is a
+        reference cycle through it; dropping every attribute cuts them all
+        (see :meth:`repro.net.network.Network.close`).  The protocol cannot
+        be used again.
+        """
+        vars(self).clear()
+
     # ---------------------------------------------------------------- events
 
     @abc.abstractmethod

@@ -10,6 +10,11 @@ Both protocols, per the paper's §3:
 * pack at most 25 destination entries per message;
 * time out routes not refreshed for 180 s and garbage-collect them.
 
+Aging runs on one timer per router, armed for the earliest deadline
+(``updated_at + route_timeout``) among the live routes: a refresh only moves
+a deadline later, so the timer never fires late, and when it fires it times
+out every due route and re-arms for the next deadline.
+
 They differ only in route selection: RIP keeps just the current best route
 (subclass hook :meth:`_consider_route`), DBF keeps a per-neighbor cache and
 re-runs Bellman-Ford over it.
@@ -17,6 +22,7 @@ re-runs Bellman-Ford over it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
@@ -82,8 +88,8 @@ class DistanceVectorProtocol(RoutingProtocol):
             self._send_periodic,
         )
         self._damping = OneShotTimer(self.sim, self._flush_triggered)
+        self._aging = OneShotTimer(self.sim, self._age_routes)
         self._pending_triggered: set[int] = set()
-        self._timeout_checks: dict[int, object] = {}
 
     # --------------------------------------------------------------- lifecycle
 
@@ -107,10 +113,14 @@ class DistanceVectorProtocol(RoutingProtocol):
             )
             self.table[dest] = route
             self.node.set_next_hop(dest, path[1])
-            self._arm_timeout_check(dest)
+        self._arm_aging()
         self._warm_start_extra(topology, tree)
         # Random phase: routers' periodic cycles are not synchronized.
         self._periodic.start(initial_delay=self.rng.uniform(0, self.config.update_interval))
+
+    def close(self) -> None:
+        self._periodic.stop()  # a repeating timer and its handle are a cycle
+        super().close()
 
     def _warm_start_extra(self, topology: Topology, tree: dict[int, list[int]]) -> None:
         """Subclass hook to prefill extra converged state (DBF's caches)."""
@@ -186,12 +196,10 @@ class DistanceVectorProtocol(RoutingProtocol):
             route = DistanceVectorRoute(dest, metric, next_hop, updated_at=now)
             self.table[dest] = route
             self.node.set_next_hop(dest, next_hop)
-            self._arm_timeout_check(dest)
+            self._arm_aging()
             return True
         if route.metric >= self.config.infinity:
-            # Poisoned routes lose their aging check when it fires; re-arm on
-            # returning to life.
-            self._arm_timeout_check(dest)
+            self._arm_aging()  # back to life: aged again
         changed = (route.metric != metric) or (route.next_hop != next_hop)
         route.metric = metric
         route.next_hop = next_hop
@@ -213,25 +221,30 @@ class DistanceVectorProtocol(RoutingProtocol):
 
     # ----------------------------------------------------------- route aging
 
-    def _arm_timeout_check(self, dest: int) -> None:
-        handle = self.sim.schedule(self.config.route_timeout, lambda: self._check_timeout(dest))
-        self._timeout_checks[dest] = handle
+    def _arm_aging(self) -> None:
+        """Start the aging timer if it is idle.  A route that comes to life
+        has the latest deadline of all, so a running timer is early enough."""
+        if not self._aging.running:
+            self._aging.start(self.config.route_timeout)
 
-    def _check_timeout(self, dest: int) -> None:
-        route = self.table.get(dest)
-        if route is None or route.metric >= self.config.infinity:
-            return
-        idle = self.sim.now - route.updated_at
-        if idle >= self.config.route_timeout:
-            with self.route_cause("timeout", dest):
-                changed = self._route_timed_out(dest)
-                if changed:
-                    self._routes_changed(changed)
-        else:
-            handle = self.sim.schedule(
-                self.config.route_timeout - idle, lambda: self._check_timeout(dest)
-            )
-            self._timeout_checks[dest] = handle
+    def _age_routes(self) -> None:
+        """Time out every due route, in table order, then re-arm for the
+        earliest deadline left (a timed-out DBF route may live on through an
+        alternate, with a fresh deadline)."""
+        timeout, infinity = self.config.route_timeout, self.config.infinity
+        now = self.sim.now
+        for dest, route in list(self.table.items()):
+            if route.metric < infinity and now - route.updated_at >= timeout:
+                with self.route_cause("timeout", dest):
+                    changed = self._route_timed_out(dest)
+                    if changed:
+                        self._routes_changed(changed)
+        oldest = min(
+            (route.updated_at for route in self.table.values() if route.metric < infinity),
+            default=math.inf,
+        )
+        if oldest < math.inf:  # the self route never ages
+            self._aging.start(timeout - (now - oldest))
 
     def _route_timed_out(self, dest: int) -> set[int]:
         """Default: poison the route.  DBF re-selects from its cache instead."""

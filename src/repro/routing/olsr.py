@@ -219,6 +219,11 @@ class OlsrProtocol(RoutingProtocol):
         self._hello_timer.start()
         self._tc_timer.start()
 
+    def close(self) -> None:
+        self._hello_timer.stop()  # repeating timers and their handles are cycles
+        self._tc_timer.stop()
+        super().close()
+
     # ------------------------------------------------------------------ events
 
     def handle_message(self, payload: Any, from_node: int) -> None:

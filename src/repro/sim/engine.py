@@ -272,6 +272,16 @@ class Simulator:
             return time <= self._now
         return (time, as_of, seq) < current
 
+    def close(self) -> None:
+        """End the run: drop every pending event.
+
+        A pending event holds its callback, and through it a protocol, a
+        link or a traffic source, so the queue would keep a finished run
+        alive.  The clock and the counters stay readable.
+        """
+        self._heap.clear()
+        self._current = None
+
     # -------------------------------------------------------------- execution
 
     def stop(self) -> None:

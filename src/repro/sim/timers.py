@@ -86,15 +86,14 @@ class OneShotTimer:
             self._sim.reschedule(handle, delay)
             return
         self.cancel()
-        self._handle = self._sim.schedule(delay, self._fire)
+        # The handle calls the action itself, so it holds no reference back
+        # to the timer: a dropped timer is freed by reference count.
+        self._handle = self._sim.schedule(delay, self._action)
 
     def cancel(self) -> None:
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
-
-    def _fire(self) -> None:
-        self._action()
 
 
 class PeriodicTimer:

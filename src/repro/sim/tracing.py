@@ -251,6 +251,13 @@ class TraceBus:
             ) from None
         self._refresh_guards()
 
+    def close(self) -> None:
+        """Drop every subscription: a subscriber's bound method holds its
+        collector, which often holds the bus back.  The counters stay."""
+        for subscribers in self._subs.values():
+            subscribers.clear()
+        self._refresh_guards()
+
     # ------------------------------------------------------------ publishing
 
     def publish(self, record: object) -> None:

@@ -154,46 +154,47 @@ class ConvergenceSentinel(Monitor):
         self._snapshot: Optional[dict[int, dict[int, Optional[int]]]] = None
 
     def attach(self, ctx: RunContext) -> None:
-        self._ctx = ctx
+        # The context is passed along, not kept: it holds the sentinel.
         ctx.bus.subscribe("route", self._on_route)
-        ctx.sim.schedule(self.sample_interval, self._sample)
+        ctx.sim.schedule(self.sample_interval, self._sample, ctx)
 
     def _on_route(self, record: RouteChangeRecord) -> None:
         self.last_activity = record.time
 
-    def _metrics(self) -> dict[int, dict[int, Optional[int]]]:
-        nodes = sorted(self._ctx.topology.nodes)
-        if protocol_spec(self._ctx.protocol).reactive and self._ctx.active_dests:
+    def _observe(self, ctx: RunContext) -> None:
+        dests = ctx.topology.nodes
+        if protocol_spec(ctx.protocol).reactive and ctx.active_dests:
             # Reactive tables churn with every discovery for every flow; the
             # convergence question is only about destinations with traffic.
-            nodes = sorted(self._ctx.active_dests)
-        out: dict[int, dict[int, Optional[int]]] = {}
-        for node in self._ctx.network.iter_nodes():
-            if node.protocol is None:
-                continue
-            out[node.id] = {
-                dest: node.protocol.route_metric(dest)
-                for dest in nodes
-                if dest != node.id
-            }
-        return out
-
-    def _observe(self) -> None:
-        current = self._metrics()
+            dests = ctx.active_dests
+        current = route_metrics(ctx.network, dests)
         if self._snapshot is not None and current != self._snapshot:
             # The change happened somewhere in (previous tick, now]; the
             # conservative timestamp is now.
-            self.last_activity = self._ctx.sim.now
+            self.last_activity = ctx.sim.now
         self._snapshot = current
 
-    def _sample(self) -> None:
-        self._observe()
-        if self._ctx.sim.now + self.sample_interval <= self._ctx.end_time:
-            self._ctx.sim.schedule(self.sample_interval, self._sample)
+    def _sample(self, ctx: RunContext) -> None:
+        self._observe(ctx)
+        if ctx.sim.now + self.sample_interval <= ctx.end_time:
+            ctx.sim.schedule(self.sample_interval, self._sample, ctx)
 
     def finalize(self, ctx: RunContext) -> None:
         # Catch churn that landed after the final tick.
-        self._observe()
+        self._observe(ctx)
+
+
+def route_metrics(network: "Network", dests) -> dict[int, dict[int, Optional[int]]]:
+    """node -> dest -> route metric (None = unreachable) to each of
+    ``dests``, for every node with a protocol."""
+    dests = sorted(dests)
+    return {
+        node.id: {
+            dest: node.protocol.route_metric(dest) for dest in dests if dest != node.id
+        }
+        for node in network.iter_nodes()
+        if node.protocol is not None
+    }
 
 
 def _quiesced(ctx: RunContext, own_last_change: Optional[float]) -> bool:
@@ -794,14 +795,18 @@ class MonitorSuite:
 
     ``run_scenario`` drives the lifecycle: :meth:`attach` before the
     simulation (subscribing each monitor to the bus), :meth:`finalize`
-    after it (end-of-run checks).  The suite keeps its :class:`RunContext`
-    so callers — the differential oracle, tests — can inspect the live
-    network after the run.
+    after it (end-of-run checks).  The run ends right after, taking its
+    protocols with it, so :meth:`finalize` also keeps every router's route
+    metrics in :attr:`end_metrics` for the differential oracle.  The
+    :class:`RunContext` stays, with the network's link states.
     """
 
     def __init__(self, monitors: Optional[list[Monitor]] = None) -> None:
         self.monitors = monitors if monitors is not None else self.default_monitors()
         self.context: Optional[RunContext] = None
+        #: node -> dest -> route metric (None = unreachable) at the end of
+        #: the run, for every node with a protocol; set by :meth:`finalize`.
+        self.end_metrics: dict[int, dict[int, Optional[int]]] = {}
 
     @staticmethod
     def default_monitors() -> list[Monitor]:
@@ -829,6 +834,8 @@ class MonitorSuite:
         assert self.context is not None, "attach() must run before finalize()"
         for monitor in self.monitors:
             monitor.finalize(self.context)
+        network = self.context.network
+        self.end_metrics = route_metrics(network, network.nodes)
         return self.violations
 
     @property

@@ -52,7 +52,8 @@ class ProtocolOutcome:
     total_drops: int
     converged_to_expected: bool
     quiesced: bool
-    #: node -> dest -> metric (None = unreachable), captured post-run.
+    #: node -> dest -> metric (None = unreachable) at the end of the run
+    #: (:attr:`MonitorSuite.end_metrics`).
     metrics: dict[int, dict[int, Optional[int]]] = field(default_factory=dict)
     monitor_violations: tuple[str, ...] = ()
 
@@ -89,21 +90,6 @@ class DifferentialReport:
             f"protocols={','.join(self.protocols)}: "
             f"{len(self.all_violations())} violation(s){extra}"
         )
-
-
-def _snapshot_metrics(network) -> dict[int, dict[int, Optional[int]]]:
-    """Every node's route metric to every other node, post-run."""
-    nodes = sorted(n.id for n in network.iter_nodes())
-    out: dict[int, dict[int, Optional[int]]] = {}
-    for node in network.iter_nodes():
-        if node.protocol is None:
-            continue
-        out[node.id] = {
-            dest: node.protocol.route_metric(dest)
-            for dest in nodes
-            if dest != node.id
-        }
-    return out
 
 
 def _oracle_costs(suite: MonitorSuite) -> dict[int, dict[int, Optional[int]]]:
@@ -159,7 +145,7 @@ def run_differential(
             total_drops=result.total_drops,
             converged_to_expected=result.converged_to_expected,
             quiesced=quiesced,
-            metrics=_snapshot_metrics(suite.context.network),
+            metrics=suite.end_metrics,
             monitor_violations=tuple(str(v) for v in suite.violations),
         )
         report.outcomes[protocol] = outcome
@@ -255,7 +241,7 @@ def run_churn_differential(
             total_drops=result.total_drops,
             converged_to_expected=result.converged_to_expected,
             quiesced=quiesced,
-            metrics=_snapshot_metrics(suite.context.network),
+            metrics=suite.end_metrics,
             monitor_violations=tuple(str(v) for v in suite.violations),
         )
         report.outcomes[protocol] = outcome

@@ -21,7 +21,7 @@ from repro.experiments.scenario import run_scenario
 from repro.net.dynamics import LinkEvent, ScriptedDriver
 from repro.routing.catalog import protocol_spec
 from repro.validation.monitors import MonitorSuite, RibConsistencyMonitor
-from repro.validation.oracle import _oracle_costs, _snapshot_metrics
+from repro.validation.oracle import _oracle_costs
 
 PROTOCOLS = ("rip", "dbf", "bgp3", "spf", "dual")
 CYCLES = 3
@@ -87,9 +87,8 @@ class TestFlapping:
             m for m in suite.monitors if isinstance(m, RibConsistencyMonitor)
         )
         assert rib.skipped is None, f"did not quiesce: {rib.skipped}"
-        ctx = suite.context
-        assert ctx is not None
-        actual = _snapshot_metrics(ctx.network)
+        actual = suite.end_metrics
+        assert len(actual) == len(suite.context.network.nodes)
         expected = _oracle_costs(suite)
         mismatches = [
             (node, dest, row[dest], expected[node][dest])

@@ -129,22 +129,24 @@ def test_olsr_skipped_recomputes_leave_the_fib_a_fresh_run_would_build(monkeypat
 def test_spf_skips_most_recomputes_under_churn(monkeypatch):
     """Flooding delivers every LSA once per router, but most of them leave
     the two-way view as it was: no Dijkstra then."""
-    routers: list[SpfProtocol] = []
-    warm_start = SpfProtocol.warm_start
+    counts: list[tuple[int, int]] = []
+    close = SpfProtocol.close
 
-    def collecting(self: SpfProtocol, topology) -> None:
-        routers.append(self)
-        warm_start(self, topology)
+    def counting(self: SpfProtocol) -> None:
+        # Read each router as its run ends: closing drops its state.
+        counts.append((self.recomputations, self.recomputes_skipped))
+        close(self)
 
-    monkeypatch.setattr(SpfProtocol, "warm_start", collecting)
+    monkeypatch.setattr(SpfProtocol, "close", counting)
     config = ExperimentConfig.quick().with_(
         post_fail_window=20.0,
         churn=ChurnConfig(model="waypoint", n_nodes=16, radio_range=400.0),
     )
     result = run_churn_scenario("spf", 7, config)
     assert result.events
-    runs = sum(p.recomputations for p in routers)
-    skipped = sum(p.recomputes_skipped for p in routers)
+    assert len(counts) == config.churn.n_nodes
+    runs = sum(ran for ran, _ in counts)
+    skipped = sum(skip for _, skip in counts)
     assert skipped / runs >= 0.4, (skipped, runs)
 
 
