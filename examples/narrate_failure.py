@@ -40,7 +40,10 @@ def main() -> None:
     print(f"failing link {layout.failed} at t={run.fail_at} (detected +50 ms)\n")
     print(render_mesh(layout.topology, config.rows, config.cols, failed_link=layout.failed))
 
-    run.execute()
+    try:
+        run.execute()
+    finally:
+        run.close()  # the recorder keeps its records; the network is freed
     events = build_timeline(
         route_changes=recorder.records("route"),
         link_events=recorder.records("link"),

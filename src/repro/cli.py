@@ -692,7 +692,10 @@ def _cmd_narrate(args: argparse.Namespace) -> int:
     )
     print(render_mesh(layout.topology, config.rows, config.cols, failed_link=failed))
 
-    run.execute()
+    try:
+        run.execute()
+    finally:
+        run.close()
     events = build_timeline(
         route_changes=recorder.records("route"),
         link_events=recorder.records("link"),

@@ -234,10 +234,14 @@ def run_transport_scenario(
         sim, run.network, sender, receiver, flow_id=1,
         total_segments=total_segments, config=transport,
     )
-    sim.schedule_at(run.traffic_start, tx.start)
-    horizon = run.end_at + 120.0
-    while sim.now < horizon and not tx.done:
-        sim.run(until=min(horizon, sim.now + 10.0))
+    try:
+        sim.schedule_at(run.traffic_start, tx.start)
+        horizon = run.end_at + 120.0
+        while sim.now < horizon and not tx.done:
+            sim.run(until=min(horizon, sim.now + 10.0))
+    finally:
+        tx.close()
+        run.close()
     return TransportResult(
         protocol=protocol,
         degree=degree,

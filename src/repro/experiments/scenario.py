@@ -592,13 +592,21 @@ class ScenarioRun:
             self.log.end(ok=not result.violations)
             if self._owns_log:
                 self.log.close()
-        # End the run: the pending events, the network and the bus's
-        # subscribers are reference cycles; cut, the run is freed by
-        # reference count once its caller drops it.
+        self.close()
+        return result
+
+    def close(self) -> None:
+        """End the run: close simulator, network and bus.
+
+        The pending events, the network and the bus's subscribers are
+        reference cycles; cut, the run is freed by reference count once its
+        caller drops it.  :meth:`to_result` calls this; a runner that reads
+        its own result off the instruments calls it when done (in a
+        ``finally``), so an abandoned run is freed too.
+        """
         self.sim.close()
         self.network.close()
         self.bus.close()
-        return result
 
     def _dump(self, result: ScenarioResult) -> str:
         """Write the post-mortem ticket naming this run (see :func:`replay`).

@@ -250,22 +250,36 @@ def is_connected(adj: Adjacency) -> bool:
     return not adj or len(shortest_path_tree(adj, next(iter(adj)))[1]) == len(adj)
 
 
+#: Layouts the memo keeps: one per mesh degree of the paper's 3…8 sweep.
+_MEMO_LAYOUTS = 6
+
+#: Adjacency key → that layout's :func:`per_topology` results, least
+#: recently looked up first.
 _MEMO: dict[tuple, dict] = {}
 
 
 def per_topology(compute: Callable[[Topology], _T]) -> Callable[[Topology], _T]:
     """Memoize ``compute(topo)`` across every :class:`Topology` with the same
     nodes, links and costs: whole-network precomputation a warm start would
-    otherwise repeat per router and per scenario (a campaign's scenarios run
-    over one mesh per degree).  Results are shared; treat them as read-only."""
+    otherwise repeat per router and per scenario.
+
+    The key is the whole adjacency, the flow hosts a layout attaches
+    included, so the memo is per *layout*: a sweep runs every protocol over
+    the same (degree, seed) layouts and hits it, while a run of fresh
+    layouts never does.  It keeps the ``_MEMO_LAYOUTS`` most recently looked-up
+    layouts and drops the oldest beyond that; a topology keeps its own
+    entry on its index, so a run's routers share one table however the
+    memo moves, and an evicted table goes with the last topology holding
+    it.  Results are shared; treat them as read-only."""
 
     def memoized(topo: Topology) -> _T:
         index = topo._indexed()
         if index.memo is None:
             key = tuple((node, tuple(nbrs.items())) for node, nbrs in index.adj.items())
-            if key not in _MEMO and len(_MEMO) > 32:  # bound memory across large sweeps
-                _MEMO.clear()
-            index.memo = _MEMO.setdefault(key, {})
+            memo = _MEMO.pop(key, None)
+            index.memo = _MEMO[key] = {} if memo is None else memo
+            if len(_MEMO) > _MEMO_LAYOUTS:
+                del _MEMO[next(iter(_MEMO))]
         if compute not in index.memo:
             index.memo[compute] = compute(topo)
         return index.memo[compute]

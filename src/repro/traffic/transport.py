@@ -150,6 +150,13 @@ class ReliableSender:
     def done(self) -> bool:
         return self._base >= self.total_segments
 
+    def close(self) -> None:
+        """End the transfer: drop the retransmission timer, whose action
+        calls back into this sender (a reference cycle that would keep the
+        network alive).  ``stats`` stays readable."""
+        self._timer.cancel()
+        self._timer = None
+
     def _fill_window(self) -> None:
         while (
             self._next < self.total_segments

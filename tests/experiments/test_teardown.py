@@ -1,10 +1,12 @@
 """A finished run frees itself.
 
-``ScenarioRun.to_result`` (and a shard's ``finalize``) ends its run: the
-simulator drops its pending events, the network closes every node, link and
-protocol, and the bus drops its subscribers.  With the cyclic collector off,
-every network a run built must then be gone once the run is dropped, and a
-collection right after finds (next to) nothing.
+``ScenarioRun.close`` (called by ``to_result``, and in a ``finally`` by the
+runners that read their own result off the instruments) and a shard's
+``finalize`` end their run: the simulator drops its pending events, the
+network closes every node, link and protocol, and the bus drops its
+subscribers.  With the cyclic collector off, every network a run built must
+then be gone once the run is dropped, and a collection right after finds
+(next to) nothing.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import weakref
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.churn import run_churn_scenario
 from repro.experiments.config import ChurnConfig, ExperimentConfig
+from repro.experiments.extensions import run_transport_scenario
 from repro.experiments.scenario import run_scenario
 from repro.net.network import Network
 from repro.routing.catalog import PROTOCOLS
@@ -86,7 +90,21 @@ def test_local_shard_networks_die_by_reference_count(networks):
     assert alive_after(lambda: run_scenario("bgp3", 4, 7, config), networks) == [False, False]
 
 
+def test_transport_network_dies_by_reference_count(networks):
+    assert alive_after(lambda: run_transport_scenario("dbf", 4, 7, TINY), networks) == [False]
+
+
+def test_narrated_network_dies_by_reference_count(networks, capsys):
+    argv = ["narrate", "--protocol", "dbf", "--degree", "4", "--seed", "7", "--window", "15"]
+    assert alive_after(lambda: main(argv), networks) == [False]
+    assert "Timeline" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("protocol", ["dbf", "bgp3"])
 def test_finished_run_leaves_no_cyclic_garbage(protocol):
     config = ExperimentConfig.quick()
     assert collected_after(lambda: run_scenario(protocol, 4, 7, config)) <= GARBAGE_BOUND
+
+
+def test_transport_run_leaves_no_cyclic_garbage():
+    assert collected_after(lambda: run_transport_scenario("dbf", 4, 7, TINY)) <= GARBAGE_BOUND
