@@ -8,12 +8,13 @@ on a fresh bus to a convergence tracker, a watcher and, when validating,
 the FIB-loop monitor, each subscribed as in a live run; the result is then
 assembled by :func:`~repro.experiments.scenario.fold_result`, the fold a
 single-process run uses.  Packet conservation is re-checked from the
-shipped end-of-run state.
+shipped end-of-run state by :meth:`PacketConservationMonitor.balance`, and
+open loops are closed by :meth:`FibLoopMonitor.finish`: the checks the live
+monitors run, called rather than copied.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Optional
 
 from ..experiments.scenario import EventClock, Layout, ScenarioResult, fold_result
@@ -26,7 +27,6 @@ from ..validation.monitors import (
     FibLoopMonitor,
     MonitorSuite,
     PacketConservationMonitor,
-    Violation,
 )
 from .partition import Partition
 from .worker import ShardOutput
@@ -111,26 +111,18 @@ def _offline_violations(
     end_at: float,
 ) -> tuple[str, ...]:
     """Packet conservation from the shipped state, then the replayed loops."""
-    violations: list[Violation] = []
-    # Same arithmetic as the live monitor, from global sums (no data packet
-    # is dropped before warm start ends).
-    dropped = sum(o.run.drops for o in outputs)
-    outstanding = result.sent - result.delivered - dropped
-    in_network = sum(o.end_occupancy_data for o in outputs)
-    buffered = sum(o.pending_data for o in outputs)
-    if outstanding != in_network + buffered:
-        violations.append(
-            Violation(
-                PacketConservationMonitor.name,
-                end_at,
-                f"{outstanding} packet(s) unaccounted for but {in_network} "
-                f"data packet(s) physically in the network and {buffered} "
-                f"buffered awaiting routes",
-            )
-        )
+    conservation = PacketConservationMonitor()
+    # Global sums (no data packet is dropped before warm start ends).
+    conservation.balance(
+        end_at,
+        outstanding=result.sent - result.delivered - sum(o.run.drops for o in outputs),
+        in_network=sum(o.end_occupancy_data for o in outputs),
+        buffered=sum(o.pending_data for o in outputs),
+    )
+    violations = conservation.violations
     if loops is not None:
-        loops.finalize(SimpleNamespace(end_time=end_at))
-        violations.extend(loops.violations)
+        loops.finish(end_at)
+        violations += loops.violations
     return tuple(str(v) for v in violations)
 
 

@@ -499,9 +499,6 @@ class ScenarioRun:
                     bus=bus,
                     topology=topo,
                     protocol=protocol,
-                    failed_links=tuple(
-                        sorted({e.link_key for e in events if e.kind == "fail"})
-                    ),
                     detect_time=self.clock.first_detect,
                     end_time=end_at,
                     infinity=config.dv_infinity if spec.distance_vector else None,

@@ -14,6 +14,8 @@ for raising the probability of valid alternate paths.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..net.node import Node
 from ..sim.rng import RngStreams
 from ..topology.graph import Topology, all_shortest_path_costs, all_shortest_path_trees
@@ -39,7 +41,7 @@ class DbfProtocol(DistanceVectorProtocol):
 
     def _consider_route(self, dest: int, advertised: int, cost: int, from_node: int) -> bool:
         self.cache.learn(from_node, dest, advertised)
-        return self._reselect(dest)
+        return self._reselect(dest, heard_from=from_node)
 
     def _neighbor_lost(self, neighbor: int) -> set[int]:
         self.cache.forget_neighbor(neighbor)
@@ -60,8 +62,13 @@ class DbfProtocol(DistanceVectorProtocol):
             return {dest}
         return set()
 
-    def _reselect(self, dest: int) -> bool:
-        """Bellman-Ford over the cache; returns True if the route changed."""
+    def _reselect(self, dest: int, heard_from: Optional[int] = None) -> bool:
+        """Bellman-Ford over the cache; returns True if the route changed.
+
+        As in RIP (RFC 2453), an unchanged choice keeps its deadline unless
+        the news came from its next hop: a silent next hop times out even
+        while another neighbor keeps advertising.
+        """
         if dest == self.node.id:
             return False
         if len(self._links) != len(self.node.links):
@@ -69,10 +76,11 @@ class DbfProtocol(DistanceVectorProtocol):
         metric, next_hop = best_vector_choice(
             self.cache, dest, self._links, infinity=self.config.infinity
         )
-        changed = self._set_route(dest, metric, next_hop)
-        if not changed and metric < self.config.infinity:
-            self._refresh_route(dest)
-        return changed
+        route = self.table.get(dest)
+        unchanged = route is not None and (route.metric, route.next_hop) == (metric, next_hop)
+        if unchanged and heard_from != next_hop:
+            return False
+        return self._set_route(dest, metric, next_hop)
 
     # ------------------------------------------------------------ warm start
 

@@ -208,11 +208,6 @@ class DistanceVectorProtocol(RoutingProtocol):
             self.node.set_next_hop(dest, next_hop)
         return changed
 
-    def _refresh_route(self, dest: int) -> None:
-        route = self.table.get(dest)
-        if route is not None:
-            route.updated_at = self.sim.now
-
     def route_metric(self, dest: int) -> Optional[int]:
         route = self.table.get(dest)
         if route is None or route.metric >= self.config.infinity:

@@ -49,10 +49,7 @@ class RipProtocol(DistanceVectorProtocol):
             if metric >= self.config.infinity:
                 self._enter_holddown(dest, from_node)
                 return self._set_route(dest, self.config.infinity, None)
-            changed = self._set_route(dest, metric, from_node)
-            if not changed:
-                self._refresh_route(dest)
-            return changed
+            return self._set_route(dest, metric, from_node)
         if route.metric >= self.config.infinity and self._held_down(dest, from_node):
             return False
         if metric < route.metric:

@@ -20,7 +20,7 @@ The standard catalog (see ``docs/validation.md``):
 * :class:`TtlMonitor` — per-packet TTL strictly decreases hop by hop;
   ``TTL_EXPIRED`` drops happen exactly at TTL 0 and their count matches the
   per-node drop counters.
-* :class:`QueueOccupancyMonitor` — sampled on a virtual-time ticker: no
+* :class:`QueueOccupancyMonitor` — sampled every simulated second: no
   drop-tail queue ever exceeds its configured capacity.
 * :class:`FibLoopMonitor` — for protocols that promise loop-freedom (RIP's
   split horizon with poison reverse, DUAL's feasibility condition), no
@@ -36,9 +36,11 @@ The standard catalog (see ``docs/validation.md``):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from ..metrics.convergence import walk_forwarding_path
 from ..routing.catalog import protocol_spec
 from ..sim.tracing import DropCause, PacketRecord, RouteChangeRecord, TraceBus
 from ..topology.graph import Adjacency, is_connected, shortest_path_tree, without_links
@@ -49,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..topology.graph import Topology
 
 __all__ = [
+    "SAMPLE_INTERVAL",
     "Violation",
     "RunContext",
     "Monitor",
@@ -61,6 +64,9 @@ __all__ = [
     "NoRouteAfterConvergenceMonitor",
     "RibConsistencyMonitor",
 ]
+
+#: Virtual seconds between the suite's samples of live network state.
+SAMPLE_INTERVAL = 1.0
 
 @dataclass(frozen=True)
 class Violation:
@@ -83,8 +89,6 @@ class RunContext:
     bus: TraceBus
     topology: "Topology"
     protocol: str
-    #: Links failed during the run, as canonical (min, max) endpoint pairs.
-    failed_links: tuple[tuple[int, int], ...] = ()
     detect_time: float = 0.0
     end_time: float = 0.0
     #: Distance-vector infinity: oracle costs at/above this are unreachable.
@@ -104,12 +108,13 @@ class RunContext:
     #: re-optimize a working route), so churn wiring relaxes this to
     #: validity + loop-freedom + metric >= oracle.
     reactive_strict: bool = True
-    #: Shared routing-activity tracker, installed by :class:`MonitorSuite`.
+    #: The quiescence clock, installed by :class:`MonitorSuite`.
     sentinel: Optional["ConvergenceSentinel"] = None
 
 
 class Monitor:
-    """Base class: collects violations; subclasses hook attach/finalize."""
+    """Base class: collects violations; subclasses hook attach, sample and
+    finalize."""
 
     name = "monitor"
 
@@ -119,7 +124,11 @@ class Monitor:
         self.skipped: Optional[str] = None
 
     def attach(self, ctx: RunContext) -> None:
-        """Subscribe to the bus / arm samplers.  Called before the run."""
+        """Subscribe to the bus.  Called before the run."""
+
+    def sample(self, ctx: RunContext) -> None:
+        """Look at live network state: the suite calls this every
+        :data:`SAMPLE_INTERVAL` virtual seconds until the end of the run."""
 
     def finalize(self, ctx: RunContext) -> None:
         """End-of-run checks.  Called after the simulation completes."""
@@ -129,39 +138,38 @@ class Monitor:
 
 
 class ConvergenceSentinel(Monitor):
-    """Tracks the last instant any *routing state* changed, anywhere.
+    """The run's quiescence clock: when routing state last changed, anywhere.
 
     FIB-change records alone under-report convergence activity: BGP path
     lengths can ripple through the network without any next hop changing,
     and a distance-vector metric can count up while its next hop stays
     put — in both cases ``set_next_hop`` is a no-op and no route record is
-    published.  The sentinel therefore combines two signals:
+    published.  The sentinel therefore keeps two readings:
 
-    * every :class:`RouteChangeRecord` on the bus, and
-    * a virtual-time ticker that samples every node's ``route_metric``
-      table and timestamps any difference from the previous sample.
+    * :attr:`last_route_change`, the time of the last
+      :class:`RouteChangeRecord` on the bus, and
+    * :attr:`last_activity`, the later of that and the last sample whose
+      ``route_metric`` tables differ from the previous sample's.
 
-    Other monitors read :attr:`last_activity` to decide whether the network
-    has genuinely quiesced.  The sentinel itself never flags violations.
+    Other monitors read these to decide whether the network has genuinely
+    quiesced.  The sentinel itself never flags violations.
     """
 
     name = "convergence-sentinel"
 
-    def __init__(self, sample_interval: float = 1.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.sample_interval = sample_interval
+        self.last_route_change: Optional[float] = None
         self.last_activity: Optional[float] = None
         self._snapshot: Optional[dict[int, dict[int, Optional[int]]]] = None
 
     def attach(self, ctx: RunContext) -> None:
-        # The context is passed along, not kept: it holds the sentinel.
         ctx.bus.subscribe("route", self._on_route)
-        ctx.sim.schedule(self.sample_interval, self._sample, ctx)
 
     def _on_route(self, record: RouteChangeRecord) -> None:
-        self.last_activity = record.time
+        self.last_route_change = self.last_activity = record.time
 
-    def _observe(self, ctx: RunContext) -> None:
+    def sample(self, ctx: RunContext) -> None:
         dests = ctx.topology.nodes
         if protocol_spec(ctx.protocol).reactive and ctx.active_dests:
             # Reactive tables churn with every discovery for every flow; the
@@ -174,14 +182,9 @@ class ConvergenceSentinel(Monitor):
             self.last_activity = ctx.sim.now
         self._snapshot = current
 
-    def _sample(self, ctx: RunContext) -> None:
-        self._observe(ctx)
-        if ctx.sim.now + self.sample_interval <= ctx.end_time:
-            ctx.sim.schedule(self.sample_interval, self._sample, ctx)
-
     def finalize(self, ctx: RunContext) -> None:
         # Catch churn that landed after the final tick.
-        self._observe(ctx)
+        self.sample(ctx)
 
 
 def route_metrics(network: "Network", dests) -> dict[int, dict[int, Optional[int]]]:
@@ -197,13 +200,9 @@ def route_metrics(network: "Network", dests) -> dict[int, dict[int, Optional[int
     }
 
 
-def _quiesced(ctx: RunContext, own_last_change: Optional[float]) -> bool:
+def _quiesced(ctx: RunContext) -> bool:
     """Has routing activity been quiet for at least ``ctx.settle_margin``?"""
-    last = own_last_change
-    if ctx.sentinel is not None:
-        sl = ctx.sentinel.last_activity
-        if sl is not None and (last is None or sl > last):
-            last = sl
+    last = ctx.sentinel.last_activity
     return last is None or ctx.end_time - last >= ctx.settle_margin
 
 
@@ -258,9 +257,14 @@ class PacketConservationMonitor(Monitor):
             for node in ctx.network.iter_nodes()
             if node.protocol is not None
         )
+        self.balance(ctx.sim.now, outstanding, in_network, buffered)
+
+    def balance(self, time: float, outstanding: int, in_network: int, buffered: int) -> None:
+        """Flag ``outstanding`` packets that are neither ``in_network`` (on
+        a link) nor ``buffered`` (awaiting a route) at ``time``."""
         if outstanding != in_network + buffered:
             self._flag(
-                ctx.sim.now,
+                time,
                 f"{outstanding} packet(s) unaccounted for but {in_network} "
                 f"data packet(s) physically in the network and {buffered} "
                 f"buffered awaiting routes",
@@ -331,24 +335,12 @@ class QueueOccupancyMonitor(Monitor):
 
     The queue enforces this at push time by construction, so the monitor is
     a tripwire against regressions that bypass ``DropTailQueue.push`` (or
-    corrupt the deque): it samples every channel on a virtual-time ticker.
+    corrupt the deque): it samples every channel each simulated second.
     """
 
     name = "queue-occupancy"
 
-    def __init__(self, sample_interval: float = 1.0) -> None:
-        super().__init__()
-        self.sample_interval = sample_interval
-        self.samples = 0
-
-    def attach(self, ctx: RunContext) -> None:
-        self._ctx = ctx
-        ctx.sim.schedule(self.sample_interval, self._sample)
-
-    def _sample(self) -> None:
-        ctx = self._ctx
-        self.samples += 1
-        capacity = None
+    def sample(self, ctx: RunContext) -> None:
         for link in ctx.network.iter_links():
             a, b = link.endpoints
             capacity = link.queue_capacity
@@ -360,32 +352,26 @@ class QueueOccupancyMonitor(Monitor):
                         f"queue {end}->{link.other_end(end)} holds {depth} "
                         f"> capacity {capacity}",
                     )
-        if ctx.sim.now + self.sample_interval <= ctx.end_time:
-            ctx.sim.schedule(self.sample_interval, self._sample)
 
 
 class NoRouteAfterConvergenceMonitor(Monitor):
     """No ``NO_ROUTE`` drops after the network-wide convergence instant.
 
-    Tracks the last FIB change anywhere (the measured routing-convergence
-    time) and every NO_ROUTE drop; a drop strictly after the last change
-    means a router kept a FIB hole past convergence — which, on a topology
-    the oracle says is still fully connected, is a protocol bug.
+    Keeps every NO_ROUTE drop and reads the convergence instant off the
+    sentinel (the last FIB change anywhere, or later routing activity); a
+    drop strictly after it means a router kept a FIB hole past convergence
+    — which, on a topology the oracle says is still fully connected, is a
+    protocol bug.
     """
 
     name = "no-route-after-convergence"
 
     def __init__(self) -> None:
         super().__init__()
-        self.last_route_change: Optional[float] = None
         self.no_route_drops: list[tuple[float, int]] = []
 
     def attach(self, ctx: RunContext) -> None:
-        ctx.bus.subscribe("route", self._on_route)
         ctx.bus.subscribe("packet", self._on_packet)
-
-    def _on_route(self, record: RouteChangeRecord) -> None:
-        self.last_route_change = record.time
 
     def _on_packet(self, record: PacketRecord) -> None:
         if record.kind == "drop" and record.cause is DropCause.NO_ROUTE:
@@ -395,7 +381,7 @@ class NoRouteAfterConvergenceMonitor(Monitor):
         if not _oracle_fully_connected(ctx):
             self.skipped = "post-failure topology not fully connected"
             return
-        if not _quiesced(ctx, self.last_route_change):
+        if not _quiesced(ctx):
             # Quiet-but-not-converged networks (pending MRAI, damping) may
             # legitimately still be dropping; only judge settled runs.
             self.skipped = "network still churning at end of run"
@@ -403,11 +389,8 @@ class NoRouteAfterConvergenceMonitor(Monitor):
         # Convergence instant: the last FIB change, or — for routing state
         # the bus never sees (DSR's cache lives outside any FIB) — the
         # sentinel's last observed activity.
-        candidates = [self.last_route_change]
-        if ctx.sentinel is not None:
-            candidates.append(ctx.sentinel.last_activity)
-        known = [t for t in candidates if t is not None]
-        converged_at = max(known) if known else ctx.detect_time
+        last = ctx.sentinel.last_activity
+        converged_at = ctx.detect_time if last is None else last
         for time, node in self.no_route_drops:
             if time > converged_at:
                 self._flag(
@@ -435,15 +418,13 @@ class FibLoopMonitor(Monitor):
 
     name = "fib-loop"
 
-    def __init__(self, sample_interval: float = 1.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.sample_interval = sample_interval
         #: dest -> {node -> next_hop}
         self._views: dict[int, dict[int, Optional[int]]] = {}
         #: dest -> (formation time, description) for a loop awaiting
         #: confirmation that it outlived its formation instant.
         self._pending: dict[int, tuple[float, str]] = {}
-        self.loops_confirmed = 0
         self._source_routed = False
         self._seen_paths: set[tuple[int, tuple[int, ...]]] = set()
 
@@ -456,10 +437,8 @@ class FibLoopMonitor(Monitor):
             return
         if spec.source_routed:
             # Source-routed protocols keep FIBs empty; the loop surface is
-            # the per-node path cache, sampled on a virtual-time ticker.
+            # the per-node path cache, sampled each simulated second.
             self._source_routed = True
-            self._ctx = ctx
-            ctx.sim.schedule(self.sample_interval, self._sample_source_routes)
             return
         self.follow({node.id: node.fib for node in ctx.network.iter_nodes()}, ctx.bus)
 
@@ -473,13 +452,9 @@ class FibLoopMonitor(Monitor):
                 self._views.setdefault(dest, {})[node] = nh
         bus.subscribe("route", self._on_route)
 
-    def _sample_source_routes(self) -> None:
-        ctx = self._ctx
-        self._check_source_routes(ctx)
-        if ctx.sim.now + self.sample_interval <= ctx.end_time:
-            ctx.sim.schedule(self.sample_interval, self._sample_source_routes)
-
-    def _check_source_routes(self, ctx: RunContext) -> None:
+    def sample(self, ctx: RunContext) -> None:
+        if not self._source_routed:
+            return
         for node in ctx.network.iter_nodes():
             loops = getattr(node.protocol, "source_route_loops", None)
             if loops is None:
@@ -489,7 +464,6 @@ class FibLoopMonitor(Monitor):
                 if key in self._seen_paths:
                     continue
                 self._seen_paths.add(key)
-                self.loops_confirmed += 1
                 self._flag(
                     ctx.sim.now,
                     f"source route {'->'.join(map(str, path))} cached at "
@@ -502,12 +476,12 @@ class FibLoopMonitor(Monitor):
             view.pop(record.node, None)
         else:
             view[record.node] = record.new_next_hop
-        cycle = self._find_cycle(view, record.node)
+        walk = walk_forwarding_path(view, record.node, record.dest, len(view) + 1)
         pending = self._pending.get(record.dest)
-        if cycle is not None:
+        if walk.state == "loop":
             if pending is None:
                 detail = (
-                    f"forwarding loop {'->'.join(map(str, cycle))} for dest "
+                    f"forwarding loop {'->'.join(map(str, walk.path))} for dest "
                     f"{record.dest}"
                 )
                 self._pending[record.dest] = (record.time, detail)
@@ -518,34 +492,19 @@ class FibLoopMonitor(Monitor):
             if record.time > formed_at:
                 # The loop survived past its formation instant: real packets
                 # could have circulated.
-                self.loops_confirmed += 1
                 self._flag(formed_at, detail)
-
-    @staticmethod
-    def _find_cycle(
-        view: dict[int, Optional[int]], start: int
-    ) -> Optional[list[int]]:
-        path = [start]
-        seen = {start}
-        node = start
-        for _ in range(len(view) + 1):
-            nxt = view.get(node)
-            if nxt is None:
-                return None
-            path.append(nxt)
-            if nxt in seen:
-                return path
-            seen.add(nxt)
-            node = nxt
-        return path  # walk exceeded the view size: necessarily cyclic
 
     def finalize(self, ctx: RunContext) -> None:
         if self._source_routed:
-            self._check_source_routes(ctx)
-            return
+            self.sample(ctx)
+        else:
+            self.finish(ctx.end_time)
+
+    def finish(self, end_time: float) -> None:
+        """Flag every loop still open at ``end_time`` that outlived its
+        formation instant."""
         for dest, (formed_at, detail) in sorted(self._pending.items()):
-            if ctx.end_time > formed_at:
-                self.loops_confirmed += 1
+            if end_time > formed_at:
                 self._flag(formed_at, detail + " (still present at end of run)")
         self._pending.clear()
 
@@ -565,21 +524,32 @@ class RibConsistencyMonitor(Monitor):
 
     The diff only makes sense on a quiesced network: if any FIB changed
     within ``ctx.settle_margin`` seconds of the end of the run, the monitor
-    reports itself skipped instead of producing noise.
+    reports itself skipped instead of producing noise.  A run it judges
+    leaves the oracle's table in :attr:`oracle`.
     """
 
     name = "rib-consistency"
 
     def __init__(self) -> None:
         super().__init__()
-        self.last_route_change: Optional[float] = None
-        self.nodes_checked = 0
+        #: src -> dest -> SPF cost on the post-failure topology, reachable
+        #: pairs below ``ctx.infinity`` only; filled when the run is judged.
+        self.oracle: dict[int, dict[int, int]] = {}
 
-    def attach(self, ctx: RunContext) -> None:
-        ctx.bus.subscribe("route", self._on_route)
-
-    def _on_route(self, record: RouteChangeRecord) -> None:
-        self.last_route_change = record.time
+    def _judgeable(self, ctx: RunContext) -> bool:
+        """Skip a still-churning run; otherwise compute :attr:`oracle`."""
+        if not _quiesced(ctx):
+            self.skipped = (
+                f"network still churning at end of run (last FIB change "
+                f"t={ctx.sentinel.last_route_change}, end t={ctx.end_time:.3f})"
+            )
+            return False
+        graph = _post_failure_graph(ctx)
+        limit = math.inf if ctx.infinity is None else ctx.infinity
+        for src in sorted(ctx.topology.nodes):
+            costs = shortest_path_tree(graph, src)[1]
+            self.oracle[src] = {d: c for d, c in costs.items() if c < limit}
+        return True
 
     def finalize(self, ctx: RunContext) -> None:
         spec = protocol_spec(ctx.protocol)
@@ -589,26 +559,17 @@ class RibConsistencyMonitor(Monitor):
         if not spec.converges:
             self.skipped = f"protocol {ctx.protocol!r} makes no convergence promise"
             return
-        if not _quiesced(ctx, self.last_route_change):
-            self.skipped = (
-                f"network still churning at end of run (last FIB change "
-                f"t={self.last_route_change}, end t={ctx.end_time:.3f})"
-            )
+        if not self._judgeable(ctx):
             return
-        graph = _post_failure_graph(ctx)
         now = ctx.sim.now
         for node in ctx.network.iter_nodes():
             if node.protocol is None:
                 continue
-            self.nodes_checked += 1
-            costs = self._dist_cache(graph, node.id)
+            costs = self.oracle[node.id]
             for dest in sorted(ctx.topology.nodes):
                 if dest == node.id:
                     continue
                 expected = costs.get(dest)
-                if expected is not None and ctx.infinity is not None:
-                    if expected >= ctx.infinity:
-                        expected = None
                 actual = node.protocol.route_metric(dest)
                 if expected is None:
                     if actual is not None:
@@ -641,7 +602,7 @@ class RibConsistencyMonitor(Monitor):
                     )
                     continue
                 w = link.spec.cost
-                d_nd = self._dist_cache(graph, nh).get(dest)
+                d_nd = self.oracle[nh].get(dest)
                 if d_nd is None or d_nd + w != expected:
                     self._flag(
                         now,
@@ -667,13 +628,8 @@ class RibConsistencyMonitor(Monitor):
         if not ctx.active_dests:
             self.skipped = "no active destinations to judge reactively"
             return
-        if not _quiesced(ctx, self.last_route_change):
-            self.skipped = (
-                f"network still churning at end of run (last FIB change "
-                f"t={self.last_route_change}, end t={ctx.end_time:.3f})"
-            )
+        if not self._judgeable(ctx):
             return
-        graph = _post_failure_graph(ctx)
         now = ctx.sim.now
         for dest in sorted(ctx.active_dests):
             for node in ctx.network.iter_nodes():
@@ -682,8 +638,7 @@ class RibConsistencyMonitor(Monitor):
                 metric = node.protocol.route_metric(dest)
                 if metric is None:
                     continue
-                self.nodes_checked += 1
-                expected = self._dist_cache(graph, node.id).get(dest)
+                expected = self.oracle[node.id].get(dest)
                 if expected is None:
                     self._flag(
                         now,
@@ -768,15 +723,6 @@ class RibConsistencyMonitor(Monitor):
             seen.add(nh)
             current = ctx.network.node(nh)
 
-    def _dist_cache(self, graph: Adjacency, src: int) -> dict[int, int]:
-        cache = getattr(self, "_dists", None)
-        if cache is None:
-            cache = self._dists = {}
-        dists = cache.get(src)
-        if dists is None:
-            dists = cache[src] = shortest_path_tree(graph, src)[1]
-        return dists
-
 
 def _post_failure_graph(ctx: RunContext) -> Adjacency:
     """Adjacency of the topology with every failed link removed."""
@@ -791,18 +737,24 @@ def _oracle_fully_connected(ctx: RunContext) -> bool:
 
 
 class MonitorSuite:
-    """A bundle of monitors attached and finalized as one unit.
+    """The standard catalog, attached, sampled and finalized as one unit.
 
     ``run_scenario`` drives the lifecycle: :meth:`attach` before the
-    simulation (subscribing each monitor to the bus), :meth:`finalize`
-    after it (end-of-run checks).  The run ends right after, taking its
-    protocols with it, so :meth:`finalize` also keeps every router's route
-    metrics in :attr:`end_metrics` for the differential oracle.  The
+    simulation (subscribing each monitor to the bus and arming the one
+    sampler, which calls every monitor's :meth:`Monitor.sample` each
+    :data:`SAMPLE_INTERVAL`), :meth:`finalize` after it (end-of-run
+    checks).  The run ends right after, taking its protocols with it, so
+    :meth:`finalize` also keeps every router's route metrics in
+    :attr:`end_metrics` for the differential oracle.  The
     :class:`RunContext` stays, with the network's link states.
     """
 
-    def __init__(self, monitors: Optional[list[Monitor]] = None) -> None:
-        self.monitors = monitors if monitors is not None else self.default_monitors()
+    def __init__(self) -> None:
+        self.monitors = self.default_monitors()
+        #: The quiescence clock every other monitor reads.
+        self.sentinel = next(
+            m for m in self.monitors if isinstance(m, ConvergenceSentinel)
+        )
         self.context: Optional[RunContext] = None
         #: node -> dest -> route metric (None = unreachable) at the end of
         #: the run, for every node with a protocol; set by :meth:`finalize`.
@@ -824,11 +776,17 @@ class MonitorSuite:
 
     def attach(self, ctx: RunContext) -> None:
         self.context = ctx
-        for monitor in self.monitors:
-            if isinstance(monitor, ConvergenceSentinel):
-                ctx.sentinel = monitor
+        ctx.sentinel = self.sentinel
         for monitor in self.monitors:
             monitor.attach(ctx)
+        ctx.sim.schedule(SAMPLE_INTERVAL, self._sample)
+
+    def _sample(self) -> None:
+        ctx = self.context
+        for monitor in self.monitors:
+            monitor.sample(ctx)
+        if ctx.sim.now + SAMPLE_INTERVAL <= ctx.end_time:
+            ctx.sim.schedule(SAMPLE_INTERVAL, self._sample)
 
     def finalize(self) -> list[Violation]:
         assert self.context is not None, "attach() must run before finalize()"

@@ -92,28 +92,34 @@ class DifferentialReport:
         )
 
 
-def _oracle_costs(suite: MonitorSuite) -> dict[int, dict[int, Optional[int]]]:
-    """SPF costs on the post-failure graph, shaped like a metric snapshot."""
-    from ..topology.graph import shortest_path_tree
-    from .monitors import _post_failure_graph
-
-    ctx = suite.context
-    assert ctx is not None
-    graph = _post_failure_graph(ctx)
-    nodes = sorted(ctx.topology.nodes)
-    out: dict[int, dict[int, Optional[int]]] = {}
-    for src in nodes:
-        _, costs = shortest_path_tree(graph, src)
-        row: dict[int, Optional[int]] = {}
-        for dest in nodes:
-            if dest == src:
-                continue
-            cost = costs.get(dest)
-            if cost is not None and ctx.infinity is not None and cost >= ctx.infinity:
-                cost = None
-            row[dest] = cost
-        out[src] = row
-    return out
+def _judge(
+    report: DifferentialReport, protocol: str, result, suite: MonitorSuite
+) -> RibConsistencyMonitor:
+    """Record one protocol's outcome, monitor findings and delivery
+    envelopes in ``report``; return its RIB monitor, which skipped the run
+    if the network did not quiesce."""
+    rib = next(m for m in suite.monitors if isinstance(m, RibConsistencyMonitor))
+    outcome = ProtocolOutcome(
+        protocol=protocol,
+        sent=result.sent,
+        delivered=result.delivered,
+        drops_ttl=result.drops_ttl,
+        total_drops=result.total_drops,
+        converged_to_expected=result.converged_to_expected,
+        quiesced=rib.skipped is None,
+        metrics=suite.end_metrics,
+        monitor_violations=tuple(str(v) for v in suite.violations),
+    )
+    report.outcomes[protocol] = outcome
+    report.monitor_violations += [f"{protocol}: {v}" for v in outcome.monitor_violations]
+    if result.delivered <= 0:
+        report.envelope_violations.append(f"{protocol}: delivered nothing")
+    if result.delivered + result.total_drops > result.sent:
+        report.envelope_violations.append(
+            f"{protocol}: delivered {result.delivered} + dropped "
+            f"{result.total_drops} > sent {result.sent}"
+        )
+    return rib
 
 
 def run_differential(
@@ -127,59 +133,28 @@ def run_differential(
 
     config = (config or ExperimentConfig.quick()).with_(validate=False)
     report = DifferentialReport(degree=degree, seed=seed, protocols=tuple(protocols))
-    oracle: Optional[dict[int, dict[int, Optional[int]]]] = None
 
     for protocol in protocols:
         suite = MonitorSuite()
         result = run_scenario(protocol, degree, seed, config, monitors=suite)
-        rib = next(
-            m for m in suite.monitors if isinstance(m, RibConsistencyMonitor)
-        )
-        quiesced = rib.skipped is None
-        assert suite.context is not None
-        outcome = ProtocolOutcome(
-            protocol=protocol,
-            sent=result.sent,
-            delivered=result.delivered,
-            drops_ttl=result.drops_ttl,
-            total_drops=result.total_drops,
-            converged_to_expected=result.converged_to_expected,
-            quiesced=quiesced,
-            metrics=suite.end_metrics,
-            monitor_violations=tuple(str(v) for v in suite.violations),
-        )
-        report.outcomes[protocol] = outcome
-
-        for v in outcome.monitor_violations:
-            report.monitor_violations.append(f"{protocol}: {v}")
-
-        # Envelopes.
         if protocol.startswith("rip") and result.drops_ttl > 0:
             report.envelope_violations.append(
                 f"{protocol}: {result.drops_ttl} TTL_EXPIRED drops — RIP must "
                 f"never form a forwarding loop (Observation 2)"
             )
-        if result.delivered <= 0:
-            report.envelope_violations.append(f"{protocol}: delivered nothing")
-        if result.delivered + result.total_drops > result.sent:
-            report.envelope_violations.append(
-                f"{protocol}: delivered {result.delivered} + dropped "
-                f"{result.total_drops} > sent {result.sent}"
-            )
+        rib = _judge(report, protocol, result, suite)
 
         # Cost equality against the SPF oracle (identical across protocols —
         # the scenario's topology and failure depend only on the seed).
-        if not quiesced:
+        if rib.skipped is not None:
             report.skipped.append(
                 f"{protocol}: not quiesced ({rib.skipped}) — cost equality not judged"
             )
             continue
-        if oracle is None:
-            oracle = _oracle_costs(suite)
         reactive = protocol_spec(protocol).reactive
         active = suite.context.active_dests
-        for node_id, row in sorted(outcome.metrics.items()):
-            expected_row = oracle.get(node_id, {})
+        for node_id, row in sorted(suite.end_metrics.items()):
+            expected_row = rib.oracle.get(node_id, {})
             for dest, actual in sorted(row.items()):
                 if reactive:
                     # On-demand convergence: only destinations with traffic
@@ -228,33 +203,8 @@ def run_churn_differential(
     for protocol in protocols:
         suite = MonitorSuite()
         result = run_churn_scenario(protocol, seed, config, monitors=suite)
-        rib = next(
-            m for m in suite.monitors if isinstance(m, RibConsistencyMonitor)
-        )
-        quiesced = rib.skipped is None
-        assert suite.context is not None
-        outcome = ProtocolOutcome(
-            protocol=protocol,
-            sent=result.sent,
-            delivered=result.delivered,
-            drops_ttl=result.drops_ttl,
-            total_drops=result.total_drops,
-            converged_to_expected=result.converged_to_expected,
-            quiesced=quiesced,
-            metrics=suite.end_metrics,
-            monitor_violations=tuple(str(v) for v in suite.violations),
-        )
-        report.outcomes[protocol] = outcome
-        for v in outcome.monitor_violations:
-            report.monitor_violations.append(f"{protocol}: {v}")
-        if result.delivered <= 0:
-            report.envelope_violations.append(f"{protocol}: delivered nothing")
-        if result.delivered + result.total_drops > result.sent:
-            report.envelope_violations.append(
-                f"{protocol}: delivered {result.delivered} + dropped "
-                f"{result.total_drops} > sent {result.sent}"
-            )
-        if not quiesced:
+        rib = _judge(report, protocol, result, suite)
+        if rib.skipped is not None:
             report.skipped.append(
                 f"{protocol}: not quiesced ({rib.skipped}) — end state not judged"
             )

@@ -39,6 +39,20 @@ class TestDbfAging:
         sim.run(until=200.0)
         assert hub.route_metric(9) is None
 
+    def test_silent_next_hop_times_out_while_an_alternate_keeps_talking(self):
+        """Only news from the current next hop refreshes an unchanged route
+        (RFC 2453): leaf 1 goes silent after t=0 while leaf 2 speaks at 30
+        and 60, so the route via leaf 1 times out at 40 onto leaf 2."""
+        sim, net, _ = build_network(generators.star(2), "none")
+        hub = DbfProtocol(net.node(0), RngStreams(1), CONFIG)
+        hub.start()
+        learn(hub, 9, 1, from_node=1)
+        learn(hub, 9, 2, from_node=2)
+        for t in (30.0, 60.0):
+            sim.run(until=t)
+            learn(hub, 9, 2, from_node=2)
+        assert (hub.route_metric(9), hub.table[9].next_hop) == (3, 2)
+
 
 class TestRipAging:
     def test_revived_route_adds_no_aging_event(self):

@@ -21,7 +21,6 @@ from repro.experiments.scenario import run_scenario
 from repro.net.dynamics import LinkEvent, ScriptedDriver
 from repro.routing.catalog import protocol_spec
 from repro.validation.monitors import MonitorSuite, RibConsistencyMonitor
-from repro.validation.oracle import _oracle_costs
 
 PROTOCOLS = ("rip", "dbf", "bgp3", "spf", "dual")
 CYCLES = 3
@@ -89,12 +88,11 @@ class TestFlapping:
         assert rib.skipped is None, f"did not quiesce: {rib.skipped}"
         actual = suite.end_metrics
         assert len(actual) == len(suite.context.network.nodes)
-        expected = _oracle_costs(suite)
         mismatches = [
-            (node, dest, row[dest], expected[node][dest])
+            (node, dest, row[dest], rib.oracle[node].get(dest))
             for node, row in sorted(actual.items())
             for dest in sorted(row)
-            if row[dest] != expected[node][dest]
+            if row[dest] != rib.oracle[node].get(dest)
         ]
         assert mismatches == []
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dist.runner import run_scenario_sharded
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import run_scenario
 from repro.routing.dv_common import DistanceVectorProtocol
@@ -54,3 +55,21 @@ def test_clean_split_horizon_stays_clean():
     suite = MonitorSuite()
     result = run_scenario("rip", 3, 1, ExperimentConfig.quick(), monitors=suite)
     assert result.violations == ()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sharded_merge_catches_the_same_loops(monkeypatch, seed):
+    """The merge replays the route stream into the live FIB-loop monitor:
+    two local shards flag exactly the loops one process flags."""
+    monkeypatch.setattr(
+        DistanceVectorProtocol, "_advertised_metric", _inverted_split_horizon
+    )
+    config = ExperimentConfig.quick()
+    single = run_scenario("rip", 3, seed, config.with_(validate=True))
+    sharded = run_scenario_sharded("rip", 3, seed, config.with_(shards=2), validate=True)
+
+    def loops(result):
+        return [v for v in result.violations if v.startswith("[fib-loop]")]
+
+    assert loops(single)
+    assert loops(sharded) == loops(single)
