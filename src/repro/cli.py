@@ -439,7 +439,8 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    from .dist.runner import run_scenario_sharded
+    from .dist.runner import ShardScenarioSpec, run_sharded
+    from .obs.flight import FlightRecorder, write_perfetto
 
     config = _config(args).with_(
         runs=1,
@@ -447,6 +448,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         record_paths=True,
         shards=args.shards,
         partition=args.partition,
+        validate=args.validate,
     )
     exchange = "process" if args.process else "local"
     if args.perfetto and not args.live_log:
@@ -461,24 +463,29 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         f"shards={args.shards} partition={args.partition} exchange={exchange}"
     )
 
-    r = run_scenario_sharded(
-        args.protocol,
-        args.degree,
-        args.seed,
-        config,
+    recorder = FlightRecorder() if args.check or args.perfetto else None
+    r = run_sharded(
+        ShardScenarioSpec.mesh(args.protocol, args.degree, args.seed, config),
         exchange=exchange,
-        collect_traces=args.check or bool(args.perfetto),
-        validate=args.validate,
+        recorder=recorder,
         live_log=args.live_log,
     )
     if args.check:
-        from .dist.merge import MODE_FIELDS, run_single_with_traces
+        from .dist.merge import MODE_FIELDS, diff_recordings
         from .experiments.persistence import diff_runs
+        from .net.packet import reset_packet_ids
 
-        single = run_single_with_traces(args.protocol, args.degree, args.seed, config)
+        # Packet ids count from zero, as at the start of the sharded run.
+        reset_packet_ids()
+        single_recorder = FlightRecorder()
+        single = run_scenario(
+            args.protocol, args.degree, args.seed,
+            config.with_(shards=1, validate=False), recorder=single_recorder,
+        )
         problems = diff_runs(single, r, ignore=MODE_FIELDS)
+        problems += diff_recordings(single_recorder, recorder)
         streams = ", ".join(
-            f"{len(records)} {kind}" for kind, records in r.traces.items()
+            f"{len(records)} {kind}" for kind, records in recorder.streams.items()
         )
         print(f"trace streams: {streams}")
         if problems:
@@ -491,10 +498,9 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         print(f"run-event log written to {args.live_log}")
     if args.perfetto:
         from .dist.merge import shard_perfetto_trace
-        from .obs.flight import write_perfetto
         from .obs.live import read_log
 
-        trace = shard_perfetto_trace(r.traces, read_log(args.live_log))
+        trace = shard_perfetto_trace(recorder, read_log(args.live_log))
         write_perfetto(trace, args.perfetto)
         print(
             f"cross-shard perfetto trace written to {args.perfetto} "

@@ -10,18 +10,12 @@ single-process run on any topology small enough to do both; see
 """
 
 from .partition import Partition, partition_topology
-from .runner import (
-    ShardScenarioSpec,
-    ShardStallError,
-    run_scenario_sharded,
-    run_sharded,
-)
+from .runner import ShardScenarioSpec, ShardStallError, run_sharded
 
 __all__ = [
     "Partition",
     "partition_topology",
     "ShardScenarioSpec",
     "ShardStallError",
-    "run_scenario_sharded",
     "run_sharded",
 ]

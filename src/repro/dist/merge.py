@@ -15,12 +15,12 @@ monitors run, called rather than copied.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from ..experiments.scenario import EventClock, Layout, ScenarioResult, fold_result
 from ..metrics.convergence import ConvergenceTracker, NetworkConvergenceWatcher
 from ..metrics.counters import Tally
-from ..net.packet import reset_packet_ids
+from ..obs.flight import FlightRecorder, perfetto_trace
 from ..routing.catalog import protocol_spec
 from ..sim.tracing import TraceBus
 from ..validation.monitors import (
@@ -37,7 +37,7 @@ __all__ = [
     "canonical_trace_streams",
     "shard_perfetto_trace",
     "MODE_FIELDS",
-    "run_single_with_traces",
+    "diff_recordings",
 ]
 
 #: Persisted fields that legitimately differ by run mode: the sharded run
@@ -132,9 +132,11 @@ def merge_results(
     outputs: list[ShardOutput],
     scheduled,
     clock: EventClock,
-    validate: bool,
-    collect_traces: bool,
+    recorder: Optional[FlightRecorder] = None,
 ) -> ScenarioResult:
+    """One result from the shards' outputs; ``spec.config.validate`` judges
+    the offline invariants, and ``recorder`` receives every shard's records
+    in :func:`canonical_trace_streams` order."""
     config = spec.config
     outputs = sorted(outputs, key=lambda o: o.shard_index)
     fibs = {node: fib for o in outputs for node, fib in o.initial_fibs.items()}
@@ -144,7 +146,7 @@ def merge_results(
     tracker.seed({node: fib.get(spec.receiver) for node, fib in fibs.items()}, 0.0)
     watcher = NetworkConvergenceWatcher(bus)
     loops, skips = (
-        _offline_monitors(spec.protocol, fibs, bus) if validate else (None, {})
+        _offline_monitors(spec.protocol, fibs, bus) if config.validate else (None, {})
     )
     for record in merge_route_records(outputs, scheduled, clock.detect_times):
         bus.publish(record)
@@ -165,29 +167,29 @@ def merge_results(
         run=sum((o.run for o in outputs), Tally()),
         record_paths=config.record_paths,
     )
-    if validate:
+    if config.validate:
         result.violations = _offline_violations(outputs, loops, result, config.end_time)
         result.monitor_skips = skips
-    if collect_traces:
-        result.traces = canonical_trace_streams(
-            packets=[r for o in outputs for r in o.trace_packets],
-            routes=[r for o in outputs for r in o.trace_installs + o.route_records],
-            links=[r for o in outputs for r in o.trace_links],
-            messages=[r for o in outputs for r in o.trace_messages],
-        )
+    if recorder is not None:
+        shipped = {
+            kind: [r for o in outputs for r in o.streams[kind]]
+            for kind in recorder.streams
+        }
+        for kind, records in canonical_trace_streams(shipped).items():
+            recorder.streams[kind].extend(records)
     return result
 
 
 # --------------------------------------------------------------------------
-# trace canonicalization and the single-process reference run
+# trace canonicalization
 
 
 def _record_key(record) -> tuple:
     return (record.time, repr(record))
 
 
-def canonical_trace_streams(packets, routes, links, messages) -> dict[str, tuple]:
-    """Order-normalize trace streams for byte-for-byte comparison.
+def canonical_trace_streams(streams: Mapping[str, Iterable]) -> dict[str, tuple]:
+    """Order-normalize trace streams (kind -> records) for comparison.
 
     Within one timestamp the global engine order is not observable across
     shards, so each stream is sorted by ``(time, repr)`` — a total order
@@ -196,19 +198,42 @@ def canonical_trace_streams(packets, routes, links, messages) -> dict[str, tuple
     adjacent shards and legitimately record twice.
     """
     return {
-        "packet": tuple(sorted(packets, key=_record_key)),
-        "route": tuple(sorted(routes, key=_record_key)),
-        "link": tuple(sorted(dict.fromkeys(links), key=_record_key)),
-        "message": tuple(sorted(messages, key=_record_key)),
+        kind: tuple(
+            sorted(
+                dict.fromkeys(records) if kind == "link" else records,
+                key=_record_key,
+            )
+        )
+        for kind, records in streams.items()
     }
 
 
-def shard_perfetto_trace(traces: dict, log_records) -> dict:
+def diff_recordings(a: FlightRecorder, b: FlightRecorder) -> list[str]:
+    """Every trace stream in which two recordings of one run differ, in
+    :func:`canonical_trace_streams` order; empty means the same records.
+
+    A stream is named by its record counts and its first diverging index.
+    """
+    problems = []
+    theirs = canonical_trace_streams(b.streams)
+    for kind, x in canonical_trace_streams(a.streams).items():
+        y = theirs[kind]
+        if x != y:
+            first = next(
+                (i for i, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y))
+            )
+            problems.append(
+                f"trace stream {kind!r} ({len(x)} vs {len(y)} records, "
+                f"first divergence at index {first})"
+            )
+    return problems
+
+
+def shard_perfetto_trace(recorder: FlightRecorder, log_records) -> dict:
     """Cross-shard Perfetto document: node lanes plus one lane per shard.
 
-    ``traces`` is the :func:`canonical_trace_streams` dict a
-    ``collect_traces`` run attaches as ``result.traces``; ``log_records``
-    is the run-event log (list of dicts, from
+    ``recorder`` is the :class:`~repro.obs.flight.FlightRecorder` a sharded
+    run filled; ``log_records`` is the run-event log (list of dicts, from
     :func:`repro.obs.live.read_log`).  Packet / FIB / message / link
     events land on their node lanes exactly as in
     :func:`repro.obs.flight.perfetto_trace`, and every shard gets its own
@@ -217,27 +242,14 @@ def shard_perfetto_trace(traces: dict, log_records) -> dict:
     or relay burst lines up visually with the packet activity that caused
     it.
     """
-    from ..obs.flight import perfetto_trace
     from ..obs.live import shard_lane_events
 
+    streams = recorder.streams
     return perfetto_trace(
-        packets=traces.get("packet", ()),
-        route_changes=traces.get("route", ()),
-        link_events=traces.get("link", ()),
-        messages=traces.get("message", ()),
+        packets=streams["packet"],
+        route_changes=streams["route"],
+        link_events=streams["link"],
+        messages=streams["message"],
         extra=shard_lane_events(log_records),
     )
 
-
-def run_single_with_traces(protocol: str, degree: int, seed: int, config):
-    """Single-process reference run with canonical ``result.traces``."""
-    from ..experiments.scenario import run_scenario
-    from ..obs.flight import FlightRecorder
-
-    reset_packet_ids()
-    recorder = FlightRecorder()
-    result = run_scenario(
-        protocol, degree, seed, config.with_(shards=1), recorder=recorder
-    )
-    result.traces = canonical_trace_streams(*recorder.streams.values())
-    return result

@@ -42,12 +42,13 @@ from typing import Optional, Union
 
 from ..experiments.config import ExperimentConfig
 from ..experiments.scenario import event_clock, mesh_layout
+from ..obs.flight import FlightRecorder
 from ..obs.registry import MetricsRegistry
 from ..net.dynamics import LinkEvent, SingleLinkFailureDriver
 from ..net.packet import reset_packet_ids
 from ..sim.rng import RngStreams
 from ..topology.graph import Topology
-from .partition import Partition, partition_topology
+from .partition import partition_topology
 from .proxy import Relay, ShardHeartbeat
 from .worker import ShardHost, ShardOutput, ShardPlan, maybe_fault
 
@@ -57,8 +58,11 @@ __all__ = [
     "LocalExchange",
     "ProcessExchange",
     "run_sharded",
-    "run_scenario_sharded",
 ]
+
+#: Simulated seconds between two batches of live-log window and heartbeat
+#: records (thousands of barrier windows fit in one simulated second).
+HEARTBEAT_INTERVAL = 1.0
 
 
 class ShardStallError(RuntimeError):
@@ -115,8 +119,8 @@ class ShardStallError(RuntimeError):
 class ShardScenarioSpec:
     """A fully laid-out scenario ready to shard (topology and flow fixed).
 
-    ``run_scenario_sharded`` builds one that replicates ``run_scenario``'s
-    mesh layout; scale tests build their own over generated topologies.
+    :meth:`mesh` lays out ``run_scenario``'s mesh failure; scale tests
+    build their own over generated topologies.
     """
 
     protocol: str
@@ -132,6 +136,28 @@ class ShardScenarioSpec:
     #: Restrict warm start to these destinations (BGP family only) so
     #: 10k-node topologies skip the all-pairs warm start.
     warm_dests: Optional[tuple[int, ...]] = None
+
+    @classmethod
+    def mesh(
+        cls, protocol: str, degree: int, seed: int, config: ExperimentConfig
+    ) -> "ShardScenarioSpec":
+        """``run_scenario``'s run: the same topology, endpoints and failed
+        link from the seed's ``"scenario"`` stream, through the one layout
+        function every mesh runner uses."""
+        layout = mesh_layout(config, degree, RngStreams(seed).stream("scenario"))
+        driver = SingleLinkFailureDriver(layout.failed, config.fail_time)
+        return cls(
+            protocol=protocol,
+            degree=degree,
+            seed=seed,
+            config=config,
+            topology=layout.topology,
+            sender=layout.sender,
+            receiver=layout.receiver,
+            pre_path=layout.pre_path,
+            expected_final=layout.expected_final,
+            events=tuple(driver.generate(config.end_time)),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -311,8 +337,7 @@ def _fold_heartbeat(
     """Fold one heartbeat's deltas into that shard's registry.
 
     Heartbeat fields are cumulative, so each window contributes its delta
-    against the previous beat — which makes merging per-shard registries
-    agree with an unsharded aggregate (see ``MetricsRegistry.merge``).
+    against the previous beat and the counters end at the shard's totals.
     """
     delta_events = beat.events - (prev.events if prev is not None else 0)
     registry.counter("shard.windows").inc()
@@ -335,10 +360,8 @@ def run_sharded(
     spec: ShardScenarioSpec,
     exchange: str = "local",
     barrier_timeout: float = 60.0,
-    collect_traces: bool = False,
-    validate: Optional[bool] = None,
+    recorder: Optional[FlightRecorder] = None,
     live_log: Union[None, str, "object"] = None,
-    heartbeat_interval: float = 1.0,
     registries: Optional[dict[int, MetricsRegistry]] = None,
 ):
     """Run ``spec`` partitioned across ``spec.config.shards`` shards.
@@ -346,18 +369,18 @@ def run_sharded(
     Returns the same :class:`~repro.experiments.scenario.ScenarioResult` a
     single-process ``run_scenario`` would — byte-identical on any topology
     small enough to run both (the differential suite pins this with
-    :func:`~repro.experiments.persistence.diff_runs`).  When
-    ``collect_traces`` is set the result carries ``result.traces``: the
-    per-shard streams plus the warm-start installs, in the
-    :func:`~repro.dist.merge.canonical_trace_streams` form of what a
-    :class:`~repro.obs.flight.FlightRecorder` would see.
+    :func:`~repro.experiments.persistence.diff_runs`).  ``config.validate``
+    judges the invariants the merge can re-derive offline.  ``recorder``,
+    a :class:`~repro.obs.flight.FlightRecorder`, is filled with every
+    shard's records, warm-start installs included, in
+    :func:`~repro.dist.merge.canonical_trace_streams` order.
 
     ``live_log`` (a path or an open :class:`~repro.obs.live.RunEventLog`)
     streams heartbeat/window records as the run executes; emission is
-    throttled to one batch per ``heartbeat_interval`` simulated seconds
-    (thousands of barrier windows fit in one simulated second), with the
-    final per-shard heartbeats and ``shard-end`` totals always written so
-    the log replays into exactly the totals the coordinator reports.
+    throttled to one batch per :data:`HEARTBEAT_INTERVAL` simulated
+    seconds, with the final per-shard heartbeats and ``shard-end`` totals
+    always written so the log replays into exactly the totals the
+    coordinator reports.
     ``registries``, if given, is filled with a per-shard
     :class:`~repro.obs.registry.MetricsRegistry` aggregated from every
     heartbeat (not throttled).  Both are harvested off worker-maintained
@@ -402,7 +425,7 @@ def run_sharded(
             window_start=clock.first_at,
             end_at=end_at,
             warm_dests=spec.warm_dests,
-            collect_traces=collect_traces,
+            record=recorder is not None,
         )
         for index in range(config.shards)
     ]
@@ -459,7 +482,7 @@ def run_sharded(
         pending_windows = 0
         pending_relays = 0
         emit_from = now
-        next_emit = barrier + heartbeat_interval
+        next_emit = barrier + HEARTBEAT_INTERVAL
 
     xchg = None
     try:
@@ -549,48 +572,5 @@ def run_sharded(
         outputs=outputs,
         scheduled=scheduled,
         clock=clock,
-        validate=config.validate if validate is None else validate,
-        collect_traces=collect_traces,
-    )
-
-
-def run_scenario_sharded(
-    protocol: str,
-    degree: int,
-    seed: int,
-    config: ExperimentConfig,
-    exchange: str = "local",
-    barrier_timeout: float = 60.0,
-    collect_traces: bool = False,
-    validate: Optional[bool] = None,
-    live_log: Union[None, str, "object"] = None,
-    heartbeat_interval: float = 1.0,
-    registries: Optional[dict[int, MetricsRegistry]] = None,
-):
-    """Sharded twin of ``run_scenario``: identical mesh layout and schedule."""
-    # The one layout function run_scenario uses: same topology, endpoints
-    # and failed link from the seed's scenario stream.
-    layout = mesh_layout(config, degree, RngStreams(seed).stream("scenario"))
-    driver = SingleLinkFailureDriver(layout.failed, config.fail_time)
-    spec = ShardScenarioSpec(
-        protocol=protocol,
-        degree=degree,
-        seed=seed,
-        config=config,
-        topology=layout.topology,
-        sender=layout.sender,
-        receiver=layout.receiver,
-        pre_path=layout.pre_path,
-        expected_final=layout.expected_final,
-        events=tuple(driver.generate(config.end_time)),
-    )
-    return run_sharded(
-        spec,
-        exchange=exchange,
-        barrier_timeout=barrier_timeout,
-        collect_traces=collect_traces,
-        validate=validate,
-        live_log=live_log,
-        heartbeat_interval=heartbeat_interval,
-        registries=registries,
+        recorder=recorder,
     )

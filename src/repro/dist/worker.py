@@ -26,6 +26,7 @@ from ..metrics.counters import Tally, tally
 from ..net.channels import ReliableChannel
 from ..net.dynamics import LinkEvent, LinkScheduler, ScriptedDriver
 from ..net.network import Network
+from ..obs.flight import FlightRecorder
 from ..routing.catalog import build_factory
 from ..sim.engine import EventHandle, Simulator
 from ..sim.rng import RngStreams
@@ -38,7 +39,6 @@ from ..traffic.sink import PacketSink
 from .proxy import (
     BoundaryChannel,
     MessageRelay,
-    PacketRelay,
     Relay,
     ShardHeartbeat,
     make_message_tap,
@@ -80,7 +80,8 @@ class ShardPlan:
     #: Restrict warm start to these destinations (BGP, 10k-node runs);
     #: None = full warm start, byte-identical to single-process.
     warm_dests: Optional[tuple[int, ...]] = None
-    collect_traces: bool = False
+    #: Keep every trace record on a FlightRecorder, as a recorded run does.
+    record: bool = False
 
 
 @dataclass
@@ -103,11 +104,9 @@ class ShardOutput:
     end_occupancy_data: int = 0
     #: Data packets parked in owned protocols' discovery buffers.
     pending_data: int = 0
-    #: RouteChangeRecords published during warm start (collect_traces only).
-    trace_installs: list = field(default_factory=list)
-    trace_packets: list = field(default_factory=list)
-    trace_links: list = field(default_factory=list)
-    trace_messages: list = field(default_factory=list)
+    #: Every trace record of the shard, warm-start installs included, by
+    #: kind (the plan's ``record`` only).
+    streams: Optional[dict[str, list]] = None
 
 
 class ShardHost:
@@ -141,13 +140,19 @@ class ShardHost:
         # --- live network (same construction order as run_scenario) --------
         self.sim = Simulator()
         self.bus = TraceBus()
+        self.output = out = ShardOutput(shard_index=plan.shard_index)
+        if plan.record:
+            # Attached before warm start, as ScenarioRun attaches one.
+            recorder = FlightRecorder()
+            recorder.attach(self.bus)
+            out.streams = recorder.streams
         self.network = Network(
             self.sim,
             sub,
             self.bus,
             queue_capacity=config.queue_capacity,
             record_paths=config.record_paths,
-            record_forwards=plan.collect_traces,
+            record_forwards=plan.record,
             priority_control=config.prioritize_control,
         )
 
@@ -204,12 +209,6 @@ class ShardHost:
         )
         for node_id in self.owned:
             factory(self.network.node(node_id))  # base ctor self-attaches
-        out = ShardOutput(shard_index=plan.shard_index)
-        self.output = out
-        if plan.collect_traces:
-            # A recorder sees the installs, with the cause each protocol
-            # gives them (SPF's is its recompute).
-            self.bus.subscribe("route", out.trace_installs.append)
         for node_id in self.owned:
             protocol = self.network.node(node_id).protocol
             assert protocol is not None
@@ -217,8 +216,6 @@ class ShardHost:
                 protocol.warm_start(topo, dests=plan.warm_dests)
             else:
                 protocol.warm_start(topo)
-        if plan.collect_traces:
-            self.bus.unsubscribe("route", out.trace_installs.append)
 
         # --- collectors (after warm start, exactly like run_scenario) ------
         for node_id in self.owned:
@@ -227,10 +224,6 @@ class ShardHost:
         self._warm = tally(self.network)
         #: The tally just before ``plan.window_start``, once a window reaches it.
         self._window_open: Optional[Tally] = None
-        if plan.collect_traces:
-            self.bus.subscribe("packet", out.trace_packets.append)
-            self.bus.subscribe("link", out.trace_links.append)
-            self.bus.subscribe("message", out.trace_messages.append)
 
         # --- traffic --------------------------------------------------------
         self.sink: Optional[PacketSink] = None

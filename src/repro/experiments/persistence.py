@@ -183,11 +183,9 @@ def diff_runs(
 
     Compares every :func:`scenario_to_dict` field not in ``ignore``, then
     ``manet`` when both results carry one (it is not persisted, so a
-    parsed result has none), then each trace stream when both carry
-    ``traces`` (a :func:`~repro.dist.merge.canonical_trace_streams` dict),
-    exactly as given.  A field is named ``"name (a vs b)"`` for a scalar
-    and ``"name"`` for a list or dict; a stream by its record counts and
-    its first diverging index.
+    parsed result has none).  A field is named ``"name (a vs b)"`` for a
+    scalar and ``"name"`` for a list or dict.  Two recordings of the runs
+    are compared by :func:`~repro.dist.merge.diff_recordings`.
     """
     problems: list[str] = []
     b_fields = scenario_to_dict(b)
@@ -198,19 +196,6 @@ def diff_runs(
             problems.append(name if whole else f"{name} ({value!r} vs {other!r})")
     if a.manet is not None and b.manet is not None and a.manet != b.manet:
         problems.append("manet")
-    a_traces, b_traces = getattr(a, "traces", None), getattr(b, "traces", None)
-    if a_traces is None or b_traces is None:
-        return problems
-    for stream, x in a_traces.items():
-        y = b_traces[stream]
-        if x != y:
-            first = next(
-                (i for i, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y))
-            )
-            problems.append(
-                f"trace stream {stream!r} ({len(x)} vs {len(y)} records, "
-                f"first divergence at index {first})"
-            )
     return problems
 
 

@@ -366,7 +366,9 @@ class ScenarioRun:
     :class:`~repro.obs.flight.FlightRecorder` that keeps every trace record
     of the run (narration and post-mortems read records off it).
     ``kind`` and ``meta`` label the live log; ``kind`` is also the run a
-    post-mortem ticket names (see :func:`replay`).
+    post-mortem ticket names (see :func:`replay`).  A run is one process:
+    a config with ``shards > 1`` is refused (only :func:`run_scenario`
+    hands its run to the sharded runtime).
     """
 
     def __init__(
@@ -388,6 +390,12 @@ class ScenarioRun:
         meta: Optional[dict] = None,
         reactive_strict: bool = True,
     ) -> None:
+        if config.shards > 1:
+            raise ValueError(
+                f"the {kind} run {protocol} d{degree} s{seed} runs in one "
+                f"process, not {config.shards} shards: only run_scenario's "
+                "mesh failure is sharded (see docs/distributed.md)"
+            )
         if monitors is None and config.validate:
             from ..validation.monitors import MonitorSuite
 
@@ -662,12 +670,13 @@ def run_scenario(
     ``recorder`` is an optional :class:`repro.obs.FlightRecorder`; it is
     attached to the run's bus (capturing warm-start route installs too) and
     detached before return, every record left readable for
-    autopsies/timelines.  Like ``obs``, recording is read-only and does not
-    perturb results.  ``dump_dir`` arms post-mortems: if any monitor fires,
-    a ticket naming the run is written there and
-    ``ScenarioResult.dump_path`` names the file; :func:`replay` re-runs it
-    with a recorder.  A ``driver_factory`` schedule cannot be named by a
-    ticket, so the two are refused together.
+    autopsies/timelines.  A sharded run fills it with every shard's records
+    in :func:`~repro.dist.merge.canonical_trace_streams` order.  Like
+    ``obs``, recording is read-only and does not perturb results.
+    ``dump_dir`` arms post-mortems: if any monitor fires, a ticket naming
+    the run is written there and ``ScenarioResult.dump_path`` names the
+    file; :func:`replay` re-runs it with a recorder.  A ``driver_factory``
+    schedule cannot be named by a ticket, so the two are refused together.
 
     ``live_log`` (a path or an open :class:`~repro.obs.live.RunEventLog`)
     streams progress records: single-process runs emit one heartbeat at
@@ -689,8 +698,7 @@ def run_scenario(
         # Delegate to the sharded runtime (repro.dist): same layout, same
         # schedule, byte-identical result — pinned by the differential suite.
         unsupported = dict(
-            monitors=monitors, obs=obs, recorder=recorder,
-            dump_dir=dump_dir, driver_factory=driver_factory,
+            monitors=monitors, obs=obs, dump_dir=dump_dir, driver_factory=driver_factory
         )
         given = sorted(name for name, value in unsupported.items() if value is not None)
         if given:
@@ -699,9 +707,10 @@ def run_scenario(
                 f"{', '.join(given)}; the offline merge re-derives the "
                 "invariants it can (see docs/distributed.md)"
             )
-        from ..dist.runner import run_scenario_sharded
+        from ..dist.runner import ShardScenarioSpec, run_sharded
 
-        return run_scenario_sharded(protocol, degree, seed, config, live_log=live_log)
+        spec = ShardScenarioSpec.mesh(protocol, degree, seed, config)
+        return run_sharded(spec, recorder=recorder, live_log=live_log)
     run = ScenarioRun(
         protocol, degree, seed, config,
         monitors=monitors, obs=obs, recorder=recorder, dump_dir=dump_dir,

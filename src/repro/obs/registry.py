@@ -181,48 +181,6 @@ class MetricsRegistry:
         for name in sorted(self._metrics):
             yield self._metrics[name]
 
-    # ------------------------------------------------------------ aggregation
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry in place (and return it).
-
-        Merge semantics follow each instrument's meaning: counters are
-        extensive so they **sum**; gauges are last-value snapshots whose
-        only order-free combination is the **max** (of both value and
-        high-water mark — merging per-shard clocks or depths yields the
-        fleet-wide peak); histograms require identical bucket bounds and
-        add counts element-wise.  Merging the registries of a sharded run
-        therefore equals the registry of the unsharded run (property-tested
-        in ``tests/obs/test_registry.py``), and ``self_check()`` holds on
-        the result.  Name/type collisions raise ``ValueError`` (one name,
-        one meaning — same rule as ``_get``).
-        """
-        for metric in other:
-            name = metric.name
-            existing = self._metrics.get(name)
-            if isinstance(metric, Counter):
-                self.counter(name).inc(metric.value)
-            elif isinstance(metric, Gauge):
-                mine = self.gauge(name)
-                if existing is None:
-                    mine.value = metric.value
-                    mine.hwm = metric.hwm
-                else:
-                    mine.value = max(mine.value, metric.value)
-                    mine.hwm = max(mine.hwm, metric.hwm)
-            else:
-                mine = self.histogram(name, metric.bounds)
-                if mine.bounds != metric.bounds:
-                    raise ValueError(
-                        f"histogram {name!r} bounds mismatch: "
-                        f"{list(mine.bounds)} vs {list(metric.bounds)}"
-                    )
-                for bucket, count in enumerate(metric.counts):
-                    mine.counts[bucket] += count
-                mine.count += metric.count
-                mine.total += metric.total
-        return self
-
     # -------------------------------------------------------------- snapshots
 
     def snapshot(self) -> dict[str, dict]:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.dist.runner import ShardStallError, run_scenario_sharded
+from repro.dist.runner import ShardScenarioSpec, ShardStallError, run_sharded
 from repro.dist.worker import DIE_ENV, HANG_ENV
 from repro.experiments.config import ExperimentConfig
 
@@ -24,8 +24,10 @@ CONFIG = ExperimentConfig.quick().with_(
 
 
 def _run_process_exchange(timeout: float):
-    return run_scenario_sharded(
-        "dbf", 4, 7, CONFIG, exchange="process", barrier_timeout=timeout
+    return run_sharded(
+        ShardScenarioSpec.mesh("dbf", 4, 7, CONFIG),
+        exchange="process",
+        barrier_timeout=timeout,
     )
 
 

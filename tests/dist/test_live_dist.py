@@ -13,15 +13,18 @@ from __future__ import annotations
 import pytest
 
 from repro.dist.merge import shard_perfetto_trace
-from repro.dist.runner import ShardStallError, run_scenario_sharded
+from repro.dist.runner import ShardScenarioSpec, ShardStallError, run_sharded
 from repro.dist.worker import HANG_ENV
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import diff_runs
+from repro.experiments.scenario import run_scenario
+from repro.obs.flight import FlightRecorder
 from repro.obs.live import SHARD_LANE_PID, check_log, read_log, summarize_log
 
 CONFIG = ExperimentConfig.quick().with_(
     rows=5, cols=5, runs=1, post_fail_window=30.0, record_paths=True, shards=3
 )
+SPEC = ShardScenarioSpec.mesh("bgp3", 4, 7, CONFIG)
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +32,7 @@ def logged_run(tmp_path_factory):
     """One 3-shard bgp3 run with the log and registries on, shared below."""
     path = tmp_path_factory.mktemp("live") / "shard.log"
     registries = {}
-    result = run_scenario_sharded(
-        "bgp3", 4, 7, CONFIG, live_log=path, registries=registries
-    )
+    result = run_sharded(SPEC, live_log=path, registries=registries)
     return result, read_log(path), registries
 
 
@@ -85,20 +86,17 @@ class TestShardedLiveLog:
 
 class TestTelemetryTransparency:
     def test_metrics_identical_with_and_without_log(self, tmp_path):
-        quiet = run_scenario_sharded("bgp3", 4, 7, CONFIG)
-        logged = run_scenario_sharded(
-            "bgp3", 4, 7, CONFIG, live_log=tmp_path / "x.log", registries={}
-        )
+        quiet = run_scenario("bgp3", 4, 7, CONFIG)
+        logged = run_sharded(SPEC, live_log=tmp_path / "x.log", registries={})
         assert diff_runs(quiet, logged) == []
 
 
 class TestShardPerfetto:
     def test_one_lane_per_shard(self, tmp_path):
         path = tmp_path / "shard.log"
-        result = run_scenario_sharded(
-            "bgp3", 4, 7, CONFIG, collect_traces=True, live_log=path
-        )
-        doc = shard_perfetto_trace(result.traces, read_log(path))
+        recorder = FlightRecorder()
+        run_scenario("bgp3", 4, 7, CONFIG, recorder=recorder, live_log=path)
+        doc = shard_perfetto_trace(recorder, read_log(path))
         events = doc["traceEvents"]
         lane_names = {
             e["args"]["name"]
@@ -132,9 +130,11 @@ class TestStallForensics:
         config = CONFIG.with_(rows=4, cols=4, post_fail_window=8.0, shards=2)
         path = tmp_path / "stall.log"
         with pytest.raises(ShardStallError) as excinfo:
-            run_scenario_sharded(
-                "dbf", 4, 7, config, exchange="process",
-                barrier_timeout=2.0, live_log=path,
+            run_sharded(
+                ShardScenarioSpec.mesh("dbf", 4, 7, config),
+                exchange="process",
+                barrier_timeout=2.0,
+                live_log=path,
             )
         err = excinfo.value
         assert err.shard_index == 1

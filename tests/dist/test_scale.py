@@ -11,6 +11,8 @@ promise) rather than silently dropped.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.dist.runner import ShardScenarioSpec, run_sharded
 from repro.experiments.config import ExperimentConfig
 from repro.net.dynamics import SingleLinkFailureDriver
@@ -60,7 +62,8 @@ def failure_spec(n_nodes: int, shards: int) -> ShardScenarioSpec:
 
 
 def test_10k_node_bgp_scenario_across_4_shards():
-    result = run_sharded(failure_spec(N_NODES, shards=4), validate=True)
+    spec = failure_spec(N_NODES, shards=4)
+    result = run_sharded(replace(spec, config=spec.config.with_(validate=True)))
 
     assert result.sent > 0
     assert result.delivered > 0

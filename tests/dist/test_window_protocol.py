@@ -16,22 +16,20 @@ import os
 import pytest
 
 from repro.dist import runner
-from repro.dist.merge import merge_results
+from repro.dist.merge import diff_recordings, merge_results
 from repro.dist.partition import partition_topology
 from repro.dist.runner import (
     LocalExchange,
     ProcessExchange,
     ShardScenarioSpec,
     ShardStallError,
-    run_scenario_sharded,
     run_sharded,
 )
 from repro.dist.worker import ShardHost
 from repro.experiments.persistence import diff_runs
-from repro.experiments.scenario import event_clock, mesh_layout
-from repro.net.dynamics import SingleLinkFailureDriver
+from repro.experiments.scenario import event_clock
 from repro.net.packet import reset_packet_ids
-from repro.sim.rng import RngStreams
+from repro.obs.flight import FlightRecorder
 
 from .test_differential import GOLDEN_CONFIG, _scale_free_spec
 
@@ -47,9 +45,10 @@ def test_one_round_trip_per_shard_per_window(monkeypatch):
     monkeypatch.setattr(ProcessExchange, "_recv", counting_recv)
     shards = 2
     registries = {}
-    run_scenario_sharded(
-        "bgp3", 4, 7, GOLDEN_CONFIG.with_(shards=shards),
-        exchange="process", registries=registries,
+    run_sharded(
+        ShardScenarioSpec.mesh("bgp3", 4, 7, GOLDEN_CONFIG.with_(shards=shards)),
+        exchange="process",
+        registries=registries,
     )
     windows = {
         shard: registry.counter("shard.windows").value
@@ -70,8 +69,10 @@ def test_worker_dying_in_finalize_names_the_last_window(monkeypatch):
     monkeypatch.setattr(ShardHost, "finalize", die)
     config = GOLDEN_CONFIG.with_(rows=4, cols=4, post_fail_window=8.0, shards=2)
     with pytest.raises(ShardStallError) as excinfo:
-        run_scenario_sharded(
-            "dbf", 4, 7, config, exchange="process", barrier_timeout=10.0
+        run_sharded(
+            ShardScenarioSpec.mesh("dbf", 4, 7, config),
+            exchange="process",
+            barrier_timeout=10.0,
         )
     assert "worker process died" in str(excinfo.value)
     assert excinfo.value.window_time == config.end_time
@@ -108,7 +109,8 @@ def _peek_run_inject(spec, plans):
 
     A host's ``run_until`` was ``advance`` with nothing inbound (its
     trailing peek after a run pops nothing), and its ``inject`` is
-    ``_inject``.  Returns the windows run and the merged result.
+    ``_inject``.  Returns the windows run, the merged result and its
+    recording.
     """
     config = spec.config
     end_at = config.end_time
@@ -153,40 +155,22 @@ def _peek_run_inject(spec, plans):
         if barrier >= end_at:
             break
     outputs = [host.finalize([]) for host in hosts]
+    recorder = FlightRecorder()
     result = merge_results(
         spec=spec,
         partition=partition,
         outputs=outputs,
         scheduled=scheduled,
         clock=clock,
-        validate=config.validate,
-        collect_traces=True,
+        recorder=recorder,
     )
-    return windows, result
-
-
-def _mesh_spec(protocol, seed, config):
-    """The spec ``run_scenario_sharded`` builds for a mesh golden."""
-    layout = mesh_layout(config, 4, RngStreams(seed).stream("scenario"))
-    driver = SingleLinkFailureDriver(layout.failed, config.fail_time)
-    return ShardScenarioSpec(
-        protocol=protocol,
-        degree=4,
-        seed=seed,
-        config=config,
-        topology=layout.topology,
-        sender=layout.sender,
-        receiver=layout.receiver,
-        pre_path=layout.pre_path,
-        expected_final=layout.expected_final,
-        events=tuple(driver.generate(config.end_time)),
-    )
+    return windows, result, recorder
 
 
 @pytest.mark.parametrize(
     "make_spec",
     [
-        lambda: _mesh_spec("bgp3", 7, GOLDEN_CONFIG.with_(shards=2)),
+        lambda: ShardScenarioSpec.mesh("bgp3", 4, 7, GOLDEN_CONFIG.with_(shards=2)),
         lambda: _scale_free_spec(2),
     ],
     ids=["mesh-bgp3-s7", "scale-free"],
@@ -194,12 +178,15 @@ def _mesh_spec(protocol, seed, config):
 def test_window_sequence_matches_peek_run_inject(monkeypatch, make_spec):
     monkeypatch.setattr(runner, "LocalExchange", _RecordingExchange)
     spec = make_spec()
-    result = run_sharded(spec, collect_traces=True)
+    recorder = FlightRecorder()
+    result = run_sharded(spec, recorder=recorder)
     recorded = _RecordingExchange.instance
-    windows, reference = _peek_run_inject(spec, recorded.plans)
+    windows, reference, reference_recorder = _peek_run_inject(spec, recorded.plans)
 
     assert [b for b, _ in recorded.windows] == [b for b, _ in windows]
     assert recorded.windows == windows
     assert sum(len(relays) for _, relays in windows) > 0
-    problems = diff_runs(reference, result)
+    problems = diff_runs(reference, result) + diff_recordings(
+        reference_recorder, recorder
+    )
     assert not problems, "\n".join(problems)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dist.runner import run_scenario_sharded
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import diff_runs
 from repro.experiments.runner import run_sweep
@@ -42,10 +41,8 @@ def test_single_process_log_is_transparent(tmp_path, protocol, seed):
 @pytest.mark.parametrize("protocol,seed", POINTS)
 def test_sharded_log_is_transparent(tmp_path, protocol, seed):
     config = GOLDEN_CONFIG.with_(shards=3)
-    quiet = run_scenario_sharded(protocol, 4, seed, config)
-    logged = run_scenario_sharded(
-        protocol, 4, seed, config, live_log=tmp_path / "run.log"
-    )
+    quiet = run_scenario(protocol, 4, seed, config)
+    logged = run_scenario(protocol, 4, seed, config, live_log=tmp_path / "run.log")
     assert diff_runs(quiet, logged) == []
     assert check_log(read_log(tmp_path / "run.log")) == []
 

@@ -190,6 +190,22 @@ class TestColdStartIsNeverSilentlyIgnored:
             run_churn_scenario("dbf", 1, config)
 
 
+class TestShardsIsNeverSilentlyIgnored:
+    """Only ``run_scenario`` hands its run to the sharded runtime; every
+    other runner's ``ScenarioRun`` refuses a sharded config by name."""
+
+    SHARDED = TINY.with_(shards=2)
+
+    def test_churn_refuses_by_name(self):
+        config = self.SHARDED.with_(churn=ChurnConfig(n_nodes=8))
+        with pytest.raises(ValueError, match="churn run dbf d0 s1 .* not 2 shards"):
+            run_churn_scenario("dbf", 1, config)
+
+    def test_repair_refuses_by_name(self):
+        with pytest.raises(ValueError, match="scenario run dbf d4 s3 .* not 2 shards"):
+            run_repair_scenario("dbf", 4, 3, self.SHARDED)
+
+
 class TestCoreKnobsReachEveryRunner:
     def test_prioritize_control_reaches_the_links(self):
         run = ScenarioRun("dbf", 4, 3, TINY.with_(prioritize_control=True))

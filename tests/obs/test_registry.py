@@ -9,8 +9,6 @@ beside every corruption so the check is known to be quiet on healthy data.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
@@ -181,135 +179,3 @@ class TestSelfCheckMutations:
         problems = reg.self_check()
         assert len(problems) == 1
         assert "'lat'" in problems[0]
-
-
-class TestMerge:
-    def test_counters_sum(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("events").inc(10)
-        b.counter("events").inc(32)
-        b.counter("only_b").inc(1)
-        a.merge(b)
-        assert a.get("events").value == 42
-        assert a.get("only_b").value == 1
-
-    def test_gauges_take_the_max_of_value_and_hwm(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        ga = a.gauge("depth")
-        ga.set(9.0)
-        ga.set(3.0)  # value 3, hwm 9
-        gb = b.gauge("depth")
-        gb.set(5.0)  # value 5, hwm 5
-        a.merge(b)
-        assert a.get("depth").value == 5.0
-        assert a.get("depth").hwm == 9.0
-
-    def test_gauge_absent_on_self_copies_both_fields(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        gb = b.gauge("depth")
-        gb.set(7.0)
-        gb.set(2.0)
-        a.merge(b)
-        assert (a.get("depth").value, a.get("depth").hwm) == (2.0, 7.0)
-
-    def test_histograms_add_elementwise(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        ha = a.histogram("lat", bounds=(1.0, 5.0))
-        hb = b.histogram("lat", bounds=(1.0, 5.0))
-        for v in (0.5, 3.0):
-            ha.observe(v)
-        for v in (3.0, 99.0):
-            hb.observe(v)
-        a.merge(b)
-        merged = a.get("lat")
-        assert merged.counts == [1, 2, 1]
-        assert merged.count == 4
-        assert merged.total == pytest.approx(105.5)
-
-    def test_histogram_bounds_mismatch_rejected(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("lat", bounds=(1.0, 5.0))
-        b.histogram("lat", bounds=(1.0, 10.0))
-        with pytest.raises(ValueError, match="bounds mismatch"):
-            a.merge(b)
-
-    def test_name_type_collision_rejected(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x")
-        b.gauge("x").set(1.0)
-        with pytest.raises(ValueError, match="already registered"):
-            a.merge(b)
-
-    def test_merge_returns_self(self):
-        a = MetricsRegistry()
-        assert a.merge(MetricsRegistry()) is a
-
-
-class TestMergeProperties:
-    """Merge of arbitrary splits == the unsharded registry."""
-
-    @staticmethod
-    def _apply(reg: MetricsRegistry, ops) -> None:
-        for kind, amount in ops:
-            if kind == "counter":
-                reg.counter("events").inc(amount)
-            elif kind == "gauge":
-                reg.gauge("depth").set(float(amount))
-            else:
-                reg.histogram("lat", bounds=(1.0, 5.0, 25.0)).observe(
-                    float(amount)
-                )
-
-    @given(
-        ops=st.lists(
-            st.tuples(
-                st.sampled_from(["counter", "gauge", "hist"]),
-                st.integers(min_value=0, max_value=100),
-            ),
-            max_size=60,
-        ),
-        n_shards=st.integers(min_value=1, max_value=4),
-    )
-    def test_merge_of_splits_equals_unsharded(self, ops, n_shards):
-        # Counters and histograms are extensive, so any round-robin split
-        # of the operation stream must merge back to the whole.  Gauges are
-        # last-value/max, so the property pins hwm (order-free) and checks
-        # the merged value is the max over the shards' final values.
-        whole = MetricsRegistry()
-        self._apply(whole, ops)
-
-        shards = [MetricsRegistry() for _ in range(n_shards)]
-        for i, op in enumerate(ops):
-            self._apply(shards[i % n_shards], [op])
-        merged = MetricsRegistry()
-        for shard in shards:
-            merged.merge(shard)
-
-        assert merged.self_check() == []
-        whole_snap, merged_snap = whole.snapshot(), merged.snapshot()
-        assert sorted(whole_snap) == sorted(merged_snap)
-        for name, data in whole_snap.items():
-            if data["kind"] == "gauge":
-                finals = [
-                    s.get(name).value for s in shards if s.get(name) is not None
-                ]
-                assert merged_snap[name]["hwm"] == data["hwm"]
-                assert merged_snap[name]["value"] == max(finals)
-            else:
-                assert merged_snap[name] == data
-
-    @given(
-        ops=st.lists(
-            st.tuples(
-                st.sampled_from(["counter", "gauge", "hist"]),
-                st.integers(min_value=0, max_value=100),
-            ),
-            max_size=40,
-        )
-    )
-    def test_merge_round_trips_through_dict(self, ops):
-        # An empty registry is merge's identity: merging a registry into
-        # one copies every instrument exactly.
-        reg = MetricsRegistry()
-        self._apply(reg, ops)
-        assert MetricsRegistry().merge(reg).snapshot() == reg.snapshot()

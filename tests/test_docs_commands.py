@@ -1,5 +1,5 @@
-"""Every ``python -m repro`` command shown in the docs parses, and every
-repository path the docs name exists.
+"""Every ``python -m repro`` command shown in the docs parses, every
+repository path the docs name exists, and every ``repro.`` name resolves.
 
 The command lines inside fenced code blocks of ``README.md`` and
 ``docs/*.md`` are what a reader copies, so each must still parse with
@@ -12,11 +12,16 @@ The paths are those a reader would open: each inline code span of
 ``README.md``, ``DESIGN.md`` and ``docs/*.md`` that starts with a top-level
 source directory (``src/``, ``tests/``, ``benchmarks/``, ...), with brace
 alternatives expanded and globs matched, and each relative link target.
+The names are the inline code spans of the same documents that are a
+dotted ``repro.…`` name: each must import, or import up to a module and
+then resolve attribute by attribute, so a deleted name cannot survive in
+prose.
 """
 
 from __future__ import annotations
 
 import glob
+import importlib
 import os
 import re
 import shlex
@@ -159,3 +164,41 @@ def test_every_path_the_docs_name_exists():
         if not glob.glob(os.path.join(ROOT, name))
     )
     assert not missing, "docs name paths that do not exist:\n" + "\n".join(missing)
+
+
+_DOTTED = re.compile(r"repro(?:\.\w+)+")
+
+
+def dotted_names(path: str) -> set[str]:
+    """The inline code spans of ``path`` that are a dotted ``repro`` name."""
+    with open(path, encoding="utf-8") as handle:
+        text = _FENCE.sub("", handle.read())
+    return {span for span in _CODE.findall(text) if _DOTTED.fullmatch(span)}
+
+
+def resolves(name: str) -> bool:
+    """Whether the longest importable prefix of ``name`` has the rest of it
+    as a chain of attributes."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_every_repro_name_the_docs_use_resolves():
+    named = {
+        (os.path.relpath(doc, ROOT), name)
+        for doc in PATH_DOCS
+        for name in dotted_names(doc)
+    }
+    assert len({name for _, name in named}) >= 50  # the extractor still sees them
+    missing = sorted(f"{doc}: {name}" for doc, name in named if not resolves(name))
+    assert not missing, "docs name what does not resolve:\n" + "\n".join(missing)

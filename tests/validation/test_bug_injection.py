@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dist.runner import run_scenario_sharded
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import run_scenario
 from repro.routing.dv_common import DistanceVectorProtocol
@@ -66,7 +65,7 @@ def test_sharded_merge_catches_the_same_loops(monkeypatch, seed):
     )
     config = ExperimentConfig.quick()
     single = run_scenario("rip", 3, seed, config.with_(validate=True))
-    sharded = run_scenario_sharded("rip", 3, seed, config.with_(shards=2), validate=True)
+    sharded = run_scenario("rip", 3, seed, config.with_(shards=2, validate=True))
 
     def loops(result):
         return [v for v in result.violations if v.startswith("[fib-loop]")]
