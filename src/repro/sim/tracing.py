@@ -124,14 +124,6 @@ class MessageRecord(NamedTuple):
 #: The four trace kinds, in hot-path order.
 TRACE_KINDS = ("packet", "route", "link", "message")
 
-_KIND_OF_TYPE: dict[type, str] = {
-    PacketRecord: "packet",
-    RouteChangeRecord: "route",
-    LinkEventRecord: "link",
-    MessageRecord: "message",
-}
-
-
 class TraceCounters:
     """Always-on integer event counters, bumped even when tracing is off.
 

@@ -28,15 +28,7 @@ from repro.obs.flight import FlightRecorder
 from repro.topology.generators import scale_free
 from repro.validation.monitors import Monitor, MonitorSuite
 
-# Mirrors tests/experiments/test_golden_metrics.py: small enough to run the
-# full matrix, big enough that the failure forces a real reconvergence.
-GOLDEN_CONFIG = ExperimentConfig.quick().with_(
-    rows=5, cols=5, runs=1, post_fail_window=30.0, record_paths=True
-)
-
-#: (protocol, seed): the two golden seed-7 points plus the rip seed-11 point
-#: whose slow recovery exercises a qualitatively different trajectory.
-CASES = (("dbf", 7), ("bgp3", 7), ("rip", 11))
+from tests.golden.runs import GOLDEN_CONFIG, GOLDEN_POINTS
 
 _single_cache: dict = {}
 
@@ -66,7 +58,7 @@ def _differences(a, b) -> list[str]:
 
 
 @pytest.mark.parametrize("shards", [2, 3, 4])
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-s{c[1]}")
+@pytest.mark.parametrize("case", GOLDEN_POINTS, ids=lambda c: f"{c[0]}-s{c[1]}")
 def test_sharded_run_is_byte_identical(case, shards):
     protocol, seed = case
     sharded = _recorded(protocol, seed, GOLDEN_CONFIG.with_(shards=shards))

@@ -15,15 +15,14 @@ import pytest
 from repro.dist.merge import shard_perfetto_trace
 from repro.dist.runner import ShardScenarioSpec, ShardStallError, run_sharded
 from repro.dist.worker import HANG_ENV
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import diff_runs
 from repro.experiments.scenario import run_scenario
 from repro.obs.flight import FlightRecorder
 from repro.obs.live import SHARD_LANE_PID, check_log, read_log, summarize_log
 
-CONFIG = ExperimentConfig.quick().with_(
-    rows=5, cols=5, runs=1, post_fail_window=30.0, record_paths=True, shards=3
-)
+from tests.golden.runs import GOLDEN_CONFIG
+
+CONFIG = GOLDEN_CONFIG.with_(shards=3)
 SPEC = ShardScenarioSpec.mesh("bgp3", 4, 7, CONFIG)
 
 

@@ -31,7 +31,9 @@ from repro.experiments.scenario import event_clock
 from repro.net.packet import reset_packet_ids
 from repro.obs.flight import FlightRecorder
 
-from .test_differential import GOLDEN_CONFIG, _scale_free_spec
+from tests.golden.runs import GOLDEN_CONFIG
+
+from .test_differential import _scale_free_spec
 
 
 def test_one_round_trip_per_shard_per_window(monkeypatch):

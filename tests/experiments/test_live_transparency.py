@@ -3,8 +3,8 @@
 The run-event log's contract (inherited from the registry and the flight
 recorder) is that logging is harvest-only — writers read already-maintained
 counters strictly between engine events, never schedule anything, and never
-touch an RNG.  These tests pin that on the golden scenarios from
-``test_golden_metrics.py``: dbf and bgp3 at seed 7 (fast clean recovery)
+touch an RNG.  These tests pin that on the golden points
+(``tests/golden/runs.py``): dbf and bgp3 at seed 7 (fast clean recovery)
 and rip at seed 11 (slow periodic-update recovery), 1-process and 3-shard.
 """
 
@@ -12,22 +12,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import diff_runs
 from repro.experiments.runner import run_sweep
 from repro.experiments.scenario import run_scenario
 from repro.obs.live import check_log, read_log, summarize_log
 from repro.obs.sweeps import SweepTelemetry
 
-GOLDEN_CONFIG = ExperimentConfig.quick().with_(
-    rows=5, cols=5, runs=1, post_fail_window=30.0, record_paths=True
-)
-
-#: The golden points: two regimes (fast clean vs slow lossy recovery).
-POINTS = [("dbf", 7), ("bgp3", 7), ("rip", 11)]
+from tests.golden.runs import GOLDEN_CONFIG, GOLDEN_POINTS
 
 
-@pytest.mark.parametrize("protocol,seed", POINTS)
+@pytest.mark.parametrize("protocol,seed", GOLDEN_POINTS)
 def test_single_process_log_is_transparent(tmp_path, protocol, seed):
     quiet = run_scenario(protocol, 4, seed, GOLDEN_CONFIG)
     path = tmp_path / "run.log"
@@ -38,7 +32,7 @@ def test_single_process_log_is_transparent(tmp_path, protocol, seed):
     assert summarize_log(records).ended
 
 
-@pytest.mark.parametrize("protocol,seed", POINTS)
+@pytest.mark.parametrize("protocol,seed", GOLDEN_POINTS)
 def test_sharded_log_is_transparent(tmp_path, protocol, seed):
     config = GOLDEN_CONFIG.with_(shards=3)
     quiet = run_scenario(protocol, 4, seed, config)

@@ -44,6 +44,8 @@ from repro.sim.tracing import (
 )
 from repro.validation.monitors import MonitorSuite
 
+from tests.golden.runs import GOLDEN_CONFIG, GOLDEN_POINTS
+
 
 def pkt(t, kind, node, pid=1, ttl=60, cause=None, dst=9, flow=0):
     return PacketRecord(
@@ -295,13 +297,6 @@ class TestCausalTimeline:
         assert "last FIB change t=+1.000s" in text
 
 
-GOLDEN_CONFIG = ExperimentConfig.quick().with_(
-    rows=5, cols=5, runs=1, post_fail_window=30.0, record_paths=True
-)
-
-#: (protocol, seed): the two golden seed-7 points plus the rip seed-11 point.
-GOLDEN_CASES = (("dbf", 7), ("bgp3", 7), ("rip", 11))
-
 #: The mobility-churn cell whose monitors fire (16 nodes on a Manhattan grid).
 CHURN_CONFIG = ExperimentConfig.quick().with_(
     post_fail_window=20.0,
@@ -380,7 +375,7 @@ class TestDumps:
 class TestReplay:
     """A ticket re-runs to the same result and a complete recording."""
 
-    @pytest.mark.parametrize("protocol, seed", GOLDEN_CASES)
+    @pytest.mark.parametrize("protocol, seed", GOLDEN_POINTS)
     def test_golden_ticket_replays(self, protocol, seed, tmp_path):
         direct = FlightRecorder()
         result = run_scenario(protocol, 4, seed, GOLDEN_CONFIG, recorder=direct)

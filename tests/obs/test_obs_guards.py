@@ -17,7 +17,6 @@ import json
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import diff_runs
 from repro.experiments.scenario import run_scenario
 from repro.net.network import Network
@@ -26,6 +25,8 @@ from repro.obs import RunObservation, read_log
 from repro.sim.engine import Simulator
 from repro.sim.tracing import TraceBus
 from repro.topology import generators
+
+from tests.golden.runs import GOLDEN_CONFIG
 
 
 class CountingBus(TraceBus):
@@ -87,11 +88,6 @@ class TestZeroOverheadWhenDisabled:
         assert metrics["trace.sends"]["value"] == 7
         assert metrics["trace.delivers"]["value"] == 7
         assert bus.publish_count == 0  # harvested, never observed per event
-
-
-GOLDEN_CONFIG = ExperimentConfig.quick().with_(
-    rows=5, cols=5, runs=1, post_fail_window=30.0, record_paths=True
-)
 
 
 @pytest.mark.parametrize("protocol", ["dbf", "bgp3"])

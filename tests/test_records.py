@@ -1,10 +1,10 @@
-"""The one artifact codec (``repro.records``) and the five formats built on it.
+"""The one artifact codec (``repro.records``) and the four formats built on it.
 
 Every artifact below comes from one real small run.  Three promises are
-checked for each of the five formats: ``write -> read -> write`` is
+checked for each of the four formats: ``write -> read -> write`` is
 byte-identical; a file truncated at any byte or with any one field mutated
 gives a correct load of a valid prefix, a non-empty problems list, or an
-``ArtifactError``/``ValueError`` and never another exception; and the nine
+``ArtifactError``/``ValueError`` and never another exception; and the eight
 hostile inputs that used to escape as ``JSONDecodeError``/``AttributeError``
 /``KeyError`` or as CLI tracebacks are named errors.
 """
@@ -12,11 +12,9 @@ hostile inputs that used to escape as ``JSONDecodeError``/``AttributeError``
 from __future__ import annotations
 
 import copy
-import io
 import json
 import os
 import shutil
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,8 +25,7 @@ from repro.experiments import ExperimentConfig, load_points, run_sweep, save_poi
 from repro.experiments.persistence import scenario_to_dict
 from repro.experiments.scenario import replay, run_scenario
 from repro.experiments.store import SweepStore
-from repro.metrics.traceio import read_trace, write_trace
-from repro.obs import FlightRecorder, RunObservation
+from repro.obs import RunObservation
 from repro.obs.flight import build_dump, load_dump, save_dump
 from repro.obs.live import (
     RunEventLog,
@@ -61,7 +58,7 @@ SWEEP_RECORDS = (
 
 
 # --------------------------------------------------------------------------
-# the five formats, from one real run
+# the four formats, from one real run
 # --------------------------------------------------------------------------
 
 
@@ -76,11 +73,6 @@ def _copy_checkpoint(src, dst):
         new.open(old.load_config())
         for outcome in old.load_outcomes().values():
             new.append(outcome)
-
-
-def _copy_trace(src, dst):
-    with open(src, encoding="utf-8") as fin, open(dst, "w", encoding="utf-8") as fout:
-        write_trace(read_trace(fin), fout)
 
 
 def _copy_dump(src, dst):
@@ -107,15 +99,6 @@ def _use_checkpoint(path):
         assert task in TINY.grid() and isinstance(outcome.seed, int)
 
 
-def _use_trace(path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with open(path, encoding="utf-8") as f:
-            lenient = list(read_trace(f, strict=False))  # never raises
-    with open(path, encoding="utf-8") as f:
-        assert list(read_trace(f)) == lenient  # strict: the same, or ValueError
-
-
 def _use_dump(path):
     replay(load_dump(path))  # a ticket that loads re-runs to its own result
 
@@ -132,13 +115,12 @@ FORMATS = {
     "results": ("", _copy_results, _use_results),
     "manifest": ("manifest.json", _copy_checkpoint, _use_checkpoint),
     "shards": ("shards.jsonl", _copy_checkpoint, _use_checkpoint),
-    "trace": ("", _copy_trace, _use_trace),
     "dump": ("", _copy_dump, _use_dump),
     "log": ("", _copy_log, _use_log),
 }
 
 
-JSONL = {"shards", "trace", "log"}
+JSONL = {"shards", "log"}
 
 
 @pytest.fixture(scope="module")
@@ -150,9 +132,9 @@ def artifacts(tmp_path_factory):
 
     save_points(run_sweep(TINY, store=paths["manifest"]), paths["results"])
 
-    recorder, obs = FlightRecorder(), RunObservation()
+    obs = RunObservation()
     with RunEventLog(paths["log"], run="shard", meta={"seed": 7}) as log:
-        result = run_scenario("dbf", 4, 7, TINY, recorder=recorder, obs=obs, live_log=log)
+        result = run_scenario("dbf", 4, 7, TINY, obs=obs, live_log=log)
         # ... plus one of every record kind a sharded run or a sweep adds.
         log.heartbeat(shard=1, clock=1.0, events=7, barrier=1.0, relays_out=1,
                       relays_in=2, busy_s=0.2, wall_s=0.5)
@@ -168,11 +150,6 @@ def artifacts(tmp_path_factory):
     # The observed run wrote its profile: the tests below damage it too.
     assert [r["kind"] for r in read_log(paths["log"])].count("profile") == 1
     save_dump(build_dump("scenario", "dbf", 4, 7, TINY, scenario_to_dict(result)), paths["dump"])
-    # The newest records of each kind keep the trace a few hundred records long.
-    newest = {"packet": 96, "route": 64, "link": 8, "message": 64}
-    records = [r for kind, n in newest.items() for r in recorder.records(kind)[-n:]]
-    with open(paths["trace"], "w", encoding="utf-8") as f:
-        write_trace(sorted(records, key=lambda r: r.time), f)
     return paths
 
 
@@ -214,7 +191,7 @@ def _use_or_named_error(name, target):
     try:
         FORMATS[name][2](target)
     except ValueError:
-        pass  # ArtifactError is one; read_trace(strict=True) raises plain ones
+        pass  # ArtifactError is one
 
 
 def _slots(node, out):
@@ -384,7 +361,7 @@ class TestWriteJson:
 
 
 # --------------------------------------------------------------------------
-# the nine inputs that used to escape (ISSUE 19), as named regressions
+# the eight inputs that used to escape, as named regressions
 # --------------------------------------------------------------------------
 
 
@@ -445,18 +422,6 @@ class TestNamedErrors:
         with pytest.raises(ArtifactError, match="torn.json"):
             load_dump(str(path))
         assert "torn.json" in _cli_error(["trace", "--dump", str(path)], capsys)
-
-    def test_8_trace_with_a_torn_tail_and_a_malformed_record(self):
-        link = '{"type": "link", "time": 1.0, "node_a": 1, "node_b": 2, "up": true}\n'
-        assert len(list(read_trace(io.StringIO(link + link[:30])))) == 1
-        no_node_a = '{"type": "link", "time": 2.0, "node_b": 2, "up": true}\n'
-        with pytest.raises(ValueError, match="node_a"):
-            list(read_trace(io.StringIO(link + no_node_a)))
-        skipped = []
-        records = list(
-            read_trace(io.StringIO(no_node_a + link), strict=False, on_skip=skipped.append)
-        )
-        assert len(records) == 1 and skipped == [json.loads(no_node_a)]
 
     def test_9_resume_from_an_old_version_manifest(self, artifacts, tmp_path, capsys):
         ck = tmp_path / "ck"
