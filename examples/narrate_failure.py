@@ -2,9 +2,10 @@
 """Narrate one convergence event, the way the paper reads its trace files.
 
 Builds a small mesh, warm-starts a protocol of your choice, fails a link on
-the live path, and prints the annotated timeline: failure, detection,
-per-node route switches, forwarding-path evolution (including loops), and
-drop bursts.
+the live path, and prints the causal timeline toward the flow's
+destination: the failure, each router's FIB change with the message or
+link event that caused it, and the forwarding path those changes made
+(including transient loops).
 
 Run:  python examples/narrate_failure.py [protocol] [degree] [seed]
       e.g. python examples/narrate_failure.py bgp 5 4     # an MRAI loop
@@ -14,9 +15,7 @@ import sys
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import ScenarioRun
-from repro.metrics.narrate import build_timeline, format_timeline
-from repro.obs.flight import FlightRecorder
-from repro.topology.render import render_mesh
+from repro.obs.flight import FlightRecorder, format_causal_timeline
 
 
 def main() -> None:
@@ -37,23 +36,16 @@ def main() -> None:
         f"flow: host {sender} (router {layout.pre_path[1]}) -> "
         f"host {receiver} (router {layout.pre_path[-2]})"
     )
-    print(f"failing link {layout.failed} at t={run.fail_at} (detected +50 ms)\n")
-    print(render_mesh(layout.topology, config.rows, config.cols, failed_link=layout.failed))
+    print(f"failing link {layout.failed} at t={run.fail_at} (detected +50 ms)")
 
     try:
         run.execute()
     finally:
         run.close()  # the recorder keeps its records; the network is freed
-    events = build_timeline(
-        route_changes=recorder.records("route"),
-        link_events=recorder.records("link"),
-        snapshots=run.tracker.snapshots,
-        dest=receiver,
-        since=run.fail_at - 0.1,
-    )
-    print(f"\nConvergence timeline (t=0 is the failure; route events are for "
+    timeline = recorder.timeline(run.fail_at - 0.1, receiver, sender)
+    print(f"\nConvergence timeline (t=0 is the failure; FIB changes are for "
           f"destination {receiver} only):\n")
-    print(format_timeline(events, origin=run.fail_at))
+    print(format_causal_timeline(timeline, origin=run.fail_at))
 
 
 if __name__ == "__main__":

@@ -278,15 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="small fixed workload + schema self-check (CI smoke)",
     )
 
-    narrate_p = sub.add_parser(
-        "narrate", help="annotated timeline of one convergence event"
-    )
-    narrate_p.add_argument("--protocol", choices=PROTOCOL_NAMES, default="dbf")
-    narrate_p.add_argument("--degree", type=int, default=4)
-    narrate_p.add_argument("--seed", type=int, default=1)
-    narrate_p.add_argument("--window", type=float, default=60.0,
-                           help="seconds observed after the failure")
-
     trace_p = sub.add_parser(
         "trace",
         help="flight-recorder forensics: packet autopsies, causal "
@@ -676,44 +667,6 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_narrate(args: argparse.Namespace) -> int:
-    from .experiments.scenario import ScenarioRun
-    from .metrics.narrate import build_timeline, format_timeline
-    from .obs.flight import FlightRecorder
-    from .topology.render import render_mesh
-
-    config = _config(args).with_(post_fail_window=args.window)
-    # No data flow: the story is the routing reaction, read off a recorder.
-    recorder = FlightRecorder()
-    run = ScenarioRun(
-        args.protocol, args.degree, args.seed, config, flows=(), recorder=recorder
-    )
-    layout = run.layout
-    sender, receiver, failed = layout.sender, layout.receiver, layout.failed
-
-    print(f"protocol={args.protocol} degree={args.degree} seed={args.seed}")
-    print(
-        f"flow: host {sender} -> host {receiver}; "
-        f"failing {failed} at t={run.fail_at:g}\n"
-    )
-    print(render_mesh(layout.topology, config.rows, config.cols, failed_link=failed))
-
-    try:
-        run.execute()
-    finally:
-        run.close()
-    events = build_timeline(
-        route_changes=recorder.records("route"),
-        link_events=recorder.records("link"),
-        snapshots=run.tracker.snapshots,
-        dest=receiver,
-        since=run.fail_at - 0.1,
-    )
-    print(f"\nTimeline (t=0 at failure; route events for destination {receiver}):\n")
-    print(format_timeline(events, origin=run.fail_at))
-    return 0
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .validation.fuzz import fuzz, shrink
     from .validation.oracle import run_differential
@@ -847,7 +800,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .experiments.scenario import replay
     from .obs.flight import (
         FlightRecorder,
-        build_causal_timeline,
         build_dump,
         check_dump,
         format_autopsy,
@@ -892,6 +844,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"recorded: {len(packets)} packet, {len(routes)} route, "
         f"{len(links)} link, {len(messages)} message record(s)"
     )
+    failure = next((e for e in result.events if e.kind == "fail"), None)
+    print(
+        f"flow: host {result.sender} -> host {result.receiver}"
+        + (f"; failing {failure.link} at t={failure.time:g}" if failure else "")
+    )
     if result.violations:
         print("violations:")
         for v in result.violations:
@@ -907,11 +864,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(format_autopsy(autopsy, origin=origin))
     show_default = args.packet is None and not args.timeline
     if args.timeline or show_default:
-        timeline = build_causal_timeline(
-            routes, messages, links, since=origin or None
+        timeline = recorder.timeline(
+            since=origin or None, dest=result.receiver, src=result.sender
         )
-        print(f"\nCausal convergence timeline (t=0 at failure):\n")
+        print(f"\nCausal convergence timeline (t=0 at failure; toward host "
+              f"{result.receiver}):\n")
         print(format_causal_timeline(timeline, origin=origin))
+        if len(result.events) > 1:
+            print("  per-event reconvergence waves:")
+            for e in result.events:
+                wave = "quiet" if e.wave_start is None else (
+                    f"FIB changes t={e.wave_start - origin:+.3f}s .. "
+                    f"t={e.wave_end - origin:+.3f}s"
+                )
+                print(f"    t={e.time - origin:+8.3f}s {e.kind} {e.link}: {wave}")
     if show_default:
         # The forensically interesting packets: dropped or looped.
         cases = [
@@ -990,7 +956,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "figure": _cmd_figure,
         "sweep": _cmd_sweep,
         "topology": _cmd_topology,
-        "narrate": _cmd_narrate,
         "trace": _cmd_trace,
         "validate": _cmd_validate,
         "reproduce": _cmd_reproduce,

@@ -183,9 +183,11 @@ def diff_runs(
 
     Compares every :func:`scenario_to_dict` field not in ``ignore``, then
     ``manet`` when both results carry one (it is not persisted, so a
-    parsed result has none).  A field is named ``"name (a vs b)"`` for a
-    scalar and ``"name"`` for a list or dict.  Two recordings of the runs
-    are compared by :func:`~repro.dist.merge.diff_recordings`.
+    parsed result has none).  A scalar field is named ``"name (a vs b)"``;
+    a list or dict field also names where it first differs, as in
+    ``"events: [0].wave_end (10.05 vs 11.05)"`` or ``"delay: values
+    (list of 40 vs list of 41)"``.  Two recordings of the runs are compared by
+    :func:`~repro.dist.merge.diff_recordings`.
     """
     problems: list[str] = []
     b_fields = scenario_to_dict(b)
@@ -193,10 +195,26 @@ def diff_runs(
         other = b_fields[name]
         if name not in ignore and value != other:
             whole = isinstance(value, (list, dict)) or isinstance(other, (list, dict))
-            problems.append(name if whole else f"{name} ({value!r} vs {other!r})")
+            where = _first_difference(value, other)
+            problems.append(f"{name}: {where}" if whole else f"{name} {where}")
     if a.manet is not None and b.manet is not None and a.manet != b.manet:
         problems.append("manet")
     return problems
+
+
+def _first_difference(a: Any, b: Any, path: str = "") -> str:
+    """Where two unequal JSON values first differ, and how."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        key = next(key for key in {**a, **b} if a.get(key) != b.get(key))
+        return _first_difference(a.get(key), b.get(key), f"{path}.{key}" if path else key)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+        return _first_difference(a[i], b[i], f"{path}[{i}]")
+    shown = [
+        f"{type(v).__name__} of {len(v)}" if isinstance(v, (list, dict)) else repr(v)
+        for v in (a, b)
+    ]
+    return f"{path} ({shown[0]} vs {shown[1]})".lstrip()
 
 
 def failure_to_dict(failure: SweepFailure) -> dict:

@@ -238,7 +238,7 @@ def mesh_layout(
     """The paper's layout (§5): sender on a random first-row router, receiver
     on a random last-row router, one random on-path link to fail.
 
-    Every mesh runner — single-process, sharded, narrated, repair, transport,
+    Every mesh runner — single-process, sharded, traced, repair, transport,
     node failure — draws from the run's ``"scenario"`` stream through this
     one function, so the same seed always means the same experiment.
     """
@@ -364,7 +364,7 @@ class ScenarioRun:
     :class:`~repro.net.dynamics.TopologyDriver`, default the paper's single
     on-path failure.  ``recorder`` is a
     :class:`~repro.obs.flight.FlightRecorder` that keeps every trace record
-    of the run (narration and post-mortems read records off it).
+    of the run (timelines and post-mortems read records off it).
     ``kind`` and ``meta`` label the live log; ``kind`` is also the run a
     post-mortem ticket names (see :func:`replay`).  A run is one process:
     a config with ``shards > 1`` is refused (only :func:`run_scenario`

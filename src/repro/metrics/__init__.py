@@ -5,7 +5,6 @@ from .convergence import ConvergenceTracker, PathSnapshot, walk_forwarding_path
 from .counters import Tally, tally
 from .loops import LoopReport, analyze_deliveries, first_loop, path_has_loop
 from .manet import DelayStats, ManetReport, analyze_manet, delay_stats
-from .narrate import TimelineEvent, build_timeline, format_timeline
 from .reordering import ReorderingReport, analyze_reordering
 from .timeseries import (
     BinnedSeries,
@@ -27,9 +26,6 @@ __all__ = [
     "PathSnapshot",
     "walk_forwarding_path",
     "LoopReport",
-    "TimelineEvent",
-    "build_timeline",
-    "format_timeline",
     "DelayStats",
     "ManetReport",
     "analyze_manet",

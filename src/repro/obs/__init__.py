@@ -22,7 +22,8 @@ adds its ``seed``/``sweep`` records (see ``docs/observability.md``).
 
 A fourth piece, the forensic layer (:mod:`repro.obs.flight`): the
 :class:`FlightRecorder` keeps every trace record of a run, reconstructs
-per-packet autopsies and the causal convergence timeline, and a
+per-packet autopsies and the causal convergence timeline (with one flow's
+forwarding-path states, the paper's reading of its traces), and a
 validation monitor that fires writes a post-mortem ticket naming the run,
 which ``repro trace --dump`` re-runs.  ``python -m repro
 trace`` is its CLI; see ``docs/tracing.md``.
@@ -52,7 +53,6 @@ from .flight import (
     CausalTimeline,
     FlightRecorder,
     PacketAutopsy,
-    WaveSummary,
     build_causal_timeline,
     build_dump,
     check_dump,
@@ -71,7 +71,6 @@ from .sweeps import SeedTiming, SweepTelemetry
 
 __all__ = [
     "CausalTimeline",
-    "WaveSummary",
     "Counter",
     "FlightRecorder",
     "Gauge",

@@ -16,7 +16,8 @@ module is the forensic half of the observability layer:
 * :func:`build_causal_timeline` — links routing-protocol messages to the
   FIB changes they triggered (via the ``cause`` field threaded through
   ``routing.base``), reconstructing the update wave from failure to
-  convergence with per-node first/last-change timestamps.
+  convergence with per-node first/last-change timestamps and, for one
+  flow, the forwarding paths those changes made.
 * Post-mortem dumps — a versioned JSON *ticket* naming the run (its kind,
   protocol, degree, seed and ``ExperimentConfig``) and the result it gave,
   written when a validation monitor fires.  Runs are deterministic, so the
@@ -35,6 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ..metrics.convergence import ConvergenceTracker, PathSnapshot
 from ..metrics.loops import first_loop
 from ..records import COUNT, INT, OBJECT, TEXT, check_envelope, check_fields
 from ..records import read_json, write_json
@@ -60,7 +62,6 @@ __all__ = [
     "format_autopsy",
     "FibFlip",
     "NodeActivity",
-    "WaveSummary",
     "CausalTimeline",
     "build_causal_timeline",
     "format_causal_timeline",
@@ -137,7 +138,10 @@ class FlightRecorder:
         )
 
     def timeline(
-        self, since: Optional[float] = None, dest: Optional[int] = None
+        self,
+        since: Optional[float] = None,
+        dest: Optional[int] = None,
+        src: Optional[int] = None,
     ) -> "CausalTimeline":
         return build_causal_timeline(
             self.streams["route"],
@@ -145,6 +149,7 @@ class FlightRecorder:
             link_events=self.streams["link"],
             since=since,
             dest=dest,
+            src=src,
         )
 
 
@@ -342,33 +347,16 @@ class NodeActivity:
 
 
 @dataclass(frozen=True)
-class WaveSummary:
-    """The reconvergence wave attributed to one topology event.
-
-    A run with several link events (churn, flaps) has overlapping
-    reconvergence waves; each event's window runs from its own instant to
-    the next event's (the last to the end of the capture), and the FIB
-    changes falling inside are its wave.  ``first_change``/``last_change``
-    are ``None`` when the window was quiet.
-    """
-
-    event: LinkEventRecord
-    first_change: Optional[float]
-    last_change: Optional[float]
-    n_changes: int
-
-
-@dataclass(frozen=True)
 class CausalTimeline:
     """The update wave: topology events -> per-node FIB churn -> quiescence."""
 
-    since: Optional[float]
     links: tuple[LinkEventRecord, ...]
     flips: tuple[FibFlip, ...]
     #: Per-node activity, ordered by first change (the wave front).
     wave: tuple[NodeActivity, ...]
-    #: Per-link-event reconvergence waves, in event order.
-    waves: tuple[WaveSummary, ...] = ()
+    #: The ``src`` -> ``dest`` forwarding path each time it changed (empty
+    #: unless both were given).
+    paths: tuple[PathSnapshot, ...] = ()
 
     @property
     def first_change(self) -> Optional[float]:
@@ -386,6 +374,7 @@ def build_causal_timeline(
     link_events: Iterable[LinkEventRecord] = (),
     since: Optional[float] = None,
     dest: Optional[int] = None,
+    src: Optional[int] = None,
 ) -> CausalTimeline:
     """Reconstruct the causally annotated update wave.
 
@@ -394,16 +383,29 @@ def build_causal_timeline(
     the change (message records carry send time; the change happens on
     arrival, so "latest at-or-before" is the triggering message as long as
     per-adjacency delivery is FIFO — which links and reliable channels are).
+
+    With ``src`` and ``dest`` given, ``paths`` holds the flow's forwarding
+    path states after ``since``: a recording holds the route stream from
+    the warm-start installs on, so a tracker fed all of it from an empty
+    view (what a reactive row starts from) sees what the run's tracker saw.
     """
+    route_changes = list(route_changes)
+    paths: tuple[PathSnapshot, ...] = ()
+    if src is not None and dest is not None:
+        bus = TraceBus()
+        tracker = ConvergenceTracker(bus, dest=dest, src=src)
+        tracker.seed({}, 0.0)
+        for record in route_changes:
+            bus.publish(record)
+        # The empty seed is where the walk starts, not a recorded state.
+        paths = tuple(s for s in tracker.snapshots[1:] if s.time >= (since or 0.0))
     flips_src = [
         r
         for r in route_changes
         if (since is None or r.time >= since) and (dest is None or r.dest == dest)
     ]
     flips_src.sort(key=lambda r: r.time)
-    links = tuple(
-        e for e in link_events if since is None or e.time >= since
-    )
+    links = tuple(e for e in link_events if since is None or e.time >= since)
 
     by_adjacency: dict[tuple[int, int], list[MessageRecord]] = {}
     for m in messages:
@@ -426,42 +428,12 @@ def build_causal_timeline(
     activity: dict[int, NodeActivity] = {}
     for flip in flips:
         r = flip.record
-        prior = activity.get(r.node)
-        if prior is None:
-            activity[r.node] = NodeActivity(r.node, r.time, r.time, 1)
-        else:
-            activity[r.node] = NodeActivity(
-                r.node, prior.first_change, r.time, prior.n_changes + 1
-            )
-    wave = tuple(
-        sorted(activity.values(), key=lambda a: (a.first_change, a.node))
-    )
-
-    # Attribute FIB churn to link events: event i owns [time_i, time_{i+1}),
-    # the last window running to the end of the captured changes.
-    ordered = sorted(links, key=lambda e: e.time)
-    waves = []
-    for i, event in enumerate(ordered):
-        window_end = (
-            ordered[i + 1].time if i + 1 < len(ordered) else float("inf")
+        prior = activity.get(r.node, NodeActivity(r.node, r.time, r.time, 0))
+        activity[r.node] = NodeActivity(
+            r.node, prior.first_change, r.time, prior.n_changes + 1
         )
-        in_window = [
-            f.record.time
-            for f in flips
-            if event.time <= f.record.time < window_end
-        ]
-        waves.append(
-            WaveSummary(
-                event=event,
-                first_change=in_window[0] if in_window else None,
-                last_change=in_window[-1] if in_window else None,
-                n_changes=len(in_window),
-            )
-        )
-    return CausalTimeline(
-        since=since, links=links, flips=tuple(flips), wave=wave,
-        waves=tuple(waves),
-    )
+    wave = tuple(sorted(activity.values(), key=lambda a: (a.first_change, a.node)))
+    return CausalTimeline(links=links, flips=tuple(flips), wave=wave, paths=paths)
 
 
 def _describe_cause(flip: FibFlip, origin: float) -> str:
@@ -483,24 +455,36 @@ def _describe_cause(flip: FibFlip, origin: float) -> str:
     return f"  [{kind} {peer}]"
 
 
+def _describe_path(snap: PathSnapshot) -> str:
+    route = " -> ".join(map(str, snap.path))
+    if snap.state == "ok":
+        return f"forwarding path now {route}"
+    if snap.state == "broken":
+        return f"forwarding path BROKEN at node {snap.path[-1]} ({route} ...)"
+    return f"forwarding path LOOPS: {route}"
+
+
 def format_causal_timeline(
     timeline: CausalTimeline, origin: float = 0.0, max_events: int = 60
 ) -> str:
-    """Render the update wave for humans (times relative to ``origin``)."""
-    lines: list[str] = []
+    """Render the update wave for humans (times relative to ``origin``):
+    link, FIB-change and path lines in time order, a path line after the
+    changes that made it, at most ``max_events`` FIB changes."""
+    events: list[tuple[float, int, str]] = []
     for e in timeline.links:
-        lines.append(
-            f"  t={e.time - origin:+9.3f}s  link ({e.node_a}, {e.node_b}) "
-            + ("restored" if e.up else "FAILED")
-        )
-    shown = timeline.flips[:max_events]
-    for flip in shown:
+        state = "restored" if e.up else "FAILED"
+        events.append((e.time, 0, f"link ({e.node_a}, {e.node_b}) {state}"))
+    for flip in timeline.flips[:max_events]:
         r = flip.record
-        lines.append(
-            f"  t={r.time - origin:+9.3f}s  node {r.node}: dest {r.dest} "
-            f"{r.old_next_hop} -> {r.new_next_hop}"
-            + _describe_cause(flip, origin)
-        )
+        events.append((
+            r.time, 1,
+            f"node {r.node}: dest {r.dest} {r.old_next_hop} -> {r.new_next_hop}"
+            + _describe_cause(flip, origin),
+        ))
+    for snap in timeline.paths:
+        events.append((snap.time, 2, _describe_path(snap)))
+    events.sort(key=lambda e: e[:2])
+    lines = [f"  t={t - origin:+9.3f}s  {text}" for t, _, text in events]
     if len(timeline.flips) > max_events:
         lines.append(
             f"  ... {len(timeline.flips) - max_events} more FIB changes omitted"
@@ -513,22 +497,6 @@ def format_causal_timeline(
                 f"  last t={a.last_change - origin:+8.3f}s"
                 f"  ({a.n_changes} change(s))"
             )
-    if len(timeline.waves) > 1:
-        lines.append("  per-event reconvergence waves:")
-        for w in timeline.waves:
-            e = w.event
-            label = "restore" if e.up else "fail"
-            if w.n_changes:
-                lines.append(
-                    f"    t={e.time - origin:+8.3f}s {label} ({e.node_a}, "
-                    f"{e.node_b}): {w.n_changes} FIB change(s), "
-                    f"last t={w.last_change - origin:+.3f}s"
-                )
-            else:
-                lines.append(
-                    f"    t={e.time - origin:+8.3f}s {label} ({e.node_a}, "
-                    f"{e.node_b}): quiet"
-                )
     if timeline.converged_at is not None:
         lines.append(
             f"  last FIB change t={timeline.converged_at - origin:+.3f}s"

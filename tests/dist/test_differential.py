@@ -115,6 +115,28 @@ def test_diff_names_every_persisted_field(field):
     assert [problem.split(":")[0] for problem in problems] == [field]
 
 
+def test_diff_names_the_first_differing_entry():
+    """A moved series bin or event field is named with its index and both
+    values, so a golden-store failure explains itself."""
+    single, _ = _single("dbf", 7)
+    first = single.events[0]
+    values = list(single.delay.values)
+    values[12] += 0.001
+    moved = replace(
+        single,
+        events=(replace(first, wave_end=first.wave_end + 1.0), *single.events[1:]),
+        delay=replace(single.delay, values=tuple(values)),
+    )
+    assert diff_runs(single, moved) == [
+        f"events: [0].wave_end ({first.wave_end!r} vs {first.wave_end + 1.0!r})",
+        f"delay: values[12] ({single.delay.values[12]!r} vs {values[12]!r})",
+    ]
+    shorter = replace(single, events=single.events[1:])
+    assert diff_runs(single, shorter) == [
+        f"events: (list of {len(single.events)} vs list of {len(single.events) - 1})"
+    ]
+
+
 def test_diff_names_the_manet_report():
     """``manet`` is not persisted, so only the identity check covers the
     merge's summed control-plane counters."""

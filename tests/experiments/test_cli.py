@@ -66,17 +66,13 @@ class TestCommands:
         assert "Figure 3" in out
         assert "rip" in out
 
-    def test_narrate_command(self, capsys):
-        assert (
-            main(["narrate", "--protocol", "dbf", "--degree", "4", "--seed", "1",
-                  "--window", "15"])
-            == 0
-        )
+    def test_trace_timeline_command(self, capsys):
+        assert main(["trace", "--protocol", "dbf", "--degree", "4", "--seed", "1",
+                     "--timeline"]) == 0
         out = capsys.readouterr().out
         assert "FAILED" in out
-        assert "Timeline" in out
-        assert "[route]" in out  # the routing story: FIB changes ...
-        assert "[ path]" in out  # ... and the forwarding path they make
+        assert "Causal convergence timeline" in out
+        assert "forwarding path" in out  # the FIB changes make the flow's path
 
     def test_sweep_save_option(self, capsys, tmp_path):
         path = tmp_path / "out.json"

@@ -94,10 +94,10 @@ def test_transport_network_dies_by_reference_count(networks):
     assert alive_after(lambda: run_transport_scenario("dbf", 4, 7, TINY), networks) == [False]
 
 
-def test_narrated_network_dies_by_reference_count(networks, capsys):
-    argv = ["narrate", "--protocol", "dbf", "--degree", "4", "--seed", "7", "--window", "15"]
+def test_traced_network_dies_by_reference_count(networks, capsys):
+    argv = ["trace", "--protocol", "dbf", "--degree", "4", "--seed", "7", "--timeline"]
     assert alive_after(lambda: main(argv), networks) == [False]
-    assert "Timeline" in capsys.readouterr().out
+    assert "forwarding path" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("protocol", ["dbf", "bgp3"])

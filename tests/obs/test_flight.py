@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,8 @@ from repro.cli import main
 from repro.experiments.churn import run_churn_scenario
 from repro.experiments.config import ChurnConfig, ExperimentConfig
 from repro.experiments.persistence import diff_runs, scenario_to_dict
-from repro.experiments.scenario import replay, run_scenario
+from repro.experiments.scenario import ScenarioRun, replay, run_scenario
+from repro.metrics.convergence import PathSnapshot
 from repro.net.dynamics import ScriptedDriver
 from repro.net.packet import reset_packet_ids
 from repro.obs.flight import (
@@ -32,6 +34,7 @@ from repro.obs.flight import (
     write_perfetto,
 )
 from repro.records import ArtifactError
+from repro.routing.catalog import PROTOCOLS
 from repro.routing.dv_common import DistanceVectorProtocol
 from repro.sim.tracing import (
     TRACE_KINDS,
@@ -296,6 +299,35 @@ class TestCausalTimeline:
         assert "update wave" in text
         assert "last FIB change t=+1.000s" in text
 
+    def test_lines_come_out_in_time_order(self):
+        timeline = build_causal_timeline(
+            [route(2.5, 1, 9, 2, None), route(4.0, 0, 9, 1, 2)],
+            link_events=[LinkEventRecord(time=2.4, node_a=1, node_b=2, up=False)],
+        )
+        paths = (
+            PathSnapshot(time=2.5, path=(0, 1), state="broken"),
+            PathSnapshot(time=3.0, path=(0, 1, 0), state="loop"),
+            PathSnapshot(time=4.0, path=(0, 2, 9), state="ok"),
+        )
+        text = format_causal_timeline(replace(timeline, paths=paths), origin=2.0)
+        lines = [line for line in text.splitlines() if line.startswith("  t=")]
+        assert [line.split("s  ", 1)[1] for line in lines] == [
+            "link (1, 2) FAILED",
+            "node 1: dest 9 2 -> None",
+            "forwarding path BROKEN at node 1 (0 -> 1 ...)",
+            "forwarding path LOOPS: 0 -> 1 -> 0",
+            "node 0: dest 9 1 -> 2",
+            "forwarding path now 0 -> 2 -> 9",
+        ]
+
+    def test_fib_changes_beyond_the_cap_are_counted(self):
+        timeline = build_causal_timeline(
+            [route(float(i), 1, 9, None, 2) for i in range(12)]
+        )
+        text = format_causal_timeline(timeline, max_events=10)
+        assert text.count(": dest 9 None -> 2") == 10
+        assert "... 2 more FIB changes omitted" in text
+
 
 #: The mobility-churn cell whose monitors fire (16 nodes on a Manhattan grid).
 CHURN_CONFIG = ExperimentConfig.quick().with_(
@@ -314,6 +346,45 @@ def _ticket(protocol="dbf", seed=7):
 
 def _streams(recorder):
     return {kind: recorder.records(kind) for kind in TRACE_KINDS}
+
+
+class TestFlowPaths:
+    """``paths`` replays the recorded route stream into a tracker: it must
+    hold the states the run's own tracker saw."""
+
+    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    def test_paths_equal_the_live_tracker(self, protocol):
+        config = GOLDEN_CONFIG.with_(post_fail_window=10.0)
+        recorder = FlightRecorder()
+        run = ScenarioRun(protocol, 4, 7, config, flows=(), recorder=recorder)
+        try:
+            run.execute()
+        finally:
+            run.close()
+        layout = run.layout
+        timeline = recorder.timeline(run.fail_at, layout.receiver, layout.sender)
+        assert list(timeline.paths) == run.tracker.transient_paths(run.fail_at)
+
+    def test_a_reactive_flow_starts_from_an_empty_view(self, monkeypatch):
+        """AODV installs nothing at warm start, so the live tracker starts
+        from a broken one-node path; the replay must too, or the first
+        install on the way to the sender adds a state the run never saw."""
+        runs = []
+        to_result = ScenarioRun.to_result
+        monkeypatch.setattr(
+            ScenarioRun, "to_result", lambda run: runs.append(run) or to_result(run)
+        )
+        config = CHURN_CONFIG.with_(
+            churn=replace(CHURN_CONFIG.churn, model="waypoint")
+        )
+        recorder = FlightRecorder()
+        result = run_churn_scenario("aodv", 1, config, recorder=recorder)
+        (run,) = runs
+        assert run.tracker.snapshots[0].path == (result.sender,)
+        whole = recorder.timeline(dest=result.receiver, src=result.sender)
+        assert list(whole.paths) == run.tracker.snapshots[1:]
+        after = recorder.timeline(run.fail_at, result.receiver, result.sender)
+        assert list(after.paths) == run.tracker.transient_paths(run.fail_at)
 
 
 class TestDumps:
@@ -483,6 +554,29 @@ class TestTraceCommand:
         assert replayed[0] == f"replayed flight dump {ticket}: the re-run reproduces its result"
         assert live[-1] == f"flight dump written to {ticket} (self-check ok)"
         assert replayed[1:] == live[:-2]
+
+    def test_timeline_tells_the_flows_story(self, capsys):
+        """The MRAI-paced loops of a BGP failure (paper §5.2), each FIB
+        change with the message that caused it."""
+        out = _trace(["--protocol", "bgp", "--degree", "5", "--seed", "4", "--timeline"], capsys)
+        assert "flow: host 49 -> host 50; failing (38, 45) at t=10" in out
+        loops = re.findall(r"t=\s*(\S+)s  forwarding path LOOPS", out)
+        assert loops == ["+0.051", "+0.053", "+0.053", "+26.631", "+28.251", "+29.720"]
+        assert "t=  +29.982s  forwarding path now 49 -> 1 -> 8 -> 15 -> 22" in out
+        flips = re.findall(r"node \d+: dest (\d+) .*", out)
+        assert flips and all(dest == "50" for dest in flips)
+        assert all("  [" in line for line in re.findall(r"node \d+: dest .*", out))
+
+    def test_churn_ticket_prints_one_wave_line_per_event(self, capsys, tmp_path):
+        result = run_churn_scenario("rip", 1, CHURN_CONFIG)
+        path = str(tmp_path / "ticket.json")
+        save_dump(
+            build_dump("churn", "rip", 0, 1, CHURN_CONFIG, scenario_to_dict(result)), path
+        )
+        out = _trace(["--dump", path, "--timeline"], capsys)
+        waves = re.findall(r"^    t=.* (fail|restore) \(\d+, \d+\): ", out, re.M)
+        assert len(result.events) > 1
+        assert waves == [e.kind for e in result.events]
 
     @pytest.mark.parametrize(
         "edit, needle",

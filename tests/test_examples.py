@@ -20,4 +20,4 @@ def run_example(name: str, *args: str) -> subprocess.CompletedProcess:
 def test_narrate_failure_tells_the_routing_story():
     done = run_example("narrate_failure.py", "bgp", "5", "4")
     assert done.returncode == 0, done.stderr
-    assert "[route]" in done.stdout
+    assert "forwarding path" in done.stdout
