@@ -7,15 +7,16 @@ value of alternate-path information.
 
 from __future__ import annotations
 
-from repro.experiments.figures import ablation_alternate_cache
-from repro.experiments.report import format_sweep_table
+from repro.experiments.figures import ROWS, evaluate
+from repro.experiments.report import format_row
 
 from conftest import run_once
 
 
 def test_ablation_alternate_cache(benchmark, config):
-    table = run_once(benchmark, ablation_alternate_cache, config)
-    print("\n" + format_sweep_table(table))
+    row = ROWS["abl2"]
+    (table,) = run_once(benchmark, evaluate, row, config)
+    print("\n" + format_row(row, (table,), config))
     for degree in config.degrees:
         assert table.value("dbf", degree) <= table.value("rip", degree)
     # The cache's value grows with connectivity: by the highest degree DBF is

@@ -10,27 +10,22 @@ delay well under the routing timers gives the same picture.
 
 from __future__ import annotations
 
-from repro.experiments.figures import ablation_detection_delay
+from repro.experiments.figures import ROWS, evaluate
 
 from conftest import run_once
 
-DELAYS = (0.005, 0.05, 0.5, 2.0)
-
-
 def test_ablation_detection_delay(benchmark, config):
-    out = run_once(
-        benchmark, ablation_detection_delay, config.with_(runs=3), 6, DELAYS, "dbf"
-    )
+    config = config.with_(runs=3)
+    drops, forwarding = run_once(benchmark, evaluate, ROWS["abl4"], config)
     print("\nDetection delay sensitivity (DBF, degree 6)")
     print(f"  {'delay(s)':>9} {'drops':>7} {'rate*delay':>11} {'fwd conv(s)':>12}")
-    for delay in DELAYS:
-        row = out[delay]
+    for delay in drops.degrees:
         print(
-            f"  {delay:>9.3f} {row['total_drops']:>7.1f} "
-            f"{row['expected_floor']:>11.1f} {row['forwarding_convergence']:>12.3f}"
+            f"  {delay:>9.3f} {drops.value('dbf', delay):>7.1f} "
+            f"{config.rate_pps * delay:>11.1f} {forwarding.value('dbf', delay):>12.3f}"
         )
     # Losses stay within a couple of packets of the physical floor.
-    for delay in DELAYS:
-        assert out[delay]["total_drops"] <= out[delay]["expected_floor"] + 3
+    for delay in drops.degrees:
+        assert drops.value("dbf", delay) <= config.rate_pps * delay + 3
     # And they do grow once the delay grows (it is the dominant term).
-    assert out[2.0]["total_drops"] > out[0.005]["total_drops"]
+    assert drops.value("dbf", 2.0) > drops.value("dbf", 0.005)

@@ -9,24 +9,25 @@ shift from TTL expiry into queue overflow.
 
 from __future__ import annotations
 
-from repro.experiments.figures import ablation_load_sensitivity
+from repro.experiments.figures import ROWS, evaluate
 
 from conftest import run_once
-
-RATES = (10.0, 20.0, 60.0, 150.0)
-
 
 def test_ablation_load_sensitivity(benchmark, config):
     # Loop formation depends on the failure layout, not the data rate; use a
     # seed window where the degree-5 MRAI loop reproduces so every rate is
     # measured against the same transient loop.
-    out = run_once(
-        benchmark, ablation_load_sensitivity, config.with_(runs=3, seed=4), 5, RATES
-    )
+    tables = run_once(benchmark, evaluate, ROWS["abl3"], config.with_(runs=3, seed=4))
+    out = {
+        rate: {
+            cause: table.value("bgp", rate)
+            for cause, table in zip(("ttl", "queue", "no_route"), tables)
+        }
+        for rate in tables[0].degrees
+    }
     print("\nLoad sensitivity (BGP, degree 5): drops by cause")
     print(f"  {'rate(pps)':>10} {'ttl':>8} {'queue':>8} {'no_route':>9}")
-    for rate in RATES:
-        row = out[rate]
+    for rate, row in out.items():
         print(
             f"  {rate:>10.0f} {row['ttl']:>8.1f} {row['queue']:>8.1f} {row['no_route']:>9.1f}"
         )

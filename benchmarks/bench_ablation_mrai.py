@@ -7,15 +7,16 @@ measures exactly that: per-neighbor vs per-(neighbor, destination) MRAI.
 
 from __future__ import annotations
 
-from repro.experiments.figures import ablation_mrai_granularity
-from repro.experiments.report import format_sweep_table
+from repro.experiments.figures import ROWS, evaluate
+from repro.experiments.report import format_row
 
 from conftest import run_once
 
 
 def test_ablation_mrai_granularity(benchmark, config):
-    table = run_once(benchmark, ablation_mrai_granularity, config.with_(runs=4), 5)
-    print("\n" + format_sweep_table(table))
+    row, config = ROWS["abl1"], config.with_(runs=4)
+    (table,) = run_once(benchmark, evaluate, row, config)  # degree 5
+    print("\n" + format_row(row, (table,), config))
     # Finer MRAI granularity must not make looping worse; typically it
     # shortens loop lifetime because corrections for other destinations are
     # no longer stuck behind an unrelated announcement's timer.

@@ -7,19 +7,21 @@ messages the receiver would discard.
 
 from __future__ import annotations
 
-from repro.experiments.figures import ablation_ssld
+from repro.experiments.figures import ROWS, evaluate
 
 from conftest import run_once
 
 
 def test_ablation_ssld(benchmark, config):
-    out = run_once(benchmark, ablation_ssld, config.with_(runs=4), 4)
+    messages, no_route, ttl, convergence = run_once(
+        benchmark, evaluate, ROWS["abl5"], config.with_(runs=4)
+    )
     print("\nSSLD ablation (BGP-3, degree 4)")
     print(f"  {'protocol':>10} {'messages':>9} {'drops':>7} {'conv(s)':>8}")
-    for protocol, row in out.items():
+    for protocol in messages.protocols:
         print(
-            f"  {protocol:>10} {row['messages']:>9.1f} "
-            f"{row['drops_no_route'] + row['drops_ttl']:>7.1f} "
-            f"{row['routing_convergence']:>8.2f}"
+            f"  {protocol:>10} {messages.value(protocol, 4):>9.1f} "
+            f"{no_route.value(protocol, 4) + ttl.value(protocol, 4):>7.1f} "
+            f"{convergence.value(protocol, 4):>8.2f}"
         )
-    assert out["bgp3-ssld"]["messages"] <= out["bgp3"]["messages"]
+    assert messages.value("bgp3-ssld", 4) <= messages.value("bgp3", 4)

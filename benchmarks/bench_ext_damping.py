@@ -11,20 +11,26 @@ discusses the regime split.
 
 from __future__ import annotations
 
-from repro.experiments.figures import extension_flap_damping
+from dataclasses import replace
+
+from repro.experiments.figures import ROWS, evaluate
 
 from conftest import run_once
 
 
 def test_extension_flap_damping(benchmark, config):
-    out = run_once(benchmark, extension_flap_damping, config.with_(runs=4), 5)
+    row = ROWS["ext5"]
+    at_degree_5 = replace(row, delta={**row.delta, "degrees": (5,)})
+    delivery, drops, convergence = run_once(
+        benchmark, evaluate, at_degree_5, config.with_(runs=4)
+    )
     print("\nFlap damping extension (BGP-3, degree 5 — loop regime)")
     print(f"  {'protocol':>10} {'delivery':>9} {'drops':>7} {'conv(s)':>8}")
-    for protocol, row in out.items():
+    for protocol in delivery.protocols:
         print(
-            f"  {protocol:>10} {row['delivery_ratio']:>9.3f} "
-            f"{row['drops_no_route']:>7.1f} {row['routing_convergence']:>8.2f}"
+            f"  {protocol:>10} {delivery.value(protocol, 5):>9.3f} "
+            f"{drops.value(protocol, 5):>7.1f} {convergence.value(protocol, 5):>8.2f}"
         )
     # Damping a single-failure convergence event is at worst neutral and at
     # best loop-suppressing in this regime.
-    assert out["bgp3-rfd"]["delivery_ratio"] >= out["bgp3"]["delivery_ratio"] - 1e-9
+    assert delivery.value("bgp3-rfd", 5) >= delivery.value("bgp3", 5) - 1e-9

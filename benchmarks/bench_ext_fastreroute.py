@@ -10,13 +10,14 @@ data plane.
 
 from __future__ import annotations
 
-from repro.experiments.figures import extension_fast_reroute
+from repro.experiments.figures import ROWS, evaluate
 
 from conftest import run_once
 
 
 def test_extension_fast_reroute(benchmark, config):
-    out = run_once(benchmark, extension_fast_reroute, config.with_(runs=4), (4, 6))
+    (stale,) = run_once(benchmark, evaluate, ROWS["ext6"], config.with_(runs=4))
+    out = stale.values
     print("\nFast reroute extension: stale-route drops per failure")
     print(f"  {'protocol':>9} {'degree 4':>9} {'degree 6':>9}")
     for protocol in ("spf", "spf-slow", "spf-lfa"):

@@ -7,15 +7,16 @@ at or below DBF's.
 
 from __future__ import annotations
 
-from repro.experiments.figures import extension_linkstate
-from repro.experiments.report import format_sweep_table
+from repro.experiments.figures import ROWS, evaluate
+from repro.experiments.report import format_row
 
 from conftest import run_once
 
 
 def test_extension_linkstate(benchmark, config):
-    table = run_once(benchmark, extension_linkstate, config)
-    print("\n" + format_sweep_table(table))
+    row = ROWS["ext1"]
+    (table,) = run_once(benchmark, evaluate, row, config)
+    print("\n" + format_row(row, (table,), config))
     for degree in config.degrees:
         assert table.value("spf", degree) <= table.value("rip", degree)
     d_hi = max(config.degrees)

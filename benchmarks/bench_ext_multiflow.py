@@ -7,22 +7,22 @@ protocol.
 
 from __future__ import annotations
 
-from repro.experiments.figures import extension_multiflow
+from repro.experiments.figures import ROWS, evaluate
 
 from conftest import run_once
 
 
 def test_extension_multiflow(benchmark, config):
-    out = run_once(
-        benchmark, extension_multiflow, config.with_(runs=3), 4, 3, 2
+    delivery, worst, drops = run_once(
+        benchmark, evaluate, ROWS["ext2"], config.with_(runs=3)
     )
     print("\nMulti-flow extension (3 flows, 2 overlapping failures, degree 4)")
     print(f"  {'protocol':>9} {'delivery':>9} {'worst flow':>11} {'drops':>7}")
-    for protocol, row in out.items():
+    for protocol in delivery.protocols:
         print(
-            f"  {protocol:>9} {row['delivery_ratio']:>9.3f} "
-            f"{row['worst_flow_ratio']:>11.3f} {row['convergence_drops']:>7.1f}"
+            f"  {protocol:>9} {delivery.value(protocol, 4):>9.3f} "
+            f"{worst.value(protocol, 4):>11.3f} {drops.value(protocol, 4):>7.1f}"
         )
-    assert out["dbf"]["delivery_ratio"] >= out["rip"]["delivery_ratio"]
-    for row in out.values():
-        assert 0.0 <= row["worst_flow_ratio"] <= row["delivery_ratio"] + 1e-9
+    assert delivery.value("dbf", 4) >= delivery.value("rip", 4)
+    for key, ratio in delivery.values.items():
+        assert 0.0 <= worst.values[key] <= ratio + 1e-9

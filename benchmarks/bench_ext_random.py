@@ -7,17 +7,16 @@ drops once the degree is rich, while RIP remains periodic-timer-bound.
 
 from __future__ import annotations
 
-from repro.experiments.figures import extension_random_topology
-from repro.experiments.report import format_sweep_table
+from repro.experiments.figures import ROWS, evaluate
+from repro.experiments.report import format_row
 
 from conftest import run_once
 
 
 def test_extension_random_topology(benchmark, config):
-    table = run_once(
-        benchmark, extension_random_topology, config.with_(runs=3), (4, 6)
-    )
-    print("\n" + format_sweep_table(table))
+    row, config = ROWS["ext4"], config.with_(runs=3)
+    (table,) = run_once(benchmark, evaluate, row, config)  # degrees 4 and 6
+    print("\n" + format_row(row, (table,), config))
     for degree in (4, 6):
         assert table.value("dbf", degree) <= table.value("rip", degree)
     assert table.value("dbf", 6) < 10

@@ -7,27 +7,22 @@ protocol's delivery stays high at every size because recovery is local.
 
 from __future__ import annotations
 
-from repro.experiments.figures import extension_scale
+from repro.experiments.figures import ROWS, evaluate
 
 from conftest import run_once
 
-SIZES = ((5, 5), (7, 7), (10, 10))
-
-
 def test_extension_scale(benchmark, config):
-    out = run_once(
-        benchmark, extension_scale, config.with_(runs=2), SIZES, 4,
-        ("rip", "dbf", "bgp3"),
+    drops, delivery, convergence = run_once(
+        benchmark, evaluate, ROWS["ext8"], config.with_(runs=2)
     )
     print("\nScale extension (degree 4): mesh size sweep")
     print(f"  {'proto':>6} {'nodes':>6} {'drops':>7} {'delivery':>9} {'conv(s)':>8}")
-    for (protocol, n), row in sorted(out.items()):
+    for key in sorted(drops.values):
         print(
-            f"  {protocol:>6} {n:>6} {row['drops_no_route']:>7.1f} "
-            f"{row['delivery_ratio']:>9.3f} {row['routing_convergence']:>8.2f}"
+            f"  {key[0]:>6} {key[1]:>6} {drops.values[key]:>7.1f} "
+            f"{delivery.values[key]:>9.3f} {convergence.values[key]:>8.2f}"
         )
-    for rows, cols in SIZES:
-        n = rows * cols
+    for n in drops.degrees:  # 5x5, 7x7 and 10x10 meshes
         # RIP always the worst; alternate-path protocols deliver >95% at any size.
-        assert out[("rip", n)]["drops_no_route"] >= out[("dbf", n)]["drops_no_route"]
-        assert out[("dbf", n)]["delivery_ratio"] > 0.9
+        assert drops.value("rip", n) >= drops.value("dbf", n)
+        assert delivery.value("dbf", n) > 0.9

@@ -8,18 +8,19 @@ stall; the alternate-path protocols cost ~a retransmission timeout).
 
 from __future__ import annotations
 
-from repro.experiments.figures import extension_transport
+from repro.experiments.figures import ROWS, evaluate
 
 from conftest import run_once
 
 
 def test_extension_transport(benchmark, config):
-    out = run_once(
-        benchmark, extension_transport, config.with_(runs=2), 4, 8000
-    )
+    stall, retx = run_once(benchmark, evaluate, ROWS["ext3"], config.with_(runs=2))
     print("\nTransport extension (8000-segment transfer, failure mid-stream)")
     print(f"  {'protocol':>9} {'stall (s)':>10} {'retx':>7}")
-    for protocol, row in out.items():
-        print(f"  {protocol:>9} {row['stall_penalty']:>10.2f} {row['retransmissions']:>7.1f}")
-    assert out["rip"]["stall_penalty"] >= out["dbf"]["stall_penalty"]
-    assert out["dbf"]["stall_penalty"] < 5.0
+    for protocol in stall.protocols:
+        print(
+            f"  {protocol:>9} {stall.value(protocol, 4):>10.2f} "
+            f"{retx.value(protocol, 4):>7.1f}"
+        )
+    assert stall.value("rip", 4) >= stall.value("dbf", 4)
+    assert stall.value("dbf", 4) < 5.0

@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-from repro.experiments.figures import figure2_topologies
+import re
+
+from repro.experiments.figures import ROWS, evaluate
+from repro.experiments.report import format_row
 
 from conftest import run_once
 
 
-def test_figure2_topologies(benchmark):
-    out = run_once(benchmark, figure2_topologies, 7, 7, (4, 5, 6))
-    print("\nFigure 2: regular 7x7 meshes")
-    for degree, info in sorted(out.items()):
-        print(
-            f"  degree {degree}: {info['n_nodes']} nodes, {info['n_links']} links, "
-            f"degree histogram {sorted(info['degree_histogram'].items())}"
-        )
-    assert set(out) == {4, 5, 6}
-    assert all(info["connected"] for info in out.values())
+def test_figure2_topologies(benchmark, config):
+    row, config = ROWS["2"], config.with_(rows=7, cols=7)
+    (meshes,) = run_once(benchmark, evaluate, row, config)
+    print("\n" + format_row(row, (meshes,), config))
+    assert meshes.degrees == (4, 5, 6)
+    links = [int(re.search(r"(\d+) links", line)[1]) for line in meshes.values.values()]
     # Richer meshes have strictly more links (the paper's redundancy knob).
-    assert out[4]["n_links"] < out[5]["n_links"] < out[6]["n_links"]
+    assert links[0] < links[1] < links[2]

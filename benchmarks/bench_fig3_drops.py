@@ -6,15 +6,16 @@ Expected shape (paper Observation 1): drops fall as degree rises; at degree
 
 from __future__ import annotations
 
-from repro.experiments.figures import figure3_drops_no_route
-from repro.experiments.report import format_sweep_table
+from repro.experiments.figures import ROWS, evaluate
+from repro.experiments.report import format_row
 
 from conftest import run_once
 
 
 def test_figure3_drops_no_route(benchmark, config):
-    table = run_once(benchmark, figure3_drops_no_route, config)
-    print("\n" + format_sweep_table(table))
+    row = ROWS["3"]
+    (table,) = run_once(benchmark, evaluate, row, config)
+    print("\n" + format_row(row, (table,), config))
     d_lo, d_hi = min(config.degrees), max(config.degrees)
     # RIP is the worst protocol at every degree and never gets near zero.
     for degree in config.degrees:

@@ -6,15 +6,16 @@ degree >= 6; below 6 BGP's per-neighbor MRAI makes its loops live longest.
 
 from __future__ import annotations
 
-from repro.experiments.figures import figure4_ttl_expirations
-from repro.experiments.report import format_sweep_table
+from repro.experiments.figures import ROWS, evaluate
+from repro.experiments.report import format_row
 
 from conftest import run_once
 
 
 def test_figure4_ttl_expirations(benchmark, config):
-    table = run_once(benchmark, figure4_ttl_expirations, config)
-    print("\n" + format_sweep_table(table))
+    row = ROWS["4"]
+    (table,) = run_once(benchmark, evaluate, row, config)
+    print("\n" + format_row(row, (table,), config))
     d_hi = max(config.degrees)
     for degree in config.degrees:
         assert table.value("rip", degree) == 0  # RIP drops instead of looping

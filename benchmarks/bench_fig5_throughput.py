@@ -7,25 +7,17 @@ its ~30 s periodic cycle, DBF within seconds, BGP around its MRAI; at degree
 
 from __future__ import annotations
 
-from repro.experiments.figures import figure5_throughput
-from repro.experiments.report import format_series_grid
+from repro.experiments.figures import ROWS, evaluate
+from repro.experiments.report import format_row
 
 from conftest import run_once
 
 
 def test_figure5_throughput(benchmark, config):
-    degrees = tuple(d for d in (3, 4, 6) if d in config.degrees) or config.degrees[:1]
-    series = run_once(benchmark, figure5_throughput, config, degrees)
-    print(
-        "\n"
-        + format_series_grid(
-            series,
-            "Figure 5: instantaneous throughput (pkt/s), failure at t=0",
-            t_min=-5,
-            t_max=50,
-            step=5,
-        )
-    )
+    row = ROWS["5"]
+    (table,) = run_once(benchmark, evaluate, row, config)
+    print("\n" + format_row(row, (table,), config))
+    series, degrees = table.values, table.degrees
     rate = config.rate_pps
     lo = min(degrees)
     # Sparse RIP: deep dip, then recovery by the end of the window.

@@ -7,16 +7,16 @@ convergence time and packet delivery decouple.
 
 from __future__ import annotations
 
-from repro.experiments.figures import figure6_convergence
-from repro.experiments.report import format_sweep_table
+from repro.experiments.figures import ROWS, evaluate
+from repro.experiments.report import format_row
 
 from conftest import run_once
 
 
 def test_figure6_convergence(benchmark, config):
-    fwd, rt = run_once(benchmark, figure6_convergence, config)
-    print("\n" + format_sweep_table(fwd, precision=2))
-    print("\n" + format_sweep_table(rt, precision=2))
+    row = ROWS["6"]
+    fwd, rt = run_once(benchmark, evaluate, row, config)
+    print("\n" + format_row(row, (fwd, rt), config))
     for degree in config.degrees:
         assert rt.value("bgp3", degree) < rt.value("bgp", degree)
         # Forwarding-path convergence never exceeds network-wide convergence.

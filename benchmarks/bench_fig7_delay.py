@@ -7,26 +7,17 @@ state; loop-escaping packets produce the largest spikes (degree 5).
 
 from __future__ import annotations
 
-from repro.experiments.figures import figure7_delay
-from repro.experiments.report import format_series_grid
+from repro.experiments.figures import ROWS, evaluate
+from repro.experiments.report import format_row
 
 from conftest import run_once
 
 
 def test_figure7_delay(benchmark, config):
-    degrees = tuple(d for d in (4, 5, 6) if d in config.degrees) or config.degrees[:1]
-    series = run_once(benchmark, figure7_delay, config, degrees)
-    print(
-        "\n"
-        + format_series_grid(
-            series,
-            "Figure 7: instantaneous packet delay (s), failure at t=0",
-            t_min=-5,
-            t_max=50,
-            step=5,
-            precision=4,
-        )
-    )
+    row = ROWS["7"]
+    (table,) = run_once(benchmark, evaluate, row, config)
+    print("\n" + format_row(row, (table,), config))
+    series = table.values
     # Delay during convergence exceeds the steady state for at least one
     # protocol/degree (sub-optimal transient paths).
     inflated = 0

@@ -36,16 +36,17 @@ import sys
 import time
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import overhead_sweep
-from repro.experiments.report import format_sweep_table
+from repro.experiments.figures import ROWS, evaluate
+from repro.experiments.report import format_row
 from repro.experiments.scenario import run_scenario
 
 
 def test_overhead_sweep(benchmark, config):
     from conftest import run_once
 
-    table = run_once(benchmark, overhead_sweep, config)
-    print("\n" + format_sweep_table(table, precision=0))
+    row = ROWS["ovh"]
+    (table,) = run_once(benchmark, evaluate, row, config)
+    print("\n" + format_row(row, (table,), config))
     for degree in config.degrees:
         # Periodic protocols dominate the message count at every degree.
         assert table.value("rip", degree) > table.value("bgp3", degree)

@@ -15,11 +15,7 @@ Run:  python examples/convergence_study.py   (takes a minute or two)
 """
 
 from repro import ExperimentConfig
-from repro.experiments import (
-    figure3_drops_no_route,
-    figure4_ttl_expirations,
-    format_sweep_table,
-)
+from repro.experiments import ROWS, evaluate, format_row, run_sweep
 
 
 def main() -> None:
@@ -28,12 +24,13 @@ def main() -> None:
     config = ExperimentConfig.quick().with_(runs=5, post_fail_window=60.0)
 
     print("Running degree sweep (4 protocols x 4 degrees x 5 seeds) ...\n")
-    drops = figure3_drops_no_route(config)
-    print(format_sweep_table(drops))
+    points = run_sweep(config)  # both figures are views of the same runs
+    (drops,) = evaluate(ROWS["3"], config, points)
+    print(format_row(ROWS["3"], (drops,), config))
 
     print()
-    ttl = figure4_ttl_expirations(config)
-    print(format_sweep_table(ttl))
+    (ttl,) = evaluate(ROWS["4"], config, points)
+    print(format_row(ROWS["4"], (ttl,), config))
 
     print("\nReading the tables:")
     d_hi = max(config.degrees)

@@ -6,41 +6,28 @@ link-state protocol would fare.  SPF floods failure LSAs with no damping
 timers and recomputes shortest paths from global knowledge — so it both
 switches instantly (like DBF) and propagates failure news fastest.
 
-This example sweeps degree 3-6 and prints drops and convergence times for
-SPF next to the paper's protocols.
+This example sweeps degree 3-6 once and prints the EXT1 catalogue row
+(drops) and Figure 6's convergence times for SPF next to the paper's
+protocols.
 
 Run:  python examples/linkstate_extension.py
 """
 
 from repro import ExperimentConfig
-from repro.experiments import format_sweep_table, run_point
-from repro.experiments.figures import SweepTable
+from repro.experiments import ROWS, evaluate, format_row, run_sweep
 
 
 def main() -> None:
+    ext1 = ROWS["ext1"]
     config = ExperimentConfig.quick().with_(
-        runs=3, protocols=("rip", "dbf", "bgp3", "spf"), post_fail_window=60.0
+        runs=3, post_fail_window=60.0, **ext1.delta
     )
-
-    drops = SweepTable(
-        title="Extension: drops (no route) with SPF in the mix",
-        protocols=config.protocols,
-        degrees=config.degrees,
-    )
-    conv = SweepTable(
-        title="Extension: network routing convergence time (s)",
-        protocols=config.protocols,
-        degrees=config.degrees,
-    )
-    for protocol in config.protocols:
-        for degree in config.degrees:
-            point = run_point(protocol, degree, config)
-            drops.values[(protocol, degree)] = point.mean_drops_no_route
-            conv.values[(protocol, degree)] = point.mean_routing_convergence
-
-    print(format_sweep_table(drops))
+    # One sweep of the extension's protocols: EXT1 reads its drops and
+    # Figure 6 its convergence times off the same runs.
+    points = run_sweep(config)
+    print(format_row(ext1, evaluate(ext1, config, points), config))
     print()
-    print(format_sweep_table(conv, precision=2))
+    print(format_row(ROWS["6"], evaluate(ROWS["6"], config, points), config))
     print(
         "\nSPF combines DBF-like instant switch-over with the fastest failure\n"
         "propagation (no damping timers), at the cost of flooding every\n"

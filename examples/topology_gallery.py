@@ -2,8 +2,8 @@
 """Figure 2 as ASCII art: the Baran regular-mesh family, degrees 3-8.
 
 Shows each construction (brick lattice, grid, alternating / full diagonals,
-alternating / full anti-diagonals) with a failed link marked the way the
-paper's Figure 2 marks it, plus the structural stats the harness verifies.
+alternating / full anti-diagonals) plus the structural stats the harness
+verifies.
 
 Run:  python examples/topology_gallery.py
 """
@@ -23,14 +23,12 @@ def main() -> None:
         topo = regular_mesh(rows, cols, degree)
         interior = interior_nodes(topo, rows, cols)
         check_interior_degree(topo, interior, degree)
-        # Mark a vertical link in the middle of the mesh, like Figure 2.
-        failed = (23, 30)
         print(f"=== interior degree {degree}: {topo.n_links} links "
               f"(histogram {sorted(degree_histogram(topo).items())}) ===")
-        print(render_mesh(topo, rows, cols, failed_link=failed))
+        print(render_mesh(topo, rows, cols))
         print()
     print("Legend: -- horizontal, | vertical, \\ main diagonal, / anti-diagonal,")
-    print("        X both diagonals, xx / x = the failed link.")
+    print("        X both diagonals.")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ Exposes the experiment harness without writing Python::
     python -m repro shard --protocol bgp3 --shards 3 --check  # sharded run
     python -m repro churn --protocol dbf --model waypoint --validate
     python -m repro figure 3                  # reproduce Figure 3's table
-    python -m repro figure 5 --degrees 3 4 6  # throughput series
+    python -m repro figure abl2 --runs 1      # any ablation or extension row
     python -m repro sweep --protocols rip dbf --degrees 3 4 5 6
     python -m repro sweep --checkpoint runs/ --workers 4   # durable, resumable
     python -m repro sweep --checkpoint runs/ --resume      # continue after a kill
@@ -29,14 +29,15 @@ import sys
 from typing import Optional, Sequence
 
 from .experiments.config import (
+    MATRIX_PROTOCOLS,
     MOBILITY_MODELS,
     PARTITION_STRATEGIES,
     PROTOCOL_NAMES,
     ChurnConfig,
     ExperimentConfig,
 )
-from .experiments import figures as fig
-from .experiments.report import format_series_grid, format_sweep_table
+from .experiments.figures import ROWS, evaluate
+from .experiments.report import format_row
 from .experiments.runner import run_sweep
 from .experiments.scenario import run_scenario
 from .records import ArtifactError
@@ -147,9 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
              "plus one lane per shard; requires --live-log)",
     )
 
-    fig_p = sub.add_parser("figure", help="reproduce one paper figure")
-    fig_p.add_argument("number", type=int, choices=(2, 3, 4, 5, 6, 7))
-    fig_p.add_argument("--degrees", type=int, nargs="+", help="degrees to include")
+    fig_p = sub.add_parser(
+        "figure", help="reproduce one figure, ablation or extension (a catalogue row)"
+    )
+    fig_p.add_argument("id", choices=tuple(ROWS), help="the row's DESIGN.md id")
+    fig_p.add_argument(
+        "--degrees", type=int, nargs="+",
+        help="degrees to include (a row that fixes its degrees keeps them)",
+    )
     fig_p.add_argument("--runs", type=int, help="seeds per data point")
     fig_p.add_argument(
         "--matrix", action="store_true",
@@ -520,53 +526,11 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     config = _config(args)
-    if getattr(args, "matrix", False):
-        from .experiments.config import MATRIX_PROTOCOLS
-
+    if args.matrix:
         config = config.with_(protocols=MATRIX_PROTOCOLS)
-    n = args.number
-    if n == 2:
-        out = fig.figure2_topologies()
-        for degree, info in sorted(out.items()):
-            print(
-                f"degree {degree}: {info['n_nodes']} nodes, {info['n_links']} links, "
-                f"histogram {sorted(info['degree_histogram'].items())}"
-            )
-        return 0
-    if n == 3:
-        print(format_sweep_table(fig.figure3_drops_no_route(config)))
-        return 0
-    if n == 4:
-        print(format_sweep_table(fig.figure4_ttl_expirations(config)))
-        return 0
-    if n == 5:
-        degrees = tuple(args.degrees) if args.degrees else (3, 4, 6)
-        series = fig.figure5_throughput(config, degrees)
-        print(
-            format_series_grid(
-                series, "Figure 5: throughput (pkt/s), failure at t=0",
-                t_min=-5, t_max=min(50, config.post_fail_window - 10), step=5,
-            )
-        )
-        return 0
-    if n == 6:
-        fwd, rt = fig.figure6_convergence(config)
-        print(format_sweep_table(fwd, precision=2))
-        print()
-        print(format_sweep_table(rt, precision=2))
-        return 0
-    if n == 7:
-        degrees = tuple(args.degrees) if args.degrees else (4, 5, 6)
-        series = fig.figure7_delay(config, degrees)
-        print(
-            format_series_grid(
-                series, "Figure 7: packet delay (s), failure at t=0",
-                t_min=-5, t_max=min(50, config.post_fail_window - 10), step=5,
-                precision=4,
-            )
-        )
-        return 0
-    raise AssertionError(f"unhandled figure {n}")
+    row = ROWS[args.id]
+    print(format_row(row, evaluate(row, config), config))
+    return 0
 
 
 def _checkpoint_errors(command):

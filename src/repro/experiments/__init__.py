@@ -16,28 +16,7 @@ from .extensions import (
     run_transport_scenario,
     transport_with_baseline,
 )
-from .figures import (
-    SweepTable,
-    ablation_alternate_cache,
-    ablation_load_sensitivity,
-    ablation_mrai_granularity,
-    ablation_ssld,
-    extension_fast_reroute,
-    extension_flap_damping,
-    extension_linkstate,
-    extension_loop_freedom_cost,
-    extension_multiflow,
-    extension_random_topology,
-    extension_transport,
-    figure2_topologies,
-    overhead_sweep,
-    figure3_drops_no_route,
-    figure4_ttl_expirations,
-    figure5_throughput,
-    figure6_convergence,
-    figure7_delay,
-    headline_bgp_vs_bgp3,
-)
+from .figures import ROWS, Panel, Row, SweepTable, evaluate, headline
 from .persistence import (
     diff_runs,
     failure_from_dict,
@@ -49,13 +28,7 @@ from .persistence import (
 )
 from .store import StoreMismatchError, SweepStore
 from .plotting import line_chart, save_svg, series_chart, sweep_chart
-from .report import (
-    format_ascii_curve,
-    format_series_grid,
-    format_sweep_table,
-    series_to_csv,
-    sweep_table_to_csv,
-)
+from .report import format_ascii_curve, format_row, format_series_grid, format_sweep_table
 from .validation import CheckResult, format_checks, validate_observations
 from .runner import PointResult, SweepFailure, run_point, run_sweep
 from .scenario import (
@@ -90,21 +63,12 @@ __all__ = [
     "SweepFailure",
     "run_point",
     "run_sweep",
+    "ROWS",
+    "Panel",
+    "Row",
     "SweepTable",
-    "figure2_topologies",
-    "figure3_drops_no_route",
-    "figure4_ttl_expirations",
-    "figure5_throughput",
-    "figure6_convergence",
-    "figure7_delay",
-    "headline_bgp_vs_bgp3",
-    "ablation_mrai_granularity",
-    "ablation_alternate_cache",
-    "ablation_load_sensitivity",
-    "extension_linkstate",
-    "extension_multiflow",
-    "extension_transport",
-    "extension_random_topology",
+    "evaluate",
+    "headline",
     "FlowOutcome",
     "MultiFlowResult",
     "NodeFailureResult",
@@ -119,8 +83,7 @@ __all__ = [
     "format_sweep_table",
     "format_series_grid",
     "format_ascii_curve",
-    "sweep_table_to_csv",
-    "series_to_csv",
+    "format_row",
     "CheckResult",
     "validate_observations",
     "format_checks",
@@ -133,13 +96,8 @@ __all__ = [
     "failure_from_dict",
     "SweepStore",
     "StoreMismatchError",
-    "extension_loop_freedom_cost",
     "line_chart",
     "sweep_chart",
     "series_chart",
     "save_svg",
-    "overhead_sweep",
-    "ablation_ssld",
-    "extension_fast_reroute",
-    "extension_flap_damping",
 ]

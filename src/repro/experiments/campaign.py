@@ -18,24 +18,29 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..metrics.timeseries import BinnedSeries
 from ..obs.profiler import NULL_PROFILER
 from .config import ExperimentConfig
-from .figures import (
-    figure2_topologies,
-    figure3_drops_no_route,
-    figure4_ttl_expirations,
-    figure5_throughput,
-    figure6_convergence,
-    figure7_delay,
-    headline_bgp_vs_bgp3,
-)
+from .figures import ROWS, SweepTable, evaluate, headline
 from .persistence import save_points
 from .plotting import series_chart, sweep_chart
-from .report import format_series_grid, format_sweep_table
+from .report import format_row
 from .runner import run_sweep
 from .validation import format_checks, validate_observations
 
 __all__ = ["CampaignReport", "reproduce"]
+
+#: The paper's rows in write order: row id -> its text file and, per panel,
+#: its chart file and y-axis label.
+_FILES = {
+    "2": ("figure2_topologies.txt", ()),
+    "3": ("figure3_drops.txt", (("figure3_drops.svg", "packet drops (no route)"),)),
+    "4": ("figure4_ttl.txt", (("figure4_ttl.svg", "TTL expirations"),)),
+    "5": ("figure5_throughput.txt", (("figure5_throughput.svg", "packets/second"),)),
+    "6": ("figure6_convergence.txt",
+          (("figure6a_forwarding.svg", "seconds"), ("figure6b_routing.svg", "seconds"))),
+    "7": ("figure7_delay.txt", (("figure7_delay.svg", "seconds"),)),
+}
 
 
 @dataclass
@@ -59,6 +64,15 @@ def _write(report: CampaignReport, name: str, content: str) -> None:
     report.artifacts.append(name)
 
 
+def _chart(table: SweepTable, ylabel: str) -> str:
+    """A panel as SVG: one line per protocol over degree, or per (protocol,
+    degree) over the first 50 s after the failure, titled without units."""
+    if isinstance(next(iter(table.values.values())), BinnedSeries):
+        title = table.title.split(" (")[0]
+        return series_chart(table.values, title, ylabel, t_min=-5, t_max=50)
+    return sweep_chart(table, ylabel=ylabel)
+
+
 def reproduce(
     config: Optional[ExperimentConfig] = None,
     out_dir: str = "reproduction",
@@ -78,8 +92,9 @@ def reproduce(
     a campaign resumed from a complete store simulates nothing.
 
     ``profiler`` (a :class:`repro.obs.profiler.PhaseProfiler`) gets a
-    ``sweep`` span (all the simulating) and one span per figure (projecting
-    and rendering), so slow campaigns can be broken down by phase;
+    ``sweep`` span (all the simulating) and one span per catalogue row,
+    named by its id (projecting and rendering), so slow campaigns can be
+    broken down by phase;
     ``telemetry`` (a :class:`repro.obs.sweeps.SweepTelemetry`) collects
     per-seed execution telemetry from the sweep.
     """
@@ -92,11 +107,6 @@ def reproduce(
         if progress:
             print(msg)
 
-    def panel(paper_degrees: tuple[int, ...]) -> tuple[int, ...]:
-        """The paper's panel degrees this campaign sweeps (else its first)."""
-        swept = tuple(d for d in paper_degrees if d in config.degrees)
-        return swept or config.degrees[:1]
-
     log(f"Sweep: {len(config.grid())} scenario(s) ...")
     with profiler.span("sweep"):
         points = run_sweep(
@@ -104,84 +114,23 @@ def reproduce(
             progress=lambda done, total, msg: log(f"[{done}/{total}] {msg}"),
         )
 
-    log("Figure 2: topology family ...")
-    with profiler.span("figure2_topologies"):
-        topo_info = figure2_topologies(config.rows, config.cols, (4, 5, 6))
-        lines = ["Figure 2: regular mesh family", ""]
-        for degree, info in sorted(topo_info.items()):
-            lines.append(
-                f"degree {degree}: {info['n_nodes']} nodes, {info['n_links']} links, "
-                f"histogram {sorted(info['degree_histogram'].items())}"
-            )
-        _write(report, "figure2_topologies.txt", "\n".join(lines))
+    for row_id, (text, charts) in _FILES.items():
+        row = ROWS[row_id]
+        log(f"{row.panels[0].title} ...")
+        with profiler.span(row_id):
+            tables = evaluate(row, config, points)
+            _write(report, text, format_row(row, tables, config))
+            for table, (name, ylabel) in zip(tables, charts):
+                _write(report, name, _chart(table, ylabel))
+        if row_id == "6":
+            # Here, not beside the sweep: REPORT.md lists artifacts in write order.
+            save_points(points, report.path("results.json"))
+            report.artifacts.append("results.json")
 
-    log("Figure 3: drops vs degree ...")
-    with profiler.span("figure3_drops"):
-        fig3 = figure3_drops_no_route(config, points=points)
-        _write(report, "figure3_drops.txt", format_sweep_table(fig3))
-        _write(report, "figure3_drops.svg",
-               sweep_chart(fig3, ylabel="packet drops (no route)"))
-
-    log("Figure 4: TTL expirations vs degree ...")
-    with profiler.span("figure4_ttl"):
-        fig4 = figure4_ttl_expirations(config, points=points)
-        _write(report, "figure4_ttl.txt", format_sweep_table(fig4))
-        _write(report, "figure4_ttl.svg", sweep_chart(fig4, ylabel="TTL expirations"))
-
-    log("Figure 5: throughput vs time ...")
-    with profiler.span("figure5_throughput"):
-        fig5 = figure5_throughput(config, panel((3, 4, 6)), points=points)
-        _write(
-            report,
-            "figure5_throughput.txt",
-            format_series_grid(
-                fig5, "Figure 5: instantaneous throughput (pkt/s), failure at t=0",
-                t_min=-5, t_max=min(50.0, config.post_fail_window - 10), step=5,
-            ),
-        )
-        _write(
-            report,
-            "figure5_throughput.svg",
-            series_chart(fig5, "Figure 5: instantaneous throughput",
-                         "packets/second", t_min=-5, t_max=50),
-        )
-
-    log("Figure 6: convergence vs degree ...")
-    with profiler.span("figure6_convergence"):
-        fwd, rt = figure6_convergence(config, points=points)
-        tables = format_sweep_table(fwd, 2) + "\n\n" + format_sweep_table(rt, 2)
-        _write(report, "figure6_convergence.txt", tables)
-        _write(report, "figure6a_forwarding.svg", sweep_chart(fwd, ylabel="seconds"))
-        _write(report, "figure6b_routing.svg", sweep_chart(rt, ylabel="seconds"))
-        # Here, not beside the sweep: REPORT.md lists artifacts in write order.
-        save_points(points, report.path("results.json"))
-        report.artifacts.append("results.json")
-
-    log("Figure 7: delay vs time ...")
-    with profiler.span("figure7_delay"):
-        fig7 = figure7_delay(config, panel((4, 5, 6)), points=points)
-        _write(
-            report,
-            "figure7_delay.txt",
-            format_series_grid(
-                fig7, "Figure 7: instantaneous packet delay (s), failure at t=0",
-                t_min=-5, t_max=min(50.0, config.post_fail_window - 10), step=5,
-                precision=4,
-            ),
-        )
-        _write(
-            report,
-            "figure7_delay.svg",
-            series_chart(fig7, "Figure 7: instantaneous packet delay", "seconds",
-                         t_min=-5, t_max=50),
-        )
-
-    log("Headline: BGP vs BGP-3 ...")
-    with profiler.span("headline"):
-        headline_degree = 5 if 5 in config.degrees else config.degrees[-1]
-        report.headline = headline_bgp_vs_bgp3(
-            config, degree=headline_degree, points=points
-        )
+    log(f"{ROWS['head'].panels[0].title} ...")
+    with profiler.span("head"):
+        head = evaluate(ROWS["head"], config, points)[0]
+        report.headline = headline(head)
 
     log("Validating the paper's Observations against the sweep ...")
     with profiler.span("validation"):
@@ -198,7 +147,7 @@ def reproduce(
         f"{list(config.degrees)}, {config.runs} seed(s)/point, "
         f"{config.rate_pps:g} pkt/s, {config.post_fail_window:g} s window.",
         "",
-        f"Headline (degree {headline_degree}): BGP dropped "
+        f"Headline (degree {head.degrees[0]}): BGP dropped "
         f"{report.headline['bgp']:.0f} packets vs BGP-3's "
         f"{report.headline['bgp3']:.0f} (ratio {report.headline['ratio']:.1f}x).",
         "",

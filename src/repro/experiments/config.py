@@ -252,16 +252,6 @@ class ExperimentConfig:
             post_fail_window=50.0,
         )
 
-    @classmethod
-    def matrix(cls) -> "ExperimentConfig":
-        """Full-matrix campaign: wired protocols x the MANET trio.
-
-        Paper-scale in every other respect; run it through the Figures 3-7
-        pipeline (``python -m repro figures --matrix``) to extend the
-        paper's methodology across the whole protocol family.
-        """
-        return cls(protocols=MATRIX_PROTOCOLS)
-
     def with_(self, **overrides) -> "ExperimentConfig":
         """Functional update helper."""
         return replace(self, **overrides)

@@ -9,20 +9,20 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..metrics.timeseries import BinnedSeries
-from .figures import SweepTable
+from .config import ExperimentConfig
+from .figures import Row, SweepTable
 
 __all__ = [
     "format_sweep_table",
     "format_series_grid",
     "format_ascii_curve",
-    "sweep_table_to_csv",
-    "series_to_csv",
+    "format_row",
 ]
 
 
 def format_sweep_table(table: SweepTable, precision: int = 1) -> str:
     """Render a SweepTable as a fixed-width text table."""
-    header = ["degree"] + list(table.protocols)
+    header = [table.axis] + list(table.protocols)
     widths = [max(8, len(h) + 2) for h in header]
     lines = [table.title, ""]
     lines.append("".join(h.rjust(w) for h, w in zip(header, widths)))
@@ -33,6 +33,26 @@ def format_sweep_table(table: SweepTable, precision: int = 1) -> str:
             cells.append(f"{table.value(protocol, degree):.{precision}f}")
         lines.append("".join(c.rjust(w) for c, w in zip(cells, widths)))
     return "\n".join(lines)
+
+
+def format_row(row: Row, tables: tuple[SweepTable, ...], config: ExperimentConfig) -> str:
+    """A catalogue row's panels as text, one block each: a scalar table, a
+    time series sampled every 5 s of ``config``'s window, or Figure 2's
+    lines."""
+    blocks = []
+    for panel, table in zip(row.panels, tables, strict=True):
+        sample = next(iter(table.values.values()))
+        if isinstance(sample, BinnedSeries):
+            blocks.append(format_series_grid(
+                table.values, table.title, t_min=-5,
+                t_max=min(50.0, config.post_fail_window - 10), step=5,
+                precision=panel.digits,
+            ))
+        elif isinstance(sample, str):
+            blocks.append("\n".join([table.title, "", *table.values.values()]))
+        else:
+            blocks.append(format_sweep_table(table, panel.digits))
+    return "\n\n".join(blocks)
 
 
 def format_series_grid(
@@ -63,36 +83,6 @@ def format_series_grid(
             cells.append("-" if value is None else f"{value:.{precision}f}")
         lines.append("".join(c.rjust(w) for c, w in zip(cells, widths)))
     return "\n".join(lines)
-
-
-def sweep_table_to_csv(table: SweepTable) -> str:
-    """CSV form of a SweepTable (degree column + one column per protocol)."""
-    lines = ["degree," + ",".join(table.protocols)]
-    for degree in table.degrees:
-        cells = [str(degree)] + [
-            f"{table.value(p, degree):g}" for p in table.protocols
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def series_to_csv(series: Mapping[tuple[str, int], BinnedSeries]) -> str:
-    """CSV of time series: a time column plus one column per (protocol, degree).
-
-    Series must share bin edges (as run_point-aggregated ones do)."""
-    keys = sorted(series)
-    if not keys:
-        return "time\n"
-    times = series[keys[0]].times
-    for key in keys[1:]:
-        if series[key].times != times:
-            raise ValueError("series are not aligned")
-    header = "time," + ",".join(f"{p}_d{d}" for p, d in keys)
-    lines = [header]
-    for i, t in enumerate(times):
-        cells = [f"{t:g}"] + [f"{series[k].values[i]:g}" for k in keys]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def format_ascii_curve(

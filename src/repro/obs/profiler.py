@@ -2,7 +2,7 @@
 
 Answers "where does the time go" for a run or a campaign: nested
 context-manager spans (setup / warmup / steady / failure / convergence /
-drain, and per-figure spans in a campaign) measure wall time, and — when a
+drain, and per-row spans in a campaign) measure wall time, and — when a
 :class:`~repro.sim.engine.Simulator` is attached to a span — the engine's
 event count, in-``run()`` wall time, and simulated-time progress over the
 span, so event *rate* can be attributed per phase.

@@ -1,9 +1,9 @@
 """The one artifact codec: what every on-disk format of this package shares.
 
-Five formats are written and read through here — ``results.json``, the sweep
-checkpoint (``manifest.json`` + ``shards.jsonl``), trace JSONL, flight dumps
-and run-event logs; ``docs/architecture.md`` ("Artifacts on disk") has the
-table.  Each format module keeps its record types and its
+Four formats are written and read through here — ``results.json``, the
+sweep checkpoint (``manifest.json`` + ``shards.jsonl``), flight dumps and
+run-event logs — and Perfetto traces are written through it;
+``docs/architecture.md`` ("Artifacts on disk") has the table.  Each format module keeps its record types and its
 semantic checks; the byte-level conventions live only here:
 
 * whole-file JSON is indent-1, written atomically (:func:`write_json`) and

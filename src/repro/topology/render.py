@@ -1,14 +1,11 @@
 """ASCII rendering of regular meshes (Figure 2's visual).
 
 Draws nodes as two-digit ids, horizontal links as ``--``, vertical links as
-``|``, main diagonals as ``\\``, anti-diagonals as ``/`` (both as ``X``),
-and marks a failed link with ``xx``/``x``.  Useful in examples and for
-eyeballing the degree-3..8 construction.
+``|``, main diagonals as ``\\``, anti-diagonals as ``/`` (both as ``X``).
+Useful in examples and for eyeballing the degree-3..8 construction.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .graph import Topology
 from .mesh import node_at
@@ -16,23 +13,9 @@ from .mesh import node_at
 __all__ = ["render_mesh"]
 
 
-def render_mesh(
-    topo: Topology,
-    rows: int,
-    cols: int,
-    failed_link: Optional[tuple[int, int]] = None,
-) -> str:
+def render_mesh(topo: Topology, rows: int, cols: int) -> str:
     """Render a mesh built by :func:`repro.topology.mesh.regular_mesh`."""
-    failed = None
-    if failed_link is not None:
-        failed = (min(failed_link), max(failed_link))
-
-    def is_failed(a: int, b: int) -> bool:
-        return failed == (min(a, b), max(a, b))
-
-    def has(a: int, b: int) -> bool:
-        return topo.has_link(a, b)
-
+    has = topo.has_link
     lines: list[str] = []
     for r in range(rows):
         # Node row.
@@ -42,10 +25,7 @@ def render_mesh(
             parts.append(f"{node:02d}")
             if c < cols - 1:
                 right = node_at(r, c + 1, cols)
-                if has(node, right):
-                    parts.append("xx" if is_failed(node, right) else "--")
-                else:
-                    parts.append("  ")
+                parts.append("--" if has(node, right) else "  ")
         lines.append("".join(parts))
         if r == rows - 1:
             break
@@ -54,10 +34,7 @@ def render_mesh(
         for c in range(cols):
             node = node_at(r, c, cols)
             below = node_at(r + 1, c, cols)
-            if has(node, below):
-                parts.append("x " if is_failed(node, below) else "| ")
-            else:
-                parts.append("  ")
+            parts.append("| " if has(node, below) else "  ")
             if c < cols - 1:
                 right = node_at(r, c + 1, cols)
                 below_right = node_at(r + 1, c + 1, cols)
@@ -66,9 +43,9 @@ def render_mesh(
                 if main and anti:
                     glyph = "X"
                 elif main:
-                    glyph = "x" if is_failed(node, below_right) else "\\"
+                    glyph = "\\"
                 elif anti:
-                    glyph = "x" if is_failed(right, below) else "/"
+                    glyph = "/"
                 else:
                     glyph = " "
                 parts.append(glyph + " ")

@@ -66,6 +66,12 @@ class TestCommands:
         assert "Figure 3" in out
         assert "rip" in out
 
+    def test_figure_command_reaches_ablation_rows(self, capsys):
+        assert main(["figure", "abl2", "--degrees", "4", "--runs", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Ablation: alternate-path cache (drops, RIP vs DBF)"
+        assert lines[2].split() == ["degree", "rip", "dbf"]
+
     def test_trace_timeline_command(self, capsys):
         assert main(["trace", "--protocol", "dbf", "--degree", "4", "--seed", "1",
                      "--timeline"]) == 0

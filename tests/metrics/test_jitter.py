@@ -67,40 +67,3 @@ class TestJitterSeries:
         r = run_scenario("dbf", 4, 1, cfg)
         assert r.delay is not None  # the harness exposes delay; jitter is
         # computed on demand from deliveries by callers.
-
-
-class TestCsvExports:
-    def test_sweep_table_csv(self):
-        from repro.experiments.figures import SweepTable
-        from repro.experiments.report import sweep_table_to_csv
-
-        table = SweepTable(title="T", protocols=("rip", "dbf"), degrees=(3, 4))
-        table.values = {("rip", 3): 1.0, ("rip", 4): 2.0, ("dbf", 3): 0.5, ("dbf", 4): 0.0}
-        csv = sweep_table_to_csv(table)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "degree,rip,dbf"
-        assert lines[1] == "3,1,0.5"
-
-    def test_series_csv(self):
-        from repro.experiments.report import series_to_csv
-        from repro.metrics.timeseries import BinnedSeries
-
-        series = {
-            ("rip", 3): BinnedSeries(times=(0.0, 1.0), values=(5.0, 6.0)),
-            ("dbf", 3): BinnedSeries(times=(0.0, 1.0), values=(1.0, 2.0)),
-        }
-        csv = series_to_csv(series)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "time,dbf_d3,rip_d3"
-        assert lines[1] == "0,1,5"
-
-    def test_series_csv_misaligned_rejected(self):
-        from repro.experiments.report import series_to_csv
-        from repro.metrics.timeseries import BinnedSeries
-
-        series = {
-            ("a", 1): BinnedSeries(times=(0.0,), values=(1.0,)),
-            ("b", 1): BinnedSeries(times=(1.0,), values=(1.0,)),
-        }
-        with pytest.raises(ValueError):
-            series_to_csv(series)

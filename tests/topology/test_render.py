@@ -44,10 +44,3 @@ class TestRenderMesh:
     def test_degree8_draws_crossings(self):
         text = render_mesh(regular_mesh(4, 4, 8), 4, 4)
         assert "X" in text
-
-    def test_failed_link_marked(self):
-        topo = regular_mesh(4, 4, 4)
-        text = render_mesh(topo, 4, 4, failed_link=(1, 2))
-        assert "xx" in text
-        text_v = render_mesh(topo, 4, 4, failed_link=(1, 5))
-        assert "x " in text_v
