@@ -4,12 +4,14 @@
 Runs a tiny (protocol x degree x seed) grid three ways:
 
 1. an uninterrupted checkpointed sweep, saved as ``clean.json``;
-2. the same sweep SIGTERM-killed once at least two shard records exist;
+2. the same sweep on a two-worker pool, SIGTERM-killed once at least two
+   shard records exist;
 3. a resume of (2) from its checkpoint, saved as ``resumed.json``.
 
-Exits non-zero unless the kill landed mid-sweep and ``resumed.json`` is
-byte-for-byte identical to ``clean.json`` — the durability contract of
-``repro.experiments.store``.
+Exits non-zero unless the kill landed mid-sweep, every pool worker of (2)
+is gone within ``ORPHAN_GRACE_S`` seconds of the kill, and ``resumed.json``
+is byte-for-byte identical to ``clean.json`` — the durability contract of
+``repro.experiments.store``.  Reads worker pids from ``/proc`` (Linux).
 
 Usage: python scripts/sweep_resume_smoke.py [workdir]
 """
@@ -26,6 +28,8 @@ import time
 #: Per-seed pacing so the SIGTERM deterministically lands mid-sweep.
 PACE_SECONDS = "0.2"
 RUNS = 6
+#: Seconds a killed sweep's pool workers get to notice and exit.
+ORPHAN_GRACE_S = 5.0
 
 
 def shard_count(path: str) -> int:
@@ -33,6 +37,26 @@ def shard_count(path: str) -> int:
         return 0
     with open(path) as f:
         return sum(1 for _ in f)
+
+
+def _stat(pid: int) -> list[str]:
+    """Fields of ``/proc/PID/stat`` after the command name (state first),
+    or [] if there is no such process."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return []
+
+
+def children(pid: int) -> list[int]:
+    pids = (int(name) for name in os.listdir("/proc") if name.isdigit())
+    return [child for child in pids if _stat(child)[1:2] == [str(pid)]]
+
+
+def alive(pid: int) -> bool:
+    state = _stat(pid)[:1]
+    return bool(state) and state != ["Z"]
 
 
 def main() -> int:
@@ -54,10 +78,10 @@ def main() -> int:
         env=env, check=True,
     )
 
-    print("[2/3] checkpointed sweep, SIGTERM mid-flight ...")
+    print("[2/3] checkpointed two-worker sweep, SIGTERM mid-flight ...")
     ck = os.path.join(workdir, "ck")
     shards = os.path.join(ck, "shards.jsonl")
-    proc = subprocess.Popen([*base, "--checkpoint", ck], env=env)
+    proc = subprocess.Popen([*base, "--checkpoint", ck, "--workers", "2"], env=env)
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
         if shard_count(shards) >= 2:
@@ -70,6 +94,7 @@ def main() -> int:
         proc.kill()
         print("FAIL: no shards appeared before the kill deadline")
         return 1
+    workers = children(proc.pid)
     proc.send_signal(signal.SIGTERM)
     proc.wait(timeout=30)
     killed_at = shard_count(shards)
@@ -77,6 +102,15 @@ def main() -> int:
     if not 1 <= killed_at < RUNS:
         print("FAIL: kill did not land mid-sweep")
         return 1
+    if not workers:
+        print("FAIL: the sweep had no pool worker to check")
+        return 1
+    time.sleep(ORPHAN_GRACE_S)
+    left = [pid for pid in workers if alive(pid)]
+    if left:
+        print(f"FAIL: pool workers {left} outlived the killed sweep")
+        return 1
+    print(f"      its {len(workers)} pool workers exited")
 
     print("[3/3] resume from the checkpoint ...")
     resumed = os.path.join(workdir, "resumed.json")

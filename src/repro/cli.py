@@ -180,15 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the command line (requires --checkpoint with an existing manifest)",
     )
     sweep_p.add_argument(
-        "--timeout", type=float, metavar="SECONDS",
-        help="wall-clock budget per seed; a hung seed is recorded as a "
-             "failure and the sweep keeps going",
-    )
-    sweep_p.add_argument(
-        "--retries", type=int, default=1,
-        help="attempts to re-run a seed whose worker died (default 1)",
-    )
-    sweep_p.add_argument(
         "--progress", action="store_true", help="print per-seed progress lines"
     )
     sweep_p.add_argument(
@@ -534,9 +525,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _checkpoint_errors(command):
-    """Ctrl-C in a command that sweeps into ``--checkpoint`` says where the
-    completed seeds are (exit 130).  A checkpoint of another configuration
-    is an ``ArtifactError`` like any unreadable artifact: see :func:`main`.
+    """Ctrl-C (exit 130) or a dead pool worker (exit 1) in a command that
+    sweeps into ``--checkpoint`` says where the completed seeds are, in one
+    stderr line.  A checkpoint of another configuration is an
+    ``ArtifactError`` like any unreadable artifact: see :func:`main`.
     """
 
     @functools.wraps(command)
@@ -544,20 +536,28 @@ def _checkpoint_errors(command):
         try:
             return command(args)
         except KeyboardInterrupt:
-            if getattr(args, "checkpoint", None):
-                print(
-                    f"\ninterrupted; completed seeds are checkpointed in "
-                    f"{args.checkpoint!r} — rerun with --checkpoint "
-                    f"{args.checkpoint} to continue",
-                    file=sys.stderr,
-                )
-            else:
-                print(
-                    "\ninterrupted; nothing checkpointed (use --checkpoint DIR "
-                    "to make this resumable)",
-                    file=sys.stderr,
-                )
-            return 130
+            why, status = "\ninterrupted", 130
+        except Exception as exc:
+            # Imported here: serial sweeps never load the pool machinery.
+            from concurrent.futures.process import BrokenProcessPool
+
+            if not isinstance(exc, BrokenProcessPool):
+                raise
+            why, status = "a pool worker died", 1
+        if getattr(args, "checkpoint", None):
+            print(
+                f"{why}; completed seeds are checkpointed in "
+                f"{args.checkpoint!r} — rerun with --checkpoint "
+                f"{args.checkpoint} to continue",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                f"{why}; nothing checkpointed (use --checkpoint DIR "
+                "to make this resumable)",
+                file=sys.stderr,
+            )
+        return status
 
     return guarded
 
@@ -586,8 +586,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         config,
         workers=getattr(args, "workers", 1),
         store=store,
-        timeout=getattr(args, "timeout", None),
-        retries=getattr(args, "retries", 1),
         progress=progress,
         live_log=getattr(args, "live_log", None),
     )

@@ -48,8 +48,7 @@ __all__ = ["ShardPlan", "ShardOutput", "ShardHost"]
 
 #: Fault-injection hooks (tests only): "<shard_index>:<window_time>" — the
 #: named shard hangs / dies the first time it is asked to run a window
-#: reaching that virtual time.  Same idiom as REPRO_TEST_HANG_SEEDS in the
-#: sweep runner.
+#: reaching that virtual time.  Inert unless set.
 HANG_ENV = "REPRO_TEST_SHARD_HANG"
 DIE_ENV = "REPRO_TEST_SHARD_DIE"
 

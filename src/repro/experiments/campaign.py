@@ -86,10 +86,10 @@ def reproduce(
 
     The campaign simulates each (protocol, degree, seed) of ``config.grid()``
     once, in one sweep, and every figure is a projection of that sweep.
-    ``workers`` parallelizes it over a supervised process pool;
-    ``checkpoint_dir`` makes it durable: completed seeds are appended to a
-    shard store there, an interrupted campaign resumes from the shards, and
-    a campaign resumed from a complete store simulates nothing.
+    ``workers`` parallelizes it over a process pool; ``checkpoint_dir``
+    makes it durable: completed seeds are appended to a shard store there,
+    an interrupted campaign resumes from the shards, and a campaign resumed
+    from a complete store simulates nothing.
 
     ``profiler`` (a :class:`repro.obs.profiler.PhaseProfiler`) gets a
     ``sweep`` span (all the simulating) and one span per catalogue row,

@@ -10,9 +10,7 @@ Ctrl-C is not acceptable at that scale.  The store makes sweeps durable:
 * ``shards.jsonl`` — one JSON record per completed task, appended and flushed
   as each seed finishes.  A record is either a full v3 scenario dict
   (``{"kind": "run", ...}``) or a recorded failure
-  (``{"kind": "failure", ...}``).  Stores written by older versions also
-  hold ``{"kind": "telemetry", ...}`` lines; they are read and skipped, so
-  such a store still resumes.
+  (``{"kind": "failure", ...}``).
 
 Resume semantics: reopening the store with the *same* configuration (checked
 by content hash — see :meth:`ExperimentConfig.fingerprint`) yields the set of
@@ -174,16 +172,12 @@ class SweepStore:
         for n, record in enumerate(read_jsonl(self.shards_path), start=1):
             where = f"{self.shards_path!r} record {n}"
             kind = record.get("kind") if isinstance(record, dict) else None
-            if kind not in ("run", "failure", "telemetry"):
+            if kind not in ("run", "failure"):
                 raise ArtifactError(
                     f"{where}: unknown shard record kind in {repr(record)[:80]}"
                 )
             if not isinstance(record.get(kind), dict):
                 raise ArtifactError(f"{where}: lacks its {kind!r} object")
-            if kind == "telemetry":
-                # Stores written by older versions interleave per-seed
-                # execution telemetry with the results; it is not a result.
-                continue
             decode = scenario_from_dict if kind == "run" else failure_from_dict
             try:
                 outcome = decode(record[kind])

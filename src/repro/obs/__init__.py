@@ -12,9 +12,9 @@ Three pieces, designed to cost nothing when idle:
   high-water marks, the protocols' route counts);
 * :class:`PhaseProfiler` — hierarchical wall-clock spans (setup / warmup /
   steady / failure / convergence / drain) with optional tracemalloc peaks;
-* :class:`SweepTelemetry` — per-seed runtime, worker utilisation, and
-  timeout/retry counts for :func:`repro.experiments.runner.run_sweep`,
-  folded from the sweep's run-log records.
+* :class:`SweepTelemetry` — per-seed runtime and worker utilisation for
+  :func:`repro.experiments.runner.run_sweep`, folded from the sweep's
+  run-log records.
 
 ``python -m repro profile`` ties them together into one run-event log: the
 span tree and the registry snapshot are its ``profile`` record, a mini sweep

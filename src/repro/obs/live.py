@@ -96,8 +96,6 @@ _SPECS = {
         "seed": INT,
         "ok": BOOL,
         "elapsed_s": nullable(NUM_GE0),
-        "attempts": POSITIVE,
-        "timed_out": BOOL,
         "done": COUNT,
         "total": COUNT,
     },
@@ -581,10 +579,6 @@ def format_live(summary: LiveSummary) -> str:
         extras = []
         if s.failed:
             extras.append(f"{s.failed} failed")
-        if s.n_timeouts:
-            extras.append(f"{s.n_timeouts} timed out")
-        if s.n_retries:
-            extras.append(f"{s.n_retries} retried")
         if s.resumed_tasks:
             extras.append(f"{s.resumed_tasks} resumed")
         tail = f" ({', '.join(extras)})" if extras else ""

@@ -1,10 +1,9 @@
-"""Sweep telemetry: per-seed runtime, worker utilisation, fault counts.
+"""Sweep telemetry: per-seed runtime and worker utilisation.
 
 A paper-scale sweep runs hundreds of (protocol, degree, seed) tasks over a
-supervised worker pool; knowing which seeds are slow, how busy the workers
-were, and how often the fault-tolerance machinery fired (timeouts, worker
-retries) is the difference between "the sweep is slow" and "bgp at degree 8
-is the straggler".
+process pool; knowing which seeds are slow and how busy the workers were is
+the difference between "the sweep is slow" and "bgp at degree 8 is the
+straggler".
 
 :func:`repro.experiments.runner.run_sweep` describes its execution once, as
 run-log records: a ``sweep begin``, one ``seed`` per completed task and a
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from ..records import is_int, is_num
+from ..records import is_num
 
 __all__ = ["SeedTiming", "SweepTelemetry"]
 
@@ -33,13 +32,9 @@ class SeedTiming:
     degree: int
     seed: int
     #: Seconds of simulation work (in-worker for pool runs, so queue wait is
-    #: excluded; None when the duration could not be measured, e.g. a worker
-    #: that died without reporting).
+    #: excluded; None if a log record lacks it).
     elapsed_s: Optional[float]
     ok: bool
-    #: Times the task was handed to a worker (1 = first try succeeded).
-    attempts: int
-    timed_out: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -76,8 +71,6 @@ class SweepTelemetry:
                     seed=record.get("seed"),
                     elapsed_s=record.get("elapsed_s"),
                     ok=record.get("ok"),
-                    attempts=record.get("attempts"),
-                    timed_out=record.get("timed_out"),
                 )
             )
         elif kind == "sweep" and record.get("phase") == "begin":
@@ -104,14 +97,17 @@ class SweepTelemetry:
 
     @property
     def n_retries(self) -> int:
-        """Worker deaths survived: attempts beyond each task's first."""
-        return sum(
-            t.attempts - 1 for t in self.seeds if is_int(t.attempts) and t.attempts > 1
-        )
+        """Always 0: a sweep retries no seed.  Kept only because the repo
+        benchmark (``benchmarks/e2e/workloads.py``) reads it; it goes with
+        that readout."""
+        return 0
 
     @property
     def n_timeouts(self) -> int:
-        return sum(1 for t in self.seeds if t.timed_out is True)
+        """Always 0: a sweep times no seed out.  Kept only because the repo
+        benchmark (``benchmarks/e2e/workloads.py``) reads it; it goes with
+        that readout."""
+        return 0
 
     @property
     def busy_s(self) -> float:
@@ -144,8 +140,6 @@ class SweepTelemetry:
             "wall_s": self.wall_s,
             "busy_s": self.busy_s,
             "utilization": self.utilization,
-            "n_timeouts": self.n_timeouts,
-            "n_retries": self.n_retries,
             "slowest": slowest.to_dict() if slowest else None,
             "seeds": [t.to_dict() for t in self.seeds],
         }

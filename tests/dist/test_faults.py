@@ -1,8 +1,7 @@
 """Fault injection: a hung or dead worker shard must never deadlock the run.
 
-Uses the REPRO_TEST_SHARD_* hooks (same idiom as REPRO_TEST_HANG_SEEDS in
-the sweep runner): the named shard hangs or dies when asked to run a window
-reaching the given virtual time.  The coordinator must detect the stall via
+Uses the REPRO_TEST_SHARD_* hooks: the named shard hangs or dies when
+asked to run a window reaching the given virtual time.  The coordinator must detect the stall via
 the barrier timeout, tear every worker down, and surface the stalled
 window's timestamp in the error.
 """

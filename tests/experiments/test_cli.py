@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -139,6 +141,27 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"rerun with --checkpoint {ck} to continue" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("checkpointed", [True, False])
+    def test_dead_worker_names_the_checkpoint_and_exits_1(
+        self, checkpointed, capsys, tmp_path, monkeypatch
+    ):
+        def dies(*args, **kwargs):
+            os._exit(3)  # only pool workers run it: --workers 2
+
+        monkeypatch.setattr("repro.experiments.runner.run_scenario", dies)
+        ck = str(tmp_path / "ck")
+        argv = ["sweep", "--degrees", "4", "--runs", "2", "--workers", "2"]
+        if checkpointed:
+            argv += ["--checkpoint", ck]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("a pool worker died; ")
+        if checkpointed:
+            assert f"rerun with --checkpoint {ck} to continue" in line
+        else:
+            assert "nothing checkpointed" in line
+        assert multiprocessing.active_children() == []
 
     def test_validate_command_small(self, capsys):
         assert (

@@ -1,15 +1,15 @@
-"""Checkpointed, resumable, fault-tolerant sweeps.
+"""Checkpointed, resumable sweeps.
 
 Covers the durability contract end to end: completed seeds survive any
-interruption (Ctrl-C, SIGTERM, a hard kill mid-append), a resumed sweep
-re-runs only missing seeds and produces results bit-identical to an
-uninterrupted run, and a hung or dying worker is contained as a recorded
-:class:`SweepFailure` without stalling the pool.
+interruption (Ctrl-C, SIGTERM, a hard kill mid-append, a dead pool worker),
+a resumed sweep re-runs only missing seeds and produces results
+bit-identical to an uninterrupted run, and no interruption leaves a pool
+worker behind.
 """
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -19,10 +19,12 @@ import time
 import pytest
 
 import repro
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import save_points
 from repro.experiments.runner import SweepFailure, run_sweep
 from repro.experiments.store import SweepStore
+from repro.obs.live import read_log
 
 TINY = ExperimentConfig.quick().with_(
     rows=5, cols=5, degrees=(4,), runs=3, post_fail_window=10.0,
@@ -35,6 +37,13 @@ def shard_lines(store: SweepStore) -> int:
         return 0
     with open(store.shards_path) as f:
         return sum(1 for _ in f)
+
+
+def same_bytes(tmp_path, a_points, b_points) -> bool:
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_points(a_points, str(a))
+    save_points(b_points, str(b))
+    return a.read_bytes() == b.read_bytes()
 
 
 class TestDurableRun:
@@ -67,10 +76,7 @@ class TestDurableRun:
             second = run_sweep(TINY, store=store_dir)
         finally:
             del os.environ["REPRO_TEST_SLEEP_SECONDS"]
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_points(first, str(a))
-        save_points(second, str(b))
-        assert a.read_bytes() == b.read_bytes()
+        assert same_bytes(tmp_path, first, second)
 
     def test_partial_store_runs_only_missing_seeds(self, tmp_path):
         store = SweepStore(tmp_path / "ck")
@@ -106,9 +112,10 @@ class TestDurableRun:
 
 
 class TestInterruptHandling:
-    def test_sigint_mid_sweep_flushes_completed_shards(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigint_mid_sweep_flushes_completed_shards(self, tmp_path, workers):
         """A KeyboardInterrupt surfacing mid-sweep must leave every already
-        completed seed durably recorded, then propagate."""
+        completed seed durably recorded and no pool worker, then propagate."""
         store = SweepStore(tmp_path / "ck")
 
         def interrupt_after_two(done, total, msg):
@@ -116,15 +123,42 @@ class TestInterruptHandling:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(TINY, store=store, progress=interrupt_after_two)
+            run_sweep(
+                TINY, workers=workers, store=store, progress=interrupt_after_two
+            )
+        assert multiprocessing.active_children() == []
         assert shard_lines(store) == 2
         # And the interrupted sweep resumes to a complete, identical result.
-        resumed = run_sweep(TINY, store=store)
-        clean = run_sweep(TINY)
-        a, b = tmp_path / "resumed.json", tmp_path / "clean.json"
-        save_points(resumed, str(a))
-        save_points(clean, str(b))
-        assert a.read_bytes() == b.read_bytes()
+        resumed = run_sweep(TINY, workers=workers, store=store)
+        assert same_bytes(tmp_path, resumed, run_sweep(TINY))
+
+    def test_dead_worker_ends_the_sweep_with_a_named_error(
+        self, tmp_path, monkeypatch
+    ):
+        """A pool worker that dies ends the sweep with BrokenProcessPool once
+        the store is flushed and the log ended; a rerun on the store resumes."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        real = runner.run_scenario
+
+        def dies_on_seed_2(protocol, degree, seed, *args, **kwargs):
+            if seed == 2:
+                os._exit(3)  # fork-started workers inherit the patch
+            return real(protocol, degree, seed, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_scenario", dies_on_seed_2)
+        store = SweepStore(tmp_path / "ck")
+        log = tmp_path / "sweep.log"
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(TINY, workers=2, store=store, live_log=log)
+        assert multiprocessing.active_children() == []
+        end = read_log(log)[-1]
+        assert (end["kind"], end["ok"]) == ("end", False)
+        assert "BrokenProcessPool" in end["error"]
+
+        monkeypatch.undo()
+        resumed = run_sweep(TINY, workers=2, store=store)
+        assert same_bytes(tmp_path, resumed, run_sweep(TINY))
 
 
 class TestKillAndResume:
@@ -196,70 +230,3 @@ class TestKillAndResume:
             env=env, check=True, capture_output=True, text=True, timeout=120,
         )
         assert "static" in out.stdout
-
-
-class TestTimeoutsAndRetries:
-    def test_hung_seed_times_out_without_stalling_the_pool(self, tmp_path):
-        os.environ["REPRO_TEST_HANG_SEEDS"] = "2"
-        try:
-            start = time.monotonic()
-            results = run_sweep(TINY, workers=2, timeout=2.0)
-            elapsed = time.monotonic() - start
-        finally:
-            del os.environ["REPRO_TEST_HANG_SEEDS"]
-        point = results[("static", 4)]
-        assert [r.seed for r in point.runs] == [1, 3]
-        assert [f.seed for f in point.failures] == [2]
-        assert "timeout" in point.failures[0].error
-        assert elapsed < 30.0, "pool stalled behind the hung seed"
-
-    def test_timeout_failures_are_checkpointed(self, tmp_path):
-        os.environ["REPRO_TEST_HANG_SEEDS"] = "2"
-        try:
-            store = SweepStore(tmp_path / "ck")
-            run_sweep(TINY, workers=2, timeout=2.0, store=store)
-        finally:
-            del os.environ["REPRO_TEST_HANG_SEEDS"]
-        outcome = store.load_outcomes()[("static", 4, 2)]
-        assert isinstance(outcome, SweepFailure)
-        assert store.completed_tasks() == set(TINY.grid())
-
-    def test_dead_worker_retried_then_succeeds(self, tmp_path):
-        markers = tmp_path / "markers"
-        markers.mkdir()
-        os.environ["REPRO_TEST_DIE_ONCE_DIR"] = str(markers)
-        try:
-            results = run_sweep(TINY, workers=2, retries=2, retry_backoff=0.05)
-        finally:
-            del os.environ["REPRO_TEST_DIE_ONCE_DIR"]
-        point = results[("static", 4)]
-        assert point.n_runs == 3
-        assert point.failures == []
-
-    def test_retries_exhausted_records_failure(self, tmp_path):
-        markers = tmp_path / "markers"
-        markers.mkdir()
-        os.environ["REPRO_TEST_DIE_ONCE_DIR"] = str(markers)
-        try:
-            # retries=0: the single death per task is already one too many.
-            results = run_sweep(
-                TINY.with_(runs=1), workers=1, timeout=30.0, retries=0,
-            )
-        finally:
-            del os.environ["REPRO_TEST_DIE_ONCE_DIR"]
-        point = results[("static", 4)]
-        assert point.n_runs == 0
-        assert len(point.failures) == 1
-        assert "worker died" in point.failures[0].error
-
-    def test_timeout_with_serial_workers_uses_pool(self):
-        # timeout=... must be honored even at workers=1 (routed through a
-        # one-worker pool; a truly serial run cannot preempt a hung seed).
-        os.environ["REPRO_TEST_HANG_SEEDS"] = "1"
-        try:
-            results = run_sweep(
-                TINY.with_(runs=1), workers=1, timeout=1.5,
-            )
-        finally:
-            del os.environ["REPRO_TEST_HANG_SEEDS"]
-        assert len(results[("static", 4)].failures) == 1

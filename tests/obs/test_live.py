@@ -207,8 +207,7 @@ class TestCheckLog:
             {"kind": "header", "schema_version": LOG_SCHEMA_VERSION,
              "log_kind": LOG_KIND, "run": "sweep", "meta": {}},
             {"kind": "seed", "protocol": "dbf", "degree": 4, "seed": 1,
-             "ok": True, "elapsed_s": 0.1, "attempts": 1,
-             "timed_out": False, "done": 5, "total": 4},
+             "ok": True, "elapsed_s": 0.1, "done": 5, "total": 4},
         ]
         assert any("exceeds total" in p for p in check_log(records))
 
@@ -360,20 +359,19 @@ class TestSummarize:
             {"kind": "sweep", "phase": "begin", "total_tasks": 4,
              "resumed_tasks": 1, "workers": 2},
             {"kind": "seed", "protocol": "dbf", "degree": 4, "seed": 1,
-             "ok": True, "elapsed_s": 0.5, "attempts": 1,
-             "timed_out": False, "done": 2, "total": 4},
+             "ok": True, "elapsed_s": 0.5, "done": 2, "total": 4},
             {"kind": "seed", "protocol": "rip", "degree": 4, "seed": 2,
-             "ok": False, "elapsed_s": None, "attempts": 2,
-             "timed_out": True, "done": 3, "total": 4},
+             "ok": False, "elapsed_s": None, "done": 3, "total": 4},
             {"kind": "sweep", "phase": "end", "wall_s": 1.25},
         ])
         s = summary.sweep
-        assert (s.total_tasks, s.done, s.failed, s.n_timeouts, s.n_retries,
-                s.resumed_tasks, s.workers) == (4, 3, 1, 1, 1, 1, 2)
+        assert (s.total_tasks, s.done, s.failed, s.resumed_tasks, s.workers) == (
+            4, 3, 1, 1, 2
+        )
         assert "FAILED" in s.last_label
         text = format_live(summary)
         assert "3/4 seeds done" in text
-        assert "1 failed, 1 timed out, 1 retried, 1 resumed" in text
+        assert "1 failed, 1 resumed" in text
         assert "wall: 1.25s" in text
 
     def test_sweep_utilization_and_slowest_seed(self):
@@ -383,11 +381,9 @@ class TestSummarize:
             {"kind": "sweep", "phase": "begin", "total_tasks": 2,
              "resumed_tasks": 0, "workers": 2},
             {"kind": "seed", "protocol": "dbf", "degree": 4, "seed": 1,
-             "ok": True, "elapsed_s": 0.5, "attempts": 1,
-             "timed_out": False, "done": 1, "total": 2},
+             "ok": True, "elapsed_s": 0.5, "done": 1, "total": 2},
             {"kind": "seed", "protocol": "dbf", "degree": 4, "seed": 2,
-             "ok": True, "elapsed_s": 0.75, "attempts": 1,
-             "timed_out": False, "done": 2, "total": 2},
+             "ok": True, "elapsed_s": 0.75, "done": 2, "total": 2},
         ]
         text = format_live(summarize_log(records))
         assert "utilization" not in text  # no wall time before ``sweep end``

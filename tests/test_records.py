@@ -52,7 +52,7 @@ SWEEP_RECORDS = (
     {"kind": "sweep", "phase": "begin", "total_tasks": 2, "resumed_tasks": 0,
      "workers": 1},
     {"kind": "seed", "protocol": "dbf", "degree": 4, "seed": 1, "ok": True,
-     "elapsed_s": 0.1, "attempts": 1, "timed_out": False, "done": 1, "total": 2},
+     "elapsed_s": 0.1, "done": 1, "total": 2},
     {"kind": "sweep", "phase": "end", "wall_s": 0.3},
 )
 
